@@ -5,7 +5,8 @@ Subpackage map:
 * ``qring``    -- Laurent polynomials and rational functions in v = q^(1/2)
 * ``rootdata`` -- Cartan matrices, root systems, Weyl dimensions, tensor rules
 * ``repbuild`` -- highest-weight modules with exact matrices over Q(v)
-* ``tensorcg`` -- tensor squares, highest-weight spaces, quantum CG inversion
+* ``tensorcg`` -- tensor products, highest-weight spaces, lowering,
+                  intertwining check, quantum CG inversion
 * ``qliealg``  -- the bracket constants themselves: generic pipeline,
                   explicit type-A construction, normalization, checks
 * ``monodromy``-- monodromy operator on V (x) V and adjoint-submodule checks
@@ -17,7 +18,7 @@ __version__ = "0.1.0"
 from .qring import LaurentPoly, RatFunc, q_int, q_binomial, parse_scalar
 from .rootdata import CartanDatum, build_cartan, root_system, weyl_dim
 from .repbuild import IrrepModule, build_irrep, adjoint_module, verify_module
-from .tensorcg import (TensorSquare, tensor_square, highest_weight_space,
+from .tensorcg import (TensorProduct, tensor_product, tensor_square, highest_weight_space,
                        antisymmetrize_hw, symmetrize_hw, cg_embedding,
                        verify_embedding, invert_cg)
 from .classical import build_classical_module, classical_bracket, classical_sln_table
@@ -45,7 +46,8 @@ __all__ = [
     "build_irrep",
     "adjoint_module",
     "verify_module",
-    "TensorSquare",
+    "TensorProduct",
+    "tensor_product",
     "tensor_square",
     "highest_weight_space",
     "antisymmetrize_hw",

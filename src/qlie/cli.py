@@ -26,6 +26,7 @@ import sys
 
 from .qring import (DenominatorVanishes, RatFunc, parse_scalar)
 from .rootdata import CartanDatum, build_cartan
+from .repbuild import BudgetExceeded
 from .tensorcg import ClassicallyZero, EmptySpace
 from .monodromy import ObstructionDetected
 from .qliealg import (
@@ -381,7 +382,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GaugeObstruction, ClassicallyZero, EmptySpace, ObstructionDetected,
-            DenominatorVanishes) as exc:
+            DenominatorVanishes, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:

@@ -211,20 +211,22 @@ def clear_denominators(vec):
 
 
 # ---------------------------------------------------------------------------
-# sparse matrices: dict {(row, col): RatFunc}, zero entries absent
+# sparse matrices: dict {(row, col): value}, zero entries absent.  Values are
+# Fraction or RatFunc; zero is tested by truth value, so both work.
 # ---------------------------------------------------------------------------
 
-def sp_set(m, r, c, val):
-    if val.is_zero():
-        m.pop((r, c), None)
+def sp_add_to(m, key, val):
+    """m[key] += val for any hashable key, dropping the entry when the sum
+    vanishes; the shared accumulator of every sparse table."""
+    if not val:
+        return
+    cur = m.get(key)
+    if cur is not None:
+        val = cur + val
+    if val:
+        m[key] = val
     else:
-        m[(r, c)] = val
-
-
-def sp_add_to(m, r, c, val):
-    cur = m.get((r, c))
-    new = val if cur is None else cur + val
-    sp_set(m, r, c, new)
+        del m[key]
 
 
 def sp_matvec(m, vec):
@@ -232,10 +234,10 @@ def sp_matvec(m, vec):
     out = {}
     for (r, c), x in m.items():
         y = vec.get(c)
-        if y is not None and not y.is_zero():
+        if y:
             cur = out.get(r)
             out[r] = x * y if cur is None else cur + x * y
-    return {r: v for r, v in out.items() if not v.is_zero()}
+    return {r: v for r, v in out.items() if v}
 
 
 def sp_matmul(a, b):
@@ -246,7 +248,7 @@ def sp_matmul(a, b):
     out = {}
     for (r, k), x in a.items():
         for c, y in b_by_row.get(k, ()):
-            sp_add_to(out, r, c, x * y)
+            sp_add_to(out, (r, c), x * y)
     return out
 
 
@@ -261,13 +263,24 @@ def sp_eq(a, b):
 
 
 def sp_scale(a, s):
-    if s.is_zero():
+    if not s:
         return {}
     return {k: v * s for k, v in a.items()}
+
+
+def sp_add(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        sp_add_to(out, k, v)
+    return out
 
 
 def sp_sub(a, b):
     out = dict(a)
     for k, v in b.items():
-        sp_add_to(out, k[0], k[1], -v)
+        sp_add_to(out, k, -v)
     return out
+
+
+def sp_transpose(m):
+    return {(c, r): v for (r, c), v in m.items()}

@@ -12,8 +12,10 @@ The conventions (pairing normalization, coproduct, shift) travel in the
 output metadata.
 
 The operator is assembled weight block by weight block from bases of the
-isotypic components obtained by lowering the joint highest-weight vectors,
-then re-verified: it must commute with the coproduct action of every
+isotypic components obtained by lowering the joint highest-weight vectors;
+the tensor product, the highest-vector kernel, the lowering and the
+intertwining check are the shared ones of tensorcg.  It is then
+re-verified: it must commute with the coproduct action of every
 generator, and M - 1 must vanish entrywise at v = 1.  Any failure raises
 ObstructionDetected -- these two oracle checks are what validates the
 spectral construction, so they are never skipped.
@@ -32,18 +34,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qring import LaurentPoly, RatFunc, RF_ONE, RF_ZERO, h_derivative_at_zero
+from .qring import RF_ONE, RF_ZERO, h_derivative_at_zero, rf_vpow
 from .rootdata import CartanDatum, bilinear, tensor_decompose
 from .repbuild import IrrepModule, adjoint_module, build_irrep
-from .linalg import rf_nullspace, rf_inverse, rf_rank, sp_matvec, sp_matmul, sp_eq, sp_add_to
+from .linalg import rf_inverse, rf_rank, sp_matmul, sp_eq, sp_add_to, sp_sub
+from .tensorcg import intertwining_defect, joint_highest_vectors, lowered_table, tensor_product
 
 
 class ObstructionDetected(RuntimeError):
     """The scalar-on-isotypic ansatz failed one of its verification oracles."""
-
-
-def _vpow(k: int) -> RatFunc:
-    return RatFunc(LaurentPoly.v_power(k))
 
 
 def casimir_exponent(cd: CartanDatum, lam) -> Fraction:
@@ -61,15 +60,12 @@ def casimir_exponent(cd: CartanDatum, lam) -> Fraction:
 class ModuleData:
     """Matrix data of a module: just enough to form tensor products."""
 
+    cd: CartanDatum
     dim: int
     weights: list
     E: dict
     F: dict
     kexp: dict
-
-
-def module_data(V: IrrepModule) -> ModuleData:
-    return ModuleData(V.dim, list(V.weights), V.E, V.F, V.kexp)
 
 
 def dual_data(V: IrrepModule) -> ModuleData:
@@ -78,76 +74,12 @@ def dual_data(V: IrrepModule) -> ModuleData:
     n = V.cd.rank
     E, F, kexp = {}, {}, {}
     for i in range(n):
-        qi, qi_inv = _vpow(2 * V.cd.d[i]), _vpow(-2 * V.cd.d[i])
+        qi, qi_inv = rf_vpow(2 * V.cd.d[i]), rf_vpow(-2 * V.cd.d[i])
         E[i] = {(c, r): -qi_inv * x for (r, c), x in V.E[i].items()}
         F[i] = {(c, r): -qi * x for (r, c), x in V.F[i].items()}
         kexp[i] = [-k for k in V.kexp[i]]
     weights = [tuple(-x for x in w) for w in V.weights]
-    return ModuleData(V.dim, weights, E, F, kexp)
-
-
-@dataclass
-class TensorPair:
-    """V1 (x) V2 with product index p = a * dim(V2) + b."""
-
-    cd: CartanDatum
-    d1: int
-    d2: int
-    dE: dict
-    dF: dict
-    kexp: dict
-    weights: list
-    weight_blocks: dict
-
-
-def tensor_pair(cd: CartanDatum, M1: ModuleData, M2: ModuleData) -> TensorPair:
-    d1, d2 = M1.dim, M2.dim
-    weights = [None] * (d1 * d2)
-    blocks = {}
-    for a in range(d1):
-        for b in range(d2):
-            w = tuple(x + y for x, y in zip(M1.weights[a], M2.weights[b]))
-            p = a * d2 + b
-            weights[p] = w
-            blocks.setdefault(w, []).append(p)
-    dE, dF, kexp = {}, {}, {}
-    for i in range(cd.rank):
-        me, mf = {}, {}
-        for (r, c), x in M1.E[i].items():
-            for b in range(d2):
-                sp_add_to(me, r * d2 + b, c * d2 + b, x * _vpow(-M2.kexp[i][b]))
-        for (r, c), x in M2.E[i].items():
-            for a in range(d1):
-                sp_add_to(me, a * d2 + r, a * d2 + c, _vpow(M1.kexp[i][a]) * x)
-        for (r, c), x in M1.F[i].items():
-            for b in range(d2):
-                sp_add_to(mf, r * d2 + b, c * d2 + b, x * _vpow(-M2.kexp[i][b]))
-        for (r, c), x in M2.F[i].items():
-            for a in range(d1):
-                sp_add_to(mf, a * d2 + r, a * d2 + c, _vpow(M1.kexp[i][a]) * x)
-        dE[i] = me
-        dF[i] = mf
-        kexp[i] = [M1.kexp[i][a] + M2.kexp[i][b] for a in range(d1) for b in range(d2)]
-    return TensorPair(cd, d1, d2, dE, dF, kexp, weights, blocks)
-
-
-def joint_highest_vectors(T: TensorPair, w) -> list:
-    """Kernel of every raising operator restricted to the weight-w block
-    (denominator cleared, deterministic order)."""
-    w = tuple(w)
-    cd = T.cd
-    block = T.weight_blocks.get(w)
-    if not block:
-        return []
-    rows = []
-    for i in range(cd.rank):
-        up = tuple(w[k] + cd.cartan[k][i] for k in range(cd.rank))
-        for q in T.weight_blocks.get(up, ()):
-            row = [T.dE[i].get((q, p), RF_ZERO) for p in block]
-            if any(not x.is_zero() for x in row):
-                rows.append(row)
-    kern = rf_nullspace(rows, len(block))
-    return [{p: x for p, x in zip(block, vec) if not x.is_zero()} for vec in kern]
+    return ModuleData(V.cd, V.dim, weights, E, F, kexp)
 
 
 @dataclass
@@ -177,7 +109,7 @@ def monodromy_on_tensor(V: IrrepModule, W: IrrepModule,
     """Assemble the operator acting by q^(c_lam - c_mu - c_nu) on each
     isotypic component of V (x) W, then verify it exactly."""
     cd = V.cd
-    T = tensor_pair(cd, module_data(V), module_data(W))
+    T = tensor_product(V, W)
     dec = tensor_decompose(cd, V.highest_weight, W.highest_weight)
     c0 = casimir_exponent(cd, V.highest_weight) + casimir_exponent(cd, W.highest_weight)
     exponents = {lam: 2 * (casimir_exponent(cd, lam) - c0) for lam in dec}
@@ -199,14 +131,8 @@ def monodromy_on_tensor(V: IrrepModule, W: IrrepModule,
             raise ObstructionDetected(
                 f"found {len(hws)} highest vectors at {lam}, expected {mult}")
         Mlam = build_irrep(cd, lam, budget_dim)
-        index = {lab: a for a, lab in enumerate(Mlam.labels)}
         for u in hws:
-            table = [None] * Mlam.dim
-            table[0] = u
-            for a in range(1, Mlam.dim):
-                lab = Mlam.labels[a]
-                table[a] = sp_matvec(T.dF[lab[0]], table[index[lab[1:]]])
-            for a, vec in enumerate(table):
+            for a, vec in enumerate(lowered_table(T, Mlam, u)):
                 col_vecs.setdefault(Mlam.weights[a], []).append((vec, lam))
 
     matrix = {}
@@ -224,7 +150,7 @@ def monodromy_on_tensor(V: IrrepModule, W: IrrepModule,
             cinv = rf_inverse([list(r) for r in cmat])
         except ZeroDivisionError as exc:
             raise ObstructionDetected(f"singular isotypic basis at weight {w}") from exc
-        scaled = [[cmat[r][k] * _vpow(int_exp[cols[k][1]]) for k in range(len(cols))]
+        scaled = [[cmat[r][k] * rf_vpow(int_exp[cols[k][1]]) for k in range(len(cols))]
                   for r in range(len(block))]
         for r in range(len(block)):
             for c in range(len(block)):
@@ -234,13 +160,10 @@ def monodromy_on_tensor(V: IrrepModule, W: IrrepModule,
                 if not acc.is_zero():
                     matrix[(block[r], block[c])] = acc
 
-    dim = T.d1 * T.d2
-    checks = {"commutes": True, "vanishes_at_one": True}
-    for i in range(cd.rank):
-        if not sp_eq(sp_matmul(matrix, T.dE[i]), sp_matmul(T.dE[i], matrix)):
-            checks["commutes"] = False
-        if not sp_eq(sp_matmul(matrix, T.dF[i]), sp_matmul(T.dF[i], matrix)):
-            checks["commutes"] = False
+    dim = T.dim
+    ops = (T.dE, T.dF)
+    checks = {"commutes": intertwining_defect(matrix, ops, ops) is None,
+              "vanishes_at_one": True}
     for (r, c), x in matrix.items():
         if not x.is_regular_at_one():
             checks["vanishes_at_one"] = False
@@ -272,13 +195,7 @@ def extract_A(M: Monodromy):
     and its classical limit, differentiated entrywise with respect to h at
     h = 0 (q = e^h).  The former vanishes entrywise at v = 1; the latter
     is the classical tensor the operator linearizes to."""
-    m1 = dict(M.matrix)
-    for p in range(M.dim):
-        cur = m1.get((p, p), RF_ZERO) - RF_ONE
-        if cur.is_zero():
-            m1.pop((p, p), None)
-        else:
-            m1[(p, p)] = cur
+    m1 = sp_sub(M.matrix, {(p, p): RF_ONE for p in range(M.dim)})
     classical = {}
     for key, x in m1.items():
         val = h_derivative_at_zero(x)
@@ -293,20 +210,12 @@ def adjoint_in_dual_tensor(V: IrrepModule, budget_dim: int = 256):
     dual index and k a module index.  Deterministic first nullspace choice
     when the highest root appears with multiplicity.  Returns the adjoint
     module together with the table."""
-    cd = V.cd
-    adj = adjoint_module(cd, budget_dim)
-    T = tensor_pair(cd, dual_data(V), module_data(V))
+    adj = adjoint_module(V.cd, budget_dim)
+    T = tensor_product(dual_data(V), V)
     hws = joint_highest_vectors(T, adj.highest_weight)
     if not hws:
         raise ObstructionDetected("adjoint module absent from V* (x) V")
-    u = hws[0]
-    index = {lab: a for a, lab in enumerate(adj.labels)}
-    table = [None] * adj.dim
-    table[0] = u
-    for a in range(1, adj.dim):
-        lab = adj.labels[a]
-        table[a] = sp_matvec(T.dF[lab[0]], table[index[lab[1:]]])
-    return adj, table
+    return adj, lowered_table(T, adj, hws[0])
 
 
 def verify_ad_submodule(M: Monodromy, V: IrrepModule, W: IrrepModule = None,
@@ -349,46 +258,32 @@ def verify_ad_submodule(M: Monodromy, V: IrrepModule, W: IrrepModule = None,
         for p, coeff in vec.items():
             i, j = divmod(p, dv)
             for (k, l), x in slices.get((i, j), {}).items():
-                sp_add_to(A, k, l, coeff * x)
+                sp_add_to(A, (k, l), coeff * x)
         As.append(A)
 
-    k_diag = {i: {(a, a): _vpow(W.kexp[i][a]) for a in range(dw)} for i in range(cd.rank)}
-    k_inv = {i: {(a, a): _vpow(-W.kexp[i][a]) for a in range(dw)} for i in range(cd.rank)}
-    ok_e = ok_f = ok_k = True
+    k_diag = {i: {(a, a): rf_vpow(W.kexp[i][a]) for a in range(dw)} for i in range(cd.rank)}
+    k_inv = {i: {(a, a): rf_vpow(-W.kexp[i][a]) for a in range(dw)} for i in range(cd.rank)}
+    ok = {"ad_e": True, "ad_f": True, "ad_k": True}
     for i in range(cd.rank):
-        qi, qi_inv = _vpow(2 * cd.d[i]), _vpow(-2 * cd.d[i])
+        twisted = (("ad_e", W.E[i], adj.E[i], rf_vpow(-2 * cd.d[i])),
+                   ("ad_f", W.F[i], adj.F[i], rf_vpow(2 * cd.d[i])))
         for a in range(adj.dim):
-            lhs = sp_matmul(sp_matmul(W.E[i], As[a]), k_diag[i])
-            for key, x in sp_matmul(sp_matmul(k_diag[i], As[a]), W.E[i]).items():
-                sp_add_to(lhs, key[0], key[1], -qi_inv * x)
-            rhs = {}
-            for (b, a2), x in adj.E[i].items():
-                if a2 == a:
-                    for key, y in As[b].items():
-                        sp_add_to(rhs, key[0], key[1], x * y)
-            if not sp_eq(lhs, rhs):
-                ok_e = False
-            lhs = sp_matmul(sp_matmul(W.F[i], As[a]), k_diag[i])
-            for key, x in sp_matmul(sp_matmul(k_diag[i], As[a]), W.F[i]).items():
-                sp_add_to(lhs, key[0], key[1], -qi * x)
-            rhs = {}
-            for (b, a2), x in adj.F[i].items():
-                if a2 == a:
-                    for key, y in As[b].items():
-                        sp_add_to(rhs, key[0], key[1], x * y)
-            if not sp_eq(lhs, rhs):
-                ok_f = False
+            for name, x_w, x_adj, q in twisted:
+                lhs = sp_matmul(sp_matmul(x_w, As[a]), k_diag[i])
+                for key, x in sp_matmul(sp_matmul(k_diag[i], As[a]), x_w).items():
+                    sp_add_to(lhs, key, -q * x)
+                rhs = {}
+                for (b, a2), x in x_adj.items():
+                    if a2 == a:
+                        for key, y in As[b].items():
+                            sp_add_to(rhs, key, x * y)
+                if not sp_eq(lhs, rhs):
+                    ok[name] = False
             lhs = sp_matmul(sp_matmul(k_diag[i], As[a]), k_inv[i])
-            rhs = {key: _vpow(cd.d[i] * adj.weights[a][i]) * x
+            rhs = {key: rf_vpow(cd.d[i] * adj.weights[a][i]) * x
                    for key, x in As[a].items()}
             if not sp_eq(lhs, rhs):
-                ok_k = False
+                ok["ad_k"] = False
 
     flat = [[A.get((r, c), RF_ZERO) for r in range(dw) for c in range(dw)] for A in As]
-    return {
-        "ad_e": ok_e,
-        "ad_f": ok_f,
-        "ad_k": ok_k,
-        "span_dim": rf_rank(flat),
-        "all": ok_e and ok_f and ok_k,
-    }
+    return {**ok, "span_dim": rf_rank(flat), "all": all(ok.values())}

@@ -30,14 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .qring import (
-    LaurentPoly,
-    RatFunc,
-    RF_ONE,
-    RF_ZERO,
-    laurent_sqrt,
-    _fraction_sqrt,
-)
+from .qring import RatFunc, RF_ONE, RF_ZERO, laurent_sqrt, rf_vpow, _fraction_sqrt
 from .rootdata import CartanDatum, build_cartan, highest_root, cartan_to_json, cartan_from_json
 from .repbuild import adjoint_module, DEFAULT_DIM_BUDGET
 from .tensorcg import (
@@ -45,13 +38,15 @@ from .tensorcg import (
     highest_weight_space,
     antisymmetrize_hw,
     symmetrize_hw,
+    rescale_at_one,
     cg_embedding,
     verify_embedding,
+    intertwining_defect,
     invert_cg,
     bracket_matrix,
     ClassicallyZero,
 )
-from .linalg import rf_rref, rf_inverse, sp_matmul, sp_eq
+from .linalg import rf_rref, rf_inverse, sp_add, sp_add_to, sp_eq
 from .classical import classical_bracket, classical_sln_table
 
 
@@ -64,12 +59,8 @@ class GaugeObstruction(RuntimeError):
     rebase, or a required square root that does not exist in Q(v)."""
 
 
-def _vpow(k: int) -> RatFunc:
-    return RatFunc(LaurentPoly.v_power(k))
-
-
 def _qpow(k: int) -> RatFunc:
-    return _vpow(2 * k)
+    return rf_vpow(2 * k)
 
 
 @dataclass(frozen=True)
@@ -186,11 +177,6 @@ class QuantumLieAlgebra:
         return "\n".join(lines) + "\n"
 
 
-def equal_tables(x: dict, y: dict) -> bool:
-    keys = set(x) | set(y)
-    return all((x.get(k, RF_ZERO) - y.get(k, RF_ZERO)).is_zero() for k in keys)
-
-
 def labeled_constants(A: QuantumLieAlgebra) -> dict:
     """Constants keyed by basis labels instead of positions, so tables on
     differently ordered bases can be compared: X vectors keyed by their
@@ -208,9 +194,7 @@ def labeled_constants(A: QuantumLieAlgebra) -> dict:
 
 def same_algebra(A: QuantumLieAlgebra, B: QuantumLieAlgebra) -> bool:
     """Label-aware exact equality of two structure-constant tables."""
-    x, y = labeled_constants(A), labeled_constants(B)
-    keys = set(x) | set(y)
-    return all((x.get(k, RF_ZERO) - y.get(k, RF_ZERO)).is_zero() for k in keys)
+    return sp_eq(labeled_constants(A), labeled_constants(B))
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +210,6 @@ def _sln_parts(n: int):
     labels = xlabels + [("H", k) for k in range(1, n)]
     pos = {lab: a for a, lab in enumerate(labels)}
     Ts, Tt = {}, {}
-
-    def add(table, key, val):
-        if not val.is_zero():
-            cur = table.get(key, RF_ZERO) + val
-            if cur.is_zero():
-                table.pop(key, None)
-            else:
-                table[key] = cur
 
     def l_parts(i, j, k):
         # l_ij(H_k) = (q^{1-k} d_{ki} - q^{-1-k} d_{k,i-1})(s + t q^n)
@@ -255,12 +231,12 @@ def _sln_parts(n: int):
         for k in range(1, n):
             h = pos[("H", k)]
             ls, lt = l_parts(i, j, k)
-            add(Ts, (h, a, a), ls)
-            add(Tt, (h, a, a), lt)
+            sp_add_to(Ts, (h, a, a), ls)
+            sp_add_to(Tt, (h, a, a), lt)
             # [X_ij, H_k] = -r_ij(H_k) X_ij with r_ij(H_k) = -l_ji(H_k)
             rs, rt = l_parts(j, i, k)
-            add(Ts, (a, h, a), rs)
-            add(Tt, (a, h, a), rt)
+            sp_add_to(Ts, (a, h, a), rs)
+            sp_add_to(Tt, (a, h, a), rt)
 
     for i in range(1, n):
         for j in range(1, n):
@@ -287,8 +263,8 @@ def _sln_parts(n: int):
                         fs = fs + _qpow(-k) - _qpow(k)
                     if k > j:
                         ft = ft + _qpow(k - n) - _qpow(-k + n)
-                add(Ts, (a, b, c), fs)
-                add(Tt, (a, b, c), ft)
+                sp_add_to(Ts, (a, b, c), fs)
+                sp_add_to(Tt, (a, b, c), ft)
 
     for (_, i, j) in xlabels:
         a = pos[("X", i, j)]
@@ -305,8 +281,8 @@ def _sln_parts(n: int):
                 gt = gt + _qpow(n - k)
             if k >= j:
                 gt = gt - _qpow(k - n)
-            add(Ts, (a, b, c), _qpow(i - j) * gs)
-            add(Tt, (a, b, c), _qpow(i - j) * gt)
+            sp_add_to(Ts, (a, b, c), _qpow(i - j) * gs)
+            sp_add_to(Tt, (a, b, c), _qpow(i - j) * gt)
 
     for (_, i, j) in xlabels:
         a = pos[("X", i, j)]
@@ -314,12 +290,12 @@ def _sln_parts(n: int):
             b = pos[("X", k, l)]
             if j == k and i != l:
                 c = pos[("X", i, l)]
-                add(Ts, (a, b, c), _vpow(1 - 2 * j))
-                add(Tt, (a, b, c), _vpow(1 - 2 * j) * _qpow(n))
+                sp_add_to(Ts, (a, b, c), rf_vpow(1 - 2 * j))
+                sp_add_to(Tt, (a, b, c), rf_vpow(1 - 2 * j) * _qpow(n))
             if i == l and j != k:
                 c = pos[("X", k, j)]
-                add(Ts, (a, b, c), -_vpow(2 * i - 1))
-                add(Tt, (a, b, c), -_vpow(2 * i - 1) * _qpow(-n))
+                sp_add_to(Ts, (a, b, c), -rf_vpow(2 * i - 1))
+                sp_add_to(Tt, (a, b, c), -rf_vpow(2 * i - 1) * _qpow(-n))
 
     return labels, Ts, Tt
 
@@ -378,15 +354,15 @@ class GenericPipeline:
     constants: dict
 
 
-def _sp_sum(u: dict, w: dict) -> dict:
-    out = dict(u)
-    for p, x in w.items():
-        cur = out.get(p, RF_ZERO) + x
-        if cur.is_zero():
-            out.pop(p, None)
-        else:
-            out[p] = cur
-    return out
+def _first_classically_nonzero(part, T, candidates):
+    """part(T, cand) for the first candidate where it does not vanish at
+    v = 1, or None."""
+    for cand in candidates:
+        try:
+            return part(T, cand)
+        except ClassicallyZero:
+            continue
+    return None
 
 
 def generic_pipeline(cd: CartanDatum, budget_dim: int = DEFAULT_DIM_BUDGET) -> GenericPipeline:
@@ -399,32 +375,14 @@ def generic_pipeline(cd: CartanDatum, budget_dim: int = DEFAULT_DIM_BUDGET) -> G
     candidates = list(hs.basis)
     for i in range(len(hs.basis)):
         for j in range(i + 1, len(hs.basis)):
-            candidates.append(_sp_sum(hs.basis[i], hs.basis[j]))
-    anti = None
-    for cand in candidates:
-        try:
-            anti = antisymmetrize_hw(T, cand)
-            break
-        except ClassicallyZero:
-            continue
+            candidates.append(sp_add(hs.basis[i], hs.basis[j]))
+    anti = _first_classically_nonzero(antisymmetrize_hw, T, candidates)
     if anti is None:
         raise ClassicallyZero("no candidate with classically nonzero antisymmetrization")
-    scale = None
-    for p in sorted(anti):
-        c1 = anti[p].eval_at_one()
-        if c1 != 0:
-            scale = RatFunc(1) / RatFunc(c1)
-            break
-    anti = {p: x * scale for p, x in anti.items()}
+    anti = rescale_at_one(anti)
     others = []
     if len(hs.basis) > 1:
-        sym = None
-        for cand in candidates:
-            try:
-                sym = symmetrize_hw(T, cand)
-                break
-            except ClassicallyZero:
-                continue
+        sym = _first_classically_nonzero(symmetrize_hw, T, candidates)
         assert sym is not None, "no classically nonzero symmetric complement"
         others.append(sym)
     K = cg_embedding(T, anti)
@@ -465,10 +423,6 @@ def _rf_sqrt(x: RatFunc):
     return RatFunc(root, x.den)
 
 
-def _scalar_zero(v) -> bool:
-    return v == 0 if isinstance(v, Fraction) else v.is_zero()
-
-
 def _normalize_table(constants, x_slots, h_slots, G, Ginv, m2, m):
     """Classwise rebase: bracket scaled by m, Cartan rebased
     H'_i = m sum_k G[i][k] H_k.  Works over RatFunc or Fraction entries.
@@ -481,17 +435,6 @@ def _normalize_table(constants, x_slots, h_slots, G, Ginv, m2, m):
     hpos = {h: k for k, h in enumerate(h_slots)}
     xset = set(x_slots)
     out = {}
-
-    def add(key, val):
-        if _scalar_zero(val):
-            return
-        cur = out.get(key)
-        cur = val if cur is None else cur + val
-        if _scalar_zero(cur):
-            out.pop(key, None)
-        else:
-            out[key] = cur
-
     by_pair = {}
     for (a, b, c), val in constants.items():
         by_pair.setdefault((a, b), {})[c] = val
@@ -505,11 +448,11 @@ def _normalize_table(constants, x_slots, h_slots, G, Ginv, m2, m):
                     if m is None:
                         raise GaugeObstruction(
                             "normalization needs a square root missing from Q(v)")
-                    add((a, b, c), m * val)
+                    sp_add_to(out, (a, b, c), m * val)
                 else:
                     k = hpos[c]
                     for j in range(n):
-                        add((a, b, h_slots[j]), val * Ginv[k][j])
+                        sp_add_to(out, (a, b, h_slots[j]), val * Ginv[k][j])
         elif not a_is_x and not b_is_x:
             i, j = hpos[a], hpos[b]
             for (a2, b2), col2 in by_pair.items():
@@ -517,12 +460,12 @@ def _normalize_table(constants, x_slots, h_slots, G, Ginv, m2, m):
                     continue
                 gi = G[i][hpos[a2]]
                 gj = G[j][hpos[b2]]
-                if _scalar_zero(gi) or _scalar_zero(gj):
+                if not gi or not gj:
                     continue
                 for c, val in col2.items():
                     k = hpos[c]
                     for j2 in range(n):
-                        add((a, b, h_slots[j2]), m2 * gi * gj * val * Ginv[k][j2])
+                        sp_add_to(out, (a, b, h_slots[j2]), m2 * gi * gj * val * Ginv[k][j2])
         else:
             i = hpos[b] if a_is_x else hpos[a]
             for (a2, b2), col2 in by_pair.items():
@@ -534,10 +477,10 @@ def _normalize_table(constants, x_slots, h_slots, G, Ginv, m2, m):
                     if b2 != b or a2 in xset:
                         continue
                     g = G[i][hpos[a2]]
-                if _scalar_zero(g):
+                if not g:
                     continue
                 for c, val in col2.items():
-                    add((a, b, c), m2 * g * val)
+                    sp_add_to(out, (a, b, c), m2 * g * val)
     return out
 
 
@@ -854,11 +797,9 @@ def ad_invariance_of_table(constants: dict, V, T) -> dict:
     """pi(x) o B = B o Delta pi(x) for all generators, for the bracket B
     defined by a constants table written on the module basis of V."""
     B = bracket_matrix(V.dim, constants)
-    for i in range(V.cd.rank):
-        if not sp_eq(sp_matmul(V.E[i], B), sp_matmul(B, T.dE[i])):
-            return {"ok": False, "witness": ["E", i]}
-        if not sp_eq(sp_matmul(V.F[i], B), sp_matmul(B, T.dF[i])):
-            return {"ok": False, "witness": ["F", i]}
+    witness = intertwining_defect(B, (T.dE, T.dF), (V.E, V.F))
+    if witness is not None:
+        return {"ok": False, "witness": witness}
     for (c, p) in B:
         if V.weights[c] != T.weights[p]:
             return {"ok": False, "witness": ["K", c, p]}
@@ -914,11 +855,7 @@ def transport_explicit_constants(A: QuantumLieAlgebra, phi: dict,
                         continue
                     w = xa * xb
                     for ec, val in col.items():
-                        cur = acc.get(ec, RF_ZERO) + w * val
-                        if cur.is_zero():
-                            acc.pop(ec, None)
-                        else:
-                            acc[ec] = cur
+                        sp_add_to(acc, ec, w * val)
             if not acc:
                 continue
             for c in range(dim):
@@ -1150,23 +1087,13 @@ def compare_to_explicit(A: QuantumLieAlgebra, s=None, t=None,
             lhs = {}
             for c, val in a_pairs.get((ga, gb), {}).items():
                 for ec, xc in phicols[c].items():
-                    cur = lhs.get(ec, RF_ZERO) + val * xc
-                    if cur.is_zero():
-                        lhs.pop(ec, None)
-                    else:
-                        lhs[ec] = cur
+                    sp_add_to(lhs, ec, val * xc)
             rhs2 = {}
             for ea, xa in phicols[ga].items():
                 for eb, xb in phicols[gb].items():
                     for ec, val in tfit_pairs.get((ea, eb), {}).items():
-                        cur = rhs2.get(ec, RF_ZERO) + xa * xb * val
-                        if cur.is_zero():
-                            rhs2.pop(ec, None)
-                        else:
-                            rhs2[ec] = cur
-            keys = set(lhs) | set(rhs2)
-            if any(not (lhs.get(k, RF_ZERO) - rhs2.get(k, RF_ZERO)).is_zero()
-                   for k in keys):
+                        sp_add_to(rhs2, ec, xa * xb * val)
+            if not sp_eq(lhs, rhs2):
                 mismatches.append([ga, gb])
     report["mismatches"] = mismatches
     report["match"] = not mismatches

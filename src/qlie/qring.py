@@ -540,6 +540,11 @@ V = LaurentPoly.v_power(1)
 Q = LaurentPoly.q_power(1)
 
 
+def rf_vpow(k: int) -> RatFunc:
+    """v^k as a RatFunc."""
+    return RatFunc(LaurentPoly.v_power(k))
+
+
 def qconjugate(p):
     """Bar involution v -> 1/v on LaurentPoly or RatFunc (same type out)."""
     return p.qconjugate()
@@ -689,7 +694,10 @@ def parse_scalar(text: str) -> RatFunc:
             return RatFunc(tok)
         raise ValueError(f"parse error in {text!r}: unexpected token {tok!r}")
 
-    result = parse_expr()
+    try:
+        result = parse_expr()
+    except ZeroDivisionError as exc:
+        raise ValueError(f"division by zero in {text!r}") from exc
     if pos[0] != len(tokens):
         raise ValueError(f"trailing input in {text!r}")
     return result

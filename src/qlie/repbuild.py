@@ -26,14 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .qring import LaurentPoly, RatFunc, RF_ONE, RF_ZERO, q_int, q_binomial
+from .qring import RatFunc, RF_ONE, RF_ZERO, q_int, q_binomial, rf_vpow
 from .rootdata import (
     CartanDatum,
     weight_multiplicities,
     weyl_dim,
     highest_root,
 )
-from .linalg import frac_rref, rf_solve, sp_matmul, sp_eq, sp_scale, sp_sub
+from .linalg import (frac_rref, rf_solve, sp_add_to, sp_matmul, sp_eq, sp_scale, sp_sub,
+                     sp_transpose)
 
 DEFAULT_DIM_BUDGET = 64
 
@@ -72,7 +73,7 @@ class IrrepModule:
         return len(self.labels)
 
     def k_entry(self, i: int, a: int) -> RatFunc:
-        return RatFunc(LaurentPoly.v_power(self.kexp[i][a]))
+        return rf_vpow(self.kexp[i][a])
 
     def weight_block(self, mu) -> list:
         return self.weight_basis.get(tuple(mu), [])
@@ -212,7 +213,7 @@ def adjoint_module(cd: CartanDatum, budget_dim: int = DEFAULT_DIM_BUDGET) -> Irr
 # ---------------------------------------------------------------------------
 
 def _k_diag_power(mod: IrrepModule, i: int, power: int):
-    return {(a, a): RatFunc(LaurentPoly.v_power(power * mod.kexp[i][a])) for a in range(mod.dim)}
+    return {(a, a): rf_vpow(power * mod.kexp[i][a]) for a in range(mod.dim)}
 
 
 def verify_module(mod: IrrepModule) -> dict:
@@ -244,11 +245,11 @@ def verify_module(mod: IrrepModule) -> dict:
             ki = _k_diag_power(mod, i, 1)
             ki_inv = _k_diag_power(mod, i, -1)
             conj = sp_matmul(ki, sp_matmul(mod.E[j], ki_inv))
-            scale = RatFunc(LaurentPoly.v_power(cd.d[i] * cd.cartan[i][j]))
+            scale = rf_vpow(cd.d[i] * cd.cartan[i][j])
             if not sp_eq(conj, sp_scale(mod.E[j], scale)):
                 ok = False
             conj = sp_matmul(ki, sp_matmul(mod.F[j], ki_inv))
-            scale = RatFunc(LaurentPoly.v_power(-cd.d[i] * cd.cartan[i][j]))
+            scale = rf_vpow(-cd.d[i] * cd.cartan[i][j])
             if not sp_eq(conj, sp_scale(mod.F[j], scale)):
                 ok = False
     report["k_conjugation"] = ok
@@ -274,7 +275,7 @@ def verify_module(mod: IrrepModule) -> dict:
             for j in range(n):
                 e1 = {k: Fraction(x.eval_at_one()) for k, x in mod.E[i].items()}
                 f1 = {k: Fraction(x.eval_at_one()) for k, x in mod.F[j].items()}
-                lhs = _frac_sp_sub(_frac_sp_mul(e1, f1), _frac_sp_mul(f1, e1))
+                lhs = sp_sub(sp_matmul(e1, f1), sp_matmul(f1, e1))
                 rhs = {}
                 if i == j:
                     for a in range(mod.dim):
@@ -288,7 +289,7 @@ def verify_module(mod: IrrepModule) -> dict:
     ok = True
     for i in range(n):
         lhs = sp_matmul(_gram_sparse(mod), mod.E[i])
-        rhs = sp_matmul(_sp_transpose(mod.F[i]), _gram_sparse(mod))
+        rhs = sp_matmul(sp_transpose(mod.F[i]), _gram_sparse(mod))
         if not sp_eq(lhs, rhs):
             ok = False
     report["contravariant_adjoint"] = ok
@@ -314,11 +315,7 @@ def _serre_ok(mod: IrrepModule, mats: dict) -> bool:
                 term = sp_matmul(term, mats[j])
                 term = sp_matmul(term, _sp_power(mats[i], m - k, mod.dim))
                 for key, val in term.items():
-                    cur = acc.get(key, RF_ZERO) + coeff * val
-                    if cur.is_zero():
-                        acc.pop(key, None)
-                    else:
-                        acc[key] = cur
+                    sp_add_to(acc, key, coeff * val)
             if acc:
                 return False
     return True
@@ -343,32 +340,3 @@ def _gram_sparse(mod: IrrepModule):
                     out[(a, b)] = g[r][c]
     return out
 
-
-def _sp_transpose(m):
-    return {(c, r): v for (r, c), v in m.items()}
-
-
-def _frac_sp_mul(a, b):
-    b_by_row = {}
-    for (r, c), x in b.items():
-        b_by_row.setdefault(r, []).append((c, x))
-    out = {}
-    for (r, k), x in a.items():
-        for c, y in b_by_row.get(k, ()):
-            v = out.get((r, c), Fraction(0)) + x * y
-            if v:
-                out[(r, c)] = v
-            else:
-                out.pop((r, c), None)
-    return out
-
-
-def _frac_sp_sub(a, b):
-    out = {k: v for k, v in a.items() if v}
-    for k, v in b.items():
-        s = out.get(k, Fraction(0)) - v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out

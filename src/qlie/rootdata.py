@@ -208,19 +208,20 @@ def _check_dominant(lam):
 
 
 def weyl_dim(cd: CartanDatum, lam) -> int:
-    """Weyl dimension formula, exact."""
+    """Weyl dimension formula, exact: the product over positive roots alpha
+    of <lam + rho, alpha-check> / <rho, alpha-check>.  For alpha = sum c_i
+    alpha_i the pairing is <mu, alpha-check> = sum c_i d_i mu_i / d_alpha
+    with d_alpha = (alpha, alpha)/2; d_alpha cancels in each ratio, so
+    every root costs one integer sum of O(rank) terms."""
     _check_dominant(lam)
-    rs = root_system(cd)
-    rho = rs.rho
-    num = Fraction(1)
-    den = Fraction(1)
-    lam_rho = tuple(a + b for a, b in zip(lam, rho))
-    for _, w in rs.positive_roots:
-        num *= bilinear(cd, lam_rho, w)
-        den *= bilinear(cd, rho, w)
-    dim = num / den
-    assert dim.denominator == 1 and dim > 0
-    return int(dim)
+    num = den = 1
+    for coords, _ in root_system(cd).positive_roots:
+        weighted = [c * d for c, d in zip(coords, cd.d)]
+        num *= sum(x * (m + 1) for x, m in zip(weighted, lam))
+        den *= sum(weighted)
+    dim, rem = divmod(num, den)
+    assert rem == 0 and dim > 0
+    return dim
 
 
 @lru_cache(maxsize=None)

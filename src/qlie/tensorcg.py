@@ -1,11 +1,14 @@
-"""Tensor square of a module, highest-weight vectors, and inverse
-Clebsch-Gordan coefficients.
+"""The tensor-product layer: the coproduct action on M1 (x) M2, its joint
+highest-weight vectors, lowering them to full module copies, the
+intertwining check, and inverse Clebsch-Gordan coefficients.
 
 The coproduct convention (fixed globally, same as the module convention)
 is Delta(E_i) = E_i (x) K_i^-1 + K_i (x) E_i and the F analog, with
 K_i = represented q_i^(h_i/2).  Product basis vectors are indexed
-row-major: (a, b) -> a*dim + b, which is also the lexicographic order
-used for deterministic normalizations.
+row-major: (a, b) -> a*dim(M2) + b, which is also the lexicographic order
+used for deterministic normalizations.  The same tensor type serves the
+tensor square V (x) V of the bracket construction and the general
+products V (x) W and V* (x) V of the monodromy module.
 
 The structure constants of the quantum Lie algebra are produced by
 invert_cg: given the embedding beta built from a highest-weight vector
@@ -22,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qring import LaurentPoly, RatFunc, RF_ONE, RF_ZERO
-from .rootdata import root_system, tensor_multiplicity, is_dominant
+from .qring import RatFunc, RF_ONE, RF_ZERO, rf_vpow
+from .rootdata import tensor_multiplicity, is_dominant
 from .repbuild import IrrepModule
 from .linalg import rf_nullspace, rf_solve, rf_inverse, sp_matvec, sp_matmul, sp_eq, sp_add_to
 
@@ -40,19 +43,18 @@ class SingularSystem(ZeroDivisionError):
     """Highest-weight Gram system is singular (multiplicity miscount)."""
 
 
-def _vpow(k: int) -> RatFunc:
-    return RatFunc(LaurentPoly.v_power(k))
-
-
 @dataclass
-class TensorSquare:
-    """V (x) V with the coproduct action.
+class TensorProduct:
+    """left (x) right with the coproduct action.
 
-    Matrices dE[i], dF[i] are sparse over the product index p = a*dim(V)+b;
-    kexp[i][p] is the exponent of v in the diagonal Delta(K_i) entry.
+    The factors are any modules with cd, dim, weights, E, F and kexp.
+    Matrices dE[i], dF[i] are sparse over the product index
+    p = a*dim(right) + b; kexp[i][p] is the exponent of v in the diagonal
+    Delta(K_i) entry.
     """
 
-    base: IrrepModule
+    left: object
+    right: object
     dE: dict
     dF: dict
     kexp: dict
@@ -60,48 +62,79 @@ class TensorSquare:
     weight_blocks: dict
 
     @property
+    def cd(self):
+        return self.left.cd
+
+    @property
     def dim(self):
-        return self.base.dim ** 2
+        return self.left.dim * self.right.dim
 
     def pair(self, a: int, b: int) -> int:
-        return a * self.base.dim + b
-
-    def unpair(self, p: int):
-        return divmod(p, self.base.dim)
+        return a * self.right.dim + b
 
 
-def tensor_square(V: IrrepModule) -> TensorSquare:
-    d = V.dim
-    n = V.cd.rank
-    weights = [None] * (d * d)
+def _coproduct(x1: dict, x2: dict, k1: list, k2: list) -> dict:
+    """x1 (x) K^-1 + K (x) x2 as a sparse matrix on the product index."""
+    d2 = len(k2)
+    out = {}
+    for (r, c), x in x1.items():
+        for b in range(d2):
+            sp_add_to(out, (r * d2 + b, c * d2 + b), x * rf_vpow(-k2[b]))
+    for (r, c), x in x2.items():
+        for a in range(len(k1)):
+            sp_add_to(out, (a * d2 + r, a * d2 + c), rf_vpow(k1[a]) * x)
+    return out
+
+
+def tensor_product(M1, M2) -> TensorProduct:
+    weights = []
     blocks = {}
-    for a in range(d):
-        wa = V.weights[a]
-        for b in range(d):
-            w = tuple(x + y for x, y in zip(wa, V.weights[b]))
-            p = a * d + b
-            weights[p] = w
-            blocks.setdefault(w, []).append(p)
+    for wa in M1.weights:
+        for wb in M2.weights:
+            w = tuple(x + y for x, y in zip(wa, wb))
+            blocks.setdefault(w, []).append(len(weights))
+            weights.append(w)
     dE, dF, kexp = {}, {}, {}
+    for i in range(M1.cd.rank):
+        k1, k2 = M1.kexp[i], M2.kexp[i]
+        dE[i] = _coproduct(M1.E[i], M2.E[i], k1, k2)
+        dF[i] = _coproduct(M1.F[i], M2.F[i], k1, k2)
+        kexp[i] = [x + y for x in k1 for y in k2]
+    return TensorProduct(M1, M2, dE, dF, kexp, weights, blocks)
+
+
+def tensor_square(V: IrrepModule) -> TensorProduct:
+    return tensor_product(V, V)
+
+
+def joint_highest_vectors(T: TensorProduct, w) -> list:
+    """Kernel of every raising operator Delta(E_i) restricted to the
+    weight-w block, as sparse vectors (denominator cleared, deterministic
+    order); empty when w does not occur."""
+    w = tuple(w)
+    cd = T.cd
+    n = cd.rank
+    block = T.weight_blocks.get(w)
+    if not block:
+        return []
+    rows = []
     for i in range(n):
-        ke = V.kexp[i]
-        me, mf = {}, {}
-        for (r, c), x in V.E[i].items():
-            for b in range(d):
-                sp_add_to(me, r * d + b, c * d + b, x * _vpow(-ke[b]))
-        for (r, c), x in V.E[i].items():
-            for a in range(d):
-                sp_add_to(me, a * d + r, a * d + c, _vpow(ke[a]) * x)
-        for (r, c), x in V.F[i].items():
-            for b in range(d):
-                sp_add_to(mf, r * d + b, c * d + b, x * _vpow(-ke[b]))
-        for (r, c), x in V.F[i].items():
-            for a in range(d):
-                sp_add_to(mf, a * d + r, a * d + c, _vpow(ke[a]) * x)
-        dE[i] = me
-        dF[i] = mf
-        kexp[i] = [ke[a] + ke[b] for a in range(d) for b in range(d)]
-    return TensorSquare(V, dE, dF, kexp, weights, blocks)
+        up = tuple(w[k] + cd.cartan[k][i] for k in range(n))
+        for q in T.weight_blocks.get(up, ()):
+            row = [T.dE[i].get((q, p), RF_ZERO) for p in block]
+            if any(row):
+                rows.append(row)
+    kern = rf_nullspace(rows, len(block))
+    return [{p: x for p, x in zip(block, vec) if x} for vec in kern]
+
+
+def rescale_at_one(vec: dict) -> dict:
+    """vec times the rational that makes its first coordinate (in index
+    order) with nonzero value at v = 1 equal to 1 there."""
+    c1 = next((c for c in (vec[p].eval_at_one() for p in sorted(vec)) if c), None)
+    assert c1 is not None, "vector vanishes at v = 1"
+    scale = RatFunc(1) / RatFunc(c1)
+    return {p: x * scale for p, x in vec.items()}
 
 
 @dataclass
@@ -113,46 +146,24 @@ class HWSpace:
     block: list      # product indices of the weight block
 
 
-def highest_weight_space(T: TensorSquare, w) -> HWSpace:
+def highest_weight_space(T: TensorProduct, w) -> HWSpace:
     """Exact kernel of all Delta(E_i) on the weight-w block, with each basis
     vector denominator-cleared and rescaled by a rational so that its first
     coordinate with nonzero classical value equals 1 at v = 1."""
     w = tuple(w)
-    cd = T.base.cd
-    n = cd.rank
-    block = T.weight_blocks.get(w)
-    if not block:
-        raise EmptySpace(f"weight {w} does not occur in the tensor square")
-    rows = []
-    for i in range(n):
-        up = tuple(w[k] + cd.cartan[k][i] for k in range(n))
-        for q in T.weight_blocks.get(up, ()):
-            row = [T.dE[i].get((q, p), RF_ZERO) for p in block]
-            if any(not x.is_zero() for x in row):
-                rows.append(row)
-    kern = rf_nullspace(rows, len(block))
-    if not kern:
+    basis = [rescale_at_one(u) for u in joint_highest_vectors(T, w)]
+    if not basis:
         raise EmptySpace(f"no highest-weight vector at weight {w}")
-    basis = []
-    for vec in kern:
-        scale = None
-        for x in vec:
-            if not x.is_zero() and x.eval_at_one() != 0:
-                scale = RatFunc(1) / RatFunc(x.eval_at_one())
-                break
-        assert scale is not None, "denominator-cleared kernel vector vanishes at v=1"
-        basis.append({p: x * scale for p, x in zip(block, vec) if not x.is_zero()})
     if is_dominant(w):
-        hw = T.base.highest_weight
-        mult = tensor_multiplicity(cd, hw, hw, w)
+        mult = tensor_multiplicity(T.cd, T.left.highest_weight, T.right.highest_weight, w)
         assert len(basis) == mult, (len(basis), mult)
-    return HWSpace(w, basis, block)
+    return HWSpace(w, basis, T.weight_blocks[w])
 
 
-def conjugate_transpose(T: TensorSquare, vec: dict) -> dict:
-    """swap o qconjugate on a tensor vector (the map whose -1 eigenvectors
-    give q-antisymmetric Clebsch-Gordan tables)."""
-    d = T.base.dim
+def conjugate_transpose(T: TensorProduct, vec: dict) -> dict:
+    """swap o qconjugate on a vector of a tensor square (the map whose -1
+    eigenvectors give q-antisymmetric Clebsch-Gordan tables)."""
+    d = T.right.dim
     out = {}
     for p, x in vec.items():
         a, b = divmod(p, d)
@@ -160,34 +171,55 @@ def conjugate_transpose(T: TensorSquare, vec: dict) -> dict:
     return out
 
 
-def antisymmetrize_hw(T: TensorSquare, v0: dict) -> dict:
+def _swap_bar_half(T: TensorProduct, v0: dict, antisym: bool) -> dict:
+    tv = conjugate_transpose(T, v0)
+    half = RatFunc(Fraction(1, 2))
+    out = {}
+    for p in set(v0) | set(tv):
+        y = tv.get(p, RF_ZERO)
+        x = (v0.get(p, RF_ZERO) + (-y if antisym else y)) * half
+        if x:
+            out[p] = x
+    if all(x.eval_at_one() == 0 for x in out.values()):
+        kind = "antisymmetrized" if antisym else "symmetrized"
+        raise ClassicallyZero(f"{kind} vector vanishes classically")
+    return out
+
+
+def antisymmetrize_hw(T: TensorProduct, v0: dict) -> dict:
     """(1/2)(v0 - swap(qconjugate(v0))); raises ClassicallyZero if the
     result vanishes at v = 1."""
-    tv = conjugate_transpose(T, v0)
-    half = RatFunc(Fraction(1, 2))
-    out = {}
-    for p in set(v0) | set(tv):
-        x = (v0.get(p, RF_ZERO) - tv.get(p, RF_ZERO)) * half
-        if not x.is_zero():
-            out[p] = x
-    if all(x.eval_at_one() == 0 for x in out.values()):
-        raise ClassicallyZero("antisymmetrized vector vanishes classically")
-    return out
+    return _swap_bar_half(T, v0, True)
 
 
-def symmetrize_hw(T: TensorSquare, v0: dict) -> dict:
+def symmetrize_hw(T: TensorProduct, v0: dict) -> dict:
     """(1/2)(v0 + swap(qconjugate(v0))); raises ClassicallyZero if the
     result vanishes at v = 1."""
-    tv = conjugate_transpose(T, v0)
-    half = RatFunc(Fraction(1, 2))
-    out = {}
-    for p in set(v0) | set(tv):
-        x = (v0.get(p, RF_ZERO) + tv.get(p, RF_ZERO)) * half
-        if not x.is_zero():
-            out[p] = x
-    if all(x.eval_at_one() == 0 for x in out.values()):
-        raise ClassicallyZero("symmetrized vector vanishes classically")
-    return out
+    return _swap_bar_half(T, v0, False)
+
+
+def lowered_table(T: TensorProduct, M, v0: dict) -> list:
+    """The copy of M generated by a highest-weight vector v0 of T: entry a
+    is Delta(F_{i_1} ... F_{i_k}) v0 for the basis label (i_1, ..., i_k)
+    of M, so the table is the image of M's basis under the embedding."""
+    index = {lab: a for a, lab in enumerate(M.labels)}
+    table = [dict(v0)]
+    for lab in M.labels[1:]:
+        table.append(sp_matvec(T.dF[lab[0]], table[index[lab[1:]]]))
+    return table
+
+
+def intertwining_defect(M: dict, src_ops, dst_ops):
+    """First generator that the sparse map M from source to target fails
+    to intertwine, as a witness ["E", i] or ["F", i]; None when
+    dst(x) M = M src(x) for every E_i and F_i.  src_ops and dst_ops are
+    the (E, F) generator matrices of the two sides."""
+    (src_e, src_f), (dst_e, dst_f) = src_ops, dst_ops
+    for i in src_e:
+        for name, src, dst in (("E", src_e, dst_e), ("F", src_f, dst_f)):
+            if not sp_eq(sp_matmul(dst[i], M), sp_matmul(M, src[i])):
+                return [name, i]
+    return None
 
 
 @dataclass
@@ -195,7 +227,7 @@ class CGEmbedding:
     """Clebsch-Gordan coefficients K_a^{bc}: column a is the vector
     Delta(P_a) v0 where P_a is the lowering monomial of basis vector a."""
 
-    tensor: TensorSquare
+    tensor: TensorProduct
     table: list  # per module index a, sparse {product_index: RatFunc}
 
     def entry(self, a: int, b: int, c: int) -> RatFunc:
@@ -209,37 +241,23 @@ class CGEmbedding:
         return out
 
 
-def cg_embedding(T: TensorSquare, v0: dict) -> CGEmbedding:
-    V = T.base
-    index = {lab: a for a, lab in enumerate(V.labels)}
-    table = [None] * V.dim
-    table[0] = dict(v0)
-    for a in range(1, V.dim):
-        lab = V.labels[a]
-        parent = index[lab[1:]]
-        table[a] = sp_matvec(T.dF[lab[0]], table[parent])
-    return CGEmbedding(T, table)
+def cg_embedding(T: TensorProduct, v0: dict) -> CGEmbedding:
+    return CGEmbedding(T, lowered_table(T, T.left, v0))
 
 
 def verify_embedding(K: CGEmbedding) -> bool:
     """Exact intertwining check for all generators (E_i, F_i and the
     K_i weight bookkeeping)."""
     T = K.tensor
-    V = T.base
-    beta = K.as_matrix()
+    V = T.left
     for a, col in enumerate(K.table):
         wa = V.weights[a]
         if any(T.weights[p] != wa for p in col):
             return False
-    for i in range(V.cd.rank):
-        if not sp_eq(sp_matmul(T.dE[i], beta), sp_matmul(beta, V.E[i])):
-            return False
-        if not sp_eq(sp_matmul(T.dF[i], beta), sp_matmul(beta, V.F[i])):
-            return False
-    return True
+    return intertwining_defect(K.as_matrix(), (V.E, V.F), (T.dE, T.dF)) is None
 
 
-def tensor_pair_form(V: IrrepModule, u: dict, w: dict) -> RatFunc:
+def product_form(V: IrrepModule, u: dict, w: dict) -> RatFunc:
     """Contravariant product form <a(x)b, c(x)d> = <a,c><b,d> on sparse
     tensor vectors."""
     d = V.dim
@@ -261,7 +279,7 @@ def tensor_pair_form(V: IrrepModule, u: dict, w: dict) -> RatFunc:
     return acc
 
 
-def _adjoint_of_embedding(V: IrrepModule, T: TensorSquare, table: list) -> dict:
+def _adjoint_of_embedding(V: IrrepModule, T: TensorProduct, table: list) -> dict:
     """beta^dagger = S_V^{-1} beta^T S_(x), computed blockwise per weight.
 
     Returns a sparse matrix {(module_row, product_col): RatFunc}."""
@@ -324,7 +342,7 @@ def invert_cg(V: IrrepModule, K: CGEmbedding, others: list) -> dict:
     us = [K.table[0]] + [dict(u) for u in others]
     m = len(us)
     embeds = [K] + [cg_embedding(T, u) for u in others]
-    pair = [[tensor_pair_form(V, us[j], us[k]) for k in range(m)] for j in range(m)]
+    pair = [[product_form(V, us[j], us[k]) for k in range(m)] for j in range(m)]
     rhs = [RF_ONE] + [RF_ZERO] * (m - 1)
     try:
         x = rf_solve(pair, rhs)
@@ -336,7 +354,7 @@ def invert_cg(V: IrrepModule, K: CGEmbedding, others: list) -> dict:
             continue
         dag = _adjoint_of_embedding(V, T, embeds[k].table)
         for key, val in dag.items():
-            sp_add_to(bmat, key[0], key[1], x[k] * val)
+            sp_add_to(bmat, key, x[k] * val)
 
     # exact re-verification of the defining properties
     d = V.dim
@@ -344,9 +362,7 @@ def invert_cg(V: IrrepModule, K: CGEmbedding, others: list) -> dict:
     assert sp_eq(sp_matmul(bmat, embeds[0].as_matrix()), ident), "B o beta != id"
     for k in range(1, m):
         assert not sp_matmul(bmat, embeds[k].as_matrix()), "B nonzero on a complement submodule"
-    for i in range(V.cd.rank):
-        assert sp_eq(sp_matmul(V.E[i], bmat), sp_matmul(bmat, T.dE[i])), "E intertwining fails"
-        assert sp_eq(sp_matmul(V.F[i], bmat), sp_matmul(bmat, T.dF[i])), "F intertwining fails"
+    assert intertwining_defect(bmat, (T.dE, T.dF), (V.E, V.F)) is None, "intertwining fails"
     for (c, p) in bmat:
         assert V.weights[c] == T.weights[p], "K intertwining (grading) fails"
 

@@ -52,12 +52,13 @@ def criterion(n, name, budget=None):
     print(f"criterion {n} ({name}): PASS")
 
 
-def test_criterion_01_normalized_rank_one_standard_model(capsys, golden_dir):
+def test_criterion_01_normalized_rank_one_standard_model(capsys, golden_dir, tmp_path):
+    out = tmp_path / "accept_sl2q.json"
     with capsys.disabled(), criterion(1, "normalized rank-one table via CLI", budget=5.0):
         code = main(["build", "--algebra", "A1", "--construction", "generic",
-                     "--normalize", "--format", "json", "--out", "/tmp/accept_sl2q.json"])
+                     "--normalize", "--format", "json", "--out", str(out)])
         assert code == 0
-        with open("/tmp/accept_sl2q.json") as fh:
+        with open(out) as fh:
             blob = json.load(fh)
         A = QuantumLieAlgebra.from_json(blob)
         golden = QuantumLieAlgebra.from_json(load_golden(golden_dir, "sl2q.json"))

@@ -56,6 +56,20 @@ def test_unknown_check_is_a_usage_error(capsys):
     assert code == 2
 
 
+def test_budget_exceeded_is_a_computation_failure(capsys):
+    code = main(["verify", "--algebra", "E6"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_division_by_zero_in_a_scalar_is_a_usage_error(capsys):
+    code = main(["build", "--algebra", "A2", "--construction", "explicit-sln", "--s", "1/0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_missing_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -16,9 +16,7 @@ from qlie.monodromy import (
     casimir_exponent,
     dual_data,
     extract_A,
-    module_data,
     monodromy_on_tensor,
-    tensor_pair,
     verify_ad_submodule,
 )
 

@@ -10,6 +10,7 @@ from qlie.qliealg import (
     GaugeObstruction,
     InvalidParams,
     QuantumLieAlgebra,
+    ad_invariance_of_table,
     build_generic,
     build_sln_explicit,
     canonical_normalize,
@@ -303,6 +304,17 @@ def test_tau_not_applicable_to_generic_tables(generics):
 def test_generic_tables_are_ad_invariant(name, generics, pipelines):
     rep = check_ad_invariance(generics[name], pipe=pipelines[name])
     assert rep["applicable"] and rep["ok"]
+
+
+def test_corrupted_table_fails_ad_invariance_with_a_generator_witness(pipelines):
+    pipe = pipelines["A2"]
+    table = dict(pipe.constants)
+    key = min(table)
+    table[key] = -table[key]
+    rep = ad_invariance_of_table(table, pipe.module, pipe.tensor)
+    assert rep["ok"] is False
+    kind, i = rep["witness"]
+    assert kind in ("E", "F") and i in range(2)
 
 
 def test_ad_invariance_needs_the_construction_basis(generics):

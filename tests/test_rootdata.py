@@ -139,6 +139,7 @@ def test_weyl_dim_examples(name, lam, dim):
 @pytest.mark.parametrize("name,dim", [
     ("A1", 3), ("A2", 8), ("A3", 15), ("A4", 24),
     ("B2", 10), ("B3", 21), ("C3", 21), ("D4", 28), ("G2", 14),
+    ("B4", 36), ("C2", 10), ("C4", 36), ("F4", 52), ("E6", 78), ("A30", 960),
 ])
 def test_adjoint_dimensions(name, dim):
     cd = cd_of(name)

@@ -7,7 +7,7 @@ import pytest
 from qlie.linalg import rf_rank, sp_matvec
 from qlie.qring import RatFunc, q_int
 from qlie.rootdata import build_cartan, highest_root, tensor_multiplicity
-from qlie.repbuild import adjoint_module
+from qlie.repbuild import adjoint_module, build_irrep
 from qlie.tensorcg import (
     ClassicallyZero,
     EmptySpace,
@@ -17,6 +17,7 @@ from qlie.tensorcg import (
     highest_weight_space,
     invert_cg,
     symmetrize_hw,
+    tensor_product,
     tensor_square,
     verify_embedding,
 )
@@ -82,6 +83,21 @@ def test_highest_weight_vectors_are_regular_at_one(name, pipelines):
     for vec in pipelines[name].hw_basis:
         vals = [x.eval_at_one() for x in vec.values()]
         assert any(vals)
+
+
+@pytest.mark.parametrize("name,mu,nu", [("A1", (1,), (2,)), ("A2", (1, 0), (0, 1))])
+def test_highest_weight_space_of_unequal_factors(name, mu, nu):
+    cd = name_to_cartan(name)
+    T = tensor_product(build_irrep(cd, mu), build_irrep(cd, nu))
+    dominant = [w for w in sorted(T.weight_blocks) if all(x >= 0 for x in w)]
+    assert dominant
+    for w in dominant:
+        mult = tensor_multiplicity(cd, mu, nu, w)
+        if mult:
+            assert len(highest_weight_space(T, w).basis) == mult
+        else:
+            with pytest.raises(EmptySpace):
+                highest_weight_space(T, w)
 
 
 @pytest.mark.parametrize("w", [(-2,), (5,)])
