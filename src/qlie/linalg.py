@@ -121,7 +121,7 @@ def rf_rref(mat):
     r = 0
     pivots = []
     for c in range(cols):
-        cands = [(len(mat[i][c].num.coeffs) + len(mat[i][c].den.coeffs), i)
+        cands = [(mat[i][c].term_count(), i)
                  for i in range(r, rows) if not mat[i][c].is_zero()]
         if not cands:
             continue

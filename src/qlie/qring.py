@@ -6,9 +6,19 @@ sl_n constants stay representable.  Two types are provided:
 
 * ``LaurentPoly`` -- a Laurent polynomial sum c_k v^k with Fraction
   coefficients, stored as a dict {exponent: coefficient} without zero entries.
-* ``RatFunc`` -- a normalized quotient of two Laurent polynomials
-  (gcd removed, denominator valuation shifted to 0, monic leading
-  coefficient), so equality is plain structural equality.
+* ``RatFunc`` -- an element of Q(v) held over the integers as
+  c * v^s * N(v) / D(v): a rational content c, a v-shift s, and coprime
+  primitive integer polynomials N, D with nonzero constant terms and
+  positive leading coefficients.  The form is canonical, so equality is
+  plain structural equality.  Its ``num``/``den`` views are LaurentPolys with
+  the denominator monic and of valuation 0, the form used for printing and
+  JSON.
+
+All scalar work runs on Python ints, through one gcd and one exact-division
+routine over Z[v]: the primitive remainder sequence (Brown, J. ACM 18,
+1971).  Products and sums cancel before they multiply, in the manner of
+Henrici (J. ACM 3, 1956), so a finished result is never normalized again.
+``laurent_gcd`` and ``LaurentPoly.exact_div`` use the same routine.
 
 The classical limit is evaluation at v = 1; q-conjugation is the ring
 automorphism v -> 1/v (i.e. h -> -h for q = e^h); the first h-derivative at
@@ -20,6 +30,8 @@ All operations are pure; no instance is mutated after construction.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 
 
 class DenominatorVanishes(ZeroDivisionError):
@@ -239,6 +251,7 @@ class LaurentPoly:
 
 
 _ZERO_FR = Fraction(0)
+_ONE_FR = Fraction(1)
 
 
 def _term_str(coeff: Fraction, exp: int) -> str:
@@ -271,6 +284,136 @@ def format_laurent(p: LaurentPoly) -> str:
     return " ".join(parts)
 
 
+# ---------------------------------------------------------------------------
+# integer polynomials: ascending coefficient lists over Z
+# ---------------------------------------------------------------------------
+
+_ONE = (1,)
+
+
+def _zmul(a, b):
+    """Product of two integer polynomials."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        x = b[0]
+        return [x * y for y in a] if x != 1 else list(a)
+    out = [0] * (len(a) + len(b) - 1)
+    terms = [(j, y) for j, y in enumerate(a) if y]
+    for i, x in enumerate(b):
+        if x:
+            for j, y in terms:
+                out[i + j] += x * y
+    return out
+
+
+def _zdivmod(a, b):
+    """Division of integer polynomials that scales only when it must.
+
+    Returns (m, q, r) with m*a = q*b + r, len(r) < len(b) and r free of
+    trailing zeros.  m is a power of lc(b); it is 1 when every step divides
+    exactly, so b divides a over Z exactly when m == 1 and r is empty.
+    The loops skip zero coefficients: most polynomials here are in q = v^2
+    or in a higher power of v.
+    """
+    top, lb = len(b) - 1, b[-1]
+    r = list(a)
+    if len(r) <= top:
+        return 1, [], r
+    q = [0] * (len(r) - top)
+    m = 1
+    terms = [(j - top, y) for j, y in enumerate(b) if y]
+    for k in range(len(r) - 1, top - 1, -1):
+        c = r[k]
+        if not c:
+            continue
+        f, rem = divmod(c, lb)
+        if rem:
+            r = [x * lb for x in r]
+            q = [x * lb for x in q]
+            m *= lb
+            f = c
+        q[k - top] = f
+        for j, y in terms:
+            r[k + j] -= f * y
+    del r[top:]
+    if any(r):
+        while not r[-1]:
+            r.pop()
+        return m, q, r
+    return m, q, []
+
+
+def _zexact(a, b):
+    """a / b over Z; raises ValueError unless b divides a exactly."""
+    m, q, r = _zdivmod(a, b)
+    if m != 1 or r:
+        raise ValueError("division is not exact")
+    return q
+
+
+def _zprimitive(t):
+    """Split a nonzero integer polynomial without trailing zeros into
+    (content, valuation, primitive part): t = content * v^valuation * part,
+    where the part has a nonzero constant term and a positive leading
+    coefficient."""
+    val = 0
+    while not t[val]:
+        val += 1
+    if val:
+        t = t[val:]
+    g = gcd(*t)
+    if t[-1] < 0:
+        g = -g
+    if g != 1:
+        t = [x // g for x in t]
+    return g, val, t
+
+
+def _zgcd(a, b):
+    """(g, a/g, b/g) for the gcd g of two primitive integer polynomials
+    with nonzero constant terms, by the primitive remainder sequence
+    (Brown 1971).  g is primitive with a positive leading coefficient.
+
+    A constant operand costs nothing, and when the first division is exact
+    its quotient is the cofactor.  v does not divide g, so each remainder
+    sheds its v-power as well as its content.
+    """
+    if len(a) == 1 or len(b) == 1:
+        return _ONE, a, b
+    flip = len(a) < len(b)
+    x, y = (b, a) if flip else (a, b)
+    m, q, r = _zdivmod(x, y)
+    if not r:
+        if m != 1:
+            q = [c // m for c in q]
+        return (y, _ONE, q) if flip else (y, q, _ONE)
+    x, y = y, _zprimitive(r)[2]
+    while len(y) > 1:
+        r = _zdivmod(x, y)[2]
+        if not r:
+            return y, _zexact(a, y), _zexact(b, y)
+        x, y = y, _zprimitive(r)[2]
+    return _ONE, a, b
+
+
+def _zsplit(p: LaurentPoly):
+    """(content, valuation, primitive int tuple) of a nonzero LaurentPoly."""
+    co = p.coeffs
+    lo, hi = min(co), max(co)
+    fr = [co.get(e, _ZERO_FR) for e in range(lo, hi + 1)]
+    den = lcm(*(x.denominator for x in fr))
+    g, _, t = _zprimitive([x.numerator * (den // x.denominator) for x in fr])
+    return Fraction(g, den), lo, tuple(t)
+
+
+def _zlaurent(c: Fraction, s: int, t) -> LaurentPoly:
+    """c * v^s * t as a LaurentPoly."""
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.coeffs = {s + i: c * x for i, x in enumerate(t) if x}
+    return out
+
+
 def _divmod_laurent(a: LaurentPoly, b: LaurentPoly):
     """Quotient/remainder; remainder is taken in the ordinary-poly sense
     after shifting both operands to valuation 0."""
@@ -278,47 +421,22 @@ def _divmod_laurent(a: LaurentPoly, b: LaurentPoly):
         raise ZeroDivisionError("division by zero Laurent polynomial")
     if a.is_zero():
         return LaurentPoly(), LaurentPoly()
-    sa, sb = a.valuation(), b.valuation()
-    num = {e - sa: c for e, c in a.coeffs.items()}
-    den = {e - sb: c for e, c in b.coeffs.items()}
-    dn, dd = max(num), max(den)
-    lead = den[dd]
-    quot = {}
-    while num and max(num) >= dd:
-        e = max(num)
-        f = num[e] / lead
-        quot[e - dd] = f
-        for ed, cd in den.items():
-            k = e - dd + ed
-            s = num.get(k, _ZERO_FR) - f * cd
-            if s:
-                num[k] = s
-            elif k in num:
-                del num[k]
-    q = LaurentPoly(quot).shift(sa - sb)
-    r = LaurentPoly(num).shift(sa)
-    return q, r
+    ca, sa, ta = _zsplit(a)
+    cb, sb, tb = _zsplit(b)
+    m, q, r = _zdivmod(ta, tb)
+    return _zlaurent(ca / (cb * m), sa - sb, q), _zlaurent(ca / m, sa, r)
 
 
 def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Monic gcd as ordinary polynomials (valuation factors v^k are units
     in the Laurent ring and are dropped)."""
-    if a.is_zero():
-        return _monic_val0(b)
-    if b.is_zero():
-        return _monic_val0(a)
-    a = _monic_val0(a)
-    b = _monic_val0(b)
-    while not b.is_zero():
-        _, r = _divmod_laurent(a, b)
-        a, b = b, _monic_val0(r) if not r.is_zero() else LaurentPoly()
-    return a
-
-
-def _monic_val0(p: LaurentPoly) -> LaurentPoly:
-    if p.is_zero():
-        return p
-    return p.shift(-p.valuation()) * (1 / p.leading_coeff())
+    if a.is_zero() and b.is_zero():
+        return LaurentPoly()
+    if a.is_zero() or b.is_zero():
+        g = _zsplit(a or b)[2]
+    else:
+        g = _zgcd(_zsplit(a)[2], _zsplit(b)[2])[0]
+    return _zlaurent(Fraction(1, g[-1]), 0, g)
 
 
 def laurent_sqrt(p: LaurentPoly):
@@ -366,14 +484,24 @@ def _fraction_sqrt(x: Fraction):
 
 
 class RatFunc:
-    """Normalized quotient num/den of Laurent polynomials.
+    """An element c * v^s * N(v) / D(v) of Q(v), held over Z.
 
-    Invariants: den is nonzero with valuation 0 and leading coefficient 1,
-    and gcd(num, den) = 1, so structurally equal objects are equal values
-    and vice versa.
+    c is a Fraction (0 for the zero element, with N = () and D = (1,));
+    N and D are primitive integer polynomials, stored as ascending tuples,
+    with nonzero constant terms, positive leading coefficients and
+    gcd(N, D) = 1.  The form is canonical, so equality and hashing are
+    structural.
+
+    Arithmetic never normalizes a finished result.  A product cancels
+    gcd(N1, D2) and gcd(N2, D1) before it multiplies (Henrici); a sum over
+    g = gcd(D1, D2) is reduced only by the gcd of its numerator with g.
+    Negation, inversion and q-conjugation need no gcd at all.
+
+    ``num`` and ``den`` give the value as a quotient of LaurentPolys with a
+    monic denominator of valuation 0; printing and JSON use that form.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("c", "s", "n", "d")
 
     def __init__(self, num, den=None):
         if isinstance(num, (int, Fraction)):
@@ -385,49 +513,58 @@ class RatFunc:
         if den.is_zero():
             raise DenominatorVanishes("zero denominator")
         if num.is_zero():
-            self.num = LaurentPoly()
-            self.den = LaurentPoly.constant(1)
+            self.c, self.s, self.n, self.d = _ZERO_FR, 0, (), _ONE
             return
-        g = laurent_gcd(num, den)
-        if g.degree() > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        shift = -den.valuation()
-        scale = 1 / den.leading_coeff()
-        self.num = num.shift(shift) * scale
-        self.den = den.shift(shift) * scale
+        cn, sn, n = _zsplit(num)
+        cd, sd, d = _zsplit(den)
+        _, n, d = _zgcd(n, d)
+        self.c, self.s, self.n, self.d = cn / cd, sn - sd, tuple(n), tuple(d)
 
     @staticmethod
-    def _raw(num: LaurentPoly, den: LaurentPoly) -> "RatFunc":
+    def _make(c, s, n, d) -> "RatFunc":
+        """A RatFunc from parts that already satisfy the invariants."""
         out = RatFunc.__new__(RatFunc)
-        out.num = num
-        out.den = den
+        out.c, out.s, out.n, out.d = c, s, tuple(n), tuple(d)
         return out
 
     # -- structure -----------------------------------------------------------
 
+    @property
+    def num(self) -> LaurentPoly:
+        return _zlaurent(self.c / self.d[-1], self.s, self.n)
+
+    @property
+    def den(self) -> LaurentPoly:
+        return _zlaurent(Fraction(1, self.d[-1]), 0, self.d)
+
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.n
 
     def __bool__(self):
-        return bool(self.num)
+        return self.n != ()
 
     def is_polynomial(self) -> bool:
-        return self.den == LaurentPoly.constant(1)
+        return self.d == _ONE
 
     def as_laurent(self) -> LaurentPoly:
         if not self.is_polynomial():
             raise ValueError("not a Laurent polynomial")
         return self.num
 
+    def term_count(self) -> int:
+        """Number of nonzero terms in numerator and denominator."""
+        n, d = self.n, self.d
+        return len(n) - n.count(0) + len(d) - d.count(0)
+
     def __eq__(self, other):
         other = _coerce_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return (self.n == other.n and self.d == other.d and self.s == other.s
+                and self.c == other.c)
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.c, self.s, self.n, self.d))
 
     def __repr__(self):
         if self.is_polynomial():
@@ -445,14 +582,41 @@ class RatFunc:
         other = _coerce_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        if not other.n:
+            return self
+        if not self.n:
+            return other
+        c1, c2 = self.c, other.c
+        p1, q1, p2, q2 = c1.numerator, c1.denominator, c2.numerator, c2.denominator
+        if q1 != q2:
+            k = gcd(q1, q2)
+            p1, p2, q1 = p1 * (q2 // k), p2 * (q1 // k), q1 // k * q2
+        d1, d2 = self.d, other.d
+        if d1 == d2:
+            g, u1, u2, a12 = d1, self.n, other.n, _ONE
+        else:
+            g, a1, a2 = _zgcd(d1, d2)
+            u1, u2, a12 = _zmul(self.n, a2), _zmul(other.n, a1), _zmul(a1, a2)
+        # t = p1 v^e1 u1 + p2 v^e2 u2, from the lower of the two v-powers
+        s = min(self.s, other.s)
+        e1, e2 = self.s - s, other.s - s
+        f1, f2 = e1 + len(u1), e2 + len(u2)
+        t = [0] * max(f1, f2)
+        t[e1:f1] = map(p1.__mul__, u1)
+        t[e2:f2] = map(add, t[e2:f2], map(p2.__mul__, u2))
+        if not any(t):
+            return RF_ZERO
+        while not t[-1]:
+            t.pop()
+        cont, val, t = _zprimitive(t)
+        # only a factor of g can be shared with t (Henrici)
+        _, t, g = _zgcd(t, g)
+        return RatFunc._make(Fraction(cont, q1), s + val, t, _zmul(g, a12))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc._raw(-self.num, self.den)
+        return RatFunc._make(-self.c, self.s, self.n, self.d)
 
     def __sub__(self, other):
         other = _coerce_rf(other)
@@ -467,9 +631,11 @@ class RatFunc:
         other = _coerce_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
+        if not self.n or not other.n:
             return RF_ZERO
-        return RatFunc(self.num * other.num, self.den * other.den)
+        _, n1, d2 = _zgcd(self.n, other.d)
+        _, n2, d1 = _zgcd(other.n, self.d)
+        return RatFunc._make(self.c * other.c, self.s + other.s, _zmul(n1, n2), _zmul(d1, d2))
 
     __rmul__ = __mul__
 
@@ -477,9 +643,7 @@ class RatFunc:
         other = _coerce_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         other = _coerce_rf(other)
@@ -489,7 +653,7 @@ class RatFunc:
 
     def __pow__(self, n: int):
         if n < 0:
-            return (RF_ONE / self) ** (-n)
+            return self.inverse() ** (-n)
         out = RF_ONE
         base = self
         while n:
@@ -500,21 +664,32 @@ class RatFunc:
         return out
 
     def inverse(self) -> "RatFunc":
-        return RF_ONE / self
+        if not self.n:
+            raise ZeroDivisionError("division by zero rational function")
+        return RatFunc._make(1 / self.c, -self.s, self.d, self.n)
 
     # -- ring maps ----------------------------------------------------------------
 
     def qconjugate(self) -> "RatFunc":
-        return RatFunc(self.num.qconjugate(), self.den.qconjugate())
+        """v -> 1/v: N(1/v) = v^(-deg N) * reversed N, and the same for D."""
+        if not self.n:
+            return self
+        n, d = self.n[::-1], self.d[::-1]
+        c = self.c
+        if n[-1] < 0:
+            n, c = tuple(-x for x in n), -c
+        if d[-1] < 0:
+            d, c = tuple(-x for x in d), -c
+        return RatFunc._make(c, len(d) - len(n) - self.s, n, d)
 
     def eval_at_one(self) -> Fraction:
-        d = self.den.eval_at_one()
+        d = sum(self.d)
         if d == 0:
             raise DenominatorVanishes("pole at v = 1")
-        return self.num.eval_at_one() / d
+        return self.c * Fraction(sum(self.n), d)
 
     def is_regular_at_one(self) -> bool:
-        return self.den.eval_at_one() != 0
+        return sum(self.d) != 0
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
@@ -530,7 +705,7 @@ def _coerce_rf(x):
     if isinstance(x, LaurentPoly):
         return RatFunc(x)
     if isinstance(x, (int, Fraction)):
-        return RatFunc(LaurentPoly.constant(x))
+        return RatFunc._make(Fraction(x), 0, _ONE if x else (), _ONE)
     return NotImplemented
 
 
@@ -542,7 +717,7 @@ Q = LaurentPoly.q_power(1)
 
 def rf_vpow(k: int) -> RatFunc:
     """v^k as a RatFunc."""
-    return RatFunc(LaurentPoly.v_power(k))
+    return RatFunc._make(_ONE_FR, k, _ONE, _ONE)
 
 
 def qconjugate(p):

@@ -29,6 +29,7 @@ from fractions import Fraction
 from .qring import RatFunc, RF_ONE, RF_ZERO, q_int, q_binomial, rf_vpow
 from .rootdata import (
     CartanDatum,
+    adjoint_dim,
     weight_multiplicities,
     weyl_dim,
     highest_root,
@@ -204,7 +205,12 @@ def build_irrep(cd: CartanDatum, lam, budget_dim: int = DEFAULT_DIM_BUDGET) -> I
 
 
 def adjoint_module(cd: CartanDatum, budget_dim: int = DEFAULT_DIM_BUDGET) -> IrrepModule:
-    """The module with highest weight the highest root."""
+    """The module with highest weight the highest root.  The budget is
+    checked on the closed-form dimension first, so a large rank is rejected
+    before its root system is built."""
+    dim = adjoint_dim(cd)
+    if dim > budget_dim:
+        raise BudgetExceeded(f"dim of the adjoint module of {cd} = {dim} exceeds budget {budget_dim}")
     return build_irrep(cd, highest_root(cd), budget_dim)
 
 

@@ -224,6 +224,21 @@ def weyl_dim(cd: CartanDatum, lam) -> int:
     return dim
 
 
+def adjoint_dim(cd: CartanDatum) -> int:
+    """dim g = rank + number of roots, in closed form: no root system is
+    built, so a budget check on the adjoint costs nothing at any rank."""
+    n, series = cd.rank, cd.series
+    if series == "A":
+        return n * (n + 2)
+    if series in ("B", "C"):
+        return n * (2 * n + 1)
+    if series == "D":
+        return n * (2 * n - 1)
+    if series == "E":
+        return {6: 78, 7: 133, 8: 248}[n]
+    return {"F": 52, "G": 14}[series]
+
+
 @lru_cache(maxsize=None)
 def weight_multiplicities(cd: CartanDatum, lam: tuple):
     """All weights of the irreducible module with highest weight lam, by

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, determinism, round trips."""
 
 import json
+import time
 
 import pytest
 
@@ -63,6 +64,16 @@ def test_budget_exceeded_is_a_computation_failure(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_large_rank_is_rejected_before_its_root_system_is_built(capsys):
+    start = time.perf_counter()
+    code = main(["verify", "--algebra", "A99"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert elapsed < 0.5
+
+
 def test_division_by_zero_in_a_scalar_is_a_usage_error(capsys):
     code = main(["build", "--algebra", "A2", "--construction", "explicit-sln", "--s", "1/0"])
     err = capsys.readouterr().err
@@ -80,6 +91,17 @@ def test_verify_passes_for_generic(capsys):
     code, out = run(capsys, "verify", "--algebra", "A1", "--construction", "generic")
     assert code == 0
     assert "result: PASS" in out
+
+
+@pytest.mark.parametrize("name", ["A4", "B3", "C3", "D4"])
+def test_verify_passes_end_to_end_for_larger_types(capsys, name):
+    """build_generic, then the default check set of `qlie verify`."""
+    code, out = run(capsys, "verify", "--algebra", name, "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["pass"]
+    assert sorted(report["checks"]) == ["ad-invariance", "antisymmetry", "classical-limit",
+                                        "gradation", "lr-identity"]
+    assert all(rep["ok"] is True for rep in report["checks"].values())
 
 
 def test_verify_fails_for_bar_breaking_parameters(capsys):

@@ -1,6 +1,7 @@
 """Scalar ring tests: Laurent polynomials in v (= q^(1/2)) and their fractions."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from qlie.qring import (
     RatFunc,
     classical_limit,
     h_derivative_at_zero,
+    laurent_gcd,
     laurent_sqrt,
     parse_scalar,
     q_binomial,
@@ -199,6 +201,119 @@ def test_ratfunc_json_round_trip(x):
     assert RatFunc.from_json(x.to_json()) == x
 
 
+# ------------------------------------- differential tests of the Z kernel
+#
+# Seeded random RatFuncs with cyclotomic and non-cyclotomic denominator
+# factors and fractional content.  The oracle is exact evaluation of the
+# input LaurentPolys at rational points, which never touches RatFunc.
+
+FACTORS = [
+    2 * Q - ONE,                          # 2q - 1
+    Q * Q + Q + 3 * ONE,                  # q^2 + q + 3
+    Q + 2 * ONE,                          # q + 2
+    Q - QINV,                             # q - q^-1
+    V(1) + V(-1),                         # v + v^-1
+    Q + ONE + QINV,                       # [3]
+    LaurentPoly.constant(Fraction(3, 2)) * V(3),
+    V(3) - Fraction(2, 5) * V(-1),
+]
+POINTS = [Fraction(2), Fraction(3, 2), Fraction(-5, 3)]
+COEFFS = [-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
+
+
+def random_poly(rng, terms):
+    return LaurentPoly({rng.randint(-4, 4): rng.choice(COEFFS) for _ in range(terms)})
+
+
+def random_factors(rng, count):
+    out = ONE
+    for _ in range(count):
+        out = out * rng.choice(FACTORS)
+    return out
+
+
+def random_pair(rng):
+    """(num, den) sharing a random factor about half the time."""
+    common = random_factors(rng, rng.randint(0, 1))
+    num = random_poly(rng, rng.randint(1, 4)) * random_factors(rng, rng.randint(0, 2)) * common
+    den = random_poly(rng, 1) * random_factors(rng, rng.randint(0, 3)) * common
+    return num, den
+
+
+def value(x, v):
+    return x.num.eval(v) / x.den.eval(v)
+
+
+def canonical(x):
+    """Re-normalizing through the constructor changes nothing: equality
+    and hashing are structural, so this holds only for the canonical form."""
+    y = RatFunc(x.num, x.den)
+    return y == x and hash(y) == hash(x) and y.to_json() == x.to_json()
+
+
+def random_operands(seed, count):
+    rng = random.Random(seed)
+    pairs = [random_pair(rng) for _ in range(count)]
+    return [(RatFunc(n, d), {v: n.eval(v) / d.eval(v) for v in POINTS}) for n, d in pairs]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_ratfunc_arithmetic_matches_evaluation(seed):
+    ops = random_operands(seed, 10)
+    for (x, xv), (y, yv) in zip(ops, ops[1:] + ops[:1]):
+        results = {"+": (x + y, lambda v: xv[v] + yv[v]),
+                   "-": (x - y, lambda v: xv[v] - yv[v]),
+                   "*": (x * y, lambda v: xv[v] * yv[v])}
+        if not y.is_zero():
+            results["/"] = (x / y, lambda v: xv[v] / yv[v])
+        if not x.is_zero():
+            results["inverse"] = (x.inverse(), lambda v: 1 / xv[v])
+        for name, (z, expected) in results.items():
+            assert canonical(z), name
+            for v in POINTS:
+                assert value(z, v) == expected(v), (name, v)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_ratfunc_sum_cancels_to_canonical_form(seed):
+    """x + (z - x) must reduce to z itself: its numerator shares a factor
+    with the common part of the two denominators."""
+    ops = random_operands(400 + seed, 10)
+    for (x, _), (z, zv) in zip(ops, ops[1:] + ops[:1]):
+        w = x + (z - x)
+        assert w == z and canonical(w)
+        assert all(value(w, v) == zv[v] for v in POINTS)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_ratfunc_qconjugate_matches_evaluation(seed):
+    rng = random.Random(100 + seed)
+    for _ in range(10):
+        n, d = random_pair(rng)
+        z = RatFunc(n, d).qconjugate()
+        assert canonical(z)
+        for v in POINTS:
+            assert value(z, v) == n.eval(1 / v) / d.eval(1 / v)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_ratfunc_common_factor_cancels_to_the_same_value(seed):
+    rng = random.Random(200 + seed)
+    for _ in range(10):
+        n, d = random_pair(rng)
+        g = random_poly(rng, 2) * random_factors(rng, rng.randint(1, 2))
+        reduced, scaled = RatFunc(n, d), RatFunc(n * g, d * g)
+        assert scaled == reduced
+        assert scaled.to_json() == reduced.to_json()
+        assert hash(scaled) == hash(reduced)
+        assert laurent_gcd(reduced.num, reduced.den) == ONE
+
+
+def test_exact_division_failure_raises_value_error():
+    with pytest.raises(ValueError):
+        (Q + 2 * ONE).exact_div(2 * Q - ONE)
+
+
 # --------------------------------------------------------------- square roots
 
 def test_laurent_sqrt_of_perfect_square():
@@ -237,7 +352,7 @@ def test_parse_scalar_examples(text, value):
     RatFunc(V(6), V(12) + V(8) + V(4) + ONE),
     RatFunc(LaurentPoly.constant(2), Q - QINV),
     RatFunc(-V(-3), ONE),
-])
+] + [x for x, _ in random_operands(300, 40)])
 def test_printed_scalars_parse_back(x):
     assert parse_scalar(str(x)) == x
 

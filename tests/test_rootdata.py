@@ -6,6 +6,7 @@ from qlie.rootdata import (
     CartanDatum,
     InvalidType,
     NonDominant,
+    adjoint_dim,
     build_cartan,
     cartan_from_json,
     cartan_to_json,
@@ -140,10 +141,12 @@ def test_weyl_dim_examples(name, lam, dim):
     ("A1", 3), ("A2", 8), ("A3", 15), ("A4", 24),
     ("B2", 10), ("B3", 21), ("C3", 21), ("D4", 28), ("G2", 14),
     ("B4", 36), ("C2", 10), ("C4", 36), ("F4", 52), ("E6", 78), ("A30", 960),
+    ("B5", 55), ("C5", 55), ("D5", 45), ("E7", 133), ("E8", 248),
 ])
 def test_adjoint_dimensions(name, dim):
     cd = cd_of(name)
     assert weyl_dim(cd, highest_root(cd)) == dim
+    assert adjoint_dim(cd) == dim
 
 
 def test_weyl_dim_rejects_non_dominant():
