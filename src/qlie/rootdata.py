@@ -8,8 +8,12 @@ Conventions used throughout the package:
 * the symmetrizers d_i are the unique coprime positive integers with
   d_i a_ij symmetric, normalized so that (alpha_i, alpha_i) = 2 d_i.
 
-Weights are plain int tuples in the h-coordinates above.  All bilinear-form
-values are Fractions; multiplicities are exact integers.
+Weights are plain int tuples in the h-coordinates above.  Weight
+multiplicities and tensor decompositions are computed on integer pairings
+alone: for a root alpha = sum c_i alpha_i, (mu, alpha) = sum c_i d_i mu_i.
+Only `bilinear`, the form on two arbitrary weights, takes Fraction values
+(the Casimir exponent in `monodromy` needs it).  A failed self-check raises
+`VerificationFailed`, which `python -O` does not remove.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import add, floordiv, mul, sub
 
 from .linalg import frac_inverse
 
@@ -28,6 +33,12 @@ class InvalidType(ValueError):
 
 class NonDominant(ValueError):
     """A dominant integral weight was required."""
+
+
+class VerificationFailed(AssertionError):
+    """A mathematical self-check failed.  It is raised explicitly, so the
+    check also runs under `python -O`; it is an AssertionError, so callers
+    that catch failed asserts catch it too."""
 
 
 @dataclass(frozen=True)
@@ -104,8 +115,9 @@ def build_cartan(series: str, rank: int) -> CartanDatum:
         raise InvalidType(f"unknown series {series!r}")
 
     # sanity: d_i a_ij symmetric with coprime positive d_i
-    assert all(d[i] * a[i][j] == d[j] * a[j][i] for i in range(n) for j in range(n))
-    assert gcd(*d) == 1 if n > 1 else d[0] == 1
+    if not (all(d[i] * a[i][j] == d[j] * a[j][i] for i in range(n) for j in range(n))
+            and gcd(*d) == 1):
+        raise VerificationFailed(f"{series}{n}: symmetrizers {d} do not fit the Cartan matrix")
     return CartanDatum(series, n, tuple(tuple(row) for row in a), tuple(d))
 
 
@@ -167,7 +179,8 @@ def root_system(cd: CartanDatum) -> RootSystem:
     ordered = sorted(roots, key=lambda c: (sum(c), c))
     positive = tuple((c, roots[c]) for c in ordered)
     theta = positive[-1][1]
-    assert sum(positive[-1][0]) == max(sum(c) for c, _ in positive)
+    if sum(positive[-1][0]) != max(sum(c) for c, _ in positive):
+        raise VerificationFailed(f"{cd}: the last positive root is not the highest")
     rho = tuple(1 for _ in range(n))
     return RootSystem(cd, positive, theta, rho)
 
@@ -220,7 +233,8 @@ def weyl_dim(cd: CartanDatum, lam) -> int:
         num *= sum(x * (m + 1) for x, m in zip(weighted, lam))
         den *= sum(weighted)
     dim, rem = divmod(num, den)
-    assert rem == 0 and dim > 0
+    if rem or dim <= 0:
+        raise VerificationFailed(f"Weyl dimension of {lam}: {num}/{den}")
     return dim
 
 
@@ -242,47 +256,67 @@ def adjoint_dim(cd: CartanDatum) -> int:
 @lru_cache(maxsize=None)
 def weight_multiplicities(cd: CartanDatum, lam: tuple):
     """All weights of the irreducible module with highest weight lam, by
-    Freudenthal's recursion.  Returns dict {weight: multiplicity}."""
+    Freudenthal's recursion.  Returns dict {weight: multiplicity}.
+
+    Every quantity is an integer pairing.  For a root alpha = sum c_i alpha_i,
+    (nu, alpha) = sum c_i d_i nu_i.  With delta the simple-root coordinates
+    of lam - mu, the Freudenthal denominator is
+    |lam + rho|^2 - |mu + rho|^2 = (lam + mu + 2 rho, lam - mu)
+                                 = sum delta_i d_i (lam + mu + 2)_i.
+    delta is carried down the levels (subtracting alpha_j adds 1 to
+    delta_j), so the k-range of each root string is exact without A^-1."""
     _check_dominant(lam)
-    rs = root_system(cd)
-    n = cd.rank
-    rho = rs.rho
-    lam_rho = tuple(a + b for a, b in zip(lam, rho))
-    c_top = bilinear(cd, lam_rho, lam_rho)
+    n, d = cd.rank, cd.d
+    simples = [(j, tuple(row[j] for row in cd.cartan)) for j in range(n)]
+    # per positive root alpha = sum c_i alpha_i: its weight coordinates, the
+    # support {i : c_i > 0}, c_i and c_i d_i on the support, and (alpha, alpha)
+    roots = []
+    for c, w in root_system(cd).positive_roots:
+        idx = [i for i in range(n) if c[i]]
+        cw = [c[i] * d[i] for i in idx]
+        aa = sum(map(mul, cw, map(w.__getitem__, idx)))
+        roots.append((w, idx, [c[i] for i in idx], cw, aa))
     mult = {lam: 1}
-    level = [lam]
-    pos = [(c, w) for c, w in rs.positive_roots]
-    simple_weights = [w for c, w in rs.positive_roots if sum(c) == 1]
+    level = {lam: (0,) * n}  # weight -> delta
     while level:
-        nxt = set()
-        for mu in level:
-            for alpha in simple_weights:
-                nxt.add(tuple(a - b for a, b in zip(mu, alpha)))
-        nxt -= set(mult)
-        new_level = []
+        nxt = {}
+        for mu, delta in level.items():
+            for j, alpha in simples:
+                nu = tuple(map(sub, mu, alpha))
+                if nu not in nxt:
+                    nxt[nu] = delta[:j] + (delta[j] + 1,) + delta[j + 1:]
+        new_level = {}
         for mu in sorted(nxt):
-            mu_rho = tuple(a + b for a, b in zip(mu, rho))
-            denom = c_top - bilinear(cd, mu_rho, mu_rho)
+            delta = nxt[mu]
+            denom = sum(x * di * (a + b + 2) for x, di, a, b in zip(delta, d, lam, mu))
             if denom == 0:
                 continue  # cannot be a weight: strict inequality holds below lam
-            # exact k-range: mu + k alpha must stay under lam in the root order
-            delta = _root_coords(cd, tuple(a - b for a, b in zip(lam, mu)))
-            acc = Fraction(0)
-            for coords, alpha in pos:
-                kmax = min(int(delta[i] // coords[i]) for i in range(n) if coords[i])
-                for k in range(1, kmax + 1):
-                    nu = tuple(a + k * b for a, b in zip(mu, alpha))
-                    m = mult.get(nu, 0)
+            acc = 0
+            for alpha, idx, c, cw, aa in roots:
+                # mu + k alpha must stay under lam in the root order
+                kmax = min(map(floordiv, map(delta.__getitem__, idx), c))
+                if not kmax:
+                    continue
+                pair = sum(map(mul, cw, map(mu.__getitem__, idx)))  # (mu, alpha)
+                nu = mu
+                for _ in range(kmax):
+                    nu = tuple(map(add, nu, alpha))
+                    pair += aa  # (nu, alpha)
+                    m = mult.get(nu)
                     if m:
-                        acc += m * bilinear(cd, nu, alpha)
-            m_mu = 2 * acc / denom
-            assert m_mu.denominator == 1 and m_mu >= 0
+                        acc += m * pair
+            m_mu, rem = divmod(2 * acc, denom)
+            if rem or m_mu < 0:
+                raise VerificationFailed(f"Freudenthal multiplicity of {mu} in V{lam}: "
+                                         f"{2 * acc}/{denom}")
             if m_mu:
-                mult[mu] = int(m_mu)
-                new_level.append(mu)
+                mult[mu] = m_mu
+                new_level[mu] = delta
         level = new_level
     total = sum(mult.values())
-    assert total == weyl_dim(cd, lam), (lam, total)
+    if total != weyl_dim(cd, lam):
+        raise VerificationFailed(f"V{lam}: multiplicities sum to {total}, "
+                                 f"not to the Weyl dimension")
     return dict(mult)
 
 
@@ -290,8 +324,8 @@ def tensor_multiplicity(cd: CartanDatum, mu, nu, lam) -> int:
     """Multiplicity of V(lam) inside V(mu) (x) V(nu).
 
     Weight-multiplicity convolution of the two factors followed by iterated
-    highest-weight extraction; pure integer/Fraction arithmetic throughout,
-    so this doubles as the oracle for highest-weight space dimensions.
+    highest-weight extraction; pure integer arithmetic throughout, so this
+    doubles as the oracle for highest-weight space dimensions.
     """
     _check_dominant(lam)
     decomp = tensor_decompose(cd, tuple(mu), tuple(nu))
@@ -300,59 +334,64 @@ def tensor_multiplicity(cd: CartanDatum, mu, nu, lam) -> int:
 
 @lru_cache(maxsize=None)
 def tensor_decompose(cd: CartanDatum, mu: tuple, nu: tuple):
-    """Full decomposition {lam: multiplicity} of V(mu) (x) V(nu)."""
+    """Full decomposition {lam: multiplicity} of V(mu) (x) V(nu): peel off
+    the dominant weight of least depth, then the least tuple, until the
+    product character is exhausted.
+
+    The depth of w, the number of simple roots subtracted from mu + nu, is
+    <mu + nu - w, rho-check>.  Twice rho-check is the sum of the positive
+    coroots, alpha-check = sum (c_j d_j / d_alpha) alpha_j-check with
+    d_alpha = (alpha, alpha)/2, so twice the depth is the integer
+    sum r_j (mu + nu - w)_j with r_j = sum over alpha > 0 of c_j d_j / d_alpha."""
     _check_dominant(mu)
     _check_dominant(nu)
     wm1 = weight_multiplicities(cd, mu)
     wm2 = weight_multiplicities(cd, nu)
-    prod = {}
+    remaining = {}  # the product character, less the components peeled so far
     for w1, m1 in wm1.items():
         for w2, m2 in wm2.items():
-            w = tuple(a + b for a, b in zip(w1, w2))
-            prod[w] = prod.get(w, 0) + m1 * m2
+            w = tuple(map(add, w1, w2))
+            remaining[w] = remaining.get(w, 0) + m1 * m2
     top = tuple(a + b for a, b in zip(mu, nu))
-    rs = root_system(cd)
+    n, d = cd.rank, cd.d
+    r = [0] * n
+    for c, w in root_system(cd).positive_roots:
+        d_alpha = sum(c[j] * d[j] * w[j] for j in range(n)) // 2
+        for j in range(n):
+            r[j] += c[j] * d[j] // d_alpha
 
-    def depth(w):
-        # number of simple roots subtracted from mu+nu; integral for any
-        # weight appearing in the product
-        diff = tuple(a - b for a, b in zip(top, w))
-        coords = _root_coords(cd, diff)
-        assert all(x.denominator == 1 and x >= 0 for x in coords), w
-        return int(sum(coords))
+    # depth of every dominant weight of the product; every weight that is
+    # ever peeled or subtracted lies in the product
+    depth = {}
+    for w in remaining:
+        if is_dominant(w):
+            twice = sum(x * (a - b) for x, a, b in zip(r, top, w))
+            if twice < 0 or twice % 2:
+                raise VerificationFailed(f"{w} is not below {top} in V{mu} (x) V{nu}")
+            depth[w] = twice // 2
 
     out = {}
-    remaining = {w: m for w, m in prod.items() if m}
     while remaining:
-        cands = [w for w in remaining if is_dominant(w)]
-        assert cands, "nonnegativity of the remaining character failed"
-        w0 = min(cands, key=lambda w: (depth(w), w))
+        cands = [w for w in remaining if w in depth]
+        if not cands:
+            raise VerificationFailed("nonnegativity of the remaining character failed")
+        w0 = min(cands, key=lambda w: (depth[w], w))
         mult = remaining[w0]
-        assert mult > 0
+        if mult <= 0:
+            raise VerificationFailed(f"V{w0} has multiplicity {mult} in V{mu} (x) V{nu}")
         out[w0] = mult
         for w, m in weight_multiplicities(cd, w0).items():
             left = remaining.get(w, 0) - mult * m
-            assert left >= 0, (w0, w)
+            if left < 0:
+                raise VerificationFailed(f"peeling V{w0} from V{mu} (x) V{nu}: "
+                                         f"weight {w} goes negative")
             if left:
                 remaining[w] = left
             else:
                 remaining.pop(w, None)
-    assert sum(m * weyl_dim(cd, w) for w, m in out.items()) == weyl_dim(cd, mu) * weyl_dim(cd, nu)
+    if sum(m * weyl_dim(cd, w) for w, m in out.items()) != weyl_dim(cd, mu) * weyl_dim(cd, nu):
+        raise VerificationFailed(f"V{mu} (x) V{nu}: component dimensions do not add up")
     return out
-
-
-@lru_cache(maxsize=None)
-def _cartan_inverse(cd: CartanDatum):
-    n = cd.rank
-    a = [[Fraction(cd.cartan[i][j]) for j in range(n)] for i in range(n)]
-    return frac_inverse(a)
-
-
-def _root_coords(cd: CartanDatum, w):
-    """Simple-root coordinates of a weight given in h-coordinates."""
-    ainv = _cartan_inverse(cd)
-    n = cd.rank
-    return tuple(sum(ainv[i][j] * w[j] for j in range(n)) for i in range(n))
 
 
 def cartan_to_json(cd: CartanDatum) -> dict:

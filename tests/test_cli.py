@@ -93,7 +93,7 @@ def test_verify_passes_for_generic(capsys):
     assert "result: PASS" in out
 
 
-@pytest.mark.parametrize("name", ["A4", "B3", "C3", "D4"])
+@pytest.mark.parametrize("name", ["A4", "B3", "C3", "D4", "F4"])
 def test_verify_passes_end_to_end_for_larger_types(capsys, name):
     """build_generic, then the default check set of `qlie verify`."""
     code, out = run(capsys, "verify", "--algebra", name, "--format", "json")

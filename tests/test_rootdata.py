@@ -1,11 +1,18 @@
 """Cartan data, root systems, Weyl dimensions and tensor multiplicities."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import qlie
 from qlie.rootdata import (
     CartanDatum,
     InvalidType,
     NonDominant,
+    VerificationFailed,
     adjoint_dim,
     build_cartan,
     cartan_from_json,
@@ -221,3 +228,154 @@ def test_a2_fundamental_times_dual():
 def test_tensor_multiplicity_of_absent_component_is_zero():
     cd = build_cartan("A", 1)
     assert tensor_multiplicity(cd, (1,), (1,), (1,)) == 0
+
+
+# --------------------------------------------- oracles independent of Freudenthal
+
+def fundamental(cd, j):
+    return tuple(int(i == j) for i in range(cd.rank))
+
+
+def reflect(cd, mu, i):
+    """s_i mu = mu - mu_i alpha_i; alpha_i has h-coordinates (a_ji)_j."""
+    return tuple(m - mu[i] * cd.cartan[j][i] for j, m in enumerate(mu))
+
+
+def weyl_orbit(cd, lam):
+    orbit, todo = {tuple(lam)}, [tuple(lam)]
+    while todo:
+        mu = todo.pop()
+        for i in range(cd.rank):
+            nu = reflect(cd, mu, i)
+            if nu not in orbit:
+                orbit.add(nu)
+                todo.append(nu)
+    return orbit
+
+
+def adjoint_character(cd):
+    """Every root once (each root is W-conjugate to a simple one), zero rank times."""
+    roots = set()
+    for i in range(cd.rank):
+        roots |= weyl_orbit(cd, tuple(row[i] for row in cd.cartan))
+    char = dict.fromkeys(roots, 1)
+    char[(0,) * cd.rank] = cd.rank
+    return char
+
+
+def racah_speiser(cd, lam, char):
+    """V(lam) (x) V by Brauer-Klimyk, from the character {weight: mult} of V:
+    each weight eta adds sign(w) mult to V(w(lam + eta + rho) - rho), and
+    nothing when lam + eta + rho lies on a wall."""
+    out = {}
+    for eta, m in char.items():
+        x = tuple(a + b + 1 for a, b in zip(lam, eta))
+        sign = 1
+        while any(xi < 0 for xi in x):
+            x = reflect(cd, x, next(i for i, xi in enumerate(x) if xi < 0))
+            sign = -sign
+        if 0 not in x:
+            w = tuple(xi - 1 for xi in x)
+            out[w] = out.get(w, 0) + sign * m
+    return {w: m for w, m in out.items() if m}
+
+
+WEYL_INVARIANCE_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4",
+                         "G2", "F4", "E6"]
+
+
+@pytest.mark.parametrize("name,lam", [
+    (name, lam)
+    for name in WEYL_INVARIANCE_TYPES
+    for lam in dict.fromkeys([fundamental(cd_of(name), j) for j in range(cd_of(name).rank)]
+                             + [highest_root(cd_of(name))])
+])
+def test_multiplicities_are_weyl_invariant(name, lam):
+    cd = cd_of(name)
+    mults = weight_multiplicities(cd, lam)
+    for mu, m in mults.items():
+        for i in range(cd.rank):
+            assert mults.get(reflect(cd, mu, i)) == m, (mu, i)
+
+
+@pytest.mark.parametrize("name,lam,dim,zero_mult", [
+    ("G2", (1, 0), 7, 1),
+    ("G2", (2, 0), 27, 3),
+    ("F4", (0, 0, 0, 1), 26, 2),
+    ("F4", (1, 0, 0, 0), 52, 4),
+    ("E6", (1, 0, 0, 0, 0, 0), 27, 0),
+])
+def test_zero_weight_multiplicities_from_the_literature(name, lam, dim, zero_mult):
+    cd = cd_of(name)
+    assert weyl_dim(cd, lam) == dim
+    assert weight_multiplicities(cd, lam).get((0,) * cd.rank, 0) == zero_mult
+
+
+def test_g2_adjoint_square_from_the_literature():
+    # 14 (x) 14 = 1 + 14 + 27 + 77 + 77'
+    cd = build_cartan("G", 2)
+    dec = tensor_decompose(cd, (0, 1), (0, 1))
+    assert dec == {(0, 0): 1, (0, 1): 1, (2, 0): 1, (3, 0): 1, (0, 2): 1}
+    assert sorted(weyl_dim(cd, lam) for lam in dec) == [1, 14, 27, 77, 77]
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
+                                  "D3", "D4", "G2", "F4"])
+def test_adjoint_square_matches_racah_speiser(name):
+    cd = cd_of(name)
+    theta = highest_root(cd)
+    char = adjoint_character(cd)
+    assert sum(char.values()) == weyl_dim(cd, theta)
+    assert tensor_decompose(cd, theta, theta) == racah_speiser(cd, theta, char)
+
+
+def fundamental_character(name, j):
+    """A3: all three fundamentals are minuscule.  B3: omega_1 is the vector
+    (its orbit plus zero once), omega_2 the adjoint, omega_3 the minuscule spin."""
+    cd = cd_of(name)
+    if name == "B3" and j == 1:
+        return adjoint_character(cd)
+    char = dict.fromkeys(weyl_orbit(cd, fundamental(cd, j)), 1)
+    if name == "B3" and j == 0:
+        char[(0, 0, 0)] = 1
+    return char
+
+
+@pytest.mark.parametrize("name,i,j", [(name, i, j) for name in ("A3", "B3")
+                                      for i in range(3) for j in range(3)])
+def test_fundamental_products_match_racah_speiser(name, i, j):
+    cd = cd_of(name)
+    char = fundamental_character(name, j)
+    assert sum(char.values()) == weyl_dim(cd, fundamental(cd, j))
+    expect = racah_speiser(cd, fundamental(cd, i), char)
+    assert tensor_decompose(cd, fundamental(cd, i), fundamental(cd, j)) == expect
+
+
+# ------------------------------------------------------------- self-checks
+
+def test_self_checks_raise_under_python_O():
+    """A Weyl dimension off by one must be caught by the multiplicity total,
+    with asserts compiled out."""
+    script = textwrap.dedent("""
+        import sys
+        from qlie import rootdata
+        if __debug__:
+            sys.exit("asserts are active")
+        true_dim = rootdata.weyl_dim
+        rootdata.weyl_dim = lambda cd, lam: true_dim(cd, lam) + 1
+        try:
+            rootdata.weight_multiplicities(rootdata.build_cartan("A", 2), (1, 1))
+        except rootdata.VerificationFailed as exc:
+            print("caught:", exc)
+        else:
+            sys.exit("no VerificationFailed")
+    """)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qlie.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("caught:")
+
+
+def test_verification_failed_is_an_assertion_error():
+    assert issubclass(VerificationFailed, AssertionError)
