@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rootdata import CartanDatum, highest_root, weyl_dim
+from .rootdata import VerificationFailed, CartanDatum, highest_root, weyl_dim
 from .linalg import frac_rref, frac_solve, frac_inverse, frac_nullspace
 
 
@@ -183,7 +183,8 @@ def classical_bracket(cd: CartanDatum, budget_dim: int = 64):
             if any(row):
                 rows.append(row)
     kern = frac_nullspace(rows, len(block))
-    assert kern, "no classical highest-weight vector at the highest root"
+    if not kern:
+        raise VerificationFailed("no classical highest-weight vector at the highest root")
 
     def swap_vec(vec):
         return {(p % d) * d + p // d: x for p, x in vec.items()}
@@ -205,7 +206,8 @@ def classical_bracket(cd: CartanDatum, budget_dim: int = 64):
             anti = a
         if sym is None and s:
             sym = s
-    assert anti is not None, "classically zero antisymmetrization"
+    if anti is None:
+        raise VerificationFailed("classically zero antisymmetrization")
     scale = None
     for p in sorted(anti):
         if anti[p]:
@@ -215,7 +217,8 @@ def classical_bracket(cd: CartanDatum, budget_dim: int = 64):
 
     us = [anti]
     if len(kern) > 1:
-        assert sym is not None
+        if sym is None:
+            raise VerificationFailed()
         us.append(sym)
 
     index = {lab: a for a, lab in enumerate(V.labels)}
@@ -291,29 +294,39 @@ def classical_bracket(cd: CartanDatum, budget_dim: int = 64):
             acc = Fraction(0)
             for p, val in tables[0][a].items():
                 acc += bmat.get((c, p), Fraction(0)) * val
-            assert acc == (1 if a == c else 0), "classical B o beta != id"
+            if acc != (1 if a == c else 0):
+                raise VerificationFailed("classical B o beta != id")
     if m > 1:
         for a in range(d):
             for c in range(d):
                 acc = Fraction(0)
                 for p, val in tables[1][a].items():
                     acc += bmat.get((c, p), Fraction(0)) * val
-                assert acc == 0, "classical B nonzero on the complement"
+                if acc != 0:
+                    raise VerificationFailed("classical B nonzero on the complement")
+
+    def by_row(mat):
+        rows = {}
+        for (r, c), x in mat.items():
+            rows.setdefault(r, []).append((c, x))
+        return rows
+
+    bmat_rows = by_row(bmat)
     for i in range(n):
         for mats, dmats in ((V.E, dE), (V.F, dF)):
             lhs = {}
             for (r, c), xx in mats[i].items():
-                for (cc, p), y in bmat.items():
-                    if cc == c:
-                        lhs[(r, p)] = lhs.get((r, p), Fraction(0)) + xx * y
+                for p, y in bmat_rows.get(c, ()):
+                    lhs[(r, p)] = lhs.get((r, p), Fraction(0)) + xx * y
             rhs = {}
+            drows = by_row(dmats[i])
             for (c, p), y in bmat.items():
-                for (pp, p2), xx in dmats[i].items():
-                    if pp == p:
-                        rhs[(c, p2)] = rhs.get((c, p2), Fraction(0)) + y * xx
+                for p2, xx in drows.get(p, ()):
+                    rhs[(c, p2)] = rhs.get((c, p2), Fraction(0)) + y * xx
             lhs = {k: v for k, v in lhs.items() if v}
             rhs = {k: v for k, v in rhs.items() if v}
-            assert lhs == rhs, "classical intertwining fails"
+            if lhs != rhs:
+                raise VerificationFailed("classical intertwining fails")
 
     constants = {}
     for (c, p), val in bmat.items():

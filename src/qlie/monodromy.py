@@ -14,11 +14,27 @@ output metadata.
 The operator is assembled weight block by weight block from bases of the
 isotypic components obtained by lowering the joint highest-weight vectors;
 the tensor product, the highest-vector kernel, the lowering and the
-intertwining check are the shared ones of tensorcg.  It is then
+intertwining check are the shared ones of tensorcg.  On a block with
+isotypic columns C and eigen-exponents e_k the operator is
+M = C diag(v^e) C^-1; it is found without forming C^-1, by one row
+reduction of [C^T | (C diag(v^e))^T], which leaves M^T on the right (C is
+singular exactly when the pivots are not the first n columns).  It is then
 re-verified: it must commute with the coproduct action of every
 generator, and M - 1 must vanish entrywise at v = 1.  Any failure raises
 ObstructionDetected -- these two oracle checks are what validates the
 spectral construction, so they are never skipped.
+
+For the vector representation V of U_q(sl_n) (basis e_1..e_n, with
+e_(i+1) = F_i e_i, index a*n + b on V (x) V) the operator is Jimbo's
+R-matrix squared (Lett. Math. Phys. 11, 1986).  With
+
+    R_J = q sum_i e_ii (x) e_ii + sum_{i != j} e_ii (x) e_jj
+          + (q - q^-1) sum_{i > j} e_ij (x) e_ji
+
+and P the flip, the universal R-matrix acts on V (x) V as q^(-1/n) R_J, so
+the stored matrix is v^(-shift - 4/n) (P R_J)^2: the scalar is q^-1 for
+n = 2, 3 and v^-1 for n = 4.  The i < j form, R_J with its tensor factors
+swapped, does not match.
 
 From M - 1 and an embedding K of the adjoint module into the dual-pair
 tensor V* (x) V one contracts the first slot to get endomorphisms
@@ -37,7 +53,7 @@ from fractions import Fraction
 from .qring import RF_ONE, RF_ZERO, h_derivative_at_zero, rf_vpow
 from .rootdata import CartanDatum, bilinear, tensor_decompose
 from .repbuild import IrrepModule, adjoint_module, build_irrep
-from .linalg import rf_inverse, rf_rank, sp_matmul, sp_eq, sp_add_to, sp_sub
+from .linalg import rf_rank, rf_rref, sp_matmul, sp_eq, sp_add_to, sp_sub
 from .tensorcg import intertwining_defect, joint_highest_vectors, lowered_table, tensor_product
 
 
@@ -141,24 +157,21 @@ def monodromy_on_tensor(V: IrrepModule, W: IrrepModule,
         if len(cols) != len(block):
             raise ObstructionDetected(
                 f"isotypic columns do not fill the weight block at {w}")
-        posn = {p: r for r, p in enumerate(block)}
-        cmat = [[RF_ZERO] * len(cols) for _ in block]
-        for cidx, (vec, _) in enumerate(cols):
-            for p, x in vec.items():
-                cmat[posn[p]][cidx] = x
-        try:
-            cinv = rf_inverse([list(r) for r in cmat])
-        except ZeroDivisionError as exc:
-            raise ObstructionDetected(f"singular isotypic basis at weight {w}") from exc
-        scaled = [[cmat[r][k] * rf_vpow(int_exp[cols[k][1]]) for k in range(len(cols))]
-                  for r in range(len(block))]
-        for r in range(len(block)):
-            for c in range(len(block)):
-                acc = RF_ZERO
-                for k in range(len(cols)):
-                    acc = acc + scaled[r][k] * cinv[k][c]
-                if not acc.is_zero():
-                    matrix[(block[r], block[c])] = acc
+        # M C = C D with D = diag(v^e_k), i.e. C^T M^T = (C D)^T: one row
+        # reduction of [C^T | (C D)^T] leaves M^T on the right
+        n = len(block)
+        aug = []
+        for vec, lam in cols:
+            col = [vec.get(p, RF_ZERO) for p in block]
+            ev = rf_vpow(int_exp[lam])
+            aug.append(col + [x * ev for x in col])
+        if rf_rref(aug) != list(range(n)):
+            raise ObstructionDetected(f"singular isotypic basis at weight {w}")
+        for r in range(n):
+            for c in range(n):
+                x = aug[c][n + r]
+                if not x.is_zero():
+                    matrix[(block[r], block[c])] = x
 
     dim = T.dim
     ops = (T.dE, T.dF)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .qring import RatFunc, RF_ONE, RF_ZERO, laurent_sqrt, rf_vpow, _fraction_sqrt
-from .rootdata import CartanDatum, build_cartan, highest_root, cartan_to_json, cartan_from_json
+from .rootdata import VerificationFailed, CartanDatum, build_cartan, highest_root, cartan_to_json, cartan_from_json
 from .repbuild import adjoint_module, DEFAULT_DIM_BUDGET
 from .tensorcg import (
     tensor_square,
@@ -383,10 +383,12 @@ def generic_pipeline(cd: CartanDatum, budget_dim: int = DEFAULT_DIM_BUDGET) -> G
     others = []
     if len(hs.basis) > 1:
         sym = _first_classically_nonzero(symmetrize_hw, T, candidates)
-        assert sym is not None, "no classically nonzero symmetric complement"
+        if sym is None:
+            raise VerificationFailed("no classically nonzero symmetric complement")
         others.append(sym)
     K = cg_embedding(T, anti)
-    assert verify_embedding(K), "Clebsch-Gordan embedding fails to intertwine"
+    if not verify_embedding(K):
+        raise VerificationFailed("Clebsch-Gordan embedding fails to intertwine")
     constants = invert_cg(V, K, others)
     return GenericPipeline(V, T, hs.basis, anti, others, K, constants)
 
@@ -766,7 +768,8 @@ def check_classical_limit(A: QuantumLieAlgebra, budget_dim: int = DEFAULT_DIM_BU
             ("X",) + A.basis[a].ij if A.basis[a].kind == "X" else ("H", A.basis[a].index)
             for a in range(dim)
         ]
-        assert expect_labels == labels0, "basis order mismatch against the oracle"
+        if expect_labels != labels0:
+            raise VerificationFailed("basis order mismatch against the oracle")
         oracle = {k: sigma * v for k, v in table0.items()}
     elif A.provenance == "generic-pipeline":
         _, f0 = classical_bracket(A.cd, budget_dim)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .qring import RatFunc, RF_ONE, RF_ZERO, rf_vpow
-from .rootdata import tensor_multiplicity, is_dominant
+from .rootdata import VerificationFailed, tensor_multiplicity, is_dominant
 from .repbuild import IrrepModule
 from .linalg import rf_nullspace, rf_solve, rf_inverse, sp_matvec, sp_matmul, sp_eq, sp_add_to
 
@@ -132,7 +132,8 @@ def rescale_at_one(vec: dict) -> dict:
     """vec times the rational that makes its first coordinate (in index
     order) with nonzero value at v = 1 equal to 1 there."""
     c1 = next((c for c in (vec[p].eval_at_one() for p in sorted(vec)) if c), None)
-    assert c1 is not None, "vector vanishes at v = 1"
+    if c1 is None:
+        raise VerificationFailed("vector vanishes at v = 1")
     scale = RatFunc(1) / RatFunc(c1)
     return {p: x * scale for p, x in vec.items()}
 
@@ -156,7 +157,8 @@ def highest_weight_space(T: TensorProduct, w) -> HWSpace:
         raise EmptySpace(f"no highest-weight vector at weight {w}")
     if is_dominant(w):
         mult = tensor_multiplicity(T.cd, T.left.highest_weight, T.right.highest_weight, w)
-        assert len(basis) == mult, (len(basis), mult)
+        if len(basis) != mult:
+            raise VerificationFailed((len(basis), mult))
     return HWSpace(w, basis, T.weight_blocks[w])
 
 
@@ -359,12 +361,16 @@ def invert_cg(V: IrrepModule, K: CGEmbedding, others: list) -> dict:
     # exact re-verification of the defining properties
     d = V.dim
     ident = {(a, a): RF_ONE for a in range(d)}
-    assert sp_eq(sp_matmul(bmat, embeds[0].as_matrix()), ident), "B o beta != id"
+    if not sp_eq(sp_matmul(bmat, embeds[0].as_matrix()), ident):
+        raise VerificationFailed("B o beta != id")
     for k in range(1, m):
-        assert not sp_matmul(bmat, embeds[k].as_matrix()), "B nonzero on a complement submodule"
-    assert intertwining_defect(bmat, (T.dE, T.dF), (V.E, V.F)) is None, "intertwining fails"
+        if sp_matmul(bmat, embeds[k].as_matrix()):
+            raise VerificationFailed("B nonzero on a complement submodule")
+    if intertwining_defect(bmat, (T.dE, T.dF), (V.E, V.F)) is not None:
+        raise VerificationFailed("intertwining fails")
     for (c, p) in bmat:
-        assert V.weights[c] == T.weights[p], "K intertwining (grading) fails"
+        if V.weights[c] != T.weights[p]:
+            raise VerificationFailed("K intertwining (grading) fails")
 
     constants = {}
     for (c, p), val in bmat.items():

@@ -1,11 +1,13 @@
 """Monodromy-type operators on tensor products and the submodule extraction."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from qlie.linalg import sp_matmul, sp_eq
-from qlie.qring import LaurentPoly, RatFunc, h_derivative_at_zero
+from qlie import monodromy
+from qlie.linalg import sp_matmul, sp_eq, sp_scale
+from qlie.qring import LaurentPoly, RatFunc, h_derivative_at_zero, rf_vpow
 from qlie.rootdata import build_cartan, highest_root
 from qlie.repbuild import adjoint_module, build_irrep
 from qlie.classical import build_classical_module, classical_split_casimir_a1
@@ -219,3 +221,64 @@ def test_budget_guard():
     V = build_irrep(A2, (1, 1))
     with pytest.raises(Exception):
         monodromy_on_tensor(V, V, budget_dim=3)
+
+
+# ------------------------------------------------------------ Jimbo's R-matrix
+
+def jimbo_braid(n):
+    """P R_J on C^n (x) C^n with index a*n + b, from Jimbo's closed form
+
+        R_J = q sum_i e_ii (x) e_ii + sum_{i != j} e_ii (x) e_jj
+              + (q - q^-1) sum_{i > j} e_ij (x) e_ji,
+
+    where e_ij (x) e_kl sends e_j (x) e_l to e_i (x) e_k and P is the flip."""
+    q, qinv = rf_vpow(2), rf_vpow(-2)
+    rj = {}
+    for i in range(n):
+        for j in range(n):
+            rj[(i * n + j, i * n + j)] = q if i == j else RatFunc(1)
+            if i > j:
+                rj[(i * n + j, j * n + i)] = q - qinv
+    flip = {(b * n + a, a * n + b): RatFunc(1) for a in range(n) for b in range(n)}
+    return sp_matmul(flip, rj)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_vector_square_is_jimbo_braid_squared(n):
+    # On V (x) V the universal R-matrix is q^(-1/n) R_J, so the operator is
+    # q^(-2/n) (P R_J)^2 and the stored matrix carries a further v^(-shift).
+    cd = build_cartan("A", n - 1)
+    V = build_irrep(cd, (1,) + (0,) * (n - 2))
+    M = monodromy_on_tensor(V, V)
+    scale = -M.shift - Fraction(4, n)
+    assert scale.denominator == 1
+    braid = jimbo_braid(n)
+    assert M.matrix == sp_scale(sp_matmul(braid, braid), rf_vpow(int(scale)))
+
+
+# ------------------------------------------------------------ pinned assembly
+
+@pytest.mark.parametrize("name,entries,digest", [
+    ("B2", 594, "fdfd2826124508ade03323532cc4924a50a3e04cbe9bef5f9dfeacbedc103966"),
+    ("G2", 1444, "96596c90eec1837862ad394f76799837aee2bf9b59ce18784aa3e10c3b40f3f2"),
+])
+def test_adjoint_square_matrix_digest(name, entries, digest):
+    V = adjoint_module(build_cartan(name[0], int(name[1:])))
+    M = monodromy_on_tensor(V, V)
+    text = "\n".join(f"{r} {c} {x}" for (r, c), x in sorted(M.matrix.items()))
+    assert len(M.matrix) == entries
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_singular_isotypic_basis_is_an_obstruction(monkeypatch):
+    # repeat one highest vector where adj (x) adj of A2 has multiplicity 2
+    real = monodromy.joint_highest_vectors
+
+    def repeated(T, lam):
+        hws = real(T, lam)
+        return [hws[0], hws[0]] if len(hws) == 2 else hws
+
+    monkeypatch.setattr(monodromy, "joint_highest_vectors", repeated)
+    V = adjoint_module(A2)
+    with pytest.raises(ObstructionDetected, match="singular isotypic basis"):
+        monodromy_on_tensor(V, V)

@@ -1,9 +1,14 @@
 """Tensor squares, highest-weight spaces, antisymmetrization and inversion."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import qlie
 from qlie.linalg import rf_rank, sp_matvec
 from qlie.qring import RatFunc, q_int
 from qlie.rootdata import build_cartan, highest_root, tensor_multiplicity
@@ -229,3 +234,34 @@ def test_embedding_json_friendly(pipelines):
     table = pipelines["A1"].embedding.table
     blob = json.dumps({str(a): {str(p): x.to_json() for p, x in col.items()} for a, col in enumerate(table)})
     assert blob
+
+
+def test_inversion_checks_raise_under_python_O():
+    """One negated entry of the embedding's adjoint must be caught by the
+    re-verification in invert_cg, with asserts compiled out."""
+    script = textwrap.dedent("""
+        import sys
+        from qlie import qliealg, rootdata, tensorcg
+        if __debug__:
+            sys.exit("asserts are active")
+        true_adjoint = tensorcg._adjoint_of_embedding
+
+        def corrupted(V, T, table):
+            dag = true_adjoint(V, T, table)
+            key = min(dag)
+            dag[key] = -dag[key]
+            return dag
+
+        tensorcg._adjoint_of_embedding = corrupted
+        try:
+            qliealg.generic_pipeline(rootdata.build_cartan("A", 2))
+        except rootdata.VerificationFailed as exc:
+            print("caught:", exc)
+        else:
+            sys.exit("no VerificationFailed")
+    """)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qlie.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("caught:")
