@@ -13,8 +13,10 @@ table    the aligned human-readable list of nonzero constants
 limit    the same list evaluated at v = 1 (the classical bracket)
 
 Scalars for --s/--t use the grammar over {q, v, integers, + - * / ^ ( )}
-with q = v^2, e.g. --t "q^2/(q+1)".  Exit codes: 0 success / all checks
-pass, 1 computation or check failure, 2 usage or parameter error.
+with q = v^2, e.g. --t "q^2/(q+1)"; every v-exponent of a parsed scalar
+must stay within +-1024 (qring.MAX_SCALAR_DEGREE).  Exit codes: 0 success
+/ all checks pass, 1 computation, check or self-check failure, 2 usage or
+parameter error, or an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import re
 import sys
 
 from .qring import (DenominatorVanishes, RatFunc, parse_scalar)
-from .rootdata import CartanDatum, build_cartan
+from .rootdata import CartanDatum, VerificationFailed, build_cartan
 from .repbuild import BudgetExceeded
 from .tensorcg import ClassicallyZero, EmptySpace
 from .monodromy import ObstructionDetected
@@ -382,12 +384,16 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GaugeObstruction, ClassicallyZero, EmptySpace, ObstructionDetected,
-            DenominatorVanishes, BudgetExceeded) as exc:
+            DenominatorVanishes, BudgetExceeded, VerificationFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

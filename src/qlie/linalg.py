@@ -40,13 +40,6 @@ def frac_rref(mat):
     return pivots
 
 
-def frac_rank(mat):
-    if not mat:
-        return 0
-    work = [list(row) for row in mat]
-    return len(frac_rref(work))
-
-
 def frac_solve(a, b):
     """Solve a x = b over Fractions (a square, nonsingular); returns list."""
     n = len(a)
@@ -84,30 +77,6 @@ def frac_nullspace(mat, ncols):
 # ---------------------------------------------------------------------------
 # dense matrices over RatFunc
 # ---------------------------------------------------------------------------
-
-def rf_mat(rows, cols, fill=None):
-    z = fill if fill is not None else RF_ZERO
-    return [[z for _ in range(cols)] for _ in range(rows)]
-
-
-def rf_matmul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if k else 0
-    out = [[RF_ZERO] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            x = ai[t]
-            if x.is_zero():
-                continue
-            bt = b[t]
-            for j in range(m):
-                y = bt[j]
-                if not y.is_zero():
-                    oi[j] = oi[j] + x * y
-    return out
-
 
 def rf_rref(mat):
     """Gauss-Jordan over RatFunc, in place; returns pivot columns.

@@ -17,7 +17,11 @@ constants over Q(v)):
 ``canonical_normalize`` rescales a bracket and rebases its Cartan so that
 H_i = [X_{alpha_i}, X_{-alpha_i}] and [H_1, X_{alpha_1}] =
 2 q^{d_1} X_{alpha_1}, the normalization in which the rank-one algebra
-takes its standard deformed shape.  Check functions verify the gradation,
+takes its standard deformed shape.  ``change_basis`` is the single
+change-of-basis routine for structure-constant tables: the normalization,
+its classical oracle at v = 1, the transport of explicit tables onto the
+pipeline basis and the flip check of the explicit family all go through
+it.  Check functions verify the gradation,
 q-antisymmetry (bar-antisymmetry of the constants), the classical v = 1
 limit against independently computed rational oracles, ad-invariance of
 pipeline brackets, and the flip symmetry of the explicit family; the
@@ -46,7 +50,7 @@ from .tensorcg import (
     bracket_matrix,
     ClassicallyZero,
 )
-from .linalg import rf_rref, rf_inverse, sp_add, sp_add_to, sp_eq
+from .linalg import frac_inverse, rf_rref, rf_inverse, sp_add, sp_add_to, sp_eq
 from .classical import classical_bracket, classical_sln_table
 
 
@@ -198,6 +202,52 @@ def same_algebra(A: QuantumLieAlgebra, B: QuantumLieAlgebra) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# change of basis
+# ---------------------------------------------------------------------------
+
+def _by_pair(constants: dict) -> dict:
+    """A table grouped by its inputs: {(a, b): {c: value}}."""
+    out = {}
+    for (a, b, c), val in constants.items():
+        out.setdefault((a, b), {})[c] = val
+    return out
+
+
+def _simple_roots(cd: CartanDatum) -> list:
+    """h-coordinates of the simple roots: the columns of the Cartan matrix."""
+    n = cd.rank
+    return [tuple(cd.cartan[k][j] for k in range(n)) for j in range(n)]
+
+
+def change_basis(constants: dict, cols, inv) -> dict:
+    """The table of the same bracket on a new basis:
+
+        f'(a, b, c) = sum cols[a][a'] cols[b][b'] f(a', b', c') inv[c'][c].
+
+    cols[a] is new basis vector a in old coordinates, {old: x}; inv[e] is
+    old basis vector e in new coordinates, {new: y}.  Entries may be
+    RatFunc or Fraction; zero results are dropped.  Every change of basis
+    of a structure-constant table in the package goes through here.
+    """
+    rows = {}
+    for a, col in cols.items():
+        for a0, x in col.items():
+            rows.setdefault(a0, []).append((a, x))
+    acc = {}
+    for (a0, b0), col in _by_pair(constants).items():
+        for a, xa in rows.get(a0, ()):
+            for b, xb in rows.get(b0, ()):
+                w = xa * xb
+                for c0, val in col.items():
+                    sp_add_to(acc, (a, b, c0), w * val)
+    out = {}
+    for (a, b, c0), val in acc.items():
+        for c, y in inv[c0].items():
+            sp_add_to(out, (a, b, c), val * y)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # explicit two-parameter sl_n family
 # ---------------------------------------------------------------------------
 
@@ -309,22 +359,27 @@ def _sln_root(n: int, i: int, j: int) -> tuple:
     )
 
 
-def build_sln_explicit(n: int, s, t, check_params: bool = True) -> QuantumLieAlgebra:
+def _sln_table(Ts: dict, Tt: dict, s: RatFunc, t: RatFunc) -> dict:
+    """The explicit constants s * T_s + t * T_t, zero entries dropped."""
+    out = {}
+    for key in set(Ts) | set(Tt):
+        val = s * Ts.get(key, RF_ZERO) + t * Tt.get(key, RF_ZERO)
+        if val:
+            out[key] = val
+    return out
+
+
+def build_sln_explicit(n: int, s, t) -> QuantumLieAlgebra:
     """The explicit two-parameter quantum Lie algebra structure for sl_n."""
     if n < 2:
         raise InvalidParams("n must be at least 2")
     s = s if isinstance(s, RatFunc) else RatFunc(s)
     t = t if isinstance(t, RatFunc) else RatFunc(t)
-    if check_params:
-        st = s + t
-        if not st.is_regular_at_one() or st.eval_at_one() == 0:
-            raise InvalidParams("s + t must be nonzero at v = 1")
+    st = s + t
+    if not st.is_regular_at_one() or st.eval_at_one() == 0:
+        raise InvalidParams("s + t must be nonzero at v = 1")
     labels, Ts, Tt = _sln_parts(n)
-    constants = {}
-    for key in set(Ts) | set(Tt):
-        val = s * Ts.get(key, RF_ZERO) + t * Tt.get(key, RF_ZERO)
-        if not val.is_zero():
-            constants[key] = val
+    constants = _sln_table(Ts, Tt, s, t)
     basis = []
     for lab in labels:
         if lab[0] == "X":
@@ -425,64 +480,57 @@ def _rf_sqrt(x: RatFunc):
     return RatFunc(root, x.den)
 
 
-def _normalize_table(constants, x_slots, h_slots, G, Ginv, m2, m):
-    """Classwise rebase: bracket scaled by m, Cartan rebased
-    H'_i = m sum_k G[i][k] H_k.  Works over RatFunc or Fraction entries.
+def _gauge_rebase(constants, cd, weights, two, inverse, sqrt):
+    """The canonical normalization of a graded table whose basis vector a
+    has weight weights[a]: the Cartan is rebased to
+    H'_i = sum_k G[i][k] H_k, where G[i] is the Cartan part of
+    [X_{alpha_i}, X_{-alpha_i}], and each constant is then scaled by
+    m^(1 + #Cartan inputs - #Cartan outputs) with m^2 = two / (g . l), so
+    only root-root-to-root constants need m itself.
 
-    Only even powers of m (i.e. m2) enter except for root-root-to-root
-    constants, which carry a single factor m.  Assumes the table is graded,
-    so each class has outputs of one kind only.
+    Works over RatFunc or Fraction entries: two, inverse and sqrt (exact
+    square root or None) are those of the scalar type.
     """
-    n = len(h_slots)
-    hpos = {h: k for k, h in enumerate(h_slots)}
-    xset = set(x_slots)
+    n = cd.rank
+    origin = (0,) * n
+    h_slots = [a for a, w in enumerate(weights) if w == origin]
+    if len(h_slots) != n:
+        raise GaugeObstruction("Cartan slot count differs from the rank")
+    roots = {w: a for a, w in enumerate(weights) if w != origin}
+    simple = _simple_roots(cd)
+    for alpha in simple:
+        if alpha not in roots or tuple(-c for c in alpha) not in roots:
+            raise GaugeObstruction("missing simple-root vector X_alpha or X_-alpha")
+    zero = two * 0
+    G = [[constants.get((roots[alpha], roots[tuple(-c for c in alpha)], h), zero)
+          for h in h_slots] for alpha in simple]
+    x0 = roots[simple[0]]
+    gl = zero
+    for gk, h in zip(G[0], h_slots):
+        gl = gl + gk * constants.get((h, x0, x0), zero)
+    if not gl:
+        raise GaugeObstruction("degenerate pairing [X,X_-] against [H, X]")
+    m2 = two / gl
+    try:
+        Ginv = inverse(G)
+    except ZeroDivisionError as exc:
+        raise GaugeObstruction("singular Cartan rebase") from exc
+    hset = set(h_slots)
+    m = None
+    if any(a not in hset and b not in hset and c not in hset for (a, b, c) in constants):
+        m = sqrt(m2)
+        if m is None:
+            raise GaugeObstruction("normalization needs a square root missing from Q(v)")
+    cols = {a: {a: 1} for a in range(len(weights)) if a not in hset}
+    inv = dict(cols)
+    for i, h in enumerate(h_slots):
+        cols[h] = {h_slots[k]: g for k, g in enumerate(G[i]) if g}
+        inv[h] = {h_slots[j]: y for j, y in enumerate(Ginv[i]) if y}
+    scale = (None, m, m2)
     out = {}
-    by_pair = {}
-    for (a, b, c), val in constants.items():
-        by_pair.setdefault((a, b), {})[c] = val
-
-    for (a, b), col in by_pair.items():
-        a_is_x = a in xset
-        b_is_x = b in xset
-        if a_is_x and b_is_x:
-            for c, val in col.items():
-                if c in xset:
-                    if m is None:
-                        raise GaugeObstruction(
-                            "normalization needs a square root missing from Q(v)")
-                    sp_add_to(out, (a, b, c), m * val)
-                else:
-                    k = hpos[c]
-                    for j in range(n):
-                        sp_add_to(out, (a, b, h_slots[j]), val * Ginv[k][j])
-        elif not a_is_x and not b_is_x:
-            i, j = hpos[a], hpos[b]
-            for (a2, b2), col2 in by_pair.items():
-                if a2 in xset or b2 in xset:
-                    continue
-                gi = G[i][hpos[a2]]
-                gj = G[j][hpos[b2]]
-                if not gi or not gj:
-                    continue
-                for c, val in col2.items():
-                    k = hpos[c]
-                    for j2 in range(n):
-                        sp_add_to(out, (a, b, h_slots[j2]), m2 * gi * gj * val * Ginv[k][j2])
-        else:
-            i = hpos[b] if a_is_x else hpos[a]
-            for (a2, b2), col2 in by_pair.items():
-                if a_is_x:
-                    if a2 != a or b2 in xset:
-                        continue
-                    g = G[i][hpos[b2]]
-                else:
-                    if b2 != b or a2 in xset:
-                        continue
-                    g = G[i][hpos[a2]]
-                if not g:
-                    continue
-                for c, val in col2.items():
-                    sp_add_to(out, (a, b, c), m2 * g * val)
+    for (a, b, c), val in change_basis(constants, cols, inv).items():
+        e = 1 + (a in hset) + (b in hset) - (c in hset)
+        out[(a, b, c)] = val * scale[e] if e else val
     return out
 
 
@@ -492,87 +540,21 @@ def canonical_normalize(A: QuantumLieAlgebra) -> QuantumLieAlgebra:
     2 q^{d_1} X_{alpha_1}.  Idempotent; raises GaugeObstruction when the
     basis lacks simple-root vectors, the rebase is singular, or the
     required square root does not exist in Q(v)."""
-    cd = A.cd
-    n = cd.rank
     if not check_gradation(A)["ok"]:
         raise GaugeObstruction("table is not graded")
-    roots = A.root_index()
-    h_slots = A.h_indices()
-    x_slots = A.x_indices()
-    if len(h_slots) != n:
-        raise GaugeObstruction("Cartan slot count differs from the rank")
-    simple = [tuple(cd.cartan[k][j] for k in range(n)) for j in range(n)]
-    for alpha in simple:
-        neg = tuple(-c for c in alpha)
-        if alpha not in roots or neg not in roots:
-            raise GaugeObstruction("missing simple-root vector X_alpha or X_-alpha")
-    G = []
-    for i in range(n):
-        xi = roots[simple[i]]
-        yi = roots[tuple(-c for c in simple[i])]
-        G.append([A.structure_constant(xi, yi, h) for h in h_slots])
-    x0 = roots[simple[0]]
-    l0 = [A.structure_constant(h, x0, x0) for h in h_slots]
-    gl = RF_ZERO
-    for gk, lk in zip(G[0], l0):
-        gl = gl + gk * lk
-    if gl.is_zero():
-        raise GaugeObstruction("degenerate pairing [X,X_-] against [H, X]")
-    m2 = (_qpow(cd.d[0]) * RatFunc(2)) / gl   # 2 q^{d_1} / (g . l)
-    try:
-        Ginv = rf_inverse(G)
-    except ZeroDivisionError as exc:
-        raise GaugeObstruction("singular Cartan rebase") from exc
-    xset = set(x_slots)
-    needs_m = any(
-        a in xset and b in xset and c in xset for (a, b, c) in A.constants
-    )
-    m = None
-    if needs_m:
-        m = _rf_sqrt(m2)
-        # left None when no exact square root exists; _normalize_table raises
-    new_constants = _normalize_table(A.constants, x_slots, h_slots, G, Ginv, m2, m)
+    two = RatFunc(2) * _qpow(A.cd.d[0])
+    weights = [A.grade(a) for a in range(A.dim)]
+    new_constants = _gauge_rebase(A.constants, A.cd, weights, two, rf_inverse, _rf_sqrt)
     basis = []
     h_seen = 0
-    for a, lab in enumerate(A.basis):
+    for lab in A.basis:
         if lab.kind == "H":
             h_seen += 1
             basis.append(BasisLabel("H", index=h_seen))
         else:
             basis.append(lab)
-    return QuantumLieAlgebra(cd, basis, new_constants, A.provenance,
+    return QuantumLieAlgebra(A.cd, basis, new_constants, A.provenance,
                              params=A.params, normalized=True)
-
-
-def _classical_normalize(constants0, weights, cd):
-    """The same classwise rebase applied to a classical (Fraction) table;
-    used as the oracle for normalized algebras at v = 1."""
-    n = cd.rank
-    zero = (0,) * n
-    h_slots = [a for a, w in enumerate(weights) if w == zero]
-    x_slots = [a for a, w in enumerate(weights) if w != zero]
-    roots = {weights[a]: a for a in x_slots}
-    simple = [tuple(cd.cartan[k][j] for k in range(n)) for j in range(n)]
-    G = []
-    for i in range(n):
-        xi = roots[simple[i]]
-        yi = roots[tuple(-c for c in simple[i])]
-        G.append([constants0.get((xi, yi, h), Fraction(0)) for h in h_slots])
-    x0 = roots[simple[0]]
-    l0 = [constants0.get((h, x0, x0), Fraction(0)) for h in h_slots]
-    gl = sum((gk * lk for gk, lk in zip(G[0], l0)), Fraction(0))
-    if gl == 0:
-        raise GaugeObstruction("degenerate classical pairing")
-    m2 = Fraction(2) / gl
-    from .linalg import frac_inverse
-
-    Ginv = frac_inverse([list(r) for r in G])
-    needs_m = any(a in set(x_slots) and b in set(x_slots) and c in set(x_slots)
-                  for (a, b, c) in constants0)
-    m = _fraction_sqrt(m2) if needs_m else None
-    if needs_m and m is None:
-        raise GaugeObstruction("classical normalization needs an irrational root")
-    return _normalize_table(constants0, x_slots, h_slots, G, Ginv, m2, m)
 
 
 # ---------------------------------------------------------------------------
@@ -667,9 +649,7 @@ def check_classical_limit(A: QuantumLieAlgebra, budget_dim: int = DEFAULT_DIM_BU
         for (a, b, c) in keys
     )
 
-    by_pair = {}
-    for (a, b, c), val in f1.items():
-        by_pair.setdefault((a, b), {})[c] = val
+    by_pair = _by_pair(f1)
 
     def brk(a, b):
         return by_pair.get((a, b), {})
@@ -725,11 +705,9 @@ def check_classical_limit(A: QuantumLieAlgebra, budget_dim: int = DEFAULT_DIM_BU
     # each simple-root pair to an sl2 triple at v = 1, so it must act as the
     # coroot h_i on every root vector.  Basis-independent and square-root
     # free, so it applies to every table.
-    n = A.cd.rank
-    simple = [tuple(A.cd.cartan[k][j] for k in range(n)) for j in range(n)]
     roots_map = A.root_index()
     roots_classical = True
-    for i, alpha in enumerate(simple):
+    for i, alpha in enumerate(_simple_roots(A.cd)):
         neg = tuple(-c for c in alpha)
         if alpha not in roots_map or neg not in roots_map:
             roots_classical = False
@@ -774,10 +752,10 @@ def check_classical_limit(A: QuantumLieAlgebra, budget_dim: int = DEFAULT_DIM_BU
     elif A.provenance == "generic-pipeline":
         _, f0 = classical_bracket(A.cd, budget_dim)
         if A.normalized:
-            weights = [lab.root if lab.kind == "X" else (0,) * A.cd.rank
-                       for lab in A.basis]
+            weights = [A.grade(a) for a in range(dim)]
             try:
-                f0 = _classical_normalize(f0, weights, A.cd)
+                f0 = _gauge_rebase(f0, A.cd, weights, Fraction(2), frac_inverse,
+                                   _fraction_sqrt)
             except GaugeObstruction:
                 f0 = None
         oracle = f0
@@ -842,32 +820,9 @@ def transport_explicit_constants(A: QuantumLieAlgebra, phi: dict,
     for g, col in phi.items():
         for e, x in col.items():
             P[e][g] = x
-    Pinv = rf_inverse([list(r) for r in P])
-    epairs = {}
-    for (ea, eb, ec), val in E.constants.items():
-        if not val.is_zero():
-            epairs.setdefault((ea, eb), {})[ec] = val
-    out = {}
-    for a in range(dim):
-        for b in range(dim):
-            acc = {}
-            for ea, xa in phi[a].items():
-                for eb, xb in phi[b].items():
-                    col = epairs.get((ea, eb))
-                    if not col:
-                        continue
-                    w = xa * xb
-                    for ec, val in col.items():
-                        sp_add_to(acc, ec, w * val)
-            if not acc:
-                continue
-            for c in range(dim):
-                tot = RF_ZERO
-                for ec, val in acc.items():
-                    tot = tot + Pinv[c][ec] * val
-                if not tot.is_zero():
-                    out[(a, b, c)] = tot
-    return out
+    Pinv = rf_inverse(P)
+    inv = [{g: Pinv[g][e] for g in range(dim) if Pinv[g][e]} for e in range(dim)]
+    return change_basis(E.constants, phi, inv)
 
 
 def check_ad_invariance_explicit(E: QuantumLieAlgebra,
@@ -881,11 +836,9 @@ def check_ad_invariance_explicit(E: QuantumLieAlgebra,
         return {"ok": None, "applicable": False}
     if pipe is None:
         pipe = generic_pipeline(E.cd, budget_dim)
+    A = build_generic(E.cd, pipe=pipe)
     if fit is None:
-        A = build_generic(E.cd, pipe=pipe)
         fit = compare_to_explicit(A, with_map=True)
-    else:
-        A = build_generic(E.cd, pipe=pipe)
     if not fit.get("match") or "phi" not in fit:
         return {"ok": None, "applicable": False, "note": "no basis dictionary"}
     table = transport_explicit_constants(A, fit["phi"], E)
@@ -1022,21 +975,12 @@ def compare_to_explicit(A: QuantumLieAlgebra, s=None, t=None,
         report["mismatches"].append("Cartan change of basis is singular")
         return report
 
-    tfit = {}
-    for key in set(Ts) | set(Tt):
-        val = s_fit * Ts.get(key, RF_ZERO) + t_fit * Tt.get(key, RF_ZERO)
-        if not val.is_zero():
-            tfit[key] = val
-    tfit_pairs = {}
-    for (a, b, c), val in tfit.items():
-        tfit_pairs.setdefault((a, b), {})[c] = val
+    tfit = _sln_table(Ts, Tt, s_fit, t_fit)
+    tfit_pairs = _by_pair(tfit)
 
     # gauge scalars: simple-root vectors pinned to 1, the rest propagated
-    simple = [tuple(cd.cartan[k][j] for k in range(cd.rank)) for j in range(cd.rank)]
-    scal = {groots[alpha]: RF_ONE for alpha in simple}
-    a_pairs = {}
-    for (a, b, c), val in A.constants.items():
-        a_pairs.setdefault((a, b), {})[c] = val
+    scal = {groots[alpha]: RF_ONE for alpha in _simple_roots(cd)}
+    a_pairs = _by_pair(A.constants)
     xset = set(gxs)
     progress = True
     while progress and len(scal) < len(gxs):
@@ -1109,33 +1053,18 @@ def check_tau_sln(A: QuantumLieAlgebra) -> dict:
     if A.provenance != "explicit-sln":
         return {"ok": None, "applicable": False}
     n = A.cd.rank + 1
-    perm = {}
-    sign = {}
+    where = {(lab.kind, lab.ij or lab.index): a for a, lab in enumerate(A.basis)}
+    flip = {}
     for a, lab in enumerate(A.basis):
         if lab.kind == "X":
             i, j = lab.ij
-            target = (n + 1 - j, n + 1 - i)
-            for b, lab2 in enumerate(A.basis):
-                if lab2.kind == "X" and lab2.ij == target:
-                    perm[a] = b
-                    sign[a] = Fraction(-1)
-                    break
+            flip[a] = {where["X", (n + 1 - j, n + 1 - i)]: -1}
         else:
-            k = lab.index
-            for b, lab2 in enumerate(A.basis):
-                if lab2.kind == "H" and lab2.index == n - k:
-                    perm[a] = b
-                    sign[a] = Fraction(1)
-                    break
-    witness = None
-    keys = set(A.constants) | {
-        (perm[a], perm[b], perm[c]) for (a, b, c) in A.constants
-    }
-    for (a, b, c) in sorted(keys):
-        # tau([x_a, x_b]) = [tau x_a, tau x_b]
-        lhs = A.structure_constant(perm[a], perm[b], perm[c])
-        rhs = A.structure_constant(a, b, c) * RatFunc(sign[a] * sign[b] * sign[c])
-        if not (lhs - rhs).is_zero():
-            witness = [a, b, c]
-            break
+            flip[a] = {where["H", n - lab.index]: 1}
+    # tau is an involution, so it is an automorphism iff the table on the
+    # basis tau(x_a) is the table itself
+    flipped = change_basis(A.constants, flip, flip)
+    bad = [k for k in set(A.constants) | set(flipped)
+           if A.structure_constant(*k) != flipped.get(k, RF_ZERO)]
+    witness = list(min(bad)) if bad else None
     return {"ok": witness is None, "witness": witness, "applicable": True}

@@ -788,13 +788,26 @@ def q_binomial(a: int, b: int, d: int = 1) -> LaurentPoly:
     return num.exact_div(q_factorial(b, d))
 
 
+MAX_SCALAR_DEGREE = 1024
+
+
 def parse_scalar(text: str) -> RatFunc:
     """Parse a rational-function string over tokens q, v, integers, + - * / ^ ( ).
 
     q is interpreted as v^2.  Used by the CLI for --s/--t and by tests.
+    Every value the parser produces keeps the v-exponents of c v^s N and of
+    D within +-MAX_SCALAR_DEGREE; an exponent literal above it, or a power
+    whose |k| times the degree of its base exceeds it, is rejected before it
+    is computed, so the work on any input stays bounded.
     """
     tokens = _tokenize(text)
     pos = [0]
+
+    def bounded(x):
+        if x.n and (x.s < -MAX_SCALAR_DEGREE
+                    or max(x.s + len(x.n), len(x.d)) - 1 > MAX_SCALAR_DEGREE):
+            raise ValueError(f"scalar {text!r} exceeds degree {MAX_SCALAR_DEGREE} in v")
+        return x
 
     def peek():
         return tokens[pos[0]] if pos[0] < len(tokens) else None
@@ -811,7 +824,7 @@ def parse_scalar(text: str) -> RatFunc:
         while peek() in ("+", "-"):
             op = take()
             rhs = parse_term()
-            node = node + rhs if op == "+" else node - rhs
+            node = bounded(node + rhs if op == "+" else node - rhs)
         return node
 
     def parse_term():
@@ -819,7 +832,7 @@ def parse_scalar(text: str) -> RatFunc:
         while peek() in ("*", "/"):
             op = take()
             rhs = parse_factor()
-            node = node * rhs if op == "*" else node / rhs
+            node = bounded(node * rhs if op == "*" else node / rhs)
         return node
 
     def parse_factor():
@@ -848,7 +861,10 @@ def parse_scalar(text: str) -> RatFunc:
                 raise ValueError(f"exponent must be an integer in {text!r}")
             if wrapped:
                 take(")")
-            return base ** (-exp_tok if neg else exp_tok)
+            span = max(len(base.n), len(base.d)) - 1
+            if exp_tok > MAX_SCALAR_DEGREE or exp_tok * span > MAX_SCALAR_DEGREE:
+                raise ValueError(f"power in {text!r} exceeds degree {MAX_SCALAR_DEGREE} in v")
+            return bounded(base ** (-exp_tok if neg else exp_tok))
         return base
 
     def parse_atom():

@@ -73,15 +73,6 @@ class IrrepModule:
     def dim(self):
         return len(self.labels)
 
-    def k_entry(self, i: int, a: int) -> RatFunc:
-        return rf_vpow(self.kexp[i][a])
-
-    def weight_block(self, mu) -> list:
-        return self.weight_basis.get(tuple(mu), [])
-
-    def gram_block(self, mu):
-        return self.gram[tuple(mu)]
-
     def to_json(self) -> dict:
         from .rootdata import cartan_to_json
 

@@ -132,12 +132,6 @@ class RootSystem:
     def rank(self):
         return self.cd.rank
 
-    def all_roots(self):
-        for c, w in self.positive_roots:
-            yield c, w
-        for c, w in self.positive_roots:
-            yield tuple(-x for x in c), tuple(-x for x in w)
-
 
 def weight_of_root_coords(cd: CartanDatum, coords) -> tuple:
     """h-coordinates of sum_i coords[i] alpha_i: (A c)_j with A the Cartan matrix."""
@@ -200,7 +194,8 @@ def _weight_gram(cd: CartanDatum):
     a = [[Fraction(cd.cartan[i][j]) for j in range(n)] for i in range(n)]
     ainv = frac_inverse(a)
     g = [[ainv[j][i] * cd.d[j] for j in range(n)] for i in range(n)]
-    assert all(g[i][j] == g[j][i] for i in range(n) for j in range(n))
+    if any(g[i][j] != g[j][i] for i in range(n) for j in range(n)):
+        raise VerificationFailed(f"{cd.series}{n}: weight Gram matrix is not symmetric")
     return tuple(tuple(row) for row in g)
 
 

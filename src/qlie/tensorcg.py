@@ -232,9 +232,6 @@ class CGEmbedding:
     tensor: TensorProduct
     table: list  # per module index a, sparse {product_index: RatFunc}
 
-    def entry(self, a: int, b: int, c: int) -> RatFunc:
-        return self.table[a].get(self.tensor.pair(b, c), RF_ZERO)
-
     def as_matrix(self) -> dict:
         out = {}
         for a, col in enumerate(self.table):

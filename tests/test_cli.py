@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from qlie import tensorcg
 from qlie.cli import main, parse_text_algebra
 from qlie.qliealg import QuantumLieAlgebra, same_algebra
 
@@ -206,6 +207,38 @@ def test_out_flag_writes_a_file(tmp_path, capsys):
     assert code == 0
     blob = json.loads(target.read_text())
     assert blob["basis"]
+
+
+def test_unwritable_output_file_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code = main(["build", "--algebra", "A1", "--out", str(target)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
+def test_failed_self_check_is_a_computation_failure(monkeypatch, capsys):
+    true_adjoint = tensorcg._adjoint_of_embedding
+
+    def corrupted(V, T, table):
+        dag = true_adjoint(V, T, table)
+        key = min(dag)
+        dag[key] = -dag[key]
+        return dag
+
+    monkeypatch.setattr(tensorcg, "_adjoint_of_embedding", corrupted)
+    code = main(["build", "--algebra", "A1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_oversized_scalar_is_a_usage_error(capsys):
+    code = main(["build", "--algebra", "A2", "--construction", "explicit-sln",
+                 "--s", "(q+1)^10000"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------- small commands

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qlie.linalg import sp_eq
 from qlie.qring import RatFunc, parse_scalar, qconjugate
 from qlie.rootdata import build_cartan
 from qlie.qliealg import (
@@ -14,6 +15,7 @@ from qlie.qliealg import (
     build_generic,
     build_sln_explicit,
     canonical_normalize,
+    change_basis,
     check_ad_invariance,
     check_ad_invariance_explicit,
     check_classical_limit,
@@ -224,6 +226,34 @@ def test_extract_roots_on_the_standard_model(generics):
     assert r[(xp, h)] == sc("2") / sc("q")
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_explicit_higher_rank_normalization_needs_a_square_root(n, explicit_grid):
+    with pytest.raises(GaugeObstruction, match="square root missing from Q"):
+        canonical_normalize(explicit_grid[n, "1", "0"])
+
+
+def test_normalized_rank_one_matches_the_normalized_classical_oracle(generics):
+    rep = check_classical_limit(canonical_normalize(generics["A1"]))
+    assert rep["oracle_match"] is True and rep["all"] is True
+
+
+def test_change_basis_round_trip_on_a_cartan_rebase(generics):
+    A = generics["A2"]
+    h1, h2 = A.h_indices()
+    one, two = RatFunc(1), RatFunc(2)
+    # H'_1 = H_1 + 2 H_2, H'_2 = H_2, so H_1 = H'_1 - 2 H'_2
+    cols = {a: {a: one} for a in A.x_indices()}
+    inv = dict(cols)
+    cols[h1], cols[h2] = {h1: one, h2: two}, {h2: one}
+    inv[h1], inv[h2] = {h1: one, h2: -two}, {h2: one}
+    rebased = change_basis(A.constants, cols, inv)
+    assert not sp_eq(rebased, A.constants)
+    x = A.x_indices()[0]
+    assert rebased.get((h1, x, x), RatFunc(0)) == (
+        A.structure_constant(h1, x, x) + two * A.structure_constant(h2, x, x))
+    assert sp_eq(change_basis(rebased, inv, cols), A.constants)
+
+
 @pytest.mark.parametrize("name", ["A2"])
 def test_roots_conjugate_under_q_antisymmetry(name, generics):
     # when the table is q-antisymmetric the right roots are the bar of the left
@@ -338,6 +368,15 @@ def test_transport_preserves_gradation(generics, pipelines, explicit_grid):
         if not val.is_zero():
             ga, gb, gc = A.grade(a), A.grade(b), A.grade(c)
             assert tuple(x + y for x, y in zip(ga, gb)) == gc
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_fitted_explicit_table_transports_back_to_the_generic_table(rank, generics):
+    A = generics.get(f"A{rank}") or build_generic(build_cartan("A", rank))
+    fit = compare_to_explicit(A, with_map=True)
+    E = build_sln_explicit(rank + 1, sc(fit["fitted_s"]), sc(fit["fitted_t"]))
+    table = transport_explicit_constants(A, fit["phi"], E)
+    assert sp_eq(table, A.constants)
 
 
 # ------------------------------------------------------------- serialization

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from qlie.qring import (
     DenominatorVanishes,
     InvalidRange,
     LaurentPoly,
+    MAX_SCALAR_DEGREE,
     RatFunc,
     classical_limit,
     h_derivative_at_zero,
@@ -361,3 +363,24 @@ def test_printed_scalars_parse_back(x):
 def test_parse_scalar_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_scalar(bad)
+
+
+@pytest.mark.parametrize("big", ["(q+1)^1025", "q^99999999999"])
+def test_parse_scalar_rejects_large_degrees_at_once(big):
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        parse_scalar(big)
+    assert time.perf_counter() - start < 0.2
+
+
+@pytest.mark.parametrize("text", ["q^513", "q^-513", "(q^300)^2", "(q+1)^300*(q+1)^300",
+                                  "1/(v^1025+1)"])
+def test_parse_scalar_bounds_every_intermediate_value(text):
+    with pytest.raises(ValueError):
+        parse_scalar(text)
+
+
+def test_parse_scalar_accepts_values_at_the_degree_bound():
+    x = parse_scalar("(q+1)^512")
+    assert x.num.degree() == MAX_SCALAR_DEGREE and x.eval_at_one() == 2 ** 512
+    assert parse_scalar("v^1024 + v^-1024") == RatFunc(V(1024) + V(-1024), ONE)

@@ -1,9 +1,11 @@
 """Cartan data, root systems, Weyl dimensions and tensor multiplicities."""
 
+import ast
 import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -379,3 +381,14 @@ def test_self_checks_raise_under_python_O():
 
 def test_verification_failed_is_an_assertion_error():
     assert issubclass(VerificationFailed, AssertionError)
+
+
+def test_no_assert_statement_in_the_package():
+    """Self-checks raise VerificationFailed; an assert would vanish under -O."""
+    src = Path(qlie.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert not found, found
