@@ -8,9 +8,7 @@ pipeline specialized at v = 1 must agree with these tables exactly; the
 tests enforce that equality entry by entry.
 
 Also provides the standard sl_n structure constants in the
-{X_ij} u {H_k} basis (X_ij ~ e_ij, H_k = e_kk - e_{k+1,k+1}) and the
-split Casimir operator used as the classical-limit oracle for the
-monodromy matrix.
+{X_ij} u {H_k} basis (X_ij ~ e_ij, H_k = e_kk - e_{k+1,k+1}).
 """
 
 from __future__ import annotations
@@ -379,25 +377,3 @@ def classical_sln_table(n: int):
                 add(a, hidx, a, -alpha)   # [X_ij, H_k]
     constants = {k: v for k, v in constants.items() if v}
     return labels, constants
-
-
-def classical_split_casimir_a1(V: ClassicalModule, W: ClassicalModule) -> dict:
-    """2 * (e (x) f + f (x) e + (1/2) h (x) h) on V (x) W over product indices
-    a * dim(W) + b, for the rank-one algebra."""
-    dw = W.dim
-    e1, f1 = V.E[0], V.F[0]
-    e2, f2 = W.E[0], W.F[0]
-    h1 = {(a, a): Fraction(V.weights[a][0]) for a in range(V.dim) if V.weights[a][0]}
-    h2 = {(b, b): Fraction(W.weights[b][0]) for b in range(W.dim) if W.weights[b][0]}
-    out = {}
-
-    def tensor_add(m1, m2, coeff):
-        for (r1, c1), x in m1.items():
-            for (r2, c2), y in m2.items():
-                key = (r1 * dw + r2, c1 * dw + c2)
-                out[key] = out.get(key, Fraction(0)) + coeff * x * y
-
-    tensor_add(e1, f2, Fraction(2))
-    tensor_add(f1, e2, Fraction(2))
-    tensor_add(h1, h2, Fraction(1))
-    return {k: v for k, v in out.items() if v}

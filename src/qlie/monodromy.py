@@ -19,8 +19,9 @@ isotypic columns C and eigen-exponents e_k the operator is
 M = C diag(v^e) C^-1; it is found without forming C^-1, by one row
 reduction of [C^T | (C diag(v^e))^T], which leaves M^T on the right (C is
 singular exactly when the pivots are not the first n columns).  It is then
-re-verified: it must commute with the coproduct action of every
-generator, and M - 1 must vanish entrywise at v = 1.  Any failure raises
+re-verified: it must be a module map from V (x) W to itself (tensorcg's
+module_map_defects, which covers every E_i and F_i and the weight
+grading), and M - 1 must vanish entrywise at v = 1.  Any failure raises
 ObstructionDetected -- these two oracle checks are what validates the
 spectral construction, so they are never skipped.
 
@@ -40,9 +41,16 @@ From M - 1 and an embedding K of the adjoint module into the dual-pair
 tensor V* (x) V one contracts the first slot to get endomorphisms
 A_a = K_a^{ij} (M-1)[(i,.),(j,.)] of W.  These transform among themselves
 exactly like the adjoint module under the twisted adjoint action
-x . A = rho(x_(1)) A rho(S(x_(2))); verify_ad_submodule checks those
-identities for every generator and reports the generic linear span of the
-family.
+x . A = rho(x_(1)) A rho(S(x_(2))), which is the coproduct action on
+End(W) = W (x) W* with W* = dual_data(W):
+
+    E_i . A = E_i A K_i - q_i^-1 K_i A E_i,
+    F_i . A = F_i A K_i - q_i    K_i A F_i,
+    K_i . A = K_i A K_i^-1.
+
+verify_ad_submodule therefore makes one call to the module-map check, for
+a -> A_a from the adjoint module into tensor_product(W, dual_data(W)),
+and reports the generic linear span of the family.
 """
 
 from __future__ import annotations
@@ -53,8 +61,8 @@ from fractions import Fraction
 from .qring import RF_ONE, RF_ZERO, h_derivative_at_zero, rf_vpow
 from .rootdata import CartanDatum, bilinear, tensor_decompose
 from .repbuild import IrrepModule, adjoint_module, build_irrep
-from .linalg import rf_rank, rf_rref, sp_matmul, sp_eq, sp_add_to, sp_sub
-from .tensorcg import intertwining_defect, joint_highest_vectors, lowered_table, tensor_product
+from .linalg import rf_rank, rf_rref, sp_add_to, sp_sub
+from .tensorcg import joint_highest_vectors, lowered_table, module_map_defects, tensor_product
 
 
 class ObstructionDetected(RuntimeError):
@@ -174,8 +182,7 @@ def monodromy_on_tensor(V: IrrepModule, W: IrrepModule,
                     matrix[(block[r], block[c])] = x
 
     dim = T.dim
-    ops = (T.dE, T.dF)
-    checks = {"commutes": intertwining_defect(matrix, ops, ops) is None,
+    checks = {"commutes": not module_map_defects(matrix, T, T),
               "vanishes_at_one": True}
     for (r, c), x in matrix.items():
         if not x.is_regular_at_one():
@@ -238,15 +245,17 @@ def verify_ad_submodule(M: Monodromy, V: IrrepModule, W: IrrepModule = None,
 
         A_a[k, l] = sum_{ij} K_a^{ij} (M - 1)[(i,k), (j,l)],
 
-    and check that they transform like the adjoint module under the
-    twisted adjoint action x . A = rho(x_(1)) A rho(S(x_(2))):
+    and check that a -> A_a is a module map from the adjoint module into
+    End(W) = W (x) W*, index k * dim(W) + l.  The coproduct action on
+    W (x) W* is the twisted adjoint action x . A = rho(x_(1)) A rho(S(x_(2))):
 
         E_i . A = rho(E_i) A rho(K_i) - q_i^{-1} rho(K_i) A rho(E_i),
         F_i . A = rho(F_i) A rho(K_i) - q_i     rho(K_i) A rho(F_i),
         K_i . A = rho(K_i) A rho(K_i^{-1})  (pure weight grading),
 
-    each required to equal sum_b pi_adj(x)[b, a] A_b.  Also reports the
-    generic linear span of the family."""
+    each required to equal sum_b pi_adj(x)[b, a] A_b; ad_e, ad_f and ad_k
+    report the three conditions.  Also reports the generic linear span of
+    the family."""
     cd = V.cd
     if W is None:
         W = V
@@ -264,39 +273,17 @@ def verify_ad_submodule(M: Monodromy, V: IrrepModule, W: IrrepModule = None,
     for (rp, cp), x in m1.items():
         i, k = divmod(rp, dw)
         j, l = divmod(cp, dw)
-        slices.setdefault((i, j), {})[(k, l)] = x
-    As = []
+        slices.setdefault((i, j), {})[k * dw + l] = x
+    As = []   # A_a as a sparse vector of W (x) W*
     for vec in ktable:
         A = {}
         for p, coeff in vec.items():
-            i, j = divmod(p, dv)
-            for (k, l), x in slices.get((i, j), {}).items():
-                sp_add_to(A, (k, l), coeff * x)
+            for kl, x in slices.get(divmod(p, dv), {}).items():
+                sp_add_to(A, kl, coeff * x)
         As.append(A)
 
-    k_diag = {i: {(a, a): rf_vpow(W.kexp[i][a]) for a in range(dw)} for i in range(cd.rank)}
-    k_inv = {i: {(a, a): rf_vpow(-W.kexp[i][a]) for a in range(dw)} for i in range(cd.rank)}
-    ok = {"ad_e": True, "ad_f": True, "ad_k": True}
-    for i in range(cd.rank):
-        twisted = (("ad_e", W.E[i], adj.E[i], rf_vpow(-2 * cd.d[i])),
-                   ("ad_f", W.F[i], adj.F[i], rf_vpow(2 * cd.d[i])))
-        for a in range(adj.dim):
-            for name, x_w, x_adj, q in twisted:
-                lhs = sp_matmul(sp_matmul(x_w, As[a]), k_diag[i])
-                for key, x in sp_matmul(sp_matmul(k_diag[i], As[a]), x_w).items():
-                    sp_add_to(lhs, key, -q * x)
-                rhs = {}
-                for (b, a2), x in x_adj.items():
-                    if a2 == a:
-                        for key, y in As[b].items():
-                            sp_add_to(rhs, key, x * y)
-                if not sp_eq(lhs, rhs):
-                    ok[name] = False
-            lhs = sp_matmul(sp_matmul(k_diag[i], As[a]), k_inv[i])
-            rhs = {key: rf_vpow(cd.d[i] * adj.weights[a][i]) * x
-                   for key, x in As[a].items()}
-            if not sp_eq(lhs, rhs):
-                ok["ad_k"] = False
-
-    flat = [[A.get((r, c), RF_ZERO) for r in range(dw) for c in range(dw)] for A in As]
+    family = {(kl, a): x for a, A in enumerate(As) for kl, x in A.items()}
+    failed = {d[0] for d in module_map_defects(family, adj, tensor_product(W, dual_data(W)))}
+    ok = {"ad_e": "E" not in failed, "ad_f": "F" not in failed, "ad_k": "K" not in failed}
+    flat = [[A.get(kl, RF_ZERO) for kl in range(dw * dw)] for A in As]
     return {**ok, "span_dim": rf_rank(flat), "all": all(ok.values())}

@@ -45,7 +45,7 @@ from .tensorcg import (
     rescale_at_one,
     cg_embedding,
     verify_embedding,
-    intertwining_defect,
+    module_map_defects,
     invert_cg,
     bracket_matrix,
     ClassicallyZero,
@@ -169,16 +169,6 @@ class QuantumLieAlgebra:
             normalized=bool(d.get("normalized", False)),
             checks=dict(d.get("checks", {})),
         )
-
-    def format_text(self) -> str:
-        lines = [f"# {self.cd.series}{self.cd.rank} {self.provenance}"
-                 + (" normalized" if self.normalized else "")]
-        names = [lab.name() for lab in self.basis]
-        for (a, b, c), val in sorted(self.constants.items()):
-            if val.is_zero():
-                continue
-            lines.append(f"f[{names[a]},{names[b]}]^{{{names[c]}}} = {val}")
-        return "\n".join(lines) + "\n"
 
 
 def labeled_constants(A: QuantumLieAlgebra) -> dict:
@@ -777,13 +767,9 @@ def check_classical_limit(A: QuantumLieAlgebra, budget_dim: int = DEFAULT_DIM_BU
 def ad_invariance_of_table(constants: dict, V, T) -> dict:
     """pi(x) o B = B o Delta pi(x) for all generators, for the bracket B
     defined by a constants table written on the module basis of V."""
-    B = bracket_matrix(V.dim, constants)
-    witness = intertwining_defect(B, (T.dE, T.dF), (V.E, V.F))
-    if witness is not None:
-        return {"ok": False, "witness": witness}
-    for (c, p) in B:
-        if V.weights[c] != T.weights[p]:
-            return {"ok": False, "witness": ["K", c, p]}
+    defects = module_map_defects(bracket_matrix(V.dim, constants), T, V)
+    if defects:
+        return {"ok": False, "witness": defects[0]}
     return {"ok": True}
 
 

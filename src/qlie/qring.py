@@ -30,7 +30,7 @@ All operations are pure; no instance is mutated after construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, log2
 from operator import add
 
 
@@ -95,9 +95,6 @@ class LaurentPoly:
     def valuation(self) -> int:
         """Smallest exponent (raises on zero)."""
         return min(self.coeffs)
-
-    def leading_coeff(self) -> Fraction:
-        return self.coeffs[self.degree()]
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -725,17 +722,6 @@ def qconjugate(p):
     return p.qconjugate()
 
 
-def classical_limit(p):
-    """Exact value at v = 1; raises DenominatorVanishes on a pole."""
-    if isinstance(p, LaurentPoly):
-        return p.eval_at_one()
-    if isinstance(p, RatFunc):
-        return p.eval_at_one()
-    if isinstance(p, (int, Fraction)):
-        return _fr(p)
-    raise TypeError(f"cannot take classical limit of {type(p).__name__}")
-
-
 def h_derivative_at_zero(p):
     """First derivative with respect to h at h = 0, for q = e^h = v^2.
 
@@ -789,6 +775,23 @@ def q_binomial(a: int, b: int, d: int = 1) -> LaurentPoly:
 
 
 MAX_SCALAR_DEGREE = 1024
+MAX_SCALAR_BITS = 1024
+
+
+def _coefficient_bits(x: RatFunc) -> int:
+    """Bit length of the largest integer in x = c v^s N / D: the numerator
+    and denominator of c and the coefficients of N and D."""
+    c = x.c
+    return max(c.numerator.bit_length(), c.denominator.bit_length(),
+               *(abs(t).bit_length() for t in x.n + x.d))
+
+
+def _power_bits(x: RatFunc, k: int) -> float:
+    """An upper bound on _coefficient_bits(x ** k), from |c|^k and the
+    coefficient sums of N and D (no coefficient of N^k exceeds sum|N|^k)."""
+    c = x.c
+    top = max(abs(c.numerator), c.denominator, sum(map(abs, x.n)), sum(map(abs, x.d)))
+    return abs(k) * log2(top)
 
 
 def parse_scalar(text: str) -> RatFunc:
@@ -796,9 +799,12 @@ def parse_scalar(text: str) -> RatFunc:
 
     q is interpreted as v^2.  Used by the CLI for --s/--t and by tests.
     Every value the parser produces keeps the v-exponents of c v^s N and of
-    D within +-MAX_SCALAR_DEGREE; an exponent literal above it, or a power
-    whose |k| times the degree of its base exceeds it, is rejected before it
-    is computed, so the work on any input stays bounded.
+    D within +-MAX_SCALAR_DEGREE, and every integer in it (the numerator
+    and denominator of c, the coefficients of N and D) within
+    MAX_SCALAR_BITS bits.  An exponent literal above the degree bound, or a
+    power whose |k| times the degree of its base, or whose bound on the
+    coefficient size, exceeds a bound, is rejected before it is computed,
+    so the work on any input stays bounded.
     """
     tokens = _tokenize(text)
     pos = [0]
@@ -807,6 +813,8 @@ def parse_scalar(text: str) -> RatFunc:
         if x.n and (x.s < -MAX_SCALAR_DEGREE
                     or max(x.s + len(x.n), len(x.d)) - 1 > MAX_SCALAR_DEGREE):
             raise ValueError(f"scalar {text!r} exceeds degree {MAX_SCALAR_DEGREE} in v")
+        if x.n and _coefficient_bits(x) > MAX_SCALAR_BITS:
+            raise ValueError(f"scalar {text!r} has integers above {MAX_SCALAR_BITS} bits")
         return x
 
     def peek():
@@ -864,6 +872,8 @@ def parse_scalar(text: str) -> RatFunc:
             span = max(len(base.n), len(base.d)) - 1
             if exp_tok > MAX_SCALAR_DEGREE or exp_tok * span > MAX_SCALAR_DEGREE:
                 raise ValueError(f"power in {text!r} exceeds degree {MAX_SCALAR_DEGREE} in v")
+            if base and _power_bits(base, exp_tok) > MAX_SCALAR_BITS:
+                raise ValueError(f"power in {text!r} has integers above {MAX_SCALAR_BITS} bits")
             return bounded(base ** (-exp_tok if neg else exp_tok))
         return base
 
@@ -882,7 +892,7 @@ def parse_scalar(text: str) -> RatFunc:
             return RatFunc(V)
         if isinstance(tok, int):
             take()
-            return RatFunc(tok)
+            return bounded(RatFunc(tok))
         raise ValueError(f"parse error in {text!r}: unexpected token {tok!r}")
 
     try:

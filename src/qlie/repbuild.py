@@ -205,6 +205,19 @@ def adjoint_module(cd: CartanDatum, budget_dim: int = DEFAULT_DIM_BUDGET) -> Irr
     return build_irrep(cd, highest_root(cd), budget_dim)
 
 
+def contravariant_form(mod: IrrepModule) -> dict:
+    """The contravariant form <F_i x, y> = <x, E_i y> as one sparse matrix
+    S[a, b] = <v_a, v_b> on the module basis.  It is block diagonal: one
+    Gram block per weight space, and nothing across weights."""
+    S = {}
+    for mu, idxs in mod.weight_basis.items():
+        for a, row in zip(idxs, mod.gram[mu]):
+            for b, x in zip(idxs, row):
+                if x:
+                    S[(a, b)] = x
+    return S
+
+
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
@@ -284,9 +297,10 @@ def verify_module(mod: IrrepModule) -> dict:
 
     # contravariant symmetry: S E_i = F_i^T S blockwise (S = Gram)
     ok = True
+    S = contravariant_form(mod)
     for i in range(n):
-        lhs = sp_matmul(_gram_sparse(mod), mod.E[i])
-        rhs = sp_matmul(sp_transpose(mod.F[i]), _gram_sparse(mod))
+        lhs = sp_matmul(S, mod.E[i])
+        rhs = sp_matmul(sp_transpose(mod.F[i]), S)
         if not sp_eq(lhs, rhs):
             ok = False
     report["contravariant_adjoint"] = ok
@@ -325,15 +339,3 @@ def _sp_power(m, k, dim):
     for _ in range(k - 1):
         out = sp_matmul(out, m)
     return out
-
-
-def _gram_sparse(mod: IrrepModule):
-    out = {}
-    for mu, idxs in mod.weight_basis.items():
-        g = mod.gram[mu]
-        for r, a in enumerate(idxs):
-            for c, b in enumerate(idxs):
-                if not g[r][c].is_zero():
-                    out[(a, b)] = g[r][c]
-    return out
-

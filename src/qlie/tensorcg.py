@@ -1,6 +1,12 @@
 """The tensor-product layer: the coproduct action on M1 (x) M2, its joint
 highest-weight vectors, lowering them to full module copies, the
-intertwining check, and inverse Clebsch-Gordan coefficients.
+module-map check, and inverse Clebsch-Gordan coefficients.
+
+module_map_defects is the single check in the package that a sparse map
+between two modules intertwines E_i, F_i and the weight grading (K_i).
+The CG embedding, the inverse-CG bracket, the ad-invariance of stored
+tables, the monodromy operator and the adjoint family inside W (x) W*
+(monodromy.verify_ad_submodule) are all checked through it.
 
 The coproduct convention (fixed globally, same as the module convention)
 is Delta(E_i) = E_i (x) K_i^-1 + K_i (x) E_i and the F analog, with
@@ -16,8 +22,11 @@ of weight theta inside V (x) V, the bracket B is the unique module map
 V (x) V -> V with B o beta = id that kills the submodules generated by
 the remaining theta-highest-weight vectors.  It is computed from adjoints
 of the embeddings with respect to the contravariant forms, which keeps
-the linear algebra on the (at most two-dimensional) multiplicity space;
-all defining properties are re-verified exactly afterwards.
+the linear algebra on the (at most two-dimensional) multiplicity space.
+The contravariant form of V is the one sparse block-diagonal matrix S of
+repbuild.contravariant_form: the product form is u^T (S (x) S) w and the
+adjoint of an embedding beta is S^-1 beta^T (S (x) S).  All defining
+properties are re-verified exactly afterwards.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from fractions import Fraction
 
 from .qring import RatFunc, RF_ONE, RF_ZERO, rf_vpow
 from .rootdata import VerificationFailed, tensor_multiplicity, is_dominant
-from .repbuild import IrrepModule
+from .repbuild import IrrepModule, contravariant_form
 from .linalg import rf_nullspace, rf_solve, rf_inverse, sp_matvec, sp_matmul, sp_eq, sp_add_to
 
 
@@ -49,8 +58,9 @@ class TensorProduct:
 
     The factors are any modules with cd, dim, weights, E, F and kexp.
     Matrices dE[i], dF[i] are sparse over the product index
-    p = a*dim(right) + b; kexp[i][p] is the exponent of v in the diagonal
-    Delta(K_i) entry.
+    p = a*dim(right) + b, and E, F alias them so that a tensor product is a
+    side of module_map_defects like any module; kexp[i][p] is the exponent
+    of v in the diagonal Delta(K_i) entry.
     """
 
     left: object
@@ -69,8 +79,13 @@ class TensorProduct:
     def dim(self):
         return self.left.dim * self.right.dim
 
-    def pair(self, a: int, b: int) -> int:
-        return a * self.right.dim + b
+    @property
+    def E(self):
+        return self.dE
+
+    @property
+    def F(self):
+        return self.dF
 
 
 def _coproduct(x1: dict, x2: dict, k1: list, k2: list) -> dict:
@@ -211,17 +226,23 @@ def lowered_table(T: TensorProduct, M, v0: dict) -> list:
     return table
 
 
-def intertwining_defect(M: dict, src_ops, dst_ops):
-    """First generator that the sparse map M from source to target fails
-    to intertwine, as a witness ["E", i] or ["F", i]; None when
-    dst(x) M = M src(x) for every E_i and F_i.  src_ops and dst_ops are
-    the (E, F) generator matrices of the two sides."""
-    (src_e, src_f), (dst_e, dst_f) = src_ops, dst_ops
-    for i in src_e:
-        for name, src, dst in (("E", src_e, dst_e), ("F", src_f, dst_f)):
+def module_map_defects(M: dict, source, target) -> list:
+    """Every way in which the sparse map M from source to target fails to be
+    a module map, in a fixed order: for each i ascending ["E", i] when
+    target(E_i) M != M source(E_i), then ["F", i] likewise; after those,
+    ["K", row, col] for the first entry of M that joins basis vectors of
+    different weights (the K_i part).  Empty exactly when M intertwines
+    every generator.  A side is anything with weights, E and F."""
+    defects = []
+    for i in sorted(source.E):
+        for name, src, dst in (("E", source.E, target.E), ("F", source.F, target.F)):
             if not sp_eq(sp_matmul(dst[i], M), sp_matmul(M, src[i])):
-                return [name, i]
-    return None
+                defects.append([name, i])
+    sw, tw = source.weights, target.weights
+    cross = next(((r, c) for r, c in M if tw[r] != sw[c]), None)
+    if cross is not None:
+        defects.append(["K", *cross])
+    return defects
 
 
 @dataclass
@@ -245,78 +266,63 @@ def cg_embedding(T: TensorProduct, v0: dict) -> CGEmbedding:
 
 
 def verify_embedding(K: CGEmbedding) -> bool:
-    """Exact intertwining check for all generators (E_i, F_i and the
-    K_i weight bookkeeping)."""
-    T = K.tensor
-    V = T.left
-    for a, col in enumerate(K.table):
-        wa = V.weights[a]
-        if any(T.weights[p] != wa for p in col):
-            return False
-    return intertwining_defect(K.as_matrix(), (V.E, V.F), (T.dE, T.dF)) is None
+    """Exact module-map check of the embedding V -> V (x) V for all
+    generators (E_i, F_i and the K_i weight bookkeeping)."""
+    return not module_map_defects(K.as_matrix(), K.tensor.left, K.tensor)
+
+
+def _paired_with_form(V: IrrepModule, vecs: list) -> list:
+    """u^T (S (x) S) for each sparse tensor vector u, S the contravariant
+    form of V; each result is a sparse vector over the product index."""
+    rows = {}
+    for (a, b), x in contravariant_form(V).items():
+        rows.setdefault(a, []).append((b, x))
+    d = V.dim
+    out = []
+    for vec in vecs:
+        acc = {}
+        for p, x in vec.items():
+            a, b = divmod(p, d)
+            for c, s in rows.get(a, ()):
+                xs = x * s
+                for e, t in rows.get(b, ()):
+                    sp_add_to(acc, c * d + e, xs * t)
+        out.append(acc)
+    return out
 
 
 def product_form(V: IrrepModule, u: dict, w: dict) -> RatFunc:
-    """Contravariant product form <a(x)b, c(x)d> = <a,c><b,d> on sparse
-    tensor vectors."""
-    d = V.dim
+    """Contravariant product form u^T (S (x) S) w, that is
+    <a(x)b, c(x)d> = <a,c><b,d>, on sparse tensor vectors."""
+    su = _paired_with_form(V, [u])[0]
     acc = RF_ZERO
-    for p, x in u.items():
-        a, b = divmod(p, d)
-        wa, wb = V.weights[a], V.weights[b]
-        ba = V.weight_basis[wa]
-        bb = V.weight_basis[wb]
-        ga = V.gram[wa]
-        gb = V.gram[wb]
-        la = ba.index(a)
-        lb = bb.index(b)
-        for q, y in w.items():
-            c, e = divmod(q, d)
-            if V.weights[c] != wa or V.weights[e] != wb:
-                continue
-            acc = acc + x * ga[la][ba.index(c)] * gb[lb][bb.index(e)] * y
+    for q, y in w.items():
+        x = su.get(q)
+        if x is not None:
+            acc = acc + x * y
     return acc
 
 
 def _adjoint_of_embedding(V: IrrepModule, T: TensorProduct, table: list) -> dict:
-    """beta^dagger = S_V^{-1} beta^T S_(x), computed blockwise per weight.
+    """beta^dagger = S^-1 beta^T (S (x) S) for the contravariant form S of
+    V; S^-1 is applied one weight block at a time, and only on blocks that
+    beta^T (S (x) S) reaches.
 
     Returns a sparse matrix {(module_row, product_col): RatFunc}."""
-    d = V.dim
+    rows = _paired_with_form(V, table)
     out = {}
     for w, vw in V.weight_basis.items():
-        pw = T.weight_blocks.get(w)
-        if not pw:
+        if not any(rows[a] for a in vw):
             continue
-        # R[a', p] = sum_{p'} beta[p', a'] * S_(x)[p', p]
-        rows = []
-        for a1 in vw:
-            col = table[a1]
-            row = []
-            for p in pw:
-                b, c = divmod(p, d)
-                wb, wc = V.weights[b], V.weights[c]
-                bb, bc = V.weight_basis[wb], V.weight_basis[wc]
-                gb, gc = V.gram[wb], V.gram[wc]
-                lb, lc = bb.index(b), bc.index(c)
-                acc = RF_ZERO
-                for p1, x in col.items():
-                    b1, c1 = divmod(p1, d)
-                    if V.weights[b1] != wb or V.weights[c1] != wc:
-                        continue
-                    acc = acc + x * gb[bb.index(b1)][lb] * gc[bc.index(c1)][lc]
-                row.append(acc)
-            rows.append(row)
-        if not any(not x.is_zero() for r in rows for x in r):
-            continue
-        ginv = rf_inverse([list(r) for r in V.gram[w]])
+        ginv = rf_inverse(V.gram[w])
         for li, a in enumerate(vw):
-            for pj, p in enumerate(pw):
-                acc = RF_ZERO
-                for k in range(len(vw)):
-                    acc = acc + ginv[li][k] * rows[k][pj]
-                if not acc.is_zero():
-                    out[(a, p)] = acc
+            acc = {}
+            for g, b in zip(ginv[li], vw):
+                if g:
+                    for p, x in rows[b].items():
+                        sp_add_to(acc, p, g * x)
+            for p, x in acc.items():
+                out[(a, p)] = x
     return out
 
 
@@ -363,11 +369,10 @@ def invert_cg(V: IrrepModule, K: CGEmbedding, others: list) -> dict:
     for k in range(1, m):
         if sp_matmul(bmat, embeds[k].as_matrix()):
             raise VerificationFailed("B nonzero on a complement submodule")
-    if intertwining_defect(bmat, (T.dE, T.dF), (V.E, V.F)) is not None:
-        raise VerificationFailed("intertwining fails")
-    for (c, p) in bmat:
-        if V.weights[c] != T.weights[p]:
-            raise VerificationFailed("K intertwining (grading) fails")
+    defects = module_map_defects(bmat, T, V)
+    if defects:
+        raise VerificationFailed("K intertwining (grading) fails" if defects[0][0] == "K"
+                                 else "intertwining fails")
 
     constants = {}
     for (c, p), val in bmat.items():

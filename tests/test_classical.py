@@ -9,10 +9,10 @@ from qlie.classical import (
     build_classical_module,
     classical_bracket,
     classical_sln_table,
-    classical_split_casimir_a1,
 )
 
 from conftest import name_to_cartan
+from oracles import classical_split_casimir_a1
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2"])

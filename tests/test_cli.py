@@ -241,6 +241,17 @@ def test_oversized_scalar_is_a_usage_error(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_huge_integer_power_is_a_prompt_usage_error(capsys):
+    start = time.perf_counter()
+    code = main(["build", "--algebra", "A2", "--construction", "explicit-sln",
+                 "--s", "(" + "9" * 1000 + ")^1024"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert elapsed < 0.2
+
+
 # ---------------------------------------------------------------- small commands
 
 def test_table_command(capsys):

@@ -1,5 +1,6 @@
 """Monodromy-type operators on tensor products and the submodule extraction."""
 
+import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from qlie.linalg import sp_matmul, sp_eq, sp_scale
 from qlie.qring import LaurentPoly, RatFunc, h_derivative_at_zero, rf_vpow
 from qlie.rootdata import build_cartan, highest_root
 from qlie.repbuild import adjoint_module, build_irrep
-from qlie.classical import build_classical_module, classical_split_casimir_a1
+from qlie.classical import build_classical_module
 from qlie.monodromy import (
     Monodromy,
     ObstructionDetected,
@@ -21,6 +22,8 @@ from qlie.monodromy import (
     monodromy_on_tensor,
     verify_ad_submodule,
 )
+
+from oracles import classical_split_casimir_a1
 
 A1 = build_cartan("A", 1)
 A2 = build_cartan("A", 2)
@@ -282,3 +285,57 @@ def test_singular_isotypic_basis_is_an_obstruction(monkeypatch):
     V = adjoint_module(A2)
     with pytest.raises(ObstructionDetected, match="singular isotypic basis"):
         monodromy_on_tensor(V, V)
+
+
+# ------------------------------------------------- the submodule check itself
+
+SQUARES = {
+    "A3": [(1, 0, 0)],
+    "B2": [(1, 0), (0, 1)],
+    "B3": [(1, 0, 0)],
+    "C3": [(1, 0, 0)],
+    "D4": [(1, 0, 0, 0)],
+    "G2": [(1, 0)],
+}
+ADJOINT_DIM = {"A3": 15, "B2": 10, "B3": 21, "C3": 21, "D4": 28, "G2": 14}
+
+
+def vector_square(name, lam):
+    V = build_irrep(build_cartan(name[0], int(name[1:])), lam)
+    return V, monodromy_on_tensor(V, V)
+
+
+def with_entry_added(M, key, x):
+    """M with x added to one entry of its stored matrix."""
+    matrix = dict(M.matrix)
+    matrix[key] = matrix.get(key, RatFunc(0)) + x
+    return dataclasses.replace(M, matrix=matrix)
+
+
+@pytest.mark.parametrize("name,lam", [(n, lam) for n, lams in SQUARES.items() for lam in lams])
+def test_vector_square_submodule_spans_the_adjoint(name, lam):
+    V, M = vector_square(name, lam)
+    rep = verify_ad_submodule(M, V, V)
+    assert rep["all"], rep
+    assert rep["span_dim"] == ADJOINT_DIM[name]
+
+
+@pytest.mark.parametrize("name,lam", [("A2", (1, 0)), ("B2", (0, 1)), ("G2", (1, 0))])
+def test_perturbed_entry_breaks_the_twisted_action(name, lam):
+    # an off-diagonal entry stays inside its weight block, so only the
+    # E and F conditions can notice it
+    V, M = vector_square(name, lam)
+    key = min(k for k in M.matrix if k[0] != k[1])
+    rep = verify_ad_submodule(with_entry_added(M, key, RatFunc(1)), V, V)
+    assert (rep["all"], rep["ad_e"], rep["ad_f"], rep["ad_k"]) == (False, False, False, True)
+
+
+def test_entry_across_weights_breaks_the_grading():
+    V, M = vector_square("A2", (1, 0))
+    d = V.dim
+    _, ktable = adjoint_in_dual_tensor(V)
+    # a diagonal first-slot pair (i, i) that the adjoint embedding uses
+    i = next(p // d for col in ktable for p in col if p // d == p % d)
+    low = next(l for l in range(d) if V.weights[l] != V.weights[0])
+    rep = verify_ad_submodule(with_entry_added(M, (i * d, i * d + low), RatFunc(1)), V, V)
+    assert not rep["ad_k"] and not rep["all"]

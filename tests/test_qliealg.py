@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qlie.cli import build_text, parse_text_algebra
 from qlie.linalg import sp_eq
 from qlie.qring import RatFunc, parse_scalar, qconjugate
 from qlie.rootdata import build_cartan
@@ -402,7 +403,14 @@ def test_labeled_constants_use_display_names(generics):
     assert any(k[2] == ("H", 1) for k in table)
 
 
-def test_format_text_shows_brackets(generics):
-    text = canonical_normalize(generics["A1"]).format_text()
-    assert "A1 generic-pipeline normalized" in text
+def test_build_text_shows_brackets(generics):
+    text = build_text(canonical_normalize(generics["A1"]))
+    assert "# algebra A1\n# construction generic-pipeline\n# normalized yes\n" in text
     assert "f[H_1,H_1]^{H_1}" in text
+
+
+@pytest.mark.parametrize("name", CORE)
+def test_printed_generic_tables_parse_back(name, generics):
+    # every printed scalar stays inside the parser's degree and size bounds
+    A = generics[name]
+    assert same_algebra(parse_text_algebra(build_text(A)), A)

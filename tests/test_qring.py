@@ -11,9 +11,9 @@ from qlie.qring import (
     DenominatorVanishes,
     InvalidRange,
     LaurentPoly,
+    MAX_SCALAR_BITS,
     MAX_SCALAR_DEGREE,
     RatFunc,
-    classical_limit,
     h_derivative_at_zero,
     laurent_gcd,
     laurent_sqrt,
@@ -23,6 +23,8 @@ from qlie.qring import (
     q_int,
     qconjugate,
 )
+
+from oracles import classical_limit
 
 V = LaurentPoly.v_power
 Q = V(2)           # q = v^2
@@ -384,3 +386,23 @@ def test_parse_scalar_accepts_values_at_the_degree_bound():
     x = parse_scalar("(q+1)^512")
     assert x.num.degree() == MAX_SCALAR_DEGREE and x.eval_at_one() == 2 ** 512
     assert parse_scalar("v^1024 + v^-1024") == RatFunc(V(1024) + V(-1024), ONE)
+
+
+@pytest.mark.parametrize("big", ["(" + "9" * 1000 + ")^1024", "(" + "9" * 300 + ")^4",
+                                 "(" + "9" * 300 + "*q+1)^-4", "3^700"])
+def test_parse_scalar_rejects_large_integers_at_once(big):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="bits"):
+        parse_scalar(big)
+    assert time.perf_counter() - start < 0.2
+
+
+@pytest.mark.parametrize("text", ["2^1000*2^1000", "1/(2^600*3^600)", "(2^1000+q)*(2^1000-q)"])
+def test_parse_scalar_bounds_every_intermediate_integer(text):
+    with pytest.raises(ValueError, match="bits"):
+        parse_scalar(text)
+
+
+def test_parse_scalar_accepts_integers_at_the_size_bound():
+    assert parse_scalar("2^1023").eval_at_one() == 2 ** (MAX_SCALAR_BITS - 1)
+    assert parse_scalar("-1/(2^1023*q)") == RatFunc(LaurentPoly.constant(Fraction(-1, 2 ** 1023)), Q)
