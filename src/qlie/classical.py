@@ -128,31 +128,36 @@ def build_classical_module(cd: CartanDatum, lam, budget_dim: int = 64) -> Classi
 def _tensor_ops(V: ClassicalModule):
     """x -> x (x) 1 + 1 (x) x matrices over product indices a*dim+b."""
     d = V.dim
-    n = V.cd.rank
     dE, dF = {}, {}
-    for i in range(n):
-        me, mf = {}, {}
-        for (r, c), x in V.E[i].items():
-            for b in range(d):
-                me[(r * d + b, c * d + b)] = me.get((r * d + b, c * d + b), Fraction(0)) + x
-            for a in range(d):
-                me[(a * d + r, a * d + c)] = me.get((a * d + r, a * d + c), Fraction(0)) + x
-        for (r, c), x in V.F[i].items():
-            for b in range(d):
-                mf[(r * d + b, c * d + b)] = mf.get((r * d + b, c * d + b), Fraction(0)) + x
-            for a in range(d):
-                mf[(a * d + r, a * d + c)] = mf.get((a * d + r, a * d + c), Fraction(0)) + x
-        dE[i] = {k: v for k, v in me.items() if v}
-        dF[i] = {k: v for k, v in mf.items() if v}
+    for mats, dmats in ((V.E, dE), (V.F, dF)):
+        for i, mat in mats.items():
+            acc = {}
+            for (r, c), x in mat.items():
+                for b in range(d):
+                    acc[r * d + b, c * d + b] = acc.get((r * d + b, c * d + b), Fraction(0)) + x
+                for a in range(d):
+                    acc[a * d + r, a * d + c] = acc.get((a * d + r, a * d + c), Fraction(0)) + x
+            dmats[i] = {k: v for k, v in acc.items() if v}
     return dE, dF
 
 
-def _sp_vec(m, vec, dim=None):
+def _sp_vec(m, vec):
     out = {}
     for (r, c), x in m.items():
         if c in vec:
             out[r] = out.get(r, Fraction(0)) + x * vec[c]
     return {k: v for k, v in out.items() if v}
+
+
+def _sp_mul(a, b):
+    b_rows = {}
+    for (r, c), x in b.items():
+        b_rows.setdefault(r, []).append((c, x))
+    out = {}
+    for (r, k), x in a.items():
+        for c, y in b_rows.get(k, ()):
+            out[r, c] = out.get((r, c), Fraction(0)) + x * y
+    return {key: v for key, v in out.items() if v}
 
 
 def classical_bracket(cd: CartanDatum, budget_dim: int = 64):
@@ -206,11 +211,7 @@ def classical_bracket(cd: CartanDatum, budget_dim: int = 64):
             sym = s
     if anti is None:
         raise VerificationFailed("classically zero antisymmetrization")
-    scale = None
-    for p in sorted(anti):
-        if anti[p]:
-            scale = 1 / anti[p]
-            break
+    scale = 1 / anti[min(anti)]
     anti = {p: x * scale for p, x in anti.items()}
 
     us = [anti]
@@ -286,44 +287,25 @@ def classical_bracket(cd: CartanDatum, budget_dim: int = 64):
                         bmat[key] = bmat.get(key, Fraction(0)) + x[k] * acc
     bmat = {k: v for k, v in bmat.items() if v}
 
-    # re-verify: B o beta = id, B o beta_sym = 0, intertwining with e_i, f_i
-    for a in range(d):
-        for c in range(d):
-            acc = Fraction(0)
-            for p, val in tables[0][a].items():
-                acc += bmat.get((c, p), Fraction(0)) * val
-            if acc != (1 if a == c else 0):
-                raise VerificationFailed("classical B o beta != id")
-    if m > 1:
-        for a in range(d):
-            for c in range(d):
-                acc = Fraction(0)
-                for p, val in tables[1][a].items():
-                    acc += bmat.get((c, p), Fraction(0)) * val
-                if acc != 0:
-                    raise VerificationFailed("classical B nonzero on the complement")
+    # B o beta = id and B o beta_sym = 0, checked on the generators us: table[a]
+    # is dF_{i_1} of its parent's column, f_{i_1} e_parent = e_a (checked here)
+    # and B commutes with each f_i (checked below): B(table[a]) = f_{i_1}...B(u)
+    cols = {}
+    for i, mat in V.F.items():
+        for (r, c), xx in mat.items():
+            cols.setdefault((i, c), {})[r] = xx
+    for a in range(1, d):
+        lab = V.labels[a]
+        if cols.get((lab[0], index[lab[1:]])) != {a: 1}:
+            raise VerificationFailed("classical f does not lower the monomial basis")
+    if _sp_vec(bmat, us[0]) != {0: 1}:
+        raise VerificationFailed("classical B o beta != id")
+    if m > 1 and _sp_vec(bmat, us[1]):
+        raise VerificationFailed("classical B nonzero on the complement")
 
-    def by_row(mat):
-        rows = {}
-        for (r, c), x in mat.items():
-            rows.setdefault(r, []).append((c, x))
-        return rows
-
-    bmat_rows = by_row(bmat)
     for i in range(n):
         for mats, dmats in ((V.E, dE), (V.F, dF)):
-            lhs = {}
-            for (r, c), xx in mats[i].items():
-                for p, y in bmat_rows.get(c, ()):
-                    lhs[(r, p)] = lhs.get((r, p), Fraction(0)) + xx * y
-            rhs = {}
-            drows = by_row(dmats[i])
-            for (c, p), y in bmat.items():
-                for p2, xx in drows.get(p, ()):
-                    rhs[(c, p2)] = rhs.get((c, p2), Fraction(0)) + y * xx
-            lhs = {k: v for k, v in lhs.items() if v}
-            rhs = {k: v for k, v in rhs.items() if v}
-            if lhs != rhs:
+            if _sp_mul(mats[i], bmat) != _sp_mul(bmat, dmats[i]):
                 raise VerificationFailed("classical intertwining fails")
 
     constants = {}

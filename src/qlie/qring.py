@@ -794,6 +794,11 @@ def _power_bits(x: RatFunc, k: int) -> float:
     return abs(k) * log2(top)
 
 
+def _clip(text: str) -> str:
+    """text cut to 60 characters and '...', to quote user input in errors."""
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
 def parse_scalar(text: str) -> RatFunc:
     """Parse a rational-function string over tokens q, v, integers, + - * / ^ ( ).
 
@@ -808,13 +813,14 @@ def parse_scalar(text: str) -> RatFunc:
     """
     tokens = _tokenize(text)
     pos = [0]
+    shown = _clip(text)
 
     def bounded(x):
         if x.n and (x.s < -MAX_SCALAR_DEGREE
                     or max(x.s + len(x.n), len(x.d)) - 1 > MAX_SCALAR_DEGREE):
-            raise ValueError(f"scalar {text!r} exceeds degree {MAX_SCALAR_DEGREE} in v")
+            raise ValueError(f"scalar {shown!r} exceeds degree {MAX_SCALAR_DEGREE} in v")
         if x.n and _coefficient_bits(x) > MAX_SCALAR_BITS:
-            raise ValueError(f"scalar {text!r} has integers above {MAX_SCALAR_BITS} bits")
+            raise ValueError(f"scalar {shown!r} has integers above {MAX_SCALAR_BITS} bits")
         return x
 
     def peek():
@@ -823,7 +829,8 @@ def parse_scalar(text: str) -> RatFunc:
     def take(expected=None):
         tok = peek()
         if tok is None or (expected is not None and tok != expected):
-            raise ValueError(f"parse error in {text!r} at token {pos[0]}: expected {expected}, got {tok}")
+            raise ValueError(f"parse error in {shown!r} at token {pos[0]}: "
+                             f"expected {expected}, got {_clip(str(tok))}")
         pos[0] += 1
         return tok
 
@@ -866,14 +873,14 @@ def parse_scalar(text: str) -> RatFunc:
                 neg = True
             exp_tok = take()
             if not isinstance(exp_tok, int):
-                raise ValueError(f"exponent must be an integer in {text!r}")
+                raise ValueError(f"exponent must be an integer in {shown!r}")
             if wrapped:
                 take(")")
             span = max(len(base.n), len(base.d)) - 1
             if exp_tok > MAX_SCALAR_DEGREE or exp_tok * span > MAX_SCALAR_DEGREE:
-                raise ValueError(f"power in {text!r} exceeds degree {MAX_SCALAR_DEGREE} in v")
+                raise ValueError(f"power in {shown!r} exceeds degree {MAX_SCALAR_DEGREE} in v")
             if base and _power_bits(base, exp_tok) > MAX_SCALAR_BITS:
-                raise ValueError(f"power in {text!r} has integers above {MAX_SCALAR_BITS} bits")
+                raise ValueError(f"power in {shown!r} has integers above {MAX_SCALAR_BITS} bits")
             return bounded(base ** (-exp_tok if neg else exp_tok))
         return base
 
@@ -893,14 +900,14 @@ def parse_scalar(text: str) -> RatFunc:
         if isinstance(tok, int):
             take()
             return bounded(RatFunc(tok))
-        raise ValueError(f"parse error in {text!r}: unexpected token {tok!r}")
+        raise ValueError(f"parse error in {shown!r}: unexpected token {tok!r}")
 
     try:
         result = parse_expr()
     except ZeroDivisionError as exc:
-        raise ValueError(f"division by zero in {text!r}") from exc
+        raise ValueError(f"division by zero in {shown!r}") from exc
     if pos[0] != len(tokens):
-        raise ValueError(f"trailing input in {text!r}")
+        raise ValueError(f"trailing input in {shown!r}")
     return result
 
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from qlie.rootdata import build_cartan, highest_root
+from qlie import classical
+from qlie.rootdata import VerificationFailed, build_cartan, highest_root
 from qlie.classical import (
     build_classical_module,
     classical_bracket,
@@ -43,6 +44,48 @@ def test_classical_bracket_is_a_lie_algebra(name):
                         for g, w in bracket(x, e).items():
                             acc[g] = acc.get(g, Fraction(0)) + v * w
                 assert all(v == 0 for v in acc.values())
+
+
+def _patch_after_build(monkeypatch, name, change_solve=None, change_module=None):
+    """Patch classical.frac_solve (its bracket solve only) or the built
+    module, once build_classical_module has returned."""
+    true_build, true_solve = classical.build_classical_module, classical.frac_solve
+
+    def build_then_patch(*args):
+        V = true_build(*args)
+        if change_solve:
+            monkeypatch.setattr(classical, "frac_solve",
+                                lambda P, rhs: change_solve(P, true_solve(P, rhs)))
+        return change_module(V) if change_module else V
+
+    monkeypatch.setattr(classical, "build_classical_module", build_then_patch)
+    return name_to_cartan(name)
+
+
+@pytest.mark.parametrize("name", ["A2", "G2"])
+def test_classical_doubled_bracket_fails_normalization(monkeypatch, name):
+    cd = _patch_after_build(monkeypatch, name, change_solve=lambda P, x: [2 * y for y in x])
+    with pytest.raises(VerificationFailed, match="classical B o beta != id"):
+        classical_bracket(cd)
+
+
+@pytest.mark.parametrize("name", ["A2", "A3"])
+def test_classical_bracket_leaking_onto_the_complement_fails(monkeypatch, name):
+    cd = _patch_after_build(monkeypatch, name,
+                            change_solve=lambda P, x: [x[0] + P[0][1], x[1] - P[0][0]])
+    with pytest.raises(VerificationFailed, match="classical B nonzero on the complement"):
+        classical_bracket(cd)
+
+
+def test_classical_corrupted_lowering_entry_is_caught(monkeypatch):
+    def corrupt(V):
+        lab = V.labels[1]
+        V.F[lab[0]][(1, V.labels.index(lab[1:]))] = Fraction(2)
+        return V
+
+    cd = _patch_after_build(monkeypatch, "A2", change_module=corrupt)
+    with pytest.raises(VerificationFailed, match="classical f does not lower"):
+        classical_bracket(cd)
 
 
 def test_classical_bracket_weights_grade(name="A2"):

@@ -252,6 +252,16 @@ def test_huge_integer_power_is_a_prompt_usage_error(capsys):
     assert elapsed < 0.2
 
 
+@pytest.mark.parametrize("s", ["(" + "9" * 1000 + ")^1024", "(q+" + "9" * 1000],
+                         ids=["power", "unclosed"])
+def test_long_scalar_input_gives_a_short_error_line(capsys, s):
+    code = main(["build", "--algebra", "A2", "--construction", "explicit-sln", "--s", s])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 200
+
+
 # ---------------------------------------------------------------- small commands
 
 def test_table_command(capsys):

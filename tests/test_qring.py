@@ -403,6 +403,28 @@ def test_parse_scalar_bounds_every_intermediate_integer(text):
         parse_scalar(text)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("(q+1", "parse error in '(q+1' at token 4: expected ), got None"),
+    ("q^q", "exponent must be an integer in 'q^q'"),
+    ("1/(q-q)", "division by zero in '1/(q-q)'"),
+    ("q)", "trailing input in 'q)'"),
+    ("3^700", "power in '3^700' has integers above 1024 bits"),
+])
+def test_parse_scalar_quotes_short_inputs_whole(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_scalar(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text", ["(q+" + "9" * 300 + "1", "(" + "9" * 1000 + ")^1024",
+                                  "(q " + "9" * 1000 + ")"], ids=["unclosed", "power", "token"])
+def test_parse_scalar_cuts_long_inputs_in_messages(text):
+    with pytest.raises(ValueError) as info:
+        parse_scalar(text)
+    message = str(info.value)
+    assert len(message) < 200 and "..." in message
+
+
 def test_parse_scalar_accepts_integers_at_the_size_bound():
     assert parse_scalar("2^1023").eval_at_one() == 2 ** (MAX_SCALAR_BITS - 1)
     assert parse_scalar("-1/(2^1023*q)") == RatFunc(LaurentPoly.constant(Fraction(-1, 2 ** 1023)), Q)

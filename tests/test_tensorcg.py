@@ -1,5 +1,6 @@
 """Tensor squares, highest-weight spaces, antisymmetrization and inversion."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,9 +10,11 @@ import textwrap
 import pytest
 
 import qlie
+from qlie import tensorcg
 from qlie.linalg import rf_rank, sp_matvec
+from qlie.qliealg import generic_pipeline
 from qlie.qring import RatFunc, q_int
-from qlie.rootdata import build_cartan, highest_root, tensor_multiplicity
+from qlie.rootdata import VerificationFailed, build_cartan, highest_root, tensor_multiplicity
 from qlie.repbuild import adjoint_module, build_irrep
 from qlie.tensorcg import (
     ClassicallyZero,
@@ -228,6 +231,38 @@ def test_multiplicity_two_complement_annihilates(pipelines):
                 if f is not None:
                     acc = acc + x * f
             assert acc == RatFunc(0)
+
+
+def _patch_rf_solve(monkeypatch, change):
+    true_solve = tensorcg.rf_solve
+    monkeypatch.setattr(tensorcg, "rf_solve", lambda P, rhs: change(P, true_solve(P, rhs)))
+
+
+@pytest.mark.parametrize("name", ["A2", "G2"])
+def test_doubled_bracket_fails_normalization(monkeypatch, name):
+    # 2B is still a module map, so only B o beta = id can catch it
+    _patch_rf_solve(monkeypatch, lambda P, x: [2 * y for y in x])
+    with pytest.raises(VerificationFailed, match="B o beta != id"):
+        generic_pipeline(name_to_cartan(name))
+
+
+@pytest.mark.parametrize("name", ["A2", "A3"])
+def test_bracket_leaking_onto_the_complement_fails(monkeypatch, name):
+    # keeps P[0] . x = 1, so B(v0) = e_0, but B(u) = -det(P) e_0 on the complement
+    _patch_rf_solve(monkeypatch, lambda P, x: [x[0] + P[0][1], x[1] - P[0][0]])
+    with pytest.raises(VerificationFailed, match="B nonzero on a complement submodule"):
+        generic_pipeline(name_to_cartan(name))
+
+
+def test_corrupted_lowering_entry_is_caught(pipelines):
+    pipe = pipelines["A2"]
+    V = pipe.module
+    a = 1
+    lab = V.labels[a]
+    F = {i: dict(m) for i, m in V.F.items()}
+    F[lab[0]][(a, V.labels.index(lab[1:]))] = RatFunc(2)
+    with pytest.raises(VerificationFailed, match="F does not lower basis vector 1"):
+        invert_cg(dataclasses.replace(V, F=F), pipe.embedding, pipe.others)
 
 
 def test_embedding_json_friendly(pipelines):
