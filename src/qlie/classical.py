@@ -230,61 +230,38 @@ def classical_bracket(cd: CartanDatum, budget_dim: int = 64):
             table[a] = _sp_vec(dF[lab[0]], table[index[lab[1:]]])
         tables.append(table)
 
-    def pair_form(u, w):
-        acc = Fraction(0)
-        for p, x in u.items():
+    # the contravariant form of V, one sparse row per basis vector
+    S = {}
+    for w, vw in V.weight_basis.items():
+        for a, row in zip(vw, V.gram[w]):
+            S[a] = {c: g for c, g in zip(vw, row) if g}
+
+    def paired(vec):
+        """vec^T (S (x) S) over the product indices a*d+b."""
+        out = {}
+        for p, val in vec.items():
             a, b = divmod(p, d)
-            wa, wb = V.weights[a], V.weights[b]
-            ba, bb = V.weight_basis[wa], V.weight_basis[wb]
-            ga, gb = V.gram[wa], V.gram[wb]
-            for q, y in w.items():
-                c, e = divmod(q, d)
-                if V.weights[c] != wa or V.weights[e] != wb:
-                    continue
-                acc += x * ga[ba.index(a)][ba.index(c)] * gb[bb.index(b)][bb.index(e)] * y
-        return acc
+            for c, g in S[a].items():
+                for e, h in S[b].items():
+                    out[c * d + e] = out.get(c * d + e, Fraction(0)) + val * g * h
+        return out
 
     m = len(us)
-    P = [[pair_form(us[j], us[k]) for k in range(m)] for j in range(m)]
+    P = [[sum((y * us[k].get(p, 0) for p, y in paired(us[j]).items()), Fraction(0))
+          for k in range(m)] for j in range(m)]
     x = frac_solve(P, [Fraction(1)] + [Fraction(0)] * (m - 1))
 
+    # B = sum_k x_k S^{-1} beta_k^T (S (x) S), with S^{-1} applied per weight block
     bmat = {}
     for k in range(m):
         if not x[k]:
             continue
-        # adjoint of the embedding: S_V^{-1} beta^T S_(x), per weight block
+        rows = [paired(col) for col in tables[k]]
         for w, vw in V.weight_basis.items():
-            pw = weights2.get(w)
-            if not pw:
-                continue
-            rows_k = []
-            for a1 in vw:
-                col = tables[k][a1]
-                row = []
-                for p in pw:
-                    b, c = divmod(p, d)
-                    wb, wc = V.weights[b], V.weights[c]
-                    bb, bc = V.weight_basis[wb], V.weight_basis[wc]
-                    gb, gc = V.gram[wb], V.gram[wc]
-                    acc = Fraction(0)
-                    for p1, val in col.items():
-                        b1, c1 = divmod(p1, d)
-                        if V.weights[b1] != wb or V.weights[c1] != wc:
-                            continue
-                        acc += val * gb[bb.index(b1)][bb.index(b)] * gc[bc.index(c1)][bc.index(c)]
-                    row.append(acc)
-                rows_k.append(row)
-            if not any(any(r) for r in rows_k):
-                continue
-            ginv = frac_inverse([list(r) for r in V.gram[w]])
-            for li, a in enumerate(vw):
-                for pj, p in enumerate(pw):
-                    acc = Fraction(0)
-                    for kk in range(len(vw)):
-                        acc += ginv[li][kk] * rows_k[kk][pj]
-                    if acc:
-                        key = (a, p)
-                        bmat[key] = bmat.get(key, Fraction(0)) + x[k] * acc
+            for a, ginv in zip(vw, frac_inverse(V.gram[w])):
+                for a1, gi in zip(vw, ginv):
+                    for p, y in rows[a1].items():
+                        bmat[a, p] = bmat.get((a, p), Fraction(0)) + x[k] * gi * y
     bmat = {k: v for k, v in bmat.items() if v}
 
     # B o beta = id and B o beta_sym = 0, checked on the generators us: table[a]

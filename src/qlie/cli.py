@@ -14,7 +14,8 @@ limit    the same list evaluated at v = 1 (the classical bracket)
 
 Scalars for --s/--t use the grammar over {q, v, integers, + - * / ^ ( )}
 with q = v^2, e.g. --t "q^2/(q+1)"; every v-exponent of a parsed scalar
-must stay within +-1024 (qring.MAX_SCALAR_DEGREE).  Exit codes: 0 success
+must stay within +-1024 (qring.MAX_SCALAR_DEGREE), and parentheses and
+unary signs nest at most 64 deep (qring.MAX_SCALAR_NESTING).  Exit codes: 0 success
 / all checks pass, 1 computation, check or self-check failure, 2 usage or
 parameter error, or an output file that cannot be written.
 """

@@ -587,7 +587,7 @@ def check_q_antisymmetry(A: QuantumLieAlgebra) -> dict:
     for (a, b, c) in sorted(keys):
         lhs = A.structure_constant(a, b, c)
         rhs = -A.structure_constant(b, a, c).qconjugate()
-        if not (lhs - rhs).is_zero():
+        if lhs != rhs:
             witness = [a, b, c]
             break
     return {"ok": witness is None, "witness": witness}
@@ -607,7 +607,7 @@ def check_lr_identity(A: QuantumLieAlgebra) -> dict:
         for pos in range(len(A.h_indices())):
             lhs = r.get((x, pos), RF_ZERO)
             rhs = -l.get((y, pos), RF_ZERO)
-            if not (lhs - rhs).is_zero():
+            if lhs != rhs:
                 witness = [x, pos]
                 break
         if witness:
@@ -621,111 +621,68 @@ def check_classical_limit(A: QuantumLieAlgebra, budget_dim: int = DEFAULT_DIM_BU
     and exact agreement with the independent rational oracle (the classical
     pipeline for generic provenance, (s+t)(1) times the standard sl_n table
     for the explicit family)."""
+    if not all(val.is_regular_at_one() for val in A.constants.values()):
+        return {"regular_at_one": False, "all": False}
     report = {"regular_at_one": True}
-    f1 = {}
-    for key, val in A.constants.items():
-        if not val.is_regular_at_one():
-            report["regular_at_one"] = False
-            report["all"] = False
-            return report
-        c1 = val.eval_at_one()
-        if c1:
-            f1[key] = c1
+    f1 = {key: c1 for key, val in A.constants.items() if (c1 := val.eval_at_one())}
     dim = A.dim
+    zero = Fraction(0)
 
-    keys = set(f1) | {(b, a, c) for (a, b, c) in f1}
-    report["antisymmetric"] = all(
-        f1.get((a, b, c), Fraction(0)) == -f1.get((b, a, c), Fraction(0))
-        for (a, b, c) in keys
-    )
+    report["antisymmetric"] = all(f1.get((b, a, c)) == -val for (a, b, c), val in f1.items())
 
+    # sum [[x, y], z] over the cyclic rotations (x, y, z) of each increasing
+    # triple, keyed by the sorted triple and the output index
     by_pair = _by_pair(f1)
-
-    def brk(a, b):
-        return by_pair.get((a, b), {})
-
-    jac = True
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            for c in range(b + 1, dim):
-                acc = {}
-                for (x, y, z) in ((a, b, c), (b, c, a), (c, a, b)):
-                    for e, v1 in brk(x, y).items():
-                        for f, v2 in brk(e, z).items():
-                            acc[f] = acc.get(f, Fraction(0)) + v1 * v2
-                if any(acc.values()):
-                    jac = False
-                    break
-            if not jac:
-                break
-        if not jac:
-            break
-    report["jacobi"] = jac
+    by_first = {}
+    for (e, z), ez in by_pair.items():
+        by_first.setdefault(e, []).append((z, ez))
+    sums = {}
+    for (x, y), xy in by_pair.items():
+        for e, v1 in xy.items():
+            for z, ez in by_first.get(e, ()):
+                if x < y < z or y < z < x or z < x < y:
+                    triple = tuple(sorted((x, y, z)))
+                    for f, v2 in ez.items():
+                        sums[triple, f] = sums.get((triple, f), zero) + v1 * v2
+    report["jacobi"] = not any(sums.values())
 
     h_slots = A.h_indices()
-    report["cartan_abelian"] = not any(
-        a in h_slots and b in h_slots for (a, b, c) in f1
-    )
+    report["cartan_abelian"] = not any(a in h_slots and b in h_slots for a, b, _ in f1)
 
-    l_eq_r = True
-    kappa = None
-    uniform = True
-    for x in A.x_indices():
-        root = A.basis[x].root
-        for pos, h in enumerate(h_slots):
-            lv = f1.get((h, x, x), Fraction(0))
-            rv = -f1.get((x, h, x), Fraction(0))
-            if lv != rv:
-                l_eq_r = False
-            expected = Fraction(root[pos])
-            if expected == 0:
-                if lv != 0:
-                    uniform = False
-            else:
-                ratio = lv / expected
-                if kappa is None:
-                    kappa = ratio
-                elif ratio != kappa:
-                    uniform = False
-    report["l_equals_r"] = l_eq_r
-    report["kappa"] = str(kappa) if (kappa is not None and uniform) else None
+    xs = A.x_indices()
+    report["l_equals_r"] = all(f1.get((h, x, x), zero) == -f1.get((x, h, x), zero)
+                               for x in xs for h in h_slots)
+    # l_a(H_k) = kappa * alpha_k with one kappa for every root and every H_k
+    pairs = [(f1.get((h, x, x), zero), A.basis[x].root[k])
+             for x in xs for k, h in enumerate(h_slots)]
+    ratios = {lv / ak for lv, ak in pairs if ak}
+    uniform = len(ratios) == 1 and not any(lv for lv, ak in pairs if not ak)
+    report["kappa"] = str(ratios.pop()) if uniform else None
+
+    def acts(g, x):
+        """The v = 1 eigenvalue of sum_h g[h] H_h on X_x."""
+        return sum((gh * f1.get((h, x, x), zero) for h, gh in g.items()), zero)
 
     # l_alpha = r_alpha = alpha against the canonical classical Cartan:
-    # H'_i := (2 / alpha_i([X_i, X_-i])) [X_{alpha_i}, X_{-alpha_i}] completes
-    # each simple-root pair to an sl2 triple at v = 1, so it must act as the
-    # coroot h_i on every root vector.  Basis-independent and square-root
-    # free, so it applies to every table.
+    # H'_i := (2 / c_i) [X_{alpha_i}, X_{-alpha_i}], with c_i the eigenvalue
+    # of the bracket on X_{alpha_i}, completes each simple-root pair to an sl2
+    # triple at v = 1, so it must act as the coroot h_i on every root vector:
+    # 2 acts(g, x) = c_i alpha_i(x).  Basis-independent and square-root free,
+    # so it applies to every table.
     roots_map = A.root_index()
-    roots_classical = True
-    for i, alpha in enumerate(_simple_roots(A.cd)):
+
+    def acts_as_coroot(i, alpha):
         neg = tuple(-c for c in alpha)
         if alpha not in roots_map or neg not in roots_map:
-            roots_classical = False
-            break
+            return False
         xi, yi = roots_map[alpha], roots_map[neg]
-        grow = [f1.get((xi, yi, h), Fraction(0)) for h in h_slots]
-        ci = sum(
-            (gk * f1.get((h, xi, xi), Fraction(0))
-             for gk, h in zip(grow, h_slots)),
-            Fraction(0),
-        )
-        if ci == 0:
-            roots_classical = False
-            break
-        scale = Fraction(2) / ci
-        for x in A.x_indices():
-            root = A.basis[x].root
-            acted = scale * sum(
-                (gk * f1.get((h, x, x), Fraction(0))
-                 for gk, h in zip(grow, h_slots)),
-                Fraction(0),
-            )
-            if acted != Fraction(root[i]):
-                roots_classical = False
-                break
-        if not roots_classical:
-            break
-    report["roots_classical"] = roots_classical
+        g = {h: f1.get((xi, yi, h), zero) for h in h_slots}
+        ci = acts(g, xi)
+        return ci != 0 and all(2 * acts(g, x) == ci * A.basis[x].root[i] for x in xs)
+
+    report["roots_classical"] = all(
+        acts_as_coroot(i, alpha) for i, alpha in enumerate(_simple_roots(A.cd))
+    )
 
     oracle = None
     if A.provenance == "explicit-sln" and A.params is not None and not A.normalized:
@@ -749,18 +706,11 @@ def check_classical_limit(A: QuantumLieAlgebra, budget_dim: int = DEFAULT_DIM_BU
             except GaugeObstruction:
                 f0 = None
         oracle = f0
-    if oracle is None:
-        report["oracle_match"] = None
-    else:
-        report["oracle_match"] = (
-            {k: v for k, v in oracle.items() if v} == f1
-        )
-
-    report["all"] = all(
-        v for k, v in report.items()
-        if k in ("regular_at_one", "antisymmetric", "jacobi", "cartan_abelian",
-                 "l_equals_r", "roots_classical")
-    ) and report["oracle_match"] is not False
+    report["oracle_match"] = (None if oracle is None
+                              else {k: v for k, v in oracle.items() if v} == f1)
+    report["all"] = all(report[k] for k in (
+        "regular_at_one", "antisymmetric", "jacobi", "cartan_abelian", "l_equals_r",
+        "roots_classical")) and report["oracle_match"] is not False
     return report
 
 
@@ -930,21 +880,21 @@ def compare_to_explicit(A: QuantumLieAlgebra, s=None, t=None,
                     cand = W[i][j] / U[i][j]
                     if eps is None:
                         eps = cand
-                    elif not (eps - cand).is_zero():
+                    elif eps != cand:
                         report["mismatches"].append("parameter ratio not uniform")
                         return report
             if eps is None:
                 eps = RF_ZERO
             for i in range(nH):
                 for j in range(nH):
-                    if not (W[i][j] - eps * U[i][j]).is_zero():
+                    if W[i][j] != eps * U[i][j]:
                         report["mismatches"].append("parameter ratio not uniform")
                         return report
             s_fit, t_fit = RF_ONE, eps
             C = U
         report["epsilon"] = str(eps) if eps is not None else None
         report["eps_bar_invariant"] = (
-            (eps - eps.qconjugate()).is_zero() if eps is not None else None
+            eps == eps.qconjugate() if eps is not None else None
         )
     else:
         s_fit = s if isinstance(s, RatFunc) else RatFunc(s)

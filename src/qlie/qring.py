@@ -776,6 +776,7 @@ def q_binomial(a: int, b: int, d: int = 1) -> LaurentPoly:
 
 MAX_SCALAR_DEGREE = 1024
 MAX_SCALAR_BITS = 1024
+MAX_SCALAR_NESTING = 64
 
 
 def _coefficient_bits(x: RatFunc) -> int:
@@ -809,10 +810,13 @@ def parse_scalar(text: str) -> RatFunc:
     MAX_SCALAR_BITS bits.  An exponent literal above the degree bound, or a
     power whose |k| times the degree of its base, or whose bound on the
     coefficient size, exceeds a bound, is rejected before it is computed,
-    so the work on any input stays bounded.
+    so the work on any input stays bounded.  Parentheses and unary signs
+    together nest at most MAX_SCALAR_NESTING deep, which bounds the
+    recursion.
     """
     tokens = _tokenize(text)
     pos = [0]
+    depth = [0]
     shown = _clip(text)
 
     def bounded(x):
@@ -834,6 +838,15 @@ def parse_scalar(text: str) -> RatFunc:
         pos[0] += 1
         return tok
 
+    def nested(parse):
+        depth[0] += 1
+        if depth[0] > MAX_SCALAR_NESTING:
+            raise ValueError(f"scalar {shown!r} nests deeper than {MAX_SCALAR_NESTING} "
+                             "parentheses and signs")
+        node = parse()
+        depth[0] -= 1
+        return node
+
     def parse_expr():
         node = parse_term()
         while peek() in ("+", "-"):
@@ -854,10 +867,10 @@ def parse_scalar(text: str) -> RatFunc:
         tok = peek()
         if tok == "-":
             take()
-            return -parse_factor()
+            return -nested(parse_factor)
         if tok == "+":
             take()
-            return parse_factor()
+            return nested(parse_factor)
         return parse_power()
 
     def parse_power():
@@ -888,7 +901,7 @@ def parse_scalar(text: str) -> RatFunc:
         tok = peek()
         if tok == "(":
             take()
-            node = parse_expr()
+            node = nested(parse_expr)
             take(")")
             return node
         if tok == "q":

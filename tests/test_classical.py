@@ -1,6 +1,8 @@
 """Undeformed (Fraction-valued) oracle pipeline and sl_n tables."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +88,26 @@ def test_classical_corrupted_lowering_entry_is_caught(monkeypatch):
     cd = _patch_after_build(monkeypatch, "A2", change_module=corrupt)
     with pytest.raises(VerificationFailed, match="classical f does not lower"):
         classical_bracket(cd)
+
+
+def test_classical_module_is_independent_of_the_deformed_pipeline():
+    """Criterion 6 compares the deformed pipeline against classical.py, so the
+    oracle may use only exact rationals, the root datum and the Fraction
+    routines of linalg: no scalar ring, module, tensor or bracket code."""
+    path = Path(classical.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module == ".linalg":
+                found += [f".linalg.{alias.name}" for alias in node.names
+                          if not alias.name.startswith("frac_")]
+            elif module not in ("__future__", "fractions", ".rootdata"):
+                found.append(module)
+    assert not found, found
 
 
 def test_classical_bracket_weights_grade(name="A2"):

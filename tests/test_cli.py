@@ -262,6 +262,17 @@ def test_long_scalar_input_gives_a_short_error_line(capsys, s):
     assert len(err) < 200
 
 
+@pytest.mark.parametrize("argv", [["--s", "(" * 400 + "1" + ")" * 400],
+                                  ["--s=" + "-" * 3000 + "1"]],
+                         ids=["parentheses", "signs"])
+def test_deeply_nested_scalar_gives_a_short_error_line(capsys, argv):
+    code = main(["build", "--algebra", "A2", "--construction", "explicit-sln"] + argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nests deeper" in err and len(err) < 200
+
+
 # ---------------------------------------------------------------- small commands
 
 def test_table_command(capsys):

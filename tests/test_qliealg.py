@@ -1,5 +1,6 @@
 """Deformed Lie algebra construction, normalization, checks and comparisons."""
 
+import dataclasses
 import json
 
 import pytest
@@ -166,6 +167,97 @@ def test_explicit_classical_limit_with_q_parameter():
     rep = check_classical_limit(build_sln_explicit(3, sc("1"), sc("q")))
     assert rep["all"]
     assert str(rep["kappa"]) == "2"
+
+
+CLASSICAL_OK = {"regular_at_one": True, "antisymmetric": True, "jacobi": True,
+                "cartan_abelian": True, "l_equals_r": True, "roots_classical": True,
+                "oracle_match": True, "all": True}
+FAILED = {"oracle_match": False, "all": False}
+
+
+def with_constants(A, update):
+    return dataclasses.replace(A, constants={**A.constants, **update})
+
+
+@pytest.mark.parametrize("corruption,flags", [
+    ("intact", {}),
+    ("one_doubled", {**FAILED, "antisymmetric": False, "jacobi": False}),
+    ("one_dropped", {**FAILED, "antisymmetric": False, "jacobi": False,
+                     "roots_classical": False}),
+    ("swapped_entry_copied", {**FAILED, "antisymmetric": False, "jacobi": False}),
+    ("pair_doubled", {**FAILED, "jacobi": False}),
+    ("cartan_bracket_added", {**FAILED, "jacobi": False, "cartan_abelian": False}),
+    ("right_action_doubled", {**FAILED, "antisymmetric": False, "jacobi": False,
+                              "l_equals_r": False}),
+    ("root_action_doubled", {**FAILED, "jacobi": False, "kappa": None,
+                             "roots_classical": False}),
+    ("table_doubled", {**FAILED, "kappa": "4"}),
+])
+def test_corrupted_sl3_table_reports_each_classical_flag(corruption, flags, explicit_grid):
+    E = explicit_grid[3, "1", "1"]
+    K = E.constants
+    p = positions(E)
+    e12, e21, e13, e23, h1, h2 = (p[n] for n in ("X_{12}", "X_{21}", "X_{13}", "X_{23}", "H_1", "H_2"))
+    two = RatFunc(2)
+    update = {
+        "intact": {},
+        "one_doubled": {(e12, e21, h1): two * K[e12, e21, h1]},
+        "one_dropped": {(e12, e21, h1): RatFunc(0)},
+        "swapped_entry_copied": {(e23, e12, e13): K[e12, e23, e13]},
+        "pair_doubled": {(e12, e21, h1): two * K[e12, e21, h1],
+                         (e21, e12, h1): two * K[e21, e12, h1]},
+        "cartan_bracket_added": {(h1, h2, h1): RatFunc(1), (h2, h1, h1): RatFunc(-1)},
+        "right_action_doubled": {(e12, h1, e12): two * K[e12, h1, e12]},
+        "root_action_doubled": {(e12, h1, e12): two * K[e12, h1, e12],
+                                (h1, e12, e12): two * K[h1, e12, e12]},
+        "table_doubled": {k: two * v for k, v in K.items()},
+    }[corruption]
+    rep = check_classical_limit(with_constants(E, update))
+    assert rep == {**CLASSICAL_OK, "kappa": "2", **flags}
+
+
+def test_cartan_action_off_the_root_clears_kappa(explicit_grid):
+    # X_14 has root (1, 0, 1): H_2 must act on it by 0 for l_a = kappa * alpha
+    E = explicit_grid[4, "1", "1"]
+    p = positions(E)
+    e14, h2 = p["X_{14}"], p["H_2"]
+    rep = check_classical_limit(with_constants(E, {(h2, e14, e14): RatFunc(1),
+                                                   (e14, h2, e14): RatFunc(-1)}))
+    assert rep == {**CLASSICAL_OK, **FAILED, "jacobi": False, "kappa": None,
+                   "roots_classical": False}
+
+
+def test_pole_at_one_stops_the_classical_limit(explicit_grid):
+    E = explicit_grid[3, "1", "1"]
+    key = min(E.constants)
+    rep = check_classical_limit(with_constants(E, {key: E.constants[key] / (sc("q") - 1)}))
+    assert rep == {"regular_at_one": False, "all": False}
+
+
+@pytest.mark.parametrize("name,normalize,corruption,flags", [
+    ("A1", False, "root_action_doubled", {**FAILED, "jacobi": False, "kappa": None,
+                                          "roots_classical": False}),
+    ("A1", False, "table_doubled", {**FAILED, "kappa": "-1/2"}),
+    ("A1", True, "table_doubled", {**FAILED, "kappa": "2"}),
+    ("A2", False, "pair_doubled", {**FAILED, "jacobi": False, "kappa": None}),
+    ("G2", False, "root_action_doubled", {**FAILED, "jacobi": False, "kappa": None,
+                                          "roots_classical": False}),
+])
+def test_corrupted_generic_table_reports_each_classical_flag(name, normalize, corruption, flags,
+                                                             generics):
+    A = canonical_normalize(generics[name]) if normalize else generics[name]
+    K = A.constants
+    roots = A.root_index()
+    top = max(roots, key=lambda r: (sum(r), r))
+    x, y, h = roots[top], roots[tuple(-c for c in top)], A.h_indices()[0]
+    two = RatFunc(2)
+    picked = {
+        "pair_doubled": lambda k: k[:2] in ((x, y), (y, x)),
+        "root_action_doubled": lambda k: k in ((h, x, x), (x, h, x)),
+        "table_doubled": lambda k: True,
+    }[corruption]
+    rep = check_classical_limit(with_constants(A, {k: two * v for k, v in K.items() if picked(k)}))
+    assert rep == {**CLASSICAL_OK, **flags}
 
 
 # ----------------------------------------------------------------- normalization

@@ -13,6 +13,7 @@ from qlie.qring import (
     LaurentPoly,
     MAX_SCALAR_BITS,
     MAX_SCALAR_DEGREE,
+    MAX_SCALAR_NESTING,
     RatFunc,
     h_derivative_at_zero,
     laurent_gcd,
@@ -423,6 +424,24 @@ def test_parse_scalar_cuts_long_inputs_in_messages(text):
         parse_scalar(text)
     message = str(info.value)
     assert len(message) < 200 and "..." in message
+
+
+DEEP_SCALARS = {"parentheses": "(" * 400 + "1" + ")" * 400, "signs": "-" * 3000 + "1"}
+
+
+@pytest.mark.parametrize("text", DEEP_SCALARS.values(), ids=DEEP_SCALARS.keys())
+def test_parse_scalar_rejects_deep_nesting_before_recursing(text):
+    with pytest.raises(ValueError, match=f"nests deeper than {MAX_SCALAR_NESTING} "):
+        parse_scalar(text)
+
+
+def test_parse_scalar_accepts_nesting_at_the_bound():
+    k = MAX_SCALAR_NESTING
+    assert parse_scalar("(" * k + "q" + ")" * k) == RatFunc(Q)
+    assert parse_scalar("-" * k + "q") == RatFunc(Q)
+    assert parse_scalar("-" * (k // 2) + "(" * (k // 2) + "q" + ")" * (k // 2)) == RatFunc(Q)
+    with pytest.raises(ValueError, match="nests deeper"):
+        parse_scalar("-" * (k // 2) + "(" * (k // 2 + 1) + "q" + ")" * (k // 2 + 1))
 
 
 def test_parse_scalar_accepts_integers_at_the_size_bound():
