@@ -352,7 +352,8 @@ def _make_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--out", help="write to this file instead of stdout")
     common.add_argument("--budget-dim", type=int, default=64,
-                        help="largest module dimension the builder may attempt")
+                        help="largest module dimension the builder may attempt "
+                             "(a positive integer)")
     sub.add_parser("build", parents=[common],
                    help="construct a structure-constant table")
     ver = sub.add_parser("verify", parents=[common],
@@ -380,6 +381,8 @@ def main(argv=None) -> int:
         "limit": cmd_limit,
     }
     try:
+        if args.budget_dim < 1:
+            raise InvalidParams(f"--budget-dim must be a positive integer, got {args.budget_dim}")
         text, code = handlers[args.command](args)
     except InvalidParams as exc:
         print(f"error: {exc}", file=sys.stderr)

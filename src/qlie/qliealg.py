@@ -367,7 +367,7 @@ def build_sln_explicit(n: int, s, t) -> QuantumLieAlgebra:
     t = t if isinstance(t, RatFunc) else RatFunc(t)
     st = s + t
     if not st.is_regular_at_one() or st.eval_at_one() == 0:
-        raise InvalidParams("s + t must be nonzero at v = 1")
+        raise InvalidParams("s + t must be regular and nonzero at v = 1")
     labels, Ts, Tt = _sln_parts(n)
     constants = _sln_table(Ts, Tt, s, t)
     basis = []

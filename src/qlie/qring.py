@@ -9,16 +9,24 @@ sl_n constants stay representable.  Two types are provided:
 * ``RatFunc`` -- an element of Q(v) held over the integers as
   c * v^s * N(v) / D(v): a rational content c, a v-shift s, and coprime
   primitive integer polynomials N, D with nonzero constant terms and
-  positive leading coefficients.  The form is canonical, so equality is
-  plain structural equality.  Its ``num``/``den`` views are LaurentPolys with
-  the denominator monic and of valuation 0, the form used for printing and
-  JSON.
+  positive leading coefficients.  c is an ``int`` when it is integral and
+  a ``Fraction`` with denominator > 1 otherwise.  The form is canonical,
+  so equality is plain structural equality.  Its ``num``/``den`` views are
+  LaurentPolys with Fraction coefficients, the denominator monic and of
+  valuation 0, the form used for printing and JSON.
 
 All scalar work runs on Python ints, through one gcd and one exact-division
 routine over Z[v]: the primitive remainder sequence (Brown, J. ACM 18,
 1971).  Products and sums cancel before they multiply, in the manner of
-Henrici (J. ACM 3, 1956), so a finished result is never normalized again.
-``laurent_gcd`` and ``LaurentPoly.exact_div`` use the same routine.
+Henrici (J. ACM 3, 1956), so a finished result is never normalized again;
+a product with a monomial c * v^s needs no gcd at all.  ``laurent_gcd`` and
+``LaurentPoly.exact_div`` use the same routine.
+
+The gcd of two nonconstant operands is memoized in a bounded
+least-recently-used table of ``GCD_MEMO_SIZE`` entries, keyed on the operand
+tuples and holding only tuples.  This table is process state: a pipeline
+meets the same few denominators over and over, and most cancellations pair
+one of them with a short numerator it has seen before.
 
 The classical limit is evaluation at v = 1; q-conjugation is the ring
 automorphism v -> 1/v (i.e. h -> -h for q = e^h); the first h-derivative at
@@ -30,6 +38,7 @@ All operations are pure; no instance is mutated after construction.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm, log2
 from operator import add
 
@@ -248,7 +257,6 @@ class LaurentPoly:
 
 
 _ZERO_FR = Fraction(0)
-_ONE_FR = Fraction(1)
 
 
 def _term_str(coeff: Fraction, exp: int) -> str:
@@ -367,29 +375,41 @@ def _zprimitive(t):
     return g, val, t
 
 
+GCD_MEMO_SIZE = 1024
+
+
 def _zgcd(a, b):
     """(g, a/g, b/g) for the gcd g of two primitive integer polynomials
-    with nonzero constant terms, by the primitive remainder sequence
-    (Brown 1971).  g is primitive with a positive leading coefficient.
-
-    A constant operand costs nothing, and when the first division is exact
-    its quotient is the cofactor.  v does not divide g, so each remainder
-    sheds its v-power as well as its content.
+    with nonzero constant terms.  g is primitive with a positive leading
+    coefficient.  A constant operand costs nothing; any other pair goes
+    through the memoized remainder sequence, and its parts are tuples.
     """
     if len(a) == 1 or len(b) == 1:
         return _ONE, a, b
+    return _zgcd_memo(tuple(a), tuple(b))
+
+
+@lru_cache(maxsize=GCD_MEMO_SIZE)
+def _zgcd_memo(a, b):
+    """_zgcd of two nonconstant tuples by the primitive remainder sequence
+    (Brown 1971), with every part a tuple, so no caller can change a cached
+    result.
+
+    When the first division is exact its quotient is the cofactor.  v does
+    not divide g, so each remainder sheds its v-power as well as its
+    content.
+    """
     flip = len(a) < len(b)
     x, y = (b, a) if flip else (a, b)
     m, q, r = _zdivmod(x, y)
     if not r:
-        if m != 1:
-            q = [c // m for c in q]
+        q = tuple(c // m for c in q) if m != 1 else tuple(q)
         return (y, _ONE, q) if flip else (y, q, _ONE)
     x, y = y, _zprimitive(r)[2]
     while len(y) > 1:
         r = _zdivmod(x, y)[2]
         if not r:
-            return y, _zexact(a, y), _zexact(b, y)
+            return tuple(y), tuple(_zexact(a, y)), tuple(_zexact(b, y))
         x, y = y, _zprimitive(r)[2]
     return _ONE, a, b
 
@@ -483,19 +503,24 @@ def _fraction_sqrt(x: Fraction):
 class RatFunc:
     """An element c * v^s * N(v) / D(v) of Q(v), held over Z.
 
-    c is a Fraction (0 for the zero element, with N = () and D = (1,));
-    N and D are primitive integer polynomials, stored as ascending tuples,
-    with nonzero constant terms, positive leading coefficients and
+    c is an int when it is integral (0 for the zero element, with N = ()
+    and D = (1,)) and a Fraction with denominator > 1 otherwise; N and D
+    are primitive integer polynomials, stored as ascending tuples, with
+    nonzero constant terms, positive leading coefficients and
     gcd(N, D) = 1.  The form is canonical, so equality and hashing are
-    structural.
+    structural; an integral content hashes as its Fraction would, since
+    hash(n) == hash(Fraction(n)).
 
     Arithmetic never normalizes a finished result.  A product cancels
-    gcd(N1, D2) and gcd(N2, D1) before it multiplies (Henrici); a sum over
-    g = gcd(D1, D2) is reduced only by the gcd of its numerator with g.
-    Negation, inversion and q-conjugation need no gcd at all.
+    gcd(N1, D2) and gcd(N2, D1) before it multiplies (Henrici), and a
+    product with a monomial c * v^s only multiplies contents and adds
+    shifts; a sum over g = gcd(D1, D2) is reduced only by the gcd of its
+    numerator with g.  Negation, inversion and q-conjugation need no gcd
+    at all.  Nonconstant gcds go through the module's bounded memo.
 
-    ``num`` and ``den`` give the value as a quotient of LaurentPolys with a
-    monic denominator of valuation 0; printing and JSON use that form.
+    ``num`` and ``den`` give the value as a quotient of LaurentPolys with
+    Fraction coefficients and a monic denominator of valuation 0; printing
+    and JSON use that form.
     """
 
     __slots__ = ("c", "s", "n", "d")
@@ -510,12 +535,12 @@ class RatFunc:
         if den.is_zero():
             raise DenominatorVanishes("zero denominator")
         if num.is_zero():
-            self.c, self.s, self.n, self.d = _ZERO_FR, 0, (), _ONE
+            self.c, self.s, self.n, self.d = 0, 0, (), _ONE
             return
         cn, sn, n = _zsplit(num)
         cd, sd, d = _zsplit(den)
         _, n, d = _zgcd(n, d)
-        self.c, self.s, self.n, self.d = cn / cd, sn - sd, tuple(n), tuple(d)
+        self.c, self.s, self.n, self.d = _integral(cn / cd), sn - sd, tuple(n), tuple(d)
 
     @staticmethod
     def _make(c, s, n, d) -> "RatFunc":
@@ -528,7 +553,7 @@ class RatFunc:
 
     @property
     def num(self) -> LaurentPoly:
-        return _zlaurent(self.c / self.d[-1], self.s, self.n)
+        return _zlaurent(Fraction(self.c, self.d[-1]), self.s, self.n)
 
     @property
     def den(self) -> LaurentPoly:
@@ -608,7 +633,8 @@ class RatFunc:
         cont, val, t = _zprimitive(t)
         # only a factor of g can be shared with t (Henrici)
         _, t, g = _zgcd(t, g)
-        return RatFunc._make(Fraction(cont, q1), s + val, t, _zmul(g, a12))
+        c = cont if q1 == 1 else _integral(Fraction(cont, q1))
+        return RatFunc._make(c, s + val, t, _zmul(g, a12))
 
     __radd__ = __add__
 
@@ -628,11 +654,19 @@ class RatFunc:
         other = _coerce_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.n or not other.n:
+        n1, d1, n2, d2 = self.n, self.d, other.n, other.d
+        if not n1 or not n2:
             return RF_ZERO
-        _, n1, d2 = _zgcd(self.n, other.d)
-        _, n2, d1 = _zgcd(other.n, self.d)
-        return RatFunc._make(self.c * other.c, self.s + other.s, _zmul(n1, n2), _zmul(d1, d2))
+        c = _integral(self.c * other.c)
+        s = self.s + other.s
+        # a monomial c * v^s has N = D = (1,): nothing to cancel
+        if n2 == _ONE and d2 == _ONE:
+            return RatFunc._make(c, s, n1, d1)
+        if n1 == _ONE and d1 == _ONE:
+            return RatFunc._make(c, s, n2, d2)
+        _, n1, d2 = _zgcd(n1, d2)
+        _, n2, d1 = _zgcd(n2, d1)
+        return RatFunc._make(c, s, _zmul(n1, n2), _zmul(d1, d2))
 
     __rmul__ = __mul__
 
@@ -663,7 +697,7 @@ class RatFunc:
     def inverse(self) -> "RatFunc":
         if not self.n:
             raise ZeroDivisionError("division by zero rational function")
-        return RatFunc._make(1 / self.c, -self.s, self.d, self.n)
+        return RatFunc._make(_integral(Fraction(1, self.c)), -self.s, self.d, self.n)
 
     # -- ring maps ----------------------------------------------------------------
 
@@ -702,8 +736,13 @@ def _coerce_rf(x):
     if isinstance(x, LaurentPoly):
         return RatFunc(x)
     if isinstance(x, (int, Fraction)):
-        return RatFunc._make(Fraction(x), 0, _ONE if x else (), _ONE)
+        return RatFunc._make(_integral(x), 0, _ONE if x else (), _ONE)
     return NotImplemented
+
+
+def _integral(x):
+    """x (an int or a Fraction) as an int when it is integral."""
+    return x.numerator if x.denominator == 1 else x
 
 
 RF_ZERO = RatFunc(0)
@@ -714,7 +753,7 @@ Q = LaurentPoly.q_power(1)
 
 def rf_vpow(k: int) -> RatFunc:
     """v^k as a RatFunc."""
-    return RatFunc._make(_ONE_FR, k, _ONE, _ONE)
+    return RatFunc._make(1, k, _ONE, _ONE)
 
 
 def qconjugate(p):

@@ -82,6 +82,30 @@ def test_division_by_zero_in_a_scalar_is_a_usage_error(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_non_positive_budget_is_a_usage_error(capsys, command, budget):
+    code = main([command, "--algebra", "A1", "--budget-dim", budget])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: --budget-dim must be a positive integer, got {budget}\n"
+
+
+def test_budget_of_one_is_accepted_and_then_exceeded(capsys):
+    code = main(["build", "--algebra", "A1", "--budget-dim", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "exceeds budget 1" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("s,t", [("1/(q-1)", "1"), ("1", "-1"), ("q/(q^2-1)", "q")])
+def test_sum_with_a_pole_or_zero_at_one_is_a_usage_error(capsys, s, t):
+    code = main(["build", "--algebra", "A2", "--construction", "explicit-sln", "--s", s, "--t", t])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: s + t must be regular and nonzero at v = 1\n"
+
+
 def test_missing_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

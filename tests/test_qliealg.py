@@ -1,6 +1,7 @@
 """Deformed Lie algebra construction, normalization, checks and comparisons."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -488,6 +489,20 @@ def test_explicit_golden_tables(explicit_grid, golden_dir):
     assert fresh == load_golden(golden_dir, "explicit_a2_s1_tq.json")
     fresh = explicit_grid[4, "1", "1"].to_json()
     assert fresh == load_golden(golden_dir, "explicit_a3_s1_t1.json")
+
+
+@pytest.mark.parametrize("name,entries,digest", [
+    ("A2", 56, "32d4900d7c5bbf2776a8f26713e12cc48f255179da26bd2f9363521849fb0b24"),
+    ("B2", 76, "edbdd08e2512ac061e3aa4cb52f9a817c3044bfffbff85d0def2595f8d293782"),
+    ("G2", 132, "fab8ceb051ef6c62ae28063c98a766550135fea90212b8bdc80ed5003d4630fe"),
+])
+def test_generic_table_canonical_json_digest(name, entries, digest, generics):
+    # the bytes of `qlie build --format json`: any change to the scalar
+    # kernel's canonical form or to the pipeline's output shows here
+    A = generics[name]
+    text = json.dumps(A.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+    assert len(A.constants) == entries
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_labeled_constants_use_display_names(generics):

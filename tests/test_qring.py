@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from qlie import qring
 from qlie.qring import (
     DenominatorVanishes,
     InvalidRange,
@@ -447,3 +448,171 @@ def test_parse_scalar_accepts_nesting_at_the_bound():
 def test_parse_scalar_accepts_integers_at_the_size_bound():
     assert parse_scalar("2^1023").eval_at_one() == 2 ** (MAX_SCALAR_BITS - 1)
     assert parse_scalar("-1/(2^1023*q)") == RatFunc(LaurentPoly.constant(Fraction(-1, 2 ** 1023)), Q)
+
+
+# ------------------------------------------------- the int-or-Fraction content
+#
+# RatFunc.c is an int exactly when the content is integral, and a Fraction
+# with denominator > 1 otherwise; num and den always carry Fractions.
+
+def content_is_canonical(x):
+    return type(x.c) is int or (type(x.c) is Fraction and x.c.denominator > 1)
+
+
+def views_are_fractions(x):
+    return all(type(a) is Fraction
+               for a in (*x.num.coeffs.values(), *x.den.coeffs.values()))
+
+
+HALF_Q = RatFunc(LaurentPoly.constant(Fraction(1, 2)) * Q)
+
+CONTENT_CASES = {
+    "int": (RatFunc(3), int),
+    "integral Fraction": (RatFunc(Fraction(4, 2)), int),
+    "Fraction": (RatFunc(Fraction(1, 2)), Fraction),
+    "zero": (RatFunc(0), int),
+    "integral quotient": (RatFunc(LaurentPoly.constant(6) * Q, LaurentPoly.constant(3)), int),
+    "fractional coefficients": (RatFunc(LaurentPoly({0: Fraction(1, 3), 2: Fraction(2, 3)})), Fraction),
+    "clears to int": (RatFunc(LaurentPoly({0: Fraction(1, 3), 2: Fraction(2, 3)}),
+                              LaurentPoly.constant(Fraction(1, 3))), int),
+    "parse int": (parse_scalar("4/2*q"), int),
+    "parse Fraction": (parse_scalar("q/6 + 1/3"), Fraction),
+    "parse rational function": (parse_scalar("(2*q+2)/(4*q-2)"), int),
+    "from_json": (RatFunc.from_json(RatFunc(Fraction(-3, 2)).to_json()), Fraction),
+    "from_json integral": (RatFunc.from_json({"num": {"0": "6"}, "den": {"0": "3"}}), int),
+    "sum to int": (HALF_Q + HALF_Q, int),
+    "sum of Fractions": (RatFunc(Fraction(1, 2)) + RatFunc(Fraction(1, 3)), Fraction),
+    "difference to int": (RatFunc(Fraction(5, 2)) - RatFunc(Fraction(1, 2)), int),
+    "difference to zero": (HALF_Q - HALF_Q, int),
+    "product to int": (HALF_Q * RatFunc(Fraction(4)), int),
+    "product of Fractions to int": (RatFunc(Fraction(2, 3)) * RatFunc(Fraction(3, 2)), int),
+    "product of Fractions": (HALF_Q * HALF_Q, Fraction),
+    "quotient to int": (RatFunc(Fraction(3, 2)) / RatFunc(Fraction(1, 2)), int),
+    "quotient to Fraction": (RatFunc(3) / RatFunc(2), Fraction),
+    "inverse of an int": (RatFunc(4).inverse(), Fraction),
+    "inverse of a unit": (RatFunc(-1).inverse(), int),
+    "inverse to int": (RatFunc(Fraction(-1, 7)).inverse(), int),
+    "qconjugate": (RatFunc(Fraction(-5, 3) * V(3), Q + ONE).qconjugate(), Fraction),
+    "qconjugate int": (RatFunc(2 * V(3), Q - ONE).qconjugate(), int),
+    "times int": (HALF_Q * 2, int),
+    "int times": (2 * HALF_Q, int),
+    "times Fraction": (RatFunc(Q) * Fraction(6, 4), Fraction),
+    "times integral Fraction": (HALF_Q * Fraction(6, 3), int),
+    "plus Fraction": (RatFunc(Q) + Fraction(1, 2), Fraction),
+    "plus bool": (RatFunc(Q) + True, int),
+    "zero plus integral Fraction": (RatFunc(0) + Fraction(4, 2), int),
+    "integral Fraction minus zero": (Fraction(-6, 3) - RatFunc(0), int),
+    "zero plus Fraction": (Fraction(3, 4) + RatFunc(0), Fraction),
+    "power": (RatFunc(Fraction(1, 2)) ** -3, int),
+    "negative power": (RatFunc(Fraction(2, 3) * Q) ** -2, Fraction),
+}
+
+
+@pytest.mark.parametrize("x,kind", CONTENT_CASES.values(), ids=CONTENT_CASES.keys())
+def test_content_is_an_int_exactly_when_integral(x, kind):
+    assert type(x.c) is kind and content_is_canonical(x)
+    assert views_are_fractions(x)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_arithmetic_keeps_the_content_canonical(seed):
+    ops = random_operands(500 + seed, 10)
+    for (x, _), (y, _) in zip(ops, ops[1:] + ops[:1]):
+        results = [x, x + y, x - y, x * y, x.qconjugate(), -x, x * 3, Fraction(2, 3) * x]
+        if y:
+            results.append(x / y)
+        if x:
+            results.append(x.inverse())
+        for z in results:
+            assert content_is_canonical(z) and views_are_fractions(z)
+            if z.is_regular_at_one():
+                assert z.eval_at_one() == value(z, Fraction(1))
+
+
+@pytest.mark.parametrize("group", [
+    [RatFunc(2), RatFunc(Fraction(2)), RatFunc(Fraction(4, 2)), parse_scalar("4/2"),
+     RatFunc(Fraction(1, 2)) * 4, RatFunc(1) + RatFunc(1), RatFunc(Fraction(1, 2)).inverse(),
+     RatFunc.from_json({"num": {"0": "6"}, "den": {"0": "3"}}), RatFunc(3) - Fraction(1)],
+    [RatFunc(2 * Q + 2 * ONE), parse_scalar("2*q+2"), RatFunc(Q + ONE) * 2,
+     HALF_Q * 4 + RatFunc(2), RatFunc(Fraction(1, 2) * QINV + Fraction(1, 2) * ONE).qconjugate() * 4,
+     RatFunc((Q + ONE) * (Q - ONE), Fraction(1, 2) * (Q - ONE))],
+    [RatFunc(Fraction(1, 3) * Q, Q + 2 * ONE), parse_scalar("q/(3*q+6)"),
+     RatFunc(Q, Q + 2 * ONE) / 3, RatFunc(3 * Q + 6 * ONE, Q).inverse(),
+     RatFunc(Fraction(1, 6) * Q, Q + 2 * ONE) + RatFunc(Fraction(1, 6) * Q, Q + 2 * ONE)],
+], ids=["integer", "integral polynomial", "fractional content"])
+def test_equal_values_built_differently_hash_and_serialize_alike(group):
+    first = group[0]
+    for x in group[1:]:
+        assert x == first and hash(x) == hash(first)
+        assert x.to_json() == first.to_json()
+        assert type(x.c) is type(first.c)
+
+
+# -------------------------------------------- monomial products and the memo
+
+def random_monomial(rng):
+    c = rng.choice(COEFFS + [Fraction(6, 3), Fraction(-4, 2), 7])
+    return RatFunc(LaurentPoly.v_power(rng.randint(-6, 6), c))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_monomial_products_match_the_general_product(seed):
+    rng = random.Random(600 + seed)
+    ops = random_operands(600 + seed, 12)
+    for x, _ in ops:
+        m = random_monomial(rng)
+        general = RatFunc(x.num * m.num, x.den * m.den)
+        for z in (m * x, x * m):
+            assert z == general and hash(z) == hash(general)
+            assert z.to_json() == general.to_json()
+            assert content_is_canonical(z) and canonical(z)
+
+
+def random_primitive(rng, length):
+    """A primitive integer tuple with nonzero constant term and positive
+    leading coefficient."""
+    while True:
+        t = [rng.randint(-9, 9) for _ in range(length)]
+        t[0] = t[0] or 1
+        t[-1] = abs(t[-1]) or 1
+        if math.gcd(*t) == 1:
+            return tuple(t)
+
+
+def random_gcd_pair(rng):
+    """Two nonconstant primitive tuples that share a factor about half the time."""
+    common = random_primitive(rng, rng.randint(1, 3)) if rng.random() < 0.5 else (1,)
+    a = random_primitive(rng, rng.randint(2, 5))
+    b = random_primitive(rng, rng.randint(2, 5))
+    return tuple(qring._zmul(a, common)), tuple(qring._zmul(b, common)), common
+
+
+def test_memoized_gcd_matches_the_remainder_sequence():
+    rng = random.Random(7)
+    uncached = qring._zgcd_memo.__wrapped__
+    for _ in range(200):
+        a, b, common = random_gcd_pair(rng)
+        for x, y in ((a, b), (b, a), (list(a), list(b))):
+            got = qring._zgcd(x, y)
+            assert got == uncached(tuple(x), tuple(y))
+            g, ag, bg = got
+            assert qring._zmul(g, ag) == list(x) and qring._zmul(g, bg) == list(y)
+            assert not qring._zdivmod(g, common)[2]
+
+
+def test_memoized_gcd_results_are_tuples():
+    a, b = (1, 0, 1), (1, 2, 1)         # 1 + v^2 and (1 + v)^2: coprime
+    c, d = (-1, 0, 1), (1, 2, 1)        # share 1 + v
+    for x, y in ((a, b), (c, d), (d, c), ([2, 3, 1], [1, 1])):
+        got = qring._zgcd(x, y)
+        assert all(type(part) is tuple for part in got)
+        assert qring._zgcd(list(x), list(y)) is got      # a repeat is a memo hit
+    assert qring._zgcd(c, d) == ((1, 1), (-1, 1), (1, 1))
+
+
+def test_gcd_memo_stays_within_its_size():
+    for k in range(qring.GCD_MEMO_SIZE + 50):
+        qring._zgcd((k + 2, 1), (1, 1))
+    info = qring._zgcd_memo.cache_info()
+    assert info.maxsize == qring.GCD_MEMO_SIZE
+    assert info.currsize <= qring.GCD_MEMO_SIZE
