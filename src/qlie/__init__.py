@@ -2,7 +2,7 @@
 
 Subpackage map:
 
-* ``qring``    -- Laurent polynomials and rational functions in v = q^(1/2)
+* ``qring``    -- exact rational functions in v = q^(1/2)
 * ``rootdata`` -- Cartan matrices, root systems, Weyl dimensions, tensor rules
 * ``repbuild`` -- highest-weight modules with exact matrices over Q(v)
 * ``tensorcg`` -- tensor products, highest-weight spaces, lowering,

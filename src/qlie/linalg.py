@@ -1,7 +1,7 @@
 """Small exact linear algebra helpers used across the package.
 
 Matrices are plain lists of lists (dense) or dicts {(row, col): value}
-(sparse); scalars are Fraction, LaurentPoly or RatFunc.  Everything uses
+(sparse); scalars are Fraction or RatFunc.  Everything uses
 exact arithmetic -- no pivot thresholds, a pivot is any nonzero entry.
 """
 
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .qring import LaurentPoly, RatFunc, RF_ONE, RF_ZERO
+from .qring import RatFunc, RF_ONE, RF_ZERO, _ONE, _integral, _zexact, _zgcd, _zmul
 
 
 # ---------------------------------------------------------------------------
@@ -152,31 +152,28 @@ def rf_nullspace(mat, ncols):
 
 
 def clear_denominators(vec):
-    """Scale a RatFunc vector by the lcm of denominators, then divide by the
-    Laurent gcd of the entries; result entries are polynomial RatFuncs."""
-    from .qring import laurent_gcd
-
-    lcm = LaurentPoly.constant(1)
-    for x in vec:
-        if x.is_zero():
-            continue
-        g = laurent_gcd(lcm, x.den)
-        lcm = lcm.exact_div(g) * x.den if g.degree() > 0 else lcm * x.den
-    scaled = [x * RatFunc(lcm) for x in vec]
-    polys = [x.as_laurent() for x in scaled]
-    g = LaurentPoly()
-    for p in polys:
-        if not p.is_zero():
-            g = laurent_gcd(g, p)
-    if not g.is_zero() and g.degree() > 0:
-        polys = [p.exact_div(g) if not p.is_zero() else p for p in polys]
-    # drop a common v-power so the lowest valuation is 0 (deterministic unit)
-    vals = [p.valuation() for p in polys if not p.is_zero()]
-    if vals:
-        shift = -min(vals)
-        if shift:
-            polys = [p.shift(shift) if not p.is_zero() else p for p in polys]
-    return [RatFunc(p) for p in polys]
+    """A RatFunc vector scaled to polynomial entries: times the monic lcm L
+    of its denominators, divided by the monic gcd G of the resulting
+    numerators (so the integer content stays), and shifted so that the
+    lowest v-power is v^0.  Runs on the integer form c v^s N / D: the
+    numerator of entry i is (c_i / lc L) v^(s_i) N_i (L / D_i)."""
+    nonzero = [x for x in vec if x]
+    if not nonzero:
+        return list(vec)
+    big = _ONE
+    for x in nonzero:
+        big = _zmul(big, _zgcd(big, x.d)[2])
+    parts = [_zmul(x.n, _zexact(big, x.d)) for x in nonzero]
+    g = parts[0]
+    for p in parts[1:]:
+        g = _zgcd(g, p)[0]
+    if len(g) > 1:
+        parts = [_zexact(p, g) for p in parts]
+    scale = Fraction(g[-1], big[-1])
+    low = min(x.s for x in nonzero)
+    cleared = (RatFunc._make(_integral(x.c * scale), x.s - low, p, _ONE)
+               for x, p in zip(nonzero, parts))
+    return [next(cleared) if x else RF_ZERO for x in vec]
 
 
 # ---------------------------------------------------------------------------

@@ -267,7 +267,7 @@ def verify_ad_submodule(M: Monodromy, V: IrrepModule, W: IrrepModule = None,
     if M.dim != dv * dw:
         raise ValueError("operator dimension does not match V (x) W")
 
-    m1, _ = extract_A(M)
+    m1 = sp_sub(M.matrix, {(p, p): RF_ONE for p in range(M.dim)})
     # group the entries of M - 1 by their first-slot index pair (i, j)
     slices = {}
     for (rp, cp), x in m1.items():

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .qring import RatFunc, RF_ONE, RF_ZERO, laurent_sqrt, rf_vpow, _fraction_sqrt
+from .qring import RatFunc, RF_ONE, RF_ZERO, rf_sqrt, rf_vpow, _fraction_sqrt
 from .rootdata import VerificationFailed, CartanDatum, build_cartan, highest_root, cartan_to_json, cartan_from_json
 from .repbuild import adjoint_module, DEFAULT_DIM_BUDGET
 from .tensorcg import (
@@ -462,14 +462,6 @@ def build_generic(cd: CartanDatum, budget_dim: int = DEFAULT_DIM_BUDGET,
 # canonical normalization
 # ---------------------------------------------------------------------------
 
-def _rf_sqrt(x: RatFunc):
-    """Exact square root in Q(v) if one exists, else None."""
-    root = laurent_sqrt(x.num * x.den)
-    if root is None:
-        return None
-    return RatFunc(root, x.den)
-
-
 def _gauge_rebase(constants, cd, weights, two, inverse, sqrt):
     """The canonical normalization of a graded table whose basis vector a
     has weight weights[a]: the Cartan is rebased to
@@ -534,7 +526,7 @@ def canonical_normalize(A: QuantumLieAlgebra) -> QuantumLieAlgebra:
         raise GaugeObstruction("table is not graded")
     two = RatFunc(2) * _qpow(A.cd.d[0])
     weights = [A.grade(a) for a in range(A.dim)]
-    new_constants = _gauge_rebase(A.constants, A.cd, weights, two, rf_inverse, _rf_sqrt)
+    new_constants = _gauge_rebase(A.constants, A.cd, weights, two, rf_inverse, rf_sqrt)
     basis = []
     h_seen = 0
     for lab in A.basis:
@@ -912,7 +904,6 @@ def compare_to_explicit(A: QuantumLieAlgebra, s=None, t=None,
         return report
 
     tfit = _sln_table(Ts, Tt, s_fit, t_fit)
-    tfit_pairs = _by_pair(tfit)
 
     # gauge scalars: simple-root vectors pinned to 1, the rest propagated
     scal = {groots[alpha]: RF_ONE for alpha in _simple_roots(cd)}
@@ -964,21 +955,12 @@ def compare_to_explicit(A: QuantumLieAlgebra, s=None, t=None,
                       for k in range(nH) if not C[apos][k].is_zero()}
     if with_map:
         report["phi"] = phicols
-    mismatches = []
-    for ga in range(A.dim):
-        for gb in range(A.dim):
-            lhs = {}
-            for c, val in a_pairs.get((ga, gb), {}).items():
-                for ec, xc in phicols[c].items():
-                    sp_add_to(lhs, ec, val * xc)
-            rhs2 = {}
-            for ea, xa in phicols[ga].items():
-                for eb, xb in phicols[gb].items():
-                    for ec, val in tfit_pairs.get((ea, eb), {}).items():
-                        sp_add_to(rhs2, ec, xa * xb * val)
-            if not sp_eq(lhs, rhs2):
-                mismatches.append([ga, gb])
-    report["mismatches"] = mismatches
+    # phi([x_a, x_b]) against [phi(x_a), phi(x_b)] in explicit coordinates
+    identity = {a: {a: 1} for a in range(A.dim)}
+    lhs = change_basis(A.constants, identity, phicols)
+    rhs = change_basis(tfit, phicols, identity)
+    mismatches = sorted({k[:2] for k in set(lhs) | set(rhs) if lhs.get(k) != rhs.get(k)})
+    report["mismatches"] = [list(k) for k in mismatches]
     report["match"] = not mismatches
     return report
 

@@ -2,25 +2,30 @@
 
 Everything downstream works over the field Q(v) where v = q^(1/2), so that
 both integer powers of q and the half-integer powers needed by the explicit
-sl_n constants stay representable.  Two types are provided:
+sl_n constants stay representable.  There is one arithmetic:
 
-* ``LaurentPoly`` -- a Laurent polynomial sum c_k v^k with Fraction
-  coefficients, stored as a dict {exponent: coefficient} without zero entries.
 * ``RatFunc`` -- an element of Q(v) held over the integers as
   c * v^s * N(v) / D(v): a rational content c, a v-shift s, and coprime
   primitive integer polynomials N, D with nonzero constant terms and
   positive leading coefficients.  c is an ``int`` when it is integral and
   a ``Fraction`` with denominator > 1 otherwise.  The form is canonical,
-  so equality is plain structural equality.  Its ``num``/``den`` views are
-  LaurentPolys with Fraction coefficients, the denominator monic and of
-  valuation 0, the form used for printing and JSON.
+  so equality is plain structural equality.
+
+``LaurentPoly`` is a view, not a second arithmetic: a dict
+{exponent: Fraction} with no operators.  ``RatFunc.num`` and ``.den``
+present a value as such a quotient (denominator monic, of valuation 0), and
+printing and JSON read that form; ``RatFunc(num, den)`` reads it back.
 
 All scalar work runs on Python ints, through one gcd and one exact-division
 routine over Z[v]: the primitive remainder sequence (Brown, J. ACM 18,
 1971).  Products and sums cancel before they multiply, in the manner of
 Henrici (J. ACM 3, 1956), so a finished result is never normalized again;
-a product with a monomial c * v^s needs no gcd at all.  ``laurent_gcd`` and
-``LaurentPoly.exact_div`` use the same routine.
+a product with a monomial c * v^s needs no gcd at all.  The q-numbers,
+square roots and the h-derivative are computed on the same integer form.
+``laurent_gcd`` and ``_divmod_laurent`` are the old view-level entry points:
+nothing here calls them.  They are kept, unchanged, because the benchmark's
+tracer patches them by name; they go when the tracer reads library records
+instead (ROADMAP item 6).
 
 The gcd of two nonconstant operands is memoized in a bounded
 least-recently-used table of ``GCD_MEMO_SIZE`` entries, keyed on the operand
@@ -39,7 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, log2
+from math import gcd, isqrt, lcm, log2
 from operator import add
 
 
@@ -60,7 +65,12 @@ def _fr(x) -> Fraction:
 
 
 class LaurentPoly:
-    """Laurent polynomial in v over Q, as a dict {exponent: Fraction}."""
+    """A Laurent polynomial in v over Q, as a view {exponent: Fraction}.
+
+    It has no arithmetic: ``RatFunc(num, den)`` turns views into a value,
+    and ``RatFunc.num``/``.den`` turn a value back into views.  A view
+    equals (and hashes as) the RatFunc it denotes.
+    """
 
     __slots__ = ("coeffs",)
 
@@ -72,8 +82,6 @@ class LaurentPoly:
                 if x != 0:
                     c[int(e)] = x
         self.coeffs = c
-
-    # -- constructors -----------------------------------------------------
 
     @staticmethod
     def constant(x) -> "LaurentPoly":
@@ -89,160 +97,27 @@ class LaurentPoly:
         """coeff * q^k with q = v^2."""
         return LaurentPoly({2 * k: _fr(coeff)})
 
-    # -- basic structure ---------------------------------------------------
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def degree(self) -> int:
-        """Largest exponent (raises on zero)."""
-        return max(self.coeffs)
-
-    def valuation(self) -> int:
-        """Smallest exponent (raises on zero)."""
-        return min(self.coeffs)
-
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.constant(other)
-        if isinstance(other, RatFunc):
-            return other == self
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
+        if isinstance(other, LaurentPoly):
+            return self.coeffs == other.coeffs
+        if isinstance(other, (int, Fraction, RatFunc)):
+            return RatFunc(self) == other
+        return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return hash(RatFunc(self))
 
     def __repr__(self):
         return f"LaurentPoly({self.coeffs!r})"
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.constant(other)
-        if isinstance(other, RatFunc):
-            return RatFunc(self) + other
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        c = dict(self.coeffs)
-        for e, x in other.coeffs.items():
-            s = c.get(e, _ZERO_FR) + x
-            if s:
-                c[e] = s
-            elif e in c:
-                del c[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = c
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = {e: -x for e, x in self.coeffs.items()}
-        return out
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.constant(other)
-        if isinstance(other, RatFunc):
-            return RatFunc(self) - other
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            x = _fr(other)
-            if not x:
-                return LaurentPoly()
-            out = LaurentPoly.__new__(LaurentPoly)
-            out.coeffs = {e: c * x for e, c in self.coeffs.items()}
-            return out
-        if isinstance(other, RatFunc):
-            return RatFunc(self) * other
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        c = {}
-        for e1, x1 in self.coeffs.items():
-            for e2, x2 in other.coeffs.items():
-                e = e1 + e2
-                s = c.get(e, _ZERO_FR) + x1 * x2
-                if s:
-                    c[e] = s
-                elif e in c:
-                    del c[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = c
-        return out
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return RatFunc(LaurentPoly.constant(1), self ** (-n))
-        result = LaurentPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __truediv__(self, other):
-        return RatFunc(self) / other
-
-    def __rtruediv__(self, other):
-        return other * RatFunc(LaurentPoly.constant(1), self)
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by v^k."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = {e + k: x for e, x in self.coeffs.items()}
-        return out
-
-    def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact quotient; raises ValueError if the division has a remainder."""
-        q, r = _divmod_laurent(self, other)
-        if not r.is_zero():
-            raise ValueError("division is not exact")
-        return q
-
-    # -- ring maps ---------------------------------------------------------
-
-    def qconjugate(self) -> "LaurentPoly":
-        """The bar involution v -> 1/v (equivalently h -> -h)."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = {-e: x for e, x in self.coeffs.items()}
-        return out
-
-    def eval_at_one(self) -> Fraction:
-        """Value at v = 1 (sum of coefficients)."""
-        return sum(self.coeffs.values(), _ZERO_FR)
-
-    def eval(self, x: Fraction) -> Fraction:
-        """Exact evaluation at a nonzero rational point."""
-        x = _fr(x)
-        if x == 0:
-            raise ZeroDivisionError("Laurent polynomials cannot be evaluated at 0")
-        return sum(c * x**e for e, c in self.coeffs.items())
-
-    def derivative(self) -> "LaurentPoly":
-        """d/dv."""
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = {e - 1: e * x for e, x in self.coeffs.items() if e != 0}
-        return out
-
-    # -- serialization / printing -------------------------------------------
+    def __str__(self):
+        return format_laurent(self)
 
     def to_json(self) -> dict:
         """Map {exponent (string): coefficient (string "p/q")}; variable is v."""
@@ -251,9 +126,6 @@ class LaurentPoly:
     @staticmethod
     def from_json(d: dict) -> "LaurentPoly":
         return LaurentPoly({int(e): Fraction(x) for e, x in d.items()})
-
-    def __str__(self):
-        return format_laurent(self)
 
 
 _ZERO_FR = Fraction(0)
@@ -414,9 +286,38 @@ def _zgcd_memo(a, b):
     return _ONE, a, b
 
 
-def _zsplit(p: LaurentPoly):
-    """(content, valuation, primitive int tuple) of a nonzero LaurentPoly."""
+def _zsqrt(t):
+    """The square root with a positive leading coefficient of an integer
+    polynomial with a positive leading coefficient, or None when it is not
+    the square of an integer polynomial.  Coefficients are found from the
+    top down; by Gauss's lemma an integer square root is the only kind a
+    primitive polynomial can have."""
+    if len(t) % 2 == 0:
+        return None
+    top = isqrt(t[-1])
+    if top * top != t[-1]:
+        return None
+    m = (len(t) + 1) // 2
+    r = [0] * m
+    r[-1] = top
+    for k in range(m - 2, -1, -1):
+        e = k + m - 1
+        acc = t[e] - sum(r[i] * r[e - i] for i in range(k + 1, m - 1))
+        x, rem = divmod(acc, 2 * top)
+        if rem:
+            return None
+        r[k] = x
+    return tuple(r) if _zmul(r, r) == list(t) else None
+
+
+def _zsplit(p):
+    """(content, valuation, primitive int tuple) of a nonzero int, Fraction
+    or LaurentPoly view; None for zero."""
+    if isinstance(p, (int, Fraction)):
+        return (_fr(p), 0, _ONE) if p else None
     co = p.coeffs
+    if not co:
+        return None
     lo, hi = min(co), max(co)
     fr = [co.get(e, _ZERO_FR) for e in range(lo, hi + 1)]
     den = lcm(*(x.denominator for x in fr))
@@ -425,11 +326,15 @@ def _zsplit(p: LaurentPoly):
 
 
 def _zlaurent(c: Fraction, s: int, t) -> LaurentPoly:
-    """c * v^s * t as a LaurentPoly."""
+    """The view of c * v^s * t."""
     out = LaurentPoly.__new__(LaurentPoly)
     out.coeffs = {s + i: c * x for i, x in enumerate(t) if x}
     return out
 
+
+# Kept for the benchmark's tracer, which counts calls to these two by name;
+# the library calls neither.  Remove them once the tracer reads library
+# records instead (ROADMAP item 6).
 
 def _divmod_laurent(a: LaurentPoly, b: LaurentPoly):
     """Quotient/remainder; remainder is taken in the ordinary-poly sense
@@ -456,44 +361,9 @@ def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return _zlaurent(Fraction(1, g[-1]), 0, g)
 
 
-def laurent_sqrt(p: LaurentPoly):
-    """Exact square root if one exists in Q[v, 1/v], else None."""
-    if p.is_zero():
-        return LaurentPoly()
-    lo, hi = p.valuation(), p.degree()
-    if (hi - lo) % 2 or lo % 2:
-        return None
-    lead = p.coeffs[hi]
-    root_lead = _fraction_sqrt(lead)
-    if root_lead is None:
-        return None
-    # synthesize the root coefficient by coefficient from the top
-    half = (hi - lo) // 2
-    r = {hi // 2: root_lead}
-    work = dict(p.coeffs)
-    for e in range(hi // 2 - 1, hi // 2 - half - 1, -1):
-        # coefficient of v^(e + hi//2) in r^2 must match p
-        target = work.get(e + hi // 2, _ZERO_FR)
-        acc = _ZERO_FR
-        for e1, c1 in r.items():
-            e2 = e + hi // 2 - e1
-            if e2 in r and e1 != e:
-                acc += c1 * r[e2]
-        # r[e] contributes 2*root_lead*r[e] via (e, hi//2) pairing
-        c = (target - acc) / (2 * root_lead)
-        if c:
-            r[e] = c
-    cand = LaurentPoly(r)
-    if cand * cand == p:
-        return cand
-    return None
-
-
 def _fraction_sqrt(x: Fraction):
     if x < 0:
         return None
-    from math import isqrt
-
     pn, pd = isqrt(x.numerator), isqrt(x.denominator)
     if pn * pn == x.numerator and pd * pd == x.denominator:
         return Fraction(pn, pd)
@@ -518,7 +388,10 @@ class RatFunc:
     numerator with g.  Negation, inversion and q-conjugation need no gcd
     at all.  Nonconstant gcds go through the module's bounded memo.
 
-    ``num`` and ``den`` give the value as a quotient of LaurentPolys with
+    ``RatFunc(num, den)`` is the way in from outside: it takes ints,
+    Fractions or LaurentPoly views and normalizes them once.  The library
+    builds its values from integer parts and never goes through a view.
+    ``num`` and ``den`` give a value back as a quotient of views with
     Fraction coefficients and a monic denominator of valuation 0; printing
     and JSON use that form.
     """
@@ -526,19 +399,14 @@ class RatFunc:
     __slots__ = ("c", "s", "n", "d")
 
     def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
-            num = LaurentPoly.constant(num)
-        if den is None:
-            den = LaurentPoly.constant(1)
-        elif isinstance(den, (int, Fraction)):
-            den = LaurentPoly.constant(den)
-        if den.is_zero():
+        d = _zsplit(1 if den is None else den)
+        if d is None:
             raise DenominatorVanishes("zero denominator")
-        if num.is_zero():
+        n = _zsplit(num)
+        if n is None:
             self.c, self.s, self.n, self.d = 0, 0, (), _ONE
             return
-        cn, sn, n = _zsplit(num)
-        cd, sd, d = _zsplit(den)
+        (cn, sn, n), (cd, sd, d) = n, d
         _, n, d = _zgcd(n, d)
         self.c, self.s, self.n, self.d = _integral(cn / cd), sn - sd, tuple(n), tuple(d)
 
@@ -567,11 +435,6 @@ class RatFunc:
 
     def is_polynomial(self) -> bool:
         return self.d == _ONE
-
-    def as_laurent(self) -> LaurentPoly:
-        if not self.is_polynomial():
-            raise ValueError("not a Laurent polynomial")
-        return self.num
 
     def term_count(self) -> int:
         """Number of nonzero terms in numerator and denominator."""
@@ -747,8 +610,6 @@ def _integral(x):
 
 RF_ZERO = RatFunc(0)
 RF_ONE = RatFunc(1)
-V = LaurentPoly.v_power(1)
-Q = LaurentPoly.q_power(1)
 
 
 def rf_vpow(k: int) -> RatFunc:
@@ -756,61 +617,96 @@ def rf_vpow(k: int) -> RatFunc:
     return RatFunc._make(1, k, _ONE, _ONE)
 
 
-def qconjugate(p):
-    """Bar involution v -> 1/v on LaurentPoly or RatFunc (same type out)."""
+def rf_sqrt(x: RatFunc):
+    """The square root of x in Q(v) whose leading coefficients are
+    positive, or None when there is none.  In canonical form a square is
+    c v^s N / D with c a rational square, s even and N, D integer squares,
+    so the root is sqrt(c) v^(s/2) sqrt(N) / sqrt(D)."""
+    if not x.n:
+        return x
+    c = _fraction_sqrt(x.c)
+    if c is None or x.s % 2:
+        return None
+    n, d = _zsqrt(x.n), _zsqrt(x.d)
+    if n is None or d is None:
+        return None
+    return RatFunc._make(_integral(c), x.s // 2, n, d)
+
+
+def qconjugate(p: RatFunc) -> RatFunc:
+    """Bar involution v -> 1/v."""
     return p.qconjugate()
 
 
-def h_derivative_at_zero(p):
+def h_derivative_at_zero(p) -> Fraction:
     """First derivative with respect to h at h = 0, for q = e^h = v^2.
 
-    Equals (1/2) * (d/dv p)(1).  Accepts RatFunc as long as the denominator
-    does not vanish at v = 1 (quotient rule, exact).
+    Equals (1/2) * (d/dv p)(1).  For p = c v^s N / D the quotient rule gives
+
+        (c/2) [(s N(1) + N'(1)) D(1) - N(1) D'(1)] / D(1)^2,
+
+    exact; raises DenominatorVanishes when D(1) = 0.  Accepts a RatFunc or
+    anything that converts to one (an int, a Fraction or a LaurentPoly).
     """
-    if isinstance(p, LaurentPoly):
-        return Fraction(1, 2) * p.derivative().eval_at_one()
-    if isinstance(p, RatFunc):
-        d1 = p.den.eval_at_one()
-        if d1 == 0:
-            raise DenominatorVanishes("pole at v = 1")
-        n, d = p.num, p.den
-        val = (n.derivative().eval_at_one() * d1 - n.eval_at_one() * d.derivative().eval_at_one()) / (d1 * d1)
-        return Fraction(1, 2) * val
-    raise TypeError(f"cannot differentiate {type(p).__name__}")
+    x = _coerce_rf(p)
+    if x is NotImplemented:
+        raise TypeError(f"cannot differentiate {type(p).__name__}")
+    d1 = sum(x.d)
+    if d1 == 0:
+        raise DenominatorVanishes("pole at v = 1")
+    n1 = sum(x.n)
+    dn1 = sum(i * a for i, a in enumerate(x.n))
+    dd1 = sum(i * a for i, a in enumerate(x.d))
+    return x.c * Fraction((x.s * n1 + dn1) * d1 - n1 * dd1, 2 * d1 * d1)
 
 
-def q_int(n: int, d: int = 1) -> LaurentPoly:
+def _zq_int(n: int, d: int):
+    """(shift, list) of the q-integer [n] = v^(-2d(n-1)) (1 + v^(4d) + ...
+    + v^(4d(n-1))) in base q_d = v^(2d), for n >= 1."""
+    if d <= 0:
+        raise InvalidRange("d must be a positive integer")
+    t = [0] * (4 * d * (n - 1) + 1)
+    t[::4 * d] = [1] * n
+    return -2 * d * (n - 1), t
+
+
+def _zq_product(ks, d: int):
+    """(shift, list) of the product of the q-integers [k], k in ks."""
+    s, t = 0, _ONE
+    for k in ks:
+        sk, tk = _zq_int(k, d)
+        s, t = s + sk, _zmul(t, tk)
+    return s, t
+
+
+def q_int(n: int, d: int = 1) -> RatFunc:
     """Symmetric q-integer [n] in base q_d = v^(2d):
     (q_d^n - q_d^-n)/(q_d - q_d^-1) = v^(2d(n-1)) + v^(2d(n-3)) + ...
     """
     if d <= 0:
         raise InvalidRange("d must be a positive integer")
     if n == 0:
-        return LaurentPoly()
-    sign = 1
-    if n < 0:
-        sign, n = -1, -n
-    return LaurentPoly({2 * d * (n - 1 - 2 * k): sign for k in range(n)})
+        return RF_ZERO
+    s, t = _zq_int(abs(n), d)
+    return RatFunc._make(1 if n > 0 else -1, s, t, _ONE)
 
 
-def q_factorial(n: int, d: int = 1) -> LaurentPoly:
+def q_factorial(n: int, d: int = 1) -> RatFunc:
     """[n]! = [1][2]...[n] in base q_d."""
     if n < 0:
         raise InvalidRange("factorial of a negative integer")
-    out = LaurentPoly.constant(1)
-    for k in range(2, n + 1):
-        out = out * q_int(k, d)
-    return out
+    s, t = _zq_product(range(2, n + 1), d)
+    return RatFunc._make(1, s, t, _ONE)
 
 
-def q_binomial(a: int, b: int, d: int = 1) -> LaurentPoly:
-    """Gaussian binomial [a choose b] in base q_d; exact Laurent polynomial."""
+def q_binomial(a: int, b: int, d: int = 1) -> RatFunc:
+    """Gaussian binomial [a choose b] in base q_d, a Laurent polynomial:
+    [a][a-1]...[a-b+1] divided exactly by [b]! over Z."""
     if not 0 <= b <= a:
         raise InvalidRange(f"q-binomial out of range: ({a}, {b})")
-    num = LaurentPoly.constant(1)
-    for k in range(b):
-        num = num * q_int(a - k, d)
-    return num.exact_div(q_factorial(b, d))
+    sn, num = _zq_product(range(a - b + 1, a + 1), d)
+    sf, fact = _zq_product(range(2, b + 1), d)
+    return RatFunc._make(1, sn - sf, _zexact(num, fact), _ONE)
 
 
 MAX_SCALAR_DEGREE = 1024
@@ -945,10 +841,10 @@ def parse_scalar(text: str) -> RatFunc:
             return node
         if tok == "q":
             take()
-            return RatFunc(Q)
+            return rf_vpow(2)
         if tok == "v":
             take()
-            return RatFunc(V)
+            return rf_vpow(1)
         if isinstance(tok, int):
             take()
             return bounded(RatFunc(tok))

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .qring import RatFunc, RF_ONE, RF_ZERO, q_int, q_binomial, rf_vpow
+from .qring import RF_ONE, RF_ZERO, q_int, q_binomial, rf_vpow
 from .rootdata import (
     CartanDatum,
     adjoint_dim,
@@ -133,7 +133,7 @@ def build_irrep(cd: CartanDatum, lam, budget_dim: int = DEFAULT_DIM_BUDGET) -> I
                                 vec[dd] = vec.get(dd, RF_ZERO) + coeff * f
                     if i == j:
                         mu_b = weights[b]
-                        val = RatFunc(q_int(mu_b[i], cd.d[i]))
+                        val = q_int(mu_b[i], cd.d[i])
                         if not val.is_zero():
                             vec[b] = vec.get(b, RF_ZERO) + val
                     eact[ci][i] = {d: x for d, x in vec.items() if not x.is_zero()}
@@ -241,7 +241,7 @@ def verify_module(mod: IrrepModule) -> dict:
             rhs = {}
             if i == j:
                 for a in range(mod.dim):
-                    val = RatFunc(q_int(mod.weights[a][i], cd.d[i]))
+                    val = q_int(mod.weights[a][i], cd.d[i])
                     if not val.is_zero():
                         rhs[(a, a)] = val
             if not sp_eq(lhs, rhs):
@@ -319,7 +319,7 @@ def _serre_ok(mod: IrrepModule, mats: dict) -> bool:
             m = 1 - cd.cartan[i][j]
             acc = {}
             for k in range(m + 1):
-                coeff = RatFunc(q_binomial(m, k, cd.d[i]))
+                coeff = q_binomial(m, k, cd.d[i])
                 if k % 2:
                     coeff = -coeff
                 term = _sp_power(mats[i], k, mod.dim)

@@ -1,5 +1,12 @@
-"""Test oracles that the package itself does not need: the exact value of a
-scalar at v = 1, and the classical split Casimir of the rank-one algebra."""
+"""Test oracles that the package itself does not need: Laurent polynomials
+as plain {exponent: Fraction} dicts with their own sum, product and exact
+evaluation, the exact value of a scalar at v = 1, the h-derivative by the
+quotient rule, and the classical split Casimir of the rank-one algebra.
+
+The dict arithmetic shares no code with the integer kernel of ``qring``:
+values built here enter ``RatFunc`` only through ``rf``, that is through
+``RatFunc(LaurentPoly(num), LaurentPoly(den))``.
+"""
 
 from fractions import Fraction
 
@@ -7,10 +14,57 @@ from qlie.classical import ClassicalModule
 from qlie.qring import LaurentPoly, RatFunc, _fr
 
 
+def mono(k, c=1):
+    """c * v^k."""
+    return {k: _fr(c)}
+
+
+def padd(*ps):
+    """Sum of Fraction dicts."""
+    out = {}
+    for p in ps:
+        for e, c in p.items():
+            out[e] = out.get(e, 0) + c
+    return {e: _fr(c) for e, c in out.items() if c}
+
+
+def pmul(*ps):
+    """Product of Fraction dicts (1 when there are none)."""
+    out = {0: Fraction(1)}
+    for p in ps:
+        prod = {}
+        for e1, c1 in out.items():
+            for e2, c2 in p.items():
+                prod[e1 + e2] = prod.get(e1 + e2, 0) + c1 * c2
+        out = {e: c for e, c in prod.items() if c}
+    return out
+
+
+def peval(p, x):
+    """Exact value at a nonzero rational point."""
+    x = _fr(x)
+    if x == 0:
+        raise ZeroDivisionError("Laurent polynomials cannot be evaluated at 0")
+    return sum((_fr(c) * x ** e for e, c in p.items()), Fraction(0))
+
+
+def rf(num, den=None):
+    """The RatFunc num / den of two Fraction dicts."""
+    return RatFunc(LaurentPoly(num), None if den is None else LaurentPoly(den))
+
+
+def h_derivative(num, den):
+    """(1/2) d/dv (num / den) at v = 1, by the quotient rule."""
+    n1, d1 = peval(num, 1), peval(den, 1)
+    dn1 = sum(e * c for e, c in num.items())
+    dd1 = sum(e * c for e, c in den.items())
+    return Fraction(1, 2) * (dn1 * d1 - n1 * dd1) / (d1 * d1)
+
+
 def classical_limit(p):
     """Exact value at v = 1; raises DenominatorVanishes on a pole."""
-    if isinstance(p, LaurentPoly):
-        return p.eval_at_one()
+    if isinstance(p, dict):
+        return peval(p, 1)
     if isinstance(p, RatFunc):
         return p.eval_at_one()
     if isinstance(p, (int, Fraction)):

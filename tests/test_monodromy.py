@@ -23,7 +23,7 @@ from qlie.monodromy import (
     verify_ad_submodule,
 )
 
-from oracles import classical_split_casimir_a1
+from oracles import classical_split_casimir_a1, mono, padd, rf
 
 A1 = build_cartan("A", 1)
 A2 = build_cartan("A", 2)
@@ -175,9 +175,7 @@ def test_dual_module_satisfies_the_relations(a1_fund):
     for (r, c), x in lhs.items():
         assert r == c
         w = star.weights[r][0]
-        num = LaurentPoly.v_power(2 * w) - LaurentPoly.v_power(-2 * w)
-        den = LaurentPoly.v_power(2) - LaurentPoly.v_power(-2)
-        assert x == RatFunc(num, den)
+        assert x == rf(padd(mono(2 * w), mono(-2 * w, -1)), padd(mono(2), mono(-2, -1)))
 
 
 def test_dual_weights_are_negated(a1_fund):
@@ -210,6 +208,21 @@ def test_rank_two_vector_submodule(pipelines):
     rep = verify_ad_submodule(M, V, V)
     assert rep["all"], rep
     assert rep["span_dim"] == 8
+
+
+def test_submodule_check_takes_no_derivative(monkeypatch):
+    # verify_ad_submodule needs only M - 1, not its classical limit
+    V = build_irrep(A2, (1, 0))
+    M = monodromy_on_tensor(V, V)
+    expected = verify_ad_submodule(M, V, V)
+
+    def refuse(x):
+        raise AssertionError("h-derivative taken")
+
+    monkeypatch.setattr(monodromy, "h_derivative_at_zero", refuse)
+    with pytest.raises(AssertionError, match="h-derivative taken"):
+        extract_A(M)
+    assert verify_ad_submodule(M, V, V) == expected
 
 
 def test_rank_two_adjoint_submodule(pipelines):

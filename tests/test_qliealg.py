@@ -385,6 +385,18 @@ def test_compare_with_pinned_wrong_parameters_mismatches(generics):
     assert rep["mismatches"]
 
 
+def test_compare_pins_every_mismatch_of_one_corrupted_entry(generics):
+    # f[0,14]^6 of A3 times q: the pairs recorded from the per-pair loop
+    # that change_basis replaced
+    A = generics["A3"]
+    constants = dict(A.constants)
+    constants[0, 14, 6] = constants[0, 14, 6] * parse_scalar("q")
+    rep = compare_to_explicit(dataclasses.replace(A, constants=constants))
+    assert not rep["match"]
+    assert rep["mismatches"] == [[0, 14], [1, 14], [2, 14], [4, 14], [5, 14], [9, 13], [10, 12],
+                                 [12, 10], [13, 9], [14, 0], [14, 1], [14, 2], [14, 4], [14, 5]]
+
+
 def test_compare_not_applicable_outside_type_a(generics):
     rep = compare_to_explicit(generics["B2"])
     assert rep["applicable"] is False

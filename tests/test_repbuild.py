@@ -18,7 +18,7 @@ def test_a1_spin_one_commutator_is_diagonal():
     V = build_irrep(build_cartan("A", 1), (2,))
     assert V.dim == 3
     assert V.weights == [(2,), (0,), (-2,)]
-    two = RatFunc(q_int(2, 1))
+    two = q_int(2, 1)
     ef_fe = sp_sub(sp_matmul(V.E[0], V.F[0]), sp_matmul(V.F[0], V.E[0]))
     assert sp_eq(ef_fe, {(0, 0): two, (2, 2): -two})
 

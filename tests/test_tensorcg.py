@@ -67,7 +67,7 @@ def test_coproduct_commutator_identity(a1_tensor):
     for p in range(9):
         w = T.weights[p][0]
         if w:
-            rhs[(p, p)] = RatFunc(q_int(w, 1))
+            rhs[(p, p)] = q_int(w, 1)
     assert sp_eq(lhs, rhs)
 
 
