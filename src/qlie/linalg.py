@@ -160,16 +160,16 @@ def clear_denominators(vec):
     nonzero = [x for x in vec if x]
     if not nonzero:
         return list(vec)
-    big = _ONE
+    den_lcm = _ONE
     for x in nonzero:
-        big = _zmul(big, _zgcd(big, x.d)[2])
-    parts = [_zmul(x.n, _zexact(big, x.d)) for x in nonzero]
+        den_lcm = _zmul(den_lcm, _zgcd(den_lcm, x.d)[2])
+    parts = [_zmul(x.n, _zexact(den_lcm, x.d)) for x in nonzero]
     g = parts[0]
     for p in parts[1:]:
         g = _zgcd(g, p)[0]
     if len(g) > 1:
         parts = [_zexact(p, g) for p in parts]
-    scale = Fraction(g[-1], big[-1])
+    scale = Fraction(g[-1], den_lcm[-1])
     low = min(x.s for x in nonzero)
     cleared = (RatFunc._make(_integral(x.c * scale), x.s - low, p, _ONE)
                for x, p in zip(nonzero, parts))
