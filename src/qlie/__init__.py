@@ -3,10 +3,13 @@
 Subpackage map:
 
 * ``qring``    -- exact rational functions in v = q^(1/2)
+* ``linalg``   -- sparse exact linear algebra over Q(v) and Q
 * ``rootdata`` -- Cartan matrices, root systems, Weyl dimensions, tensor rules
 * ``repbuild`` -- highest-weight modules with exact matrices over Q(v)
 * ``tensorcg`` -- tensor products, highest-weight spaces, lowering,
                   intertwining check, quantum CG inversion
+* ``classical``-- the undeformed oracle pipeline over Q, independent of the
+                  q-pipeline
 * ``qliealg``  -- the bracket constants themselves: generic pipeline,
                   explicit type-A construction, normalization, checks
 * ``monodromy``-- monodromy operator on V (x) V and adjoint-submodule checks

@@ -12,7 +12,10 @@ compare  fit a generic-pipeline table to the explicit family: fitted
 table    the aligned human-readable list of nonzero constants
 limit    the same list evaluated at v = 1 (the classical bracket)
 
-Scalars for --s/--t use the grammar over {q, v, integers, + - * / ^ ( )}
+--s/--t are the parameters of --construction explicit-sln (with the
+generic construction they are a usage error); compare has no
+--construction or --normalize, and there --s/--t pin the fit.  Scalars
+for --s/--t use the grammar over {q, v, integers, + - * / ^ ( )}
 with q = v^2, e.g. --t "q^2/(q+1)"; every v-exponent of a parsed scalar
 must stay within +-1024 (qring.MAX_SCALAR_DEGREE), and parentheses and
 unary signs nest at most 64 deep (qring.MAX_SCALAR_NESTING).  Exit codes: 0 success
@@ -29,7 +32,7 @@ import sys
 
 from .qring import (DenominatorVanishes, RatFunc, parse_scalar)
 from .rootdata import CartanDatum, VerificationFailed, build_cartan
-from .repbuild import BudgetExceeded
+from .repbuild import DEFAULT_DIM_BUDGET, BudgetExceeded
 from .tensorcg import ClassicallyZero, EmptySpace
 from .monodromy import ObstructionDetected
 from .qliealg import (
@@ -74,6 +77,8 @@ def _parse_params(args):
 def build_algebra(args) -> QuantumLieAlgebra:
     cd = parse_algebra(args.algebra)
     if args.construction == "generic":
+        if args.s is not None or args.t is not None:
+            raise InvalidParams("--s and --t apply only to --construction explicit-sln")
         A = build_generic(cd, args.budget_dim)
     else:
         if cd.series != "A":
@@ -96,6 +101,20 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _nonzero_rows(A: QuantumLieAlgebra, at_one: bool = False):
+    """(name_a, name_b, name_c, value) for each nonzero constant f_ab^c in
+    key order; with at_one, the exact value at v = 1, where that is nonzero."""
+    names = [lab.name() for lab in A.basis]
+    for (a, b, c), val in sorted(A.constants.items()):
+        if val.is_zero():
+            continue
+        if at_one:
+            val = val.eval_at_one()
+            if not val:
+                continue
+        yield names[a], names[b], names[c], val
+
+
 def build_text(A: QuantumLieAlgebra) -> str:
     """Self-contained text form: header lines carrying the algebra, the
     construction, and the basis, followed by one line per nonzero constant.
@@ -108,10 +127,7 @@ def build_text(A: QuantumLieAlgebra) -> str:
     ]
     if A.params is not None:
         lines.append(f"# params s = {A.params['s']} ; t = {A.params['t']}")
-    names = [lab.name() for lab in A.basis]
-    for (a, b, c), val in sorted(A.constants.items()):
-        if not val.is_zero():
-            lines.append(f"f[{names[a]},{names[b]}]^{{{names[c]}}} = {val}")
+    lines += [f"f[{a},{b}]^{{{c}}} = {val}" for a, b, c, val in _nonzero_rows(A)]
     return "\n".join(lines) + "\n"
 
 
@@ -175,73 +191,50 @@ def parse_text_algebra(text: str) -> QuantumLieAlgebra:
 def constants_table(A: QuantumLieAlgebra, at_one: bool = False) -> str:
     """Aligned text table of the nonzero constants; with at_one, their
     exact values at v = 1."""
-    names = [lab.name() for lab in A.basis]
-    rows = []
-    for (a, b, c), val in sorted(A.constants.items()):
-        if val.is_zero():
-            continue
-        if at_one:
-            shown = val.eval_at_one()
-            if not shown:
-                continue
-        else:
-            shown = val
-        rows.append((f"f[{names[a]},{names[b]}]^{{{names[c]}}}", str(shown)))
+    rows = [(f"f[{a},{b}]^{{{c}}}", str(val)) for a, b, c, val in _nonzero_rows(A, at_one)]
     if not rows:
         return "(all constants zero)\n"
     width = max(len(lhs) for lhs, _ in rows)
     return "\n".join(f"{lhs.ljust(width)} = {rhs}" for lhs, rhs in rows) + "\n"
 
 
-def _table_json(A: QuantumLieAlgebra, at_one: bool = False):
-    names = [lab.name() for lab in A.basis]
-    out = []
-    for (a, b, c), val in sorted(A.constants.items()):
-        if val.is_zero():
-            continue
-        if at_one:
-            v1 = val.eval_at_one()
-            if not v1:
-                continue
-            out.append({"a": names[a], "b": names[b], "c": names[c], "value": str(v1)})
-        else:
-            out.append({"a": names[a], "b": names[b], "c": names[c], "value": str(val)})
-    return out
+def _table_json(A: QuantumLieAlgebra, at_one: bool = False) -> list:
+    return [{"a": a, "b": b, "c": c, "value": str(val)}
+            for a, b, c, val in _nonzero_rows(A, at_one)]
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_build(args):
+def cmd_show(args):
+    """build, table and limit: the table itself, its nonzero constants, or
+    their values at v = 1, in the chosen format."""
     A = build_algebra(args)
-    if args.format == "json":
-        return _json_dumps(A.to_json()), 0
-    return build_text(A), 0
+    if args.command == "build":
+        text = _json_dumps(A.to_json()) if args.format == "json" else build_text(A)
+    else:
+        at_one = args.command == "limit"
+        text = (_json_dumps(_table_json(A, at_one)) if args.format == "json"
+                else constants_table(A, at_one))
+    return text, 0
 
 
-def cmd_table(args):
-    A = build_algebra(args)
-    if args.format == "json":
-        return _json_dumps(_table_json(A)), 0
-    return constants_table(A), 0
+def _named_checks(args):
+    """The checks listed by --checks, or None when it is not given."""
+    if args.checks is None:
+        return None
+    chosen = [c.strip() for c in args.checks.split(",") if c.strip()]
+    names = ", ".join(CHECK_NAMES)
+    if not chosen:
+        raise InvalidParams(f"--checks names no check; choose from {names}")
+    for c in chosen:
+        if c not in CHECK_NAMES:
+            raise InvalidParams(f"unknown check {c!r}; choose from {names}")
+    return chosen
 
 
-def cmd_limit(args):
-    A = build_algebra(args)
-    if args.format == "json":
-        return _json_dumps(_table_json(A, at_one=True)), 0
-    return constants_table(A, at_one=True), 0
-
-
-def _selected_checks(args, A: QuantumLieAlgebra):
-    if args.checks:
-        chosen = [c.strip() for c in args.checks.split(",") if c.strip()]
-        for c in chosen:
-            if c not in CHECK_NAMES:
-                raise InvalidParams(
-                    f"unknown check {c!r}; choose from {', '.join(CHECK_NAMES)}")
-        return chosen
+def _default_checks(A: QuantumLieAlgebra) -> list:
     chosen = ["gradation", "antisymmetry", "classical-limit", "lr-identity"]
     if A.provenance == "generic-pipeline" and not A.normalized:
         chosen.append("ad-invariance")
@@ -249,9 +242,10 @@ def _selected_checks(args, A: QuantumLieAlgebra):
 
 
 def cmd_verify(args):
+    chosen = _named_checks(args)
     A = build_algebra(args)
     reports = {}
-    for name in _selected_checks(args, A):
+    for name in chosen or _default_checks(A):
         if name == "gradation":
             reports[name] = check_gradation(A)
         elif name == "antisymmetry":
@@ -335,37 +329,40 @@ def cmd_compare(args):
 # argument wiring
 # ---------------------------------------------------------------------------
 
+def _add_options(p: argparse.ArgumentParser, builds: bool) -> None:
+    """The options of one command; `builds` adds --construction and
+    --normalize, which only the commands that build a table read."""
+    p.add_argument("--algebra", required=True,
+                   help="series letter and rank, e.g. A2, B2, G2")
+    if builds:
+        p.add_argument("--construction", choices=("generic", "explicit-sln"),
+                       default="generic")
+    p.add_argument("--s", help="parameter s for the explicit family")
+    p.add_argument("--t", help="parameter t for the explicit family")
+    if builds:
+        p.add_argument("--normalize", action="store_true",
+                       help="rescale to the canonical basis (may be obstructed)")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--out", help="write to this file instead of stdout")
+    p.add_argument("--budget-dim", type=int, default=DEFAULT_DIM_BUDGET,
+                   help="largest module dimension the construction may attempt "
+                        "(a positive integer)")
+
+
 def _make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="qlie",
         description="construct and verify quantum Lie algebra structure constants")
     sub = p.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--algebra", required=True,
-                        help="series letter and rank, e.g. A2, B2, G2")
-    common.add_argument("--construction", choices=("generic", "explicit-sln"),
-                        default="generic")
-    common.add_argument("--s", help="parameter s for the explicit family")
-    common.add_argument("--t", help="parameter t for the explicit family")
-    common.add_argument("--normalize", action="store_true",
-                        help="rescale to the canonical basis (may be obstructed)")
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--out", help="write to this file instead of stdout")
-    common.add_argument("--budget-dim", type=int, default=64,
-                        help="largest module dimension the builder may attempt "
-                             "(a positive integer)")
-    sub.add_parser("build", parents=[common],
-                   help="construct a structure-constant table")
-    ver = sub.add_parser("verify", parents=[common],
-                         help="run identity checks, exit 0 only if all pass")
+    _add_options(sub.add_parser("build", help="construct a structure-constant table"), True)
+    ver = sub.add_parser("verify", help="run identity checks, exit 0 only if all pass")
+    _add_options(ver, True)
     ver.add_argument("--checks",
                      help="comma-separated subset of: " + ", ".join(CHECK_NAMES))
-    sub.add_parser("table", parents=[common],
-                   help="aligned text table of nonzero constants")
-    sub.add_parser("limit", parents=[common],
-                   help="constants evaluated at v = 1")
-    cmp_p = sub.add_parser("compare", parents=[common],
-                           help="fit a generic table to the explicit family")
+    _add_options(sub.add_parser("table", help="aligned text table of nonzero constants"), True)
+    _add_options(sub.add_parser("limit", help="constants evaluated at v = 1"), True)
+    cmp_p = sub.add_parser("compare", help="fit a generic table to the explicit family")
+    _add_options(cmp_p, False)
     cmp_p.description = ("--s/--t here pin the fit to fixed parameters "
                          "instead of solving for them")
     return p
@@ -374,11 +371,11 @@ def _make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _make_parser().parse_args(argv)
     handlers = {
-        "build": cmd_build,
+        "build": cmd_show,
         "verify": cmd_verify,
         "compare": cmd_compare,
-        "table": cmd_table,
-        "limit": cmd_limit,
+        "table": cmd_show,
+        "limit": cmd_show,
     }
     try:
         if args.budget_dim < 1:

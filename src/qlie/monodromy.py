@@ -181,24 +181,11 @@ def monodromy_on_tensor(V: IrrepModule, W: IrrepModule,
                 if not x.is_zero():
                     matrix[(block[r], block[c])] = x
 
-    dim = T.dim
-    checks = {"commutes": not module_map_defects(matrix, T, T),
-              "vanishes_at_one": True}
-    for (r, c), x in matrix.items():
-        if not x.is_regular_at_one():
-            checks["vanishes_at_one"] = False
-            break
-        if x.eval_at_one() != (1 if r == c else 0):
-            checks["vanishes_at_one"] = False
-            break
-    if checks["vanishes_at_one"]:
-        for p in range(dim):
-            if (p, p) not in matrix:
-                checks["vanishes_at_one"] = False
-                break
-    if not checks["commutes"]:
+    if module_map_defects(matrix, T, T):
         raise ObstructionDetected("operator fails to commute with the coproduct action")
-    if not checks["vanishes_at_one"]:
+    if (any((p, p) not in matrix for p in range(T.dim))
+            or any(not x.is_regular_at_one() or x.eval_at_one() != (1 if r == c else 0)
+                   for (r, c), x in matrix.items())):
         raise ObstructionDetected("M - 1 does not vanish at v = 1")
     convention = {
         "eigenvalue": "q^((lam,lam+2rho) - (mu,mu+2rho) - (nu,nu+2rho))",
@@ -207,7 +194,8 @@ def monodromy_on_tensor(V: IrrepModule, W: IrrepModule,
         "base": "q = v^2",
         "shift": f"matrix stores v^(-{shift}) times the true operator",
     }
-    return Monodromy(matrix, dim, exponents, shift, convention, checks)
+    return Monodromy(matrix, T.dim, exponents, shift, convention,
+                     {"commutes": True, "vanishes_at_one": True})
 
 
 def extract_A(M: Monodromy):
@@ -238,10 +226,10 @@ def adjoint_in_dual_tensor(V: IrrepModule, budget_dim: int = 256):
     return adj, lowered_table(T, adj, hws[0])
 
 
-def verify_ad_submodule(M: Monodromy, V: IrrepModule, W: IrrepModule = None,
-                        K: list = None) -> dict:
-    """Contract the first slot of M - 1 with an adjoint embedding
-    K: adjoint -> V* (x) V to get endomorphisms A_a of W,
+def verify_ad_submodule(M: Monodromy, V: IrrepModule, W: IrrepModule) -> dict:
+    """Contract the first slot of M - 1 with the adjoint embedding
+    K: adjoint -> V* (x) V of adjoint_in_dual_tensor(V) to get
+    endomorphisms A_a of W,
 
         A_a[k, l] = sum_{ij} K_a^{ij} (M - 1)[(i,k), (j,l)],
 
@@ -256,13 +244,7 @@ def verify_ad_submodule(M: Monodromy, V: IrrepModule, W: IrrepModule = None,
     each required to equal sum_b pi_adj(x)[b, a] A_b; ad_e, ad_f and ad_k
     report the three conditions.  Also reports the generic linear span of
     the family."""
-    cd = V.cd
-    if W is None:
-        W = V
-    if K is None:
-        adj, ktable = adjoint_in_dual_tensor(V)
-    else:
-        adj, ktable = adjoint_module(cd), K
+    adj, ktable = adjoint_in_dual_tensor(V)
     dv, dw = V.dim, W.dim
     if M.dim != dv * dw:
         raise ValueError("operator dimension does not match V (x) W")

@@ -395,7 +395,7 @@ class GenericPipeline:
     hw_basis: list
     antisym: dict
     others: list
-    embedding: object
+    embedding: list   # the CG table: entry a is the image of basis vector a
     constants: dict
 
 
@@ -414,28 +414,28 @@ def generic_pipeline(cd: CartanDatum, budget_dim: int = DEFAULT_DIM_BUDGET) -> G
     V = adjoint_module(cd, budget_dim)
     T = tensor_square(V)
     theta = highest_root(cd)
-    hs = highest_weight_space(T, theta)
-    if len(hs.basis) > 2:
+    hw = highest_weight_space(T, theta)
+    if len(hw) > 2:
         raise GaugeObstruction("highest-root multiplicity above 2 is not supported")
-    candidates = list(hs.basis)
-    for i in range(len(hs.basis)):
-        for j in range(i + 1, len(hs.basis)):
-            candidates.append(sp_add(hs.basis[i], hs.basis[j]))
+    candidates = list(hw)
+    for i in range(len(hw)):
+        for j in range(i + 1, len(hw)):
+            candidates.append(sp_add(hw[i], hw[j]))
     anti = _first_classically_nonzero(antisymmetrize_hw, T, candidates)
     if anti is None:
         raise ClassicallyZero("no candidate with classically nonzero antisymmetrization")
     anti = rescale_at_one(anti)
     others = []
-    if len(hs.basis) > 1:
+    if len(hw) > 1:
         sym = _first_classically_nonzero(symmetrize_hw, T, candidates)
         if sym is None:
             raise VerificationFailed("no classically nonzero symmetric complement")
         others.append(sym)
-    K = cg_embedding(T, anti)
-    if not verify_embedding(K):
+    table = cg_embedding(T, anti)
+    if not verify_embedding(T, table):
         raise VerificationFailed("Clebsch-Gordan embedding fails to intertwine")
-    constants = invert_cg(V, K, others)
-    return GenericPipeline(V, T, hs.basis, anti, others, K, constants)
+    constants = invert_cg(V, T, table, others)
+    return GenericPipeline(V, T, hw, anti, others, table, constants)
 
 
 def build_generic(cd: CartanDatum, budget_dim: int = DEFAULT_DIM_BUDGET,
@@ -865,23 +865,12 @@ def compare_to_explicit(A: QuantumLieAlgebra, s=None, t=None,
             s_fit, t_fit = RF_ZERO, RF_ONE
             C = W
         else:
-            for i in range(nH):
-                for j in range(nH):
-                    if U[i][j].is_zero():
-                        continue
-                    cand = W[i][j] / U[i][j]
-                    if eps is None:
-                        eps = cand
-                    elif eps != cand:
-                        report["mismatches"].append("parameter ratio not uniform")
-                        return report
-            if eps is None:
-                eps = RF_ZERO
-            for i in range(nH):
-                for j in range(nH):
-                    if W[i][j] != eps * U[i][j]:
-                        report["mismatches"].append("parameter ratio not uniform")
-                        return report
+            cells = [(i, j) for i in range(nH) for j in range(nH)]
+            i, j = next((i, j) for i, j in cells if not U[i][j].is_zero())
+            eps = W[i][j] / U[i][j]
+            if any(W[i][j] != eps * U[i][j] for i, j in cells):
+                report["mismatches"].append("parameter ratio not uniform")
+                return report
             s_fit, t_fit = RF_ONE, eps
             C = U
         report["epsilon"] = str(eps) if eps is not None else None

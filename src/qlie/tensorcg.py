@@ -16,16 +16,21 @@ used for deterministic normalizations.  The same tensor type serves the
 tensor square V (x) V of the bracket construction and the general
 products V (x) W and V* (x) V of the monodromy module.
 
-The structure constants of the quantum Lie algebra are produced by
-invert_cg: given the embedding beta built from a highest-weight vector
-of weight theta inside V (x) V, the bracket B is the unique module map
-V (x) V -> V with B o beta = id that kills the submodules generated by
-the remaining theta-highest-weight vectors.  It is computed from adjoints
-of the embeddings with respect to the contravariant forms, which keeps
-the linear algebra on the (at most two-dimensional) multiplicity space.
-The contravariant form of V is the one sparse block-diagonal matrix S of
-repbuild.contravariant_form: the product form is u^T (S (x) S) w and the
-adjoint of an embedding beta is S^-1 beta^T (S (x) S).
+The layer passes plain data: a highest-weight space is the list of its
+sparse vectors, and a CG embedding beta is its lowered table, entry a the
+sparse image of basis vector a (cg_embedding, checked by
+verify_embedding).  The structure constants of the quantum Lie algebra
+are produced by invert_cg: given the embedding beta built from a
+highest-weight vector of weight theta inside V (x) V, the bracket B is
+the unique module map V (x) V -> V with B o beta = id that kills the
+submodules generated by the remaining theta-highest-weight vectors.  It
+is computed from adjoints of the embeddings with respect to the
+contravariant forms, which keeps the linear algebra on the (at most
+two-dimensional) multiplicity space.  The contravariant form of V is the
+one sparse block-diagonal matrix S of repbuild.contravariant_form: the
+generating vectors are paired with S (x) S once, which gives every
+product form u^T (S (x) S) w among them, and the adjoint of an embedding
+beta is S^-1 beta^T (S (x) S).
 
 invert_cg checks B exactly: in full, that it is a module map; on generating
 vectors, B(v0) = e_0 and B(u) = 0 for each complement vector u.  That
@@ -158,19 +163,10 @@ def rescale_at_one(vec: dict) -> dict:
     return {p: x * scale for p, x in vec.items()}
 
 
-@dataclass
-class HWSpace:
-    """Joint kernel of the raising operators on one weight block."""
-
-    weight: tuple
-    basis: list      # sparse vectors {product_index: RatFunc}
-    block: list      # product indices of the weight block
-
-
-def highest_weight_space(T: TensorProduct, w) -> HWSpace:
-    """Exact kernel of all Delta(E_i) on the weight-w block, with each basis
-    vector denominator-cleared and rescaled by a rational so that its first
-    coordinate with nonzero classical value equals 1 at v = 1."""
+def highest_weight_space(T: TensorProduct, w) -> list:
+    """Exact kernel of all Delta(E_i) on the weight-w block, as a list of
+    sparse vectors, each denominator-cleared and rescaled by a rational so
+    that its first coordinate with nonzero classical value equals 1 at v = 1."""
     w = tuple(w)
     basis = [rescale_at_one(u) for u in joint_highest_vectors(T, w)]
     if not basis:
@@ -179,22 +175,17 @@ def highest_weight_space(T: TensorProduct, w) -> HWSpace:
         mult = tensor_multiplicity(T.cd, T.left.highest_weight, T.right.highest_weight, w)
         if len(basis) != mult:
             raise VerificationFailed((len(basis), mult))
-    return HWSpace(w, basis, T.weight_blocks[w])
-
-
-def conjugate_transpose(T: TensorProduct, vec: dict) -> dict:
-    """swap o qconjugate on a vector of a tensor square (the map whose -1
-    eigenvectors give q-antisymmetric Clebsch-Gordan tables)."""
-    d = T.right.dim
-    out = {}
-    for p, x in vec.items():
-        a, b = divmod(p, d)
-        out[b * d + a] = x.qconjugate()
-    return out
+    return basis
 
 
 def _swap_bar_half(T: TensorProduct, v0: dict, antisym: bool) -> dict:
-    tv = conjugate_transpose(T, v0)
+    # tv = swap(qconjugate(v0)); the -1 eigenvectors of swap o qconjugate
+    # give q-antisymmetric Clebsch-Gordan tables
+    d = T.right.dim
+    tv = {}
+    for p, x in v0.items():
+        a, b = divmod(p, d)
+        tv[b * d + a] = x.qconjugate()
     half = RatFunc(Fraction(1, 2))
     out = {}
     for p in set(v0) | set(tv):
@@ -250,30 +241,17 @@ def module_map_defects(M: dict, source, target) -> list:
     return defects
 
 
-@dataclass
-class CGEmbedding:
-    """Clebsch-Gordan coefficients K_a^{bc}: column a is the vector
-    Delta(P_a) v0 where P_a is the lowering monomial of basis vector a."""
-
-    tensor: TensorProduct
-    table: list  # per module index a, sparse {product_index: RatFunc}
-
-    def as_matrix(self) -> dict:
-        out = {}
-        for a, col in enumerate(self.table):
-            for p, x in col.items():
-                out[(p, a)] = x
-        return out
+def cg_embedding(T: TensorProduct, v0: dict) -> list:
+    """Clebsch-Gordan coefficients K_a^{bc}: the table whose entry a is the
+    vector Delta(P_a) v0, P_a the lowering monomial of basis vector a."""
+    return lowered_table(T, T.left, v0)
 
 
-def cg_embedding(T: TensorProduct, v0: dict) -> CGEmbedding:
-    return CGEmbedding(T, lowered_table(T, T.left, v0))
-
-
-def verify_embedding(K: CGEmbedding) -> bool:
+def verify_embedding(T: TensorProduct, table: list) -> bool:
     """Exact module-map check of the embedding V -> V (x) V for all
     generators (E_i, F_i and the K_i weight bookkeeping)."""
-    return not module_map_defects(K.as_matrix(), K.tensor.left, K.tensor)
+    beta = {(p, a): x for a, col in enumerate(table) for p, x in col.items()}
+    return not module_map_defects(beta, T.left, T)
 
 
 def _paired_with_form(V: IrrepModule, vecs: list) -> list:
@@ -296,19 +274,7 @@ def _paired_with_form(V: IrrepModule, vecs: list) -> list:
     return out
 
 
-def product_form(V: IrrepModule, u: dict, w: dict) -> RatFunc:
-    """Contravariant product form u^T (S (x) S) w, that is
-    <a(x)b, c(x)d> = <a,c><b,d>, on sparse tensor vectors."""
-    su = _paired_with_form(V, [u])[0]
-    acc = RF_ZERO
-    for q, y in w.items():
-        x = su.get(q)
-        if x is not None:
-            acc = acc + x * y
-    return acc
-
-
-def _adjoint_of_embedding(V: IrrepModule, T: TensorProduct, table: list) -> dict:
+def _adjoint_of_embedding(V: IrrepModule, table: list) -> dict:
     """beta^dagger = S^-1 beta^T (S (x) S) for the contravariant form S of
     V; S^-1 is applied one weight block at a time, and only on blocks that
     beta^T (S (x) S) reaches.
@@ -340,32 +306,30 @@ def bracket_matrix(dim: int, constants: dict) -> dict:
     return out
 
 
-def invert_cg(V: IrrepModule, K: CGEmbedding, others: list) -> dict:
+def invert_cg(V: IrrepModule, T: TensorProduct, table: list, others: list) -> dict:
     """Structure constants f_ab^c of the unique module map B: V(x)V -> V
-    with B o beta = id and B = 0 on the submodules generated by `others`.
+    with B o beta = id, beta the embedding `table` into T = V (x) V, and
+    B = 0 on the submodules generated by `others`.
 
     Checked exactly before returning: in full, that B is a module map; on
     generators, B(v0) = e_0 and B(u) = 0 for u in `others`.  With the checked
     lowering of V's basis these give B o beta = id (K_a^{bc} f_bc^d =
     delta_a^d) and B = 0 on the complements, by the module docstring's induction.
     """
-    T = K.tensor
-    us = [K.table[0]] + [dict(u) for u in others]
-    m = len(us)
-    embeds = [K] + [cg_embedding(T, u) for u in others]
-    pair = [[product_form(V, us[j], us[k]) for k in range(m)] for j in range(m)]
-    rhs = [RF_ONE] + [RF_ZERO] * (m - 1)
+    us = [table[0], *others]
+    tables = [table] + [cg_embedding(T, u) for u in others]
+    # the product form u_j^T (S (x) S) u_k on the generating vectors
+    pair = [[sum((su[p] * y for p, y in u.items() if p in su), RF_ZERO) for u in us]
+            for su in _paired_with_form(V, us)]
     try:
-        x = rf_solve(pair, rhs)
+        x = rf_solve(pair, [RF_ONE] + [RF_ZERO] * len(others))
     except ZeroDivisionError as exc:
         raise SingularSystem(str(exc)) from exc
     bmat = {}
-    for k in range(m):
-        if x[k].is_zero():
-            continue
-        dag = _adjoint_of_embedding(V, T, embeds[k].table)
-        for key, val in dag.items():
-            sp_add_to(bmat, key, x[k] * val)
+    for xk, tab in zip(x, tables):
+        if not xk.is_zero():
+            for key, val in _adjoint_of_embedding(V, tab).items():
+                sp_add_to(bmat, key, xk * val)
 
     # exact checks: V's monomial basis, B on the generating vectors, then B
     # as a module map in full; the module docstring says why these suffice

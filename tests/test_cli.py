@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from qlie import tensorcg
+from qlie import cli, repbuild, tensorcg
 from qlie.cli import main, parse_text_algebra
 from qlie.qliealg import QuantumLieAlgebra, same_algebra
 
@@ -104,6 +104,50 @@ def test_sum_with_a_pole_or_zero_at_one_is_a_usage_error(capsys, s, t):
     err = capsys.readouterr().err
     assert code == 2
     assert err == "error: s + t must be regular and nonzero at v = 1\n"
+
+
+@pytest.mark.parametrize("extra", [["--normalize"], ["--construction", "explicit-sln"],
+                                   ["--construction", "generic"]])
+def test_compare_rejects_options_it_does_not_read(capsys, extra):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--algebra", "A2", *extra])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(extra) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["table", "--algebra", "A1", "--s", "7", "--t", "q"],
+                                  ["build", "--algebra", "A1", "--t", "q"],
+                                  ["verify", "--algebra", "A2", "--construction", "generic",
+                                   "--s", "1"]])
+def test_scalars_without_the_explicit_family_are_a_usage_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --s and --t apply only to --construction explicit-sln\n"
+
+
+@pytest.mark.parametrize("checks", [",", "", " , ,"])
+def test_a_checks_list_naming_no_check_is_a_usage_error(capsys, checks):
+    code = main(["verify", "--algebra", "A1", "--checks", checks])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: --checks names no check; choose from gradation")
+    assert captured.err.count("\n") == 1
+
+
+def test_check_names_are_read_before_the_table_is_built(capsys):
+    # E6 exceeds the default budget, which would be exit 1
+    code = main(["verify", "--algebra", "E6", "--checks", "gradation,nonsense"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: unknown check 'nonsense'")
+
+
+def test_budget_default_is_the_library_default(monkeypatch, capsys):
+    assert cli.DEFAULT_DIM_BUDGET is repbuild.DEFAULT_DIM_BUDGET
+    monkeypatch.setattr(cli, "DEFAULT_DIM_BUDGET", 2)
+    code = main(["build", "--algebra", "A1"])
+    err = capsys.readouterr().err
+    assert code == 1 and "exceeds budget 2" in err
 
 
 def test_missing_subcommand_is_a_usage_error(capsys):
@@ -244,8 +288,8 @@ def test_unwritable_output_file_is_a_usage_error(tmp_path, capsys):
 def test_failed_self_check_is_a_computation_failure(monkeypatch, capsys):
     true_adjoint = tensorcg._adjoint_of_embedding
 
-    def corrupted(V, T, table):
-        dag = true_adjoint(V, T, table)
+    def corrupted(V, table):
+        dag = true_adjoint(V, table)
         key = min(dag)
         dag[key] = -dag[key]
         return dag

@@ -300,6 +300,25 @@ def test_singular_isotypic_basis_is_an_obstruction(monkeypatch):
         monodromy_on_tensor(V, V)
 
 
+def _doubled_vpow(k):
+    return RatFunc(2) * rf_vpow(k)
+
+
+def test_operator_not_one_at_v_equal_one_is_an_obstruction(monkeypatch, a1_fund):
+    # every eigen-scalar doubled: 2M still commutes, but 2M - 1 is 1 at v = 1
+    monkeypatch.setattr(monodromy, "rf_vpow", _doubled_vpow)
+    with pytest.raises(ObstructionDetected, match="^M - 1 does not vanish at v = 1$"):
+        monodromy_on_tensor(a1_fund, a1_fund)
+
+
+def test_commuting_is_checked_before_vanishing(monkeypatch, a1_fund):
+    monkeypatch.setattr(monodromy, "rf_vpow", _doubled_vpow)
+    monkeypatch.setattr(monodromy, "module_map_defects", lambda M, source, target: [["E", 0]])
+    with pytest.raises(ObstructionDetected,
+                       match="^operator fails to commute with the coproduct action$"):
+        monodromy_on_tensor(a1_fund, a1_fund)
+
+
 # ------------------------------------------------- the submodule check itself
 
 SQUARES = {

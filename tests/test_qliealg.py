@@ -11,6 +11,7 @@ from qlie.linalg import sp_eq
 from qlie.qring import RatFunc, parse_scalar, qconjugate
 from qlie.rootdata import build_cartan
 from qlie.qliealg import (
+    BasisLabel,
     GaugeObstruction,
     InvalidParams,
     QuantumLieAlgebra,
@@ -395,6 +396,83 @@ def test_compare_pins_every_mismatch_of_one_corrupted_entry(generics):
     assert not rep["match"]
     assert rep["mismatches"] == [[0, 14], [1, 14], [2, 14], [4, 14], [5, 14], [9, 13], [10, 12],
                                  [12, 10], [13, 9], [14, 0], [14, 1], [14, 2], [14, 4], [14, 5]]
+
+
+def _corrupted(A, entries=(), labels=()):
+    """A with the given constants replaced (None deletes one) and basis labels."""
+    constants = dict(A.constants)
+    for key, val in entries:
+        if val is None:
+            constants.pop(key, None)
+        else:
+            constants[key] = val
+    basis = list(A.basis)
+    for a, lab in labels:
+        basis[a] = lab
+    return dataclasses.replace(A, constants=constants, basis=basis)
+
+
+def _failed_fit(intact, mismatch):
+    """The report of an exit after the (s, t) fit: the intact fit, no gauge scalars."""
+    rep = {k: v for k, v in intact.items() if k != "scalars"}
+    return {**rep, "match": False, "mismatches": [mismatch]}
+
+
+# The early exits of compare_to_explicit that one corrupted entry or label of
+# the A2 table reaches (none further on A2 or A3), pinned as recorded before
+# the epsilon fit lost its duplicated ratio check.
+def test_compare_exit_for_a_relabelled_root_vector(generics):
+    A = _corrupted(generics["A2"], labels=[(0, BasisLabel("H", index=9))])
+    assert compare_to_explicit(A) == {"applicable": True, "match": False,
+                                      "mismatches": ["root systems differ"]}
+
+
+def test_compare_exit_for_a_corrupted_cartan_action(generics):
+    A = generics["A2"]
+    assert [lab.name() for lab in A.basis[:4]] == ["X_{(1,1)}", "X_{(-1,2)}", "X_{(2,-1)}", "H_1"]
+    A = _corrupted(A, entries=[((3, 0, 0), A.constants[3, 0, 0] * sc("q"))])
+    assert compare_to_explicit(A) == {"applicable": True, "match": False,
+                                      "mismatches": ["Cartan action row 0 unfittable"]}
+
+
+def test_compare_exit_for_an_entry_the_family_lacks(generics):
+    A = generics["A2"]
+    assert (1, 0, 5) not in A.constants
+    rep = compare_to_explicit(_corrupted(A, entries=[((1, 0, 5), sc("1"))]))
+    assert rep == _failed_fit(compare_to_explicit(A),
+                              "explicit constant vanishes where f[1,0]^5 does not")
+
+
+# The remaining exits need more than one corrupted entry.
+def test_compare_exit_for_a_non_uniform_parameter_ratio(explicit_grid):
+    # the H_2 row of the Cartan action from (s, t) = (1, 1), the rest from (1, q)
+    E, F = explicit_grid[3, "1", "q"], explicit_grid[3, "1", "1"]
+    h = E.h_indices()[1]
+    rows = [((h, x, x), F.constants.get((h, x, x))) for x in E.x_indices()]
+    rep = compare_to_explicit(_corrupted(E, entries=rows))
+    assert rep == {"applicable": True, "match": False,
+                   "mismatches": ["parameter ratio not uniform"]}
+
+
+def test_compare_exit_for_a_singular_cartan_map(explicit_grid):
+    E = explicit_grid[3, "1", "q"]
+    h = E.h_indices()[1]
+    rep = compare_to_explicit(_corrupted(E, entries=[((h, x, x), None) for x in E.x_indices()]))
+    assert rep == {"applicable": True, "match": False,
+                   "mismatches": ["Cartan change of basis is singular"],
+                   "epsilon": "q", "eps_bar_invariant": False, "fitted_s": "1",
+                   "fitted_t": "q", "cartan_map": [["1", "0"], ["0", "0"]]}
+
+
+def test_compare_exit_for_undetermined_gauge_scalars(generics):
+    # no bracket of root vectors reaches X_{(1,1)} or X_{(-1,-1)}
+    A = generics["A2"]
+    hs = set(A.h_indices())
+    cut = [(k, None) for k in A.constants
+           if k[2] in (0, 7) and k[0] not in hs and k[1] not in hs]
+    assert [A.basis[a].root for a in (0, 7)] == [(1, 1), (-1, -1)]
+    rep = compare_to_explicit(_corrupted(A, entries=cut))
+    assert rep == _failed_fit(compare_to_explicit(A), "gauge scalars not determined for all roots")
 
 
 def test_compare_not_applicable_outside_type_a(generics):

@@ -102,7 +102,7 @@ def test_highest_weight_space_of_unequal_factors(name, mu, nu):
     for w in dominant:
         mult = tensor_multiplicity(cd, mu, nu, w)
         if mult:
-            assert len(highest_weight_space(T, w).basis) == mult
+            assert len(highest_weight_space(T, w)) == mult
         else:
             with pytest.raises(EmptySpace):
                 highest_weight_space(T, w)
@@ -115,9 +115,9 @@ def test_empty_highest_weight_space(w, a1_tensor):
 
 
 def test_antisymmetrize_fixed_line_for_multiplicity_one(a1_tensor):
-    hs = highest_weight_space(a1_tensor, (2,))
-    assert len(hs.basis) == 1
-    u = hs.basis[0]
+    hw = highest_weight_space(a1_tensor, (2,))
+    assert len(hw) == 1
+    u = hw[0]
     anti = antisymmetrize_hw(a1_tensor, u)
     # multiplicity one: the antisymmetrization stays on the same line
     pairs = set(u) | set(anti)
@@ -138,9 +138,9 @@ def test_antisymmetrize_rejects_classically_symmetric_input(a1_tensor):
 
 def test_symmetrize_vanishes_on_the_antisymmetric_line(a1_tensor):
     # multiplicity one: the highest-weight line is classically antisymmetric
-    hs = highest_weight_space(a1_tensor, (2,))
+    hw = highest_weight_space(a1_tensor, (2,))
     with pytest.raises(ClassicallyZero):
-        symmetrize_hw(a1_tensor, hs.basis[0])
+        symmetrize_hw(a1_tensor, hw[0])
 
 
 def test_symmetric_member_is_swap_bar_even(pipelines):
@@ -155,8 +155,8 @@ def test_symmetric_member_is_swap_bar_even(pipelines):
 
 
 def test_antisym_vector_is_swap_bar_odd(a1_tensor):
-    hs = highest_weight_space(a1_tensor, (2,))
-    anti = antisymmetrize_hw(a1_tensor, hs.basis[0])
+    hw = highest_weight_space(a1_tensor, (2,))
+    anti = antisymmetrize_hw(a1_tensor, hw[0])
     for p, x in anti.items():
         a, b = divmod(p, 3)
         q = 3 * b + a
@@ -171,7 +171,8 @@ def test_a2_antisymmetrized_vector_matches_golden(pipelines, golden_dir):
 
 @pytest.mark.parametrize("name", CORE)
 def test_embedding_intertwines(name, pipelines):
-    assert verify_embedding(pipelines[name].embedding)
+    pipe = pipelines[name]
+    assert verify_embedding(pipe.tensor, pipe.embedding)
 
 
 @pytest.mark.parametrize("name", CORE)
@@ -179,7 +180,7 @@ def test_embedding_table_is_q_antisymmetric(name, pipelines):
     pipe = pipelines[name]
     dim = pipe.module.dim
     for a in range(dim):
-        col = pipe.embedding.table[a]
+        col = pipe.embedding[a]
         for p, x in col.items():
             b, c = divmod(p, dim)
             swapped = col.get(dim * c + b, RatFunc(0))
@@ -190,7 +191,7 @@ def test_embedding_table_is_q_antisymmetric(name, pipelines):
 def test_embedding_is_classically_nonzero(name, pipelines):
     pipe = pipelines[name]
     for a in range(pipe.module.dim):
-        assert any(x.eval_at_one() != 0 for x in pipe.embedding.table[a].values())
+        assert any(x.eval_at_one() != 0 for x in pipe.embedding[a].values())
 
 
 def test_inversion_left_inverts_the_embedding(pipelines):
@@ -199,7 +200,7 @@ def test_inversion_left_inverts_the_embedding(pipelines):
     constants = pipe.constants
     for a in range(dim):
         out = {}
-        for p, x in pipe.embedding.table[a].items():
+        for p, x in pipe.embedding[a].items():
             b, c = divmod(p, dim)
             for d in range(dim):
                 f = constants.get((b, c, d))
@@ -210,10 +211,26 @@ def test_inversion_left_inverts_the_embedding(pipelines):
             assert out.get(d, RatFunc(0)) == expect
 
 
+def test_inversion_pairs_its_generating_vectors_once(monkeypatch, pipelines):
+    # one pairing gives the whole pair matrix; the others are the adjoints
+    pipe = pipelines["A2"]
+    calls = []
+    true_paired = tensorcg._paired_with_form
+
+    def recorded(V, vecs):
+        calls.append(vecs)
+        return true_paired(V, vecs)
+
+    monkeypatch.setattr(tensorcg, "_paired_with_form", recorded)
+    assert invert_cg(pipe.module, pipe.tensor, pipe.embedding, pipe.others) == pipe.constants
+    assert calls[0] == [pipe.embedding[0], *pipe.others]
+    assert len(calls) == 3 and all(len(vecs) == pipe.module.dim for vecs in calls[1:])
+
+
 def test_duplicate_complement_members_are_singular(pipelines):
     pipe = pipelines["A1"]
     with pytest.raises(SingularSystem):
-        invert_cg(pipe.module, pipe.embedding, [pipe.antisym])
+        invert_cg(pipe.module, pipe.tensor, pipe.embedding, [pipe.antisym])
 
 
 def test_multiplicity_two_complement_annihilates(pipelines):
@@ -262,11 +279,11 @@ def test_corrupted_lowering_entry_is_caught(pipelines):
     F = {i: dict(m) for i, m in V.F.items()}
     F[lab[0]][(a, V.labels.index(lab[1:]))] = RatFunc(2)
     with pytest.raises(VerificationFailed, match="F does not lower basis vector 1"):
-        invert_cg(dataclasses.replace(V, F=F), pipe.embedding, pipe.others)
+        invert_cg(dataclasses.replace(V, F=F), pipe.tensor, pipe.embedding, pipe.others)
 
 
 def test_embedding_json_friendly(pipelines):
-    table = pipelines["A1"].embedding.table
+    table = pipelines["A1"].embedding
     blob = json.dumps({str(a): {str(p): x.to_json() for p, x in col.items()} for a, col in enumerate(table)})
     assert blob
 
@@ -281,8 +298,8 @@ def test_inversion_checks_raise_under_python_O():
             sys.exit("asserts are active")
         true_adjoint = tensorcg._adjoint_of_embedding
 
-        def corrupted(V, T, table):
-            dag = true_adjoint(V, T, table)
+        def corrupted(V, table):
+            dag = true_adjoint(V, table)
             key = min(dag)
             dag[key] = -dag[key]
             return dag
