@@ -347,6 +347,7 @@ def _add_options(p: argparse.ArgumentParser, builds: bool) -> None:
     p.add_argument("--budget-dim", type=int, default=DEFAULT_DIM_BUDGET,
                    help="largest module dimension the construction may attempt "
                         "(a positive integer)")
+    p.set_defaults(command_parser=p)
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -369,7 +370,11 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _make_parser().parse_args(argv)
+    # an option the command does not take is reported with that command's
+    # usage line, not the top-level one
+    args, extra = _make_parser().parse_known_args(argv)
+    if extra:
+        args.command_parser.error("unrecognized arguments: " + " ".join(extra))
     handlers = {
         "build": cmd_show,
         "verify": cmd_verify,

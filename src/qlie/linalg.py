@@ -8,6 +8,8 @@ exact arithmetic -- no pivot thresholds, a pivot is any nonzero entry.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from typing import NamedTuple
 
 from .qring import RatFunc, RF_ONE, RF_ZERO, _ONE, _integral, _zexact, _zgcd, _zmul
 
@@ -250,3 +252,99 @@ def sp_sub(a, b):
 
 def sp_transpose(m):
     return {(c, r): v for (r, c), v in m.items()}
+
+
+# ---------------------------------------------------------------------------
+# sparse matrices over Z[v]: a sparse RatFunc matrix m written once as
+# v^low / (q L) * N, with q the lcm of the content denominators and L the lcm
+# of the distinct polynomial denominators, so that N has entries in Z[v].
+# Products are compared after evaluating N at X = 2^b (Kronecker
+# substitution): an integer polynomial whose coefficients are smaller than X
+# in absolute value vanishes at X only when it is zero, so a bound on the
+# coefficients makes the integer comparison exact.
+# ---------------------------------------------------------------------------
+
+class IntForm(NamedTuple):
+    """The sparse RatFunc matrix m = v^low / (q L) * N.  The entry
+    c v^s n / d of m gives N the entry k v^e n cof[d], with k = q c,
+    e = s - low >= 0 and cof[d] = L / d.  row_norm bounds the largest row
+    sum of the 1-norms of N's entries and top_norm their largest 1-norm."""
+
+    m: dict
+    low: int
+    q: int
+    den: tuple
+    cof: dict
+    row_norm: int
+    top_norm: int
+
+    @property
+    def scale_norm(self) -> int:
+        """The 1-norm of the common denominator q L."""
+        return self.q * sum(map(abs, self.den))
+
+    def scale_at(self, b: int) -> int:
+        """q L(2^b)."""
+        return self.q * _zat(self.den, b)
+
+
+def _zat(t, b: int) -> int:
+    """The integer polynomial t evaluated at 2^b (Horner, by shifts)."""
+    acc = 0
+    for x in reversed(t):
+        acc = (acc << b) + x
+    return acc
+
+
+def sp_int_form(m) -> IntForm:
+    """The fraction-free form of a sparse RatFunc matrix; L is built from
+    the distinct denominators only, and the 1-norm of an entry of N is
+    bounded by |k| |n|_1 |L / d|_1."""
+    if not m:
+        return IntForm(m, 0, 1, _ONE, {}, 0, 0)
+    dens = {x.d for x in m.values()}
+    den = _ONE
+    for d in dens:
+        den = _zmul(den, _zgcd(den, d)[2])
+    den = tuple(den)
+    cof = {d: _zexact(den, d) for d in dens}
+    cof_norm = {d: sum(map(abs, t)) for d, t in cof.items()}
+    q = lcm(*{x.c.denominator for x in m.values()})
+    rows, top = {}, 0
+    for (r, _), x in m.items():
+        c = x.c
+        norm = abs(c.numerator) * (q // c.denominator) * sum(map(abs, x.n)) * cof_norm[x.d]
+        rows[r] = rows.get(r, 0) + norm
+        if norm > top:
+            top = norm
+    return IntForm(m, min(x.s for x in m.values()), q, den, cof, max(rows.values()), top)
+
+
+def sp_int_eval(form: IntForm, b: int, scale: int = 1) -> dict:
+    """scale * N(2^b) as a sparse integer matrix, each distinct numerator and
+    cofactor evaluated once."""
+    q, low = form.q, form.low
+    at_n = {}
+    at_d = {d: _zat(t, b) for d, t in form.cof.items()}
+    out = {}
+    for key, x in form.m.items():
+        c, n = x.c, x.n
+        xn = at_n.get(n)
+        if xn is None:
+            xn = at_n[n] = _zat(n, b)
+        k = c.numerator * (q // c.denominator)
+        out[key] = (scale * k * xn * at_d[x.d]) << (b * (x.s - low))
+    return out
+
+
+def sp_int_matmul(a, b):
+    """Sparse product a @ b of integer matrices, zero entries dropped."""
+    b_by_row = {}
+    for (r, c), x in b.items():
+        b_by_row.setdefault(r, []).append((c, x))
+    out = {}
+    for (r, k), x in a.items():
+        for c, y in b_by_row.get(k, ()):
+            key = (r, c)
+            out[key] = out.get(key, 0) + x * y
+    return {key: x for key, x in out.items() if x}

@@ -316,22 +316,43 @@ def weight_multiplicities(cd: CartanDatum, lam: tuple):
 
 
 def tensor_multiplicity(cd: CartanDatum, mu, nu, lam) -> int:
-    """Multiplicity of V(lam) inside V(mu) (x) V(nu).
-
-    Weight-multiplicity convolution of the two factors followed by iterated
-    highest-weight extraction; pure integer arithmetic throughout, so this
-    doubles as the oracle for highest-weight space dimensions.
-    """
+    """Multiplicity of V(lam) inside V(mu) (x) V(nu), by the single-target
+    Brauer-Klimyk (Racah-Speiser) count: the sum of sign(w) m_nu(beta) over
+    the weights beta of V(nu) for which w(mu + beta + rho) = lam + rho, with
+    w the Weyl group element that reflects mu + beta + rho into the dominant
+    chamber (Klimyk, AMS Transl. 76, 1968; Humphreys, Introduction to Lie
+    Algebras, section 24).  A weight on a wall contributes nothing.  Only
+    the weights of the smaller factor are needed, and tensor_decompose is
+    not used, so this is an independent construction of the number that
+    highest_weight_space checks."""
+    _check_dominant(mu)
+    _check_dominant(nu)
     _check_dominant(lam)
-    decomp = tensor_decompose(cd, tuple(mu), tuple(nu))
-    return decomp.get(tuple(lam), 0)
+    if weyl_dim(cd, mu) < weyl_dim(cd, nu):
+        mu, nu = nu, mu
+    n = cd.rank
+    alphas = [tuple(cd.cartan[k][i] for k in range(n)) for i in range(n)]
+    target = [x + 1 for x in lam]
+    total = 0
+    for beta, m in weight_multiplicities(cd, tuple(nu)).items():
+        x = [a + b + 1 for a, b in zip(mu, beta)]
+        sign = 1
+        while (i := next((j for j, xj in enumerate(x) if xj < 0), -1)) >= 0:
+            xi = x[i]
+            x = [a - xi * c for a, c in zip(x, alphas[i])]
+            sign = -sign
+        if x == target:
+            total += sign * m
+    return total
 
 
 @lru_cache(maxsize=None)
 def tensor_decompose(cd: CartanDatum, mu: tuple, nu: tuple):
     """Full decomposition {lam: multiplicity} of V(mu) (x) V(nu): peel off
     the dominant weight of least depth, then the least tuple, until the
-    product character is exhausted.
+    product character is exhausted.  monodromy_on_tensor needs every
+    component; a single multiplicity is tensor_multiplicity's cheaper count,
+    and the tests compare the two.
 
     The depth of w, the number of simple roots subtracted from mu + nu, is
     <mu + nu - w, rho-check>.  Twice rho-check is the sum of the positive

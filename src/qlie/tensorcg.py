@@ -6,7 +6,17 @@ module_map_defects is the single check in the package that a sparse map
 between two modules intertwines E_i, F_i and the weight grading (K_i).
 The CG embedding, the inverse-CG bracket, the ad-invariance of stored
 tables, the monodromy operator and the adjoint family inside W (x) W*
-(monodromy.verify_ad_submodule) are all checked through it.
+(monodromy.verify_ad_submodule) are all checked through it.  It computes
+on integers and stays exact: every matrix is written once as
+v^low / (q L) * N with N over Z[v] (q and L the common denominators of its
+contents and of its distinct polynomial denominators), so both sides of
+target(x) M = M source(x) become integer polynomial matrices once the
+denominators are cleared.  They are compared at X = 2^b, with X > 2B for
+a bound B on their coefficients; a nonzero integer polynomial whose
+coefficients are below X in absolute value does not vanish at X.  The
+multiplicity that highest_weight_space checks comes from the
+single-target count rootdata.tensor_multiplicity, which does not use
+the full decomposition.
 
 The coproduct convention (fixed globally, same as the module convention)
 is Delta(E_i) = E_i (x) K_i^-1 + K_i (x) E_i and the F analog, with
@@ -47,7 +57,8 @@ from fractions import Fraction
 from .qring import RatFunc, RF_ONE, RF_ZERO, rf_vpow
 from .rootdata import VerificationFailed, tensor_multiplicity, is_dominant
 from .repbuild import IrrepModule, contravariant_form
-from .linalg import rf_nullspace, rf_solve, rf_inverse, sp_matvec, sp_matmul, sp_eq, sp_add_to
+from .linalg import (rf_nullspace, rf_solve, rf_inverse, sp_add_to, sp_int_eval, sp_int_form,
+                     sp_int_matmul, sp_matvec)
 
 
 class EmptySpace(ValueError):
@@ -166,7 +177,9 @@ def rescale_at_one(vec: dict) -> dict:
 def highest_weight_space(T: TensorProduct, w) -> list:
     """Exact kernel of all Delta(E_i) on the weight-w block, as a list of
     sparse vectors, each denominator-cleared and rescaled by a rational so
-    that its first coordinate with nonzero classical value equals 1 at v = 1."""
+    that its first coordinate with nonzero classical value equals 1 at v = 1.
+    At a dominant w their number must equal the Brauer-Klimyk count
+    rootdata.tensor_multiplicity, a construction independent of this one."""
     w = tuple(w)
     basis = [rescale_at_one(u) for u in joint_highest_vectors(T, w)]
     if not basis:
@@ -228,12 +241,31 @@ def module_map_defects(M: dict, source, target) -> list:
     target(E_i) M != M source(E_i), then ["F", i] likewise; after those,
     ["K", row, col] for the first entry of M that joins basis vectors of
     different weights (the K_i part).  Empty exactly when M intertwines
-    every generator.  A side is anything with weights, E and F."""
+    every generator.  A side is anything with weights, E and F.
+
+    The comparison is exact and runs on integers.  Each matrix is written
+    once as v^low / (q L) * N with N over Z[v] (linalg.sp_int_form); with
+    the common denominators cleared, target(x) M = M source(x) reads
+    v^low_t q_s L_s N_t N_M = v^low_s q_t L_t N_M N_s, up to the same power of
+    v on both sides.  The coefficients of either side are bounded by B, the
+    largest row sum of 1-norms times the largest 1-norm times |q L|_1 over
+    all generators, so their difference has coefficients below 2B and is
+    zero exactly when it vanishes at X = 2^b > 2B."""
+    gens = [(name, i, sp_int_form(src[i]), sp_int_form(dst[i])) for i in sorted(source.E)
+            for name, src, dst in (("E", source.E, target.E), ("F", source.F, target.F))]
+    fm = sp_int_form(M)
+    bound = max((max(ft.row_norm * fm.top_norm * fs.scale_norm,
+                     fm.row_norm * fs.top_norm * ft.scale_norm) for _, _, fs, ft in gens),
+                default=0)
+    b = (2 * bound).bit_length()
+    mx = sp_int_eval(fm, b)
     defects = []
-    for i in sorted(source.E):
-        for name, src, dst in (("E", source.E, target.E), ("F", source.F, target.F)):
-            if not sp_eq(sp_matmul(dst[i], M), sp_matmul(M, src[i])):
-                defects.append([name, i])
+    for name, i, fs, ft in gens:
+        low = min(fs.low, ft.low)
+        lhs = sp_int_matmul(sp_int_eval(ft, b, fs.scale_at(b) << b * (ft.low - low)), mx)
+        rhs = sp_int_matmul(mx, sp_int_eval(fs, b, ft.scale_at(b) << b * (fs.low - low)))
+        if lhs != rhs:
+            defects.append([name, i])
     sw, tw = source.weights, target.weights
     cross = next(((r, c) for r, c in M if tw[r] != sw[c]), None)
     if cross is not None:

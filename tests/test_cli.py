@@ -115,6 +115,17 @@ def test_compare_rejects_options_it_does_not_read(capsys, extra):
     assert "unrecognized arguments: " + " ".join(extra) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,unknown", [(["compare", "--algebra", "A2", "--normalize"], "--normalize"),
+                                          (["build", "--bogus", "--algebra", "A2"], "--bogus")])
+def test_unknown_option_shows_its_command_usage(capsys, argv, unknown):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: qlie {argv[0]} [-h] --algebra ALGEBRA")
+    assert err.endswith(f"qlie {argv[0]}: error: unrecognized arguments: {unknown}\n")
+
+
 @pytest.mark.parametrize("argv", [["table", "--algebra", "A1", "--s", "7", "--t", "q"],
                                   ["build", "--algebra", "A1", "--t", "q"],
                                   ["verify", "--algebra", "A2", "--construction", "generic",

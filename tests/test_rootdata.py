@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import qlie
+from qlie import rootdata
 from qlie.rootdata import (
     CartanDatum,
     InvalidType,
@@ -230,6 +231,57 @@ def test_a2_fundamental_times_dual():
 def test_tensor_multiplicity_of_absent_component_is_zero():
     cd = build_cartan("A", 1)
     assert tensor_multiplicity(cd, (1,), (1,), (1,)) == 0
+
+
+BRAUER_KLIMYK_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4"]
+
+
+def _factor_pairs(name):
+    cd = cd_of(name)
+    theta = highest_root(cd)
+    return cd, [(theta, theta), (fundamental(cd, 0), theta)]
+
+
+@pytest.mark.parametrize("name", BRAUER_KLIMYK_TYPES)
+def test_single_target_count_matches_the_decomposition(name):
+    # every dominant weight of adj (x) adj and of V(omega_1) (x) adj
+    cd, pairs = _factor_pairs(name)
+    for mu, nu in pairs:
+        dec = tensor_decompose(cd, mu, nu)
+        dominant = {tuple(a + b for a, b in zip(w1, w2))
+                    for w1 in weight_multiplicities(cd, mu)
+                    for w2 in weight_multiplicities(cd, nu)}
+        dominant = {w for w in dominant if min(w) >= 0}
+        assert set(dec) <= dominant
+        for lam in sorted(dominant):
+            assert tensor_multiplicity(cd, mu, nu, lam) == dec.get(lam, 0), (mu, nu, lam)
+
+
+@pytest.mark.parametrize("name", BRAUER_KLIMYK_TYPES)
+def test_single_target_count_is_zero_outside_the_product(name):
+    cd, pairs = _factor_pairs(name)
+    box = [()]
+    for _ in range(cd.rank):
+        box = [w + (x,) for w in box for x in range(3)]
+    for mu, nu in pairs:
+        dec = tensor_decompose(cd, mu, nu)
+        top = tuple(a + b for a, b in zip(mu, nu))
+        outside = [lam for lam in box if lam not in dec]
+        outside.append(tuple(x + (i == 0) for i, x in enumerate(top)))
+        for lam in outside:
+            assert tensor_multiplicity(cd, mu, nu, lam) == 0, (mu, nu, lam)
+
+
+def test_single_target_count_does_not_decompose(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("tensor_decompose called")
+
+    monkeypatch.setattr(rootdata, "tensor_decompose", refuse)
+    for name, mult in [("A2", 2), ("B3", 1), ("F4", 1)]:
+        cd = cd_of(name)
+        theta = highest_root(cd)
+        assert tensor_multiplicity(cd, theta, theta, theta) == mult
+    assert tensor_multiplicity(cd_of("A2"), (1, 0), (1, 1), (2, 1)) == 1
 
 
 # --------------------------------------------- oracles independent of Freudenthal

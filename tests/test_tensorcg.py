@@ -3,17 +3,22 @@
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import qlie
-from qlie import tensorcg
-from qlie.linalg import rf_rank, sp_matvec
-from qlie.qliealg import generic_pipeline
-from qlie.qring import RatFunc, q_int
+from qlie import monodromy, qliealg, tensorcg
+from qlie.linalg import rf_rank, sp_eq, sp_matmul, sp_matvec
+from qlie.monodromy import monodromy_on_tensor, verify_ad_submodule
+from qlie.qliealg import (build_generic, build_sln_explicit, check_ad_invariance,
+                          check_ad_invariance_explicit, generic_pipeline)
+from qlie.qring import RF_ONE, RatFunc, q_int, rf_vpow
 from qlie.rootdata import VerificationFailed, build_cartan, highest_root, tensor_multiplicity
 from qlie.repbuild import adjoint_module, build_irrep
 from qlie.tensorcg import (
@@ -24,6 +29,7 @@ from qlie.tensorcg import (
     cg_embedding,
     highest_weight_space,
     invert_cg,
+    module_map_defects,
     symmetrize_hw,
     tensor_product,
     tensor_square,
@@ -317,3 +323,139 @@ def test_inversion_checks_raise_under_python_O():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("caught:")
+
+
+# ------------------------------------------------ the integer module-map check
+
+def ratfunc_defects(M, source, target):
+    """The module-map check over Q(v), one RatFunc product per side: the
+    oracle of the integer check in module_map_defects."""
+    defects = []
+    for i in sorted(source.E):
+        for name, src, dst in (("E", source.E, target.E), ("F", source.F, target.F)):
+            if not sp_eq(sp_matmul(dst[i], M), sp_matmul(M, src[i])):
+                defects.append([name, i])
+    cross = next(((r, c) for r, c in M if target.weights[r] != source.weights[c]), None)
+    if cross is not None:
+        defects.append(["K", *cross])
+    return defects
+
+
+@pytest.fixture(scope="module")
+def checked_maps():
+    """Every (M, source, target) that the package checks while it builds and
+    checks A1-A3, B2 and G2 (the embedding beta and the bracket B), checks
+    ad-invariance of those tables and of explicit sl_3, assembles the A2
+    adjoint and B2/G2 vector monodromy operators, and checks the A2 ad
+    family; recorded where each caller looks the routine up."""
+    seen = []
+
+    def record(M, source, target):
+        seen.append((M, source, target))
+        return module_map_defects(M, source, target)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in (tensorcg, qliealg, monodromy):
+            mp.setattr(mod, "module_map_defects", record)
+        for name in CORE:
+            cd = name_to_cartan(name)
+            pipe = generic_pipeline(cd)
+            check_ad_invariance(build_generic(cd, pipe=pipe), pipe)
+        check_ad_invariance_explicit(build_sln_explicit(3, RF_ONE, RF_ONE))
+        a2 = name_to_cartan("A2")
+        adj = adjoint_module(a2)
+        monodromy_on_tensor(adj, adj)
+        for name in ("B2", "G2"):
+            V = build_irrep(name_to_cartan(name), (1, 0))
+            monodromy_on_tensor(V, V)
+        V = build_irrep(a2, (1, 0))
+        verify_ad_submodule(monodromy_on_tensor(V, V), V, V)
+    return seen
+
+
+def test_every_checked_map_is_recorded(checked_maps):
+    # 5 x (beta, B, ad-invariance); explicit sl_3 rebuilds the A2 pipeline
+    # (beta, B) before its own check; 3 monodromy operators; then the A2
+    # vector operator and its ad family
+    assert len(checked_maps) == 15 + 3 + 3 + 2
+
+
+def test_integer_check_matches_the_ratfunc_oracle(checked_maps):
+    for M, source, target in checked_maps:
+        assert module_map_defects(M, source, target) == ratfunc_defects(M, source, target) == []
+
+
+CORRUPTIONS = {
+    "times q": lambda x: x * rf_vpow(2),
+    "times v": lambda x: x * rf_vpow(1),
+    "times 2": lambda x: x * 2,
+    "plus 1": lambda x: x + 1,
+    "dropped": None,
+}
+
+
+@pytest.mark.parametrize("how", sorted(CORRUPTIONS))
+def test_integer_check_matches_the_oracle_on_corrupted_maps(how, checked_maps):
+    change = CORRUPTIONS[how]
+    for k, (M, source, target) in enumerate(checked_maps):
+        key = random.Random(k).choice(sorted(M))
+        bad = dict(M)
+        if change is None:
+            del bad[key]
+        else:
+            bad[key] = change(M[key])
+        expect = ratfunc_defects(bad, source, target)
+        assert expect, (k, key)
+        assert module_map_defects(bad, source, target) == expect, (k, key)
+
+
+def test_integer_check_on_negative_shifts_and_fraction_contents(checked_maps):
+    # a nonzero scalar multiple of a module map is one; one entry off is not
+    scale = RatFunc(Fraction(-2, 3)) * rf_vpow(-5) / (1 + rf_vpow(2) + RatFunc(Fraction(1, 7)) * rf_vpow(6))
+    for k, (M, source, target) in enumerate(checked_maps):
+        scaled = {key: x * scale for key, x in M.items()}
+        assert module_map_defects(scaled, source, target) == []
+        key = random.Random(k).choice(sorted(scaled))
+        scaled[key] = scaled[key] * RatFunc(Fraction(5, 4)) * rf_vpow(-3)
+        expect = ratfunc_defects(scaled, source, target)
+        assert expect and module_map_defects(scaled, source, target) == expect, (k, key)
+
+
+def _random_scalar(rng):
+    num = RatFunc(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6))) * rf_vpow(rng.randint(-8, 4))
+    den = 1 + RatFunc(Fraction(rng.randint(-3, 3), rng.randint(1, 5))) * rf_vpow(rng.randint(1, 4))
+    return num / den if den else num
+
+
+def test_integer_check_on_random_maps():
+    # maps V(2) -> V(2) of A1: a scalar multiple of the identity plus, for
+    # most seeds, a few random entries with negative shifts and fractions
+    V = build_irrep(name_to_cartan("A1"), (2,))
+    for seed in range(40):
+        rng = random.Random(seed)
+        c = _random_scalar(rng)
+        M = {(a, a): c for a in range(V.dim)}
+        for _ in range(rng.randint(0, 3)):
+            key = (rng.randrange(V.dim), rng.randrange(V.dim))
+            M[key] = M.get(key, 0) + _random_scalar(rng)
+            if not M[key]:
+                del M[key]
+        assert module_map_defects(M, V, V) == ratfunc_defects(M, V, V), seed
+
+
+def _line(e):
+    """A one-dimensional module of A1 on which E acts by e and F by 0."""
+    return SimpleNamespace(weights=[(0,)], E={0: {(0, 0): e}}, F={0: {}})
+
+
+def test_evaluation_base_comes_from_the_bound():
+    # v - 2^k vanishes at v = 2^k: a base fixed in advance at 2^k would
+    # report this map as intertwining
+    for k in range(1, 201):
+        defects = module_map_defects({(0, 0): RF_ONE}, _line(rf_vpow(1)), _line(RatFunc(2 ** k)))
+        assert defects == [["E", 0]], k
+
+
+def test_module_map_check_uses_no_ratfunc_product():
+    names = module_map_defects.__code__.co_names
+    assert "sp_matmul" not in names and "sp_eq" not in names
