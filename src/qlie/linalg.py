@@ -230,12 +230,6 @@ def sp_eq(a, b):
     return True
 
 
-def sp_scale(a, s):
-    if not s:
-        return {}
-    return {k: v * s for k, v in a.items()}
-
-
 def sp_add(a, b):
     out = dict(a)
     for k, v in b.items():

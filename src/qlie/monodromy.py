@@ -11,14 +11,18 @@ v^(-shift) so that every eigen-scalar becomes an honest Laurent monomial.
 The conventions (pairing normalization, coproduct, shift) travel in the
 output metadata.
 
-The operator is assembled weight block by weight block from bases of the
-isotypic components obtained by lowering the joint highest-weight vectors;
-the tensor product, the highest-vector kernel, the lowering and the
-intertwining check are the shared ones of tensorcg.  On a block with
-isotypic columns C and eigen-exponents e_k the operator is
-M = C diag(v^e) C^-1; it is found without forming C^-1, by one row
-reduction of [C^T | (C diag(v^e))^T], which leaves M^T on the right (C is
-singular exactly when the pivots are not the first n columns).  It is then
+The components lam are the dominant weights of V (x) W with a positive
+Brauer-Klimyk count rootdata.tensor_multiplicity.  The operator is
+assembled weight block by weight block from bases of the isotypic
+components obtained by lowering their highest-weight vectors; the tensor
+product, the highest-weight space (tensorcg.highest_weight_space, which
+checks the number of its vectors against the same count and raises
+VerificationFailed on a miscount), the lowering and the intertwining
+check are the shared ones of tensorcg.  On a block with isotypic columns
+C and eigen-exponents e_k the operator is M = C diag(v^e) C^-1; it is
+found without forming C^-1, by one row reduction of
+[C^T | (C diag(v^e))^T], which leaves M^T on the right (C is singular
+exactly when the pivots are not the first n columns).  It is then
 re-verified: it must be a module map from V (x) W to itself (tensorcg's
 module_map_defects, which covers every E_i and F_i and the weight
 grading), and M - 1 must vanish entrywise at v = 1.  Any failure raises
@@ -59,10 +63,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .qring import RF_ONE, RF_ZERO, h_derivative_at_zero, rf_vpow
-from .rootdata import CartanDatum, bilinear, tensor_decompose
+from .rootdata import CartanDatum, bilinear, highest_root, is_dominant, tensor_multiplicity
 from .repbuild import IrrepModule, adjoint_module, build_irrep
 from .linalg import rf_rank, rf_rref, sp_add_to, sp_sub
-from .tensorcg import joint_highest_vectors, lowered_table, module_map_defects, tensor_product
+from .tensorcg import highest_weight_space, lowered_table, module_map_defects, tensor_product
 
 
 class ObstructionDetected(RuntimeError):
@@ -90,11 +94,13 @@ class ModuleData:
     E: dict
     F: dict
     kexp: dict
+    highest_weight: tuple
 
 
 def dual_data(V: IrrepModule) -> ModuleData:
     """The dual module via the antipode transpose: pi*(x) = pi(S(x))^T,
-    so E* = -q_i^{-1} E^T, F* = -q_i F^T, and K* is the inverse diagonal."""
+    so E* = -q_i^{-1} E^T, F* = -q_i F^T, and K* is the inverse diagonal.
+    Its highest weight -w0(lam) is the negated lowest weight of V."""
     n = V.cd.rank
     E, F, kexp = {}, {}, {}
     for i in range(n):
@@ -103,7 +109,7 @@ def dual_data(V: IrrepModule) -> ModuleData:
         F[i] = {(c, r): -qi * x for (r, c), x in V.F[i].items()}
         kexp[i] = [-k for k in V.kexp[i]]
     weights = [tuple(-x for x in w) for w in V.weights]
-    return ModuleData(V.cd, V.dim, weights, E, F, kexp)
+    return ModuleData(V.cd, V.dim, weights, E, F, kexp, weights[-1])
 
 
 @dataclass
@@ -128,16 +134,16 @@ class Monodromy:
         return {e / 2 for e in self.exponents.values()}
 
 
-def monodromy_on_tensor(V: IrrepModule, W: IrrepModule,
-                        budget_dim: int = 256) -> Monodromy:
+def monodromy_on_tensor(V: IrrepModule, W: IrrepModule) -> Monodromy:
     """Assemble the operator acting by q^(c_lam - c_mu - c_nu) on each
     isotypic component of V (x) W, then verify it exactly."""
     cd = V.cd
+    mu, nu = V.highest_weight, W.highest_weight
     T = tensor_product(V, W)
-    dec = tensor_decompose(cd, V.highest_weight, W.highest_weight)
-    c0 = casimir_exponent(cd, V.highest_weight) + casimir_exponent(cd, W.highest_weight)
-    exponents = {lam: 2 * (casimir_exponent(cd, lam) - c0) for lam in dec}
-    lams = sorted(exponents)
+    c0 = casimir_exponent(cd, mu) + casimir_exponent(cd, nu)
+    lams = [lam for lam in sorted(T.weight_blocks)
+            if is_dominant(lam) and tensor_multiplicity(cd, mu, nu, lam) > 0]
+    exponents = {lam: 2 * (casimir_exponent(cd, lam) - c0) for lam in lams}
     e0 = exponents[lams[0]]
     shift = e0 - (e0.numerator // e0.denominator)
     for lam in lams:
@@ -149,13 +155,8 @@ def monodromy_on_tensor(V: IrrepModule, W: IrrepModule,
     # columns of the isotypic bases, grouped per tensor weight
     col_vecs = {}   # weight -> list of (vector, lam)
     for lam in lams:
-        mult = dec[lam]
-        hws = joint_highest_vectors(T, lam)
-        if len(hws) != mult:
-            raise ObstructionDetected(
-                f"found {len(hws)} highest vectors at {lam}, expected {mult}")
-        Mlam = build_irrep(cd, lam, budget_dim)
-        for u in hws:
+        Mlam = build_irrep(cd, lam, T.dim)
+        for u in highest_weight_space(T, lam):
             for a, vec in enumerate(lowered_table(T, Mlam, u)):
                 col_vecs.setdefault(Mlam.weights[a], []).append((vec, lam))
 
@@ -212,18 +213,16 @@ def extract_A(M: Monodromy):
     return m1, classical
 
 
-def adjoint_in_dual_tensor(V: IrrepModule, budget_dim: int = 256):
+def adjoint_in_dual_tensor(V: IrrepModule):
     """An embedding table of the adjoint module into V* (x) V: for each
     adjoint basis index a, a sparse vector over p = i * dim(V) + k with i a
     dual index and k a module index.  Deterministic first nullspace choice
-    when the highest root appears with multiplicity.  Returns the adjoint
-    module together with the table."""
-    adj = adjoint_module(V.cd, budget_dim)
+    when the highest root appears with multiplicity; EmptySpace when it
+    does not appear.  Returns the adjoint module together with the table."""
     T = tensor_product(dual_data(V), V)
-    hws = joint_highest_vectors(T, adj.highest_weight)
-    if not hws:
-        raise ObstructionDetected("adjoint module absent from V* (x) V")
-    return adj, lowered_table(T, adj, hws[0])
+    u = highest_weight_space(T, highest_root(V.cd))[0]
+    adj = adjoint_module(V.cd, V.dim ** 2)
+    return adj, lowered_table(T, adj, u)
 
 
 def verify_ad_submodule(M: Monodromy, V: IrrepModule, W: IrrepModule) -> dict:

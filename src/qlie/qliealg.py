@@ -586,7 +586,8 @@ def check_q_antisymmetry(A: QuantumLieAlgebra) -> dict:
 
 
 def check_lr_identity(A: QuantumLieAlgebra) -> dict:
-    """r_a(H_k) = -l_{a'}(H_k) where a' carries the opposite root."""
+    """r_a(H_k) = -l_{a'}(H_k) where a' carries the opposite root.  The
+    witness is [a] when a' is missing, else [a, H_k], both basis indices."""
     l, r = extract_roots(A)
     roots = A.root_index()
     witness = None
@@ -596,11 +597,11 @@ def check_lr_identity(A: QuantumLieAlgebra) -> dict:
             witness = [x]
             break
         y = roots[neg]
-        for pos in range(len(A.h_indices())):
+        for pos, h in enumerate(A.h_indices()):
             lhs = r.get((x, pos), RF_ZERO)
             rhs = -l.get((y, pos), RF_ZERO)
             if lhs != rhs:
-                witness = [x, pos]
+                witness = [x, h]
                 break
         if witness:
             break

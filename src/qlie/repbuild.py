@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .qring import RF_ONE, RF_ZERO, q_int, q_binomial, rf_vpow
+from .qring import RF_ONE, RF_ZERO, q_int, q_binomial
 from .rootdata import (
     CartanDatum,
     adjoint_dim,
@@ -34,8 +34,7 @@ from .rootdata import (
     weyl_dim,
     highest_root,
 )
-from .linalg import (frac_rref, rf_solve, sp_add_to, sp_matmul, sp_eq, sp_scale, sp_sub,
-                     sp_transpose)
+from .linalg import frac_rref, rf_solve, sp_add_to, sp_matmul, sp_eq, sp_sub, sp_transpose
 
 DEFAULT_DIM_BUDGET = 64
 
@@ -222,10 +221,6 @@ def contravariant_form(mod: IrrepModule) -> dict:
 # verification
 # ---------------------------------------------------------------------------
 
-def _k_diag_power(mod: IrrepModule, i: int, power: int):
-    return {(a, a): rf_vpow(power * mod.kexp[i][a]) for a in range(mod.dim)}
-
-
 def verify_module(mod: IrrepModule) -> dict:
     """Exhaustive exact checks of the defining relations; returns a report
     {check_name: bool} and never raises on failure."""
@@ -248,21 +243,13 @@ def verify_module(mod: IrrepModule) -> dict:
                 ok = False
     report["commutator"] = ok
 
-    # K_i E_j K_i^-1 = v^(d_i a_ij) E_j, and the F version with -a_ij
-    ok = True
-    for i in range(n):
-        for j in range(n):
-            ki = _k_diag_power(mod, i, 1)
-            ki_inv = _k_diag_power(mod, i, -1)
-            conj = sp_matmul(ki, sp_matmul(mod.E[j], ki_inv))
-            scale = rf_vpow(cd.d[i] * cd.cartan[i][j])
-            if not sp_eq(conj, sp_scale(mod.E[j], scale)):
-                ok = False
-            conj = sp_matmul(ki, sp_matmul(mod.F[j], ki_inv))
-            scale = rf_vpow(-cd.d[i] * cd.cartan[i][j])
-            if not sp_eq(conj, sp_scale(mod.F[j], scale)):
-                ok = False
-    report["k_conjugation"] = ok
+    # K_i E_j K_i^-1 = v^(d_i a_ij) E_j, and the F version with -a_ij: K_i is
+    # diagonal, so entry (r, c) is scaled by v^(kexp[i][r] - kexp[i][c])
+    report["k_conjugation"] = all(
+        mod.kexp[i][r] - mod.kexp[i][c] == sign * cd.d[i] * cd.cartan[i][j]
+        for i in range(n) for j in range(n)
+        for sign, X in ((1, mod.E[j]), (-1, mod.F[j]))
+        for (r, c), x in X.items() if x)
 
     report["serre_e"] = _serre_ok(mod, mod.E)
     report["serre_f"] = _serre_ok(mod, mod.F)

@@ -9,7 +9,7 @@ Conventions used throughout the package:
   d_i a_ij symmetric, normalized so that (alpha_i, alpha_i) = 2 d_i.
 
 Weights are plain int tuples in the h-coordinates above.  Weight
-multiplicities and tensor decompositions are computed on integer pairings
+multiplicities and tensor multiplicities are computed on integer pairings
 alone: for a root alpha = sum c_i alpha_i, (mu, alpha) = sum c_i d_i mu_i.
 Only `bilinear`, the form on two arbitrary weights, takes Fraction values
 (the Casimir exponent in `monodromy` needs it).  A failed self-check raises
@@ -322,9 +322,9 @@ def tensor_multiplicity(cd: CartanDatum, mu, nu, lam) -> int:
     w the Weyl group element that reflects mu + beta + rho into the dominant
     chamber (Klimyk, AMS Transl. 76, 1968; Humphreys, Introduction to Lie
     Algebras, section 24).  A weight on a wall contributes nothing.  Only
-    the weights of the smaller factor are needed, and tensor_decompose is
-    not used, so this is an independent construction of the number that
-    highest_weight_space checks."""
+    the weights of the smaller factor are needed.  This is the one count of
+    the package: tensorcg.highest_weight_space checks its kernel against
+    it, and monodromy_on_tensor finds the components of V (x) W with it."""
     _check_dominant(mu)
     _check_dominant(nu)
     _check_dominant(lam)
@@ -344,70 +344,6 @@ def tensor_multiplicity(cd: CartanDatum, mu, nu, lam) -> int:
         if x == target:
             total += sign * m
     return total
-
-
-@lru_cache(maxsize=None)
-def tensor_decompose(cd: CartanDatum, mu: tuple, nu: tuple):
-    """Full decomposition {lam: multiplicity} of V(mu) (x) V(nu): peel off
-    the dominant weight of least depth, then the least tuple, until the
-    product character is exhausted.  monodromy_on_tensor needs every
-    component; a single multiplicity is tensor_multiplicity's cheaper count,
-    and the tests compare the two.
-
-    The depth of w, the number of simple roots subtracted from mu + nu, is
-    <mu + nu - w, rho-check>.  Twice rho-check is the sum of the positive
-    coroots, alpha-check = sum (c_j d_j / d_alpha) alpha_j-check with
-    d_alpha = (alpha, alpha)/2, so twice the depth is the integer
-    sum r_j (mu + nu - w)_j with r_j = sum over alpha > 0 of c_j d_j / d_alpha."""
-    _check_dominant(mu)
-    _check_dominant(nu)
-    wm1 = weight_multiplicities(cd, mu)
-    wm2 = weight_multiplicities(cd, nu)
-    remaining = {}  # the product character, less the components peeled so far
-    for w1, m1 in wm1.items():
-        for w2, m2 in wm2.items():
-            w = tuple(map(add, w1, w2))
-            remaining[w] = remaining.get(w, 0) + m1 * m2
-    top = tuple(a + b for a, b in zip(mu, nu))
-    n, d = cd.rank, cd.d
-    r = [0] * n
-    for c, w in root_system(cd).positive_roots:
-        d_alpha = sum(c[j] * d[j] * w[j] for j in range(n)) // 2
-        for j in range(n):
-            r[j] += c[j] * d[j] // d_alpha
-
-    # depth of every dominant weight of the product; every weight that is
-    # ever peeled or subtracted lies in the product
-    depth = {}
-    for w in remaining:
-        if is_dominant(w):
-            twice = sum(x * (a - b) for x, a, b in zip(r, top, w))
-            if twice < 0 or twice % 2:
-                raise VerificationFailed(f"{w} is not below {top} in V{mu} (x) V{nu}")
-            depth[w] = twice // 2
-
-    out = {}
-    while remaining:
-        cands = [w for w in remaining if w in depth]
-        if not cands:
-            raise VerificationFailed("nonnegativity of the remaining character failed")
-        w0 = min(cands, key=lambda w: (depth[w], w))
-        mult = remaining[w0]
-        if mult <= 0:
-            raise VerificationFailed(f"V{w0} has multiplicity {mult} in V{mu} (x) V{nu}")
-        out[w0] = mult
-        for w, m in weight_multiplicities(cd, w0).items():
-            left = remaining.get(w, 0) - mult * m
-            if left < 0:
-                raise VerificationFailed(f"peeling V{w0} from V{mu} (x) V{nu}: "
-                                         f"weight {w} goes negative")
-            if left:
-                remaining[w] = left
-            else:
-                remaining.pop(w, None)
-    if sum(m * weyl_dim(cd, w) for w, m in out.items()) != weyl_dim(cd, mu) * weyl_dim(cd, nu):
-        raise VerificationFailed(f"V{mu} (x) V{nu}: component dimensions do not add up")
-    return out
 
 
 def cartan_to_json(cd: CartanDatum) -> dict:

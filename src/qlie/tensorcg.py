@@ -13,10 +13,13 @@ contents and of its distinct polynomial denominators), so both sides of
 target(x) M = M source(x) become integer polynomial matrices once the
 denominators are cleared.  They are compared at X = 2^b, with X > 2B for
 a bound B on their coefficients; a nonzero integer polynomial whose
-coefficients are below X in absolute value does not vanish at X.  The
-multiplicity that highest_weight_space checks comes from the
-single-target count rootdata.tensor_multiplicity, which does not use
-the full decomposition.
+coefficients are below X in absolute value does not vanish at X.
+
+highest_weight_space is likewise the single routine that finds
+highest-weight vectors: the CG pipeline, the isotypic components of
+monodromy_on_tensor and the adjoint inside V* (x) V all go through it,
+and it checks their number against the single-target Brauer-Klimyk
+count rootdata.tensor_multiplicity.
 
 The coproduct convention (fixed globally, same as the module convention)
 is Delta(E_i) = E_i (x) K_i^-1 + K_i (x) E_i and the F analog, with
@@ -143,27 +146,6 @@ def tensor_square(V: IrrepModule) -> TensorProduct:
     return tensor_product(V, V)
 
 
-def joint_highest_vectors(T: TensorProduct, w) -> list:
-    """Kernel of every raising operator Delta(E_i) restricted to the
-    weight-w block, as sparse vectors (denominator cleared, deterministic
-    order); empty when w does not occur."""
-    w = tuple(w)
-    cd = T.cd
-    n = cd.rank
-    block = T.weight_blocks.get(w)
-    if not block:
-        return []
-    rows = []
-    for i in range(n):
-        up = tuple(w[k] + cd.cartan[k][i] for k in range(n))
-        for q in T.weight_blocks.get(up, ()):
-            row = [T.dE[i].get((q, p), RF_ZERO) for p in block]
-            if any(row):
-                rows.append(row)
-    kern = rf_nullspace(rows, len(block))
-    return [{p: x for p, x in zip(block, vec) if x} for vec in kern]
-
-
 def rescale_at_one(vec: dict) -> dict:
     """vec times the rational that makes its first coordinate (in index
     order) with nonzero value at v = 1 equal to 1 there."""
@@ -179,15 +161,27 @@ def highest_weight_space(T: TensorProduct, w) -> list:
     sparse vectors, each denominator-cleared and rescaled by a rational so
     that its first coordinate with nonzero classical value equals 1 at v = 1.
     At a dominant w their number must equal the Brauer-Klimyk count
-    rootdata.tensor_multiplicity, a construction independent of this one."""
+    rootdata.tensor_multiplicity, a construction independent of this one;
+    a miscount raises VerificationFailed, and an empty space EmptySpace."""
     w = tuple(w)
-    basis = [rescale_at_one(u) for u in joint_highest_vectors(T, w)]
-    if not basis:
-        raise EmptySpace(f"no highest-weight vector at weight {w}")
+    cd = T.cd
+    n = cd.rank
+    block = T.weight_blocks.get(w, [])
+    rows = []
+    for i in range(n):
+        up = tuple(w[k] + cd.cartan[k][i] for k in range(n))
+        for q in T.weight_blocks.get(up, ()):
+            row = [T.dE[i].get((q, p), RF_ZERO) for p in block]
+            if any(row):
+                rows.append(row)
+    basis = [rescale_at_one({p: x for p, x in zip(block, vec) if x})
+             for vec in rf_nullspace(rows, len(block))]
     if is_dominant(w):
-        mult = tensor_multiplicity(T.cd, T.left.highest_weight, T.right.highest_weight, w)
+        mult = tensor_multiplicity(cd, T.left.highest_weight, T.right.highest_weight, w)
         if len(basis) != mult:
             raise VerificationFailed((len(basis), mult))
+    if not basis:
+        raise EmptySpace(f"no highest-weight vector at weight {w}")
     return basis
 
 

@@ -1,7 +1,8 @@
 """Test oracles that the package itself does not need: Laurent polynomials
 as plain {exponent: Fraction} dicts with their own sum, product and exact
 evaluation, the exact value of a scalar at v = 1, the h-derivative by the
-quotient rule, and the classical split Casimir of the rank-one algebra.
+quotient rule, the classical split Casimir of the rank-one algebra, and the
+full decomposition of a tensor product by peeling its character.
 
 The dict arithmetic shares no code with the integer kernel of ``qring``:
 values built here enter ``RatFunc`` only through ``rf``, that is through
@@ -9,9 +10,13 @@ values built here enter ``RatFunc`` only through ``rf``, that is through
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from operator import add
 
 from qlie.classical import ClassicalModule
 from qlie.qring import LaurentPoly, RatFunc, _fr
+from qlie.rootdata import (CartanDatum, VerificationFailed, _check_dominant, is_dominant,
+                           root_system, weight_multiplicities, weyl_dim)
 
 
 def mono(k, c=1):
@@ -92,3 +97,67 @@ def classical_split_casimir_a1(V: ClassicalModule, W: ClassicalModule) -> dict:
     tensor_add(f1, e2, Fraction(2))
     tensor_add(h1, h2, Fraction(1))
     return {k: v for k, v in out.items() if v}
+
+
+@lru_cache(maxsize=None)
+def tensor_decompose(cd: CartanDatum, mu: tuple, nu: tuple):
+    """Full decomposition {lam: multiplicity} of V(mu) (x) V(nu): peel off
+    the dominant weight of least depth, then the least tuple, until the
+    product character is exhausted.  Of the package's single-target count
+    rootdata.tensor_multiplicity it shares only the weight multiplicities,
+    and the tests compare the two.
+
+    The depth of w, the number of simple roots subtracted from mu + nu, is
+    <mu + nu - w, rho-check>.  Twice rho-check is the sum of the positive
+    coroots, alpha-check = sum (c_j d_j / d_alpha) alpha_j-check with
+    d_alpha = (alpha, alpha)/2, so twice the depth is the integer
+    sum r_j (mu + nu - w)_j with r_j = sum over alpha > 0 of c_j d_j / d_alpha."""
+    _check_dominant(mu)
+    _check_dominant(nu)
+    wm1 = weight_multiplicities(cd, mu)
+    wm2 = weight_multiplicities(cd, nu)
+    remaining = {}  # the product character, less the components peeled so far
+    for w1, m1 in wm1.items():
+        for w2, m2 in wm2.items():
+            w = tuple(map(add, w1, w2))
+            remaining[w] = remaining.get(w, 0) + m1 * m2
+    top = tuple(a + b for a, b in zip(mu, nu))
+    n, d = cd.rank, cd.d
+    r = [0] * n
+    for c, w in root_system(cd).positive_roots:
+        d_alpha = sum(c[j] * d[j] * w[j] for j in range(n)) // 2
+        for j in range(n):
+            r[j] += c[j] * d[j] // d_alpha
+
+    # depth of every dominant weight of the product; every weight that is
+    # ever peeled or subtracted lies in the product
+    depth = {}
+    for w in remaining:
+        if is_dominant(w):
+            twice = sum(x * (a - b) for x, a, b in zip(r, top, w))
+            if twice < 0 or twice % 2:
+                raise VerificationFailed(f"{w} is not below {top} in V{mu} (x) V{nu}")
+            depth[w] = twice // 2
+
+    out = {}
+    while remaining:
+        cands = [w for w in remaining if w in depth]
+        if not cands:
+            raise VerificationFailed("nonnegativity of the remaining character failed")
+        w0 = min(cands, key=lambda w: (depth[w], w))
+        mult = remaining[w0]
+        if mult <= 0:
+            raise VerificationFailed(f"V{w0} has multiplicity {mult} in V{mu} (x) V{nu}")
+        out[w0] = mult
+        for w, m in weight_multiplicities(cd, w0).items():
+            left = remaining.get(w, 0) - mult * m
+            if left < 0:
+                raise VerificationFailed(f"peeling V{w0} from V{mu} (x) V{nu}: "
+                                         f"weight {w} goes negative")
+            if left:
+                remaining[w] = left
+            else:
+                remaining.pop(w, None)
+    if sum(m * weyl_dim(cd, w) for w, m in out.items()) != weyl_dim(cd, mu) * weyl_dim(cd, nu):
+        raise VerificationFailed(f"V{mu} (x) V{nu}: component dimensions do not add up")
+    return out

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, round trips."""
 
+import dataclasses
 import json
 import time
 
@@ -7,7 +8,8 @@ import pytest
 
 from qlie import cli, repbuild, tensorcg
 from qlie.cli import main, parse_text_algebra
-from qlie.qliealg import QuantumLieAlgebra, same_algebra
+from qlie.qliealg import QuantumLieAlgebra, check_lr_identity, same_algebra
+from qlie.qring import RatFunc
 
 from conftest import load_golden
 
@@ -189,6 +191,20 @@ def test_verify_fails_for_bar_breaking_parameters(capsys):
                     "--s", "1", "--t", "q", "--checks", "antisymmetry")
     assert code == 1
     assert "antisymmetry: FAIL" in out
+
+
+def test_lr_identity_witness_names_the_cartan_element(capsys, monkeypatch, generics):
+    # [X_a, H_1] corrupted: the witness is the pair of basis indices (a, H_1)
+    A = generics["A2"]
+    x, h = A.x_indices()[0], A.h_indices()[0]
+    constants = dict(A.constants)
+    constants[(x, h, x)] = constants.get((x, h, x), RatFunc(0)) + RatFunc(1)
+    bad = dataclasses.replace(A, constants=constants)
+    assert check_lr_identity(bad) == {"ok": False, "witness": [x, h]}
+    monkeypatch.setattr(cli, "build_algebra", lambda args: bad)
+    code, out = run(capsys, "verify", "--algebra", "A2", "--checks", "lr-identity")
+    assert code == 1
+    assert out.splitlines()[0] == "lr-identity: FAIL  witness X_{(1,1)},H_1"
 
 
 def test_verify_tau_splits_on_parameters(capsys):

@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from qlie import monodromy
-from qlie.linalg import sp_matmul, sp_eq, sp_scale
+from qlie import monodromy, tensorcg
+from qlie.linalg import sp_matmul
 from qlie.qring import LaurentPoly, RatFunc, h_derivative_at_zero, rf_vpow
-from qlie.rootdata import build_cartan, highest_root
+from qlie.rootdata import VerificationFailed, build_cartan, highest_root, is_dominant
 from qlie.repbuild import adjoint_module, build_irrep
+from qlie.tensorcg import EmptySpace
 from qlie.classical import build_classical_module
 from qlie.monodromy import (
     Monodromy,
@@ -23,7 +24,8 @@ from qlie.monodromy import (
     verify_ad_submodule,
 )
 
-from oracles import classical_split_casimir_a1, mono, padd, rf
+from conftest import name_to_cartan
+from oracles import classical_split_casimir_a1, mono, padd, rf, tensor_decompose
 
 A1 = build_cartan("A", 1)
 A2 = build_cartan("A", 2)
@@ -183,12 +185,35 @@ def test_dual_weights_are_negated(a1_fund):
     assert star.weights == [(-1,), (1,)]
 
 
+def dominant_in_orbit(cd, mu):
+    """The dominant weight in the Weyl orbit of mu, by simple reflections."""
+    mu = list(mu)
+    while (i := next((j for j, x in enumerate(mu) if x < 0), -1)) >= 0:
+        mu = [m - mu[i] * cd.cartan[j][i] for j, m in enumerate(mu)]
+    return tuple(mu)
+
+
+@pytest.mark.parametrize("name,lam", [
+    ("A2", (2, 1)), ("A3", (0, 1, 1)), ("B2", (1, 0)), ("B2", (0, 1)), ("G2", (1, 0)),
+])
+def test_dual_highest_weight_is_minus_w0_lambda(name, lam):
+    cd = name_to_cartan(name)
+    hw = dual_data(build_irrep(cd, lam)).highest_weight
+    assert is_dominant(hw)
+    assert hw == dominant_in_orbit(cd, tuple(-x for x in lam))
+
+
 def test_adjoint_sits_inside_dual_tensor(a1_fund):
     adj, table = adjoint_in_dual_tensor(a1_fund)
     assert adj.dim == 3
     assert len(table) == 3
     for col in table:
         assert any(not x.is_zero() for x in col.values())
+
+
+def test_adjoint_absent_from_trivial_dual_tensor():
+    with pytest.raises(EmptySpace):
+        adjoint_in_dual_tensor(build_irrep(A2, (0, 0)))
 
 
 @pytest.mark.parametrize("factors", [((1,), (1,)), ((1,), (2,))])
@@ -233,12 +258,6 @@ def test_rank_two_adjoint_submodule(pipelines):
     assert rep["span_dim"] == 8
 
 
-def test_budget_guard():
-    V = build_irrep(A2, (1, 1))
-    with pytest.raises(Exception):
-        monodromy_on_tensor(V, V, budget_dim=3)
-
-
 # ------------------------------------------------------------ Jimbo's R-matrix
 
 def jimbo_braid(n):
@@ -269,18 +288,40 @@ def test_vector_square_is_jimbo_braid_squared(n):
     scale = -M.shift - Fraction(4, n)
     assert scale.denominator == 1
     braid = jimbo_braid(n)
-    assert M.matrix == sp_scale(sp_matmul(braid, braid), rf_vpow(int(scale)))
+    vs = rf_vpow(int(scale))
+    assert M.matrix == {k: x * vs for k, x in sp_matmul(braid, braid).items()}
 
 
 # ------------------------------------------------------------ pinned assembly
+
+def recorded_square(V):
+    """monodromy_on_tensor(V, V) and the components it used: every weight
+    it asked highest_weight_space for, with the number of vectors found."""
+    real = monodromy.highest_weight_space
+    used = {}
+
+    def record(T, lam):
+        hws = real(T, lam)
+        used[tuple(lam)] = len(hws)
+        return hws
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monodromy, "highest_weight_space", record)
+        M = monodromy_on_tensor(V, V)
+    return M, used
+
+
+@pytest.fixture(scope="module")
+def adjoint_squares():
+    return {name: recorded_square(adjoint_module(name_to_cartan(name))) for name in ("A2", "B2", "G2")}
+
 
 @pytest.mark.parametrize("name,entries,digest", [
     ("B2", 594, "fdfd2826124508ade03323532cc4924a50a3e04cbe9bef5f9dfeacbedc103966"),
     ("G2", 1444, "96596c90eec1837862ad394f76799837aee2bf9b59ce18784aa3e10c3b40f3f2"),
 ])
-def test_adjoint_square_matrix_digest(name, entries, digest):
-    V = adjoint_module(build_cartan(name[0], int(name[1:])))
-    M = monodromy_on_tensor(V, V)
+def test_adjoint_square_matrix_digest(name, entries, digest, adjoint_squares):
+    M, _ = adjoint_squares[name]
     text = "\n".join(f"{r} {c} {x}" for (r, c), x in sorted(M.matrix.items()))
     assert len(M.matrix) == entries
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -288,16 +329,31 @@ def test_adjoint_square_matrix_digest(name, entries, digest):
 
 def test_singular_isotypic_basis_is_an_obstruction(monkeypatch):
     # repeat one highest vector where adj (x) adj of A2 has multiplicity 2
-    real = monodromy.joint_highest_vectors
+    real = monodromy.highest_weight_space
 
     def repeated(T, lam):
         hws = real(T, lam)
         return [hws[0], hws[0]] if len(hws) == 2 else hws
 
-    monkeypatch.setattr(monodromy, "joint_highest_vectors", repeated)
+    monkeypatch.setattr(monodromy, "highest_weight_space", repeated)
     V = adjoint_module(A2)
     with pytest.raises(ObstructionDetected, match="singular isotypic basis"):
         monodromy_on_tensor(V, V)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_adjoint_square_components_match_the_decomposition(name, adjoint_squares):
+    cd = name_to_cartan(name)
+    theta = highest_root(cd)
+    assert adjoint_squares[name][1] == tensor_decompose(cd, theta, theta)
+
+
+def test_miscounted_component_fails_verification(monkeypatch, a1_fund):
+    # the count that highest_weight_space checks against, one too many
+    real = tensorcg.tensor_multiplicity
+    monkeypatch.setattr(tensorcg, "tensor_multiplicity", lambda *args: real(*args) + 1)
+    with pytest.raises(VerificationFailed):
+        monodromy_on_tensor(a1_fund, a1_fund)
 
 
 def _doubled_vpow(k):
@@ -350,6 +406,12 @@ def test_vector_square_submodule_spans_the_adjoint(name, lam):
     rep = verify_ad_submodule(M, V, V)
     assert rep["all"], rep
     assert rep["span_dim"] == ADJOINT_DIM[name]
+
+
+@pytest.mark.parametrize("name,lam", [(n, lam) for n, lams in SQUARES.items() for lam in lams])
+def test_vector_square_components_match_the_decomposition(name, lam):
+    V = build_irrep(name_to_cartan(name), lam)
+    assert recorded_square(V)[1] == tensor_decompose(V.cd, lam, lam)
 
 
 @pytest.mark.parametrize("name,lam", [("A2", (1, 0)), ("B2", (0, 1)), ("G2", (1, 0))])

@@ -82,6 +82,18 @@ def test_mutated_module_fails_verification():
     assert not verify_module(broken)["all"]
 
 
+def test_entry_across_weights_fails_k_conjugation():
+    # one E_1 entry moved to a target basis vector of another weight
+    V = build_irrep(build_cartan("A", 2), (1, 1))
+    bad_e = {i: dict(m) for i, m in V.E.items()}
+    r, c = min(bad_e[0])
+    other = next(a for a in range(V.dim)
+                 if V.weights[a] != V.weights[r] and (a, c) not in bad_e[0])
+    bad_e[0][(other, c)] = bad_e[0].pop((r, c))
+    assert verify_module(dataclasses.replace(V, E=bad_e))["k_conjugation"] is False
+    assert verify_module(V)["k_conjugation"] is True
+
+
 def test_budget_is_enforced():
     cd = build_cartan("A", 3)
     with pytest.raises(BudgetExceeded):
