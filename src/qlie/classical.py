@@ -2,10 +2,11 @@
 
 Everything here is computed over plain rationals with the classical
 formulas -- lowering/raising operators with integer weight eigenvalues,
-the undeformed coproduct x -> x (x) 1 + 1 (x) x, the classical
-contravariant form -- and never touches the deformed ring.  The quantum
-pipeline specialized at v = 1 must agree with these tables exactly; the
-tests enforce that equality entry by entry.
+the undeformed coproduct x -> x (x) 1 + 1 (x) x (applied to sparse vectors,
+never stored as a matrix), the classical contravariant form -- and never
+touches the deformed ring; the bracket's intertwining check compares integer
+products.  The quantum pipeline specialized at v = 1 must agree with these
+tables exactly; the tests enforce that equality entry by entry.
 
 Also provides the standard sl_n structure constants in the
 {X_ij} u {H_k} basis (X_ij ~ e_ij, H_k = e_kk - e_{k+1,k+1}).
@@ -55,6 +56,10 @@ def build_classical_module(cd: CartanDatum, lam, budget_dim: int = 64) -> Classi
 
     prev_level = {lam: [0]}
     while prev_level:
+        # e_i f_j v_b = f_j e_i v_b + [i = j] h_i v_b below reads E_i on the last
+        # level and F_j on the level above it, whose columns are complete
+        e_cols = [_columns(E[i]) for i in range(n)]
+        f_cols = [_columns(F[i]) for i in range(n)]
         targets = {}
         for mu_up, idxs in prev_level.items():
             for j in range(n):
@@ -67,12 +72,9 @@ def build_classical_module(cd: CartanDatum, lam, budget_dim: int = 64) -> Classi
             for ci, (j, b) in enumerate(cands):
                 for i in range(n):
                     vec = {}
-                    for (d, bb), coeff in E[i].items():
-                        if bb != b:
-                            continue
-                        for (dd, dsrc), f in F[j].items():
-                            if dsrc == d:
-                                vec[dd] = vec.get(dd, Fraction(0)) + coeff * f
+                    for d, coeff in e_cols[i].get(b, {}).items():
+                        for dd, f in f_cols[j].get(d, {}).items():
+                            vec[dd] = vec.get(dd, Fraction(0)) + coeff * f
                     if i == j and weights[b][i]:
                         vec[b] = vec.get(b, Fraction(0)) + Fraction(weights[b][i])
                     eact[ci][i] = {d: x for d, x in vec.items() if x}
@@ -125,20 +127,25 @@ def build_classical_module(cd: CartanDatum, lam, budget_dim: int = 64) -> Classi
     return ClassicalModule(cd, lam, labels, weights, E, F, gram, weight_basis)
 
 
-def _tensor_ops(V: ClassicalModule):
-    """x -> x (x) 1 + 1 (x) x matrices over product indices a*dim+b."""
-    d = V.dim
-    dE, dF = {}, {}
-    for mats, dmats in ((V.E, dE), (V.F, dF)):
-        for i, mat in mats.items():
-            acc = {}
-            for (r, c), x in mat.items():
-                for b in range(d):
-                    acc[r * d + b, c * d + b] = acc.get((r * d + b, c * d + b), Fraction(0)) + x
-                for a in range(d):
-                    acc[a * d + r, a * d + c] = acc.get((a * d + r, a * d + c), Fraction(0)) + x
-            dmats[i] = {k: v for k, v in acc.items() if v}
-    return dE, dF
+def _columns(mat):
+    """The sparse columns {c: {r: x}} of a matrix {(r, c): x}."""
+    cols = {}
+    for (r, c), x in mat.items():
+        cols.setdefault(c, {})[r] = x
+    return cols
+
+
+def _apply_coproduct(cols, vec, d):
+    """Delta(x) vec, for Delta(x) = x (x) 1 + 1 (x) x and x given by its sparse
+    columns, over the product indices a*d+b.  Zero entries are dropped."""
+    out = {}
+    for p, val in vec.items():
+        a, b = divmod(p, d)
+        for r, x in cols.get(a, {}).items():
+            out[r * d + b] = out.get(r * d + b, 0) + x * val
+        for r, x in cols.get(b, {}).items():
+            out[a * d + r] = out.get(a * d + r, 0) + x * val
+    return {k: v for k, v in out.items() if v}
 
 
 def _sp_vec(m, vec):
@@ -149,15 +156,36 @@ def _sp_vec(m, vec):
     return {k: v for k, v in out.items() if v}
 
 
-def _sp_mul(a, b):
-    b_rows = {}
-    for (r, c), x in b.items():
-        b_rows.setdefault(r, []).append((c, x))
-    out = {}
-    for (r, k), x in a.items():
-        for c, y in b_rows.get(k, ()):
-            out[r, c] = out.get((r, c), Fraction(0)) + x * y
-    return {key: v for key, v in out.items() if v}
+def integral_multiple(mat):
+    """q * mat as integers, q the lcm of the denominators of its values
+    (lcm(q, den) = q * Fraction(q, den).denominator)."""
+    q = 1
+    for x in mat.values():
+        q *= Fraction(q, x.denominator).denominator
+    return {k: x.numerator * (q // x.denominator) for k, x in mat.items()}
+
+
+def intertwines(V: ClassicalModule, constants) -> bool:
+    """pi(x) B = B Delta(x) for every E_i and F_i of V, where B sends
+    e_a (x) e_b to sum_c constants[a, b, c] e_c.  Row c of B Delta(x) is
+    Delta(x^T) applied to row c of B; the columns of x^T are the rows of x.
+
+    Runs on integers, exactly: with q_B and q_x the lcms of the denominators
+    of B and x, both sides of (q_x x)(q_B B) = (q_B B) Delta(q_x x) are q_B q_x
+    times the rational ones, because Delta is linear.
+    """
+    d = V.dim
+    b_rows = _columns({(a * d + b, c): y for (a, b, c), y in integral_multiple(constants).items()})
+    for x in map(integral_multiple, [*V.E.values(), *V.F.values()]):
+        x_rows = _columns({(c, r): y for (r, c), y in x.items()})
+        diff = {(c, p): -z for c, row in b_rows.items()
+                for p, z in _apply_coproduct(x_rows, row, d).items()}
+        for (r, c), y in x.items():
+            for p, z in b_rows.get(c, {}).items():
+                diff[r, p] = diff.get((r, p), 0) + y * z
+        if any(diff.values()):
+            return False
+    return True
 
 
 def classical_bracket(cd: CartanDatum, budget_dim: int = 64):
@@ -165,26 +193,27 @@ def classical_bracket(cd: CartanDatum, budget_dim: int = 64):
     the same route as the deformed pipeline: highest-weight vector at the
     highest root inside V (x) V, antisymmetrized, lowered, and inverted
     against the complement.  Returns (module, constants {(a,b,c): Fraction}).
+
+    Delta(x) = x (x) 1 + 1 (x) x is applied to vectors from the sparse columns
+    of x and never stored as a d^2-dimensional matrix.  The closing check
+    pi(x) B = B Delta(x) compares integer products, which is exact: scaling
+    B and x by their common denominators scales both sides alike.
     """
     V = build_classical_module(cd, highest_root(cd), budget_dim)
     d = V.dim
     n = cd.rank
-    dE, dF = _tensor_ops(V)
+    f_cols = [_columns(V.F[i]) for i in range(n)]
     theta = tuple(highest_root(cd))
 
-    weights2 = {}
-    for a in range(d):
-        for b in range(d):
-            w = tuple(x + y for x, y in zip(V.weights[a], V.weights[b]))
-            weights2.setdefault(w, []).append(a * d + b)
-    block = weights2[theta]
+    # product indices of weight theta, in increasing order
+    block = [a * d + b for a in range(d)
+             for b in V.weight_basis.get(tuple(t - w for t, w in zip(theta, V.weights[a])), ())]
     rows = []
     for i in range(n):
-        up = tuple(theta[k] + cd.cartan[k][i] for k in range(n))
-        for q in weights2.get(up, ()):
-            row = [dE[i].get((q, p), Fraction(0)) for p in block]
-            if any(row):
-                rows.append(row)
+        e_cols = _columns(V.E[i])
+        images = [_apply_coproduct(e_cols, {p: 1}, d) for p in block]
+        for q in sorted(set().union(*images)):
+            rows.append([img.get(q, Fraction(0)) for img in images])
     kern = frac_nullspace(rows, len(block))
     if not kern:
         raise VerificationFailed("no classical highest-weight vector at the highest root")
@@ -227,7 +256,7 @@ def classical_bracket(cd: CartanDatum, budget_dim: int = 64):
         table[0] = dict(u)
         for a in range(1, d):
             lab = V.labels[a]
-            table[a] = _sp_vec(dF[lab[0]], table[index[lab[1:]]])
+            table[a] = _apply_coproduct(f_cols[lab[0]], table[index[lab[1:]]], d)
         tables.append(table)
 
     # the contravariant form of V, one sparse row per basis vector
@@ -265,30 +294,23 @@ def classical_bracket(cd: CartanDatum, budget_dim: int = 64):
     bmat = {k: v for k, v in bmat.items() if v}
 
     # B o beta = id and B o beta_sym = 0, checked on the generators us: table[a]
-    # is dF_{i_1} of its parent's column, f_{i_1} e_parent = e_a (checked here)
+    # is Delta(f_{i_1}) of its parent's column, f_{i_1} e_parent = e_a (checked here)
     # and B commutes with each f_i (checked below): B(table[a]) = f_{i_1}...B(u)
-    cols = {}
-    for i, mat in V.F.items():
-        for (r, c), xx in mat.items():
-            cols.setdefault((i, c), {})[r] = xx
     for a in range(1, d):
         lab = V.labels[a]
-        if cols.get((lab[0], index[lab[1:]])) != {a: 1}:
+        if f_cols[lab[0]].get(index[lab[1:]]) != {a: 1}:
             raise VerificationFailed("classical f does not lower the monomial basis")
     if _sp_vec(bmat, us[0]) != {0: 1}:
         raise VerificationFailed("classical B o beta != id")
     if m > 1 and _sp_vec(bmat, us[1]):
         raise VerificationFailed("classical B nonzero on the complement")
 
-    for i in range(n):
-        for mats, dmats in ((V.E, dE), (V.F, dF)):
-            if _sp_mul(mats[i], bmat) != _sp_mul(bmat, dmats[i]):
-                raise VerificationFailed("classical intertwining fails")
-
     constants = {}
     for (c, p), val in bmat.items():
         a, b = divmod(p, d)
         constants[(a, b, c)] = val
+    if not intertwines(V, constants):
+        raise VerificationFailed("classical intertwining fails")
     return V, constants
 
 

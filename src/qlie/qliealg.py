@@ -51,7 +51,7 @@ from .tensorcg import (
     ClassicallyZero,
 )
 from .linalg import frac_inverse, rf_rref, rf_inverse, sp_add, sp_add_to, sp_eq
-from .classical import classical_bracket, classical_sln_table
+from .classical import classical_bracket, classical_sln_table, integral_multiple
 
 
 class InvalidParams(ValueError):
@@ -624,8 +624,9 @@ def check_classical_limit(A: QuantumLieAlgebra, budget_dim: int = DEFAULT_DIM_BU
     report["antisymmetric"] = all(f1.get((b, a, c)) == -val for (a, b, c), val in f1.items())
 
     # sum [[x, y], z] over the cyclic rotations (x, y, z) of each increasing
-    # triple, keyed by the sorted triple and the output index
-    by_pair = _by_pair(f1)
+    # triple, keyed by the sorted triple and the output index; it is bilinear,
+    # so it runs on the constants times the lcm of their denominators
+    by_pair = _by_pair(integral_multiple(f1))
     by_first = {}
     for (e, z), ez in by_pair.items():
         by_first.setdefault(e, []).append((z, ez))
@@ -636,7 +637,7 @@ def check_classical_limit(A: QuantumLieAlgebra, budget_dim: int = DEFAULT_DIM_BU
                 if x < y < z or y < z < x or z < x < y:
                     triple = tuple(sorted((x, y, z)))
                     for f, v2 in ez.items():
-                        sums[triple, f] = sums.get((triple, f), zero) + v1 * v2
+                        sums[triple, f] = sums.get((triple, f), 0) + v1 * v2
     report["jacobi"] = not any(sums.values())
 
     h_slots = A.h_indices()

@@ -1,8 +1,10 @@
 """Test oracles that the package itself does not need: Laurent polynomials
 as plain {exponent: Fraction} dicts with their own sum, product and exact
 evaluation, the exact value of a scalar at v = 1, the h-derivative by the
-quotient rule, the classical split Casimir of the rank-one algebra, and the
-full decomposition of a tensor product by peeling its character.
+quotient rule, the classical split Casimir of the rank-one algebra, the
+full decomposition of a tensor product by peeling its character, and the
+Fraction forms of two v = 1 checks: the intertwining check with stored
+coproduct matrices and the Jacobi sum.
 
 The dict arithmetic shares no code with the integer kernel of ``qring``:
 values built here enter ``RatFunc`` only through ``rf``, that is through
@@ -97,6 +99,67 @@ def classical_split_casimir_a1(V: ClassicalModule, W: ClassicalModule) -> dict:
     tensor_add(f1, e2, Fraction(2))
     tensor_add(h1, h2, Fraction(1))
     return {k: v for k, v in out.items() if v}
+
+
+def tensor_ops(V: ClassicalModule):
+    """x -> x (x) 1 + 1 (x) x matrices over product indices a*dim+b."""
+    d = V.dim
+    dE, dF = {}, {}
+    for mats, dmats in ((V.E, dE), (V.F, dF)):
+        for i, mat in mats.items():
+            acc = {}
+            for (r, c), x in mat.items():
+                for b in range(d):
+                    acc[r * d + b, c * d + b] = acc.get((r * d + b, c * d + b), Fraction(0)) + x
+                for a in range(d):
+                    acc[a * d + r, a * d + c] = acc.get((a * d + r, a * d + c), Fraction(0)) + x
+            dmats[i] = {k: v for k, v in acc.items() if v}
+    return dE, dF
+
+
+def sp_mul(a, b):
+    """Product of two sparse Fraction matrices {(r, c): x}, zeros dropped."""
+    b_rows = {}
+    for (r, c), x in b.items():
+        b_rows.setdefault(r, []).append((c, x))
+    out = {}
+    for (r, k), x in a.items():
+        for c, y in b_rows.get(k, ()):
+            out[r, c] = out.get((r, c), Fraction(0)) + x * y
+    return {key: v for key, v in out.items() if v}
+
+
+def fraction_intertwines(V: ClassicalModule, constants) -> bool:
+    """pi(x) B = B Delta(x) for every E_i and F_i, as whole Fraction matrices
+    with Delta(x) stored over V (x) V; B sends e_a (x) e_b to
+    sum_c constants[a, b, c] e_c."""
+    d = V.dim
+    bmat = {(c, a * d + b): y for (a, b, c), y in constants.items()}
+    dE, dF = tensor_ops(V)
+    return all(sp_mul(mats[i], bmat) == sp_mul(bmat, dmats[i])
+               for i in range(V.cd.rank) for mats, dmats in ((V.E, dE), (V.F, dF)))
+
+
+def fraction_jacobi(constants) -> bool:
+    """No sum [[x, y], z] over the cyclic rotations of an increasing triple
+    survives, for the values at v = 1 of a RatFunc table, summed as
+    Fractions."""
+    f1 = {key: c1 for key, val in constants.items() if (c1 := val.eval_at_one())}
+    by_pair = {}
+    for (a, b, c), val in f1.items():
+        by_pair.setdefault((a, b), {})[c] = val
+    by_first = {}
+    for (e, z), ez in by_pair.items():
+        by_first.setdefault(e, []).append((z, ez))
+    sums = {}
+    for (x, y), xy in by_pair.items():
+        for e, v1 in xy.items():
+            for z, ez in by_first.get(e, ()):
+                if x < y < z or y < z < x or z < x < y:
+                    triple = tuple(sorted((x, y, z)))
+                    for f, v2 in ez.items():
+                        sums[triple, f] = sums.get((triple, f), Fraction(0)) + v1 * v2
+    return not any(sums.values())
 
 
 @lru_cache(maxsize=None)

@@ -35,6 +35,7 @@ from qlie.monodromy import monodromy_on_tensor, verify_ad_submodule
 from qlie.repbuild import build_irrep
 
 from conftest import CORE, GRID, GRID_RANKS, load_golden
+from oracles import fraction_jacobi
 
 
 @contextmanager
@@ -130,9 +131,11 @@ def test_criterion_06_classical_limit(capsys, generics, explicit_grid):
             rep = check_classical_limit(generics[name])
             assert rep["all"], (name, rep)
             assert rep["oracle_match"] is True, name
+            assert fraction_jacobi(generics[name].constants), name
         for key, E in explicit_grid.items():
             rep = check_classical_limit(E)
             assert rep["all"], (key, rep)
+            assert fraction_jacobi(E.constants), key
 
 
 def test_criterion_07_module_correctness(capsys, pipelines):

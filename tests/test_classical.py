@@ -1,6 +1,8 @@
 """Undeformed (Fraction-valued) oracle pipeline and sl_n tables."""
 
 import ast
+import copy
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,10 +14,11 @@ from qlie.classical import (
     build_classical_module,
     classical_bracket,
     classical_sln_table,
+    intertwines,
 )
 
 from conftest import name_to_cartan
-from oracles import classical_split_casimir_a1
+from oracles import classical_split_casimir_a1, fraction_intertwines
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2"])
@@ -88,6 +91,61 @@ def test_classical_corrupted_lowering_entry_is_caught(monkeypatch):
     cd = _patch_after_build(monkeypatch, "A2", change_module=corrupt)
     with pytest.raises(VerificationFailed, match="classical f does not lower"):
         classical_bracket(cd)
+
+
+def _with_entry(V, kind, i, key, value):
+    """A copy of V whose E_i or F_i has value at key."""
+    W = copy.copy(V)
+    mats = dict(getattr(V, kind))
+    mats[i] = {**mats[i], key: value}
+    setattr(W, kind, mats)
+    return W
+
+
+def _corrupt_e_on_lowest(V):
+    # E_i on the lowest weight vector: the weight-theta block of V (x) V never
+    # reaches it, so the kernel, the lowered tables and B are unchanged
+    low = V.weight_basis[tuple(-t for t in highest_root(V.cd))][0]
+    i, key = next((i, key) for i, mat in V.E.items() for key in mat if key[1] == low)
+    return _with_entry(V, "E", i, key, 2 * V.E[i][key])
+
+
+def _corrupt_f_off_the_lowering(V):
+    # an F_i entry that is not f_{i_1} e_parent = e_a for any label (i_1, parent)
+    index = {lab: a for a, lab in enumerate(V.labels)}
+    lowering = {(lab[0], (a, index[lab[1:]])) for a, lab in enumerate(V.labels) if lab}
+    i, key = next((i, key) for i, mat in V.F.items() for key in mat if (i, key) not in lowering)
+    return _with_entry(V, "F", i, key, 2 * V.F[i][key])
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_e_on_lowest, _corrupt_f_off_the_lowering])
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_classical_corrupted_generator_fails_intertwining(monkeypatch, name, corrupt):
+    cd = _patch_after_build(monkeypatch, name, change_module=corrupt)
+    with pytest.raises(VerificationFailed, match="classical intertwining fails"):
+        classical_bracket(cd)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4"])
+def test_integer_intertwining_matches_the_fraction_reference(name):
+    """The integer check and the stored-coproduct Fraction check give one
+    verdict on B, on B scaled by 2/3, and on seeded single-entry
+    corruptions of B, E_i and F_i."""
+    V, f = classical_bracket(name_to_cartan(name))
+    rng = random.Random(name)
+    bump = Fraction(rng.randint(1, 2), rng.choice((3, 5, 7)))
+    key = rng.choice(sorted(f))
+    i = rng.randrange(V.cd.rank)
+    e_key, f_key = rng.choice(sorted(V.E[i])), rng.choice(sorted(V.F[i]))
+    cases = [
+        (V, f, True),
+        (V, {k: Fraction(2, 3) * v for k, v in f.items()}, True),
+        (V, {**f, key: f[key] + bump}, False),
+        (_with_entry(V, "E", i, e_key, V.E[i][e_key] + bump), f, False),
+        (_with_entry(V, "F", i, f_key, V.F[i][f_key] + bump), f, False),
+    ]
+    for W, table, expected in cases:
+        assert intertwines(W, table) is fraction_intertwines(W, table) is expected
 
 
 def test_classical_module_is_independent_of_the_deformed_pipeline():

@@ -12,6 +12,22 @@ from qlie.qliealg import QuantumLieAlgebra, check_lr_identity, same_algebra
 from qlie.qring import RatFunc
 
 from conftest import load_golden
+from oracles import fraction_jacobi
+
+
+@pytest.fixture(autouse=True)
+def jacobi_against_fractions(monkeypatch):
+    """Every classical-limit check run through the CLI here also holds its
+    integer Jacobi flag against the Fraction sum of the oracle."""
+    check = cli.check_classical_limit
+
+    def checked(A, *args):
+        rep = check(A, *args)
+        if rep["regular_at_one"]:
+            assert rep["jacobi"] is fraction_jacobi(A.constants)
+        return rep
+
+    monkeypatch.setattr(cli, "check_classical_limit", checked)
 
 
 def run(capsys, *argv):
@@ -175,10 +191,12 @@ def test_verify_passes_for_generic(capsys):
     assert "result: PASS" in out
 
 
-@pytest.mark.parametrize("name", ["A4", "B3", "C3", "D4", "F4"])
+@pytest.mark.parametrize("name", ["A4", "B3", "C3", "D4", "F4", "E6"])
 def test_verify_passes_end_to_end_for_larger_types(capsys, name):
-    """build_generic, then the default check set of `qlie verify`."""
-    code, out = run(capsys, "verify", "--algebra", name, "--format", "json")
+    """build_generic, then the default check set of `qlie verify`; E6's
+    78-dimensional adjoint needs a budget above the default 64."""
+    budget = ("--budget-dim", "78") if name == "E6" else ()
+    code, out = run(capsys, "verify", "--algebra", name, *budget, "--format", "json")
     report = json.loads(out)
     assert code == 0 and report["pass"]
     assert sorted(report["checks"]) == ["ad-invariance", "antisymmetry", "classical-limit",

@@ -35,6 +35,7 @@ from qlie.qliealg import (
 )
 
 from conftest import CORE, GRID, GRID_RANKS, load_golden
+from oracles import fraction_jacobi
 
 
 def positions(A):
@@ -145,20 +146,29 @@ def test_q_antisymmetry_witness_names_basis_elements(explicit_grid):
 
 # -------------------------------------------------------------- classical limit
 
+def classical_report(A):
+    """check_classical_limit, with its integer Jacobi flag held against the
+    Fraction sum of the oracle."""
+    rep = check_classical_limit(A)
+    if rep["regular_at_one"]:
+        assert rep["jacobi"] is fraction_jacobi(A.constants)
+    return rep
+
+
 @pytest.mark.parametrize("name", ["A1", "A2", "B2"])
 def test_generic_classical_limit(name, generics):
-    rep = check_classical_limit(generics[name])
+    rep = classical_report(generics[name])
     assert rep["all"], rep
     assert rep["oracle_match"] is True
 
 
 def test_raw_generic_rank_one_scale():
-    rep = check_classical_limit(build_generic(build_cartan("A", 1)))
+    rep = classical_report(build_generic(build_cartan("A", 1)))
     assert str(rep["kappa"]) == "-1/4"
 
 
 def test_explicit_classical_limit_scales():
-    rep = check_classical_limit(build_sln_explicit(3, sc("1"), sc("1")))
+    rep = classical_report(build_sln_explicit(3, sc("1"), sc("1")))
     assert rep["all"]
     assert str(rep["kappa"]) == "2"
 
@@ -166,7 +176,7 @@ def test_explicit_classical_limit_scales():
 def test_explicit_classical_limit_with_q_parameter():
     # t = q commutes with nothing at the deformed level but still
     # degenerates to the classical table with scale s(1) + t(1) = 2
-    rep = check_classical_limit(build_sln_explicit(3, sc("1"), sc("q")))
+    rep = classical_report(build_sln_explicit(3, sc("1"), sc("q")))
     assert rep["all"]
     assert str(rep["kappa"]) == "2"
 
@@ -194,13 +204,16 @@ def with_constants(A, update):
     ("root_action_doubled", {**FAILED, "jacobi": False, "kappa": None,
                              "roots_classical": False}),
     ("table_doubled", {**FAILED, "kappa": "4"}),
+    ("one_plus_third", {**FAILED, "antisymmetric": False, "jacobi": False}),
+    ("pair_plus_third", {**FAILED, "jacobi": False}),
+    ("table_thirded", {**FAILED, "kappa": "2/3"}),
 ])
 def test_corrupted_sl3_table_reports_each_classical_flag(corruption, flags, explicit_grid):
     E = explicit_grid[3, "1", "1"]
     K = E.constants
     p = positions(E)
     e12, e21, e13, e23, h1, h2 = (p[n] for n in ("X_{12}", "X_{21}", "X_{13}", "X_{23}", "H_1", "H_2"))
-    two = RatFunc(2)
+    two, third = RatFunc(2), sc("1/3")
     update = {
         "intact": {},
         "one_doubled": {(e12, e21, h1): two * K[e12, e21, h1]},
@@ -213,8 +226,12 @@ def test_corrupted_sl3_table_reports_each_classical_flag(corruption, flags, expl
         "root_action_doubled": {(e12, h1, e12): two * K[e12, h1, e12],
                                 (h1, e12, e12): two * K[h1, e12, e12]},
         "table_doubled": {k: two * v for k, v in K.items()},
+        "one_plus_third": {(e12, e21, h1): K[e12, e21, h1] + third},
+        "pair_plus_third": {(e12, e21, h1): K[e12, e21, h1] + third,
+                            (e21, e12, h1): K[e21, e12, h1] - third},
+        "table_thirded": {k: third * v for k, v in K.items()},
     }[corruption]
-    rep = check_classical_limit(with_constants(E, update))
+    rep = classical_report(with_constants(E, update))
     assert rep == {**CLASSICAL_OK, "kappa": "2", **flags}
 
 
@@ -223,8 +240,8 @@ def test_cartan_action_off_the_root_clears_kappa(explicit_grid):
     E = explicit_grid[4, "1", "1"]
     p = positions(E)
     e14, h2 = p["X_{14}"], p["H_2"]
-    rep = check_classical_limit(with_constants(E, {(h2, e14, e14): RatFunc(1),
-                                                   (e14, h2, e14): RatFunc(-1)}))
+    rep = classical_report(with_constants(E, {(h2, e14, e14): RatFunc(1),
+                                              (e14, h2, e14): RatFunc(-1)}))
     assert rep == {**CLASSICAL_OK, **FAILED, "jacobi": False, "kappa": None,
                    "roots_classical": False}
 
@@ -232,7 +249,7 @@ def test_cartan_action_off_the_root_clears_kappa(explicit_grid):
 def test_pole_at_one_stops_the_classical_limit(explicit_grid):
     E = explicit_grid[3, "1", "1"]
     key = min(E.constants)
-    rep = check_classical_limit(with_constants(E, {key: E.constants[key] / (sc("q") - 1)}))
+    rep = classical_report(with_constants(E, {key: E.constants[key] / (sc("q") - 1)}))
     assert rep == {"regular_at_one": False, "all": False}
 
 
@@ -258,7 +275,7 @@ def test_corrupted_generic_table_reports_each_classical_flag(name, normalize, co
         "root_action_doubled": lambda k: k in ((h, x, x), (x, h, x)),
         "table_doubled": lambda k: True,
     }[corruption]
-    rep = check_classical_limit(with_constants(A, {k: two * v for k, v in K.items() if picked(k)}))
+    rep = classical_report(with_constants(A, {k: two * v for k, v in K.items() if picked(k)}))
     assert rep == {**CLASSICAL_OK, **flags}
 
 
@@ -328,7 +345,7 @@ def test_explicit_higher_rank_normalization_needs_a_square_root(n, explicit_grid
 
 
 def test_normalized_rank_one_matches_the_normalized_classical_oracle(generics):
-    rep = check_classical_limit(canonical_normalize(generics["A1"]))
+    rep = classical_report(canonical_normalize(generics["A1"]))
     assert rep["oracle_match"] is True and rep["all"] is True
 
 
