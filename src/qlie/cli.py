@@ -34,7 +34,6 @@ from .qring import (DenominatorVanishes, RatFunc, parse_scalar)
 from .rootdata import CartanDatum, VerificationFailed, build_cartan
 from .repbuild import DEFAULT_DIM_BUDGET, BudgetExceeded
 from .tensorcg import ClassicallyZero, EmptySpace
-from .monodromy import ObstructionDetected
 from .qliealg import (
     BasisLabel,
     GaugeObstruction,
@@ -389,8 +388,8 @@ def main(argv=None) -> int:
     except InvalidParams as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GaugeObstruction, ClassicallyZero, EmptySpace, ObstructionDetected,
-            DenominatorVanishes, BudgetExceeded, VerificationFailed) as exc:
+    except (GaugeObstruction, ClassicallyZero, EmptySpace, DenominatorVanishes,
+            BudgetExceeded, VerificationFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:

@@ -19,7 +19,10 @@ from .qring import RatFunc, RF_ONE, RF_ZERO, _ONE, _integral, _zexact, _zgcd, _z
 # ---------------------------------------------------------------------------
 
 def frac_rref(mat):
-    """Row-reduce a list-of-lists of Fractions in place; returns pivot columns."""
+    """Row-reduce a list-of-lists of Fractions in place; returns pivot columns.
+    A row operation touches only the columns where the pivot row is nonzero,
+    and every changed row is a new list, so no row list the caller passed in
+    is mutated."""
     rows = len(mat)
     cols = len(mat[0]) if rows else 0
     pivots = []
@@ -31,10 +34,14 @@ def frac_rref(mat):
         mat[r], mat[pr] = mat[pr], mat[r]
         inv = 1 / mat[r][c]
         mat[r] = [x * inv for x in mat[r]]
+        support = [(k, x) for k, x in enumerate(mat[r]) if x != 0]
         for i in range(rows):
             if i != r and mat[i][c] != 0:
                 f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+                row = list(mat[i])
+                for k, x in support:
+                    row[k] -= f * x
+                mat[i] = row
         pivots.append(c)
         r += 1
         if r == rows:

@@ -37,19 +37,31 @@ are produced by invert_cg: given the embedding beta built from a
 highest-weight vector of weight theta inside V (x) V, the bracket B is
 the unique module map V (x) V -> V with B o beta = id that kills the
 submodules generated by the remaining theta-highest-weight vectors.  It
-is computed from adjoints of the embeddings with respect to the
-contravariant forms, which keeps the linear algebra on the (at most
-two-dimensional) multiplicity space.  The contravariant form of V is the
-one sparse block-diagonal matrix S of repbuild.contravariant_form: the
-generating vectors are paired with S (x) S once, which gives every
-product form u^T (S (x) S) w among them, and the adjoint of an embedding
-beta is S^-1 beta^T (S (x) S).
+is B = S^-1 beta_w^T (S (x) S), beta_w the embedding generated by a
+combination w = sum_k x_k u_k of the generating vectors, with S the
+contravariant form of V: the one sparse block-diagonal matrix of
+repbuild.contravariant_form.  The generating vectors are paired with
+S (x) S once, which gives every product form u_j^T (S (x) S) u_k among them,
+hence x on the (at most two-dimensional) multiplicity space, and the top
+row w^T (S (x) S) of beta_w^T (S (x) S).  The other rows are raised from it
+along V's labels: row a of beta_w^T (S (x) S) is
+(Delta(F_{i_1}) beta_w(e_parent))^T (S (x) S) = r_parent Delta(E_{i_1}), because
 
-invert_cg checks B exactly: in full, that it is a module map; on generating
-vectors, B(v0) = e_0 and B(u) = 0 for each complement vector u.  That
-suffices: column a of an embedding is Delta(F_i) of the column of a's parent
-(lowered_table) and F_i maps V's parent basis vector to e_a (also checked),
-so B o beta_u (e_a) = F_{i_1} ... F_{i_k} B(u) by induction along the labels.
+    (S (x) S) Delta(E_i) = Delta(F_i)^T (S (x) S).
+
+That identity holds because S E_i = F_i^T S, which repbuild.verify_module
+checks as "contravariant_adjoint", and because K_i is diagonal while S is
+block diagonal by weight, so S commutes with K_i.  No column of beta_w is
+lowered and paired on its own, and S^-1 is applied one weight block at a
+time.
+
+invert_cg checks B exactly, independently of how B was built: in full, that
+it is a module map; on generating vectors, B(v0) = e_0 and B(u) = 0 for each
+complement vector u.  That suffices: column a of an embedding is Delta(F_i)
+of the column of a's parent (lowered_table) and F_i maps V's parent basis
+vector to e_a (also checked), so B o beta_u (e_a) = F_{i_1} ... F_{i_k} B(u)
+by induction along the labels.  A wrong raising step or a wrong S^-1 block
+therefore shows up as a failed check, whether or not S E_i = F_i^T S holds.
 """
 
 from __future__ import annotations
@@ -300,14 +312,38 @@ def _paired_with_form(V: IrrepModule, vecs: list) -> list:
     return out
 
 
-def _adjoint_of_embedding(V: IrrepModule, table: list) -> dict:
-    """beta^dagger = S^-1 beta^T (S (x) S) for the contravariant form S of
-    V; S^-1 is applied one weight block at a time, and only on blocks that
-    beta^T (S (x) S) reaches.
+def _bracket_from_covector(V: IrrepModule, top: dict) -> dict:
+    """B = S^-1 R for the contravariant form S of V, where row a of R is
+    beta_w(e_a)^T (S (x) S) for the embedding beta_w generated by a vector w
+    with w^T (S (x) S) = top.  Row 0 is top; every other row is raised from
+    its parent's, r_a = r_parent Delta(E_{i_1}) for the label (i_1, ...) of a,
+    because (S (x) S) Delta(E_i) = Delta(F_i)^T (S (x) S).  Delta(E_i) =
+    E_i (x) K^-1 + K (x) E_i acts on a row through the rows of V.E[i], each
+    entry stored once per power of v it meets.  S^-1 is applied one weight
+    block at a time, and only on blocks that R reaches.
 
     Returns a sparse matrix {(module_row, product_col): RatFunc}."""
-    rows = _paired_with_form(V, table)
-    out = {}
+    d = V.dim
+    ops = {}
+    for i, mat in V.E.items():
+        erows = {}
+        for (r, c), x in mat.items():
+            erows.setdefault(r, []).append((c, x))
+        ops[i] = {k: {r: [(c, x * rf_vpow(k)) for c, x in row] for r, row in erows.items()}
+                  for k in {s * k for k in V.kexp[i] for s in (1, -1)}}
+    index = {lab: a for a, lab in enumerate(V.labels)}
+    rows = [top]
+    for lab in V.labels[1:]:
+        op, k = ops[lab[0]], V.kexp[lab[0]]
+        out = {}
+        for p, x in rows[index[lab[1:]]].items():
+            a, b = divmod(p, d)
+            for c, y in op[-k[b]].get(a, ()):
+                sp_add_to(out, c * d + b, x * y)
+            for e, y in op[k[a]].get(b, ()):
+                sp_add_to(out, a * d + e, x * y)
+        rows.append(out)
+    bmat = {}
     for w, vw in V.weight_basis.items():
         if not any(rows[a] for a in vw):
             continue
@@ -319,8 +355,8 @@ def _adjoint_of_embedding(V: IrrepModule, table: list) -> dict:
                     for p, x in rows[b].items():
                         sp_add_to(acc, p, g * x)
             for p, x in acc.items():
-                out[(a, p)] = x
-    return out
+                bmat[(a, p)] = x
+    return bmat
 
 
 def bracket_matrix(dim: int, constants: dict) -> dict:
@@ -337,25 +373,33 @@ def invert_cg(V: IrrepModule, T: TensorProduct, table: list, others: list) -> di
     with B o beta = id, beta the embedding `table` into T = V (x) V, and
     B = 0 on the submodules generated by `others`.
 
-    Checked exactly before returning: in full, that B is a module map; on
-    generators, B(v0) = e_0 and B(u) = 0 for u in `others`.  With the checked
-    lowering of V's basis these give B o beta = id (K_a^{bc} f_bc^d =
-    delta_a^d) and B = 0 on the complements, by the module docstring's induction.
+    Only table[0] = v0 is read.  The generating vectors [v0, *others] are
+    paired with S (x) S once; the pair matrix gives the weights x_k of the
+    combination w = sum_k x_k u_k with B = S^-1 beta_w^T (S (x) S), and the
+    pairings give its top row, from which _bracket_from_covector raises the
+    others (see the module docstring).
+
+    Checked exactly before returning: V's F maps each basis vector's parent
+    to it; B(v0) = e_0 and B(u) = 0 for u in `others`; and B is a module map
+    in full.  With the lowering of V's basis these give B o beta = id
+    (K_a^{bc} f_bc^d = delta_a^d) and B = 0 on the complements, by the module
+    docstring's induction.
     """
     us = [table[0], *others]
-    tables = [table] + [cg_embedding(T, u) for u in others]
+    paired = _paired_with_form(V, us)
     # the product form u_j^T (S (x) S) u_k on the generating vectors
     pair = [[sum((su[p] * y for p, y in u.items() if p in su), RF_ZERO) for u in us]
-            for su in _paired_with_form(V, us)]
+            for su in paired]
     try:
         x = rf_solve(pair, [RF_ONE] + [RF_ZERO] * len(others))
     except ZeroDivisionError as exc:
         raise SingularSystem(str(exc)) from exc
-    bmat = {}
-    for xk, tab in zip(x, tables):
-        if not xk.is_zero():
-            for key, val in _adjoint_of_embedding(V, tab).items():
-                sp_add_to(bmat, key, xk * val)
+    # w^T (S (x) S) for w = sum_k x_k u_k
+    top = {}
+    for xk, su in zip(x, paired):
+        for p, y in su.items():
+            sp_add_to(top, p, xk * y)
+    bmat = _bracket_from_covector(V, top)
 
     # exact checks: V's monomial basis, B on the generating vectors, then B
     # as a module map in full; the module docstring says why these suffice

@@ -2,9 +2,10 @@
 as plain {exponent: Fraction} dicts with their own sum, product and exact
 evaluation, the exact value of a scalar at v = 1, the h-derivative by the
 quotient rule, the classical split Casimir of the rank-one algebra, the
-full decomposition of a tensor product by peeling its character, and the
-Fraction forms of two v = 1 checks: the intertwining check with stored
-coproduct matrices and the Jacobi sum.
+full decomposition of a tensor product by peeling its character, the
+Fraction forms of two v = 1 checks (the intertwining check with stored
+coproduct matrices and the Jacobi sum), and the inverse Clebsch-Gordan
+coefficients built from whole adjoints of the lowered embeddings.
 
 The dict arithmetic shares no code with the integer kernel of ``qring``:
 values built here enter ``RatFunc`` only through ``rf``, that is through
@@ -16,9 +17,12 @@ from functools import lru_cache
 from operator import add
 
 from qlie.classical import ClassicalModule
-from qlie.qring import LaurentPoly, RatFunc, _fr
+from qlie.linalg import rf_inverse, rf_solve, sp_matmul, sp_transpose
+from qlie.qring import RF_ONE, RF_ZERO, LaurentPoly, RatFunc, _fr
+from qlie.repbuild import contravariant_form
 from qlie.rootdata import (CartanDatum, VerificationFailed, _check_dominant, is_dominant,
                            root_system, weight_multiplicities, weyl_dim)
+from qlie.tensorcg import lowered_table
 
 
 def mono(k, c=1):
@@ -224,3 +228,34 @@ def tensor_decompose(cd: CartanDatum, mu: tuple, nu: tuple):
     if sum(m * weyl_dim(cd, w) for w, m in out.items()) != weyl_dim(cd, mu) * weyl_dim(cd, nu):
         raise VerificationFailed(f"V{mu} (x) V{nu}: component dimensions do not add up")
     return out
+
+
+def form_square(V) -> dict:
+    """S (x) S over product indices a*dim+b, S the contravariant form of V."""
+    d = V.dim
+    S = contravariant_form(V)
+    return {(a * d + b, c * d + e): x * y for (a, c), x in S.items() for (b, e), y in S.items()}
+
+
+def reference_invert_cg(V, T, table, others) -> dict:
+    """The constants {(a, b, c): f} of invert_cg by whole matrices:
+    B = sum_k x_k S^-1 beta_k^T (S (x) S), beta_k the full lowered table of
+    the k-th generating vector u_k in [table[0], *others], S the contravariant
+    form of V, and x the solution of sum_k u_j^T (S (x) S) u_k x_k = delta_j0."""
+    d = V.dim
+    SS = form_square(V)
+    sinv = {}
+    for w, vw in V.weight_basis.items():
+        for a, row in zip(vw, rf_inverse(V.gram[w])):
+            sinv.update({(a, b): g for b, g in zip(vw, row) if g})
+    us = [table[0], *others]
+    pair = [[sum((uj[p] * x * uk[q] for (p, q), x in SS.items() if p in uj and q in uk), RF_ZERO)
+             for uk in us] for uj in us]
+    x = rf_solve(pair, [RF_ONE] + [RF_ZERO] * len(others))
+    out = {}
+    for xk, u in zip(x, us):
+        beta = {(p, a): y for a, col in enumerate(lowered_table(T, V, u)) for p, y in col.items()}
+        for (c, p), y in sp_matmul(sinv, sp_matmul(sp_transpose(beta), SS)).items():
+            a, b = divmod(p, d)
+            out[a, b, c] = out.get((a, b, c), RF_ZERO) + xk * y
+    return {key: y for key, y in out.items() if y}

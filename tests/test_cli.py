@@ -331,15 +331,15 @@ def test_unwritable_output_file_is_a_usage_error(tmp_path, capsys):
 
 
 def test_failed_self_check_is_a_computation_failure(monkeypatch, capsys):
-    true_adjoint = tensorcg._adjoint_of_embedding
+    true_bracket = tensorcg._bracket_from_covector
 
-    def corrupted(V, table):
-        dag = true_adjoint(V, table)
-        key = min(dag)
-        dag[key] = -dag[key]
-        return dag
+    def corrupted(V, top):
+        bmat = true_bracket(V, top)
+        key = min(bmat)
+        bmat[key] = -bmat[key]
+        return bmat
 
-    monkeypatch.setattr(tensorcg, "_adjoint_of_embedding", corrupted)
+    monkeypatch.setattr(tensorcg, "_bracket_from_covector", corrupted)
     code = main(["build", "--algebra", "A1"])
     err = capsys.readouterr().err
     assert code == 1

@@ -14,7 +14,7 @@ import pytest
 
 import qlie
 from qlie import monodromy, qliealg, tensorcg
-from qlie.linalg import rf_rank, sp_eq, sp_matmul, sp_matvec
+from qlie.linalg import rf_rank, sp_eq, sp_matmul, sp_matvec, sp_transpose
 from qlie.monodromy import monodromy_on_tensor, verify_ad_submodule
 from qlie.qliealg import (build_generic, build_sln_explicit, check_ad_invariance,
                           check_ad_invariance_explicit, generic_pipeline)
@@ -37,6 +37,7 @@ from qlie.tensorcg import (
 )
 
 from conftest import CORE, load_golden, name_to_cartan
+from oracles import form_square, reference_invert_cg
 
 
 @pytest.fixture(scope="module")
@@ -218,7 +219,8 @@ def test_inversion_left_inverts_the_embedding(pipelines):
 
 
 def test_inversion_pairs_its_generating_vectors_once(monkeypatch, pipelines):
-    # one pairing gives the whole pair matrix; the others are the adjoints
+    # one pairing gives the whole pair matrix and the top row of B; the other
+    # rows are raised from it
     pipe = pipelines["A2"]
     calls = []
     true_paired = tensorcg._paired_with_form
@@ -229,8 +231,24 @@ def test_inversion_pairs_its_generating_vectors_once(monkeypatch, pipelines):
 
     monkeypatch.setattr(tensorcg, "_paired_with_form", recorded)
     assert invert_cg(pipe.module, pipe.tensor, pipe.embedding, pipe.others) == pipe.constants
-    assert calls[0] == [pipe.embedding[0], *pipe.others]
-    assert len(calls) == 3 and all(len(vecs) == pipe.module.dim for vecs in calls[1:])
+    assert calls == [[pipe.embedding[0], *pipe.others]]
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2"])
+def test_inversion_matches_the_whole_adjoint_construction(name, pipelines):
+    pipe = pipelines[name] if name in pipelines else generic_pipeline(name_to_cartan(name))
+    assert pipe.constants == reference_invert_cg(pipe.module, pipe.tensor, pipe.embedding,
+                                                 pipe.others)
+
+
+@pytest.mark.parametrize("name,lam", [("A2", None), ("B2", None), ("G2", None), ("G2", (1, 0))])
+def test_form_square_turns_raising_into_transposed_lowering(name, lam):
+    # (S (x) S) Delta(E_i) = Delta(F_i)^T (S (x) S), which invert_cg raises rows by
+    cd = name_to_cartan(name)
+    T = tensor_square(adjoint_module(cd) if lam is None else build_irrep(cd, lam))
+    SS = form_square(T.left)
+    for i in T.dE:
+        assert sp_eq(sp_matmul(SS, T.dE[i]), sp_matmul(sp_transpose(T.dF[i]), SS))
 
 
 def test_duplicate_complement_members_are_singular(pipelines):
@@ -295,22 +313,22 @@ def test_embedding_json_friendly(pipelines):
 
 
 def test_inversion_checks_raise_under_python_O():
-    """One negated entry of the embedding's adjoint must be caught by the
+    """One negated entry of the bracket matrix must be caught by the
     re-verification in invert_cg, with asserts compiled out."""
     script = textwrap.dedent("""
         import sys
         from qlie import qliealg, rootdata, tensorcg
         if __debug__:
             sys.exit("asserts are active")
-        true_adjoint = tensorcg._adjoint_of_embedding
+        true_bracket = tensorcg._bracket_from_covector
 
-        def corrupted(V, table):
-            dag = true_adjoint(V, table)
-            key = min(dag)
-            dag[key] = -dag[key]
-            return dag
+        def corrupted(V, top):
+            bmat = true_bracket(V, top)
+            key = min(bmat)
+            bmat[key] = -bmat[key]
+            return bmat
 
-        tensorcg._adjoint_of_embedding = corrupted
+        tensorcg._bracket_from_covector = corrupted
         try:
             qliealg.generic_pipeline(rootdata.build_cartan("A", 2))
         except rootdata.VerificationFailed as exc:
