@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .rootdata import VerificationFailed, CartanDatum, highest_root, weyl_dim
-from .linalg import frac_rref, frac_solve, frac_inverse, frac_nullspace
+from .linalg import inverse, nullspace, rref, solve
 
 
 class ClassicalModule:
@@ -92,7 +92,7 @@ def build_classical_module(cd: CartanDatum, lam, budget_dim: int = 64) -> Classi
                     for d, coeff in eact[col][i].items():
                         acc += coeff * g[la][block.index(d)]
                     pair[row][col] = acc
-            pivots = frac_rref([list(r) for r in pair])
+            pivots = rref([list(r) for r in pair])
             if not pivots:
                 continue
             base = len(labels)
@@ -117,7 +117,7 @@ def build_classical_module(cd: CartanDatum, lam, budget_dim: int = 64) -> Classi
                 rhs = [pair[p][col] for p in pivots]
                 if all(x == 0 for x in rhs):
                     continue
-                coords = frac_solve([list(r) for r in gblock], rhs)
+                coords = solve(gblock, rhs)
                 for p, x in enumerate(coords):
                     if x:
                         F[j][(idxs[p], b)] = x
@@ -214,7 +214,7 @@ def classical_bracket(cd: CartanDatum, budget_dim: int = 64):
         images = [_apply_coproduct(e_cols, {p: 1}, d) for p in block]
         for q in sorted(set().union(*images)):
             rows.append([img.get(q, Fraction(0)) for img in images])
-    kern = frac_nullspace(rows, len(block))
+    kern = nullspace(rows, len(block), Fraction(1))
     if not kern:
         raise VerificationFailed("no classical highest-weight vector at the highest root")
 
@@ -278,7 +278,7 @@ def classical_bracket(cd: CartanDatum, budget_dim: int = 64):
     m = len(us)
     P = [[sum((y * us[k].get(p, 0) for p, y in paired(us[j]).items()), Fraction(0))
           for k in range(m)] for j in range(m)]
-    x = frac_solve(P, [Fraction(1)] + [Fraction(0)] * (m - 1))
+    x = solve(P, [Fraction(1)] + [Fraction(0)] * (m - 1))
 
     # B = sum_k x_k S^{-1} beta_k^T (S (x) S), with S^{-1} applied per weight block
     bmat = {}
@@ -287,7 +287,7 @@ def classical_bracket(cd: CartanDatum, budget_dim: int = 64):
             continue
         rows = [paired(col) for col in tables[k]]
         for w, vw in V.weight_basis.items():
-            for a, ginv in zip(vw, frac_inverse(V.gram[w])):
+            for a, ginv in zip(vw, inverse(V.gram[w])):
                 for a1, gi in zip(vw, ginv):
                     for p, y in rows[a1].items():
                         bmat[a, p] = bmat.get((a, p), Fraction(0)) + x[k] * gi * y

@@ -29,6 +29,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import contextmanager
 
 from .qring import (DenominatorVanishes, RatFunc, parse_scalar)
 from .rootdata import CartanDatum, VerificationFailed, build_cartan
@@ -137,12 +138,21 @@ def _parse_label(name: str, n: int) -> BasisLabel:
         return BasisLabel("X", root=tuple(int(x) for x in name[4:-2].split(",")))
     if name.startswith("X_{") and name.endswith("}"):
         body = name[3:-1]
-        if "," in body:
-            i, j = (int(x) for x in body.split(","))
-        else:
-            i, j = int(body[0]), int(body[1])
+        i, j = (int(x) for x in (body.split(",") if "," in body else body))
         return BasisLabel("X", root=_sln_root(n, i, j), ij=(i, j))
     raise InvalidParams(f"cannot parse basis label {name!r}")
+
+
+@contextmanager
+def _naming(ln: str):
+    """Raise a ValueError met while parsing the text line ln as an
+    InvalidParams that names the line."""
+    try:
+        yield
+    except InvalidParams:
+        raise
+    except ValueError as exc:
+        raise InvalidParams(f"cannot parse line {ln!r}: {exc}") from exc
 
 
 def parse_text_algebra(text: str) -> QuantumLieAlgebra:
@@ -159,15 +169,19 @@ def parse_text_algebra(text: str) -> QuantumLieAlgebra:
         elif ln.startswith("# normalized "):
             normalized = ln.split()[-1] == "yes"
         elif ln.startswith("# basis "):
-            names = ln[len("# basis "):].split(" | ")
+            basis_line, names = ln, ln[len("# basis "):].split(" | ")
         elif ln.startswith("# params "):
             m = re.fullmatch(r"# params s = (.*) ; t = (.*)", ln)
-            params = {"s": parse_scalar(m.group(1)), "t": parse_scalar(m.group(2))}
+            if not m:
+                raise InvalidParams(f"cannot parse params line {ln!r}")
+            with _naming(ln):
+                params = {"s": parse_scalar(m.group(1)), "t": parse_scalar(m.group(2))}
         elif not ln.startswith("#"):
             body.append(ln)
     if cd is None or provenance is None or names is None:
         raise InvalidParams("text table lacks its header lines")
-    basis = [_parse_label(nm, cd.rank + 1) for nm in names]
+    with _naming(basis_line):
+        basis = [_parse_label(nm, cd.rank + 1) for nm in names]
     where = {nm: a for a, nm in enumerate(names)}
     constants = {}
     for ln in body:
@@ -182,7 +196,8 @@ def parse_text_algebra(text: str) -> QuantumLieAlgebra:
                 break
         if a is None or cname not in where:
             raise InvalidParams(f"unknown basis labels in line {ln!r}")
-        constants[(a, b, where[cname])] = parse_scalar(val)
+        with _naming(ln):
+            constants[(a, b, where[cname])] = parse_scalar(val)
     return QuantumLieAlgebra(cd, basis, constants, provenance,
                              params=params, normalized=normalized)
 

@@ -1,8 +1,17 @@
 """Small exact linear algebra helpers used across the package.
 
 Matrices are plain lists of lists (dense) or dicts {(row, col): value}
-(sparse); scalars are Fraction or RatFunc.  Everything uses
-exact arithmetic -- no pivot thresholds, a pivot is any nonzero entry.
+(sparse); scalars are Fraction or RatFunc, and zero is tested by truth
+value, so every routine serves both fields.  Everything uses exact
+arithmetic -- no pivot thresholds, a pivot is any nonzero entry.
+
+`rref` is the one dense Gauss-Jordan elimination; `rank`, `solve`,
+`inverse` and `nullspace` are read off its result.  It pivots on the first
+row with a nonzero entry in the column.  The reduced row echelon form of a
+matrix over a field is unique, and both scalar types hold their values in
+a canonical form, so the pivot rule cannot change any result -- the pivot
+columns, the reduced rows, solutions, inverses and kernel bases -- only
+the cost of reaching it.
 """
 
 from __future__ import annotations
@@ -11,15 +20,17 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .qring import RatFunc, RF_ONE, RF_ZERO, _ONE, _integral, _zexact, _zgcd, _zmul
+from .qring import RatFunc, RF_ZERO, _ONE, _integral, _zexact, _zgcd, _zmul
 
 
 # ---------------------------------------------------------------------------
-# dense matrices over Fraction (classical side)
+# dense matrices: lists of rows of Fraction or RatFunc entries
 # ---------------------------------------------------------------------------
 
-def frac_rref(mat):
-    """Row-reduce a list-of-lists of Fractions in place; returns pivot columns.
+def rref(mat):
+    """Gauss-Jordan on a list of rows, in place; returns the pivot columns.
+    Each column pivots on its first nonzero entry below the rows already
+    reduced (see the module docstring for why that choice is free).
     A row operation touches only the columns where the pivot row is nonzero,
     and every changed row is a new list, so no row list the caller passed in
     is mutated."""
@@ -28,16 +39,16 @@ def frac_rref(mat):
     pivots = []
     r = 0
     for c in range(cols):
-        pr = next((i for i in range(r, rows) if mat[i][c] != 0), None)
+        pr = next((i for i in range(r, rows) if mat[i][c]), None)
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
         inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        support = [(k, x) for k, x in enumerate(mat[r]) if x != 0]
+        mat[r] = [x * inv if x else x for x in mat[r]]
+        support = [(k, x) for k, x in enumerate(mat[r]) if x]
         for i in range(rows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
+            f = mat[i][c]
+            if i != r and f:
                 row = list(mat[i])
                 for k, x in support:
                     row[k] -= f * x
@@ -49,114 +60,49 @@ def frac_rref(mat):
     return pivots
 
 
-def frac_solve(a, b):
-    """Solve a x = b over Fractions (a square, nonsingular); returns list."""
+def rank(mat):
+    """The number of pivots of mat, reduced on a copy."""
+    return len(rref([list(row) for row in mat]))
+
+
+def solve(a, b):
+    """Solve a x = b (a square, nonsingular; b a column list); returns x.
+    Raises ZeroDivisionError when a is singular."""
     n = len(a)
     aug = [list(a[i]) + [b[i]] for i in range(n)]
-    piv = frac_rref(aug)
-    if piv != list(range(n)):
-        raise ZeroDivisionError("singular classical system")
-    return [aug[i][n] for i in range(n)]
+    if rref(aug) != list(range(n)):
+        raise ZeroDivisionError("singular linear system")
+    return [row[n] for row in aug]
 
 
-def frac_inverse(a):
+def inverse(a):
+    """The inverse of a square matrix; raises ZeroDivisionError when a is
+    singular."""
     n = len(a)
-    aug = [list(a[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    piv = frac_rref(aug)
-    if piv != list(range(n)):
-        raise ZeroDivisionError("singular classical matrix")
+    if not n:
+        return []
+    one = type(a[0][0])(1)
+    zero = one - one
+    aug = [list(a[i]) + [one if i == j else zero for j in range(n)] for i in range(n)]
+    if rref(aug) != list(range(n)):
+        raise ZeroDivisionError("singular matrix")
     return [row[n:] for row in aug]
 
 
-def frac_nullspace(mat, ncols):
-    """Basis of the right kernel of a Fraction matrix (list of rows)."""
-    work = [list(row) for row in mat] if mat else []
-    pivots = frac_rref(work) if work else []
-    free = [c for c in range(ncols) if c not in pivots]
+def nullspace(mat, ncols, one):
+    """A basis of the right kernel of a list of rows with ncols columns: one
+    vector per non-pivot column, with 1 there and 0 in the other non-pivot
+    columns.  one is the field's one, since mat may have no rows."""
+    work = [list(row) for row in mat]
+    pivots = rref(work)
+    zero = one - one
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [zero] * ncols
+        vec[fc] = one
         for r, pc in enumerate(pivots):
             vec[pc] = -work[r][fc]
         basis.append(vec)
-    return basis
-
-
-# ---------------------------------------------------------------------------
-# dense matrices over RatFunc
-# ---------------------------------------------------------------------------
-
-def rf_rref(mat):
-    """Gauss-Jordan over RatFunc, in place; returns pivot columns.
-
-    Pivot choice: among nonzero candidates in the column, prefer the entry
-    whose numerator+denominator have the fewest terms (keeps growth down),
-    ties broken by row index for determinism.
-    """
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    r = 0
-    pivots = []
-    for c in range(cols):
-        cands = [(mat[i][c].term_count(), i)
-                 for i in range(r, rows) if not mat[i][c].is_zero()]
-        if not cands:
-            continue
-        _, pr = min(cands)
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = mat[r][c].inverse()
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(rows):
-            if i != r and not mat[i][c].is_zero():
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return pivots
-
-
-def rf_rank(mat):
-    if not mat:
-        return 0
-    work = [list(row) for row in mat]
-    return len(rf_rref(work))
-
-
-def rf_solve(a, b):
-    """Solve a x = b (a square nonsingular over RatFunc); b a column list."""
-    n = len(a)
-    aug = [list(a[i]) + [b[i]] for i in range(n)]
-    piv = rf_rref(aug)
-    if piv != list(range(n)):
-        raise ZeroDivisionError("singular system over Q(v)")
-    return [aug[i][n] for i in range(n)]
-
-
-def rf_inverse(a):
-    n = len(a)
-    aug = [list(a[i]) + [RF_ONE if i == j else RF_ZERO for j in range(n)] for i in range(n)]
-    piv = rf_rref(aug)
-    if piv != list(range(n)):
-        raise ZeroDivisionError("singular matrix over Q(v)")
-    return [row[n:] for row in aug]
-
-
-def rf_nullspace(mat, ncols):
-    """Right-kernel basis over RatFunc; each vector has denominators cleared
-    (entries are RatFunc but polynomial)."""
-    work = [list(row) for row in mat] if mat else []
-    pivots = rf_rref(work) if work else []
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [RF_ZERO] * ncols
-        vec[fc] = RF_ONE
-        for r, pc in enumerate(pivots):
-            vec[pc] = -work[r][fc]
-        basis.append(clear_denominators(vec))
     return basis
 
 

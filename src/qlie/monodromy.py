@@ -65,7 +65,7 @@ from fractions import Fraction
 from .qring import RF_ONE, RF_ZERO, h_derivative_at_zero, rf_vpow
 from .rootdata import CartanDatum, bilinear, highest_root, is_dominant, tensor_multiplicity
 from .repbuild import IrrepModule, adjoint_module, build_irrep
-from .linalg import rf_rank, rf_rref, sp_add_to, sp_sub
+from .linalg import rank, rref, sp_add_to, sp_sub
 from .tensorcg import highest_weight_space, lowered_table, module_map_defects, tensor_product
 
 
@@ -174,7 +174,7 @@ def monodromy_on_tensor(V: IrrepModule, W: IrrepModule) -> Monodromy:
             col = [vec.get(p, RF_ZERO) for p in block]
             ev = rf_vpow(int_exp[lam])
             aug.append(col + [x * ev for x in col])
-        if rf_rref(aug) != list(range(n)):
+        if rref(aug) != list(range(n)):
             raise ObstructionDetected(f"singular isotypic basis at weight {w}")
         for r in range(n):
             for c in range(n):
@@ -267,4 +267,4 @@ def verify_ad_submodule(M: Monodromy, V: IrrepModule, W: IrrepModule) -> dict:
     failed = {d[0] for d in module_map_defects(family, adj, tensor_product(W, dual_data(W)))}
     ok = {"ad_e": "E" not in failed, "ad_f": "F" not in failed, "ad_k": "K" not in failed}
     flat = [[A.get(kl, RF_ZERO) for kl in range(dw * dw)] for A in As]
-    return {**ok, "span_dim": rf_rank(flat), "all": all(ok.values())}
+    return {**ok, "span_dim": rank(flat), "all": all(ok.values())}

@@ -50,7 +50,7 @@ from .tensorcg import (
     bracket_matrix,
     ClassicallyZero,
 )
-from .linalg import frac_inverse, rf_rref, rf_inverse, sp_add, sp_add_to, sp_eq
+from .linalg import inverse, rref, sp_add, sp_add_to, sp_eq
 from .classical import classical_bracket, classical_sln_table, integral_multiple
 
 
@@ -462,7 +462,7 @@ def build_generic(cd: CartanDatum, budget_dim: int = DEFAULT_DIM_BUDGET,
 # canonical normalization
 # ---------------------------------------------------------------------------
 
-def _gauge_rebase(constants, cd, weights, two, inverse, sqrt):
+def _gauge_rebase(constants, cd, weights, two, sqrt):
     """The canonical normalization of a graded table whose basis vector a
     has weight weights[a]: the Cartan is rebased to
     H'_i = sum_k G[i][k] H_k, where G[i] is the Cartan part of
@@ -470,8 +470,8 @@ def _gauge_rebase(constants, cd, weights, two, inverse, sqrt):
     m^(1 + #Cartan inputs - #Cartan outputs) with m^2 = two / (g . l), so
     only root-root-to-root constants need m itself.
 
-    Works over RatFunc or Fraction entries: two, inverse and sqrt (exact
-    square root or None) are those of the scalar type.
+    Works over RatFunc or Fraction entries: two and sqrt (exact square
+    root or None) are those of the scalar type.
     """
     n = cd.rank
     origin = (0,) * n
@@ -526,7 +526,7 @@ def canonical_normalize(A: QuantumLieAlgebra) -> QuantumLieAlgebra:
         raise GaugeObstruction("table is not graded")
     two = RatFunc(2) * _qpow(A.cd.d[0])
     weights = [A.grade(a) for a in range(A.dim)]
-    new_constants = _gauge_rebase(A.constants, A.cd, weights, two, rf_inverse, rf_sqrt)
+    new_constants = _gauge_rebase(A.constants, A.cd, weights, two, rf_sqrt)
     basis = []
     h_seen = 0
     for lab in A.basis:
@@ -695,8 +695,7 @@ def check_classical_limit(A: QuantumLieAlgebra, budget_dim: int = DEFAULT_DIM_BU
         if A.normalized:
             weights = [A.grade(a) for a in range(dim)]
             try:
-                f0 = _gauge_rebase(f0, A.cd, weights, Fraction(2), frac_inverse,
-                                   _fraction_sqrt)
+                f0 = _gauge_rebase(f0, A.cd, weights, Fraction(2), _fraction_sqrt)
             except GaugeObstruction:
                 f0 = None
         oracle = f0
@@ -750,7 +749,7 @@ def transport_explicit_constants(A: QuantumLieAlgebra, phi: dict,
     for g, col in phi.items():
         for e, x in col.items():
             P[e][g] = x
-    Pinv = rf_inverse(P)
+    Pinv = inverse(P)
     inv = [{g: Pinv[g][e] for g in range(dim) if Pinv[g][e]} for e in range(dim)]
     return change_basis(E.constants, phi, inv)
 
@@ -787,7 +786,7 @@ def _solve_consistent(rows, rhs, ncols):
     if not rows:
         return [RF_ZERO] * ncols
     aug = [list(r) + [y] for r, y in zip(rows, rhs)]
-    piv = rf_rref(aug)
+    piv = rref(aug)
     if ncols in piv:
         return None
     sol = [RF_ZERO] * ncols
@@ -889,7 +888,7 @@ def compare_to_explicit(A: QuantumLieAlgebra, s=None, t=None,
     report["cartan_map"] = [[str(x) for x in row] for row in C]
 
     try:
-        rf_inverse([list(r) for r in C])
+        inverse(C)
     except ZeroDivisionError:
         report["mismatches"].append("Cartan change of basis is singular")
         return report

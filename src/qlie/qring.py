@@ -436,11 +436,6 @@ class RatFunc:
     def is_polynomial(self) -> bool:
         return self.d == _ONE
 
-    def term_count(self) -> int:
-        """Number of nonzero terms in numerator and denominator."""
-        n, d = self.n, self.d
-        return len(n) - n.count(0) + len(d) - d.count(0)
-
     def __eq__(self, other):
         other = _coerce_rf(other)
         if other is NotImplemented:

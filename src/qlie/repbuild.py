@@ -34,7 +34,7 @@ from .rootdata import (
     weyl_dim,
     highest_root,
 )
-from .linalg import frac_rref, rf_solve, sp_add_to, sp_matmul, sp_eq, sp_sub, sp_transpose
+from .linalg import rref, solve, sp_add_to, sp_matmul, sp_eq, sp_sub, sp_transpose
 
 DEFAULT_DIM_BUDGET = 64
 
@@ -153,7 +153,7 @@ def build_irrep(cd: CartanDatum, lam, budget_dim: int = DEFAULT_DIM_BUDGET) -> I
                     pair[row][col] = acc
             # pivot columns on the classical specialization
             classical = [[x.eval_at_one() for x in row] for row in pair]
-            pivots = frac_rref([list(r) for r in classical])
+            pivots = rref([list(r) for r in classical])
             if not pivots:
                 continue
             base = len(labels)
@@ -180,7 +180,7 @@ def build_irrep(cd: CartanDatum, lam, budget_dim: int = DEFAULT_DIM_BUDGET) -> I
                 rhs = [pair[p][col] for p in pivots]
                 if all(x.is_zero() for x in rhs):
                     continue  # candidate is zero in the quotient
-                coords = rf_solve(gblock, rhs)
+                coords = solve(gblock, rhs)
                 for p, x in enumerate(coords):
                     if not x.is_zero():
                         F[j][(idxs[p], b)] = x

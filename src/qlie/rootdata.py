@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import gcd
 from operator import add, floordiv, mul, sub
 
-from .linalg import frac_inverse
+from .linalg import inverse
 
 
 class InvalidType(ValueError):
@@ -192,7 +192,7 @@ def _weight_gram(cd: CartanDatum):
     """Gram matrix of the fundamental weights: (omega_i, omega_j) = (A^-T D)_ij."""
     n = cd.rank
     a = [[Fraction(cd.cartan[i][j]) for j in range(n)] for i in range(n)]
-    ainv = frac_inverse(a)
+    ainv = inverse(a)
     g = [[ainv[j][i] * cd.d[j] for j in range(n)] for i in range(n)]
     if any(g[i][j] != g[j][i] for i in range(n) for j in range(n)):
         raise VerificationFailed(f"{cd.series}{n}: weight Gram matrix is not symmetric")

@@ -72,8 +72,8 @@ from fractions import Fraction
 from .qring import RatFunc, RF_ONE, RF_ZERO, rf_vpow
 from .rootdata import VerificationFailed, tensor_multiplicity, is_dominant
 from .repbuild import IrrepModule, contravariant_form
-from .linalg import (rf_nullspace, rf_solve, rf_inverse, sp_add_to, sp_int_eval, sp_int_form,
-                     sp_int_matmul, sp_matvec)
+from .linalg import (clear_denominators, inverse, nullspace, solve, sp_add_to, sp_int_eval,
+                     sp_int_form, sp_int_matmul, sp_matvec)
 
 
 class EmptySpace(ValueError):
@@ -186,8 +186,8 @@ def highest_weight_space(T: TensorProduct, w) -> list:
             row = [T.dE[i].get((q, p), RF_ZERO) for p in block]
             if any(row):
                 rows.append(row)
-    basis = [rescale_at_one({p: x for p, x in zip(block, vec) if x})
-             for vec in rf_nullspace(rows, len(block))]
+    basis = [rescale_at_one({p: x for p, x in zip(block, clear_denominators(vec)) if x})
+             for vec in nullspace(rows, len(block), RF_ONE)]
     if is_dominant(w):
         mult = tensor_multiplicity(cd, T.left.highest_weight, T.right.highest_weight, w)
         if len(basis) != mult:
@@ -347,7 +347,7 @@ def _bracket_from_covector(V: IrrepModule, top: dict) -> dict:
     for w, vw in V.weight_basis.items():
         if not any(rows[a] for a in vw):
             continue
-        ginv = rf_inverse(V.gram[w])
+        ginv = inverse(V.gram[w])
         for li, a in enumerate(vw):
             acc = {}
             for g, b in zip(ginv[li], vw):
@@ -391,7 +391,7 @@ def invert_cg(V: IrrepModule, T: TensorProduct, table: list, others: list) -> di
     pair = [[sum((su[p] * y for p, y in u.items() if p in su), RF_ZERO) for u in us]
             for su in paired]
     try:
-        x = rf_solve(pair, [RF_ONE] + [RF_ZERO] * len(others))
+        x = solve(pair, [RF_ONE] + [RF_ZERO] * len(others))
     except ZeroDivisionError as exc:
         raise SingularSystem(str(exc)) from exc
     # w^T (S (x) S) for w = sum_k x_k u_k

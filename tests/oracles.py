@@ -5,7 +5,8 @@ quotient rule, the classical split Casimir of the rank-one algebra, the
 full decomposition of a tensor product by peeling its character, the
 Fraction forms of two v = 1 checks (the intertwining check with stored
 coproduct matrices and the Jacobi sum), and the inverse Clebsch-Gordan
-coefficients built from whole adjoints of the lowered embeddings.
+coefficients built from whole adjoints of the lowered embeddings, and a
+textbook Gauss-Jordan elimination with the routines read off it.
 
 The dict arithmetic shares no code with the integer kernel of ``qring``:
 values built here enter ``RatFunc`` only through ``rf``, that is through
@@ -17,7 +18,7 @@ from functools import lru_cache
 from operator import add
 
 from qlie.classical import ClassicalModule
-from qlie.linalg import rf_inverse, rf_solve, sp_matmul, sp_transpose
+from qlie.linalg import inverse, solve, sp_matmul, sp_transpose
 from qlie.qring import RF_ONE, RF_ZERO, LaurentPoly, RatFunc, _fr
 from qlie.repbuild import contravariant_form
 from qlie.rootdata import (CartanDatum, VerificationFailed, _check_dominant, is_dominant,
@@ -246,12 +247,12 @@ def reference_invert_cg(V, T, table, others) -> dict:
     SS = form_square(V)
     sinv = {}
     for w, vw in V.weight_basis.items():
-        for a, row in zip(vw, rf_inverse(V.gram[w])):
+        for a, row in zip(vw, inverse(V.gram[w])):
             sinv.update({(a, b): g for b, g in zip(vw, row) if g})
     us = [table[0], *others]
     pair = [[sum((uj[p] * x * uk[q] for (p, q), x in SS.items() if p in uj and q in uk), RF_ZERO)
              for uk in us] for uj in us]
-    x = rf_solve(pair, [RF_ONE] + [RF_ZERO] * len(others))
+    x = solve(pair, [RF_ONE] + [RF_ZERO] * len(others))
     out = {}
     for xk, u in zip(x, us):
         beta = {(p, a): y for a, col in enumerate(lowered_table(T, V, u)) for p, y in col.items()}
@@ -259,3 +260,63 @@ def reference_invert_cg(V, T, table, others) -> dict:
             a, b = divmod(p, d)
             out[a, b, c] = out.get((a, b, c), RF_ZERO) + xk * y
     return {key: y for key, y in out.items() if y}
+
+
+def reference_rref(mat):
+    """Textbook Gauss-Jordan on a copy of a list of rows: the pivot is the
+    first row with a nonzero entry in the column, and every other row is
+    updated in full.  Returns (reduced rows, pivot columns)."""
+    work = [list(row) for row in mat]
+    pivots = []
+    for c in range(len(work[0]) if work else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        p = work[r][c]
+        work[r] = [x / p for x in work[r]]
+        for i in range(len(work)):
+            if i != r:
+                f = work[i][c]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+    return work, pivots
+
+
+def reference_solve(a, b):
+    """x with a x = b, a square; ZeroDivisionError when a is singular."""
+    n = len(a)
+    red, pivots = reference_rref([list(row) + [y] for row, y in zip(a, b)])
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("singular")
+    return [row[n] for row in red]
+
+
+def reference_inverse(a, one):
+    """The inverse of a square matrix over the field with unit one;
+    ZeroDivisionError when a is singular."""
+    n = len(a)
+    zero = one - one
+    red, pivots = reference_rref([list(row) + [one if i == j else zero for j in range(n)]
+                                  for i, row in enumerate(a)])
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("singular")
+    return [row[n:] for row in red]
+
+
+def reference_nullspace(mat, ncols, one):
+    """One kernel vector per non-pivot column c: 1 at c, 0 at the other
+    non-pivot columns, and minus column c of the reduced rows at the pivots."""
+    red, pivots = reference_rref(mat)
+    zero = one - one
+    basis = []
+    for c in range(ncols):
+        if c in pivots:
+            continue
+        vec = [zero] * ncols
+        vec[c] = one
+        for row, p in zip(red, pivots):
+            vec[p] = -row[c]
+        basis.append(vec)
+    return basis

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import time
 
 import pytest
@@ -298,6 +299,24 @@ def test_text_round_trip(capsys):
                    "--s", "1", "--t", "q", "--format", "json")
     direct = QuantumLieAlgebra.from_json(json.loads(again))
     assert same_algebra(parsed, direct)
+
+
+@pytest.fixture(scope="module")
+def sl3_text():
+    A = cli.build_sln_explicit(3, RatFunc(1), RatFunc(0))
+    return cli.build_text(A)
+
+
+@pytest.mark.parametrize("old,new,line", [
+    ("# params s = 1 ; t = 0", "# params s = 1, t = 0", "# params s = 1, t = 0"),
+    ("| H_1 |", "| H_q |", "# basis "),
+    ("]^{H_1} = ", "]^{H_1} = 1/0 + ", "f["),
+])
+def test_malformed_text_table_names_its_line(sl3_text, old, new, line):
+    assert old in sl3_text
+    text = sl3_text.replace(old, new, 1)
+    with pytest.raises(cli.InvalidParams, match=r"line '" + re.escape(line)):
+        parse_text_algebra(text)
 
 
 def test_json_round_trip(capsys):

@@ -1,19 +1,21 @@
-"""Clearing denominators of RatFunc vectors, the step behind every
-nullspace basis vector."""
+"""The dense Gauss-Jordan routines against a textbook reference, and
+clearing denominators of RatFunc vectors, the step behind every
+highest-weight vector."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from qlie import linalg, qring
-from qlie.linalg import clear_denominators
+from qlie import qring, tensorcg
+from qlie.linalg import clear_denominators, inverse, nullspace, rank, rref, solve
 from qlie.monodromy import monodromy_on_tensor
 from qlie.qliealg import generic_pipeline
 from qlie.repbuild import build_irrep
 from qlie.rootdata import build_cartan
 
-from oracles import mono, padd, pmul, rf
+from oracles import (mono, padd, pmul, reference_inverse, reference_nullspace, reference_rref,
+                     reference_solve, rf)
 
 
 def assert_cleared(vec, out):
@@ -85,7 +87,7 @@ def test_cleared_vectors_of_the_pipeline_and_the_monodromy(monkeypatch):
         seen.append((vec, out))
         return out
 
-    monkeypatch.setattr(linalg, "clear_denominators", recording)
+    monkeypatch.setattr(tensorcg, "clear_denominators", recording)
     for name, rank in (("A", 2), ("A", 3), ("B", 2)):
         generic_pipeline(build_cartan(name, rank))
     V = build_irrep(build_cartan("G", 2), (1, 0))
@@ -93,3 +95,69 @@ def test_cleared_vectors_of_the_pipeline_and_the_monodromy(monkeypatch):
     assert len(seen) >= 9
     for vec, out in seen:
         assert_cleared(vec, out)
+
+
+# ------------------------------------------------------------ Gauss-Jordan
+
+FRACTIONS = [Fraction(0)] * 3 + [Fraction(k, m) for k in (-3, -1, 1, 2, 5) for m in (1, 2, 3)]
+
+
+def random_matrix(rng, rows, cols, entry, rank_at_most=None):
+    """A rows x cols matrix; with rank_at_most, every row past that many is a
+    combination of the rows before it."""
+    mat = [[entry(rng) for _ in range(cols)] for _ in range(rows)]
+    if rank_at_most is not None:
+        for r in range(rank_at_most, rows):
+            row = [0 * x for x in mat[0]] if mat else []
+            for k in range(rank_at_most):
+                f = entry(rng)
+                row = [x + f * y for x, y in zip(row, mat[k])]
+            mat[r] = row
+    return mat
+
+
+def shapes(rng):
+    """(rows, cols, rank bound): square, wide, tall, rank-deficient,
+    zero-row and empty."""
+    out = [(0, 0, None), (0, 3, None), (2, 0, None)]
+    for n in (1, 2, 3, 4):
+        out += [(n, n, None), (n, n, rng.randint(0, n - 1)), (n, n + rng.randint(1, 3), None),
+                (n + 1, n, None), (n + 1, n + 2, rng.randint(0, n))]
+    return out
+
+
+def fraction_entry(rng):
+    return rng.choice(FRACTIONS)
+
+
+def ratfunc_entry(rng):
+    return random_entry(rng) if rng.random() < 0.5 else rf(mono(0, rng.choice(COEFFS)))
+
+
+@pytest.mark.parametrize("field", ["Fraction", "RatFunc"])
+@pytest.mark.parametrize("seed", range(4))
+def test_dense_routines_equal_the_textbook_reference(field, seed):
+    rng = random.Random(1700 + seed)
+    entry, one = ((fraction_entry, Fraction(1)) if field == "Fraction"
+                  else (ratfunc_entry, rf(mono(0))))
+    for rows, cols, low in shapes(rng):
+        mat = random_matrix(rng, rows, cols, entry, low)
+        before = [list(row) for row in mat]
+        red, pivots = reference_rref(mat)
+
+        work = list(mat)
+        assert rref(work) == pivots and work == red
+        assert rank(mat) == len(pivots)
+        assert nullspace(mat, cols, one) == reference_nullspace(mat, cols, one)
+        if rows == cols:
+            b = [entry(rng) for _ in range(rows)]
+            if len(pivots) == rows:
+                assert solve(mat, b) == reference_solve(mat, b)
+                assert inverse(mat) == reference_inverse(mat, one)
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    solve(mat, b)
+                with pytest.raises(ZeroDivisionError):
+                    inverse(mat)
+        # the caller's row lists are left as they were
+        assert mat == before

@@ -131,3 +131,16 @@ def test_module_serializes_to_json():
     V = build_irrep(build_cartan("A", 1), (1,))
     blob = json.dumps(V.to_json(), sort_keys=True)
     assert "highest_weight" in blob
+
+
+@pytest.mark.parametrize("name,lam", [
+    ("A2", (1, 1)), ("A3", (1, 0, 1)), ("B2", (1, 1)), ("C3", (1, 0, 0)),
+    ("G2", (1, 0)), ("G2", (0, 1)), ("B3", (1, 1, 0)),
+])
+def test_basis_labels_match_the_classical_build(name, lam):
+    # two independent constructions; both take each weight space's basis
+    # from the pivot columns of rref on a Fraction pair matrix, which in
+    # build_irrep is the v = 1 value of its Q(v) pair matrix
+    cd = name_to_cartan(name)
+    V = build_irrep(cd, lam, budget_dim=200)
+    assert V.labels == build_classical_module(cd, lam, budget_dim=200).labels
