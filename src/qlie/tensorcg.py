@@ -13,7 +13,14 @@ contents and of its distinct polynomial denominators), so both sides of
 target(x) M = M source(x) become integer polynomial matrices once the
 denominators are cleared.  They are compared at X = 2^b, with X > 2B for
 a bound B on their coefficients; a nonzero integer polynomial whose
-coefficients are below X in absolute value does not vanish at X.
+coefficients are below X in absolute value does not vanish at X.  A side
+that is a tensor product M1 (x) M2 is written from its factors: with
+x_j = v^low_j / (q_j L_j) N_j, both over the common q = lcm(q_1, q_2) and
+L = lcm(L_1, L_2), Delta(x) has N entries (q / q_j)(L / L_j) N_j shifted
+by powers of v, and its bound takes the sum of the factors' row sums of
+1-norms and the larger of their largest 1-norms, each times
+|(q / q_j)(L / L_j)|_1 (see _tensor_int_form).  Its products with M are
+the integer coproduct action on M's columns or rows.
 
 highest_weight_space is likewise the single routine that finds
 highest-weight vectors: the CG pipeline, the isotypic components of
@@ -23,11 +30,13 @@ count rootdata.tensor_multiplicity.
 
 The coproduct convention (fixed globally, same as the module convention)
 is Delta(E_i) = E_i (x) K_i^-1 + K_i (x) E_i and the F analog, with
-K_i = represented q_i^(h_i/2).  Product basis vectors are indexed
-row-major: (a, b) -> a*dim(M2) + b, which is also the lexicographic order
-used for deterministic normalizations.  The same tensor type serves the
-tensor square V (x) V of the bracket construction and the general
-products V (x) W and V* (x) V of the monodromy module.
+K_i = represented q_i^(h_i/2).  The coproduct is applied, not stored:
+coproduct_action applies Delta(x_i) to a sparse vector from the factors'
+entries, so no matrix on the product space is formed.  Product basis
+vectors are indexed row-major: (a, b) -> a*dim(M2) + b, which is also the
+lexicographic order used for deterministic normalizations.  The same
+tensor type serves the tensor square V (x) V of the bracket construction
+and the general products V (x) W and V* (x) V of the monodromy module.
 
 The layer passes plain data: a highest-weight space is the list of its
 sparse vectors, and a CG embedding beta is its lowered table, entry a the
@@ -68,12 +77,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, partial
+from math import lcm
 
-from .qring import RatFunc, RF_ONE, RF_ZERO, rf_vpow
+from .qring import RatFunc, RF_ONE, RF_ZERO, _zexact, _zgcd, _zmul
 from .rootdata import VerificationFailed, tensor_multiplicity, is_dominant
 from .repbuild import IrrepModule, contravariant_form
-from .linalg import (clear_denominators, inverse, nullspace, solve, sp_add_to, sp_int_eval,
-                     sp_int_form, sp_int_matmul, sp_matvec)
+from .linalg import (IntForm, _zat, clear_denominators, inverse, nullspace, solve, sp_add_to,
+                     sp_int_eval, sp_int_form, sp_int_matmul, sp_matvec)
 
 
 class EmptySpace(ValueError):
@@ -92,17 +103,18 @@ class SingularSystem(ZeroDivisionError):
 class TensorProduct:
     """left (x) right with the coproduct action.
 
-    The factors are any modules with cd, dim, weights, E, F and kexp.
-    Matrices dE[i], dF[i] are sparse over the product index
-    p = a*dim(right) + b, and E, F alias them so that a tensor product is a
-    side of module_map_defects like any module; kexp[i][p] is the exponent
-    of v in the diagonal Delta(K_i) entry.
+    The factors are any modules with cd, dim, weights, E, F and kexp.  No
+    matrix on the product is stored: coproduct_action applies Delta(E_i)
+    and Delta(F_i) from the factors, and module_map_defects reads a
+    tensor-product side from them too.  kexp[i][p] is the exponent of v in
+    the diagonal Delta(K_i) entry at the product index
+    p = a*dim(right) + b.  dE and dF, the sparse matrices of Delta(E_i)
+    and Delta(F_i), are built on first use, for the benchmark tracer and
+    the tests only; nothing in the package reads them.
     """
 
     left: object
     right: object
-    dE: dict
-    dF: dict
     kexp: dict
     weights: list
     weight_blocks: dict
@@ -115,26 +127,72 @@ class TensorProduct:
     def dim(self):
         return self.left.dim * self.right.dim
 
-    @property
-    def E(self):
-        return self.dE
+    @cached_property
+    def dE(self):
+        return _dense_coproduct(self, "E")
 
-    @property
-    def F(self):
-        return self.dF
+    @cached_property
+    def dF(self):
+        return _dense_coproduct(self, "F")
 
 
-def _coproduct(x1: dict, x2: dict, k1: list, k2: list) -> dict:
-    """x1 (x) K^-1 + K (x) x2 as a sparse matrix on the product index."""
-    d2 = len(k2)
-    out = {}
-    for (r, c), x in x1.items():
-        for b in range(d2):
-            sp_add_to(out, (r * d2 + b, c * d2 + b), x * rf_vpow(-k2[b]))
-    for (r, c), x in x2.items():
-        for a in range(len(k1)):
-            sp_add_to(out, (a * d2 + r, a * d2 + c), rf_vpow(k1[a]) * x)
-    return out
+def _grouped(mat: dict, by_row: bool) -> dict:
+    """The entries y of a factor matrix as {c: [(r, y)]} by column, or as
+    {r: [(c, y)]} by row."""
+    groups = {}
+    for (r, c), y in mat.items():
+        g, o = (r, c) if by_row else (c, r)
+        groups.setdefault(g, []).append((o, y))
+    return groups
+
+
+def coproduct_action(T: TensorProduct, name: str, transpose: bool = False):
+    """act(i, vec): Delta(x_i) vec for a sparse column vector vec over T's
+    product index, x = E or F by name; with transpose, vec^T Delta(x_i) for
+    a sparse row vector.  Delta(x_i) = x_i (x) K_i^-1 + K_i (x) x_i is read
+    from the factors' entries, grouped once per factor and generator by
+    column (by row with transpose): an entry x of vec at (a, b) meets the
+    column (row) a of x_i in the left slot, times v^-k2[b], and the column
+    (row) b in the right slot, times v^k1[a], so each call touches only the
+    entries that meet vec."""
+    d2 = T.right.dim
+    ops = {}
+    for i in range(T.cd.rank):
+        m1, m2 = getattr(T.left, name)[i], getattr(T.right, name)[i]
+        g1 = _grouped(m1, transpose)
+        ops[i] = (g1, g1 if m2 is m1 else _grouped(m2, transpose),
+                  [-k for k in T.right.kexp[i]], T.left.kexp[i])
+
+    def act(i, vec):
+        left, right, kl, kr = ops[i]
+        out = {}
+        for p, x in vec.items():
+            a, b = divmod(p, d2)
+            col = left.get(a)
+            if col:
+                xk = RatFunc._make(x.c, x.s + kl[b], x.n, x.d)
+                for r, y in col:
+                    key = r * d2 + b
+                    cur = out.get(key)
+                    out[key] = xk * y if cur is None else cur + xk * y
+            col = right.get(b)
+            if col:
+                xk = RatFunc._make(x.c, x.s + kr[a], x.n, x.d)
+                for r, y in col:
+                    key = a * d2 + r
+                    cur = out.get(key)
+                    out[key] = xk * y if cur is None else cur + xk * y
+        return {p: x for p, x in out.items() if x}
+
+    return act
+
+
+def _dense_coproduct(T: TensorProduct, name: str) -> dict:
+    """{i: Delta(x_i)} as sparse matrices on the product, column p the action
+    on basis vector p; the builder of TensorProduct.dE and .dF."""
+    act = coproduct_action(T, name)
+    return {i: {(r, p): x for p in range(T.dim) for r, x in act(i, {p: RF_ONE}).items()}
+            for i in range(T.cd.rank)}
 
 
 def tensor_product(M1, M2) -> TensorProduct:
@@ -145,13 +203,8 @@ def tensor_product(M1, M2) -> TensorProduct:
             w = tuple(x + y for x, y in zip(wa, wb))
             blocks.setdefault(w, []).append(len(weights))
             weights.append(w)
-    dE, dF, kexp = {}, {}, {}
-    for i in range(M1.cd.rank):
-        k1, k2 = M1.kexp[i], M2.kexp[i]
-        dE[i] = _coproduct(M1.E[i], M2.E[i], k1, k2)
-        dF[i] = _coproduct(M1.F[i], M2.F[i], k1, k2)
-        kexp[i] = [x + y for x in k1 for y in k2]
-    return TensorProduct(M1, M2, dE, dF, kexp, weights, blocks)
+    kexp = {i: [x + y for x in M1.kexp[i] for y in M2.kexp[i]] for i in range(M1.cd.rank)}
+    return TensorProduct(M1, M2, kexp, weights, blocks)
 
 
 def tensor_square(V: IrrepModule) -> TensorProduct:
@@ -179,13 +232,14 @@ def highest_weight_space(T: TensorProduct, w) -> list:
     cd = T.cd
     n = cd.rank
     block = T.weight_blocks.get(w, [])
+    raise_row = coproduct_action(T, "E", transpose=True)
     rows = []
     for i in range(n):
         up = tuple(w[k] + cd.cartan[k][i] for k in range(n))
         for q in T.weight_blocks.get(up, ()):
-            row = [T.dE[i].get((q, p), RF_ZERO) for p in block]
-            if any(row):
-                rows.append(row)
+            row = raise_row(i, {q: RF_ONE})
+            if row:
+                rows.append([row.get(p, RF_ZERO) for p in block])
     basis = [rescale_at_one({p: x for p, x in zip(block, clear_denominators(vec)) if x})
              for vec in nullspace(rows, len(block), RF_ONE)]
     if is_dominant(w):
@@ -200,6 +254,8 @@ def highest_weight_space(T: TensorProduct, w) -> list:
 def _swap_bar_half(T: TensorProduct, v0: dict, antisym: bool) -> dict:
     # tv = swap(qconjugate(v0)); the -1 eigenvectors of swap o qconjugate
     # give q-antisymmetric Clebsch-Gordan tables
+    if T.left is not T.right:
+        raise ValueError("the swap is defined on a tensor square only")
     d = T.right.dim
     tv = {}
     for p, x in v0.items():
@@ -219,13 +275,15 @@ def _swap_bar_half(T: TensorProduct, v0: dict, antisym: bool) -> dict:
 
 
 def antisymmetrize_hw(T: TensorProduct, v0: dict) -> dict:
-    """(1/2)(v0 - swap(qconjugate(v0))); raises ClassicallyZero if the
+    """(1/2)(v0 - swap(qconjugate(v0))) on a tensor square T = V (x) V;
+    raises ValueError on any other product and ClassicallyZero if the
     result vanishes at v = 1."""
     return _swap_bar_half(T, v0, True)
 
 
 def symmetrize_hw(T: TensorProduct, v0: dict) -> dict:
-    """(1/2)(v0 + swap(qconjugate(v0))); raises ClassicallyZero if the
+    """(1/2)(v0 + swap(qconjugate(v0))) on a tensor square T = V (x) V;
+    raises ValueError on any other product and ClassicallyZero if the
     result vanishes at v = 1."""
     return _swap_bar_half(T, v0, False)
 
@@ -235,10 +293,85 @@ def lowered_table(T: TensorProduct, M, v0: dict) -> list:
     is Delta(F_{i_1} ... F_{i_k}) v0 for the basis label (i_1, ..., i_k)
     of M, so the table is the image of M's basis under the embedding."""
     index = {lab: a for a, lab in enumerate(M.labels)}
+    lower = coproduct_action(T, "F")
     table = [dict(v0)]
     for lab in M.labels[1:]:
-        table.append(sp_matvec(T.dF[lab[0]], table[index[lab[1:]]]))
+        table.append(lower(lab[0], table[index[lab[1:]]]))
     return table
+
+
+def _tensor_int_form(f1, f2, k1: list, k2: list):
+    """Delta(x) = x1 (x) K^-1 + K (x) x2 as (IntForm, times) from the forms
+    f1, f2 of its factor matrices, with no matrix on the product formed (the
+    form's m and cof are None); see _int_forms for times.  Both factors are
+    written over the common q = lcm(q1, q2) and L = lcm(L1, L2), so N_j
+    gains the factor c_j = (q / q_j)(L / L_j).  An entry of x1 at (r, c)
+    lands at ((r, b), (c, b)) times v^-k2[b], and an entry of x2 at
+    ((a, r), (a, c)) times v^k1[a]; the two sets never overlap, because E_i
+    and F_i have no diagonal entries.  So a row's 1-norms add up to at most
+    |c1|_1 rn1 + |c2|_1 rn2, and no entry's 1-norm exceeds the larger of
+    |c1|_1 top1 and |c2|_1 top2."""
+    den = tuple(_zmul(f1.den, _zgcd(f1.den, f2.den)[2]))
+    q = lcm(f1.q, f2.q)
+    low = min(f1.low - max(k2), f2.low + min(k1))
+    c1, c2 = _zexact(den, f1.den), _zexact(den, f2.den)
+    n1, n2 = q // f1.q * sum(map(abs, c1)), q // f2.q * sum(map(abs, c2))
+    form = IntForm(None, low, q, den, None, n1 * f1.row_norm + n2 * f2.row_norm,
+                   max(n1 * f1.top_norm, n2 * f2.top_norm))
+    d2 = len(k2)
+
+    def times(b, scale, mx, left):
+        # N(2^b) mx column by column, or mx N(2^b) as (N^T mx^T)^T
+        g1 = _grouped(sp_int_eval(f1, b, scale * (q // f1.q) * _zat(c1, b)), not left)
+        g2 = g1 if f2 is f1 else _grouped(sp_int_eval(f2, b, scale * (q // f2.q) * _zat(c2, b)),
+                                          not left)
+        sh1 = [b * (f1.low - low - k) for k in k2]
+        sh2 = [b * (f2.low - low + k) for k in k1]
+        out = {}
+        for (p, o), x in (mx if left else {(c, r): x for (r, c), x in mx.items()}).items():
+            a, bb = divmod(p, d2)
+            xs = x << sh1[bb]
+            for r, y in g1.get(a, ()):
+                key = r * d2 + bb, o
+                out[key] = out.get(key, 0) + xs * y
+            xs = x << sh2[a]
+            for r, y in g2.get(bb, ()):
+                key = a * d2 + r, o
+                out[key] = out.get(key, 0) + xs * y
+        return {(key if left else key[::-1]): y for key, y in out.items() if y}
+
+    return form, times
+
+
+def _int_forms(side, forms: dict) -> dict:
+    """(name, i) -> (IntForm, times) for each generator of a side of
+    module_map_defects, times(b, scale, mx, left) being scale N(2^b) mx when
+    left, else mx scale N(2^b), for an integer matrix mx.  A tensor product
+    is read from its factors (_tensor_int_form).  forms caches sp_int_form
+    by matrix, so each factor matrix is written once per call."""
+    def form(mat):
+        f = forms.get(id(mat))
+        if f is None:
+            f = forms[id(mat)] = sp_int_form(mat)
+        return f
+
+    out = {}
+    for name in ("E", "F"):
+        if isinstance(side, TensorProduct):
+            left, right = getattr(side.left, name), getattr(side.right, name)
+            for i in left:
+                out[name, i] = _tensor_int_form(form(left[i]), form(right[i]),
+                                                side.left.kexp[i], side.right.kexp[i])
+        else:
+            for i, mat in getattr(side, name).items():
+                f = form(mat)
+                out[name, i] = f, partial(_module_times, f)
+    return out
+
+
+def _module_times(f, b: int, scale: int, mx: dict, left: bool) -> dict:
+    n = sp_int_eval(f, b, scale)
+    return sp_int_matmul(n, mx) if left else sp_int_matmul(mx, n)
 
 
 def module_map_defects(M: dict, source, target) -> list:
@@ -247,31 +380,36 @@ def module_map_defects(M: dict, source, target) -> list:
     target(E_i) M != M source(E_i), then ["F", i] likewise; after those,
     ["K", row, col] for the first entry of M that joins basis vectors of
     different weights (the K_i part).  Empty exactly when M intertwines
-    every generator.  A side is anything with weights, E and F.
+    every generator.  A side is a TensorProduct or anything with weights,
+    E and F.
 
     The comparison is exact and runs on integers.  Each matrix is written
-    once as v^low / (q L) * N with N over Z[v] (linalg.sp_int_form); with
+    once as v^low / (q L) * N with N over Z[v] (linalg.sp_int_form; a
+    tensor-product side from its factors' forms, see _tensor_int_form); with
     the common denominators cleared, target(x) M = M source(x) reads
     v^low_t q_s L_s N_t N_M = v^low_s q_t L_t N_M N_s, up to the same power of
     v on both sides.  The coefficients of either side are bounded by B, the
     largest row sum of 1-norms times the largest 1-norm times |q L|_1 over
     all generators, so their difference has coefficients below 2B and is
     zero exactly when it vanishes at X = 2^b > 2B."""
-    gens = [(name, i, sp_int_form(src[i]), sp_int_form(dst[i])) for i in sorted(source.E)
-            for name, src, dst in (("E", source.E, target.E), ("F", source.F, target.F))]
+    forms = {}
+    src = _int_forms(source, forms)
+    dst = src if target is source else _int_forms(target, forms)
+    gens = sorted(src, key=lambda g: (g[1], g[0]))
     fm = sp_int_form(M)
-    bound = max((max(ft.row_norm * fm.top_norm * fs.scale_norm,
-                     fm.row_norm * fs.top_norm * ft.scale_norm) for _, _, fs, ft in gens),
+    bound = max((max(dst[g][0].row_norm * fm.top_norm * src[g][0].scale_norm,
+                     fm.row_norm * src[g][0].top_norm * dst[g][0].scale_norm) for g in gens),
                 default=0)
     b = (2 * bound).bit_length()
     mx = sp_int_eval(fm, b)
     defects = []
-    for name, i, fs, ft in gens:
+    for g in gens:
+        (fs, times_s), (ft, times_t) = src[g], dst[g]
         low = min(fs.low, ft.low)
-        lhs = sp_int_matmul(sp_int_eval(ft, b, fs.scale_at(b) << b * (ft.low - low)), mx)
-        rhs = sp_int_matmul(mx, sp_int_eval(fs, b, ft.scale_at(b) << b * (fs.low - low)))
+        lhs = times_t(b, fs.scale_at(b) << b * (ft.low - low), mx, True)
+        rhs = times_s(b, ft.scale_at(b) << b * (fs.low - low), mx, False)
         if lhs != rhs:
-            defects.append([name, i])
+            defects.append(list(g))
     sw, tw = source.weights, target.weights
     cross = next(((r, c) for r, c in M if tw[r] != sw[c]), None)
     if cross is not None:
@@ -312,37 +450,23 @@ def _paired_with_form(V: IrrepModule, vecs: list) -> list:
     return out
 
 
-def _bracket_from_covector(V: IrrepModule, top: dict) -> dict:
-    """B = S^-1 R for the contravariant form S of V, where row a of R is
-    beta_w(e_a)^T (S (x) S) for the embedding beta_w generated by a vector w
-    with w^T (S (x) S) = top.  Row 0 is top; every other row is raised from
-    its parent's, r_a = r_parent Delta(E_{i_1}) for the label (i_1, ...) of a,
-    because (S (x) S) Delta(E_i) = Delta(F_i)^T (S (x) S).  Delta(E_i) =
-    E_i (x) K^-1 + K (x) E_i acts on a row through the rows of V.E[i], each
-    entry stored once per power of v it meets.  S^-1 is applied one weight
-    block at a time, and only on blocks that R reaches.
+def _bracket_from_covector(T: TensorProduct, top: dict) -> dict:
+    """B = S^-1 R for the contravariant form S of V, T = V (x) V, where row a
+    of R is beta_w(e_a)^T (S (x) S) for the embedding beta_w generated by a
+    vector w with w^T (S (x) S) = top.  Row 0 is top; every other row is
+    raised from its parent's, r_a = r_parent Delta(E_{i_1}) for the label
+    (i_1, ...) of a, because (S (x) S) Delta(E_i) = Delta(F_i)^T (S (x) S);
+    coproduct_action applies Delta(E_i) to the row from the rows of V's E_i.
+    S^-1 is applied one weight block at a time, and only on blocks that R
+    reaches.
 
     Returns a sparse matrix {(module_row, product_col): RatFunc}."""
-    d = V.dim
-    ops = {}
-    for i, mat in V.E.items():
-        erows = {}
-        for (r, c), x in mat.items():
-            erows.setdefault(r, []).append((c, x))
-        ops[i] = {k: {r: [(c, x * rf_vpow(k)) for c, x in row] for r, row in erows.items()}
-                  for k in {s * k for k in V.kexp[i] for s in (1, -1)}}
+    V = T.left
+    raise_row = coproduct_action(T, "E", transpose=True)
     index = {lab: a for a, lab in enumerate(V.labels)}
     rows = [top]
     for lab in V.labels[1:]:
-        op, k = ops[lab[0]], V.kexp[lab[0]]
-        out = {}
-        for p, x in rows[index[lab[1:]]].items():
-            a, b = divmod(p, d)
-            for c, y in op[-k[b]].get(a, ()):
-                sp_add_to(out, c * d + b, x * y)
-            for e, y in op[k[a]].get(b, ()):
-                sp_add_to(out, a * d + e, x * y)
-        rows.append(out)
+        rows.append(raise_row(lab[0], rows[index[lab[1:]]]))
     bmat = {}
     for w, vw in V.weight_basis.items():
         if not any(rows[a] for a in vw):
@@ -399,7 +523,7 @@ def invert_cg(V: IrrepModule, T: TensorProduct, table: list, others: list) -> di
     for xk, su in zip(x, paired):
         for p, y in su.items():
             sp_add_to(top, p, xk * y)
-    bmat = _bracket_from_covector(V, top)
+    bmat = _bracket_from_covector(T, top)
 
     # exact checks: V's monomial basis, B on the generating vectors, then B
     # as a module map in full; the module docstring says why these suffice

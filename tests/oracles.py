@@ -3,8 +3,9 @@ as plain {exponent: Fraction} dicts with their own sum, product and exact
 evaluation, the exact value of a scalar at v = 1, the h-derivative by the
 quotient rule, the classical split Casimir of the rank-one algebra, the
 full decomposition of a tensor product by peeling its character, the
-Fraction forms of two v = 1 checks (the intertwining check with stored
-coproduct matrices and the Jacobi sum), and the inverse Clebsch-Gordan
+coproduct of a tensor product as whole sparse matrices, the Fraction
+forms of two v = 1 checks (the intertwining check with stored coproduct
+matrices and the Jacobi sum), and the inverse Clebsch-Gordan
 coefficients built from whole adjoints of the lowered embeddings, and a
 textbook Gauss-Jordan elimination with the routines read off it.
 
@@ -18,12 +19,12 @@ from functools import lru_cache
 from operator import add
 
 from qlie.classical import ClassicalModule
-from qlie.linalg import inverse, solve, sp_matmul, sp_transpose
-from qlie.qring import RF_ONE, RF_ZERO, LaurentPoly, RatFunc, _fr
+from qlie.linalg import inverse, solve, sp_add_to, sp_matmul, sp_transpose
+from qlie.qring import RF_ONE, RF_ZERO, LaurentPoly, RatFunc, _fr, rf_vpow
 from qlie.repbuild import contravariant_form
 from qlie.rootdata import (CartanDatum, VerificationFailed, _check_dominant, is_dominant,
                            root_system, weight_multiplicities, weyl_dim)
-from qlie.tensorcg import lowered_table
+from qlie.tensorcg import TensorProduct, lowered_table
 
 
 def mono(k, c=1):
@@ -120,6 +121,37 @@ def tensor_ops(V: ClassicalModule):
                     acc[a * d + r, a * d + c] = acc.get((a * d + r, a * d + c), Fraction(0)) + x
             dmats[i] = {k: v for k, v in acc.items() if v}
     return dE, dF
+
+
+def coproduct(x1: dict, x2: dict, k1: list, k2: list) -> dict:
+    """x1 (x) K^-1 + K (x) x2 as a sparse matrix on the product index
+    a * len(k2) + b: the dense reference of tensorcg.coproduct_action."""
+    d2 = len(k2)
+    out = {}
+    for (r, c), x in x1.items():
+        for b in range(d2):
+            sp_add_to(out, (r * d2 + b, c * d2 + b), x * rf_vpow(-k2[b]))
+    for (r, c), x in x2.items():
+        for a in range(len(k1)):
+            sp_add_to(out, (a * d2 + r, a * d2 + c), rf_vpow(k1[a]) * x)
+    return out
+
+
+_DENSE = {}
+
+
+def generators(side) -> tuple:
+    """(E, F) of a side of a module-map check: a module's own matrices, or
+    for a TensorProduct the coproduct of its factors' matrices, built once
+    per product (the product is kept with them, so its id is not reused)."""
+    if not isinstance(side, TensorProduct):
+        return side.E, side.F
+    if id(side) not in _DENSE:
+        L, R = side.left, side.right
+        _DENSE[id(side)] = side, tuple(
+            {i: coproduct(mats[i], getattr(R, name)[i], L.kexp[i], R.kexp[i]) for i in mats}
+            for name, mats in (("E", L.E), ("F", L.F)))
+    return _DENSE[id(side)][1]
 
 
 def sp_mul(a, b):

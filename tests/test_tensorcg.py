@@ -37,7 +37,7 @@ from qlie.tensorcg import (
 )
 
 from conftest import CORE, load_golden, name_to_cartan
-from oracles import form_square, reference_invert_cg
+from oracles import form_square, generators, reference_invert_cg
 
 
 @pytest.fixture(scope="module")
@@ -346,11 +346,14 @@ def test_inversion_checks_raise_under_python_O():
 # ------------------------------------------------ the integer module-map check
 
 def ratfunc_defects(M, source, target):
-    """The module-map check over Q(v), one RatFunc product per side: the
-    oracle of the integer check in module_map_defects."""
+    """The module-map check over Q(v), one RatFunc product per side, with a
+    tensor-product side's generators the dense coproduct matrices of
+    oracles.generators: the oracle of the integer check in
+    module_map_defects."""
+    (src_e, src_f), (dst_e, dst_f) = generators(source), generators(target)
     defects = []
-    for i in sorted(source.E):
-        for name, src, dst in (("E", source.E, target.E), ("F", source.F, target.F)):
+    for i in sorted(src_e):
+        for name, src, dst in (("E", src_e, dst_e), ("F", src_f, dst_f)):
             if not sp_eq(sp_matmul(dst[i], M), sp_matmul(M, src[i])):
                 defects.append([name, i])
     cross = next(((r, c) for r, c in M if target.weights[r] != source.weights[c]), None)
@@ -477,3 +480,161 @@ def test_evaluation_base_comes_from_the_bound():
 def test_module_map_check_uses_no_ratfunc_product():
     names = module_map_defects.__code__.co_names
     assert "sp_matmul" not in names and "sp_eq" not in names
+
+
+# ------------------------------------------------ the coproduct from the factors
+
+def _action_cases():
+    a2, b2, g2 = (name_to_cartan(n) for n in ("A2", "B2", "G2"))
+    adj = adjoint_module(a2)
+    g2v = build_irrep(g2, (1, 0))
+    return {"A2 adj x adj": (adj, adj),
+            "B2 (1,0) x (0,1)": (build_irrep(b2, (1, 0)), build_irrep(b2, (0, 1))),
+            "G2 V* x V": (monodromy.dual_data(g2v), g2v)}
+
+
+@pytest.mark.parametrize("case", ["A2 adj x adj", "B2 (1,0) x (0,1)", "G2 V* x V"])
+def test_coproduct_action_equals_the_dense_reference(case):
+    T = tensor_product(*_action_cases()[case])
+    dense = dict(zip("EF", generators(T)))
+    for name, mats in dense.items():
+        lower, raise_ = (tensorcg.coproduct_action(T, name, transpose) for transpose in (False, True))
+        for i, mat in mats.items():
+            cols, rows = {}, {}
+            for (r, c), x in mat.items():
+                cols.setdefault(c, {})[r] = x
+                rows.setdefault(r, {})[c] = x
+            for p in range(T.dim):
+                assert lower(i, {p: RF_ONE}) == cols.get(p, {}), (name, i, p)
+                assert raise_(i, {p: RF_ONE}) == rows.get(p, {}), (name, i, p)
+    assert (T.dE, T.dF) == generators(T)
+
+
+def _rescaled(M, scale):
+    """M on the basis scale[a] e_a: E and F become D^-1 E D, D = diag(scale)."""
+    def conj(mats):
+        return {i: {(r, c): x * scale[c] / scale[r] for (r, c), x in m.items()}
+                for i, m in mats.items()}
+    return dataclasses.replace(M, E=conj(M.E), F=conj(M.F))
+
+
+def _transported(M, source, target, scales):
+    """(M', source', target') with every module factor rescaled by its entry
+    in scales (a function of the factor's dimension), so that M' is a module
+    map exactly when M is: M'[r, c] = M[r, c] s_source[c] / s_target[r]."""
+    def side(S):
+        if isinstance(S, tensorcg.TensorProduct):
+            s1, s2 = scales(S.left.dim, 0), scales(S.right.dim, 1)
+            return (tensor_product(_rescaled(S.left, s1), _rescaled(S.right, s2)),
+                    [x * y for x in s1 for y in s2])
+        s = scales(S.dim, 0)
+        return _rescaled(S, s), s
+    (src, ss), (dst, st) = side(source), side(target)
+    return {(r, c): x * ss[c] / st[r] for (r, c), x in M.items()}, src, dst
+
+
+def _scales(dim, slot):
+    # non-integral contents and polynomial denominators, different per slot
+    return [RatFunc(Fraction(2 * a + 3, 5 + slot)) * rf_vpow(a - slot)
+            / (1 + RatFunc(Fraction(a + 1, 3)) * rf_vpow(a % 3 + 1 + slot)) for a in range(dim)]
+
+
+@pytest.fixture(scope="module")
+def tensor_side_maps():
+    """The module-map checks with a tensor-product side: the A2 embedding
+    beta: V -> V (x) V and bracket B: V (x) V -> V, the B2 monodromy matrix
+    on V(1,0) (x) V(0,1), and the A2 ad family adj -> W (x) W*, each as
+    checked and transported to rescaled factors."""
+    seen = {}
+
+    def record(M, source, target):
+        seen.setdefault(len(seen), (M, source, target))
+        return module_map_defects(M, source, target)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in (tensorcg, monodromy):
+            mp.setattr(mod, "module_map_defects", record)
+        generic_pipeline(name_to_cartan("A2"))
+        b2 = name_to_cartan("B2")
+        monodromy_on_tensor(build_irrep(b2, (1, 0)), build_irrep(b2, (0, 1)))
+        V = build_irrep(name_to_cartan("A2"), (1, 0))
+        M = monodromy_on_tensor(V, V)
+        verify_ad_submodule(M, V, V)
+    maps = dict(zip(("beta", "B", "monodromy V x W", "A2 vector monodromy", "ad family"),
+                    seen.values()))
+    del maps["A2 vector monodromy"]
+    assert isinstance(maps["ad family"][2].right, monodromy.ModuleData)
+    maps.update({f"{k} rescaled": _transported(*m, _scales) for k, m in list(maps.items())})
+    return maps
+
+
+def _moved(M, key, weights):
+    """M with the entry at key moved to the first row of another weight."""
+    r, c = key
+    r2 = next(p for p in range(len(weights)) if weights[p] != weights[r] and (p, c) not in M)
+    out = dict(M)
+    out[r2, c] = out.pop(key)
+    return out
+
+
+TENSOR_CORRUPTIONS = {
+    "doubled": lambda M, key, w: {**M, key: 2 * M[key]},
+    "negated": lambda M, key, w: {**M, key: -M[key]},
+    "dropped": lambda M, key, w: {k: x for k, x in M.items() if k != key},
+    "moved across weights": _moved,
+}
+
+
+@pytest.mark.parametrize("how", sorted(TENSOR_CORRUPTIONS))
+def test_tensor_sides_match_the_ratfunc_oracle(how, tensor_side_maps):
+    corrupt = TENSOR_CORRUPTIONS[how]
+    for label, (M, source, target) in sorted(tensor_side_maps.items()):
+        assert module_map_defects(M, source, target) == ratfunc_defects(M, source, target) == []
+        for seed in range(3):
+            key = random.Random(seed).choice(sorted(M))
+            bad = corrupt(M, key, target.weights)
+            expect = ratfunc_defects(bad, source, target)
+            assert expect, (label, key)
+            assert module_map_defects(bad, source, target) == expect, (label, key)
+
+
+def test_tensor_side_factors_need_a_common_denominator(tensor_side_maps):
+    _, _, T = tensor_side_maps["beta rescaled"]
+    dens = {x.d for m in T.left.E.values() for x in m.values()}
+    contents = {x.c.denominator for m in T.right.F.values() for x in m.values()
+                if not isinstance(x.c, int)}
+    assert len(dens) > 1 and contents
+
+
+def test_no_library_path_builds_a_product_matrix(monkeypatch):
+    # dE and dF are for the tracer and the tests; the pipeline, the stored
+    # table's ad-invariance, the monodromy and the ad family read the factors
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "reference",
+                           "tables", "generic_G2.json"), encoding="utf-8") as fh:
+        stored = qliealg.QuantumLieAlgebra.from_json(json.load(fh))
+
+    def refuse(T, name):
+        raise AssertionError(f"Delta({name}) built on a {T.dim}-dimensional product")
+
+    monkeypatch.setattr(tensorcg, "_dense_coproduct", refuse)
+    generic_pipeline(name_to_cartan("B3"))
+    assert check_ad_invariance(stored)["ok"] is True
+    g2v = build_irrep(name_to_cartan("G2"), (1, 0))
+    assert monodromy_on_tensor(g2v, g2v).checks["commutes"]
+    V = build_irrep(name_to_cartan("A2"), (1, 0))
+    assert verify_ad_submodule(monodromy_on_tensor(V, V), V, V)["all"]
+    with pytest.raises(AssertionError, match="built on a 49-dimensional product"):
+        tensor_square(g2v).dE
+
+
+@pytest.mark.parametrize("swap", [antisymmetrize_hw, symmetrize_hw])
+def test_swap_needs_a_tensor_square(swap):
+    # on V(1,0) (x) adj of A2 the swap of (a, b) has no meaning; it used to
+    # return an index beyond dim T = 24, or raise ClassicallyZero about it
+    cd = name_to_cartan("A2")
+    T = tensor_product(build_irrep(cd, (1, 0)), adjoint_module(cd))
+    for w in ((1, 0), (0, 2)):
+        v0 = highest_weight_space(T, w)[0]
+        with pytest.raises(ValueError, match="tensor square") as info:
+            swap(T, v0)
+        assert info.type is ValueError
