@@ -32,7 +32,7 @@ import sys
 from contextlib import contextmanager
 
 from .qring import (DenominatorVanishes, RatFunc, parse_scalar)
-from .rootdata import CartanDatum, VerificationFailed, build_cartan
+from .rootdata import CartanDatum, VerificationFailed, build_cartan, classical_dim
 from .repbuild import DEFAULT_DIM_BUDGET, BudgetExceeded
 from .tensorcg import ClassicallyZero, EmptySpace
 from .qliealg import (
@@ -57,13 +57,23 @@ CHECK_NAMES = ("gradation", "antisymmetry", "classical-limit", "lr-identity",
                "ad-invariance", "tau")
 
 
-def parse_algebra(text: str) -> CartanDatum:
+def parse_algebra(text: str, budget_dim: int | None = None) -> CartanDatum:
+    """The Cartan datum named by text, like A2.  A classical type whose
+    adjoint dimension (n^2 - 1 for sl_n, explicit or not) exceeds budget_dim
+    raises BudgetExceeded before its Cartan matrix is built."""
     m = re.fullmatch(r"([A-Za-z])\s*([0-9]+)", text.strip())
     if not m:
         raise InvalidParams(f"bad algebra {text!r}; expected a series letter "
                             "and rank, like A2 or G2")
+    series = m.group(1).upper()
     try:
-        return build_cartan(m.group(1).upper(), int(m.group(2)))
+        rank = int(m.group(2))
+        if budget_dim is not None and series in ("A", "B", "C", "D"):
+            dim = classical_dim(series, rank)
+            if dim > budget_dim:
+                raise BudgetExceeded(f"dim of the adjoint module of {series}{rank} = {dim} "
+                                     f"exceeds budget {budget_dim}")
+        return build_cartan(series, rank)
     except ValueError as exc:
         raise InvalidParams(str(exc)) from exc
 
@@ -75,7 +85,7 @@ def _parse_params(args):
 
 
 def build_algebra(args) -> QuantumLieAlgebra:
-    cd = parse_algebra(args.algebra)
+    cd = parse_algebra(args.algebra, args.budget_dim)
     if args.construction == "generic":
         if args.s is not None or args.t is not None:
             raise InvalidParams("--s and --t apply only to --construction explicit-sln")
@@ -309,7 +319,7 @@ def cmd_verify(args):
 
 
 def cmd_compare(args):
-    cd = parse_algebra(args.algebra)
+    cd = parse_algebra(args.algebra, args.budget_dim)
     if cd.series != "A":
         raise InvalidParams("compare matches against the explicit A-series family")
     if (args.s is None) != (args.t is None):

@@ -161,11 +161,20 @@ def sp_matvec(m, vec):
     return {r: v for r, v in out.items() if v}
 
 
+def sp_grouped(m, by_row):
+    """The entries x of a sparse matrix grouped by column as {c: [(r, x)]},
+    or by row as {r: [(c, x)]}, each list in the matrix's order; the one
+    row/column index of the package's sparse products and actions."""
+    groups = {}
+    for (r, c), x in m.items():
+        g, o = (r, c) if by_row else (c, r)
+        groups.setdefault(g, []).append((o, x))
+    return groups
+
+
 def sp_matmul(a, b):
     """Sparse product a @ b; b indexed by the same convention."""
-    b_by_row = {}
-    for (r, c), x in b.items():
-        b_by_row.setdefault(r, []).append((c, x))
+    b_by_row = sp_grouped(b, True)
     out = {}
     for (r, k), x in a.items():
         for c, y in b_by_row.get(k, ()):
@@ -286,9 +295,7 @@ def sp_int_eval(form: IntForm, b: int, scale: int = 1) -> dict:
 
 def sp_int_matmul(a, b):
     """Sparse product a @ b of integer matrices, zero entries dropped."""
-    b_by_row = {}
-    for (r, c), x in b.items():
-        b_by_row.setdefault(r, []).append((c, x))
+    b_by_row = sp_grouped(b, True)
     out = {}
     for (r, k), x in a.items():
         for c, y in b_by_row.get(k, ()):

@@ -50,7 +50,7 @@ from .tensorcg import (
     bracket_matrix,
     ClassicallyZero,
 )
-from .linalg import inverse, rref, sp_add, sp_add_to, sp_eq
+from .linalg import inverse, rref, sp_add, sp_add_to, sp_eq, sp_grouped
 from .classical import classical_bracket, classical_sln_table, integral_multiple
 
 
@@ -219,10 +219,7 @@ def change_basis(constants: dict, cols, inv) -> dict:
     RatFunc or Fraction; zero results are dropped.  Every change of basis
     of a structure-constant table in the package goes through here.
     """
-    rows = {}
-    for a, col in cols.items():
-        for a0, x in col.items():
-            rows.setdefault(a0, []).append((a, x))
+    rows = sp_grouped({(a, a0): x for a, col in cols.items() for a0, x in col.items()}, False)
     acc = {}
     for (a0, b0), col in _by_pair(constants).items():
         for a, xa in rows.get(a0, ()):
@@ -627,9 +624,7 @@ def check_classical_limit(A: QuantumLieAlgebra, budget_dim: int = DEFAULT_DIM_BU
     # triple, keyed by the sorted triple and the output index; it is bilinear,
     # so it runs on the constants times the lcm of their denominators
     by_pair = _by_pair(integral_multiple(f1))
-    by_first = {}
-    for (e, z), ez in by_pair.items():
-        by_first.setdefault(e, []).append((z, ez))
+    by_first = sp_grouped(by_pair, True)
     sums = {}
     for (x, y), xy in by_pair.items():
         for e, v1 in xy.items():

@@ -18,6 +18,12 @@ classically invertible minor generically invertible), and the chosen
 monomials become basis vectors.  This makes every matrix entry regular at
 v = 1 and the v = 1 specialization a classical module on the same labels.
 
+Each level groups E and F by column once (linalg.sp_grouped), and a basis
+vector's position in its weight block is recorded when it is created.  A
+weight space with more candidates than basis vectors then runs one rref of
+[G | R], G the Gram block of the pivot candidates and R their pairings with
+the others: it gives the F-coordinates of all the others at once.
+
 All matrices are sparse dicts {(row, col): RatFunc} on global basis indices.
 """
 
@@ -34,7 +40,7 @@ from .rootdata import (
     weyl_dim,
     highest_root,
 )
-from .linalg import rref, solve, sp_add_to, sp_matmul, sp_eq, sp_sub, sp_transpose
+from .linalg import rref, sp_add_to, sp_eq, sp_grouped, sp_matmul, sp_sub, sp_transpose
 
 DEFAULT_DIM_BUDGET = 64
 
@@ -90,7 +96,10 @@ class IrrepModule:
 
 
 def build_irrep(cd: CartanDatum, lam, budget_dim: int = DEFAULT_DIM_BUDGET) -> IrrepModule:
-    """Construct the irreducible module with dominant highest weight lam."""
+    """Construct the irreducible module with dominant highest weight lam, by
+    the module docstring's levels.  G is invertible, being so at v = 1; a
+    reduction of [G | R] that misses a column of G raises
+    InternalInconsistency."""
     lam = tuple(lam)
     dim = weyl_dim(cd, lam)
     if dim > budget_dim:
@@ -103,6 +112,7 @@ def build_irrep(cd: CartanDatum, lam, budget_dim: int = DEFAULT_DIM_BUDGET) -> I
     weights = [lam]
     weight_basis = {lam: [0]}
     gram = {lam: [[RF_ONE]]}
+    pos = [0]  # basis index -> its position in its weight block
     E = {i: {} for i in range(n)}
     F = {i: {} for i in range(n)}
 
@@ -114,76 +124,61 @@ def build_irrep(cd: CartanDatum, lam, budget_dim: int = DEFAULT_DIM_BUDGET) -> I
             for j in range(n):
                 mu = tuple(a - b for a, b in zip(mu_up, simple_w[j]))
                 targets.setdefault(mu, []).extend((j, b) for b in idxs)
+        # a candidate F_j v_b reads column b of E_i and columns one level up
+        # of F_j; earlier levels wrote all of them, so one grouping serves
+        ecols = [sp_grouped(E[i], False) for i in range(n)]
+        fcols = [sp_grouped(F[j], False) for j in range(n)]
         new_level = {}
         for mu in sorted(targets):
             cands = sorted(targets[mu])
-            # E_i action of each candidate F_j v_b, expanded in the basis at mu + alpha_i
-            eact = [dict() for _ in cands]
-            for ci, (j, b) in enumerate(cands):
+            # E_i F_j v_b = F_j (E_i v_b) + delta_ij [mu_b(h_i)]_(q_i) v_b in the
+            # basis at mu + alpha_i: push the E-column of b through F_j
+            eact = []
+            for j, b in cands:
+                acts = []
                 for i in range(n):
-                    up = tuple(a + b2 for a, b2 in zip(mu, simple_w[i]))
                     vec = {}
-                    # F_j (E_i v_b): push the known E-column of b through F_j
-                    for (d, bb), coeff in E[i].items():
-                        if bb != b:
-                            continue
-                        for (dd, dsrc), f in F[j].items():
-                            if dsrc == d:
-                                vec[dd] = vec.get(dd, RF_ZERO) + coeff * f
+                    for d, coeff in ecols[i].get(b, ()):
+                        for dd, f in fcols[j].get(d, ()):
+                            vec[dd] = vec.get(dd, RF_ZERO) + coeff * f
                     if i == j:
-                        mu_b = weights[b]
-                        val = q_int(mu_b[i], cd.d[i])
-                        if not val.is_zero():
-                            vec[b] = vec.get(b, RF_ZERO) + val
-                    eact[ci][i] = {d: x for d, x in vec.items() if not x.is_zero()}
-            # Gram matrix of candidates: <F_i v_a, F_j v_b> = <v_a, E_i F_j v_b>
-            m = len(cands)
-            pair = [[RF_ZERO] * m for _ in range(m)]
-            for col, (j, b) in enumerate(cands):
-                for row, (i, a) in enumerate(cands):
-                    up = tuple(x + y for x, y in zip(mu, simple_w[i]))
-                    block = weight_basis.get(up)
-                    if not block:
-                        continue
-                    g = gram[up]
-                    la = block.index(a)
-                    acc = RF_ZERO
-                    for d, coeff in eact[col][i].items():
-                        acc = acc + coeff * g[la][block.index(d)]
-                    pair[row][col] = acc
+                        sp_add_to(vec, b, q_int(weights[b][i], cd.d[i]))
+                    acts.append({d: x for d, x in vec.items() if x})
+                eact.append(acts)
+            # Gram matrix of candidates: <F_i v_a, F_j v_b> = <v_a, E_i F_j v_b>,
+            # read off the Gram row of v_a in its block at mu + alpha_i
+            grow = [gram[weights[a]][pos[a]] for _, a in cands]
+            pair = [[sum((x * g[pos[d]] for d, x in acts[i].items()), RF_ZERO) for acts in eact]
+                    for (i, _), g in zip(cands, grow)]
             # pivot columns on the classical specialization
-            classical = [[x.eval_at_one() for x in row] for row in pair]
-            pivots = rref([list(r) for r in classical])
+            pivots = rref([[x.eval_at_one() for x in row] for row in pair])
             if not pivots:
                 continue
-            base = len(labels)
-            new_idx = {}
-            for p, col in enumerate(pivots):
+            k = len(pivots)
+            idxs = list(range(len(labels), len(labels) + k))
+            for p, (col, gi) in enumerate(zip(pivots, idxs)):
                 j, b = cands[col]
                 labels.append((j,) + labels[b])
                 weights.append(mu)
-                new_idx[col] = base + p
-            idxs = list(range(base, base + len(pivots)))
+                pos.append(p)
+                F[j][(gi, b)] = RF_ONE
+                for i, act in enumerate(eact[col]):
+                    for d, coeff in act.items():
+                        E[i][(d, gi)] = coeff
             weight_basis[mu] = idxs
             gram[mu] = [[pair[r][c] for c in pivots] for r in pivots]
-            # E-columns of the new basis vectors
-            for col, gi in new_idx.items():
-                for i in range(n):
-                    for d, coeff in eact[col][i].items():
-                        E[i][(d, gi)] = coeff
-            # F-columns: expand every candidate in the new basis
-            gblock = gram[mu]
-            for col, (j, b) in enumerate(cands):
-                if col in new_idx:
-                    F[j][(new_idx[col], b)] = RF_ONE
-                    continue
-                rhs = [pair[p][col] for p in pivots]
-                if all(x.is_zero() for x in rhs):
-                    continue  # candidate is zero in the quotient
-                coords = solve(gblock, rhs)
-                for p, x in enumerate(coords):
-                    if not x.is_zero():
-                        F[j][(idxs[p], b)] = x
+            # F-columns of the other candidates: one reduction of [G | R], G
+            # the Gram block of the pivot candidates and R the pairings of the
+            # others, gives their coordinates in the new basis
+            others = [col for col in range(len(cands)) if col not in pivots]
+            aug = [row + [pair[r][col] for col in others] for r, row in zip(pivots, gram[mu])]
+            if others and rref(aug) != list(range(k)):
+                raise InternalInconsistency(f"singular Gram block at weight {mu}")
+            for t, col in enumerate(others, k):
+                j, b = cands[col]
+                for gi, row in zip(idxs, aug):
+                    if row[t]:
+                        F[j][(gi, b)] = row[t]
             new_level[mu] = idxs
         prev_level = new_level
 

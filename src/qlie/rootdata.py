@@ -237,15 +237,21 @@ def adjoint_dim(cd: CartanDatum) -> int:
     """dim g = rank + number of roots, in closed form: no root system is
     built, so a budget check on the adjoint costs nothing at any rank."""
     n, series = cd.rank, cd.series
-    if series == "A":
-        return n * (n + 2)
-    if series in ("B", "C"):
-        return n * (2 * n + 1)
-    if series == "D":
-        return n * (2 * n - 1)
+    if series in ("A", "B", "C", "D"):
+        return classical_dim(series, n)
     if series == "E":
         return {6: 78, 7: 133, 8: 248}[n]
     return {"F": 52, "G": 14}[series]
+
+
+def classical_dim(series: str, n: int) -> int:
+    """dim g for the classical series A-D at rank n, so that a rank can be
+    bounded before its n x n Cartan matrix is built."""
+    if series == "A":
+        return n * (n + 2)
+    if series == "D":
+        return n * (2 * n - 1)
+    return n * (2 * n + 1)
 
 
 @lru_cache(maxsize=None)

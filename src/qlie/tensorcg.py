@@ -84,7 +84,7 @@ from .qring import RatFunc, RF_ONE, RF_ZERO, _zexact, _zgcd, _zmul
 from .rootdata import VerificationFailed, tensor_multiplicity, is_dominant
 from .repbuild import IrrepModule, contravariant_form
 from .linalg import (IntForm, _zat, clear_denominators, inverse, nullspace, solve, sp_add_to,
-                     sp_int_eval, sp_int_form, sp_int_matmul, sp_matvec)
+                     sp_grouped, sp_int_eval, sp_int_form, sp_int_matmul, sp_matvec)
 
 
 class EmptySpace(ValueError):
@@ -136,16 +136,6 @@ class TensorProduct:
         return _dense_coproduct(self, "F")
 
 
-def _grouped(mat: dict, by_row: bool) -> dict:
-    """The entries y of a factor matrix as {c: [(r, y)]} by column, or as
-    {r: [(c, y)]} by row."""
-    groups = {}
-    for (r, c), y in mat.items():
-        g, o = (r, c) if by_row else (c, r)
-        groups.setdefault(g, []).append((o, y))
-    return groups
-
-
 def coproduct_action(T: TensorProduct, name: str, transpose: bool = False):
     """act(i, vec): Delta(x_i) vec for a sparse column vector vec over T's
     product index, x = E or F by name; with transpose, vec^T Delta(x_i) for
@@ -159,8 +149,8 @@ def coproduct_action(T: TensorProduct, name: str, transpose: bool = False):
     ops = {}
     for i in range(T.cd.rank):
         m1, m2 = getattr(T.left, name)[i], getattr(T.right, name)[i]
-        g1 = _grouped(m1, transpose)
-        ops[i] = (g1, g1 if m2 is m1 else _grouped(m2, transpose),
+        g1 = sp_grouped(m1, transpose)
+        ops[i] = (g1, g1 if m2 is m1 else sp_grouped(m2, transpose),
                   [-k for k in T.right.kexp[i]], T.left.kexp[i])
 
     def act(i, vec):
@@ -322,9 +312,9 @@ def _tensor_int_form(f1, f2, k1: list, k2: list):
 
     def times(b, scale, mx, left):
         # N(2^b) mx column by column, or mx N(2^b) as (N^T mx^T)^T
-        g1 = _grouped(sp_int_eval(f1, b, scale * (q // f1.q) * _zat(c1, b)), not left)
-        g2 = g1 if f2 is f1 else _grouped(sp_int_eval(f2, b, scale * (q // f2.q) * _zat(c2, b)),
-                                          not left)
+        g1 = sp_grouped(sp_int_eval(f1, b, scale * (q // f1.q) * _zat(c1, b)), not left)
+        g2 = g1 if f2 is f1 else sp_grouped(
+            sp_int_eval(f2, b, scale * (q // f2.q) * _zat(c2, b)), not left)
         sh1 = [b * (f1.low - low - k) for k in k2]
         sh2 = [b * (f2.low - low + k) for k in k1]
         out = {}
@@ -433,9 +423,7 @@ def verify_embedding(T: TensorProduct, table: list) -> bool:
 def _paired_with_form(V: IrrepModule, vecs: list) -> list:
     """u^T (S (x) S) for each sparse tensor vector u, S the contravariant
     form of V; each result is a sparse vector over the product index."""
-    rows = {}
-    for (a, b), x in contravariant_form(V).items():
-        rows.setdefault(a, []).append((b, x))
+    rows = sp_grouped(contravariant_form(V), True)
     d = V.dim
     out = []
     for vec in vecs:
@@ -527,13 +515,10 @@ def invert_cg(V: IrrepModule, T: TensorProduct, table: list, others: list) -> di
 
     # exact checks: V's monomial basis, B on the generating vectors, then B
     # as a module map in full; the module docstring says why these suffice
-    cols = {}
-    for i, mat in V.F.items():
-        for (r, c), y in mat.items():
-            cols.setdefault((i, c), {})[r] = y
+    cols = {i: sp_grouped(mat, False) for i, mat in V.F.items()}
     index = {lab: a for a, lab in enumerate(T.left.labels)}
     for a, lab in enumerate(T.left.labels[1:], 1):
-        if cols.get((lab[0], index[lab[1:]])) != {a: RF_ONE}:
+        if cols[lab[0]].get(index[lab[1:]]) != [(a, RF_ONE)]:
             raise VerificationFailed(f"F does not lower basis vector {a} from its parent")
     if sp_matvec(bmat, us[0]) != {0: RF_ONE}:
         raise VerificationFailed("B o beta != id")

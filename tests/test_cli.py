@@ -94,6 +94,26 @@ def test_large_rank_is_rejected_before_its_root_system_is_built(capsys):
     assert elapsed < 0.5
 
 
+@pytest.mark.parametrize("construction", ["generic", "explicit-sln"])
+def test_twenty_digit_rank_is_rejected_from_the_closed_form(capsys, construction):
+    # an n x n Cartan matrix at this rank could not be allocated at all
+    start = time.perf_counter()
+    code = main(["build", "--algebra", "A12345678901234567890", "--construction", construction])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "exceeds budget 64" in err and err.count("\n") == 1
+    assert elapsed < 0.5
+
+
+def test_explicit_table_obeys_the_budget(capsys):
+    # sl_3 has dimension 3^2 - 1 = 8
+    code = main(["build", "--algebra", "A2", "--construction", "explicit-sln", "--budget-dim", "7"])
+    assert code == 1 and "exceeds budget 7" in capsys.readouterr().err
+    assert main(["build", "--algebra", "A2", "--construction", "explicit-sln",
+                 "--budget-dim", "8"]) == 0
+
+
 def test_division_by_zero_in_a_scalar_is_a_usage_error(capsys):
     code = main(["build", "--algebra", "A2", "--construction", "explicit-sln", "--s", "1/0"])
     err = capsys.readouterr().err

@@ -1,6 +1,8 @@
 """Highest-weight module construction over the deformed enveloping algebra."""
 
 import dataclasses
+import hashlib
+import json
 from collections import Counter
 
 import pytest
@@ -100,13 +102,23 @@ def test_budget_is_enforced():
         build_irrep(cd, highest_root(cd), budget_dim=10)
 
 
-@pytest.mark.parametrize("name,lam", [("A2", None), ("B2", None), ("A1", (2,))])
+# all but C3 (1,0,0) and G2 (1,0) have weight multiplicities >= 2, and at some
+# of their weights the candidates F_j v_b outnumber the basis, so the others
+# get their coordinates from the [G | R] reduction
+NONPIVOT_MODULES = [
+    ("A2", (1, 1)), ("A3", (1, 0, 1)), ("B2", (1, 1)), ("C3", (1, 0, 0)),
+    ("G2", (1, 0)), ("G2", (0, 1)), ("B3", (1, 1, 0)),
+]
+
+
+@pytest.mark.parametrize("name,lam",
+                         [("A2", None), ("B2", None), ("A1", (2,))] + NONPIVOT_MODULES)
 def test_classical_specialization_matches_classical_builder(name, lam):
     cd = name_to_cartan(name)
     if lam is None:
         lam = highest_root(cd)
-    V = build_irrep(cd, lam)
-    W = build_classical_module(cd, lam)
+    V = build_irrep(cd, lam, budget_dim=200)
+    W = build_classical_module(cd, lam, budget_dim=200)
     assert V.labels == W.labels
     assert V.weights == W.weights
     for i in range(cd.rank):
@@ -126,17 +138,12 @@ def test_adjoint_of_a1_specializes_to_sl2():
 
 
 def test_module_serializes_to_json():
-    import json
-
     V = build_irrep(build_cartan("A", 1), (1,))
     blob = json.dumps(V.to_json(), sort_keys=True)
     assert "highest_weight" in blob
 
 
-@pytest.mark.parametrize("name,lam", [
-    ("A2", (1, 1)), ("A3", (1, 0, 1)), ("B2", (1, 1)), ("C3", (1, 0, 0)),
-    ("G2", (1, 0)), ("G2", (0, 1)), ("B3", (1, 1, 0)),
-])
+@pytest.mark.parametrize("name,lam", NONPIVOT_MODULES)
 def test_basis_labels_match_the_classical_build(name, lam):
     # two independent constructions; both take each weight space's basis
     # from the pivot columns of rref on a Fraction pair matrix, which in
@@ -144,3 +151,21 @@ def test_basis_labels_match_the_classical_build(name, lam):
     cd = name_to_cartan(name)
     V = build_irrep(cd, lam, budget_dim=200)
     assert V.labels == build_classical_module(cd, lam, budget_dim=200).labels
+
+
+@pytest.mark.parametrize("name,lam,digest", [
+    ("A2", (1, 1), "a530595f484ecc76d7423622f106e15941331843f74fe79ff99eec3a469c987a"),
+    ("A3", (1, 0, 1), "c7a1696065c69fc3005b090ecb07ec8b5043165e86a1fe90664daf9229e411c9"),
+    ("B2", (1, 1), "8e766966092faff5e8a899bbd5a798bed8482b261d0b1eb1214fdffaec527ab4"),
+    ("C3", (1, 0, 0), "bac56e6ffa0d24e7612f5d8fd40d8c39e0f10fff750a86d6bffc77678795bde8"),
+    ("G2", (1, 0), "aba1d92923de9c73d23165e77a9c63625a7d2696a0305cb77374254155b8a7a6"),
+    ("G2", (0, 1), "9f6883295f8984cf444400a96b1b811d73ca8d72d0dd0bce821eb88e4c8b4868"),
+    ("B3", (1, 1, 0), "507a8d764bb0c8ee90b0b5213d8e7b5ee162d373eede8741a348bcf406a7ba1b"),
+    ("A3", (1, 1, 1), "7b622ec219f6de956c0a758a88bb2d20694763fbf7cce247bcfee7f884d067ae"),
+])
+def test_module_json_digest(name, lam, digest):
+    # the exact module, entry for entry: any change to the basis choice, the
+    # Gram reduction or the scalar kernel's canonical form shows here
+    V = build_irrep(name_to_cartan(name), lam, budget_dim=200)
+    text = json.dumps(V.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
