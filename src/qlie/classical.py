@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rootdata import VerificationFailed, CartanDatum, highest_root, weyl_dim
+from .rootdata import DEFAULT_DIM_BUDGET, VerificationFailed, CartanDatum, highest_root, weyl_dim
 from .linalg import inverse, nullspace, rref, solve
 
 
@@ -38,7 +38,7 @@ class ClassicalModule:
         return len(self.labels)
 
 
-def build_classical_module(cd: CartanDatum, lam, budget_dim: int = 64) -> ClassicalModule:
+def build_classical_module(cd: CartanDatum, lam, budget_dim: int = DEFAULT_DIM_BUDGET) -> ClassicalModule:
     """Classical irreducible module with the same level-by-level algorithm
     (and therefore the same labels and pivot choices) as the deformed build."""
     lam = tuple(lam)
@@ -188,7 +188,7 @@ def intertwines(V: ClassicalModule, constants) -> bool:
     return True
 
 
-def classical_bracket(cd: CartanDatum, budget_dim: int = 64):
+def classical_bracket(cd: CartanDatum, budget_dim: int = DEFAULT_DIM_BUDGET):
     """Classical structure constants on the adjoint module basis, obtained by
     the same route as the deformed pipeline: highest-weight vector at the
     highest root inside V (x) V, antisymmetrized, lowered, and inverted

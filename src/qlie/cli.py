@@ -51,28 +51,37 @@ from .qliealg import (
     check_q_antisymmetry,
     check_tau_sln,
     compare_to_explicit,
+    table_cartan,
 )
 
 CHECK_NAMES = ("gradation", "antisymmetry", "classical-limit", "lr-identity",
                "ad-invariance", "tau")
 
 
-def parse_algebra(text: str, budget_dim: int | None = None) -> CartanDatum:
-    """The Cartan datum named by text, like A2.  A classical type whose
-    adjoint dimension (n^2 - 1 for sl_n, explicit or not) exceeds budget_dim
-    raises BudgetExceeded before its Cartan matrix is built."""
+def _series_rank(text: str) -> tuple:
+    """(series letter, rank) of an algebra name like A2; no Cartan datum is
+    built."""
     m = re.fullmatch(r"([A-Za-z])\s*([0-9]+)", text.strip())
     if not m:
         raise InvalidParams(f"bad algebra {text!r}; expected a series letter "
                             "and rank, like A2 or G2")
-    series = m.group(1).upper()
     try:
-        rank = int(m.group(2))
-        if budget_dim is not None and series in ("A", "B", "C", "D"):
-            dim = classical_dim(series, rank)
-            if dim > budget_dim:
-                raise BudgetExceeded(f"dim of the adjoint module of {series}{rank} = {dim} "
-                                     f"exceeds budget {budget_dim}")
+        return m.group(1).upper(), int(m.group(2))
+    except ValueError as exc:
+        raise InvalidParams(str(exc)) from exc
+
+
+def parse_algebra(text: str, budget_dim: int | None = None) -> CartanDatum:
+    """The Cartan datum named by text, like A2.  A classical type whose
+    adjoint dimension (n^2 - 1 for sl_n, explicit or not) exceeds budget_dim
+    raises BudgetExceeded before its Cartan matrix is built."""
+    series, rank = _series_rank(text)
+    if budget_dim is not None and series in ("A", "B", "C", "D"):
+        dim = classical_dim(series, rank)
+        if dim > budget_dim:
+            raise BudgetExceeded(f"dim of the adjoint module of {series}{rank} = {dim} "
+                                 f"exceeds budget {budget_dim}")
+    try:
         return build_cartan(series, rank)
     except ValueError as exc:
         raise InvalidParams(str(exc)) from exc
@@ -166,14 +175,16 @@ def _naming(ln: str):
 
 
 def parse_text_algebra(text: str) -> QuantumLieAlgebra:
-    """Rebuild a QuantumLieAlgebra from the output of build_text."""
-    cd = provenance = names = params = None
+    """Rebuild a QuantumLieAlgebra from the output of build_text.  The
+    basis line must list as many vectors as the algebra's adjoint dimension,
+    which is checked before its Cartan datum is built (qliealg.table_cartan)."""
+    algebra = provenance = names = params = None
     normalized = False
     lines = [ln for ln in text.splitlines() if ln.strip()]
     body = []
     for ln in lines:
         if ln.startswith("# algebra "):
-            cd = parse_algebra(ln[len("# algebra "):])
+            algebra_line, algebra = ln, _series_rank(ln[len("# algebra "):])
         elif ln.startswith("# construction "):
             provenance = ln[len("# construction "):].strip()
         elif ln.startswith("# normalized "):
@@ -188,8 +199,10 @@ def parse_text_algebra(text: str) -> QuantumLieAlgebra:
                 params = {"s": parse_scalar(m.group(1)), "t": parse_scalar(m.group(2))}
         elif not ln.startswith("#"):
             body.append(ln)
-    if cd is None or provenance is None or names is None:
+    if algebra is None or provenance is None or names is None:
         raise InvalidParams("text table lacks its header lines")
+    with _naming(algebra_line):
+        cd = table_cartan(*algebra, len(names))
     with _naming(basis_line):
         basis = [_parse_label(nm, cd.rank + 1) for nm in names]
     where = {nm: a for a, nm in enumerate(names)}

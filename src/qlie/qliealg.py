@@ -33,9 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 
 from .qring import RatFunc, RF_ONE, RF_ZERO, rf_sqrt, rf_vpow, _fraction_sqrt
-from .rootdata import VerificationFailed, CartanDatum, build_cartan, highest_root, cartan_to_json, cartan_from_json
+from .rootdata import (VerificationFailed, CartanDatum, adjoint_dim, build_cartan, cartan_to_json,
+                       classical_dim, highest_root, simple_roots)
 from .repbuild import adjoint_module, DEFAULT_DIM_BUDGET
 from .tensorcg import (
     tensor_square,
@@ -151,7 +153,7 @@ class QuantumLieAlgebra:
 
     @staticmethod
     def from_json(d: dict) -> "QuantumLieAlgebra":
-        cd = cartan_from_json(d["cartan"])
+        cd = table_cartan(d["cartan"]["series"], int(d["cartan"]["rank"]), len(d["basis"]))
         basis = [BasisLabel.from_json(x) for x in d["basis"]]
         constants = {
             (e["a"], e["b"], e["c"]): RatFunc.from_json(e["value"])
@@ -169,6 +171,23 @@ class QuantumLieAlgebra:
             normalized=bool(d.get("normalized", False)),
             checks=dict(d.get("checks", {})),
         )
+
+
+def table_cartan(series: str, rank: int, dim: int) -> CartanDatum:
+    """The Cartan datum of a stored table with dim basis vectors on the
+    algebra series + rank.  dim must be its adjoint dimension, and for A-D
+    it is compared in closed form before the rank x rank Cartan matrix is
+    built, so reading a table costs work bounded by the table's own size.
+    A mismatch raises InvalidParams."""
+    series = series.upper()
+    if series in ("A", "B", "C", "D"):
+        expect = classical_dim(series, rank)
+    else:
+        expect = adjoint_dim(build_cartan(series, rank))
+    if dim != expect:
+        raise InvalidParams(f"{series}{rank} has a {expect}-dimensional adjoint module, "
+                            f"but the table has {dim} basis vectors")
+    return build_cartan(series, rank)
 
 
 def labeled_constants(A: QuantumLieAlgebra) -> dict:
@@ -201,12 +220,6 @@ def _by_pair(constants: dict) -> dict:
     for (a, b, c), val in constants.items():
         out.setdefault((a, b), {})[c] = val
     return out
-
-
-def _simple_roots(cd: CartanDatum) -> list:
-    """h-coordinates of the simple roots: the columns of the Cartan matrix."""
-    n = cd.rank
-    return [tuple(cd.cartan[k][j] for k in range(n)) for j in range(n)]
 
 
 def change_basis(constants: dict, cols, inv) -> dict:
@@ -431,7 +444,7 @@ def generic_pipeline(cd: CartanDatum, budget_dim: int = DEFAULT_DIM_BUDGET) -> G
     table = cg_embedding(T, anti)
     if not verify_embedding(T, table):
         raise VerificationFailed("Clebsch-Gordan embedding fails to intertwine")
-    constants = invert_cg(V, T, table, others)
+    constants = invert_cg(T, anti, others)
     return GenericPipeline(V, T, hw, anti, others, table, constants)
 
 
@@ -441,17 +454,9 @@ def build_generic(cd: CartanDatum, budget_dim: int = DEFAULT_DIM_BUDGET,
     A precomputed pipeline for the same Cartan datum may be passed in."""
     if pipe is None:
         pipe = generic_pipeline(cd, budget_dim)
-    V = pipe.module
-    zero = (0,) * cd.rank
-    basis = []
-    h_count = 0
-    for a in range(V.dim):
-        w = V.weights[a]
-        if w == zero:
-            h_count += 1
-            basis.append(BasisLabel("H", index=h_count))
-        else:
-            basis.append(BasisLabel("X", root=w))
+    h = count(1)  # the zero-weight slots, numbered in basis order
+    basis = [BasisLabel("X", root=w) if any(w) else BasisLabel("H", index=next(h))
+             for w in pipe.module.weights]
     return QuantumLieAlgebra(cd, basis, dict(pipe.constants), "generic-pipeline")
 
 
@@ -476,7 +481,7 @@ def _gauge_rebase(constants, cd, weights, two, sqrt):
     if len(h_slots) != n:
         raise GaugeObstruction("Cartan slot count differs from the rank")
     roots = {w: a for a, w in enumerate(weights) if w != origin}
-    simple = _simple_roots(cd)
+    simple = simple_roots(cd)
     for alpha in simple:
         if alpha not in roots or tuple(-c for c in alpha) not in roots:
             raise GaugeObstruction("missing simple-root vector X_alpha or X_-alpha")
@@ -524,14 +529,8 @@ def canonical_normalize(A: QuantumLieAlgebra) -> QuantumLieAlgebra:
     two = RatFunc(2) * _qpow(A.cd.d[0])
     weights = [A.grade(a) for a in range(A.dim)]
     new_constants = _gauge_rebase(A.constants, A.cd, weights, two, rf_sqrt)
-    basis = []
-    h_seen = 0
-    for lab in A.basis:
-        if lab.kind == "H":
-            h_seen += 1
-            basis.append(BasisLabel("H", index=h_seen))
-        else:
-            basis.append(lab)
+    h = count(1)
+    basis = [BasisLabel("H", index=next(h)) if lab.kind == "H" else lab for lab in A.basis]
     return QuantumLieAlgebra(A.cd, basis, new_constants, A.provenance,
                              params=A.params, normalized=True)
 
@@ -670,7 +669,7 @@ def check_classical_limit(A: QuantumLieAlgebra, budget_dim: int = DEFAULT_DIM_BU
         return ci != 0 and all(2 * acts(g, x) == ci * A.basis[x].root[i] for x in xs)
 
     report["roots_classical"] = all(
-        acts_as_coroot(i, alpha) for i, alpha in enumerate(_simple_roots(A.cd))
+        acts_as_coroot(i, alpha) for i, alpha in enumerate(simple_roots(A.cd))
     )
 
     oracle = None
@@ -702,10 +701,11 @@ def check_classical_limit(A: QuantumLieAlgebra, budget_dim: int = DEFAULT_DIM_BU
     return report
 
 
-def ad_invariance_of_table(constants: dict, V, T) -> dict:
+def ad_invariance_of_table(constants: dict, T) -> dict:
     """pi(x) o B = B o Delta pi(x) for all generators, for the bracket B
-    defined by a constants table written on the module basis of V."""
-    defects = module_map_defects(bracket_matrix(V.dim, constants), T, V)
+    defined by a constants table written on the module basis of V, read as
+    T.left of the tensor square T = V (x) V."""
+    defects = module_map_defects(bracket_matrix(T.left.dim, constants), T, T.left)
     if defects:
         return {"ok": False, "witness": defects[0]}
     return {"ok": True}
@@ -719,12 +719,8 @@ def check_ad_invariance(A: QuantumLieAlgebra, pipe: GenericPipeline = None,
     tables go through check_ad_invariance_explicit instead."""
     if A.provenance != "generic-pipeline" or A.normalized:
         return {"ok": None, "applicable": False}
-    if pipe is None:
-        V = adjoint_module(A.cd, budget_dim)
-        T = tensor_square(V)
-    else:
-        V, T = pipe.module, pipe.tensor
-    rep = ad_invariance_of_table(A.constants, V, T)
+    T = tensor_square(adjoint_module(A.cd, budget_dim)) if pipe is None else pipe.tensor
+    rep = ad_invariance_of_table(A.constants, T)
     rep["applicable"] = True
     return rep
 
@@ -766,7 +762,7 @@ def check_ad_invariance_explicit(E: QuantumLieAlgebra,
     if not fit.get("match") or "phi" not in fit:
         return {"ok": None, "applicable": False, "note": "no basis dictionary"}
     table = transport_explicit_constants(A, fit["phi"], E)
-    rep = ad_invariance_of_table(table, pipe.module, pipe.tensor)
+    rep = ad_invariance_of_table(table, pipe.tensor)
     rep["applicable"] = True
     return rep
 
@@ -891,7 +887,7 @@ def compare_to_explicit(A: QuantumLieAlgebra, s=None, t=None,
     tfit = _sln_table(Ts, Tt, s_fit, t_fit)
 
     # gauge scalars: simple-root vectors pinned to 1, the rest propagated
-    scal = {groots[alpha]: RF_ONE for alpha in _simple_roots(cd)}
+    scal = {groots[alpha]: RF_ONE for alpha in simple_roots(cd)}
     a_pairs = _by_pair(A.constants)
     xset = set(gxs)
     progress = True

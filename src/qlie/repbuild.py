@@ -19,10 +19,11 @@ monomials become basis vectors.  This makes every matrix entry regular at
 v = 1 and the v = 1 specialization a classical module on the same labels.
 
 Each level groups E and F by column once (linalg.sp_grouped), and a basis
-vector's position in its weight block is recorded when it is created.  A
-weight space with more candidates than basis vectors then runs one rref of
-[G | R], G the Gram block of the pivot candidates and R their pairings with
-the others: it gives the F-coordinates of all the others at once.
+vector's position in its weight block and the index of its parent (the
+vector it is F_j of) are recorded when it is created.  A weight space with
+more candidates than basis vectors then runs one rref of [G | R], G the Gram
+block of the pivot candidates and R their pairings with the others: it
+gives the F-coordinates of all the others at once.
 
 All matrices are sparse dicts {(row, col): RatFunc} on global basis indices.
 """
@@ -34,15 +35,16 @@ from fractions import Fraction
 
 from .qring import RF_ONE, RF_ZERO, q_int, q_binomial
 from .rootdata import (
+    DEFAULT_DIM_BUDGET,
     CartanDatum,
     adjoint_dim,
+    cartan_to_json,
     weight_multiplicities,
     weyl_dim,
     highest_root,
+    simple_roots,
 )
 from .linalg import rref, sp_add_to, sp_eq, sp_grouped, sp_matmul, sp_sub, sp_transpose
-
-DEFAULT_DIM_BUDGET = 64
 
 
 class BudgetExceeded(RuntimeError):
@@ -59,14 +61,17 @@ class IrrepModule:
 
     labels[a] is the F-monomial (i_1, ..., i_k) with v_a = F_{i_1} ... F_{i_k}
     applied to the highest-weight vector (0-based simple-root indices);
-    weights[a] are h-coordinates; E[i], F[i] sparse matrices; kexp[i][a] the
-    exponent of v in the diagonal K_i entry; gram maps a weight to the dense
-    Gram block of the contravariant form on its basis indices.
+    parent[a] is the basis index of the vector labelled (i_2, ..., i_k), so
+    v_a = F_{i_1} v_parent[a] (parent[0] is None); weights[a] are
+    h-coordinates; E[i], F[i] sparse matrices; kexp[i][a] the exponent of v
+    in the diagonal K_i entry; gram maps a weight to the dense Gram block of
+    the contravariant form on its basis indices.
     """
 
     cd: CartanDatum
     highest_weight: tuple
     labels: list
+    parent: list
     weights: list
     E: dict
     F: dict
@@ -79,8 +84,6 @@ class IrrepModule:
         return len(self.labels)
 
     def to_json(self) -> dict:
-        from .rootdata import cartan_to_json
-
         def sp_json(m):
             return [[r, c, val.to_json()] for (r, c), val in sorted(m.items())]
 
@@ -105,10 +108,10 @@ def build_irrep(cd: CartanDatum, lam, budget_dim: int = DEFAULT_DIM_BUDGET) -> I
     if dim > budget_dim:
         raise BudgetExceeded(f"dim V({lam}) = {dim} exceeds budget {budget_dim}")
     n = cd.rank
-    # alpha_j in h-coordinates is the j-th column of the Cartan matrix
-    simple_w = [tuple(cd.cartan[k][j] for k in range(n)) for j in range(n)]
+    alphas = simple_roots(cd)
 
     labels = [()]
+    parent = [None]
     weights = [lam]
     weight_basis = {lam: [0]}
     gram = {lam: [[RF_ONE]]}
@@ -122,7 +125,7 @@ def build_irrep(cd: CartanDatum, lam, budget_dim: int = DEFAULT_DIM_BUDGET) -> I
         targets = {}
         for mu_up, idxs in prev_level.items():
             for j in range(n):
-                mu = tuple(a - b for a, b in zip(mu_up, simple_w[j]))
+                mu = tuple(a - b for a, b in zip(mu_up, alphas[j]))
                 targets.setdefault(mu, []).extend((j, b) for b in idxs)
         # a candidate F_j v_b reads column b of E_i and columns one level up
         # of F_j; earlier levels wrote all of them, so one grouping serves
@@ -159,6 +162,7 @@ def build_irrep(cd: CartanDatum, lam, budget_dim: int = DEFAULT_DIM_BUDGET) -> I
             for p, (col, gi) in enumerate(zip(pivots, idxs)):
                 j, b = cands[col]
                 labels.append((j,) + labels[b])
+                parent.append(b)
                 weights.append(mu)
                 pos.append(p)
                 F[j][(gi, b)] = RF_ONE
@@ -183,7 +187,7 @@ def build_irrep(cd: CartanDatum, lam, budget_dim: int = DEFAULT_DIM_BUDGET) -> I
         prev_level = new_level
 
     kexp = {i: [cd.d[i] * w[i] for w in weights] for i in range(n)}
-    mod = IrrepModule(cd, lam, labels, weights, E, F, kexp, gram, weight_basis)
+    mod = IrrepModule(cd, lam, labels, parent, weights, E, F, kexp, gram, weight_basis)
     if mod.dim != dim:
         raise InternalInconsistency(f"built dim {mod.dim}, Weyl dim {dim}")
     return mod

@@ -26,6 +26,9 @@ from operator import add, floordiv, mul, sub
 
 from .linalg import inverse
 
+# the largest module dimension a construction attempts unless told otherwise
+DEFAULT_DIM_BUDGET = 64
+
 
 class InvalidType(ValueError):
     """Unknown series letter or rank out of range for the series."""
@@ -128,9 +131,12 @@ class RootSystem:
     highest_root: tuple     # weight coordinates of theta
     rho: tuple              # weight with rho(h_i) = 1
 
-    @property
-    def rank(self):
-        return self.cd.rank
+
+def simple_roots(cd: CartanDatum) -> list:
+    """h-coordinates of the simple roots: alpha_j is the j-th column of the
+    Cartan matrix.  The one place they are read off it."""
+    n = cd.rank
+    return [tuple(cd.cartan[k][j] for k in range(n)) for j in range(n)]
 
 
 def weight_of_root_coords(cd: CartanDatum, coords) -> tuple:
@@ -177,10 +183,6 @@ def root_system(cd: CartanDatum) -> RootSystem:
         raise VerificationFailed(f"{cd}: the last positive root is not the highest")
     rho = tuple(1 for _ in range(n))
     return RootSystem(cd, positive, theta, rho)
-
-
-def positive_roots(cd: CartanDatum):
-    return root_system(cd).positive_roots
 
 
 def highest_root(cd: CartanDatum) -> tuple:
@@ -268,7 +270,7 @@ def weight_multiplicities(cd: CartanDatum, lam: tuple):
     delta_j), so the k-range of each root string is exact without A^-1."""
     _check_dominant(lam)
     n, d = cd.rank, cd.d
-    simples = [(j, tuple(row[j] for row in cd.cartan)) for j in range(n)]
+    simples = list(enumerate(simple_roots(cd)))
     # per positive root alpha = sum c_i alpha_i: its weight coordinates, the
     # support {i : c_i > 0}, c_i and c_i d_i on the support, and (alpha, alpha)
     roots = []
@@ -336,8 +338,7 @@ def tensor_multiplicity(cd: CartanDatum, mu, nu, lam) -> int:
     _check_dominant(lam)
     if weyl_dim(cd, mu) < weyl_dim(cd, nu):
         mu, nu = nu, mu
-    n = cd.rank
-    alphas = [tuple(cd.cartan[k][i] for k in range(n)) for i in range(n)]
+    alphas = simple_roots(cd)
     target = [x + 1 for x in lam]
     total = 0
     for beta, m in weight_multiplicities(cd, tuple(nu)).items():
@@ -354,7 +355,3 @@ def tensor_multiplicity(cd: CartanDatum, mu, nu, lam) -> int:
 
 def cartan_to_json(cd: CartanDatum) -> dict:
     return {"series": cd.series, "rank": cd.rank}
-
-
-def cartan_from_json(d: dict) -> CartanDatum:
-    return build_cartan(d["series"], int(d["rank"]))

@@ -7,20 +7,8 @@ between two modules intertwines E_i, F_i and the weight grading (K_i).
 The CG embedding, the inverse-CG bracket, the ad-invariance of stored
 tables, the monodromy operator and the adjoint family inside W (x) W*
 (monodromy.verify_ad_submodule) are all checked through it.  It computes
-on integers and stays exact: every matrix is written once as
-v^low / (q L) * N with N over Z[v] (q and L the common denominators of its
-contents and of its distinct polynomial denominators), so both sides of
-target(x) M = M source(x) become integer polynomial matrices once the
-denominators are cleared.  They are compared at X = 2^b, with X > 2B for
-a bound B on their coefficients; a nonzero integer polynomial whose
-coefficients are below X in absolute value does not vanish at X.  A side
-that is a tensor product M1 (x) M2 is written from its factors: with
-x_j = v^low_j / (q_j L_j) N_j, both over the common q = lcm(q_1, q_2) and
-L = lcm(L_1, L_2), Delta(x) has N entries (q / q_j)(L / L_j) N_j shifted
-by powers of v, and its bound takes the sum of the factors' row sums of
-1-norms and the larger of their largest 1-norms, each times
-|(q / q_j)(L / L_j)|_1 (see _tensor_int_form).  Its products with M are
-the integer coproduct action on M's columns or rows.
+on integers and stays exact, reading a tensor-product side from its
+factors (see module_map_defects and _tensor_int_form).
 
 highest_weight_space is likewise the single routine that finds
 highest-weight vectors: the CG pipeline, the isotypic components of
@@ -42,10 +30,11 @@ The layer passes plain data: a highest-weight space is the list of its
 sparse vectors, and a CG embedding beta is its lowered table, entry a the
 sparse image of basis vector a (cg_embedding, checked by
 verify_embedding).  The structure constants of the quantum Lie algebra
-are produced by invert_cg: given the embedding beta built from a
-highest-weight vector of weight theta inside V (x) V, the bracket B is
-the unique module map V (x) V -> V with B o beta = id that kills the
-submodules generated by the remaining theta-highest-weight vectors.  It
+are produced by invert_cg(T, v0, others), which reads V as T.left of the
+tensor square T = V (x) V: given the highest-weight vector v0 of weight
+theta that generates the embedding beta, the bracket B is the unique
+module map V (x) V -> V with B o beta = id that kills the submodules
+generated by the remaining theta-highest-weight vectors `others`.  It
 is B = S^-1 beta_w^T (S (x) S), beta_w the embedding generated by a
 combination w = sum_k x_k u_k of the generating vectors, with S the
 contravariant form of V: the one sparse block-diagonal matrix of
@@ -53,7 +42,8 @@ repbuild.contravariant_form.  The generating vectors are paired with
 S (x) S once, which gives every product form u_j^T (S (x) S) u_k among them,
 hence x on the (at most two-dimensional) multiplicity space, and the top
 row w^T (S (x) S) of beta_w^T (S (x) S).  The other rows are raised from it
-along V's labels: row a of beta_w^T (S (x) S) is
+along V's basis, each from its parent's (IrrepModule.parent): row a of
+beta_w^T (S (x) S) is
 (Delta(F_{i_1}) beta_w(e_parent))^T (S (x) S) = r_parent Delta(E_{i_1}), because
 
     (S (x) S) Delta(E_i) = Delta(F_i)^T (S (x) S).
@@ -81,7 +71,7 @@ from functools import cached_property, partial
 from math import lcm
 
 from .qring import RatFunc, RF_ONE, RF_ZERO, _zexact, _zgcd, _zmul
-from .rootdata import VerificationFailed, tensor_multiplicity, is_dominant
+from .rootdata import VerificationFailed, is_dominant, simple_roots, tensor_multiplicity
 from .repbuild import IrrepModule, contravariant_form
 from .linalg import (IntForm, _zat, clear_denominators, inverse, nullspace, solve, sp_add_to,
                      sp_grouped, sp_int_eval, sp_int_form, sp_int_matmul, sp_matvec)
@@ -101,21 +91,20 @@ class SingularSystem(ZeroDivisionError):
 
 @dataclass
 class TensorProduct:
-    """left (x) right with the coproduct action.
+    """left (x) right with the coproduct action: the two factors, the
+    weight of each product index p = a*dim(right) + b, and weight_blocks,
+    the product indices of each weight.
 
     The factors are any modules with cd, dim, weights, E, F and kexp.  No
     matrix on the product is stored: coproduct_action applies Delta(E_i)
     and Delta(F_i) from the factors, and module_map_defects reads a
-    tensor-product side from them too.  kexp[i][p] is the exponent of v in
-    the diagonal Delta(K_i) entry at the product index
-    p = a*dim(right) + b.  dE and dF, the sparse matrices of Delta(E_i)
-    and Delta(F_i), are built on first use, for the benchmark tracer and
-    the tests only; nothing in the package reads them.
+    tensor-product side from them too.  dE and dF, the sparse matrices of
+    Delta(E_i) and Delta(F_i), are built on first use, for the benchmark
+    tracer and the tests only; nothing in the package reads them.
     """
 
     left: object
     right: object
-    kexp: dict
     weights: list
     weight_blocks: dict
 
@@ -193,8 +182,7 @@ def tensor_product(M1, M2) -> TensorProduct:
             w = tuple(x + y for x, y in zip(wa, wb))
             blocks.setdefault(w, []).append(len(weights))
             weights.append(w)
-    kexp = {i: [x + y for x in M1.kexp[i] for y in M2.kexp[i]] for i in range(M1.cd.rank)}
-    return TensorProduct(M1, M2, kexp, weights, blocks)
+    return TensorProduct(M1, M2, weights, blocks)
 
 
 def tensor_square(V: IrrepModule) -> TensorProduct:
@@ -220,12 +208,11 @@ def highest_weight_space(T: TensorProduct, w) -> list:
     a miscount raises VerificationFailed, and an empty space EmptySpace."""
     w = tuple(w)
     cd = T.cd
-    n = cd.rank
     block = T.weight_blocks.get(w, [])
     raise_row = coproduct_action(T, "E", transpose=True)
     rows = []
-    for i in range(n):
-        up = tuple(w[k] + cd.cartan[k][i] for k in range(n))
+    for i, alpha in enumerate(simple_roots(cd)):
+        up = tuple(a + b for a, b in zip(w, alpha))
         for q in T.weight_blocks.get(up, ()):
             row = raise_row(i, {q: RF_ONE})
             if row:
@@ -278,16 +265,20 @@ def symmetrize_hw(T: TensorProduct, v0: dict) -> dict:
     return _swap_bar_half(T, v0, False)
 
 
+def _along_parents(M, act, top: dict) -> list:
+    """[top, ...] over M's basis: entry a is act(i_1, entry parent[a]) for
+    the label (i_1, ...) of basis vector a."""
+    out = [top]
+    for lab, b in zip(M.labels[1:], M.parent[1:]):
+        out.append(act(lab[0], out[b]))
+    return out
+
+
 def lowered_table(T: TensorProduct, M, v0: dict) -> list:
     """The copy of M generated by a highest-weight vector v0 of T: entry a
     is Delta(F_{i_1} ... F_{i_k}) v0 for the basis label (i_1, ..., i_k)
     of M, so the table is the image of M's basis under the embedding."""
-    index = {lab: a for a, lab in enumerate(M.labels)}
-    lower = coproduct_action(T, "F")
-    table = [dict(v0)]
-    for lab in M.labels[1:]:
-        table.append(lower(lab[0], table[index[lab[1:]]]))
-    return table
+    return _along_parents(M, coproduct_action(T, "F"), dict(v0))
 
 
 def _tensor_int_form(f1, f2, k1: list, k2: list):
@@ -450,11 +441,7 @@ def _bracket_from_covector(T: TensorProduct, top: dict) -> dict:
 
     Returns a sparse matrix {(module_row, product_col): RatFunc}."""
     V = T.left
-    raise_row = coproduct_action(T, "E", transpose=True)
-    index = {lab: a for a, lab in enumerate(V.labels)}
-    rows = [top]
-    for lab in V.labels[1:]:
-        rows.append(raise_row(lab[0], rows[index[lab[1:]]]))
+    rows = _along_parents(V, coproduct_action(T, "E", transpose=True), top)
     bmat = {}
     for w, vw in V.weight_basis.items():
         if not any(rows[a] for a in vw):
@@ -473,23 +460,21 @@ def _bracket_from_covector(T: TensorProduct, top: dict) -> dict:
 
 def bracket_matrix(dim: int, constants: dict) -> dict:
     """Sparse matrix of B on V (x) V from a constants table {(a,b,c): f}."""
-    out = {}
-    for (a, b, c), x in constants.items():
-        if not x.is_zero():
-            out[(c, a * dim + b)] = x
-    return out
+    return {(c, a * dim + b): x for (a, b, c), x in constants.items() if not x.is_zero()}
 
 
-def invert_cg(V: IrrepModule, T: TensorProduct, table: list, others: list) -> dict:
+def invert_cg(T: TensorProduct, v0: dict, others: list) -> dict:
     """Structure constants f_ab^c of the unique module map B: V(x)V -> V
-    with B o beta = id, beta the embedding `table` into T = V (x) V, and
-    B = 0 on the submodules generated by `others`.
+    on the tensor square T = V (x) V, V = T.left, with B o beta = id, beta
+    the embedding of V generated by the highest-weight vector v0
+    (cg_embedding(T, v0)), and B = 0 on the submodules generated by
+    `others`.
 
-    Only table[0] = v0 is read.  The generating vectors [v0, *others] are
-    paired with S (x) S once; the pair matrix gives the weights x_k of the
-    combination w = sum_k x_k u_k with B = S^-1 beta_w^T (S (x) S), and the
-    pairings give its top row, from which _bracket_from_covector raises the
-    others (see the module docstring).
+    The generating vectors [v0, *others] are paired with S (x) S once; the
+    pair matrix gives the weights x_k of the combination w = sum_k x_k u_k
+    with B = S^-1 beta_w^T (S (x) S), and the pairings give its top row,
+    from which _bracket_from_covector raises the others (see the module
+    docstring).
 
     Checked exactly before returning: V's F maps each basis vector's parent
     to it; B(v0) = e_0 and B(u) = 0 for u in `others`; and B is a module map
@@ -497,7 +482,8 @@ def invert_cg(V: IrrepModule, T: TensorProduct, table: list, others: list) -> di
     (K_a^{bc} f_bc^d = delta_a^d) and B = 0 on the complements, by the module
     docstring's induction.
     """
-    us = [table[0], *others]
+    V = T.left
+    us = [v0, *others]
     paired = _paired_with_form(V, us)
     # the product form u_j^T (S (x) S) u_k on the generating vectors
     pair = [[sum((su[p] * y for p, y in u.items() if p in su), RF_ZERO) for u in us]
@@ -516,9 +502,8 @@ def invert_cg(V: IrrepModule, T: TensorProduct, table: list, others: list) -> di
     # exact checks: V's monomial basis, B on the generating vectors, then B
     # as a module map in full; the module docstring says why these suffice
     cols = {i: sp_grouped(mat, False) for i, mat in V.F.items()}
-    index = {lab: a for a, lab in enumerate(T.left.labels)}
-    for a, lab in enumerate(T.left.labels[1:], 1):
-        if cols[lab[0]].get(index[lab[1:]]) != [(a, RF_ONE)]:
+    for a, (lab, b) in enumerate(zip(V.labels[1:], V.parent[1:]), 1):
+        if cols[lab[0]].get(b) != [(a, RF_ONE)]:
             raise VerificationFailed(f"F does not lower basis vector {a} from its parent")
     if sp_matvec(bmat, us[0]) != {0: RF_ONE}:
         raise VerificationFailed("B o beta != id")
@@ -529,10 +514,4 @@ def invert_cg(V: IrrepModule, T: TensorProduct, table: list, others: list) -> di
     if defects:
         raise VerificationFailed("K intertwining (grading) fails" if defects[0][0] == "K"
                                  else "intertwining fails")
-
-    d = V.dim
-    constants = {}
-    for (c, p), val in bmat.items():
-        a, b = divmod(p, d)
-        constants[(a, b, c)] = val
-    return constants
+    return {(*divmod(p, V.dim), c): val for (c, p), val in bmat.items()}

@@ -270,18 +270,20 @@ def form_square(V) -> dict:
     return {(a * d + b, c * d + e): x * y for (a, c), x in S.items() for (b, e), y in S.items()}
 
 
-def reference_invert_cg(V, T, table, others) -> dict:
+def reference_invert_cg(T, v0, others) -> dict:
     """The constants {(a, b, c): f} of invert_cg by whole matrices:
     B = sum_k x_k S^-1 beta_k^T (S (x) S), beta_k the full lowered table of
-    the k-th generating vector u_k in [table[0], *others], S the contravariant
-    form of V, and x the solution of sum_k u_j^T (S (x) S) u_k x_k = delta_j0."""
+    the k-th generating vector u_k in [v0, *others], S the contravariant
+    form of V = T.left, and x the solution of
+    sum_k u_j^T (S (x) S) u_k x_k = delta_j0."""
+    V = T.left
     d = V.dim
     SS = form_square(V)
     sinv = {}
     for w, vw in V.weight_basis.items():
         for a, row in zip(vw, inverse(V.gram[w])):
             sinv.update({(a, b): g for b, g in zip(vw, row) if g})
-    us = [table[0], *others]
+    us = [v0, *others]
     pair = [[sum((uj[p] * x * uk[q] for (p, q), x in SS.items() if p in uj and q in uk), RF_ZERO)
              for uk in us] for uj in us]
     x = solve(pair, [RF_ONE] + [RF_ZERO] * len(others))

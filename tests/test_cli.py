@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from qlie import cli, repbuild, tensorcg
+from qlie import cli, qliealg, repbuild, tensorcg
 from qlie.cli import main, parse_text_algebra
 from qlie.qliealg import QuantumLieAlgebra, check_lr_identity, same_algebra
 from qlie.qring import RatFunc
@@ -246,6 +246,18 @@ def test_lr_identity_witness_names_the_cartan_element(capsys, monkeypatch, gener
     assert out.splitlines()[0] == "lr-identity: FAIL  witness X_{(1,1)},H_1"
 
 
+def test_classical_limit_failure_names_its_failing_flags(capsys, monkeypatch):
+    # a report without a witness: the line names every flag that is False
+    report = {"regular_at_one": True, "antisymmetric": True, "jacobi": False,
+              "cartan_abelian": True, "l_equals_r": True, "kappa": None,
+              "roots_classical": False, "oracle_match": None, "all": False}
+    monkeypatch.setattr(cli, "check_classical_limit", lambda A, *args: dict(report))
+    code, out = run(capsys, "verify", "--algebra", "A1", "--checks", "classical-limit")
+    assert code == 1
+    assert out.splitlines() == ["classical-limit: FAIL  failing: jacobi, roots_classical",
+                                "result: FAIL"]
+
+
 def test_verify_tau_splits_on_parameters(capsys):
     code, out = run(capsys, "verify", "--algebra", "A2", "--construction", "explicit-sln",
                     "--s", "1", "--t", "1", "--checks", "tau")
@@ -272,6 +284,26 @@ def test_compare_with_pinned_mismatch(capsys):
     code, out = run(capsys, "compare", "--algebra", "A2", "--s", "1", "--t", "1")
     assert code == 1
     assert "match: False" in out
+
+
+@pytest.mark.parametrize("t,code,line", [
+    ("q^3/(q^6+q^4+q^2+1)", 0, "fitted t: (q^3) / (q^6 + q^4 + q^2 + 1)"),
+    ("1", 1, "mismatch: Cartan action row 0 unfittable"),
+])
+def test_compare_with_pinned_parameters(capsys, t, code, line):
+    # pinned (s, t) solve for the Cartan change of basis alone; the fitted
+    # epsilon of A2 matches and t = s does not
+    got, out = run(capsys, "compare", "--algebra", "A2", "--s", "1", "--t", t)
+    assert got == code
+    assert out.splitlines()[0] == f"match: {code == 0}"
+    assert line in out.splitlines()
+
+
+def test_compare_json_report_parses(capsys):
+    code, out = run(capsys, "compare", "--algebra", "A2", "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["match"] is True
+    assert report["epsilon"] == "(q^3) / (q^6 + q^4 + q^2 + 1)"
 
 
 def test_compare_needs_both_parameters(capsys):
@@ -337,6 +369,27 @@ def test_malformed_text_table_names_its_line(sl3_text, old, new, line):
     text = sl3_text.replace(old, new, 1)
     with pytest.raises(cli.InvalidParams, match=r"line '" + re.escape(line)):
         parse_text_algebra(text)
+
+
+ONE_LABEL = "# algebra {}\n# construction generic-pipeline\n# normalized no\n# basis H_1\n"
+
+
+@pytest.mark.parametrize("algebra,dim", [("A1500", 2253000), ("D40", 3160), ("G2", 14)])
+def test_text_table_basis_must_span_the_adjoint(monkeypatch, algebra, dim):
+    # the basis length is compared with the closed-form adjoint dimension
+    # before a classical Cartan matrix is built
+    built = []
+    true_build = qliealg.build_cartan
+    monkeypatch.setattr(qliealg, "build_cartan", lambda *a: built.append(a) or true_build(*a))
+    with pytest.raises(cli.InvalidParams, match=rf"^{algebra} has a {dim}-dimensional adjoint "
+                                               "module, but the table has 1 basis vectors$"):
+        parse_text_algebra(ONE_LABEL.format(algebra))
+    assert built == ([] if algebra != "G2" else [("G", 2)])
+
+
+def test_text_table_with_an_unknown_type_names_its_line():
+    with pytest.raises(cli.InvalidParams, match=r"^cannot parse line '# algebra E9'"):
+        parse_text_algebra(ONE_LABEL.format("E9"))
 
 
 def test_json_round_trip(capsys):

@@ -10,6 +10,7 @@ from qlie.cli import build_text, parse_text_algebra
 from qlie.linalg import sp_eq
 from qlie.qring import RatFunc, parse_scalar, qconjugate
 from qlie.rootdata import build_cartan
+from qlie import qliealg
 from qlie.qliealg import (
     BasisLabel,
     GaugeObstruction,
@@ -34,7 +35,7 @@ from qlie.qliealg import (
     transport_explicit_constants,
 )
 
-from conftest import CORE, GRID, GRID_RANKS, load_golden
+from conftest import CORE, GRID, GRID_RANKS, load_golden, name_to_cartan
 from oracles import fraction_jacobi
 
 
@@ -542,7 +543,7 @@ def test_corrupted_table_fails_ad_invariance_with_a_generator_witness(pipelines)
     table = dict(pipe.constants)
     key = min(table)
     table[key] = -table[key]
-    rep = ad_invariance_of_table(table, pipe.module, pipe.tensor)
+    rep = ad_invariance_of_table(table, pipe.tensor)
     assert rep["ok"] is False
     kind, i = rep["witness"]
     assert kind in ("E", "F") and i in range(2)
@@ -591,6 +592,24 @@ def test_json_round_trip(key, generics, explicit_grid):
     assert B.provenance == A.provenance and B.normalized == A.normalized
 
 
+@pytest.mark.parametrize("cartan,dim", [({"series": "A", "rank": 1500}, 2253000),
+                                        ({"series": "c", "rank": "30"}, 1830),
+                                        ({"series": "E", "rank": 8}, 248)])
+def test_stored_table_basis_must_span_the_adjoint(monkeypatch, cartan, dim):
+    # the basis length is compared with the closed-form adjoint dimension
+    # before a classical Cartan matrix is built
+    built = []
+    true_build = qliealg.build_cartan
+    monkeypatch.setattr(qliealg, "build_cartan", lambda *a: built.append(a) or true_build(*a))
+    blob = {"cartan": cartan, "basis": [{"label": "H", "index": 1}], "constants": [],
+            "provenance": "generic-pipeline"}
+    name = cartan["series"].upper() + str(cartan["rank"])
+    with pytest.raises(InvalidParams, match=rf"^{name} has a {dim}-dimensional adjoint module, "
+                                            "but the table has 1 basis vectors$"):
+        QuantumLieAlgebra.from_json(blob)
+    assert built == ([("E", 8)] if name == "E8" else [])
+
+
 def test_explicit_golden_tables(explicit_grid, golden_dir):
     fresh = explicit_grid[3, "1", "q"].to_json()
     assert fresh == load_golden(golden_dir, "explicit_a2_s1_tq.json")
@@ -602,11 +621,18 @@ def test_explicit_golden_tables(explicit_grid, golden_dir):
     ("A2", 56, "32d4900d7c5bbf2776a8f26713e12cc48f255179da26bd2f9363521849fb0b24"),
     ("B2", 76, "edbdd08e2512ac061e3aa4cb52f9a817c3044bfffbff85d0def2595f8d293782"),
     ("G2", 132, "fab8ceb051ef6c62ae28063c98a766550135fea90212b8bdc80ed5003d4630fe"),
+    ("A1", 7, "3a8d694b12e58f94fbd76a040cfd548347e99972d2ffe447317dd98cc48dc089"),
+    ("A3", 148, "9a1a7a85b9133a4d22eb52ee731f3c9e9396cec8747a3ab312a0ce906ee62a19"),
+    ("A4", 352, "a494199ea9f38ceb9ffc07e0e873ad56da9a5e8eeb5a7dc2dba590eab3c04fca"),
+    ("B3", 279, "11b23b63438d287d7ef7dce49fb7de34abcb1dd5cec99d3b93c9915fa4c95620"),
+    ("C3", 279, "083b6e63031f736923bef85c09e70bbc24e38d163945bb36ec608fbc45ca04f3"),
+    ("D4", 472, "7f84c0dd242fd59781d159f4b69d3bb494d16f80a40f08ec2d12e8dbb38ced96"),
 ])
 def test_generic_table_canonical_json_digest(name, entries, digest, generics):
     # the bytes of `qlie build --format json`: any change to the scalar
-    # kernel's canonical form or to the pipeline's output shows here
-    A = generics[name]
+    # kernel's canonical form or to the pipeline's output shows here; F4
+    # and E6 are pinned by a CI step
+    A = generics[name] if name in generics else build_generic(name_to_cartan(name))
     text = json.dumps(A.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
     assert len(A.constants) == entries
     assert hashlib.sha256(text.encode()).hexdigest() == digest

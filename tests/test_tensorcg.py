@@ -230,15 +230,14 @@ def test_inversion_pairs_its_generating_vectors_once(monkeypatch, pipelines):
         return true_paired(V, vecs)
 
     monkeypatch.setattr(tensorcg, "_paired_with_form", recorded)
-    assert invert_cg(pipe.module, pipe.tensor, pipe.embedding, pipe.others) == pipe.constants
+    assert invert_cg(pipe.tensor, pipe.antisym, pipe.others) == pipe.constants
     assert calls == [[pipe.embedding[0], *pipe.others]]
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2"])
 def test_inversion_matches_the_whole_adjoint_construction(name, pipelines):
     pipe = pipelines[name] if name in pipelines else generic_pipeline(name_to_cartan(name))
-    assert pipe.constants == reference_invert_cg(pipe.module, pipe.tensor, pipe.embedding,
-                                                 pipe.others)
+    assert pipe.constants == reference_invert_cg(pipe.tensor, pipe.antisym, pipe.others)
 
 
 @pytest.mark.parametrize("name,lam", [("A2", None), ("B2", None), ("G2", None), ("G2", (1, 0))])
@@ -254,7 +253,7 @@ def test_form_square_turns_raising_into_transposed_lowering(name, lam):
 def test_duplicate_complement_members_are_singular(pipelines):
     pipe = pipelines["A1"]
     with pytest.raises(SingularSystem):
-        invert_cg(pipe.module, pipe.tensor, pipe.embedding, [pipe.antisym])
+        invert_cg(pipe.tensor, pipe.antisym, [pipe.antisym])
 
 
 def test_multiplicity_two_complement_annihilates(pipelines):
@@ -301,9 +300,21 @@ def test_corrupted_lowering_entry_is_caught(pipelines):
     a = 1
     lab = V.labels[a]
     F = {i: dict(m) for i, m in V.F.items()}
-    F[lab[0]][(a, V.labels.index(lab[1:]))] = RatFunc(2)
+    F[lab[0]][(a, V.parent[a])] = RatFunc(2)
     with pytest.raises(VerificationFailed, match="F does not lower basis vector 1"):
-        invert_cg(dataclasses.replace(V, F=F), pipe.tensor, pipe.embedding, pipe.others)
+        invert_cg(tensor_square(dataclasses.replace(V, F=F)), pipe.antisym, pipe.others)
+
+
+def test_module_with_a_doubled_e_entry_fails_intertwining(pipelines):
+    # B(v0) = e_0 still holds; only the full module-map check sees that the
+    # E of T's module no longer acts as a representation
+    pipe = pipelines["A1"]
+    V = pipe.module
+    E = {i: dict(m) for i, m in V.E.items()}
+    key = min(E[0])
+    E[0][key] = 2 * E[0][key]
+    with pytest.raises(VerificationFailed, match="^intertwining fails$"):
+        invert_cg(tensor_square(dataclasses.replace(V, E=E)), pipe.antisym, pipe.others)
 
 
 def test_embedding_json_friendly(pipelines):
