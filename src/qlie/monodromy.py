@@ -12,22 +12,29 @@ The conventions (pairing normalization, coproduct, shift) travel in the
 output metadata.
 
 The components lam are the dominant weights of V (x) W with a positive
-Brauer-Klimyk count rootdata.tensor_multiplicity.  The operator is
-assembled weight block by weight block from bases of the isotypic
-components obtained by lowering their highest-weight vectors; the tensor
-product, the highest-weight space (tensorcg.highest_weight_space, which
-checks the number of its vectors against the same count and raises
-VerificationFailed on a miscount), the lowering and the intertwining
-check are the shared ones of tensorcg.  On a block with isotypic columns
-C and eigen-exponents e_k the operator is M = C diag(v^e) C^-1; it is
-found without forming C^-1, by one row reduction of
-[C^T | (C diag(v^e))^T], which leaves M^T on the right (C is singular
-exactly when the pivots are not the first n columns).  It is then
-re-verified: it must be a module map from V (x) W to itself (tensorcg's
-module_map_defects, which covers every E_i and F_i and the weight
-grading), and M - 1 must vanish entrywise at v = 1.  Any failure raises
-ObstructionDetected -- these two oracle checks are what validates the
-spectral construction, so they are never skipped.
+Brauer-Klimyk count rootdata.tensor_multiplicity, which
+tensorcg.highest_weight_space checks its vectors against; with their Weyl
+dimensions they must fill V (x) W.  No weight block is reduced: M is built
+column by column.  The dim W seeds M x, x = e_0 (x) e_b, use sum P_lam = 1
+for the isotypic projections: M x = v^e_top x + sum (v^e_lam - v^e_top)
+P_lam x over lam != top, the largest component, which is never built.  The
+components are orthogonal under S_V (x) S_W (the contravariant forms), copy
+k of lam pairs with copy j by H[k][j] times lam's Gram S_lam, and S_V's top
+entry is 1, so P_lam x has coordinates (H^-1 (x) S_lam^-1) p in lam's
+lowered columns, p their pairings with e_0 (x) row b of S_W.  The other
+columns are lowered along V's basis: F_i e_pa = e_a for the first letter i
+of a's label and its parent pa, so with K_i = v^k_i and
+Delta(F_i) = F_i (x) K_i^-1 + K_i (x) F_i,
+
+    M(e_a (x) e_b) = v^k_i(b) [Delta(F_i) M(e_pa (x) e_b)
+                               - v^k_i(pa) sum_b' F_i[b', b] M(e_pa (x) e_b')].
+
+M is then re-verified: it must be a module map from V (x) W to itself
+(tensorcg's module_map_defects, which covers every E_i and F_i and the
+weight grading), M u = v^e_lam u for every highest-weight vector u, and
+M - 1 must vanish entrywise at v = 1.  The first two pin M exactly,
+whatever built it.  Any failure raises ObstructionDetected; no check is
+ever skipped.
 
 For the vector representation V of U_q(sl_n) (basis e_1..e_n, with
 e_(i+1) = F_i e_i, index a*n + b on V (x) V) the operator is Jimbo's
@@ -62,11 +69,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qring import RF_ONE, RF_ZERO, h_derivative_at_zero, rf_vpow
-from .rootdata import CartanDatum, bilinear, highest_root, is_dominant, tensor_multiplicity
+from .qring import RF_ONE, RF_ZERO, RatFunc, h_derivative_at_zero, rf_vpow
+from .rootdata import (CartanDatum, bilinear, highest_root, is_dominant, tensor_multiplicity,
+                       weyl_dim)
 from .repbuild import IrrepModule, adjoint_module, build_irrep
-from .linalg import rank, rref, sp_add_to, sp_sub
-from .tensorcg import highest_weight_space, lowered_table, module_map_defects, tensor_product
+from .linalg import inverse, rank, sp_add_to, sp_grouped, sp_matvec, sp_sub
+from .tensorcg import (coproduct_action, highest_weight_space, lowered_table, module_map_defects,
+                       pair_matrix, tensor_product)
 
 
 class ObstructionDetected(RuntimeError):
@@ -150,40 +159,57 @@ def monodromy_on_tensor(V: IrrepModule, W: IrrepModule) -> Monodromy:
         if (exponents[lam] - shift).denominator != 1:
             raise ObstructionDetected(
                 f"eigen-exponents not congruent modulo 1: {exponents}")
-    int_exp = {lam: int(exponents[lam] - shift) for lam in lams}
+    evs = {lam: rf_vpow(int(exponents[lam] - shift)) for lam in lams}
 
-    # columns of the isotypic bases, grouped per tensor weight
-    col_vecs = {}   # weight -> list of (vector, lam)
+    hws = {lam: highest_weight_space(T, lam) for lam in lams}
+    if sum(len(hws[lam]) * weyl_dim(cd, lam) for lam in lams) != T.dim:
+        raise ObstructionDetected("isotypic components do not fill V (x) W")
+
+    # the seeds M(e_0 (x) e_b), product index b (see the module docstring)
+    dw = W.dim
+    top = max(lams, key=lambda lam: weyl_dim(cd, lam))
+    cols = [{b: evs[top]} if b < dw else {} for b in range(T.dim)]
     for lam in lams:
-        Mlam = build_irrep(cd, lam, T.dim)
-        for u in highest_weight_space(T, lam):
-            for a, vec in enumerate(lowered_table(T, Mlam, u)):
-                col_vecs.setdefault(Mlam.weights[a], []).append((vec, lam))
+        if lam == top:
+            continue
+        Mlam, us, scale = build_irrep(cd, lam, T.dim), hws[lam], evs[lam] - evs[top]
+        tables = [lowered_table(T, Mlam, u) for u in us]
+        try:
+            hinv = inverse(pair_matrix(T, us)[1])
+        except ZeroDivisionError:
+            raise ObstructionDetected(f"singular isotypic basis of {lam}") from None
+        for w, cs in Mlam.weight_basis.items():
+            nu_w = tuple(x - y for x, y in zip(w, mu))
+            if nu_w not in W.weight_basis:
+                continue
+            sinv, bs, gram = inverse(Mlam.gram[w]), W.weight_basis[nu_w], W.gram[nu_w]
+            for s, b in enumerate(bs):
+                pair = [[_dot([t[c].get(b2, RF_ZERO) for b2 in bs], [g[s] for g in gram])
+                         for c in cs] for t in tables]
+                for hrow, t in zip(hinv, tables):
+                    for srow, c in zip(sinv, cs):
+                        x = scale * _dot(hrow, [_dot(srow, pk) for pk in pair])
+                        for p, y in t[c].items():
+                            sp_add_to(cols[b], p, x * y)
 
-    matrix = {}
-    for w, block in T.weight_blocks.items():
-        cols = col_vecs.get(w, [])
-        if len(cols) != len(block):
-            raise ObstructionDetected(
-                f"isotypic columns do not fill the weight block at {w}")
-        # M C = C D with D = diag(v^e_k), i.e. C^T M^T = (C D)^T: one row
-        # reduction of [C^T | (C D)^T] leaves M^T on the right
-        n = len(block)
-        aug = []
-        for vec, lam in cols:
-            col = [vec.get(p, RF_ZERO) for p in block]
-            ev = rf_vpow(int_exp[lam])
-            aug.append(col + [x * ev for x in col])
-        if rref(aug) != list(range(n)):
-            raise ObstructionDetected(f"singular isotypic basis at weight {w}")
-        for r in range(n):
-            for c in range(n):
-                x = aug[c][n + r]
-                if not x.is_zero():
-                    matrix[(block[r], block[c])] = x
+    # every other column, lowered along V's basis (module docstring)
+    act = coproduct_action(T, "F")
+    fcols = {i: sp_grouped(m, False) for i, m in W.F.items()}
+    for a in range(1, V.dim):
+        i, pa = V.labels[a][0], V.parent[a]
+        for b in range(dw):
+            col = act(i, cols[pa * dw + b])
+            for b2, f in fcols[i].get(b, ()):
+                for p, x in cols[pa * dw + b2].items():
+                    sp_add_to(col, p, -_vshift(x, V.kexp[i][pa]) * f)
+            cols[a * dw + b] = {p: _vshift(x, W.kexp[i][b]) for p, x in col.items()}
+    matrix = {(r, p): x for p, col in enumerate(cols) for r, x in col.items()}
 
     if module_map_defects(matrix, T, T):
         raise ObstructionDetected("operator fails to commute with the coproduct action")
+    for lam, us in hws.items():
+        if any(sp_matvec(matrix, u) != {p: evs[lam] * x for p, x in u.items()} for u in us):
+            raise ObstructionDetected(f"M is not v^e on a highest-weight vector of {lam}")
     if (any((p, p) not in matrix for p in range(T.dim))
             or any(not x.is_regular_at_one() or x.eval_at_one() != (1 if r == c else 0)
                    for (r, c), x in matrix.items())):
@@ -197,6 +223,14 @@ def monodromy_on_tensor(V: IrrepModule, W: IrrepModule) -> Monodromy:
     }
     return Monodromy(matrix, T.dim, exponents, shift, convention,
                      {"commutes": True, "vanishes_at_one": True})
+
+
+def _dot(xs, ys):
+    return sum((x * y for x, y in zip(xs, ys) if x and y), RF_ZERO)
+
+
+def _vshift(x, k: int):
+    return RatFunc._make(x.c, x.s + k, x.n, x.d)   # x v^k, x nonzero
 
 
 def extract_A(M: Monodromy):

@@ -37,7 +37,7 @@ from itertools import count
 
 from .qring import RatFunc, RF_ONE, RF_ZERO, rf_sqrt, rf_vpow, _fraction_sqrt
 from .rootdata import (VerificationFailed, CartanDatum, adjoint_dim, build_cartan, cartan_to_json,
-                       classical_dim, highest_root, simple_roots)
+                       classical_dim, highest_root, root_system, simple_roots)
 from .repbuild import adjoint_module, DEFAULT_DIM_BUDGET
 from .tensorcg import (
     tensor_square,
@@ -153,12 +153,24 @@ class QuantumLieAlgebra:
 
     @staticmethod
     def from_json(d: dict) -> "QuantumLieAlgebra":
+        """The table of a stored JSON blob.  Its basis must label each root
+        of its algebra once by an X and each Cartan slot 1..rank by an H,
+        and every constant index must lie in range(dim); otherwise
+        InvalidParams, before any check reads the table."""
         cd = table_cartan(d["cartan"]["series"], int(d["cartan"]["rank"]), len(d["basis"]))
         basis = [BasisLabel.from_json(x) for x in d["basis"]]
+        roots = [w for _, w in root_system(cd).positive_roots]
+        if sorted(lab.root for lab in basis if lab.kind == "X") != sorted(
+                roots + [tuple(-x for x in w) for w in roots]):
+            raise InvalidParams("the X labels of the basis are not the roots, each once")
+        if sorted(lab.index for lab in basis if lab.kind == "H") != list(range(1, cd.rank + 1)):
+            raise InvalidParams(f"the H labels of the basis are not H_1 .. H_{cd.rank}, each once")
         constants = {
             (e["a"], e["b"], e["c"]): RatFunc.from_json(e["value"])
             for e in d["constants"]
         }
+        if any(type(i) is not int or not 0 <= i < len(basis) for key in constants for i in key):
+            raise InvalidParams(f"a constant index lies outside the basis range(0, {len(basis)})")
         params = None
         if "params" in d:
             params = {k: RatFunc.from_json(v) for k, v in d["params"].items()}

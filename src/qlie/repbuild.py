@@ -18,12 +18,13 @@ classically invertible minor generically invertible), and the chosen
 monomials become basis vectors.  This makes every matrix entry regular at
 v = 1 and the v = 1 specialization a classical module on the same labels.
 
-Each level groups E and F by column once (linalg.sp_grouped), and a basis
-vector's position in its weight block and the index of its parent (the
-vector it is F_j of) are recorded when it is created.  A weight space with
-more candidates than basis vectors then runs one rref of [G | R], G the Gram
-block of the pivot candidates and R their pairings with the others: it
-gives the F-coordinates of all the others at once.
+E and F are also kept grouped by column, each column added to the groups
+when it is written, and a basis vector's position in its weight block and
+the index of its parent (the vector it is F_j of) are recorded when it is
+created.  A weight space with more candidates than basis vectors then runs
+one rref of [G | R], G the Gram block of the pivot candidates and R their
+pairings with the others: it gives the F-coordinates of all the others at
+once.
 
 All matrices are sparse dicts {(row, col): RatFunc} on global basis indices.
 """
@@ -44,7 +45,7 @@ from .rootdata import (
     highest_root,
     simple_roots,
 )
-from .linalg import rref, sp_add_to, sp_eq, sp_grouped, sp_matmul, sp_sub, sp_transpose
+from .linalg import rref, sp_add_to, sp_eq, sp_matmul, sp_sub, sp_transpose
 
 
 class BudgetExceeded(RuntimeError):
@@ -118,6 +119,9 @@ def build_irrep(cd: CartanDatum, lam, budget_dim: int = DEFAULT_DIM_BUDGET) -> I
     pos = [0]  # basis index -> its position in its weight block
     E = {i: {} for i in range(n)}
     F = {i: {} for i in range(n)}
+    # E and F grouped by column, each column added as it is written
+    ecols = [{} for _ in range(n)]
+    fcols = [{} for _ in range(n)]
 
     prev_level = {lam: [0]}  # weight -> basis indices at current depth
     while prev_level:
@@ -128,9 +132,7 @@ def build_irrep(cd: CartanDatum, lam, budget_dim: int = DEFAULT_DIM_BUDGET) -> I
                 mu = tuple(a - b for a, b in zip(mu_up, alphas[j]))
                 targets.setdefault(mu, []).extend((j, b) for b in idxs)
         # a candidate F_j v_b reads column b of E_i and columns one level up
-        # of F_j; earlier levels wrote all of them, so one grouping serves
-        ecols = [sp_grouped(E[i], False) for i in range(n)]
-        fcols = [sp_grouped(F[j], False) for j in range(n)]
+        # of F_j; the previous pass of this loop wrote all of them
         new_level = {}
         for mu in sorted(targets):
             cands = sorted(targets[mu])
@@ -166,9 +168,11 @@ def build_irrep(cd: CartanDatum, lam, budget_dim: int = DEFAULT_DIM_BUDGET) -> I
                 weights.append(mu)
                 pos.append(p)
                 F[j][(gi, b)] = RF_ONE
+                fcols[j].setdefault(b, []).append((gi, RF_ONE))
                 for i, act in enumerate(eact[col]):
                     for d, coeff in act.items():
                         E[i][(d, gi)] = coeff
+                    ecols[i][gi] = list(act.items())
             weight_basis[mu] = idxs
             gram[mu] = [[pair[r][c] for c in pivots] for r in pivots]
             # F-columns of the other candidates: one reduction of [G | R], G
@@ -183,6 +187,7 @@ def build_irrep(cd: CartanDatum, lam, budget_dim: int = DEFAULT_DIM_BUDGET) -> I
                 for gi, row in zip(idxs, aug):
                     if row[t]:
                         F[j][(gi, b)] = row[t]
+                        fcols[j].setdefault(b, []).append((gi, row[t]))
             new_level[mu] = idxs
         prev_level = new_level
 

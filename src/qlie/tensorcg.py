@@ -411,22 +411,33 @@ def verify_embedding(T: TensorProduct, table: list) -> bool:
     return not module_map_defects(beta, T.left, T)
 
 
-def _paired_with_form(V: IrrepModule, vecs: list) -> list:
-    """u^T (S (x) S) for each sparse tensor vector u, S the contravariant
-    form of V; each result is a sparse vector over the product index."""
-    rows = sp_grouped(contravariant_form(V), True)
-    d = V.dim
+def _paired_with_form(T: TensorProduct, vecs: list) -> list:
+    """u^T (S_1 (x) S_2) for each sparse vector u of T = M_1 (x) M_2, S_k the
+    contravariant form of M_k; each result is a sparse vector over the
+    product index."""
+    left = sp_grouped(contravariant_form(T.left), True)
+    right = left if T.right is T.left else sp_grouped(contravariant_form(T.right), True)
+    d = T.right.dim
     out = []
     for vec in vecs:
         acc = {}
         for p, x in vec.items():
             a, b = divmod(p, d)
-            for c, s in rows.get(a, ()):
+            for c, s in left.get(a, ()):
                 xs = x * s
-                for e, t in rows.get(b, ()):
+                for e, t in right.get(b, ()):
                     sp_add_to(acc, c * d + e, xs * t)
         out.append(acc)
     return out
+
+
+def pair_matrix(T: TensorProduct, us: list):
+    """The covectors u^T (S_1 (x) S_2) of the sparse vectors us of T
+    (_paired_with_form) and their pair matrix, entry [j][k] the product form
+    u_j^T (S_1 (x) S_2) u_k."""
+    paired = _paired_with_form(T, us)
+    return paired, [[sum((su[p] * y for p, y in u.items() if p in su), RF_ZERO) for u in us]
+                    for su in paired]
 
 
 def _bracket_from_covector(T: TensorProduct, top: dict) -> dict:
@@ -484,10 +495,7 @@ def invert_cg(T: TensorProduct, v0: dict, others: list) -> dict:
     """
     V = T.left
     us = [v0, *others]
-    paired = _paired_with_form(V, us)
-    # the product form u_j^T (S (x) S) u_k on the generating vectors
-    pair = [[sum((su[p] * y for p, y in u.items() if p in su), RF_ZERO) for u in us]
-            for su in paired]
+    paired, pair = pair_matrix(T, us)
     try:
         x = solve(pair, [RF_ONE] + [RF_ZERO] * len(others))
     except ZeroDivisionError as exc:

@@ -313,18 +313,27 @@ def recorded_square(V):
 
 @pytest.fixture(scope="module")
 def adjoint_squares():
-    return {name: recorded_square(adjoint_module(name_to_cartan(name))) for name in ("A2", "B2", "G2")}
+    return {name: recorded_square(adjoint_module(name_to_cartan(name)))
+            for name in ("A2", "A3", "B2", "G2")}
 
 
+def matrix_digest(M):
+    """The number of stored entries of M and the sha256 of their text."""
+    text = "\n".join(f"{r} {c} {x}" for (r, c), x in sorted(M.matrix.items()))
+    return len(M.matrix), hashlib.sha256(text.encode()).hexdigest()
+
+
+# the A2 and A3 pins, and the vector-square pins below, were recorded from an
+# independent construction of M: one row reduction of [C^T | (C D)^T] per
+# weight block, C the lowered isotypic columns and D their eigen-scalars
 @pytest.mark.parametrize("name,entries,digest", [
+    ("A2", 330, "e6d1b9f6e02514a131f39911bb6935d04d7a185e1e280b9654f0a06f00348bea"),
+    ("A3", 1599, "03be4c23696494f08fe06a04497b67e06d7fbbae830d5e7bb052bb2fa09bdfdd"),
     ("B2", 594, "fdfd2826124508ade03323532cc4924a50a3e04cbe9bef5f9dfeacbedc103966"),
     ("G2", 1444, "96596c90eec1837862ad394f76799837aee2bf9b59ce18784aa3e10c3b40f3f2"),
 ])
 def test_adjoint_square_matrix_digest(name, entries, digest, adjoint_squares):
-    M, _ = adjoint_squares[name]
-    text = "\n".join(f"{r} {c} {x}" for (r, c), x in sorted(M.matrix.items()))
-    assert len(M.matrix) == entries
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert matrix_digest(adjoint_squares[name][0]) == (entries, digest)
 
 
 def test_singular_isotypic_basis_is_an_obstruction(monkeypatch):
@@ -346,6 +355,33 @@ def test_adjoint_square_components_match_the_decomposition(name, adjoint_squares
     cd = name_to_cartan(name)
     theta = highest_root(cd)
     assert adjoint_squares[name][1] == tensor_decompose(cd, theta, theta)
+
+
+def test_wrong_eigen_scalar_is_caught_by_the_eigen_check(monkeypatch, a1_fund):
+    # H of the singlet scaled by v^-2 scales its seed coordinates by v^2: M
+    # then acts there by v^2 + (v^-6 - v^2) v^2, a module map that is 1 at
+    # v = 1, so only M u = v^e u on its highest-weight vector fails
+    real_pair, real_defects = monodromy.pair_matrix, monodromy.module_map_defects
+    seen = []
+
+    def scaled(T, us):
+        paired, pair = real_pair(T, us)
+        return paired, [[x * rf_vpow(-2) for x in row] for row in pair]
+
+    def recorded(M, source, target):
+        seen.append(M)
+        return real_defects(M, source, target)
+
+    monkeypatch.setattr(monodromy, "pair_matrix", scaled)
+    monkeypatch.setattr(monodromy, "module_map_defects", recorded)
+    with pytest.raises(ObstructionDetected,
+                       match=r"^M is not v\^e on a highest-weight vector of \(0,\)$"):
+        monodromy_on_tensor(a1_fund, a1_fund)
+    (m,) = seen
+    T = tensorcg.tensor_product(a1_fund, a1_fund)
+    assert real_defects(m, T, T) == []
+    assert all((p, p) in m for p in range(T.dim))
+    assert all(x.eval_at_one() == (1 if r == c else 0) for (r, c), x in m.items())
 
 
 def test_miscounted_component_fails_verification(monkeypatch, a1_fund):
@@ -398,6 +434,15 @@ def with_entry_added(M, key, x):
     matrix = dict(M.matrix)
     matrix[key] = matrix.get(key, RatFunc(0)) + x
     return dataclasses.replace(M, matrix=matrix)
+
+
+@pytest.mark.parametrize("name,lam,entries,digest", [
+    ("A3", (1, 0, 0), 28, "c62c4053931de12a4fbbd99bbaf6c97449e0996c3b750869894bf53c7081323d"),
+    ("B2", (1, 0), 61, "e52de95d311865e39d6563ac1ea4a14308fac9f61df9f2a9fdc60d0ef4d21588"),
+    ("G2", (1, 0), 175, "b0afce786746af8a3b6206d068cf9d129ce06a48b03c09aba77449be74c01bf1"),
+])
+def test_vector_square_matrix_digest(name, lam, entries, digest):
+    assert matrix_digest(vector_square(name, lam)[1]) == (entries, digest)
 
 
 @pytest.mark.parametrize("name,lam", [(n, lam) for n, lams in SQUARES.items() for lam in lams])

@@ -610,6 +610,44 @@ def test_stored_table_basis_must_span_the_adjoint(monkeypatch, cartan, dim):
     assert built == ([("E", 8)] if name == "E8" else [])
 
 
+def edited_sl2q(golden_dir, edit):
+    """The stored sl2q golden with edit applied to its JSON blob."""
+    blob = load_golden(golden_dir, "sl2q.json")
+    edit(blob)
+    return blob
+
+
+@pytest.mark.parametrize("index", [7, -1, "0"])
+def test_stored_constant_index_must_lie_in_the_basis(golden_dir, index):
+    # before the check, a = 7 of 3 loaded and check_gradation hit a bare IndexError
+    def add(blob):
+        blob["constants"].append(dict(blob["constants"][0], a=index))
+
+    with pytest.raises(InvalidParams,
+                       match=r"^a constant index lies outside the basis range\(0, 3\)$"):
+        QuantumLieAlgebra.from_json(edited_sl2q(golden_dir, add))
+
+
+@pytest.mark.parametrize("roots", [[[2], [4]], [[2], [2]], [[-2], [-2]]])
+def test_stored_x_labels_must_be_the_roots_once(golden_dir, roots):
+    def relabel(blob):
+        blob["basis"][0]["root"], blob["basis"][2]["root"] = roots
+
+    with pytest.raises(InvalidParams,
+                       match="^the X labels of the basis are not the roots, each once$"):
+        QuantumLieAlgebra.from_json(edited_sl2q(golden_dir, relabel))
+
+
+@pytest.mark.parametrize("index", [0, 2])
+def test_stored_h_labels_must_be_the_cartan_slots(golden_dir, index):
+    def relabel(blob):
+        blob["basis"][1]["index"] = index
+
+    with pytest.raises(InvalidParams,
+                       match=r"^the H labels of the basis are not H_1 \.\. H_1, each once$"):
+        QuantumLieAlgebra.from_json(edited_sl2q(golden_dir, relabel))
+
+
 def test_explicit_golden_tables(explicit_grid, golden_dir):
     fresh = explicit_grid[3, "1", "q"].to_json()
     assert fresh == load_golden(golden_dir, "explicit_a2_s1_tq.json")
