@@ -33,7 +33,7 @@ from .qliealg import (QuantumLieAlgebra, BasisLabel, build_generic,
                       check_tau_sln, same_algebra,
                       InvalidParams, GaugeObstruction)
 from .monodromy import (Monodromy, monodromy_on_tensor, casimir_exponent,
-                        extract_A, verify_ad_submodule, ObstructionDetected)
+                        extract_A, adjoint_family, verify_ad_submodule, ObstructionDetected)
 
 __all__ = [
     "LaurentPoly",
@@ -82,6 +82,7 @@ __all__ = [
     "monodromy_on_tensor",
     "casimir_exponent",
     "extract_A",
+    "adjoint_family",
     "verify_ad_submodule",
     "ObstructionDetected",
     "__version__",

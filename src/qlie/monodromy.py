@@ -48,20 +48,21 @@ the stored matrix is v^(-shift - 4/n) (P R_J)^2: the scalar is q^-1 for
 n = 2, 3 and v^-1 for n = 4.  The i < j form, R_J with its tensor factors
 swapped, does not match.
 
-From M - 1 and an embedding K of the adjoint module into the dual-pair
-tensor V* (x) V one contracts the first slot to get endomorphisms
-A_a = K_a^{ij} (M-1)[(i,.),(j,.)] of W.  These transform among themselves
-exactly like the adjoint module under the twisted adjoint action
-x . A = rho(x_(1)) A rho(S(x_(2))), which is the coproduct action on
-End(W) = W (x) W* with W* = dual_data(W):
+M records its factors as M.tensor = V (x) W.  adjoint_family(M) is the one
+contraction of M - 1: with the embedding K of the adjoint module into
+V* (x) V of adjoint_in_dual_tensor(V), it contracts the first slot to the
+endomorphisms A_a = K_a^{ij} (M-1)[(i,.),(j,.)] of W, as the sparse map
+a -> A_a into End(W) = W (x) W*, W* = dual_data(W).  The A_a transform
+like the adjoint module under the coproduct action on W (x) W*, the
+twisted adjoint action x . A = rho(x_(1)) A rho(S(x_(2))):
 
     E_i . A = E_i A K_i - q_i^-1 K_i A E_i,
     F_i . A = F_i A K_i - q_i    K_i A F_i,
     K_i . A = K_i A K_i^-1.
 
-verify_ad_submodule therefore makes one call to the module-map check, for
-a -> A_a from the adjoint module into tensor_product(W, dual_data(W)),
-and reports the generic linear span of the family.
+verify_ad_submodule checks that with one call to the module-map check and
+reports the rank of the family.  On W = adjoint_module(cd) the concrete
+bracket is read off it: [X_a, X_b] = sum_c A_a[c, b] X_c.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ from .rootdata import (CartanDatum, bilinear, highest_root, is_dominant, tensor_
                        weyl_dim)
 from .repbuild import IrrepModule, adjoint_module, build_irrep
 from .linalg import inverse, rank, sp_add_to, sp_grouped, sp_matvec, sp_sub
-from .tensorcg import (coproduct_action, highest_weight_space, lowered_table, module_map_defects,
-                       pair_matrix, tensor_product)
+from .tensorcg import (TensorProduct, coproduct_action, highest_weight_space, lowered_table,
+                       module_map_defects, pair_matrix, tensor_product)
 
 
 class ObstructionDetected(RuntimeError):
@@ -128,15 +129,19 @@ class Monodromy:
     matrix holds v^(-shift) times the true operator, so that entries are
     honest rational functions of v even when the Casimir exponents are
     fractional; shift is 0 whenever they are integers (in particular when
-    the factor weights lie in the root lattice).
+    the factor weights lie in the root lattice).  tensor is V (x) W.
     """
 
     matrix: dict              # sparse over product indices
-    dim: int
+    tensor: TensorProduct
     exponents: dict           # lam -> true v-exponent 2(c_lam - c_mu - c_nu), Fraction
     shift: Fraction           # common fractional offset removed from all exponents
     convention: dict
     checks: dict
+
+    @property
+    def dim(self):
+        return self.tensor.dim
 
     def eigenvalue_q_exponents(self) -> set:
         """The true scalars as powers of q (Fractions; halves etc. allowed)."""
@@ -221,7 +226,7 @@ def monodromy_on_tensor(V: IrrepModule, W: IrrepModule) -> Monodromy:
         "base": "q = v^2",
         "shift": f"matrix stores v^(-{shift}) times the true operator",
     }
-    return Monodromy(matrix, T.dim, exponents, shift, convention,
+    return Monodromy(matrix, T, exponents, shift, convention,
                      {"commutes": True, "vanishes_at_one": True})
 
 
@@ -259,46 +264,36 @@ def adjoint_in_dual_tensor(V: IrrepModule):
     return adj, lowered_table(T, adj, u)
 
 
-def verify_ad_submodule(M: Monodromy, V: IrrepModule, W: IrrepModule) -> dict:
-    """Contract the first slot of M - 1 with the adjoint embedding
-    K: adjoint -> V* (x) V of adjoint_in_dual_tensor(V) to get
-    endomorphisms A_a of W,
+def adjoint_family(M: Monodromy):
+    """(adj, family): the first slot of M - 1 contracted with the adjoint
+    embedding K: adj -> V* (x) V of adjoint_in_dual_tensor(V), V = M.tensor.left,
+    to endomorphisms of W = M.tensor.right,
 
         A_a[k, l] = sum_{ij} K_a^{ij} (M - 1)[(i,k), (j,l)],
 
-    and check that a -> A_a is a module map from the adjoint module into
-    End(W) = W (x) W*, index k * dim(W) + l.  The coproduct action on
-    W (x) W* is the twisted adjoint action x . A = rho(x_(1)) A rho(S(x_(2))):
-
-        E_i . A = rho(E_i) A rho(K_i) - q_i^{-1} rho(K_i) A rho(E_i),
-        F_i . A = rho(F_i) A rho(K_i) - q_i     rho(K_i) A rho(F_i),
-        K_i . A = rho(K_i) A rho(K_i^{-1})  (pure weight grading),
-
-    each required to equal sum_b pi_adj(x)[b, a] A_b; ad_e, ad_f and ad_k
-    report the three conditions.  Also reports the generic linear span of
-    the family."""
+    family the sparse map {(k * dim W + l, a): A_a[k, l]} from adj into W (x) W*."""
+    V, dw = M.tensor.left, M.tensor.right.dim
     adj, ktable = adjoint_in_dual_tensor(V)
-    dv, dw = V.dim, W.dim
-    if M.dim != dv * dw:
-        raise ValueError("operator dimension does not match V (x) W")
+    k_at = sp_grouped({(p, a): x for a, vec in enumerate(ktable) for p, x in vec.items()}, True)
+    family = {}
+    for (rp, cp), x in sp_sub(M.matrix, {(p, p): RF_ONE for p in range(M.dim)}).items():
+        (i, k), (j, l) = divmod(rp, dw), divmod(cp, dw)
+        for a, c in k_at.get(i * V.dim + j, ()):
+            sp_add_to(family, (k * dw + l, a), c * x)
+    return adj, family
 
-    m1 = sp_sub(M.matrix, {(p, p): RF_ONE for p in range(M.dim)})
-    # group the entries of M - 1 by their first-slot index pair (i, j)
-    slices = {}
-    for (rp, cp), x in m1.items():
-        i, k = divmod(rp, dw)
-        j, l = divmod(cp, dw)
-        slices.setdefault((i, j), {})[k * dw + l] = x
-    As = []   # A_a as a sparse vector of W (x) W*
-    for vec in ktable:
-        A = {}
-        for p, coeff in vec.items():
-            for kl, x in slices.get(divmod(p, dv), {}).items():
-                sp_add_to(A, kl, coeff * x)
-        As.append(A)
 
-    family = {(kl, a): x for a, A in enumerate(As) for kl, x in A.items()}
+def verify_ad_submodule(M: Monodromy, V: IrrepModule, W: IrrepModule) -> dict:
+    """Check that adjoint_family(M) is a module map a -> A_a from the
+    adjoint module into End(W) = W (x) W*, under the twisted adjoint action
+    of the module docstring: ad_e, ad_f and ad_k report the E, F and weight
+    conditions, and span_dim the rank of the family.  V and W must be M's
+    factors; anything else raises ValueError."""
+    if (V, W) != (M.tensor.left, M.tensor.right):
+        raise ValueError("V and W are not the factors of M")
+    adj, family = adjoint_family(M)
     failed = {d[0] for d in module_map_defects(family, adj, tensor_product(W, dual_data(W)))}
     ok = {"ad_e": "E" not in failed, "ad_f": "F" not in failed, "ad_k": "K" not in failed}
-    flat = [[A.get(kl, RF_ZERO) for kl in range(dw * dw)] for A in As]
-    return {**ok, "span_dim": rank(flat), "all": all(ok.values())}
+    kls = sorted({kl for kl, _ in family})
+    span = rank([[family.get((kl, a), RF_ZERO) for kl in kls] for a in range(adj.dim)])
+    return {**ok, "span_dim": span, "all": all(ok.values())}

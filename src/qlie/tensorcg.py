@@ -175,6 +175,8 @@ def _dense_coproduct(T: TensorProduct, name: str) -> dict:
 
 
 def tensor_product(M1, M2) -> TensorProduct:
+    if M1.cd != M2.cd:
+        raise ValueError(f"tensor factors over different algebras: {M1.cd} and {M2.cd}")
     weights = []
     blocks = {}
     for wa in M1.weights:
@@ -222,7 +224,9 @@ def highest_weight_space(T: TensorProduct, w) -> list:
     if is_dominant(w):
         mult = tensor_multiplicity(cd, T.left.highest_weight, T.right.highest_weight, w)
         if len(basis) != mult:
-            raise VerificationFailed((len(basis), mult))
+            raise VerificationFailed(
+                f"the joint kernel of the Delta(E_i) at weight {w} has dimension"
+                f" {len(basis)}, but the Brauer-Klimyk count is {mult}")
     if not basis:
         raise EmptySpace(f"no highest-weight vector at weight {w}")
     return basis

@@ -8,6 +8,7 @@ import pytest
 
 from qlie import monodromy, tensorcg
 from qlie.linalg import sp_matmul
+from qlie.qliealg import build_generic, check_q_antisymmetry
 from qlie.qring import LaurentPoly, RatFunc, h_derivative_at_zero, rf_vpow
 from qlie.rootdata import VerificationFailed, build_cartan, highest_root, is_dominant
 from qlie.repbuild import adjoint_module, build_irrep
@@ -16,6 +17,7 @@ from qlie.classical import build_classical_module
 from qlie.monodromy import (
     Monodromy,
     ObstructionDetected,
+    adjoint_family,
     adjoint_in_dual_tensor,
     casimir_exponent,
     dual_data,
@@ -388,7 +390,8 @@ def test_miscounted_component_fails_verification(monkeypatch, a1_fund):
     # the count that highest_weight_space checks against, one too many
     real = tensorcg.tensor_multiplicity
     monkeypatch.setattr(tensorcg, "tensor_multiplicity", lambda *args: real(*args) + 1)
-    with pytest.raises(VerificationFailed):
+    with pytest.raises(VerificationFailed, match=r"^the joint kernel of the Delta\(E_i\) at weight"
+                       r" \(0,\) has dimension 1, but the Brauer-Klimyk count is 2$"):
         monodromy_on_tensor(a1_fund, a1_fund)
 
 
@@ -478,3 +481,120 @@ def test_entry_across_weights_breaks_the_grading():
     low = next(l for l in range(d) if V.weights[l] != V.weights[0])
     rep = verify_ad_submodule(with_entry_added(M, (i * d, i * d + low), RatFunc(1)), V, V)
     assert not rep["ad_k"] and not rep["all"]
+
+
+def test_swapped_factors_are_refused():
+    # dim V (x) W = dim W (x) V, and the swapped family even passes the
+    # module-map check, so only the factor check can refuse it
+    V, W = build_irrep(A2, (1, 0)), build_irrep(A2, (0, 1))
+    M = monodromy_on_tensor(V, W)
+    assert verify_ad_submodule(M, V, W)["all"]
+    with pytest.raises(ValueError, match="^V and W are not the factors of M$"):
+        verify_ad_submodule(M, W, V)
+
+
+def test_monodromy_records_its_factors(a1_fund, a1_mono):
+    assert (a1_mono.tensor.left, a1_mono.tensor.right) == (a1_fund, a1_fund)
+    assert a1_mono.dim == 4
+
+
+def test_factors_over_different_algebras_are_refused():
+    V, W = build_irrep(A2, (1, 0)), build_irrep(build_cartan("B", 2), (1, 0))
+    with pytest.raises(ValueError, match="^tensor factors over different algebras: A2 and B2$"):
+        monodromy_on_tensor(V, W)
+
+
+# ------------------------------------------ the concrete bracket against the abstract one
+
+def concrete_side(name, lam):
+    """M = monodromy_on_tensor(V, W) with V = V(lam) and W = adjoint_module(cd),
+    and the abstract table build_generic(cd), which is written on W's basis."""
+    cd = name_to_cartan(name)
+    V = build_irrep(cd, lam)
+    budget = V.dim ** 2
+    M = monodromy_on_tensor(V, adjoint_module(cd, budget))
+    A = build_generic(cd, budget_dim=budget)
+    assert [A.grade(a) for a in range(A.dim)] == M.tensor.right.weights
+    return M, A
+
+
+def concrete_table(M, A):
+    """The concrete bracket [X_a, X_b] = sum_c A_a[c, b] X_c of the family
+    A_a of adjoint_family(M), as a table on A's basis."""
+    adj, family = adjoint_family(M)
+    assert adj == M.tensor.right
+    constants = {}
+    for (cb, a), x in family.items():
+        c, b = divmod(cb, adj.dim)
+        constants[(a, b, c)] = x
+    return dataclasses.replace(A, constants=constants)
+
+
+def one_ratio(C, A):
+    """(lam, None) when C = lam A entrywise on one support, else (None, w)
+    with w the first entry, in sorted order, off the common support or off
+    the ratio of the first entry."""
+    off = set(C.constants) ^ set(A.constants)
+    if off:
+        return None, min(off)
+    first = min(A.constants)
+    lam = C.constants[first] / A.constants[first]
+    witness = next((k for k in sorted(A.constants)
+                    if C.constants[k] != lam * A.constants[k]), None)
+    return (lam if witness is None else None), witness
+
+
+def check_concrete_side(name, lam, m_V, at_one):
+    """The paper's claims (1) and (3) on V(lam): the concrete table is
+    lam_V times the abstract one, lam_V / bar(lam_V) = -q^m_V, and
+    lam'_V = lam_V v^-m_V / (v - v^-1) is bar-invariant with value at_one at
+    v = 1; the table divided by v^m_V (v - v^-1) is q-antisymmetric, the raw
+    one is not.  m_V is measured in the gauge of highest_weight_space
+    (denominators cleared, then rescale_at_one)."""
+    M, A = concrete_side(name, lam)
+    C = concrete_table(M, A)
+    lam_V, witness = one_ratio(C, A)
+    assert witness is None, witness
+    assert lam_V / lam_V.qconjugate() == -rf_vpow(2 * m_V)
+    v_diff = rf_vpow(1) - rf_vpow(-1)
+    normalized = lam_V * rf_vpow(-m_V) / v_diff
+    assert normalized.qconjugate() == normalized
+    assert normalized.is_regular_at_one() and normalized.eval_at_one() == at_one
+    assert not check_q_antisymmetry(C)["ok"]
+    scale = rf_vpow(m_V) * v_diff
+    scaled = {k: x / scale for k, x in C.constants.items()}
+    assert check_q_antisymmetry(dataclasses.replace(C, constants=scaled))["ok"]
+
+
+@pytest.mark.parametrize("name,lam,m_V,at_one", [
+    ("A1", (1,), -1, 8),
+    ("A1", (2,), 2, 16),
+    ("B2", (1, 0), 2, 48),
+    ("B2", (0, 1), -2, -48),
+    ("B2", (0, 2), 12, -144),
+    ("G2", (1, 0), -1, 96),
+    ("G2", (0, 1), 22, -128),
+    ("B3", (1, 0, 0), 2, 80),
+    ("C3", (1, 0, 0), -2, 32),
+    ("D4", (1, 0, 0, 0), 1, 48),
+])
+def test_concrete_bracket_is_a_multiple_of_the_abstract_one(name, lam, m_V, at_one):
+    check_concrete_side(name, lam, m_V, at_one)
+
+
+def test_a2_vector_bracket_is_not_one_multiple():
+    # Hom(adj (x) adj, adj) is 2-dimensional for A_n, n >= 2: the concrete
+    # support is 51 of the abstract 56 entries, with nine ratios on it
+    M, A = concrete_side("A2", (1, 0))
+    C = concrete_table(M, A)
+    assert one_ratio(C, A)[0] is None
+    assert set(C.constants) < set(A.constants) and len(A.constants) - len(C.constants) == 5
+    assert len({x / A.constants[k] for k, x in C.constants.items()}) == 9
+
+
+def test_corrupted_entry_breaks_the_proportionality():
+    M, A = concrete_side("B2", (1, 0))
+    key = min(k for k in M.matrix if k[0] != k[1])
+    assert one_ratio(concrete_table(M, A), A)[1] is None
+    lam, witness = one_ratio(concrete_table(with_entry_added(M, key, RatFunc(1)), A), A)
+    assert (lam, witness) == (None, (6, 1, 2))
