@@ -44,6 +44,7 @@ from .qliealg import (
     build_generic,
     build_sln_explicit,
     canonical_normalize,
+    check_basis_labels,
     check_ad_invariance,
     check_classical_limit,
     check_gradation,
@@ -177,7 +178,9 @@ def _naming(ln: str):
 def parse_text_algebra(text: str) -> QuantumLieAlgebra:
     """Rebuild a QuantumLieAlgebra from the output of build_text.  The
     basis line must list as many vectors as the algebra's adjoint dimension,
-    which is checked before its Cartan datum is built (qliealg.table_cartan)."""
+    which is checked before its Cartan datum is built (qliealg.table_cartan),
+    and its labels must pass the checks of the JSON reader
+    (qliealg.check_basis_labels); otherwise InvalidParams."""
     algebra = provenance = names = params = None
     normalized = False
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -205,6 +208,7 @@ def parse_text_algebra(text: str) -> QuantumLieAlgebra:
         cd = table_cartan(*algebra, len(names))
     with _naming(basis_line):
         basis = [_parse_label(nm, cd.rank + 1) for nm in names]
+    check_basis_labels(cd, basis, provenance)
     where = {nm: a for a, nm in enumerate(names)}
     constants = {}
     for ln in body:

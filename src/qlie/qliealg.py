@@ -12,16 +12,18 @@ constants over Q(v)):
   X_alpha for root vectors and H_k for the zero-weight slots.
 
 * ``build_sln_explicit``: the closed-form two-parameter family for sl_n
-  in the basis {X_ij} u {H_k}.  All its constants are linear in (s, t).
+  in the basis {X_ij} u {H_k}.  All its constants are linear in (s, t),
+  E(s, t) = s * T_s + t * T_t, and T_t is the image of T_s under the flip
+  tau, a signed permutation of the basis.
 
 ``canonical_normalize`` rescales a bracket and rebases its Cartan so that
 H_i = [X_{alpha_i}, X_{-alpha_i}] and [H_1, X_{alpha_1}] =
 2 q^{d_1} X_{alpha_1}, the normalization in which the rank-one algebra
 takes its standard deformed shape.  ``change_basis`` is the single
 change-of-basis routine for structure-constant tables: the normalization,
-its classical oracle at v = 1, the transport of explicit tables onto the
-pipeline basis and the flip check of the explicit family all go through
-it.  Check functions verify the gradation,
+its classical oracle at v = 1, the fit and the transport of explicit
+tables onto the pipeline basis all go through it; the flip tau, a signed
+permutation, is ``_flip``.  Check functions verify the gradation,
 q-antisymmetry (bar-antisymmetry of the constants), the classical v = 1
 limit against independently computed rational oracles, ad-invariance of
 pipeline brackets, and the flip symmetry of the explicit family; the
@@ -52,7 +54,7 @@ from .tensorcg import (
     bracket_matrix,
     ClassicallyZero,
 )
-from .linalg import inverse, rref, sp_add, sp_add_to, sp_eq, sp_grouped
+from .linalg import inverse, rref, sp_add_to, sp_eq, sp_grouped
 from .classical import classical_bracket, classical_sln_table, integral_multiple
 
 
@@ -98,8 +100,9 @@ class BasisLabel:
     def from_json(d: dict) -> "BasisLabel":
         if d["label"] == "H":
             return BasisLabel("H", index=int(d["index"]))
-        ij = tuple(d["ij"]) if "ij" in d else None
-        return BasisLabel("X", root=tuple(int(x) for x in d["root"]), ij=ij)
+        ij = d.get("ij")
+        return BasisLabel("X", root=tuple(int(x) for x in d["root"]),
+                          ij=tuple(ij) if isinstance(ij, list) else ij)
 
 
 @dataclass
@@ -153,18 +156,13 @@ class QuantumLieAlgebra:
 
     @staticmethod
     def from_json(d: dict) -> "QuantumLieAlgebra":
-        """The table of a stored JSON blob.  Its basis must label each root
-        of its algebra once by an X and each Cartan slot 1..rank by an H,
-        and every constant index must lie in range(dim); otherwise
-        InvalidParams, before any check reads the table."""
+        """The table of a stored JSON blob.  Its basis must pass
+        check_basis_labels, and every constant index must lie in
+        range(dim); otherwise InvalidParams, before any check reads the
+        table."""
         cd = table_cartan(d["cartan"]["series"], int(d["cartan"]["rank"]), len(d["basis"]))
         basis = [BasisLabel.from_json(x) for x in d["basis"]]
-        roots = [w for _, w in root_system(cd).positive_roots]
-        if sorted(lab.root for lab in basis if lab.kind == "X") != sorted(
-                roots + [tuple(-x for x in w) for w in roots]):
-            raise InvalidParams("the X labels of the basis are not the roots, each once")
-        if sorted(lab.index for lab in basis if lab.kind == "H") != list(range(1, cd.rank + 1)):
-            raise InvalidParams(f"the H labels of the basis are not H_1 .. H_{cd.rank}, each once")
+        check_basis_labels(cd, basis, d["provenance"])
         constants = {
             (e["a"], e["b"], e["c"]): RatFunc.from_json(e["value"])
             for e in d["constants"]
@@ -200,6 +198,37 @@ def table_cartan(series: str, rank: int, dim: int) -> CartanDatum:
         raise InvalidParams(f"{series}{rank} has a {expect}-dimensional adjoint module, "
                             f"but the table has {dim} basis vectors")
     return build_cartan(series, rank)
+
+
+def check_basis_labels(cd: CartanDatum, basis: list, provenance: str) -> None:
+    """The label checks of a stored table, made by both readers
+    (QuantumLieAlgebra.from_json and cli.parse_text_algebra): each root of
+    the algebra labels one X and each Cartan slot 1..rank one H; an
+    explicit-sln table is on an A-series algebra and every X label carries
+    its matrix unit ij; and an ij is two ints 1 <= i != j <= n = rank + 1
+    whose root eps_i - eps_j is the label's.  A failure raises
+    InvalidParams."""
+    roots = [w for _, w in root_system(cd).positive_roots]
+    if sorted(lab.root for lab in basis if lab.kind == "X") != sorted(
+            roots + [tuple(-x for x in w) for w in roots]):
+        raise InvalidParams("the X labels of the basis are not the roots, each once")
+    if sorted(lab.index for lab in basis if lab.kind == "H") != list(range(1, cd.rank + 1)):
+        raise InvalidParams(f"the H labels of the basis are not H_1 .. H_{cd.rank}, each once")
+    explicit = provenance == "explicit-sln"
+    if explicit and cd.series != "A":
+        raise InvalidParams(f"an explicit-sln table must be on an A-series algebra, "
+                            f"not {cd.series}{cd.rank}")
+    n = cd.rank + 1
+    units = {_sln_root(n, i, j): (i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+             if i != j and cd.series == "A"}
+    for lab in basis:
+        if lab.kind == "X" and (explicit or lab.ij is not None):
+            name = BasisLabel("X", root=lab.root).name()
+            if lab.ij is None:
+                raise InvalidParams(f"{name} of an explicit-sln table has no ij")
+            if units.get(lab.root) != lab.ij or any(type(x) is not int for x in lab.ij):
+                raise InvalidParams(f"the ij {lab.ij} of {name} is not a position "
+                                    f"1 <= i != j <= {n} with that root")
 
 
 def labeled_constants(A: QuantumLieAlgebra) -> dict:
@@ -264,102 +293,83 @@ def change_basis(constants: dict, cols, inv) -> dict:
 # ---------------------------------------------------------------------------
 
 def _sln_parts(n: int):
-    """Labels and the s- and t-linear parts of the explicit sl_n constants.
+    """Labels and the s- and t-linear parts of the explicit sl_n family
+    (Delius-Hueffmann, q-alg/9506017): E(s, t) = s * T_s + t * T_t.
 
-    The full table at parameters (s, t) is  s * T_s + t * T_t.
+    Only T_s is written in closed form.  T_t is its image under the flip
+    tau of _sln_tau, T_t(tau a, tau b, tau c) = sigma_a sigma_b sigma_c
+    T_s(a, b, c), so tau maps the member (s, t) onto (t, s).
     """
     xlabels = [("X", i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     labels = xlabels + [("H", k) for k in range(1, n)]
     pos = {lab: a for a, lab in enumerate(labels)}
-    Ts, Tt = {}, {}
+    Ts = {}
 
-    def l_parts(i, j, k):
-        # l_ij(H_k) = (q^{1-k} d_{ki} - q^{-1-k} d_{k,i-1})(s + t q^n)
-        #           - (q^{k-1} d_{kj} - q^{k+1} d_{k,j-1})(s + t q^{-n})
-        first = RF_ZERO
+    def l_s(i, j, k):
+        # l_ij(H_k) = q^{1-k} d_{ki} - q^{-1-k} d_{k,i-1} - q^{k-1} d_{kj} + q^{k+1} d_{k,j-1}
+        out = RF_ZERO
         if k == i:
-            first = first + _qpow(1 - k)
+            out = out + _qpow(1 - k)
         if k == i - 1:
-            first = first - _qpow(-1 - k)
-        second = RF_ZERO
+            out = out - _qpow(-1 - k)
         if k == j:
-            second = second + _qpow(k - 1)
+            out = out - _qpow(k - 1)
         if k == j - 1:
-            second = second - _qpow(k + 1)
-        return first - second, first * _qpow(n) - second * _qpow(-n)
+            out = out + _qpow(k + 1)
+        return out
 
     for (_, i, j) in xlabels:
-        a = pos[("X", i, j)]
+        a, b = pos["X", i, j], pos["X", j, i]
         for k in range(1, n):
-            h = pos[("H", k)]
-            ls, lt = l_parts(i, j, k)
-            sp_add_to(Ts, (h, a, a), ls)
-            sp_add_to(Tt, (h, a, a), lt)
+            h = pos["H", k]
+            sp_add_to(Ts, (h, a, a), l_s(i, j, k))
             # [X_ij, H_k] = -r_ij(H_k) X_ij with r_ij(H_k) = -l_ji(H_k)
-            rs, rt = l_parts(j, i, k)
-            sp_add_to(Ts, (a, h, a), rs)
-            sp_add_to(Tt, (a, h, a), rt)
+            sp_add_to(Ts, (a, h, a), l_s(j, i, k))
+            # [X_ij, X_ji] = q^{i-j} sum_k (q^k [k < j] - q^{-k} [k < i]) H_k
+            g = (_qpow(k) if k < j else RF_ZERO) - (_qpow(-k) if k < i else RF_ZERO)
+            sp_add_to(Ts, (a, b, h), _qpow(i - j) * g)
+        for m in range(1, n + 1):
+            if m != i and m != j:
+                # [X_ij, X_jm] = v^{1-2j} X_im and [X_ij, X_mi] = -v^{2i-1} X_mj
+                Ts[a, pos["X", j, m], pos["X", i, m]] = rf_vpow(1 - 2 * j)
+                Ts[a, pos["X", m, i], pos["X", m, j]] = -rf_vpow(2 * i - 1)
 
     for i in range(1, n):
         for j in range(1, n):
-            a, b = pos[("H", i)], pos[("H", j)]
             for k in range(1, n):
-                c = pos[("H", k)]
-                fs = RF_ZERO
-                ft = RF_ZERO
-                if i == j:
-                    if k == i:
-                        fs = fs + _qpow(k + 1) - _qpow(-k - 1)
-                        ft = ft + _qpow(n + 1 - i) - _qpow(-n - 1 + i)
-                    if k < i:
-                        fs = fs + (_qpow(1) + _qpow(-1)) * (_qpow(k) - _qpow(-k))
-                    if k > i:
-                        ft = ft + (_qpow(1) + _qpow(-1)) * (_qpow(n - k) - _qpow(-n + k))
-                if i == j - 1:
-                    if k <= i:
-                        fs = fs + _qpow(-k) - _qpow(k)
-                    if k > i:
-                        ft = ft + _qpow(k - n) - _qpow(-k + n)
-                if j == i - 1:
-                    if k <= j:
-                        fs = fs + _qpow(-k) - _qpow(k)
-                    if k > j:
-                        ft = ft + _qpow(k - n) - _qpow(-k + n)
-                sp_add_to(Ts, (a, b, c), fs)
-                sp_add_to(Tt, (a, b, c), ft)
+                f = RF_ZERO
+                if i == j == k:
+                    f = _qpow(k + 1) - _qpow(-k - 1)
+                elif i == j and k < i:
+                    f = (_qpow(1) + _qpow(-1)) * (_qpow(k) - _qpow(-k))
+                elif abs(i - j) == 1 and k <= min(i, j):
+                    f = _qpow(-k) - _qpow(k)
+                sp_add_to(Ts, (pos["H", i], pos["H", j], pos["H", k]), f)
 
-    for (_, i, j) in xlabels:
-        a = pos[("X", i, j)]
-        b = pos[("X", j, i)]
-        for k in range(1, n):
-            c = pos[("H", k)]
-            gs = RF_ZERO
-            gt = RF_ZERO
-            if k < j:
-                gs = gs + _qpow(k)
-            if k < i:
-                gs = gs - _qpow(-k)
-            if k >= i:
-                gt = gt + _qpow(n - k)
-            if k >= j:
-                gt = gt - _qpow(k - n)
-            sp_add_to(Ts, (a, b, c), _qpow(i - j) * gs)
-            sp_add_to(Tt, (a, b, c), _qpow(i - j) * gt)
+    return labels, Ts, _flip(Ts, _sln_tau(labels, n))
 
-    for (_, i, j) in xlabels:
-        a = pos[("X", i, j)]
-        for (_, k, l) in xlabels:
-            b = pos[("X", k, l)]
-            if j == k and i != l:
-                c = pos[("X", i, l)]
-                sp_add_to(Ts, (a, b, c), rf_vpow(1 - 2 * j))
-                sp_add_to(Tt, (a, b, c), rf_vpow(1 - 2 * j) * _qpow(n))
-            if i == l and j != k:
-                c = pos[("X", k, j)]
-                sp_add_to(Ts, (a, b, c), -rf_vpow(2 * i - 1))
-                sp_add_to(Tt, (a, b, c), -rf_vpow(2 * i - 1) * _qpow(-n))
 
-    return labels, Ts, Tt
+def _sln_labels(basis: list) -> list:
+    """The labels ("X", i, j) and ("H", k) of an explicit-family basis."""
+    return [("X",) + lab.ij if lab.kind == "X" else ("H", lab.index) for lab in basis]
+
+
+def _sln_tau(labels: list, n: int) -> list:
+    """The flip tau: X_ij -> -X_{n+1-j,n+1-i}, H_k -> H_{n-k} on a basis
+    labelled ("X", i, j) and ("H", k): entry a is (index of tau(x_a), sign)."""
+    pos = {lab: a for a, lab in enumerate(labels)}
+    return [(pos["X", n + 1 - lab[2], n + 1 - lab[1]], -1) if lab[0] == "X"
+            else (pos["H", n - lab[1]], 1) for lab in labels]
+
+
+def _flip(table: dict, tau: list) -> dict:
+    """The image of a table under a signed permutation tau of its basis:
+    entry (a, b, c) moves to (tau a, tau b, tau c), times the three signs."""
+    out = {}
+    for (a, b, c), val in table.items():
+        (a2, sa), (b2, sb), (c2, sc) = tau[a], tau[b], tau[c]
+        out[a2, b2, c2] = val if sa * sb * sc > 0 else -val
+    return out
 
 
 def _sln_root(n: int, i: int, j: int) -> tuple:
@@ -382,7 +392,10 @@ def _sln_table(Ts: dict, Tt: dict, s: RatFunc, t: RatFunc) -> dict:
 
 
 def build_sln_explicit(n: int, s, t) -> QuantumLieAlgebra:
-    """The explicit two-parameter quantum Lie algebra structure for sl_n."""
+    """The member E(s, t) = s * T_s + t * T_t of the explicit two-parameter
+    family for sl_n, on the basis {X_ij} u {H_k}.  T_t is the flip tau of
+    T_s (see _sln_parts), so tau maps E(s, t) onto E(t, s).  s + t must be
+    regular and nonzero at v = 1; otherwise InvalidParams."""
     if n < 2:
         raise InvalidParams("n must be at least 2")
     s = s if isinstance(s, RatFunc) else RatFunc(s)
@@ -439,17 +452,16 @@ def generic_pipeline(cd: CartanDatum, budget_dim: int = DEFAULT_DIM_BUDGET) -> G
     hw = highest_weight_space(T, theta)
     if len(hw) > 2:
         raise GaugeObstruction("highest-root multiplicity above 2 is not supported")
-    candidates = list(hw)
-    for i in range(len(hw)):
-        for j in range(i + 1, len(hw)):
-            candidates.append(sp_add(hw[i], hw[j]))
-    anti = _first_classically_nonzero(antisymmetrize_hw, T, candidates)
+    # the candidates are the vectors of hw alone: both halves are additive,
+    # and vanishing at v = 1 is closed under sums, so a sum hw[i] + hw[j]
+    # would be tried only after both of its terms failed, and fail too
+    anti = _first_classically_nonzero(antisymmetrize_hw, T, hw)
     if anti is None:
         raise ClassicallyZero("no candidate with classically nonzero antisymmetrization")
     anti = rescale_at_one(anti)
     others = []
     if len(hw) > 1:
-        sym = _first_classically_nonzero(symmetrize_hw, T, candidates)
+        sym = _first_classically_nonzero(symmetrize_hw, T, hw)
         if sym is None:
             raise VerificationFailed("no classically nonzero symmetric complement")
         others.append(sym)
@@ -689,11 +701,7 @@ def check_classical_limit(A: QuantumLieAlgebra, budget_dim: int = DEFAULT_DIM_BU
         n = A.cd.rank + 1
         sigma = (A.params["s"] + A.params["t"]).eval_at_one()
         labels0, table0 = classical_sln_table(n)
-        expect_labels = [
-            ("X",) + A.basis[a].ij if A.basis[a].kind == "X" else ("H", A.basis[a].index)
-            for a in range(dim)
-        ]
-        if expect_labels != labels0:
+        if _sln_labels(A.basis) != labels0:
             raise VerificationFailed("basis order mismatch against the oracle")
         oracle = {k: sigma * v for k, v in table0.items()}
     elif A.provenance == "generic-pipeline":
@@ -959,22 +967,13 @@ def compare_to_explicit(A: QuantumLieAlgebra, s=None, t=None,
 
 
 def check_tau_sln(A: QuantumLieAlgebra) -> dict:
-    """The flip X_ij -> -X_{n+1-j,n+1-i}, H_i -> H_{n-i} as a candidate
-    automorphism of the explicit family (holds iff t = s there)."""
+    """The flip tau: X_ij -> -X_{n+1-j,n+1-i}, H_k -> H_{n-k} as a candidate
+    automorphism of an explicit-family table.  tau maps the member (s, t)
+    onto (t, s), so for n >= 3 it holds exactly when s = t; on sl_2,
+    T_t = T_s and it always holds."""
     if A.provenance != "explicit-sln":
         return {"ok": None, "applicable": False}
-    n = A.cd.rank + 1
-    where = {(lab.kind, lab.ij or lab.index): a for a, lab in enumerate(A.basis)}
-    flip = {}
-    for a, lab in enumerate(A.basis):
-        if lab.kind == "X":
-            i, j = lab.ij
-            flip[a] = {where["X", (n + 1 - j, n + 1 - i)]: -1}
-        else:
-            flip[a] = {where["H", n - lab.index]: 1}
-    # tau is an involution, so it is an automorphism iff the table on the
-    # basis tau(x_a) is the table itself
-    flipped = change_basis(A.constants, flip, flip)
+    flipped = _flip(A.constants, _sln_tau(_sln_labels(A.basis), A.cd.rank + 1))
     bad = [k for k in set(A.constants) | set(flipped)
            if A.structure_constant(*k) != flipped.get(k, RF_ZERO)]
     witness = list(min(bad)) if bad else None

@@ -392,6 +392,27 @@ def test_text_table_with_an_unknown_type_names_its_line():
         parse_text_algebra(ONE_LABEL.format("E9"))
 
 
+@pytest.mark.parametrize("algebra,construction,old,new,message", [
+    ("A1", "generic", "X_{(-2)}", "X_{(4)}",
+     "^the X labels of the basis are not the roots, each once$"),
+    # before the check, this loaded and check_classical_limit reported all: True
+    ("A1", "generic", "H_1", "H_5",
+     r"^the H labels of the basis are not H_1 \.\. H_1, each once$"),
+    ("A2", "explicit-sln", "X_{12}", "X_{79}",
+     "^the X labels of the basis are not the roots, each once$"),
+    ("A2", "explicit-sln", "X_{12}", "X_{(2,-1)}",
+     r"^X_\{\(2,-1\)\} of an explicit-sln table has no ij$"),
+    ("B2", "generic", "# construction generic-pipeline", "# construction explicit-sln",
+     "^an explicit-sln table must be on an A-series algebra, not B2$"),
+], ids=["root", "cartan-slot", "ij-out-of-range", "no-ij", "explicit-b2"])
+def test_text_table_labels_are_checked_like_stored_json(capsys, algebra, construction, old,
+                                                       new, message):
+    _, text = run(capsys, "build", "--algebra", algebra, "--construction", construction)
+    assert old in text
+    with pytest.raises(cli.InvalidParams, match=message):
+        parse_text_algebra(text.replace(old, new))
+
+
 def test_json_round_trip(capsys):
     _, out = run(capsys, "build", "--algebra", "B2", "--construction", "generic",
                  "--format", "json")

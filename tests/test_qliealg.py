@@ -648,11 +648,123 @@ def test_stored_h_labels_must_be_the_cartan_slots(golden_dir, index):
         QuantumLieAlgebra.from_json(edited_sl2q(golden_dir, relabel))
 
 
+def explicit_a2_blob(edit):
+    """The JSON blob of the explicit A2 table at (1, q) with edit applied to
+    its X_{12} label."""
+    blob = build_sln_explicit(3, sc("1"), sc("q")).to_json()
+    edit(next(lab for lab in blob["basis"] if lab.get("ij") == [1, 2]))
+    return blob
+
+
+@pytest.mark.parametrize("edit,message", [
+    # before the check, check_tau_sln raised KeyError ('X', (-5, -3))
+    (lambda lab: lab.update(ij=[7, 9]), r"^the ij \(7, 9\) of X_\{\(2,-1\)\} is not a position "
+                                        r"1 <= i != j <= 3 with that root$"),
+    (lambda lab: lab.update(ij=[2, 1]), r"^the ij \(2, 1\) of X_\{\(2,-1\)\} is not"),
+    (lambda lab: lab.update(ij=[1, 1]), r"^the ij \(1, 1\) of X_\{\(2,-1\)\} is not"),
+    (lambda lab: lab.update(ij=["1", 2]), r"^the ij \('1', 2\) of X_\{\(2,-1\)\} is not"),
+    (lambda lab: lab.update(ij=[True, 2]), r"^the ij \(True, 2\) of X_\{\(2,-1\)\} is not"),
+    (lambda lab: lab.update(ij=[1, 2, 3]), r"^the ij \(1, 2, 3\) of X_\{\(2,-1\)\} is not"),
+    (lambda lab: lab.update(ij=12), r"^the ij 12 of X_\{\(2,-1\)\} is not"),
+    # before the check, check_classical_limit raised a bare TypeError
+    (lambda lab: lab.pop("ij"), r"^X_\{\(2,-1\)\} of an explicit-sln table has no ij$"),
+], ids=["out-of-range", "other-root", "diagonal", "str", "bool", "three", "not-a-list",
+        "missing"])
+def test_stored_explicit_labels_must_carry_their_matrix_units(edit, message):
+    with pytest.raises(InvalidParams, match=message):
+        QuantumLieAlgebra.from_json(explicit_a2_blob(edit))
+
+
+def test_stored_explicit_table_must_be_on_an_a_series_algebra(generics):
+    blob = dict(generics["B2"].to_json(), provenance="explicit-sln")
+    with pytest.raises(InvalidParams, match="^an explicit-sln table must be on an A-series "
+                                            "algebra, not B2$"):
+        QuantumLieAlgebra.from_json(blob)
+
+
 def test_explicit_golden_tables(explicit_grid, golden_dir):
     fresh = explicit_grid[3, "1", "q"].to_json()
     assert fresh == load_golden(golden_dir, "explicit_a2_s1_tq.json")
     fresh = explicit_grid[4, "1", "1"].to_json()
     assert fresh == load_golden(golden_dir, "explicit_a3_s1_t1.json")
+
+
+# Every member E(s, t) of the explicit family that the pins below cover.
+EXPLICIT_RANKS = (2, 3, 4, 5, 6, 10)
+EXPLICIT_PAIRS = (("1", "0"), ("0", "1"), ("1", "q"), ("q^2", "1/(q+2)"))
+
+
+@pytest.fixture(scope="module")
+def explicit_members():
+    return {(n, s, t): build_sln_explicit(n, sc(s), sc(t))
+            for n in EXPLICIT_RANKS for s, t in EXPLICIT_PAIRS}
+
+
+# the entry count and the sha256 of the canonical JSON of each member
+EXPLICIT_PINS = {
+    (2, "1", "0"): (7, "225f4c8dc373d62e12a01ea5324f73a4a73c18856bfd312f84db6d1136272f2b"),
+    (2, "0", "1"): (7, "0f959f5b52fd814339655ff3e58e4b35091feabaaba7e3af71c0903860518824"),
+    (2, "1", "q"): (7, "422721bb0176709c1470ca0392fdf6ee77f341d2503b9f67fadf5906d2e96877"),
+    (2, "q^2", "1/(q+2)"): (7, "48d456fe8cd79664a6a089f7df1f2af46b3a50796d23bde29df40584d6440a0d"),
+    (3, "1", "0"): (51, "23cd7c3697b1a7339ebfbaf47c4f4967717b96207b42fb85b6319645a316587d"),
+    (3, "0", "1"): (51, "2bde42ca9e581547e3ff393f96270ee4943e41559c4df0fe1ccb0802e42fb5e9"),
+    (3, "1", "q"): (56, "99e8cee7dbba852c5c7497d2eac7442b868e34caa1253866475a023abcedc984"),
+    (3, "q^2", "1/(q+2)"): (56, "6bc9e4eb6ec6cbb1cfd610ba51fa591be9a3302450027870f9bfaccebaf38ea6"),
+    (4, "1", "0"): (148, "c622afaaf34118d5d3f20edfded45e083cd20c38141b2f4ffa834f9b2fb8d68e"),
+    (4, "0", "1"): (148, "69e654a5e0aa323d5974ba04ae33b9393a31c5f8b7092f2da58df61722bdfa6b"),
+    (4, "1", "q"): (165, "13ad141c3d91634d8a8910f2af4e4e5bca933042edcf1f576fead07418c3d62c"),
+    (4, "q^2", "1/(q+2)"): (165, "022ff1b32f8c08b65abb2fcbd08916e01b3ca7bebb371f114a7dc521d7643fd1"),
+    (5, "1", "0"): (314, "7731456438e2884e0ff645910f69d75f734164a1340657c715d9aedab1b21622"),
+    (5, "0", "1"): (314, "93cb23ca0fc0f9cdb289d2015c4542243263873abc4782af161d9f026bdf3a06"),
+    (5, "1", "q"): (352, "bcf0d528fd722e9d26ea2a8d440b4ee0dfb2e55b8b4e7856bda440a2b06faa97"),
+    (5, "q^2", "1/(q+2)"): (352, "1ea4f2594cca4bbccae9bd1c2916d277a9a7301d4d95adf7cd4f4ab94e0e27eb"),
+    (6, "1", "0"): (565, "643d1e0b9e9e520d788aed5acf42e28a4df5311412157ed898d6b1a26a04110e"),
+    (6, "0", "1"): (565, "743f9660202d7309d498ecd005628eef7d5c6aa40590cc303ed6bd7d28cb2617"),
+    (6, "1", "q"): (635, "4c764d397bf7f9d83b0370f57342402881c2dd923899aace2c661a3f09cdfc6c"),
+    (6, "q^2", "1/(q+2)"): (635, "24d85e7d3d16c447294c20b851075572a19264070646f8fc5ffa25c9bd7b9403"),
+    (10, "1", "0"): (2739, "ce5f32125eb5cd4a5a8d0c9017c5ac4c4f8d0171a14b1f88bfb6120f15e8740a"),
+    (10, "0", "1"): (2739, "a619bfe236eedac63aef9fe5fec9d564f0f9d7b6351264ffb28606f3383d2220"),
+    (10, "1", "q"): (3087, "f624b3028e44fedbfb6aa298bb563995f0aec9c60939dadb987cf8c5b0e09ddd"),
+    (10, "q^2", "1/(q+2)"): (3087, "e1253e580a54be5ed761f7a84a85f1711c31944c959f5c1dacf84dd0c4476c13"),
+}
+
+
+@pytest.mark.parametrize("n,s,t", list(EXPLICIT_PINS))
+def test_explicit_table_canonical_json_digest(n, s, t, explicit_members):
+    # the bytes of `qlie build --construction explicit-sln --format json`
+    A = explicit_members[n, s, t]
+    text = json.dumps(A.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+    assert (len(A.constants), hashlib.sha256(text.encode()).hexdigest()) == EXPLICIT_PINS[n, s, t]
+
+
+def flip(A):
+    """The flip X_ij -> -X_{n+1-j,n+1-i}, H_k -> H_{n-k} on an explicit
+    table's basis, as change_basis columns."""
+    n = A.cd.rank + 1
+    where = {(lab.kind, lab.ij or lab.index): a for a, lab in enumerate(A.basis)}
+    return {a: ({where["X", (n + 1 - lab.ij[1], n + 1 - lab.ij[0])]: -1} if lab.kind == "X"
+                else {where["H", n - lab.index]: 1})
+            for a, lab in enumerate(A.basis)}
+
+
+@pytest.mark.parametrize("n", EXPLICIT_RANKS)
+@pytest.mark.parametrize("s,t", EXPLICIT_PAIRS)
+def test_flip_maps_each_member_onto_its_mirror(n, s, t, explicit_members):
+    # tau is an isomorphism E(s, t) -> E(t, s): the table of E(s, t) on the
+    # basis tau(x_a) is the table of E(t, s)
+    A = explicit_members[n, s, t]
+    mirror = explicit_members[n, t, s] if (t, s) in EXPLICIT_PAIRS else build_sln_explicit(
+        n, sc(t), sc(s))
+    assert sp_eq(change_basis(A.constants, flip(A), flip(A)), mirror.constants)
+
+
+def test_rank_ten_table_round_trips_through_text(explicit_members):
+    # the X_{i,j} label form of n > 9
+    A = explicit_members[10, "q^2", "1/(q+2)"]
+    text = build_text(A)
+    assert "| X_{1,10} |" in text
+    B = parse_text_algebra(text)
+    assert same_algebra(B, A) and B.params == A.params and B.provenance == A.provenance
 
 
 @pytest.mark.parametrize("name,entries,digest", [
