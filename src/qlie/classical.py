@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rootdata import DEFAULT_DIM_BUDGET, VerificationFailed, CartanDatum, highest_root, weyl_dim
+from .rootdata import (DEFAULT_DIM_BUDGET, VerificationFailed, CartanDatum, highest_root,
+                       simple_roots, weyl_dim)
 from .linalg import inverse, nullspace, rref, solve
 
 
@@ -45,7 +46,7 @@ def build_classical_module(cd: CartanDatum, lam, budget_dim: int = DEFAULT_DIM_B
     if weyl_dim(cd, lam) > budget_dim:
         raise RuntimeError("dimension budget exceeded")
     n = cd.rank
-    simple_w = [tuple(cd.cartan[k][j] for k in range(n)) for j in range(n)]
+    simple_w = simple_roots(cd)
 
     labels = [()]
     weights = [lam]
@@ -221,13 +222,10 @@ def classical_bracket(cd: CartanDatum, budget_dim: int = DEFAULT_DIM_BUDGET):
     def swap_vec(vec):
         return {(p % d) * d + p // d: x for p, x in vec.items()}
 
-    candidates = [dict(zip(block, k)) for k in kern]
-    for i in range(len(kern)):
-        for j in range(i + 1, len(kern)):
-            candidates.append({p: kern[i][bi] + kern[j][bi] for bi, p in enumerate(block)})
-
+    # the candidates are the kernel vectors alone: both halves are linear, so
+    # a sum's half vanishes when both of its terms' halves do
     anti = sym = None
-    for cand in candidates:
+    for cand in (dict(zip(block, k)) for k in kern):
         cand = {p: x for p, x in cand.items() if x}
         sw = swap_vec(cand)
         a = {p: (cand.get(p, Fraction(0)) - sw.get(p, Fraction(0))) / 2 for p in set(cand) | set(sw)}
@@ -246,7 +244,7 @@ def classical_bracket(cd: CartanDatum, budget_dim: int = DEFAULT_DIM_BUDGET):
     us = [anti]
     if len(kern) > 1:
         if sym is None:
-            raise VerificationFailed()
+            raise VerificationFailed("classically zero symmetrization")
         us.append(sym)
 
     index = {lab: a for a, lab in enumerate(V.labels)}

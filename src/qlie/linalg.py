@@ -173,13 +173,17 @@ def sp_grouped(m, by_row):
 
 
 def sp_matmul(a, b):
-    """Sparse product a @ b; b indexed by the same convention."""
+    """Sparse product a @ b, b indexed by the same convention; the entries
+    may be int, Fraction or RatFunc, and zero entries are dropped.  The one
+    sparse product of the package."""
     b_by_row = sp_grouped(b, True)
     out = {}
     for (r, k), x in a.items():
         for c, y in b_by_row.get(k, ()):
-            sp_add_to(out, (r, c), x * y)
-    return out
+            key = (r, c)
+            cur = out.get(key)
+            out[key] = x * y if cur is None else cur + x * y
+    return {key: x for key, x in out.items() if x}
 
 
 def sp_eq(a, b):
@@ -190,13 +194,6 @@ def sp_eq(a, b):
         if x != y:
             return False
     return True
-
-
-def sp_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        sp_add_to(out, k, v)
-    return out
 
 
 def sp_sub(a, b):
@@ -291,14 +288,3 @@ def sp_int_eval(form: IntForm, b: int, scale: int = 1) -> dict:
         k = c.numerator * (q // c.denominator)
         out[key] = (scale * k * xn * at_d[x.d]) << (b * (x.s - low))
     return out
-
-
-def sp_int_matmul(a, b):
-    """Sparse product a @ b of integer matrices, zero entries dropped."""
-    b_by_row = sp_grouped(b, True)
-    out = {}
-    for (r, k), x in a.items():
-        for c, y in b_by_row.get(k, ()):
-            key = (r, c)
-            out[key] = out.get(key, 0) + x * y
-    return {key: x for key, x in out.items() if x}

@@ -98,11 +98,19 @@ class BasisLabel:
 
     @staticmethod
     def from_json(d: dict) -> "BasisLabel":
-        if d["label"] == "H":
-            return BasisLabel("H", index=int(d["index"]))
-        ij = d.get("ij")
-        return BasisLabel("X", root=tuple(int(x) for x in d["root"]),
-                          ij=tuple(ij) if isinstance(ij, list) else ij)
+        """{"label": "H", "index": int} or {"label": "X", "root": [int]},
+        checked by type, not converted; anything else raises InvalidParams
+        naming the label.  An X's optional "ij" is kept as it is stored, for
+        check_basis_labels to check."""
+        kind = d.get("label") if isinstance(d, dict) else None
+        if kind == "H" and type(d.get("index")) is int:
+            return BasisLabel("H", index=d["index"])
+        root = d.get("root") if kind == "X" else None
+        if isinstance(root, list) and all(type(x) is int for x in root):
+            ij = d.get("ij")
+            return BasisLabel("X", root=tuple(root), ij=tuple(ij) if isinstance(ij, list) else ij)
+        raise InvalidParams(f"the basis label {d!r} is not an H with an int index "
+                            "or an X with an int root")
 
 
 @dataclass
@@ -754,14 +762,23 @@ def transport_explicit_constants(A: QuantumLieAlgebra, phi: dict,
 
     The dictionary identifies the underlying modules, not a particular
     bracket, so E may carry any admissible (s, t), not just the fitted one.
+    phi is graded, so it is inverted one weight of A at a time: 1 x 1 on
+    each root vector, and the Cartan block C on the H slots.  A block that
+    is not square, or that shares an explicit vector with another block,
+    raises InvalidParams; a singular block raises ZeroDivisionError.
     """
-    dim = A.dim
-    P = [[RF_ZERO] * dim for _ in range(dim)]
-    for g, col in phi.items():
-        for e, x in col.items():
-            P[e][g] = x
-    Pinv = inverse(P)
-    inv = [{g: Pinv[g][e] for g in range(dim) if Pinv[g][e]} for e in range(dim)]
+    blocks = {}
+    for g in range(A.dim):
+        blocks.setdefault(A.grade(g), []).append(g)
+    inv = {}
+    for w, gs in blocks.items():
+        es = sorted({e for g in gs for e in phi.get(g, ())})
+        if len(es) != len(gs) or any(e in inv for e in es):
+            raise InvalidParams(f"phi does not map the weight {w} vectors of A one to one "
+                                "onto explicit vectors of their own")
+        block_inv = inverse([[phi.get(g, {}).get(e, RF_ZERO) for g in gs] for e in es])
+        for k, e in enumerate(es):
+            inv[e] = {g: row[k] for g, row in zip(gs, block_inv) if row[k]}
     return change_basis(E.constants, phi, inv)
 
 
@@ -791,34 +808,21 @@ def check_ad_invariance_explicit(E: QuantumLieAlgebra,
 # fitting a pipeline output to the explicit family
 # ---------------------------------------------------------------------------
 
-def _solve_consistent(rows, rhs, ncols):
-    """Exact solution of a (possibly overdetermined) consistent linear system
-    over Q(v), free variables set to zero; None if inconsistent."""
-    if not rows:
-        return [RF_ZERO] * ncols
-    aug = [list(r) + [y] for r, y in zip(rows, rhs)]
-    piv = rref(aug)
-    if ncols in piv:
-        return None
-    sol = [RF_ZERO] * ncols
-    for r, pc in enumerate(piv):
-        sol[pc] = aug[r][ncols]
-    return sol
-
-
 def compare_to_explicit(A: QuantumLieAlgebra, s=None, t=None,
                         with_map: bool = False) -> dict:
     """Match a graded table on an A-series root system against the explicit
     two-parameter family.
 
-    Fits (s, t) from the Cartan action (gauge-invariantly: the products
-    C*s and C*t of the Cartan change of basis with the parameters solve a
-    linear system, and their ratio is the fitted epsilon = t/s), then fixes
-    the root-vector gauge scalars with simple-root vectors scaled to 1, and
-    finally verifies every structure constant exactly.  When s and t are
-    both given, the fit is disabled and only the change of basis is solved.
-    Follows the convention that for n = 2 the family is one-parameter, so
-    the fitted representative is (s, 0).
+    Fits (s, t) from the Cartan action in one reduction: a row per root
+    vector x holds the T_s and T_t coefficients of [H_k, x]^x, with one
+    right-hand side f[h, x]^x per H slot h of A and free unknowns set to
+    zero, so a pivot among the right-hand sides names the first H row that
+    no parameters fit.  The unknowns are C*s and C*t, C the Cartan change
+    of basis, so the fit is gauge-invariant and their ratio is the fitted
+    epsilon = t/s.  Then the root-vector gauge scalars are fixed with the
+    simple-root vectors scaled to 1, and every structure constant is
+    verified exactly.  When s and t are both given, only C is solved.  For
+    n = 2 the family is one-parameter, and the fitted member is (s, 0).
 
     with_map additionally returns the raw basis dictionary under "phi"
     (generic index -> {explicit index: RatFunc}) for transporting tables;
@@ -829,71 +833,51 @@ def compare_to_explicit(A: QuantumLieAlgebra, s=None, t=None,
     if cd.series != "A":
         return {"applicable": False, "match": None}
     n = cd.rank + 1
+    nH = n - 1
     labels, Ts, Tt = _sln_parts(n)
-    epos = {lab: a for a, lab in enumerate(labels)}
-    eroot = {}
-    for lab in labels:
-        if lab[0] == "X":
-            eroot[_sln_root(n, lab[1], lab[2])] = epos[lab]
-    ehs = [epos[("H", k)] for k in range(1, n)]
+    eroot = {_sln_root(n, lab[1], lab[2]): a for a, lab in enumerate(labels) if lab[0] == "X"}
+    ehs = [labels.index(("H", k)) for k in range(1, n)]
 
-    groots = A.root_index()
-    ghs = A.h_indices()
-    gxs = A.x_indices()
-    if len(ghs) != n - 1 or set(groots) != set(eroot):
+    groots, ghs, gxs = A.root_index(), A.h_indices(), A.x_indices()
+    if len(ghs) != nH or set(groots) != set(eroot):
         report["mismatches"].append("root systems differ")
         return report
     ex_of = {x: eroot[A.basis[x].root] for x in gxs}
 
     fit = s is None and t is None
-    nH = n - 1
-    U = [[RF_ZERO] * nH for _ in range(nH)]
-    W = [[RF_ZERO] * nH for _ in range(nH)]
-    C = [[RF_ZERO] * nH for _ in range(nH)]
-    for apos, h in enumerate(ghs):
-        rows, rhs = [], []
-        for x in sorted(gxs):
-            ex = ex_of[x]
-            srow = [Ts.get((ehs[k], ex, ex), RF_ZERO) for k in range(nH)]
-            trow = [Tt.get((ehs[k], ex, ex), RF_ZERO) for k in range(nH)]
-            if fit:
-                rows.append(srow + trow)
-            else:
-                rows.append([s * a2 + t * b2 for a2, b2 in zip(srow, trow)])
-            rhs.append(A.structure_constant(h, x, x))
-        sol = _solve_consistent(rows, rhs, 2 * nH if fit else nH)
-        if sol is None:
-            report["mismatches"].append(f"Cartan action row {apos} unfittable")
-            return report
-        if fit:
-            U[apos] = sol[:nH]
-            W[apos] = sol[nH:]
-        else:
-            C[apos] = sol
+    aug = []
+    for x in gxs:
+        srow = [Ts.get((e, ex_of[x], ex_of[x]), RF_ZERO) for e in ehs]
+        trow = [Tt.get((e, ex_of[x], ex_of[x]), RF_ZERO) for e in ehs]
+        row = srow + trow if fit else [s * a + t * b for a, b in zip(srow, trow)]
+        aug.append(row + [A.structure_constant(h, x, x) for h in ghs])
+    ncols = len(aug[0]) - nH
+    pivots = rref(aug)
+    bad = next((c - ncols for c in pivots if c >= ncols), None)
+    if bad is not None:
+        report["mismatches"].append(f"Cartan action row {bad} unfittable")
+        return report
+    # sol[apos] solves H row apos: its right-hand side read on the pivot rows
+    solved = dict(zip(pivots, aug))
+    sol = [[solved[c][ncols + apos] if c in solved else RF_ZERO for c in range(ncols)]
+           for apos in range(nH)]
 
-    if fit:
-        eps = None
-        if all(x.is_zero() for row in U for x in row):
-            s_fit, t_fit = RF_ZERO, RF_ONE
-            C = W
-        else:
-            cells = [(i, j) for i in range(nH) for j in range(nH)]
-            i, j = next((i, j) for i, j in cells if not U[i][j].is_zero())
-            eps = W[i][j] / U[i][j]
-            if any(W[i][j] != eps * U[i][j] for i, j in cells):
-                report["mismatches"].append("parameter ratio not uniform")
-                return report
-            s_fit, t_fit = RF_ONE, eps
-            C = U
-        report["epsilon"] = str(eps) if eps is not None else None
-        report["eps_bar_invariant"] = (
-            eps == eps.qconjugate() if eps is not None else None
-        )
+    eps = None
+    if not fit:
+        s_fit, t_fit = (x if isinstance(x, RatFunc) else RatFunc(x) for x in (s, t))
+        C = sol
+    elif not any(x for row in sol for x in row[:nH]):
+        s_fit, t_fit, C = RF_ZERO, RF_ONE, [row[nH:] for row in sol]
     else:
-        s_fit = s if isinstance(s, RatFunc) else RatFunc(s)
-        t_fit = t if isinstance(t, RatFunc) else RatFunc(t)
-        report["epsilon"] = None
-        report["eps_bar_invariant"] = None
+        C = [row[:nH] for row in sol]
+        i, j = next((i, j) for i in range(nH) for j in range(nH) if C[i][j])
+        eps = sol[i][nH + j] / C[i][j]
+        if any(row[nH + j] != eps * row[j] for row in sol for j in range(nH)):
+            report["mismatches"].append("parameter ratio not uniform")
+            return report
+        s_fit, t_fit = RF_ONE, eps
+    report["epsilon"] = None if eps is None else str(eps)
+    report["eps_bar_invariant"] = None if eps is None else eps == eps.qconjugate()
     report["fitted_s"] = str(s_fit)
     report["fitted_t"] = str(t_fit)
     report["cartan_map"] = [[str(x) for x in row] for row in C]
@@ -909,51 +893,39 @@ def compare_to_explicit(A: QuantumLieAlgebra, s=None, t=None,
     # gauge scalars: simple-root vectors pinned to 1, the rest propagated
     scal = {groots[alpha]: RF_ONE for alpha in simple_roots(cd)}
     a_pairs = _by_pair(A.constants)
-    xset = set(gxs)
     progress = True
     while progress and len(scal) < len(gxs):
         progress = False
         for x1 in list(scal):
             for x2 in list(scal):
-                col = a_pairs.get((x1, x2))
-                if not col:
-                    continue
-                for c, val in col.items():
-                    if c in xset and c not in scal and not val.is_zero():
-                        tv = tfit.get((ex_of[x1], ex_of[x2], ex_of[c]), RF_ZERO)
-                        if tv.is_zero():
+                for c, val in a_pairs.get((x1, x2), {}).items():
+                    if c in ex_of and c not in scal and val:
+                        tv = tfit.get((ex_of[x1], ex_of[x2], ex_of[c]))
+                        if not tv:
                             report["mismatches"].append(
                                 f"explicit constant vanishes where f[{x1},{x2}]^{c} does not")
                             return report
                         scal[c] = scal[x1] * scal[x2] * tv / val
                         progress = True
         for x1 in list(scal):
-            neg = tuple(-v for v in A.basis[x1].root)
-            x2 = groots[neg]
+            x2 = groots[tuple(-v for v in A.basis[x1].root)]
             if x2 in scal:
                 continue
-            for k in range(nH):
-                tv = tfit.get((ex_of[x1], ex_of[x2], ehs[k]), RF_ZERO)
-                if tv.is_zero():
-                    continue
-                acc = RF_ZERO
-                for apos, h in enumerate(ghs):
-                    acc = acc + A.structure_constant(x1, x2, h) * C[apos][k]
-                scal[x2] = acc / (scal[x1] * tv)
+            k = next((k for k in range(nH) if tfit.get((ex_of[x1], ex_of[x2], ehs[k]))), None)
+            if k is not None:
+                acc = sum((A.structure_constant(x1, x2, h) * C[apos][k]
+                           for apos, h in enumerate(ghs)), RF_ZERO)
+                scal[x2] = acc / (scal[x1] * tfit[ex_of[x1], ex_of[x2], ehs[k]])
                 progress = True
-                break
     if len(scal) < len(gxs):
         report["mismatches"].append("gauge scalars not determined for all roots")
         return report
     report["scalars"] = {A.basis[x].name(): str(v) for x, v in sorted(scal.items())}
 
     # full verification of every constant through the fitted map
-    phicols = {}
-    for x in gxs:
-        phicols[x] = {ex_of[x]: scal[x]}
+    phicols = {x: {ex_of[x]: scal[x]} for x in gxs}
     for apos, h in enumerate(ghs):
-        phicols[h] = {ehs[k]: C[apos][k]
-                      for k in range(nH) if not C[apos][k].is_zero()}
+        phicols[h] = {ehs[k]: C[apos][k] for k in range(nH) if C[apos][k]}
     if with_map:
         report["phi"] = phicols
     # phi([x_a, x_b]) against [phi(x_a), phi(x_b)] in explicit coordinates

@@ -74,7 +74,7 @@ from .qring import RatFunc, RF_ONE, RF_ZERO, _zexact, _zgcd, _zmul
 from .rootdata import VerificationFailed, is_dominant, simple_roots, tensor_multiplicity
 from .repbuild import IrrepModule, contravariant_form
 from .linalg import (IntForm, _zat, clear_denominators, inverse, nullspace, solve, sp_add_to,
-                     sp_grouped, sp_int_eval, sp_int_form, sp_int_matmul, sp_matvec)
+                     sp_grouped, sp_int_eval, sp_int_form, sp_matmul, sp_matvec)
 
 
 class EmptySpace(ValueError):
@@ -356,7 +356,7 @@ def _int_forms(side, forms: dict) -> dict:
 
 def _module_times(f, b: int, scale: int, mx: dict, left: bool) -> dict:
     n = sp_int_eval(f, b, scale)
-    return sp_int_matmul(n, mx) if left else sp_int_matmul(mx, n)
+    return sp_matmul(n, mx) if left else sp_matmul(mx, n)
 
 
 def module_map_defects(M: dict, source, target) -> list:

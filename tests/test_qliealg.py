@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -493,6 +494,59 @@ def test_compare_exit_for_undetermined_gauge_scalars(generics):
     assert rep == _failed_fit(compare_to_explicit(A), "gauge scalars not determined for all roots")
 
 
+def test_compare_exit_names_the_first_unfittable_cartan_row(generics):
+    # f[H_2, X_0]^{X_0} + q: row 0 still fits, so the free fit fails at row
+    # 1; with (s, t) pinned to (1, q) row 0 is already unfittable
+    A = generics["A2"]
+    assert [lab.name() for lab in (A.basis[0], A.basis[4])] == ["X_{(1,1)}", "H_2"]
+    A = _corrupted(A, entries=[((4, 0, 0), A.constants[4, 0, 0] + sc("q"))])
+    assert compare_to_explicit(A) == {"applicable": True, "match": False,
+                                      "mismatches": ["Cartan action row 1 unfittable"]}
+    assert compare_to_explicit(A, s=sc("1"), t=sc("q")) == {
+        "applicable": True, "match": False, "mismatches": ["Cartan action row 0 unfittable"]}
+
+
+def _digest(obj):
+    return hashlib.sha256((json.dumps(obj, sort_keys=True, separators=(",", ":"))
+                           + "\n").encode()).hexdigest()
+
+
+# The sha256 of the canonical JSON of three outputs on the generic A_n table:
+# the report of compare_to_explicit, the report with (s, t) pinned to (1, q),
+# and the rows [a, b, c, value] of E(q^2, 1/(q+2)) transported through the
+# fitted phi.
+FIT_PINS = {
+    1: ("4a494195db1e8330b75734c20cfa3aa1e93ab0cab4c6eb5324e829b11d897c31",
+        "637cfbf658599e2d9e290df280c558e24d633d130ba80766d782b64dd4ddbdd4",
+        "af037ef07cebfdeb1bb13ba7da6c2bacb88c8a654330e527dc79afb61239a18d"),
+    2: ("47b276c44f1e96a36fe2679813e7c705fb674f62d720588c619603e931beb4d7",
+        "141869a7e7899da045c3d4c8873ba02b23ed6a8f02516f5727160a2e68205590",
+        "398d1c62347aa51da8175cb907614ab11e14d749ab7804d7b13ad2a7293bcdf0"),
+    3: ("4d7d43e0a04ee3f2b062596dd3326c001fee44ab9d6c92ff561596ba531ad9bd",
+        "141869a7e7899da045c3d4c8873ba02b23ed6a8f02516f5727160a2e68205590",
+        "c6f5058ef389675c8da6f0a142d56deb9848249e9685f619f0da158065526f44"),
+    4: ("b17371e028830fde9e4b4135d0537e34510f0c2d3872cbb8384550c812b9d17a",
+        "141869a7e7899da045c3d4c8873ba02b23ed6a8f02516f5727160a2e68205590",
+        "3654a59a65e93190069ee5430f1e622980e565d700fc52f6be03c18c66cc2ca2"),
+    5: ("a246e48e8c1f117622ea647b829c4d2312eaa5d75cee664279618954401c47bd",
+        "141869a7e7899da045c3d4c8873ba02b23ed6a8f02516f5727160a2e68205590",
+        "588a512adfb2260bd9dfda93453dffb2de16ec90c05c0f6c4693326d9a031e17"),
+}
+
+
+@pytest.mark.parametrize("rank", sorted(FIT_PINS))
+def test_fit_and_transport_digests(rank, generics):
+    A = generics.get(f"A{rank}") or build_generic(build_cartan("A", rank))
+    fit = compare_to_explicit(A, with_map=True)
+    phi = fit.pop("phi", None)
+    pinned = compare_to_explicit(A, s=sc("1"), t=sc("q"))
+    assert (_digest(fit), _digest(pinned)) == FIT_PINS[rank][:2]
+    E = build_sln_explicit(rank + 1, sc("q^2"), sc("1/(q+2)"))
+    table = transport_explicit_constants(A, phi, E)
+    rows = [[a, b, c, x.to_json()] for (a, b, c), x in sorted(table.items())]
+    assert _digest(rows) == FIT_PINS[rank][2]
+
+
 def test_compare_not_applicable_outside_type_a(generics):
     rep = compare_to_explicit(generics["B2"])
     assert rep["applicable"] is False
@@ -570,6 +624,20 @@ def test_transport_preserves_gradation(generics, pipelines, explicit_grid):
         if not val.is_zero():
             ga, gb, gc = A.grade(a), A.grade(b), A.grade(c)
             assert tuple(x + y for x, y in zip(ga, gb)) == gc
+
+
+@pytest.mark.parametrize("edit,error", [
+    (lambda phi: phi[0].update({6: sc("1")}), InvalidParams),     # X_0 onto two vectors
+    (lambda phi: phi.update({1: dict(phi[0])}), InvalidParams),   # X_0 and X_1 onto one
+    (lambda phi: phi.update({3: {6: sc("1"), 7: sc("1")}, 4: {6: sc("1"), 7: sc("1")}}),
+     ZeroDivisionError),                                           # H_1 = H_2
+], ids=["not-square", "shared", "singular"])
+def test_transport_refuses_a_map_it_cannot_invert_by_weight(edit, error, generics, explicit_grid):
+    A = generics["A2"]
+    phi = {g: dict(col) for g, col in compare_to_explicit(A, with_map=True)["phi"].items()}
+    edit(phi)
+    with pytest.raises(error):
+        transport_explicit_constants(A, phi, explicit_grid[3, "1", "1"])
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
@@ -673,6 +741,27 @@ def explicit_a2_blob(edit):
 def test_stored_explicit_labels_must_carry_their_matrix_units(edit, message):
     with pytest.raises(InvalidParams, match=message):
         QuantumLieAlgebra.from_json(explicit_a2_blob(edit))
+
+
+def _edited_label(a, edit):
+    """The JSON blob of the explicit A2 table at (1, 0) with edit applied to
+    basis label a, and that label after the edit."""
+    blob = build_sln_explicit(3, sc("1"), sc("0")).to_json()
+    edit(blob["basis"][a])
+    return blob, blob["basis"][a]
+
+
+@pytest.mark.parametrize("a,edit", [
+    (0, lambda lab: lab.update(label="Y")),     # loaded as an X
+    (6, lambda lab: lab.update(index="x")),     # a bare ValueError from int()
+    (6, lambda lab: lab.update(index=1.5)),     # loaded as H_1
+    (0, lambda lab: lab.pop("root")),           # a bare KeyError
+], ids=["label-Y", "index-str", "index-float", "no-root"])
+def test_stored_label_must_be_an_x_or_an_h_with_int_entries(a, edit):
+    blob, label = _edited_label(a, edit)
+    with pytest.raises(InvalidParams, match="^the basis label " + re.escape(repr(label))
+                                            + " is not an H with an int index or an X"):
+        QuantumLieAlgebra.from_json(blob)
 
 
 def test_stored_explicit_table_must_be_on_an_a_series_algebra(generics):
