@@ -29,8 +29,7 @@ from .qliealg import (QuantumLieAlgebra, BasisLabel, build_generic,
                       build_sln_explicit, generic_pipeline, canonical_normalize,
                       check_gradation, check_q_antisymmetry, check_lr_identity,
                       check_classical_limit, check_ad_invariance,
-                      check_ad_invariance_explicit, compare_to_explicit,
-                      check_tau_sln, same_algebra,
+                      compare_to_explicit, check_tau_sln, same_algebra,
                       InvalidParams, GaugeObstruction)
 from .monodromy import (Monodromy, monodromy_on_tensor, casimir_exponent,
                         extract_A, adjoint_family, verify_ad_submodule, ObstructionDetected)
@@ -72,7 +71,6 @@ __all__ = [
     "check_lr_identity",
     "check_classical_limit",
     "check_ad_invariance",
-    "check_ad_invariance_explicit",
     "compare_to_explicit",
     "check_tau_sln",
     "same_algebra",

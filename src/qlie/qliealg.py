@@ -26,7 +26,7 @@ tables onto the pipeline basis all go through it; the flip tau, a signed
 permutation, is ``_flip``.  Check functions verify the gradation,
 q-antisymmetry (bar-antisymmetry of the constants), the classical v = 1
 limit against independently computed rational oracles, ad-invariance of
-pipeline brackets, and the flip symmetry of the explicit family; the
+pipeline and explicit tables, and the flip symmetry of the explicit family; the
 comparison fitter matches a pipeline output to the explicit family by
 solving for the parameters and the change of basis exactly.
 """
@@ -51,7 +51,6 @@ from .tensorcg import (
     verify_embedding,
     module_map_defects,
     invert_cg,
-    bracket_matrix,
     ClassicallyZero,
 )
 from .linalg import inverse, rref, sp_add_to, sp_eq, sp_grouped
@@ -165,21 +164,22 @@ class QuantumLieAlgebra:
     @staticmethod
     def from_json(d: dict) -> "QuantumLieAlgebra":
         """The table of a stored JSON blob.  Its basis must pass
-        check_basis_labels, and every constant index must lie in
-        range(dim); otherwise InvalidParams, before any check reads the
-        table."""
+        check_basis_labels, every constant index lie in range(dim) and every
+        scalar keep the text reader's bounds (LaurentPoly.from_json);
+        otherwise InvalidParams, before any check reads the table."""
         cd = table_cartan(d["cartan"]["series"], int(d["cartan"]["rank"]), len(d["basis"]))
         basis = [BasisLabel.from_json(x) for x in d["basis"]]
         check_basis_labels(cd, basis, d["provenance"])
         constants = {
-            (e["a"], e["b"], e["c"]): RatFunc.from_json(e["value"])
+            (e["a"], e["b"], e["c"]): _stored_scalar(
+                e["value"], f"the constant [{e['a']}, {e['b']}, {e['c']}]")
             for e in d["constants"]
         }
         if any(type(i) is not int or not 0 <= i < len(basis) for key in constants for i in key):
             raise InvalidParams(f"a constant index lies outside the basis range(0, {len(basis)})")
         params = None
         if "params" in d:
-            params = {k: RatFunc.from_json(v) for k, v in d["params"].items()}
+            params = {k: _stored_scalar(v, f"the parameter {k}") for k, v in d["params"].items()}
         return QuantumLieAlgebra(
             cd,
             basis,
@@ -189,6 +189,14 @@ class QuantumLieAlgebra:
             normalized=bool(d.get("normalized", False)),
             checks=dict(d.get("checks", {})),
         )
+
+
+def _stored_scalar(d: dict, name: str) -> RatFunc:
+    """RatFunc.from_json(d), its refusal an InvalidParams naming the scalar."""
+    try:
+        return RatFunc.from_json(d)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidParams(f"{name}: {exc}") from exc
 
 
 def table_cartan(series: str, rank: int, dim: int) -> CartanDatum:
@@ -239,19 +247,26 @@ def check_basis_labels(cd: CartanDatum, basis: list, provenance: str) -> None:
                                     f"1 <= i != j <= {n} with that root")
 
 
-def labeled_constants(A: QuantumLieAlgebra) -> dict:
-    """Constants keyed by basis labels instead of positions, so tables on
-    differently ordered bases can be compared: X vectors keyed by their
-    root, H vectors by their Cartan index."""
-    def key(a):
-        lab = A.basis[a]
-        return ("X", lab.root) if lab.kind == "X" else ("H", lab.index)
+def _label_keys(basis: list) -> list:
+    """Each basis vector's key in any basis order: X by root, H by index."""
+    return [("X", lab.root) if lab.kind == "X" else ("H", lab.index) for lab in basis]
 
-    out = {}
-    for (a, b, c), val in A.constants.items():
-        if not val.is_zero():
-            out[(key(a), key(b), key(c))] = val
-    return out
+
+def labeled_constants(A: QuantumLieAlgebra) -> dict:
+    """Constants keyed by basis labels instead of positions (_label_keys),
+    so tables on differently ordered bases can be compared."""
+    k = _label_keys(A.basis)
+    return {(k[a], k[b], k[c]): val for (a, b, c), val in A.constants.items() if not val.is_zero()}
+
+
+def _moved(constants: dict, basis: list, onto: list) -> dict:
+    """A table on basis rewritten on onto, the same labels (_label_keys) in
+    another order: how the checks read a table in any order of its basis."""
+    if basis == onto:
+        return constants
+    where = {key: a for a, key in enumerate(_label_keys(onto))}
+    new = [where[key] for key in _label_keys(basis)]
+    return {(new[a], new[b], new[c]): val for (a, b, c), val in constants.items()}
 
 
 def same_algebra(A: QuantumLieAlgebra, B: QuantumLieAlgebra) -> bool:
@@ -357,6 +372,14 @@ def _sln_parts(n: int):
     return labels, Ts, _flip(Ts, _sln_tau(labels, n))
 
 
+def _sln_basis(n: int) -> list:
+    """The basis of the explicit family: X_ij for i != j in lexicographic
+    order, then H_1 .. H_{n-1}."""
+    return ([BasisLabel("X", root=_sln_root(n, i, j), ij=(i, j))
+             for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+            + [BasisLabel("H", index=k) for k in range(1, n)])
+
+
 def _sln_labels(basis: list) -> list:
     """The labels ("X", i, j) and ("H", k) of an explicit-family basis."""
     return [("X",) + lab.ij if lab.kind == "X" else ("H", lab.index) for lab in basis]
@@ -411,18 +434,9 @@ def build_sln_explicit(n: int, s, t) -> QuantumLieAlgebra:
     st = s + t
     if not st.is_regular_at_one() or st.eval_at_one() == 0:
         raise InvalidParams("s + t must be regular and nonzero at v = 1")
-    labels, Ts, Tt = _sln_parts(n)
-    constants = _sln_table(Ts, Tt, s, t)
-    basis = []
-    for lab in labels:
-        if lab[0] == "X":
-            _, i, j = lab
-            basis.append(BasisLabel("X", root=_sln_root(n, i, j), ij=(i, j)))
-        else:
-            basis.append(BasisLabel("H", index=lab[1]))
-    cd = build_cartan("A", n - 1)
-    return QuantumLieAlgebra(cd, basis, constants, "explicit-sln",
-                             params={"s": s, "t": t})
+    _, Ts, Tt = _sln_parts(n)
+    return QuantumLieAlgebra(build_cartan("A", n - 1), _sln_basis(n), _sln_table(Ts, Tt, s, t),
+                             "explicit-sln", params={"s": s, "t": t})
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +500,16 @@ def build_generic(cd: CartanDatum, budget_dim: int = DEFAULT_DIM_BUDGET,
     A precomputed pipeline for the same Cartan datum may be passed in."""
     if pipe is None:
         pipe = generic_pipeline(cd, budget_dim)
-    h = count(1)  # the zero-weight slots, numbered in basis order
-    basis = [BasisLabel("X", root=w) if any(w) else BasisLabel("H", index=next(h))
-             for w in pipe.module.weights]
-    return QuantumLieAlgebra(cd, basis, dict(pipe.constants), "generic-pipeline")
+    return QuantumLieAlgebra(cd, _module_basis(pipe.module.weights), dict(pipe.constants),
+                             "generic-pipeline")
+
+
+def _module_basis(weights) -> list:
+    """The labels of a module basis with these weights: X_alpha at each root
+    alpha, and H_1, H_2, ... on the zero-weight slots in basis order."""
+    h = count(1)
+    return [BasisLabel("X", root=w) if any(w) else BasisLabel("H", index=next(h))
+            for w in weights]
 
 
 # ---------------------------------------------------------------------------
@@ -641,12 +661,11 @@ def check_classical_limit(A: QuantumLieAlgebra, budget_dim: int = DEFAULT_DIM_BU
     commuting Cartan, l = r with a single proportionality l_a = kappa * alpha,
     and exact agreement with the independent rational oracle (the classical
     pipeline for generic provenance, (s+t)(1) times the standard sl_n table
-    for the explicit family)."""
+    for the explicit family), all read by label in any order of the basis."""
     if not all(val.is_regular_at_one() for val in A.constants.values()):
         return {"regular_at_one": False, "all": False}
     report = {"regular_at_one": True}
     f1 = {key: c1 for key, val in A.constants.items() if (c1 := val.eval_at_one())}
-    dim = A.dim
     zero = Fraction(0)
 
     report["antisymmetric"] = all(f1.get((b, a, c)) == -val for (a, b, c), val in f1.items())
@@ -673,8 +692,8 @@ def check_classical_limit(A: QuantumLieAlgebra, budget_dim: int = DEFAULT_DIM_BU
     report["l_equals_r"] = all(f1.get((h, x, x), zero) == -f1.get((x, h, x), zero)
                                for x in xs for h in h_slots)
     # l_a(H_k) = kappa * alpha_k with one kappa for every root and every H_k
-    pairs = [(f1.get((h, x, x), zero), A.basis[x].root[k])
-             for x in xs for k, h in enumerate(h_slots)]
+    pairs = [(f1.get((h, x, x), zero), A.basis[x].root[A.basis[h].index - 1])
+             for x in xs for h in h_slots]
     ratios = {lv / ak for lv, ak in pairs if ak}
     uniform = len(ratios) == 1 and not any(lv for lv, ak in pairs if not ak)
     report["kappa"] = str(ratios.pop()) if uniform else None
@@ -709,48 +728,24 @@ def check_classical_limit(A: QuantumLieAlgebra, budget_dim: int = DEFAULT_DIM_BU
         n = A.cd.rank + 1
         sigma = (A.params["s"] + A.params["t"]).eval_at_one()
         labels0, table0 = classical_sln_table(n)
-        if _sln_labels(A.basis) != labels0:
+        basis0 = _sln_basis(n)
+        if _sln_labels(basis0) != labels0:
             raise VerificationFailed("basis order mismatch against the oracle")
         oracle = {k: sigma * v for k, v in table0.items()}
     elif A.provenance == "generic-pipeline":
-        _, f0 = classical_bracket(A.cd, budget_dim)
+        V0, oracle = classical_bracket(A.cd, budget_dim)
+        basis0 = _module_basis(V0.weights)
         if A.normalized:
-            weights = [A.grade(a) for a in range(dim)]
             try:
-                f0 = _gauge_rebase(f0, A.cd, weights, Fraction(2), _fraction_sqrt)
+                oracle = _gauge_rebase(oracle, A.cd, V0.weights, Fraction(2), _fraction_sqrt)
             except GaugeObstruction:
-                f0 = None
-        oracle = f0
-    report["oracle_match"] = (None if oracle is None
-                              else {k: v for k, v in oracle.items() if v} == f1)
+                oracle = None
+    report["oracle_match"] = (None if oracle is None else f1 == {
+        k: v for k, v in _moved(oracle, basis0, A.basis).items() if v})
     report["all"] = all(report[k] for k in (
         "regular_at_one", "antisymmetric", "jacobi", "cartan_abelian", "l_equals_r",
         "roots_classical")) and report["oracle_match"] is not False
     return report
-
-
-def ad_invariance_of_table(constants: dict, T) -> dict:
-    """pi(x) o B = B o Delta pi(x) for all generators, for the bracket B
-    defined by a constants table written on the module basis of V, read as
-    T.left of the tensor square T = V (x) V."""
-    defects = module_map_defects(bracket_matrix(T.left.dim, constants), T, T.left)
-    if defects:
-        return {"ok": False, "witness": defects[0]}
-    return {"ok": True}
-
-
-def check_ad_invariance(A: QuantumLieAlgebra, pipe: GenericPipeline = None,
-                        budget_dim: int = DEFAULT_DIM_BUDGET) -> dict:
-    """pi(x) o B = B o Delta pi(x) for all generators, with B rebuilt from
-    the stored constants on the adjoint module.  Only meaningful for raw
-    pipeline output (the normalized basis mixes module vectors); explicit
-    tables go through check_ad_invariance_explicit instead."""
-    if A.provenance != "generic-pipeline" or A.normalized:
-        return {"ok": None, "applicable": False}
-    T = tensor_square(adjoint_module(A.cd, budget_dim)) if pipe is None else pipe.tensor
-    rep = ad_invariance_of_table(A.constants, T)
-    rep["applicable"] = True
-    return rep
 
 
 def transport_explicit_constants(A: QuantumLieAlgebra, phi: dict,
@@ -761,11 +756,12 @@ def transport_explicit_constants(A: QuantumLieAlgebra, phi: dict,
     basis change, generic index -> {explicit index: coefficient}.
 
     The dictionary identifies the underlying modules, not a particular
-    bracket, so E may carry any admissible (s, t), not just the fitted one.
-    phi is graded, so it is inverted one weight of A at a time: 1 x 1 on
-    each root vector, and the Cartan block C on the H slots.  A block that
-    is not square, or that shares an explicit vector with another block,
-    raises InvalidParams; a singular block raises ZeroDivisionError.
+    bracket, so E may carry any admissible (s, t), not just the fitted one,
+    and E is read by its labels, in any order of its basis.  phi is graded,
+    so it is inverted one weight of A at a time: 1 x 1 on each root vector,
+    and the Cartan block C on the H slots.  A block that is not square, or
+    that shares an explicit vector with another block, raises
+    InvalidParams; a singular block raises ZeroDivisionError.
     """
     blocks = {}
     for g in range(A.dim):
@@ -779,28 +775,34 @@ def transport_explicit_constants(A: QuantumLieAlgebra, phi: dict,
         block_inv = inverse([[phi.get(g, {}).get(e, RF_ZERO) for g in gs] for e in es])
         for k, e in enumerate(es):
             inv[e] = {g: row[k] for g, row in zip(gs, block_inv) if row[k]}
-    return change_basis(E.constants, phi, inv)
+    return change_basis(_moved(E.constants, E.basis, _sln_basis(E.cd.rank + 1)), phi, inv)
 
 
-def check_ad_invariance_explicit(E: QuantumLieAlgebra,
-                                 pipe: GenericPipeline = None,
-                                 fit: dict = None,
-                                 budget_dim: int = DEFAULT_DIM_BUDGET) -> dict:
-    """Exact ad-invariance for an explicit-family table: transport it onto
-    the pipeline module with the fitted basis dictionary, then run the
-    matrix identity there."""
-    if E.provenance != "explicit-sln":
+def check_ad_invariance(A: QuantumLieAlgebra, pipe: GenericPipeline = None,
+                        budget_dim: int = DEFAULT_DIM_BUDGET) -> dict:
+    """pi(x) o B = B o Delta pi(x) for all generators, B the bracket of A on
+    the adjoint module V of generic_pipeline.  A pipeline table is read onto
+    V's basis by its labels; an explicit table is moved there through the
+    basis map phi that compare_to_explicit fits on the pipeline table.  A
+    normalized table mixes module vectors: not applicable."""
+    if A.normalized or A.provenance not in ("generic-pipeline", "explicit-sln"):
         return {"ok": None, "applicable": False}
-    if pipe is None:
-        pipe = generic_pipeline(E.cd, budget_dim)
-    A = build_generic(E.cd, pipe=pipe)
-    if fit is None:
-        fit = compare_to_explicit(A, with_map=True)
-    if not fit.get("match") or "phi" not in fit:
-        return {"ok": None, "applicable": False, "note": "no basis dictionary"}
-    table = transport_explicit_constants(A, fit["phi"], E)
-    rep = ad_invariance_of_table(table, pipe.tensor)
-    rep["applicable"] = True
+    if A.provenance == "generic-pipeline":
+        T = tensor_square(adjoint_module(A.cd, budget_dim)) if pipe is None else pipe.tensor
+        constants = _moved(A.constants, A.basis, _module_basis(T.left.weights))
+    else:
+        pipe = pipe or generic_pipeline(A.cd, budget_dim)
+        T, G = pipe.tensor, build_generic(A.cd, pipe=pipe)
+        fit = compare_to_explicit(G, with_map=True)
+        if not fit["match"]:
+            raise VerificationFailed("the pipeline table does not fit the explicit family")
+        constants = transport_explicit_constants(G, fit["phi"], A)
+    d = T.left.dim
+    defects = module_map_defects({(c, a * d + b): x for (a, b, c), x in constants.items() if x},
+                                 T, T.left)
+    rep = {"ok": not defects, "applicable": True}
+    if defects:
+        rep["witness"] = defects[0]
     return rep
 
 

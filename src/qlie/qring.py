@@ -125,7 +125,23 @@ class LaurentPoly:
 
     @staticmethod
     def from_json(d: dict) -> "LaurentPoly":
-        return LaurentPoly({int(e): Fraction(x) for e, x in d.items()})
+        """The view that to_json wrote, within the bounds of parse_scalar:
+        every exponent within +-MAX_SCALAR_DEGREE and every integer within
+        MAX_SCALAR_BITS bits.  The strings are measured before they are
+        converted, so an oversized entry raises ValueError before a long
+        digit string is read or RatFunc lays out its span."""
+        view = LaurentPoly()
+        for e, x in d.items():
+            e, x = str(e), str(x)
+            k = int(e) if len(e) <= 5 else None
+            if k is None or abs(k) > MAX_SCALAR_DEGREE:
+                raise ValueError(f"a power of v beyond +-{MAX_SCALAR_DEGREE}")
+            f = Fraction(x) if len(x) <= _MAX_FRACTION_CHARS else None
+            if f is None or max(abs(f.numerator), f.denominator).bit_length() > MAX_SCALAR_BITS:
+                raise ValueError(f"integers above {MAX_SCALAR_BITS} bits")
+            if f:
+                view.coeffs[k] = f
+        return view
 
 
 _ZERO_FR = Fraction(0)
@@ -707,6 +723,8 @@ def q_binomial(a: int, b: int, d: int = 1) -> RatFunc:
 MAX_SCALAR_DEGREE = 1024
 MAX_SCALAR_BITS = 1024
 MAX_SCALAR_NESTING = 64
+# the longest "-p/q" with p and q of at most MAX_SCALAR_BITS bits
+_MAX_FRACTION_CHARS = 2 * len(str(2 ** MAX_SCALAR_BITS)) + 2
 
 
 def _coefficient_bits(x: RatFunc) -> int:

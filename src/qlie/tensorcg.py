@@ -473,11 +473,6 @@ def _bracket_from_covector(T: TensorProduct, top: dict) -> dict:
     return bmat
 
 
-def bracket_matrix(dim: int, constants: dict) -> dict:
-    """Sparse matrix of B on V (x) V from a constants table {(a,b,c): f}."""
-    return {(c, a * dim + b): x for (a, b, c), x in constants.items() if not x.is_zero()}
-
-
 def invert_cg(T: TensorProduct, v0: dict, others: list) -> dict:
     """Structure constants f_ab^c of the unique module map B: V(x)V -> V
     on the tensor square T = V (x) V, V = T.left, with B o beta = id, beta

@@ -268,10 +268,17 @@ def test_verify_tau_splits_on_parameters(capsys):
 
 
 def test_verify_skips_inapplicable_checks(capsys):
-    code, out = run(capsys, "verify", "--algebra", "A2", "--construction", "explicit-sln",
-                    "--checks", "ad-invariance")
+    code, out = run(capsys, "verify", "--algebra", "A2", "--checks", "tau")
     assert code == 0
     assert "SKIP" in out
+
+
+@pytest.mark.parametrize("algebra", ["A1", "A2", "A3"])
+def test_verify_checks_ad_invariance_of_an_explicit_table(capsys, algebra):
+    # the table is moved onto the pipeline's basis; it used to be a SKIP
+    code, out = run(capsys, "verify", "--algebra", algebra, "--construction", "explicit-sln",
+                    "--s", "1", "--t", "q", "--checks", "ad-invariance")
+    assert (code, out) == (0, "ad-invariance: PASS\nresult: PASS\n")
 
 
 def test_compare_match(capsys):

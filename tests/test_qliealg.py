@@ -9,21 +9,19 @@ import pytest
 
 from qlie.cli import build_text, parse_text_algebra
 from qlie.linalg import sp_eq
-from qlie.qring import RatFunc, parse_scalar, qconjugate
+from qlie.qring import LaurentPoly, RatFunc, parse_scalar, qconjugate
 from qlie.rootdata import build_cartan
-from qlie import qliealg
+from qlie import qliealg, qring
 from qlie.qliealg import (
     BasisLabel,
     GaugeObstruction,
     InvalidParams,
     QuantumLieAlgebra,
-    ad_invariance_of_table,
     build_generic,
     build_sln_explicit,
     canonical_normalize,
     change_basis,
     check_ad_invariance,
-    check_ad_invariance_explicit,
     check_classical_limit,
     check_gradation,
     check_lr_identity,
@@ -592,12 +590,14 @@ def test_generic_tables_are_ad_invariant(name, generics, pipelines):
     assert rep["applicable"] and rep["ok"]
 
 
-def test_corrupted_table_fails_ad_invariance_with_a_generator_witness(pipelines):
-    pipe = pipelines["A2"]
-    table = dict(pipe.constants)
-    key = min(table)
-    table[key] = -table[key]
-    rep = ad_invariance_of_table(table, pipe.tensor)
+def _negated_first(A):
+    """A with its first constant negated."""
+    key = min(A.constants)
+    return _corrupted(A, entries=[(key, -A.constants[key])])
+
+
+def test_corrupted_table_fails_ad_invariance_with_a_generator_witness(generics, pipelines):
+    rep = check_ad_invariance(_negated_first(generics["A2"]), pipe=pipelines["A2"])
     assert rep["ok"] is False
     kind, i = rep["witness"]
     assert kind in ("E", "F") and i in range(2)
@@ -609,11 +609,52 @@ def test_ad_invariance_needs_the_construction_basis(generics):
 
 
 @pytest.mark.parametrize("s,t", [("1", "0"), ("1", "q")])
-def test_explicit_tables_are_ad_invariant_after_transport(s, t, generics, pipelines, explicit_grid):
-    fit = compare_to_explicit(generics["A2"], with_map=True)
-    rep = check_ad_invariance_explicit(
-        explicit_grid[3, s, t], pipe=pipelines["A2"], fit=fit)
-    assert rep["applicable"] and rep["ok"]
+def test_explicit_tables_are_ad_invariant_after_transport(s, t, pipelines, explicit_grid):
+    rep = check_ad_invariance(explicit_grid[3, s, t], pipe=pipelines["A2"])
+    assert rep == {"ok": True, "applicable": True}
+
+
+@pytest.mark.parametrize("scale", ["-1", "q"])
+def test_corrupted_explicit_table_fails_ad_invariance(scale, pipelines, explicit_grid):
+    # one constant of E(1, q) negated or multiplied by q; at the parent of
+    # this check an explicit table was not applicable
+    E = explicit_grid[3, "1", "q"]
+    key = min(E.constants)
+    E = _corrupted(E, entries=[(key, E.constants[key] * sc(scale))])
+    rep = check_ad_invariance(E, pipe=pipelines["A2"])
+    assert rep == {"ok": False, "witness": ["E", 0], "applicable": True}
+
+
+def _reordered(A, order):
+    """A written to JSON with its basis listed in the given order (new vector
+    k is old vector order[k]) and read back with from_json."""
+    blob = A.to_json()
+    new = {old: k for k, old in enumerate(order)}
+    blob["basis"] = [blob["basis"][old] for old in order]
+    for e in blob["constants"]:
+        e["a"], e["b"], e["c"] = new[e["a"]], new[e["b"]], new[e["c"]]
+    return QuantumLieAlgebra.from_json(blob)
+
+
+# A B2 pipeline table with its basis rotated by one position, and the explicit
+# A2 table E(1, 0) with its basis reversed: at the parent of the label reading
+# the first failed ad-invariance with witness ["E", 0] and its classical
+# limit, and the second failed ad-invariance and raised "basis order mismatch
+# against the oracle".
+@pytest.mark.parametrize("key", ["B2", (3, "1", "0")], ids=["B2-rotated", "A2-explicit-reversed"])
+@pytest.mark.parametrize("corrupt", [False, True], ids=["intact", "corrupted"])
+def test_reordered_table_checks_as_its_original(key, corrupt, generics, pipelines, explicit_grid):
+    A = generics[key] if key == "B2" else explicit_grid[key]
+    pipe = pipelines["B2" if key == "B2" else "A2"]
+    if corrupt:
+        A = _negated_first(A)
+    order = list(range(1, A.dim)) + [0] if key == "B2" else list(range(A.dim))[::-1]
+    B = _reordered(A, order)
+    assert [lab.name() for lab in B.basis] == [A.basis[a].name() for a in order]
+    ad, limit = check_ad_invariance(A, pipe=pipe), check_classical_limit(A)
+    assert (ad["ok"], limit["all"]) == ((False, False) if corrupt else (True, True))
+    assert check_ad_invariance(B, pipe=pipe) == ad
+    assert check_classical_limit(B) == limit
 
 
 def test_transport_preserves_gradation(generics, pipelines, explicit_grid):
@@ -768,6 +809,81 @@ def test_stored_explicit_table_must_be_on_an_a_series_algebra(generics):
     blob = dict(generics["B2"].to_json(), provenance="explicit-sln")
     with pytest.raises(InvalidParams, match="^an explicit-sln table must be on an A-series "
                                             "algebra, not B2$"):
+        QuantumLieAlgebra.from_json(blob)
+
+
+OVERSIZED = {
+    # 1.6 s and about 100 MB at the parent of the bound: the span is laid out densely
+    "two-terms": ({"num": {"0": "1", "3000000": "1"}, "den": {"0": "1"}}, "a power of v beyond"),
+    "high-power": ({"num": {"2000000": "1"}, "den": {"0": "1"}}, "a power of v beyond"),
+    "low-power": ({"num": {"0": "1"}, "den": {"-1025": "1"}}, "a power of v beyond"),
+    "digits": ({"num": {"0": "7" * 4000}, "den": {"0": "1"}}, "integers above 1024 bits"),
+    "bits": ({"num": {"0": f"1/{2 ** 1024}"}, "den": {"0": "1"}}, "integers above 1024 bits"),
+    # past int()'s 4300-digit limit: refused on their length, before any conversion
+    "long-exponent": ({"num": {"1" * 5000: "1"}, "den": {"0": "1"}}, "a power of v beyond"),
+    "long-digits": ({"num": {"0": "7" * 100000}, "den": {"0": "1"}}, "integers above 1024 bits"),
+}
+
+
+def within_bounds(views):
+    """No power of v beyond +-1024 and no integer above 1024 bits in views."""
+    return all(abs(e) <= 1024 and max(abs(x.numerator), x.denominator).bit_length() <= 1024
+               for p in views if isinstance(p, LaurentPoly) for e, x in p.coeffs.items())
+
+
+@pytest.fixture
+def laid_out(monkeypatch):
+    """Every value whose exponent span qring._zsplit lays out densely."""
+    seen = []
+    true_zsplit = qring._zsplit
+    monkeypatch.setattr(qring, "_zsplit", lambda p: seen.append(p) or true_zsplit(p))
+    return seen
+
+
+@pytest.mark.parametrize("name", OVERSIZED)
+def test_stored_scalar_must_stay_within_the_text_bounds(name, golden_dir, laid_out):
+    value, why = OVERSIZED[name]
+
+    def edit(blob):
+        blob["constants"][1]["value"] = value
+
+    blob = edited_sl2q(golden_dir, edit)
+    e = blob["constants"][1]
+    with pytest.raises(InvalidParams, match=re.escape(f"the constant [{e['a']}, {e['b']}, "
+                                                      f"{e['c']}]: ") + why):
+        QuantumLieAlgebra.from_json(blob)
+    assert within_bounds(laid_out)
+
+
+@pytest.mark.parametrize("name", OVERSIZED)
+def test_stored_parameter_must_stay_within_the_text_bounds(name, golden_dir, laid_out):
+    value, why = OVERSIZED[name]
+    blob = load_golden(golden_dir, "explicit_a2_s1_tq.json")
+    blob["params"]["t"] = value
+    with pytest.raises(InvalidParams, match=f"^the parameter t: {why}"):
+        QuantumLieAlgebra.from_json(blob)
+    assert within_bounds(laid_out)
+
+
+def test_stored_scalars_at_the_bounds_load(golden_dir):
+    top = {"num": {"-1024": "1", "1024": str(2 ** 1024 - 1)}, "den": {"1024": "1"}}
+    blob = edited_sl2q(golden_dir, lambda blob: blob["constants"][1].update(value=top))
+    A = QuantumLieAlgebra.from_json(blob)
+    e = blob["constants"][1]
+    assert A.constants[e["a"], e["b"], e["c"]] == RatFunc.from_json(top)
+    # JSON numbers, as the reader took them before the bounds
+    assert RatFunc.from_json({"num": {"0": 5}, "den": {0: "2"}}) == sc("5/2")
+
+
+@pytest.mark.parametrize("value,why", [
+    ({"num": {"0": "1/0"}, "den": {"0": "1"}}, "Fraction(1, 0)"),
+    ({"num": {"0": "1"}, "den": {"0": "0"}}, "zero denominator"),
+    ({"num": {"x": "1"}, "den": {"0": "1"}}, "invalid literal"),
+], ids=["zero-coefficient-denominator", "zero-denominator", "bad-exponent"])
+def test_malformed_stored_scalar_names_its_constant(value, why, golden_dir):
+    # each was a bare ZeroDivisionError or ValueError before
+    blob = edited_sl2q(golden_dir, lambda blob: blob["constants"][1].update(value=value))
+    with pytest.raises(InvalidParams, match=r"^the constant \[0, 2, 1\]: " + re.escape(why)):
         QuantumLieAlgebra.from_json(blob)
 
 

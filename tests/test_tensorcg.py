@@ -16,8 +16,7 @@ import qlie
 from qlie import monodromy, qliealg, tensorcg
 from qlie.linalg import rank, sp_eq, sp_matmul, sp_matvec, sp_transpose
 from qlie.monodromy import monodromy_on_tensor, verify_ad_submodule
-from qlie.qliealg import (build_generic, build_sln_explicit, check_ad_invariance,
-                          check_ad_invariance_explicit, generic_pipeline)
+from qlie.qliealg import build_generic, build_sln_explicit, check_ad_invariance, generic_pipeline
 from qlie.qring import RF_ONE, RatFunc, q_int, rf_vpow
 from qlie.rootdata import VerificationFailed, build_cartan, highest_root, tensor_multiplicity
 from qlie.repbuild import adjoint_module, build_irrep
@@ -393,7 +392,7 @@ def checked_maps():
             cd = name_to_cartan(name)
             pipe = generic_pipeline(cd)
             check_ad_invariance(build_generic(cd, pipe=pipe), pipe)
-        check_ad_invariance_explicit(build_sln_explicit(3, RF_ONE, RF_ONE))
+        check_ad_invariance(build_sln_explicit(3, RF_ONE, RF_ONE))
         a2 = name_to_cartan("A2")
         adj = adjoint_module(a2)
         monodromy_on_tensor(adj, adj)
