@@ -10,7 +10,9 @@ Subpackage map:
                   intertwining check, quantum CG inversion
 * ``classical``-- the undeformed oracle pipeline over Q, independent of the
                   q-pipeline
-* ``qliealg``  -- the bracket constants themselves: generic pipeline,
+* ``table``    -- the structure-constant table itself: basis labels, the
+                  stored forms' one reader, change of basis
+* ``qliealg``  -- the constructions of the table: generic pipeline,
                   explicit type-A construction, normalization, checks
 * ``monodromy``-- monodromy operator on V (x) V and adjoint-submodule checks
 * ``cli``      -- the ``qlie`` command-line interface
@@ -25,12 +27,11 @@ from .tensorcg import (TensorProduct, tensor_product, tensor_square, highest_wei
                        antisymmetrize_hw, symmetrize_hw, cg_embedding,
                        verify_embedding, invert_cg)
 from .classical import build_classical_module, classical_bracket, classical_sln_table
-from .qliealg import (QuantumLieAlgebra, BasisLabel, build_generic,
-                      build_sln_explicit, generic_pipeline, canonical_normalize,
+from .table import QuantumLieAlgebra, BasisLabel, same_algebra, InvalidParams
+from .qliealg import (build_generic, build_sln_explicit, generic_pipeline, canonical_normalize,
                       check_gradation, check_q_antisymmetry, check_lr_identity,
                       check_classical_limit, check_ad_invariance,
-                      compare_to_explicit, check_tau_sln, same_algebra,
-                      InvalidParams, GaugeObstruction)
+                      compare_to_explicit, check_tau_sln, GaugeObstruction)
 from .monodromy import (Monodromy, monodromy_on_tensor, casimir_exponent,
                         extract_A, adjoint_family, verify_ad_submodule, ObstructionDetected)
 

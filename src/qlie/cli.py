@@ -29,22 +29,17 @@ import argparse
 import json
 import re
 import sys
-from contextlib import contextmanager
 
 from .qring import (DenominatorVanishes, RatFunc, parse_scalar)
 from .rootdata import CartanDatum, VerificationFailed, build_cartan, classical_dim
 from .repbuild import DEFAULT_DIM_BUDGET, BudgetExceeded
 from .tensorcg import ClassicallyZero, EmptySpace
+from .table import BasisLabel, InvalidParams, QuantumLieAlgebra, naming, stored_table
 from .qliealg import (
-    BasisLabel,
     GaugeObstruction,
-    InvalidParams,
-    QuantumLieAlgebra,
-    _sln_root,
     build_generic,
     build_sln_explicit,
     canonical_normalize,
-    check_basis_labels,
     check_ad_invariance,
     check_classical_limit,
     check_gradation,
@@ -52,11 +47,19 @@ from .qliealg import (
     check_q_antisymmetry,
     check_tau_sln,
     compare_to_explicit,
-    table_cartan,
 )
 
-CHECK_NAMES = ("gradation", "antisymmetry", "classical-limit", "lr-identity",
-               "ad-invariance", "tau")
+# The checks of `verify`, in report order: name -> report on table A with
+# module budget dim.  Each report has "ok": True, False or None (SKIP).
+CHECKS = {
+    "gradation": lambda A, dim: check_gradation(A),
+    "antisymmetry": lambda A, dim: check_q_antisymmetry(A),
+    "classical-limit": lambda A, dim: {("ok" if k == "all" else k): v
+                                       for k, v in check_classical_limit(A, dim).items()},
+    "lr-identity": lambda A, dim: check_lr_identity(A),
+    "ad-invariance": lambda A, dim: check_ad_invariance(A, budget_dim=dim),
+    "tau": lambda A, dim: check_tau_sln(A),
+}
 
 
 def _series_rank(text: str) -> tuple:
@@ -151,38 +154,14 @@ def build_text(A: QuantumLieAlgebra) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_label(name: str, n: int) -> BasisLabel:
-    if name.startswith("H_"):
-        return BasisLabel("H", index=int(name[2:]))
-    if name.startswith("X_{(") and name.endswith(")}"):
-        return BasisLabel("X", root=tuple(int(x) for x in name[4:-2].split(",")))
-    if name.startswith("X_{") and name.endswith("}"):
-        body = name[3:-1]
-        i, j = (int(x) for x in (body.split(",") if "," in body else body))
-        return BasisLabel("X", root=_sln_root(n, i, j), ij=(i, j))
-    raise InvalidParams(f"cannot parse basis label {name!r}")
-
-
-@contextmanager
-def _naming(ln: str):
-    """Raise a ValueError met while parsing the text line ln as an
-    InvalidParams that names the line."""
-    try:
-        yield
-    except InvalidParams:
-        raise
-    except ValueError as exc:
-        raise InvalidParams(f"cannot parse line {ln!r}: {exc}") from exc
-
-
 def parse_text_algebra(text: str) -> QuantumLieAlgebra:
     """Rebuild a QuantumLieAlgebra from the output of build_text.  The
-    basis line must list as many vectors as the algebra's adjoint dimension,
-    which is checked before its Cartan datum is built (qliealg.table_cartan),
-    and its labels must pass the checks of the JSON reader
-    (qliealg.check_basis_labels); otherwise InvalidParams."""
-    algebra = provenance = names = params = None
-    normalized = False
+    lines are parsed here and the pieces passed to table.stored_table,
+    which refuses what the JSON reader refuses (a basis that does not span
+    the adjoint, checked before any label is read, bad labels, an unknown
+    construction, a normalized flag other than yes or no, wrong params);
+    a refusal is an InvalidParams."""
+    algebra = provenance = names = params = normalized = None
     lines = [ln for ln in text.splitlines() if ln.strip()]
     body = []
     for ln in lines:
@@ -191,26 +170,28 @@ def parse_text_algebra(text: str) -> QuantumLieAlgebra:
         elif ln.startswith("# construction "):
             provenance = ln[len("# construction "):].strip()
         elif ln.startswith("# normalized "):
-            normalized = ln.split()[-1] == "yes"
+            word = ln[len("# normalized "):].strip()
+            normalized = {"yes": True, "no": False}.get(word, word)
         elif ln.startswith("# basis "):
             basis_line, names = ln, ln[len("# basis "):].split(" | ")
         elif ln.startswith("# params "):
             m = re.fullmatch(r"# params s = (.*) ; t = (.*)", ln)
             if not m:
                 raise InvalidParams(f"cannot parse params line {ln!r}")
-            with _naming(ln):
+            with naming(f"line {ln!r}"):
                 params = {"s": parse_scalar(m.group(1)), "t": parse_scalar(m.group(2))}
         elif not ln.startswith("#"):
             body.append(ln)
-    if algebra is None or provenance is None or names is None:
+    if algebra is None or provenance is None or names is None or normalized is None:
         raise InvalidParams("text table lacks its header lines")
-    with _naming(algebra_line):
-        cd = table_cartan(*algebra, len(names))
-    with _naming(basis_line):
-        basis = [_parse_label(nm, cd.rank + 1) for nm in names]
-    check_basis_labels(cd, basis, provenance)
+    return stored_table(*algebra, names, BasisLabel.from_name, _text_constants(body, names),
+                        provenance, normalized, params,
+                        where=(f"line {algebra_line!r}", f"line {basis_line!r}"))
+
+
+def _text_constants(body: list, names: list):
+    """((a, b, c), value) of each constant line f[name_a,name_b]^{name_c} = value."""
     where = {nm: a for a, nm in enumerate(names)}
-    constants = {}
     for ln in body:
         m = re.fullmatch(r"f\[(.*)\]\^\{(.*)\} = (.*)", ln)
         if not m:
@@ -223,10 +204,8 @@ def parse_text_algebra(text: str) -> QuantumLieAlgebra:
                 break
         if a is None or cname not in where:
             raise InvalidParams(f"unknown basis labels in line {ln!r}")
-        with _naming(ln):
-            constants[(a, b, where[cname])] = parse_scalar(val)
-    return QuantumLieAlgebra(cd, basis, constants, provenance,
-                             params=params, normalized=normalized)
+        with naming(f"line {ln!r}"):
+            yield (a, b, where[cname]), parse_scalar(val)
 
 
 def constants_table(A: QuantumLieAlgebra, at_one: bool = False) -> str:
@@ -266,20 +245,20 @@ def _named_checks(args):
     if args.checks is None:
         return None
     chosen = [c.strip() for c in args.checks.split(",") if c.strip()]
-    names = ", ".join(CHECK_NAMES)
+    names = ", ".join(CHECKS)
     if not chosen:
         raise InvalidParams(f"--checks names no check; choose from {names}")
     for c in chosen:
-        if c not in CHECK_NAMES:
+        if c not in CHECKS:
             raise InvalidParams(f"unknown check {c!r}; choose from {names}")
     return chosen
 
 
 def _default_checks(A: QuantumLieAlgebra) -> list:
-    chosen = ["gradation", "antisymmetry", "classical-limit", "lr-identity"]
-    if A.provenance == "generic-pipeline" and not A.normalized:
-        chosen.append("ad-invariance")
-    return chosen
+    """Every check but tau, and ad-invariance only on an unnormalized
+    pipeline table: on an explicit one it builds the pipeline and a fit."""
+    pipeline = A.provenance == "generic-pipeline" and not A.normalized
+    return [name for name in CHECKS if name != "tau" and (pipeline or name != "ad-invariance")]
 
 
 def cmd_verify(args):
@@ -287,20 +266,7 @@ def cmd_verify(args):
     A = build_algebra(args)
     reports = {}
     for name in chosen or _default_checks(A):
-        if name == "gradation":
-            reports[name] = check_gradation(A)
-        elif name == "antisymmetry":
-            reports[name] = check_q_antisymmetry(A)
-        elif name == "classical-limit":
-            rep = check_classical_limit(A, args.budget_dim)
-            rep["ok"] = rep.pop("all")
-            reports[name] = rep
-        elif name == "lr-identity":
-            reports[name] = check_lr_identity(A)
-        elif name == "ad-invariance":
-            reports[name] = check_ad_invariance(A, budget_dim=args.budget_dim)
-        elif name == "tau":
-            reports[name] = check_tau_sln(A)
+        reports[name] = CHECKS[name](A, args.budget_dim)
     failed = [n for n, rep in reports.items() if rep["ok"] is False]
     code = 1 if failed else 0
     if args.format == "json":
@@ -400,7 +366,7 @@ def _make_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run identity checks, exit 0 only if all pass")
     _add_options(ver, True)
     ver.add_argument("--checks",
-                     help="comma-separated subset of: " + ", ".join(CHECK_NAMES))
+                     help="comma-separated subset of: " + ", ".join(CHECKS))
     _add_options(sub.add_parser("table", help="aligned text table of nonzero constants"), True)
     _add_options(sub.add_parser("limit", help="constants evaluated at v = 1"), True)
     cmp_p = sub.add_parser("compare", help="fit a generic table to the explicit family")

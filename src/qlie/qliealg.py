@@ -1,7 +1,7 @@
 """Quantum Lie algebra structures.
 
 Two constructions produce a ``QuantumLieAlgebra`` (a basis with structure
-constants over Q(v)):
+constants over Q(v), held by ``table``):
 
 * ``build_generic``: the module pipeline.  The adjoint module V is built,
   a highest-weight vector at the highest root is found inside V (x) V,
@@ -19,7 +19,7 @@ constants over Q(v)):
 ``canonical_normalize`` rescales a bracket and rebases its Cartan so that
 H_i = [X_{alpha_i}, X_{-alpha_i}] and [H_1, X_{alpha_1}] =
 2 q^{d_1} X_{alpha_1}, the normalization in which the rank-one algebra
-takes its standard deformed shape.  ``change_basis`` is the single
+takes its standard deformed shape.  ``table.change_basis`` is the single
 change-of-basis routine for structure-constant tables: the normalization,
 its classical oracle at v = 1, the fit and the transport of explicit
 tables onto the pipeline basis all go through it; the flip tau, a signed
@@ -33,13 +33,12 @@ solving for the parameters and the change of basis exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
 from .qring import RatFunc, RF_ONE, RF_ZERO, rf_sqrt, rf_vpow, _fraction_sqrt
-from .rootdata import (VerificationFailed, CartanDatum, adjoint_dim, build_cartan, cartan_to_json,
-                       classical_dim, highest_root, root_system, simple_roots)
+from .rootdata import VerificationFailed, CartanDatum, build_cartan, highest_root, simple_roots
 from .repbuild import adjoint_module, DEFAULT_DIM_BUDGET
 from .tensorcg import (
     tensor_square,
@@ -53,12 +52,11 @@ from .tensorcg import (
     invert_cg,
     ClassicallyZero,
 )
-from .linalg import inverse, rref, sp_add_to, sp_eq, sp_grouped
+from .linalg import inverse, rref, sp_add_to, sp_grouped
 from .classical import classical_bracket, classical_sln_table, integral_multiple
-
-
-class InvalidParams(ValueError):
-    """Parameters outside the admissible family (e.g. s + t vanishing at v=1)."""
+# same_algebra is re-exported: callers that build tables here compare them with it
+from .table import (BasisLabel, InvalidParams, QuantumLieAlgebra, _by_pair, _moved, _sln_root,
+                    change_basis, check_sln_params, same_algebra)
 
 
 class GaugeObstruction(RuntimeError):
@@ -68,247 +66,6 @@ class GaugeObstruction(RuntimeError):
 
 def _qpow(k: int) -> RatFunc:
     return rf_vpow(2 * k)
-
-
-@dataclass(frozen=True)
-class BasisLabel:
-    kind: str                 # "X" or "H"
-    root: tuple = None        # h-coordinates of the root (X only)
-    index: int = None         # 1-based Cartan slot (H only)
-    ij: tuple = None          # matrix-unit position, explicit family only
-
-    def name(self) -> str:
-        if self.kind == "H":
-            return f"H_{self.index}"
-        if self.ij is not None:
-            i, j = self.ij
-            if i > 9 or j > 9:
-                return "X_{%d,%d}" % (i, j)
-            return "X_{%d%d}" % (i, j)
-        return "X_{(%s)}" % ",".join(str(c) for c in self.root)
-
-    def to_json(self) -> dict:
-        if self.kind == "H":
-            return {"label": "H", "index": self.index}
-        out = {"label": "X", "root": list(self.root)}
-        if self.ij is not None:
-            out["ij"] = list(self.ij)
-        return out
-
-    @staticmethod
-    def from_json(d: dict) -> "BasisLabel":
-        """{"label": "H", "index": int} or {"label": "X", "root": [int]},
-        checked by type, not converted; anything else raises InvalidParams
-        naming the label.  An X's optional "ij" is kept as it is stored, for
-        check_basis_labels to check."""
-        kind = d.get("label") if isinstance(d, dict) else None
-        if kind == "H" and type(d.get("index")) is int:
-            return BasisLabel("H", index=d["index"])
-        root = d.get("root") if kind == "X" else None
-        if isinstance(root, list) and all(type(x) is int for x in root):
-            ij = d.get("ij")
-            return BasisLabel("X", root=tuple(root), ij=tuple(ij) if isinstance(ij, list) else ij)
-        raise InvalidParams(f"the basis label {d!r} is not an H with an int index "
-                            "or an X with an int root")
-
-
-@dataclass
-class QuantumLieAlgebra:
-    cd: CartanDatum
-    basis: list
-    constants: dict           # {(a, b, c): RatFunc}, zero entries omitted
-    provenance: str           # "generic-pipeline" or "explicit-sln"
-    params: dict = None       # {"s": RatFunc, "t": RatFunc} for the explicit family
-    normalized: bool = False
-    checks: dict = field(default_factory=dict)
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-    def grade(self, a: int) -> tuple:
-        lab = self.basis[a]
-        if lab.kind == "X":
-            return lab.root
-        return (0,) * self.cd.rank
-
-    def structure_constant(self, a: int, b: int, c: int) -> RatFunc:
-        return self.constants.get((a, b, c), RF_ZERO)
-
-    def x_indices(self):
-        return [a for a, lab in enumerate(self.basis) if lab.kind == "X"]
-
-    def h_indices(self):
-        return [a for a, lab in enumerate(self.basis) if lab.kind == "H"]
-
-    def root_index(self):
-        return {lab.root: a for a, lab in enumerate(self.basis) if lab.kind == "X"}
-
-    def to_json(self) -> dict:
-        out = {
-            "cartan": cartan_to_json(self.cd),
-            "basis": [lab.to_json() for lab in self.basis],
-            "constants": [
-                {"a": a, "b": b, "c": c, "value": val.to_json()}
-                for (a, b, c), val in sorted(self.constants.items())
-                if not val.is_zero()
-            ],
-            "provenance": self.provenance,
-            "normalized": self.normalized,
-            "checks": self.checks,
-        }
-        if self.params is not None:
-            out["params"] = {k: v.to_json() for k, v in self.params.items()}
-        return out
-
-    @staticmethod
-    def from_json(d: dict) -> "QuantumLieAlgebra":
-        """The table of a stored JSON blob.  Its basis must pass
-        check_basis_labels, every constant index lie in range(dim) and every
-        scalar keep the text reader's bounds (LaurentPoly.from_json);
-        otherwise InvalidParams, before any check reads the table."""
-        cd = table_cartan(d["cartan"]["series"], int(d["cartan"]["rank"]), len(d["basis"]))
-        basis = [BasisLabel.from_json(x) for x in d["basis"]]
-        check_basis_labels(cd, basis, d["provenance"])
-        constants = {
-            (e["a"], e["b"], e["c"]): _stored_scalar(
-                e["value"], f"the constant [{e['a']}, {e['b']}, {e['c']}]")
-            for e in d["constants"]
-        }
-        if any(type(i) is not int or not 0 <= i < len(basis) for key in constants for i in key):
-            raise InvalidParams(f"a constant index lies outside the basis range(0, {len(basis)})")
-        params = None
-        if "params" in d:
-            params = {k: _stored_scalar(v, f"the parameter {k}") for k, v in d["params"].items()}
-        return QuantumLieAlgebra(
-            cd,
-            basis,
-            constants,
-            d["provenance"],
-            params=params,
-            normalized=bool(d.get("normalized", False)),
-            checks=dict(d.get("checks", {})),
-        )
-
-
-def _stored_scalar(d: dict, name: str) -> RatFunc:
-    """RatFunc.from_json(d), its refusal an InvalidParams naming the scalar."""
-    try:
-        return RatFunc.from_json(d)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidParams(f"{name}: {exc}") from exc
-
-
-def table_cartan(series: str, rank: int, dim: int) -> CartanDatum:
-    """The Cartan datum of a stored table with dim basis vectors on the
-    algebra series + rank.  dim must be its adjoint dimension, and for A-D
-    it is compared in closed form before the rank x rank Cartan matrix is
-    built, so reading a table costs work bounded by the table's own size.
-    A mismatch raises InvalidParams."""
-    series = series.upper()
-    if series in ("A", "B", "C", "D"):
-        expect = classical_dim(series, rank)
-    else:
-        expect = adjoint_dim(build_cartan(series, rank))
-    if dim != expect:
-        raise InvalidParams(f"{series}{rank} has a {expect}-dimensional adjoint module, "
-                            f"but the table has {dim} basis vectors")
-    return build_cartan(series, rank)
-
-
-def check_basis_labels(cd: CartanDatum, basis: list, provenance: str) -> None:
-    """The label checks of a stored table, made by both readers
-    (QuantumLieAlgebra.from_json and cli.parse_text_algebra): each root of
-    the algebra labels one X and each Cartan slot 1..rank one H; an
-    explicit-sln table is on an A-series algebra and every X label carries
-    its matrix unit ij; and an ij is two ints 1 <= i != j <= n = rank + 1
-    whose root eps_i - eps_j is the label's.  A failure raises
-    InvalidParams."""
-    roots = [w for _, w in root_system(cd).positive_roots]
-    if sorted(lab.root for lab in basis if lab.kind == "X") != sorted(
-            roots + [tuple(-x for x in w) for w in roots]):
-        raise InvalidParams("the X labels of the basis are not the roots, each once")
-    if sorted(lab.index for lab in basis if lab.kind == "H") != list(range(1, cd.rank + 1)):
-        raise InvalidParams(f"the H labels of the basis are not H_1 .. H_{cd.rank}, each once")
-    explicit = provenance == "explicit-sln"
-    if explicit and cd.series != "A":
-        raise InvalidParams(f"an explicit-sln table must be on an A-series algebra, "
-                            f"not {cd.series}{cd.rank}")
-    n = cd.rank + 1
-    units = {_sln_root(n, i, j): (i, j) for i in range(1, n + 1) for j in range(1, n + 1)
-             if i != j and cd.series == "A"}
-    for lab in basis:
-        if lab.kind == "X" and (explicit or lab.ij is not None):
-            name = BasisLabel("X", root=lab.root).name()
-            if lab.ij is None:
-                raise InvalidParams(f"{name} of an explicit-sln table has no ij")
-            if units.get(lab.root) != lab.ij or any(type(x) is not int for x in lab.ij):
-                raise InvalidParams(f"the ij {lab.ij} of {name} is not a position "
-                                    f"1 <= i != j <= {n} with that root")
-
-
-def _label_keys(basis: list) -> list:
-    """Each basis vector's key in any basis order: X by root, H by index."""
-    return [("X", lab.root) if lab.kind == "X" else ("H", lab.index) for lab in basis]
-
-
-def labeled_constants(A: QuantumLieAlgebra) -> dict:
-    """Constants keyed by basis labels instead of positions (_label_keys),
-    so tables on differently ordered bases can be compared."""
-    k = _label_keys(A.basis)
-    return {(k[a], k[b], k[c]): val for (a, b, c), val in A.constants.items() if not val.is_zero()}
-
-
-def _moved(constants: dict, basis: list, onto: list) -> dict:
-    """A table on basis rewritten on onto, the same labels (_label_keys) in
-    another order: how the checks read a table in any order of its basis."""
-    if basis == onto:
-        return constants
-    where = {key: a for a, key in enumerate(_label_keys(onto))}
-    new = [where[key] for key in _label_keys(basis)]
-    return {(new[a], new[b], new[c]): val for (a, b, c), val in constants.items()}
-
-
-def same_algebra(A: QuantumLieAlgebra, B: QuantumLieAlgebra) -> bool:
-    """Label-aware exact equality of two structure-constant tables."""
-    return sp_eq(labeled_constants(A), labeled_constants(B))
-
-
-# ---------------------------------------------------------------------------
-# change of basis
-# ---------------------------------------------------------------------------
-
-def _by_pair(constants: dict) -> dict:
-    """A table grouped by its inputs: {(a, b): {c: value}}."""
-    out = {}
-    for (a, b, c), val in constants.items():
-        out.setdefault((a, b), {})[c] = val
-    return out
-
-
-def change_basis(constants: dict, cols, inv) -> dict:
-    """The table of the same bracket on a new basis:
-
-        f'(a, b, c) = sum cols[a][a'] cols[b][b'] f(a', b', c') inv[c'][c].
-
-    cols[a] is new basis vector a in old coordinates, {old: x}; inv[e] is
-    old basis vector e in new coordinates, {new: y}.  Entries may be
-    RatFunc or Fraction; zero results are dropped.  Every change of basis
-    of a structure-constant table in the package goes through here.
-    """
-    rows = sp_grouped({(a, a0): x for a, col in cols.items() for a0, x in col.items()}, False)
-    acc = {}
-    for (a0, b0), col in _by_pair(constants).items():
-        for a, xa in rows.get(a0, ()):
-            for b, xb in rows.get(b0, ()):
-                w = xa * xb
-                for c0, val in col.items():
-                    sp_add_to(acc, (a, b, c0), w * val)
-    out = {}
-    for (a, b, c0), val in acc.items():
-        for c, y in inv[c0].items():
-            sp_add_to(out, (a, b, c), val * y)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -403,15 +160,6 @@ def _flip(table: dict, tau: list) -> dict:
     return out
 
 
-def _sln_root(n: int, i: int, j: int) -> tuple:
-    """h-coordinates of the weight of X_ij (the root eps_i - eps_j)."""
-    return tuple(
-        (1 if k == i else 0) - (1 if k == i - 1 else 0)
-        - (1 if k == j else 0) + (1 if k == j - 1 else 0)
-        for k in range(1, n)
-    )
-
-
 def _sln_table(Ts: dict, Tt: dict, s: RatFunc, t: RatFunc) -> dict:
     """The explicit constants s * T_s + t * T_t, zero entries dropped."""
     out = {}
@@ -431,9 +179,7 @@ def build_sln_explicit(n: int, s, t) -> QuantumLieAlgebra:
         raise InvalidParams("n must be at least 2")
     s = s if isinstance(s, RatFunc) else RatFunc(s)
     t = t if isinstance(t, RatFunc) else RatFunc(t)
-    st = s + t
-    if not st.is_regular_at_one() or st.eval_at_one() == 0:
-        raise InvalidParams("s + t must be regular and nonzero at v = 1")
+    check_sln_params(s, t)
     _, Ts, Tt = _sln_parts(n)
     return QuantumLieAlgebra(build_cartan("A", n - 1), _sln_basis(n), _sln_table(Ts, Tt, s, t),
                              "explicit-sln", params={"s": s, "t": t})
@@ -724,7 +470,7 @@ def check_classical_limit(A: QuantumLieAlgebra, budget_dim: int = DEFAULT_DIM_BU
     )
 
     oracle = None
-    if A.provenance == "explicit-sln" and A.params is not None and not A.normalized:
+    if A.provenance == "explicit-sln" and not A.normalized:
         n = A.cd.rank + 1
         sigma = (A.params["s"] + A.params["t"]).eval_at_one()
         labels0, table0 = classical_sln_table(n)
@@ -785,7 +531,7 @@ def check_ad_invariance(A: QuantumLieAlgebra, pipe: GenericPipeline = None,
     V's basis by its labels; an explicit table is moved there through the
     basis map phi that compare_to_explicit fits on the pipeline table.  A
     normalized table mixes module vectors: not applicable."""
-    if A.normalized or A.provenance not in ("generic-pipeline", "explicit-sln"):
+    if A.normalized:
         return {"ok": None, "applicable": False}
     if A.provenance == "generic-pipeline":
         T = tensor_square(adjoint_module(A.cd, budget_dim)) if pipe is None else pipe.tensor

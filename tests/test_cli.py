@@ -7,9 +7,10 @@ import time
 
 import pytest
 
-from qlie import cli, qliealg, repbuild, tensorcg
+from qlie import cli, repbuild, table, tensorcg
 from qlie.cli import main, parse_text_algebra
-from qlie.qliealg import QuantumLieAlgebra, check_lr_identity, same_algebra
+from qlie.qliealg import check_lr_identity
+from qlie.table import QuantumLieAlgebra, same_algebra
 from qlie.qring import RatFunc
 
 from conftest import load_golden
@@ -386,8 +387,8 @@ def test_text_table_basis_must_span_the_adjoint(monkeypatch, algebra, dim):
     # the basis length is compared with the closed-form adjoint dimension
     # before a classical Cartan matrix is built
     built = []
-    true_build = qliealg.build_cartan
-    monkeypatch.setattr(qliealg, "build_cartan", lambda *a: built.append(a) or true_build(*a))
+    true_build = table.build_cartan
+    monkeypatch.setattr(table, "build_cartan", lambda *a: built.append(a) or true_build(*a))
     with pytest.raises(cli.InvalidParams, match=rf"^{algebra} has a {dim}-dimensional adjoint "
                                                "module, but the table has 1 basis vectors$"):
         parse_text_algebra(ONE_LABEL.format(algebra))
@@ -415,6 +416,29 @@ def test_text_table_with_an_unknown_type_names_its_line():
 def test_text_table_labels_are_checked_like_stored_json(capsys, algebra, construction, old,
                                                        new, message):
     _, text = run(capsys, "build", "--algebra", algebra, "--construction", construction)
+    assert old in text
+    with pytest.raises(cli.InvalidParams, match=message):
+        parse_text_algebra(text.replace(old, new))
+
+
+@pytest.mark.parametrize("construction,old,new,message", [
+    # all but the last loaded before the one stored-table constructor; the
+    # last keeps naming its line now that the constructor refuses the type
+    ("generic", "# construction generic-pipeline", "# construction pipeline",
+     "^the construction 'pipeline' is not one of generic-pipeline, explicit-sln$"),
+    ("generic", "# normalized no", "# normalized maybe",    # read as "no"
+     "^the normalized flag 'maybe' is not a bool"),
+    ("generic", "# normalized no\n", "", "^text table lacks its header lines$"),
+    ("explicit-sln", "# params s = 1 ; t = 0\n", "",
+     re.escape("explicit-sln tables have the params ['s', 't'], not None") + "$"),
+    ("generic", "# basis ", "# params s = 1 ; t = 0\n# basis ",
+     re.escape("generic-pipeline tables have the params None, not ['s', 't']")),
+    ("generic", "# algebra A2", "# algebra Z2",
+     "^cannot parse line '# algebra Z2': unknown series 'Z'$"),
+], ids=["provenance", "normalized-word", "no-normalized", "no-params", "generic-params",
+        "series-Z"])
+def test_text_table_refuses_each_malformed_field(capsys, construction, old, new, message):
+    _, text = run(capsys, "build", "--algebra", "A2", "--construction", construction)
     assert old in text
     with pytest.raises(cli.InvalidParams, match=message):
         parse_text_algebra(text.replace(old, new))

@@ -11,16 +11,12 @@ from qlie.cli import build_text, parse_text_algebra
 from qlie.linalg import sp_eq
 from qlie.qring import LaurentPoly, RatFunc, parse_scalar, qconjugate
 from qlie.rootdata import build_cartan
-from qlie import qliealg, qring
+from qlie import qring, table
 from qlie.qliealg import (
-    BasisLabel,
     GaugeObstruction,
-    InvalidParams,
-    QuantumLieAlgebra,
     build_generic,
     build_sln_explicit,
     canonical_normalize,
-    change_basis,
     check_ad_invariance,
     check_classical_limit,
     check_gradation,
@@ -29,10 +25,10 @@ from qlie.qliealg import (
     check_tau_sln,
     compare_to_explicit,
     extract_roots,
-    labeled_constants,
-    same_algebra,
     transport_explicit_constants,
 )
+from qlie.table import (BasisLabel, InvalidParams, QuantumLieAlgebra, change_basis,
+                        labeled_constants, same_algebra)
 
 from conftest import CORE, GRID, GRID_RANKS, load_golden, name_to_cartan
 from oracles import fraction_jacobi
@@ -708,8 +704,8 @@ def test_stored_table_basis_must_span_the_adjoint(monkeypatch, cartan, dim):
     # the basis length is compared with the closed-form adjoint dimension
     # before a classical Cartan matrix is built
     built = []
-    true_build = qliealg.build_cartan
-    monkeypatch.setattr(qliealg, "build_cartan", lambda *a: built.append(a) or true_build(*a))
+    true_build = table.build_cartan
+    monkeypatch.setattr(table, "build_cartan", lambda *a: built.append(a) or true_build(*a))
     blob = {"cartan": cartan, "basis": [{"label": "H", "index": 1}], "constants": [],
             "provenance": "generic-pipeline"}
     name = cartan["series"].upper() + str(cartan["rank"])

@@ -58,7 +58,7 @@ def test_cli_example_exits_zero(capsys, argv):
 
 
 MODULES = ("qring", "linalg", "rootdata", "repbuild", "tensorcg", "classical",
-           "qliealg", "monodromy", "cli")
+           "table", "qliealg", "monodromy", "cli")
 
 
 def _resolve(dotted):

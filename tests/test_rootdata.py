@@ -11,7 +11,7 @@ import pytest
 
 import qlie
 from qlie import rootdata
-from qlie.qliealg import table_cartan
+from qlie.table import table_cartan
 from qlie.rootdata import (
     CartanDatum,
     InvalidType,

@@ -1,0 +1,97 @@
+"""The table module: its layering, its label names and the stored-table
+constructor's refusals."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+from qlie import table
+from qlie.qliealg import build_sln_explicit
+from qlie.table import BasisLabel, InvalidParams, QuantumLieAlgebra
+
+from conftest import load_golden
+
+
+def test_table_imports_only_the_scalar_root_and_linear_algebra_layers():
+    """The table is the layer the constructions, the checks and the CLI
+    build on, so it may not import them: no qliealg, tensorcg, repbuild,
+    classical, monodromy or cli, and no import inside a function."""
+    path = Path(table.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert all(node in tree.body for node in imports)
+    modules = {alias.name for node in imports if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {"." * node.level + (node.module or "") for node in imports
+                if isinstance(node, ast.ImportFrom)}
+    assert modules <= {"__future__", "contextlib", "dataclasses", ".qring", ".rootdata",
+                       ".linalg"}, modules
+
+
+@pytest.mark.parametrize("n", [3, 11, None], ids=["A2-explicit", "A10-explicit", "B2-generic"])
+def test_from_name_inverts_name(generics, n):
+    # A10 has two-digit matrix units, written X_{i,j}
+    A = generics["B2"] if n is None else build_sln_explicit(n, 1, 0)
+    n = A.cd.rank + 1
+    assert [BasisLabel.from_name(lab.name(), n) for lab in A.basis] == A.basis
+
+
+def _edit(golden_dir, name, edit):
+    blob = load_golden(golden_dir, name)
+    edit(blob)
+    return blob
+
+
+GENERIC, EXPLICIT = "sl2q.json", "explicit_a2_s1_tq.json"
+REFUSED = {
+    # each loaded at the parent of the constructor, or failed with another error
+    "provenance": (GENERIC, lambda b: b.update(provenance="pipeline"),
+                   "the construction 'pipeline' is not one of generic-pipeline, explicit-sln"),
+    "no-provenance": (GENERIC, lambda b: b.pop("provenance"),
+                      "the construction None is not one of"),
+    "normalized-str": (GENERIC, lambda b: b.update(normalized="no"),
+                       "the normalized flag 'no' is not a bool"),
+    "no-normalized": (GENERIC, lambda b: b.pop("normalized"),
+                      "the normalized flag None is not a bool"),
+    "no-params": (EXPLICIT, lambda b: b.pop("params"),
+                  re.escape("explicit-sln tables have the params ['s', 't'], not None") + "$"),
+    "other-params": (EXPLICIT, lambda b: b.update(params={"zz": b["params"]["s"]}),
+                     re.escape("explicit-sln tables have the params ['s', 't'], not ['zz']")),
+    # check_classical_limit raised DenominatorVanishes on it
+    "pole-params": (EXPLICIT, lambda b: b["params"].update(s={"num": {"0": "1"},
+                                                               "den": {"0": "-1", "2": "1"}}),
+                    "s \\+ t must be regular and nonzero at v = 1$"),
+    "generic-params": (GENERIC, lambda b: b.update(params={"s": b["constants"][0]["value"]}),
+                       re.escape("generic-pipeline tables have the params None, not ['s']")),
+    "no-cartan": (GENERIC, lambda b: b.pop("cartan"),
+                  "the stored table has no field 'cartan' of type dict$"),
+    "no-c": (GENERIC, lambda b: b["constants"][0].pop("c"), "a constant has no field 'c'$"),
+    "rank-str": (GENERIC, lambda b: b["cartan"].update(rank="x"),
+                 "cannot parse the cartan: invalid literal for int"),
+    "rank-float": (GENERIC, lambda b: b["cartan"].update(rank=1.5),     # loaded as A1
+                   "cannot parse the cartan: invalid literal for int"),
+    "series-Z": (GENERIC, lambda b: b["cartan"].update(series="Z"),
+                 "cannot parse the cartan: unknown series 'Z'$"),
+    "E99": (GENERIC, lambda b: b["cartan"].update(series="E", rank=99),
+            re.escape("cannot parse the cartan: E requires rank in {6, 7, 8}")),
+    "checks-list": (GENERIC, lambda b: b.update(checks=[1]),
+                    re.escape("the checks of a stored table are not a JSON object: [1]")),
+    "constant-list": (GENERIC, lambda b: b["constants"].append([0, 0, 0]),
+                      "a constant is not a JSON object$"),
+    "index-list": (GENERIC, lambda b: b["constants"][0].update(a=[0]),
+                   re.escape("a constant index lies outside the basis range(0, 3)")),
+}
+
+
+@pytest.mark.parametrize("name", REFUSED)
+def test_stored_json_table_refuses_each_malformed_field(golden_dir, name):
+    golden, edit, message = REFUSED[name]
+    with pytest.raises(InvalidParams, match="^" + message):
+        QuantumLieAlgebra.from_json(_edit(golden_dir, golden, edit))
+
+
+def test_a_stored_table_is_a_json_object():
+    with pytest.raises(InvalidParams, match="^the stored table is not a JSON object$"):
+        QuantumLieAlgebra.from_json([1])
