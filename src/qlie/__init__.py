@@ -14,7 +14,7 @@ Subpackage map:
                   stored forms' one reader, change of basis
 * ``qliealg``  -- the constructions of the table: generic pipeline,
                   explicit type-A construction, normalization, checks
-* ``monodromy``-- monodromy operator on V (x) V and adjoint-submodule checks
+* ``monodromy``-- monodromy operator on V (x) W, its adjoint family, claims (1), (3)
 * ``cli``      -- the ``qlie`` command-line interface
 """
 
@@ -32,8 +32,8 @@ from .qliealg import (build_generic, build_sln_explicit, generic_pipeline, canon
                       check_gradation, check_q_antisymmetry, check_lr_identity,
                       check_classical_limit, check_ad_invariance,
                       compare_to_explicit, check_tau_sln, GaugeObstruction)
-from .monodromy import (Monodromy, monodromy_on_tensor, casimir_exponent,
-                        extract_A, adjoint_family, verify_ad_submodule, ObstructionDetected)
+from .monodromy import (Monodromy, monodromy_on_tensor, casimir_exponent, extract_A, adjoint_family,
+                        verify_ad_submodule, concrete_bracket, check_concrete, ObstructionDetected)
 
 __all__ = [
     "LaurentPoly",
@@ -83,6 +83,8 @@ __all__ = [
     "extract_A",
     "adjoint_family",
     "verify_ad_submodule",
+    "concrete_bracket",
+    "check_concrete",
     "ObstructionDetected",
     "__version__",
 ]

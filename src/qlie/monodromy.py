@@ -62,12 +62,13 @@ twisted adjoint action x . A = rho(x_(1)) A rho(S(x_(2))):
 
 verify_ad_submodule checks that with one call to the module-map check and
 reports the rank of the family.  On W = adjoint_module(cd) the concrete
-bracket is read off it: [X_a, X_b] = sum_c A_a[c, b] X_c.
+bracket is read off it: [X_a, X_b] = sum_c A_a[c, b] X_c (concrete_bracket),
+and check_concrete compares it with the abstract table on W's basis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .qring import RF_ONE, RF_ZERO, RatFunc, h_derivative_at_zero, rf_vpow
@@ -75,6 +76,7 @@ from .rootdata import (CartanDatum, bilinear, highest_root, is_dominant, tensor_
                        weyl_dim)
 from .repbuild import IrrepModule, adjoint_module, build_irrep
 from .linalg import inverse, rank, sp_add_to, sp_grouped, sp_matvec, sp_sub
+from .qliealg import check_q_antisymmetry
 from .tensorcg import (TensorProduct, coproduct_action, highest_weight_space, lowered_table,
                        module_map_defects, pair_matrix, tensor_product)
 
@@ -297,3 +299,57 @@ def verify_ad_submodule(M: Monodromy, V: IrrepModule, W: IrrepModule) -> dict:
     kls = sorted({kl for kl, _ in family})
     span = rank([[family.get((kl, a), RF_ZERO) for kl in kls] for a in range(adj.dim)])
     return {**ok, "span_dim": span, "all": all(ok.values())}
+
+
+def concrete_bracket(M: Monodromy) -> dict:
+    """The concrete bracket [X_a, X_b] = sum_c A_a[c, b] X_c of the family
+    of adjoint_family(M), as constants {(a, b, c): A_a[c, b]} on the basis
+    of W = M.tensor.right.  Raises ValueError unless W is the adjoint module."""
+    adj, family = adjoint_family(M)
+    if adj != M.tensor.right:
+        raise ValueError("W = M.tensor.right is not the adjoint module")
+    d = adj.dim
+    return {(a, cb % d, cb // d): x for (cb, a), x in family.items()}
+
+
+def check_concrete(M: Monodromy, A) -> dict:
+    """The paper's claims (1) and (3) on V = M.tensor.left, for the table A
+    of build_generic on the basis of W = M.tensor.right.
+
+    (1) The concrete bracket C = concrete_bracket(M) is lambda_V A, with
+    lambda_V read at the first entry of A; otherwise lambda_V is None and
+    witness is the first entry, in sorted order, where they differ.
+    (3) lambda_V / bar(lambda_V) = -v^(2 m_V) for an integer m_V, which is
+    measured; lambda'_V = lambda_V v^-m_V / (v - v^-1) is bar-invariant
+    with a finite value at v = 1; C fails check_q_antisymmetry, and C
+    divided by v^m_V (v - v^-1) passes it.  m_V is a gauge: it is read in
+    the vectors of highest_weight_space (denominators cleared, then
+    rescale_at_one).  Scalars are reported as strings.  Raises ValueError
+    when A is not graded like W."""
+    if [A.grade(a) for a in range(A.dim)] != M.tensor.right.weights:
+        raise ValueError("A is not graded like W = M.tensor.right")
+    C = concrete_bracket(M)
+    first = min(A.constants)
+    lam = C.get(first, RF_ZERO) / A.constants[first]
+    witness = next((list(k) for k in sorted(C.keys() | A.constants.keys())
+                    if C.get(k, RF_ZERO) != lam * A.structure_constant(*k)), None)
+    report = {"lambda_V": None, "witness": witness, "m_V": None, "lambda_prime_at_one": None,
+              "bar_invariant": None, "q_antisymmetry_raw": None,
+              "q_antisymmetry_normalized": None, "all": False}
+    if witness is not None:
+        return report
+    report["lambda_V"] = str(lam)
+    ratio = -lam / lam.qconjugate()
+    m_V = ratio.s // 2
+    if ratio != rf_vpow(2 * m_V):
+        return report
+    scale = rf_vpow(m_V + 1) - rf_vpow(m_V - 1)
+    normalized = lam / scale
+    raw, scaled = (check_q_antisymmetry(replace(A, constants=t))
+                   for t in (C, {k: x / scale for k, x in C.items()}))
+    at_one = str(normalized.eval_at_one()) if normalized.is_regular_at_one() else None
+    bar = normalized.qconjugate() == normalized
+    report.update(m_V=m_V, lambda_prime_at_one=at_one, bar_invariant=bar, q_antisymmetry_raw=raw,
+                  q_antisymmetry_normalized=scaled,
+                  all=bar and at_one is not None and not raw["ok"] and scaled["ok"])
+    return report

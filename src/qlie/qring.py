@@ -87,16 +87,6 @@ class LaurentPoly:
     def constant(x) -> "LaurentPoly":
         return LaurentPoly({0: _fr(x)})
 
-    @staticmethod
-    def v_power(k: int, coeff=1) -> "LaurentPoly":
-        """coeff * v^k"""
-        return LaurentPoly({k: _fr(coeff)})
-
-    @staticmethod
-    def q_power(k: int, coeff=1) -> "LaurentPoly":
-        """coeff * q^k with q = v^2."""
-        return LaurentPoly({2 * k: _fr(coeff)})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -642,11 +632,6 @@ def rf_sqrt(x: RatFunc):
     if n is None or d is None:
         return None
     return RatFunc._make(_integral(c), x.s // 2, n, d)
-
-
-def qconjugate(p: RatFunc) -> RatFunc:
-    """Bar involution v -> 1/v."""
-    return p.qconjugate()
 
 
 def h_derivative_at_zero(p) -> Fraction:

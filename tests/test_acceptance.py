@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from qlie.cli import main
-from qlie.qring import parse_scalar, qconjugate
+from qlie.qring import parse_scalar
 from qlie.rootdata import build_cartan, highest_root, tensor_multiplicity
 from qlie.repbuild import verify_module
 from qlie.qliealg import (

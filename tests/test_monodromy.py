@@ -2,14 +2,15 @@
 
 import dataclasses
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from qlie import monodromy, tensorcg
-from qlie.linalg import sp_matmul
-from qlie.qliealg import build_generic, check_q_antisymmetry
-from qlie.qring import LaurentPoly, RatFunc, h_derivative_at_zero, rf_vpow
+from qlie.linalg import sp_matmul, sp_sub
+from qlie.qliealg import build_generic
+from qlie.qring import RatFunc, h_derivative_at_zero, rf_vpow
 from qlie.rootdata import VerificationFailed, build_cartan, highest_root, is_dominant
 from qlie.repbuild import adjoint_module, build_irrep
 from qlie.tensorcg import EmptySpace
@@ -20,6 +21,8 @@ from qlie.monodromy import (
     adjoint_family,
     adjoint_in_dual_tensor,
     casimir_exponent,
+    check_concrete,
+    concrete_bracket,
     dual_data,
     extract_A,
     monodromy_on_tensor,
@@ -81,14 +84,13 @@ def test_two_by_two_oracle_checks(a1_mono):
 def test_two_by_two_matrix_values(a1_mono):
     # diagonal blocks: scalar q on the triplet line, q^{-3} on the singlet part
     m = a1_mono.matrix
-    q = RatFunc(LaurentPoly.v_power(2))
-    assert m[(0, 0)] == q
-    assert m[(3, 3)] == q
+    q = rf_vpow(2)
+    assert m[(0, 0)] == m[(3, 3)] == q
     # middle 2x2 block has trace q + q^{-3} and determinant q^{-2}
     tr = m[(1, 1)] + m[(2, 2)]
     det = m[(1, 1)] * m[(2, 2)] - m[(1, 2)] * m[(2, 1)]
-    assert tr == q + RatFunc(LaurentPoly.v_power(-6))
-    assert det == RatFunc(LaurentPoly.v_power(-4))
+    assert tr == q + rf_vpow(-6)
+    assert det == rf_vpow(-4)
 
 
 def test_mixed_factors_eigenvalues(a1_fund):
@@ -100,17 +102,9 @@ def test_mixed_factors_eigenvalues(a1_fund):
 
 def test_minimal_polynomial_annihilates(a1_mono):
     # scalar on each isotypic piece: (M - q)(M - q^{-3}) = 0
-    m = a1_mono.matrix
-    q = RatFunc(LaurentPoly.v_power(2))
-    qm3 = RatFunc(LaurentPoly.v_power(-6))
-    first = {p: x for p, x in m.items()}
-    for d in range(4):
-        first[(d, d)] = first.get((d, d), RatFunc(0)) - q
-    second = {p: x for p, x in m.items()}
-    for d in range(4):
-        second[(d, d)] = second.get((d, d), RatFunc(0)) - qm3
-    prod = sp_matmul(first, second)
-    assert all(x.is_zero() for x in prod.values())
+    first, second = (sp_sub(a1_mono.matrix, {(d, d): rf_vpow(k) for d in range(4)})
+                     for k in (2, -6))
+    assert sp_matmul(first, second) == {}
 
 
 def test_fractional_exponents_are_recorded_as_a_shift():
@@ -170,13 +164,7 @@ def test_entrywise_derivative_matches_extract(a1_mono):
 def test_dual_module_satisfies_the_relations(a1_fund):
     star = dual_data(a1_fund)
     E, F = star.E[0], star.F[0]
-    lhs = {}
-    for (r, c), x in sp_matmul(E, F).items():
-        lhs[(r, c)] = lhs.get((r, c), RatFunc(0)) + x
-    for (r, c), x in sp_matmul(F, E).items():
-        lhs[(r, c)] = lhs.get((r, c), RatFunc(0)) - x
-    lhs = {p: x for p, x in lhs.items() if not x.is_zero()}
-    for (r, c), x in lhs.items():
+    for (r, c), x in sp_sub(sp_matmul(E, F), sp_matmul(F, E)).items():
         assert r == c
         w = star.weights[r][0]
         assert x == rf(padd(mono(2 * w), mono(-2 * w, -1)), padd(mono(2), mono(-2, -1)))
@@ -512,58 +500,7 @@ def concrete_side(name, lam):
     cd = name_to_cartan(name)
     V = build_irrep(cd, lam)
     budget = V.dim ** 2
-    M = monodromy_on_tensor(V, adjoint_module(cd, budget))
-    A = build_generic(cd, budget_dim=budget)
-    assert [A.grade(a) for a in range(A.dim)] == M.tensor.right.weights
-    return M, A
-
-
-def concrete_table(M, A):
-    """The concrete bracket [X_a, X_b] = sum_c A_a[c, b] X_c of the family
-    A_a of adjoint_family(M), as a table on A's basis."""
-    adj, family = adjoint_family(M)
-    assert adj == M.tensor.right
-    constants = {}
-    for (cb, a), x in family.items():
-        c, b = divmod(cb, adj.dim)
-        constants[(a, b, c)] = x
-    return dataclasses.replace(A, constants=constants)
-
-
-def one_ratio(C, A):
-    """(lam, None) when C = lam A entrywise on one support, else (None, w)
-    with w the first entry, in sorted order, off the common support or off
-    the ratio of the first entry."""
-    off = set(C.constants) ^ set(A.constants)
-    if off:
-        return None, min(off)
-    first = min(A.constants)
-    lam = C.constants[first] / A.constants[first]
-    witness = next((k for k in sorted(A.constants)
-                    if C.constants[k] != lam * A.constants[k]), None)
-    return (lam if witness is None else None), witness
-
-
-def check_concrete_side(name, lam, m_V, at_one):
-    """The paper's claims (1) and (3) on V(lam): the concrete table is
-    lam_V times the abstract one, lam_V / bar(lam_V) = -q^m_V, and
-    lam'_V = lam_V v^-m_V / (v - v^-1) is bar-invariant with value at_one at
-    v = 1; the table divided by v^m_V (v - v^-1) is q-antisymmetric, the raw
-    one is not.  m_V is measured in the gauge of highest_weight_space
-    (denominators cleared, then rescale_at_one)."""
-    M, A = concrete_side(name, lam)
-    C = concrete_table(M, A)
-    lam_V, witness = one_ratio(C, A)
-    assert witness is None, witness
-    assert lam_V / lam_V.qconjugate() == -rf_vpow(2 * m_V)
-    v_diff = rf_vpow(1) - rf_vpow(-1)
-    normalized = lam_V * rf_vpow(-m_V) / v_diff
-    assert normalized.qconjugate() == normalized
-    assert normalized.is_regular_at_one() and normalized.eval_at_one() == at_one
-    assert not check_q_antisymmetry(C)["ok"]
-    scale = rf_vpow(m_V) * v_diff
-    scaled = {k: x / scale for k, x in C.constants.items()}
-    assert check_q_antisymmetry(dataclasses.replace(C, constants=scaled))["ok"]
+    return monodromy_on_tensor(V, adjoint_module(cd, budget)), build_generic(cd, budget_dim=budget)
 
 
 @pytest.mark.parametrize("name,lam,m_V,at_one", [
@@ -579,22 +516,36 @@ def check_concrete_side(name, lam, m_V, at_one):
     ("D4", (1, 0, 0, 0), 1, 48),
 ])
 def test_concrete_bracket_is_a_multiple_of_the_abstract_one(name, lam, m_V, at_one):
-    check_concrete_side(name, lam, m_V, at_one)
+    rep = check_concrete(*concrete_side(name, lam))
+    assert rep["all"] and rep["witness"] is None, rep
+    assert (rep["m_V"], rep["lambda_prime_at_one"]) == (m_V, str(at_one))
+    assert not rep["q_antisymmetry_raw"]["ok"] and rep["q_antisymmetry_normalized"]["ok"]
+    assert json.loads(json.dumps(rep)) == rep
 
 
 def test_a2_vector_bracket_is_not_one_multiple():
     # Hom(adj (x) adj, adj) is 2-dimensional for A_n, n >= 2: the concrete
     # support is 51 of the abstract 56 entries, with nine ratios on it
     M, A = concrete_side("A2", (1, 0))
-    C = concrete_table(M, A)
-    assert one_ratio(C, A)[0] is None
-    assert set(C.constants) < set(A.constants) and len(A.constants) - len(C.constants) == 5
-    assert len({x / A.constants[k] for k, x in C.constants.items()}) == 9
+    rep = check_concrete(M, A)
+    assert (rep["lambda_V"], rep["witness"], rep["m_V"], rep["all"]) == (None, [0, 4, 0], None, False)
+    C = concrete_bracket(M)
+    assert set(C) < set(A.constants) and (len(C), len(A.constants)) == (51, 56)
+    assert len({x / A.constants[k] for k, x in C.items()}) == 9
 
 
 def test_corrupted_entry_breaks_the_proportionality():
     M, A = concrete_side("B2", (1, 0))
     key = min(k for k in M.matrix if k[0] != k[1])
-    assert one_ratio(concrete_table(M, A), A)[1] is None
-    lam, witness = one_ratio(concrete_table(with_entry_added(M, key, RatFunc(1)), A), A)
-    assert (lam, witness) == (None, (6, 1, 2))
+    rep = check_concrete(with_entry_added(M, key, RatFunc(1)), A)
+    assert (rep["lambda_V"], rep["witness"], rep["all"]) == (None, [6, 1, 2], False)
+
+
+def test_concrete_check_refuses_another_basis_and_another_w():
+    M, A = concrete_side("B2", (1, 0))
+    with pytest.raises(ValueError, match=r"^A is not graded like W = M.tensor.right$"):
+        check_concrete(M, build_generic(name_to_cartan("G2")))
+    with pytest.raises(ValueError, match=r"^A is not graded like W = M.tensor.right$"):
+        check_concrete(M, dataclasses.replace(A, basis=A.basis[::-1]))
+    with pytest.raises(ValueError, match=r"^W = M.tensor.right is not the adjoint module$"):
+        concrete_bracket(vector_square("A2", (1, 0))[1])

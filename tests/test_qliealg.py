@@ -9,7 +9,7 @@ import pytest
 
 from qlie.cli import build_text, parse_text_algebra
 from qlie.linalg import sp_eq
-from qlie.qring import LaurentPoly, RatFunc, parse_scalar, qconjugate
+from qlie.qring import LaurentPoly, RatFunc, parse_scalar
 from qlie.rootdata import build_cartan
 from qlie import qring, table
 from qlie.qliealg import (

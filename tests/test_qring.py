@@ -24,7 +24,6 @@ from qlie.qring import (
     q_binomial,
     q_factorial,
     q_int,
-    qconjugate,
     rf_sqrt,
     rf_vpow,
 )
@@ -44,18 +43,18 @@ def neg(p):
 # ---------------------------------------------------------------- qconjugate
 
 def test_qconjugate_sends_q_to_its_inverse():
-    assert qconjugate(rf(Q)) == rf(QINV)
+    assert rf(Q).qconjugate() == rf(QINV)
 
 
 @pytest.mark.parametrize("fixed", [rf(ONE), rf(V(0, 3)), rf(padd(Q, QINV)), rf(padd(V(1), V(-1)))])
 def test_qconjugate_fixed_points(fixed):
-    assert qconjugate(fixed) == fixed
+    assert fixed.qconjugate() == fixed
 
 
 @pytest.mark.parametrize("p", [rf(Q), rf(padd(Q, ONE)), rf(padd(V(3), V(-1, -2))),
                                rf(V(4, Fraction(5, 2)))])
 def test_qconjugate_is_an_involution(p):
-    assert qconjugate(qconjugate(p)) == p
+    assert p.qconjugate().qconjugate() == p
 
 
 def test_qconjugate_is_a_ring_map():
@@ -65,8 +64,8 @@ def test_qconjugate_is_a_ring_map():
     def bar(p):
         return {-k: c for k, c in p.items()}
 
-    assert qconjugate(rf(a) * rf(b)) == qconjugate(rf(a)) * qconjugate(rf(b)) == rf(pmul(bar(a), bar(b)))
-    assert qconjugate(rf(a) + rf(b)) == qconjugate(rf(a)) + qconjugate(rf(b)) == rf(padd(bar(a), bar(b)))
+    assert (rf(a) * rf(b)).qconjugate() == rf(a).qconjugate() * rf(b).qconjugate() == rf(pmul(bar(a), bar(b)))
+    assert (rf(a) + rf(b)).qconjugate() == rf(a).qconjugate() + rf(b).qconjugate() == rf(padd(bar(a), bar(b)))
 
 
 # ------------------------------------------------------------ classical limit
@@ -89,7 +88,7 @@ def test_classical_limit_pole_raises():
 
 def test_classical_limit_commutes_with_conjugation():
     p = rf(padd(V(2, 3), V(-6), V(0, -1)))
-    assert classical_limit(p) == classical_limit(qconjugate(p))
+    assert classical_limit(p) == classical_limit(p.qconjugate())
 
 
 # ----------------------------------------------------- substitution derivative
@@ -129,7 +128,7 @@ def test_q_int_classical_value(n, d):
 
 @pytest.mark.parametrize("n,d", [(2, 1), (3, 2), (6, 1)])
 def test_q_int_bar_invariant(n, d):
-    assert qconjugate(q_int(n, d)) == q_int(n, d)
+    assert q_int(n, d).qconjugate() == q_int(n, d)
 
 
 def test_q_factorial_small():
@@ -186,7 +185,7 @@ def test_q_binomial_symmetry(a, b):
 @pytest.mark.parametrize("a,b", [(3, 1), (5, 2), (6, 4)])
 def test_q_binomial_bar_invariant(a, b):
     p = q_binomial(a, b)
-    assert qconjugate(p) == p
+    assert p.qconjugate() == p
 
 
 @pytest.mark.parametrize("a,b", [(3, 1), (5, 2), (7, 3)])
@@ -248,7 +247,6 @@ def test_view_equals_and_hashes_as_its_value():
     assert p == rf(padd(Q, V(-1, Fraction(1, 2)))) and hash(p) == hash(RatFunc(p))
     assert p in {RatFunc(p)} and RatFunc(p) in {p}
     assert LaurentPoly.constant(3) == 3 and LaurentPoly() == 0
-    assert LaurentPoly.q_power(1) == LaurentPoly.v_power(2) != LaurentPoly.v_power(1)
 
 
 def test_harness_entry_points_keep_their_behaviour():
@@ -640,7 +638,7 @@ def test_equal_values_built_differently_hash_and_serialize_alike(group):
 
 def random_monomial(rng):
     c = rng.choice(COEFFS + [Fraction(6, 3), Fraction(-4, 2), 7])
-    return RatFunc(LaurentPoly.v_power(rng.randint(-6, 6), c))
+    return RatFunc(LaurentPoly({rng.randint(-6, 6): c}))
 
 
 @pytest.mark.parametrize("seed", range(8))

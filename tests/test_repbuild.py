@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from qlie.linalg import sp_matmul, sp_sub, sp_eq
-from qlie.qring import LaurentPoly, RatFunc, q_int, qconjugate
+from qlie.qring import LaurentPoly, RatFunc, q_int
 from qlie.rootdata import build_cartan, highest_root, weight_multiplicities, weyl_dim
 from qlie.repbuild import BudgetExceeded, adjoint_module, build_irrep, verify_module
 from qlie.classical import build_classical_module
