@@ -33,7 +33,7 @@ M is then re-verified: it must be a module map from V (x) W to itself
 (tensorcg's module_map_defects, which covers every E_i and F_i and the
 weight grading), M u = v^e_lam u for every highest-weight vector u, and
 M - 1 must vanish entrywise at v = 1.  The first two pin M exactly,
-whatever built it.  Any failure raises ObstructionDetected; no check is
+whatever built it.  Any failure raises VerificationFailed; no check is
 ever skipped.
 
 For the vector representation V of U_q(sl_n) (basis e_1..e_n, with
@@ -72,17 +72,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .qring import RF_ONE, RF_ZERO, RatFunc, h_derivative_at_zero, rf_vpow
-from .rootdata import (CartanDatum, bilinear, highest_root, is_dominant, tensor_multiplicity,
-                       weyl_dim)
+from .rootdata import (CartanDatum, VerificationFailed, bilinear, highest_root, is_dominant,
+                       tensor_multiplicity, weyl_dim)
 from .repbuild import IrrepModule, adjoint_module, build_irrep
 from .linalg import inverse, rank, sp_add_to, sp_grouped, sp_matvec, sp_sub
 from .qliealg import check_q_antisymmetry
 from .tensorcg import (TensorProduct, coproduct_action, highest_weight_space, lowered_table,
                        module_map_defects, pair_matrix, tensor_product)
-
-
-class ObstructionDetected(RuntimeError):
-    """The scalar-on-isotypic ansatz failed one of its verification oracles."""
 
 
 def casimir_exponent(cd: CartanDatum, lam) -> Fraction:
@@ -164,13 +160,12 @@ def monodromy_on_tensor(V: IrrepModule, W: IrrepModule) -> Monodromy:
     shift = e0 - (e0.numerator // e0.denominator)
     for lam in lams:
         if (exponents[lam] - shift).denominator != 1:
-            raise ObstructionDetected(
-                f"eigen-exponents not congruent modulo 1: {exponents}")
+            raise VerificationFailed(f"eigen-exponents not congruent modulo 1: {exponents}")
     evs = {lam: rf_vpow(int(exponents[lam] - shift)) for lam in lams}
 
     hws = {lam: highest_weight_space(T, lam) for lam in lams}
     if sum(len(hws[lam]) * weyl_dim(cd, lam) for lam in lams) != T.dim:
-        raise ObstructionDetected("isotypic components do not fill V (x) W")
+        raise VerificationFailed("isotypic components do not fill V (x) W")
 
     # the seeds M(e_0 (x) e_b), product index b (see the module docstring)
     dw = W.dim
@@ -184,7 +179,7 @@ def monodromy_on_tensor(V: IrrepModule, W: IrrepModule) -> Monodromy:
         try:
             hinv = inverse(pair_matrix(T, us)[1])
         except ZeroDivisionError:
-            raise ObstructionDetected(f"singular isotypic basis of {lam}") from None
+            raise VerificationFailed(f"singular isotypic basis of {lam}") from None
         for w, cs in Mlam.weight_basis.items():
             nu_w = tuple(x - y for x, y in zip(w, mu))
             if nu_w not in W.weight_basis:
@@ -213,14 +208,14 @@ def monodromy_on_tensor(V: IrrepModule, W: IrrepModule) -> Monodromy:
     matrix = {(r, p): x for p, col in enumerate(cols) for r, x in col.items()}
 
     if module_map_defects(matrix, T, T):
-        raise ObstructionDetected("operator fails to commute with the coproduct action")
+        raise VerificationFailed("operator fails to commute with the coproduct action")
     for lam, us in hws.items():
         if any(sp_matvec(matrix, u) != {p: evs[lam] * x for p, x in u.items()} for u in us):
-            raise ObstructionDetected(f"M is not v^e on a highest-weight vector of {lam}")
+            raise VerificationFailed(f"M is not v^e on a highest-weight vector of {lam}")
     if (any((p, p) not in matrix for p in range(T.dim))
             or any(not x.is_regular_at_one() or x.eval_at_one() != (1 if r == c else 0)
                    for (r, c), x in matrix.items())):
-        raise ObstructionDetected("M - 1 does not vanish at v = 1")
+        raise VerificationFailed("M - 1 does not vanish at v = 1")
     convention = {
         "eigenvalue": "q^((lam,lam+2rho) - (mu,mu+2rho) - (nu,nu+2rho))",
         "pairing": "(alpha_i, alpha_i) = 2 d_i",

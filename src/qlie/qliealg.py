@@ -38,7 +38,8 @@ from fractions import Fraction
 from itertools import count
 
 from .qring import RatFunc, RF_ONE, RF_ZERO, rf_sqrt, rf_vpow, _fraction_sqrt
-from .rootdata import VerificationFailed, CartanDatum, build_cartan, highest_root, simple_roots
+from .rootdata import (VerificationFailed, CartanDatum, build_cartan, highest_root, root_system,
+                       simple_roots)
 from .repbuild import adjoint_module, DEFAULT_DIM_BUDGET
 from .tensorcg import (
     tensor_square,
@@ -52,7 +53,7 @@ from .tensorcg import (
     invert_cg,
     ClassicallyZero,
 )
-from .linalg import inverse, rref, sp_add_to, sp_grouped
+from .linalg import inverse, rank, rref, sp_add_to, sp_grouped
 from .classical import classical_bracket, classical_sln_table, integral_multiple
 # same_algebra is re-exported: callers that build tables here compare them with it
 from .table import (BasisLabel, InvalidParams, QuantumLieAlgebra, _by_pair, _moved, _sln_root,
@@ -494,21 +495,13 @@ def check_classical_limit(A: QuantumLieAlgebra, budget_dim: int = DEFAULT_DIM_BU
     return report
 
 
-def transport_explicit_constants(A: QuantumLieAlgebra, phi: dict,
-                                 E: QuantumLieAlgebra) -> dict:
-    """Rewrite the table of an explicit-family algebra E on the basis of the
-    pipeline output A, through the module dictionary phi produced by
-    compare_to_explicit(..., with_map=True): phi[g] is the column of the
-    basis change, generic index -> {explicit index: coefficient}.
-
-    The dictionary identifies the underlying modules, not a particular
-    bracket, so E may carry any admissible (s, t), not just the fitted one,
-    and E is read by its labels, in any order of its basis.  phi is graded,
-    so it is inverted one weight of A at a time: 1 x 1 on each root vector,
-    and the Cartan block C on the H slots.  A block that is not square, or
-    that shares an explicit vector with another block, raises
-    InvalidParams; a singular block raises ZeroDivisionError.
-    """
+def _phi_inverse(A: QuantumLieAlgebra, phi: dict) -> dict:
+    """The inverse of the graded basis map phi of compare_to_explicit, as
+    explicit index -> {generic index: coefficient}.  It is inverted one
+    weight of A at a time: 1 x 1 on each root vector, and the Cartan block C
+    on the H slots.  A block that is not square, or that shares an explicit
+    vector with another block, raises InvalidParams; a singular block raises
+    ZeroDivisionError."""
     blocks = {}
     for g in range(A.dim):
         blocks.setdefault(A.grade(g), []).append(g)
@@ -521,7 +514,23 @@ def transport_explicit_constants(A: QuantumLieAlgebra, phi: dict,
         block_inv = inverse([[phi.get(g, {}).get(e, RF_ZERO) for g in gs] for e in es])
         for k, e in enumerate(es):
             inv[e] = {g: row[k] for g, row in zip(gs, block_inv) if row[k]}
-    return change_basis(_moved(E.constants, E.basis, _sln_basis(E.cd.rank + 1)), phi, inv)
+    return inv
+
+
+def transport_explicit_constants(A: QuantumLieAlgebra, phi: dict,
+                                 E: QuantumLieAlgebra) -> dict:
+    """Rewrite the table of an explicit-family algebra E on the basis of the
+    pipeline output A, through the module dictionary phi produced by
+    compare_to_explicit(..., with_map=True): phi[g] is the column of the
+    basis change, generic index -> {explicit index: coefficient}, inverted
+    by _phi_inverse.
+
+    The dictionary identifies the underlying modules, not a particular
+    bracket, so E may carry any admissible (s, t), not just the fitted one,
+    and E is read by its labels, in any order of its basis.
+    """
+    return change_basis(_moved(E.constants, E.basis, _sln_basis(E.cd.rank + 1)), phi,
+                        _phi_inverse(A, phi))
 
 
 def check_ad_invariance(A: QuantumLieAlgebra, pipe: GenericPipeline = None,
@@ -567,15 +576,20 @@ def compare_to_explicit(A: QuantumLieAlgebra, s=None, t=None,
     zero, so a pivot among the right-hand sides names the first H row that
     no parameters fit.  The unknowns are C*s and C*t, C the Cartan change
     of basis, so the fit is gauge-invariant and their ratio is the fitted
-    epsilon = t/s.  Then the root-vector gauge scalars are fixed with the
-    simple-root vectors scaled to 1, and every structure constant is
-    verified exactly.  When s and t are both given, only C is solved.  For
-    n = 2 the family is one-parameter, and the fitted member is (s, 0).
+    epsilon = t/s.  Then the root-vector gauge scalars are fixed in one
+    pass by root height, with the simple-root vectors scaled to 1, and the
+    fitted member, moved onto A's basis through the fitted map phi, is
+    checked against A constant by constant.  When s and t are both given,
+    only C is solved.  For n = 2 the family is one-parameter, and the
+    fitted member is (s, 0).
 
     with_map additionally returns the raw basis dictionary under "phi"
     (generic index -> {explicit index: RatFunc}) for transporting tables;
-    that entry is not JSON-serializable and is left out by default.
+    that entry is not JSON-serializable and is left out by default.  Giving
+    only one of s and t raises InvalidParams.
     """
+    if (s is None) != (t is None):
+        raise InvalidParams("give both s and t to pin the fit, or neither")
     report = {"applicable": True, "match": False, "mismatches": []}
     cd = A.cd
     if cd.series != "A":
@@ -630,57 +644,53 @@ def compare_to_explicit(A: QuantumLieAlgebra, s=None, t=None,
     report["fitted_t"] = str(t_fit)
     report["cartan_map"] = [[str(x) for x in row] for row in C]
 
-    try:
-        inverse(C)
-    except ZeroDivisionError:
+    if rank(C) < nH:
         report["mismatches"].append("Cartan change of basis is singular")
         return report
 
     tfit = _sln_table(Ts, Tt, s_fit, t_fit)
 
-    # gauge scalars: simple-root vectors pinned to 1, the rest propagated
-    scal = {groots[alpha]: RF_ONE for alpha in simple_roots(cd)}
-    a_pairs = _by_pair(A.constants)
-    progress = True
-    while progress and len(scal) < len(gxs):
-        progress = False
-        for x1 in list(scal):
-            for x2 in list(scal):
-                for c, val in a_pairs.get((x1, x2), {}).items():
-                    if c in ex_of and c not in scal and val:
-                        tv = tfit.get((ex_of[x1], ex_of[x2], ex_of[c]))
-                        if not tv:
-                            report["mismatches"].append(
-                                f"explicit constant vanishes where f[{x1},{x2}]^{c} does not")
-                            return report
-                        scal[c] = scal[x1] * scal[x2] * tv / val
-                        progress = True
-        for x1 in list(scal):
-            x2 = groots[tuple(-v for v in A.basis[x1].root)]
-            if x2 in scal:
-                continue
-            k = next((k for k in range(nH) if tfit.get((ex_of[x1], ex_of[x2], ehs[k]))), None)
-            if k is not None:
-                acc = sum((A.structure_constant(x1, x2, h) * C[apos][k]
-                           for apos, h in enumerate(ghs)), RF_ZERO)
-                scal[x2] = acc / (scal[x1] * tfit[ex_of[x1], ex_of[x2], ehs[k]])
-                progress = True
-    if len(scal) < len(gxs):
-        report["mismatches"].append("gauge scalars not determined for all roots")
-        return report
+    # gauge scalars by height: 1 on a simple root vector; sigma_b e / f on X_g
+    # from its first g = b + alpha_i whose [X_b, X_alpha_i]^{X_g} is nonzero
+    # in A (f) and in the fitted member (e); on X_-g, the one the Cartan part
+    # of [X_g, X_-g] fixes.  A scalar left 0 would make phi singular.
+    def raised(x, g):
+        for alpha in simple_roots(cd):
+            b, a = groots.get(tuple(u - v for u, v in zip(g, alpha))), groots[alpha]
+            f = RF_ZERO if b is None else A.structure_constant(b, a, x)
+            e = f and tfit.get((ex_of[b], ex_of[a], ex_of[x]))
+            if e:
+                return scal[b] * e / f
+        return RF_ZERO
+
+    def lowered(x, y):
+        k = next((k for k in range(nH) if tfit.get((ex_of[x], ex_of[y], ehs[k]))), None)
+        if k is None:
+            return RF_ZERO
+        acc = sum((A.structure_constant(x, y, h) * C[apos][k] for apos, h in enumerate(ghs)),
+                  RF_ZERO)
+        return acc / (scal[x] * tfit[ex_of[x], ex_of[y], ehs[k]])
+
+    scal = {}
+    for coords, g in root_system(cd).positive_roots:
+        x, y = groots[g], groots[tuple(-v for v in g)]
+        scal[x] = RF_ONE if sum(coords) == 1 else raised(x, g)
+        scal[y] = scal[x] and lowered(x, y)
+        if not scal[y]:
+            report["mismatches"].append("gauge scalars not determined for all roots")
+            return report
     report["scalars"] = {A.basis[x].name(): str(v) for x, v in sorted(scal.items())}
 
-    # full verification of every constant through the fitted map
-    phicols = {x: {ex_of[x]: scal[x]} for x in gxs}
+    # the fitted member moved onto A's basis through phi, against A: phi is
+    # invertible, so this is phi([x_a, x_b]) against [phi(x_a), phi(x_b)]
+    phi = {x: {ex_of[x]: scal[x]} for x in gxs}
     for apos, h in enumerate(ghs):
-        phicols[h] = {ehs[k]: C[apos][k] for k in range(nH) if C[apos][k]}
+        phi[h] = {ehs[k]: C[apos][k] for k in range(nH) if C[apos][k]}
     if with_map:
-        report["phi"] = phicols
-    # phi([x_a, x_b]) against [phi(x_a), phi(x_b)] in explicit coordinates
-    identity = {a: {a: 1} for a in range(A.dim)}
-    lhs = change_basis(A.constants, identity, phicols)
-    rhs = change_basis(tfit, phicols, identity)
-    mismatches = sorted({k[:2] for k in set(lhs) | set(rhs) if lhs.get(k) != rhs.get(k)})
+        report["phi"] = phi
+    moved = change_basis(tfit, phi, _phi_inverse(A, phi))
+    mismatches = sorted({k[:2] for k in set(A.constants) | set(moved)
+                         if A.structure_constant(*k) != moved.get(k, RF_ZERO)})
     report["mismatches"] = [list(k) for k in mismatches]
     report["match"] = not mismatches
     return report

@@ -38,6 +38,7 @@ from .qring import RF_ONE, RF_ZERO, q_int, q_binomial
 from .rootdata import (
     DEFAULT_DIM_BUDGET,
     CartanDatum,
+    VerificationFailed,
     adjoint_dim,
     cartan_to_json,
     weight_multiplicities,
@@ -50,10 +51,6 @@ from .linalg import rref, sp_add_to, sp_eq, sp_matmul, sp_sub, sp_transpose
 
 class BudgetExceeded(RuntimeError):
     """Module dimension above the configured budget."""
-
-
-class InternalInconsistency(RuntimeError):
-    """Constructed module violates a structural accounting identity."""
 
 
 @dataclass
@@ -103,7 +100,7 @@ def build_irrep(cd: CartanDatum, lam, budget_dim: int = DEFAULT_DIM_BUDGET) -> I
     """Construct the irreducible module with dominant highest weight lam, by
     the module docstring's levels.  G is invertible, being so at v = 1; a
     reduction of [G | R] that misses a column of G raises
-    InternalInconsistency."""
+    VerificationFailed."""
     lam = tuple(lam)
     dim = weyl_dim(cd, lam)
     if dim > budget_dim:
@@ -181,7 +178,7 @@ def build_irrep(cd: CartanDatum, lam, budget_dim: int = DEFAULT_DIM_BUDGET) -> I
             others = [col for col in range(len(cands)) if col not in pivots]
             aug = [row + [pair[r][col] for col in others] for r, row in zip(pivots, gram[mu])]
             if others and rref(aug) != list(range(k)):
-                raise InternalInconsistency(f"singular Gram block at weight {mu}")
+                raise VerificationFailed(f"singular Gram block at weight {mu}")
             for t, col in enumerate(others, k):
                 j, b = cands[col]
                 for gi, row in zip(idxs, aug):
@@ -194,7 +191,7 @@ def build_irrep(cd: CartanDatum, lam, budget_dim: int = DEFAULT_DIM_BUDGET) -> I
     kexp = {i: [cd.d[i] * w[i] for w in weights] for i in range(n)}
     mod = IrrepModule(cd, lam, labels, parent, weights, E, F, kexp, gram, weight_basis)
     if mod.dim != dim:
-        raise InternalInconsistency(f"built dim {mod.dim}, Weyl dim {dim}")
+        raise VerificationFailed(f"built dim {mod.dim}, Weyl dim {dim}")
     return mod
 
 

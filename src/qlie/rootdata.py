@@ -203,8 +203,10 @@ def _weight_gram(cd: CartanDatum):
 
 def bilinear(cd: CartanDatum, lam, mu) -> Fraction:
     """Invariant form on weights (h-coordinates), with (alpha_i, alpha_i) = 2 d_i."""
-    g = _weight_gram(cd)
     n = cd.rank
+    if len(lam) != n or len(mu) != n:
+        raise ValueError(f"a weight of {cd.series}{n} has {n} coordinates: {lam}, {mu}")
+    g = _weight_gram(cd)
     return sum(g[i][j] * lam[i] * mu[j] for i in range(n) for j in range(n))
 
 
@@ -212,9 +214,9 @@ def is_dominant(lam) -> bool:
     return all(x >= 0 for x in lam)
 
 
-def _check_dominant(lam):
-    if not is_dominant(lam) or not all(isinstance(x, int) for x in lam):
-        raise NonDominant(f"not a dominant integral weight: {lam}")
+def _check_dominant(cd: CartanDatum, lam):
+    if len(lam) != cd.rank or not is_dominant(lam) or not all(isinstance(x, int) for x in lam):
+        raise NonDominant(f"not a dominant integral weight of {cd.series}{cd.rank}: {lam}")
 
 
 def weyl_dim(cd: CartanDatum, lam) -> int:
@@ -223,7 +225,7 @@ def weyl_dim(cd: CartanDatum, lam) -> int:
     alpha_i the pairing is <mu, alpha-check> = sum c_i d_i mu_i / d_alpha
     with d_alpha = (alpha, alpha)/2; d_alpha cancels in each ratio, so
     every root costs one integer sum of O(rank) terms."""
-    _check_dominant(lam)
+    _check_dominant(cd, lam)
     num = den = 1
     for coords, _ in root_system(cd).positive_roots:
         weighted = [c * d for c, d in zip(coords, cd.d)]
@@ -268,7 +270,7 @@ def weight_multiplicities(cd: CartanDatum, lam: tuple):
                                  = sum delta_i d_i (lam + mu + 2)_i.
     delta is carried down the levels (subtracting alpha_j adds 1 to
     delta_j), so the k-range of each root string is exact without A^-1."""
-    _check_dominant(lam)
+    _check_dominant(cd, lam)
     n, d = cd.rank, cd.d
     simples = list(enumerate(simple_roots(cd)))
     # per positive root alpha = sum c_i alpha_i: its weight coordinates, the
@@ -333,9 +335,9 @@ def tensor_multiplicity(cd: CartanDatum, mu, nu, lam) -> int:
     the weights of the smaller factor are needed.  This is the one count of
     the package: tensorcg.highest_weight_space checks its kernel against
     it, and monodromy_on_tensor finds the components of V (x) W with it."""
-    _check_dominant(mu)
-    _check_dominant(nu)
-    _check_dominant(lam)
+    _check_dominant(cd, mu)
+    _check_dominant(cd, nu)
+    _check_dominant(cd, lam)
     if weyl_dim(cd, mu) < weyl_dim(cd, nu):
         mu, nu = nu, mu
     alphas = simple_roots(cd)

@@ -85,10 +85,6 @@ class ClassicallyZero(ValueError):
     """Antisymmetrization produced a vector that vanishes at v = 1."""
 
 
-class SingularSystem(ZeroDivisionError):
-    """Highest-weight Gram system is singular (multiplicity miscount)."""
-
-
 @dataclass
 class TensorProduct:
     """left (x) right with the coproduct action: the two factors, the
@@ -498,7 +494,7 @@ def invert_cg(T: TensorProduct, v0: dict, others: list) -> dict:
     try:
         x = solve(pair, [RF_ONE] + [RF_ZERO] * len(others))
     except ZeroDivisionError as exc:
-        raise SingularSystem(str(exc)) from exc
+        raise VerificationFailed(str(exc)) from exc
     # w^T (S (x) S) for w = sum_k x_k u_k
     top = {}
     for xk, su in zip(x, paired):

@@ -212,8 +212,8 @@ def tensor_decompose(cd: CartanDatum, mu: tuple, nu: tuple):
     coroots, alpha-check = sum (c_j d_j / d_alpha) alpha_j-check with
     d_alpha = (alpha, alpha)/2, so twice the depth is the integer
     sum r_j (mu + nu - w)_j with r_j = sum over alpha > 0 of c_j d_j / d_alpha."""
-    _check_dominant(mu)
-    _check_dominant(nu)
+    _check_dominant(cd, mu)
+    _check_dominant(cd, nu)
     wm1 = weight_multiplicities(cd, mu)
     wm2 = weight_multiplicities(cd, nu)
     remaining = {}  # the product character, less the components peeled so far

@@ -490,6 +490,23 @@ def test_failed_self_check_is_a_computation_failure(monkeypatch, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _singular(*args):
+    raise ZeroDivisionError("singular matrix")
+
+
+@pytest.mark.parametrize("module,name,patch,message", [
+    (tensorcg, "solve", lambda real: _singular, "singular matrix"),
+    (repbuild, "weyl_dim", lambda real: lambda *args: real(*args) + 1,
+     "built dim 3, Weyl dim 4"),
+], ids=["singular-cg-system", "miscounted-module"])
+def test_failed_construction_check_is_a_computation_failure(monkeypatch, capsys, module, name,
+                                                            patch, message):
+    monkeypatch.setattr(module, name, patch(getattr(module, name)))
+    code = main(["build", "--algebra", "A1"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_oversized_scalar_is_a_usage_error(capsys):
     code = main(["build", "--algebra", "A2", "--construction", "explicit-sln",
                  "--s", "(q+1)^10000"])

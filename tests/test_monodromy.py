@@ -17,7 +17,6 @@ from qlie.tensorcg import EmptySpace
 from qlie.classical import build_classical_module
 from qlie.monodromy import (
     Monodromy,
-    ObstructionDetected,
     adjoint_family,
     adjoint_in_dual_tensor,
     casimir_exponent,
@@ -336,7 +335,7 @@ def test_singular_isotypic_basis_is_an_obstruction(monkeypatch):
 
     monkeypatch.setattr(monodromy, "highest_weight_space", repeated)
     V = adjoint_module(A2)
-    with pytest.raises(ObstructionDetected, match="singular isotypic basis"):
+    with pytest.raises(VerificationFailed, match="singular isotypic basis"):
         monodromy_on_tensor(V, V)
 
 
@@ -364,7 +363,7 @@ def test_wrong_eigen_scalar_is_caught_by_the_eigen_check(monkeypatch, a1_fund):
 
     monkeypatch.setattr(monodromy, "pair_matrix", scaled)
     monkeypatch.setattr(monodromy, "module_map_defects", recorded)
-    with pytest.raises(ObstructionDetected,
+    with pytest.raises(VerificationFailed,
                        match=r"^M is not v\^e on a highest-weight vector of \(0,\)$"):
         monodromy_on_tensor(a1_fund, a1_fund)
     (m,) = seen
@@ -390,14 +389,14 @@ def _doubled_vpow(k):
 def test_operator_not_one_at_v_equal_one_is_an_obstruction(monkeypatch, a1_fund):
     # every eigen-scalar doubled: 2M still commutes, but 2M - 1 is 1 at v = 1
     monkeypatch.setattr(monodromy, "rf_vpow", _doubled_vpow)
-    with pytest.raises(ObstructionDetected, match="^M - 1 does not vanish at v = 1$"):
+    with pytest.raises(VerificationFailed, match="^M - 1 does not vanish at v = 1$"):
         monodromy_on_tensor(a1_fund, a1_fund)
 
 
 def test_commuting_is_checked_before_vanishing(monkeypatch, a1_fund):
     monkeypatch.setattr(monodromy, "rf_vpow", _doubled_vpow)
     monkeypatch.setattr(monodromy, "module_map_defects", lambda M, source, target: [["E", 0]])
-    with pytest.raises(ObstructionDetected,
+    with pytest.raises(VerificationFailed,
                        match="^operator fails to commute with the coproduct action$"):
         monodromy_on_tensor(a1_fund, a1_fund)
 

@@ -10,7 +10,7 @@ import pytest
 from qlie.cli import build_text, parse_text_algebra
 from qlie.linalg import sp_eq
 from qlie.qring import LaurentPoly, RatFunc, parse_scalar
-from qlie.rootdata import build_cartan
+from qlie.rootdata import build_cartan, root_system
 from qlie import qring, table
 from qlie.qliealg import (
     GaugeObstruction,
@@ -399,6 +399,12 @@ def test_compare_with_pinned_wrong_parameters_mismatches(generics):
     assert rep["mismatches"]
 
 
+@pytest.mark.parametrize("given", [{"s": "1"}, {"t": "q"}])
+def test_compare_needs_both_parameters_or_neither(given, generics):
+    with pytest.raises(InvalidParams, match="give both s and t"):
+        compare_to_explicit(generics["A2"], **{k: sc(v) for k, v in given.items()})
+
+
 def test_compare_pins_every_mismatch_of_one_corrupted_entry(generics):
     # f[0,14]^6 of A3 times q: the pairs recorded from the per-pair loop
     # that change_basis replaced
@@ -449,11 +455,18 @@ def test_compare_exit_for_a_corrupted_cartan_action(generics):
 
 
 def test_compare_exit_for_an_entry_the_family_lacks(generics):
+    # f[1,0]^5 = 1 where the family has 0.  The gauge pass by height reads
+    # no scalar from that pair, so the fit goes through with the intact
+    # scalars and the one check of every constant names the pair.  (The
+    # early exit "explicit constant vanishes where f[1,0]^5 does not" is
+    # gone: it caught this only when the old fixpoint happened to visit
+    # the pair, and the check reports the same.)
     A = generics["A2"]
     assert (1, 0, 5) not in A.constants
     rep = compare_to_explicit(_corrupted(A, entries=[((1, 0, 5), sc("1"))]))
-    assert rep == _failed_fit(compare_to_explicit(A),
-                              "explicit constant vanishes where f[1,0]^5 does not")
+    intact = compare_to_explicit(A)
+    assert "scalars" in intact
+    assert rep == {**intact, "match": False, "mismatches": [[1, 0]]}
 
 
 # The remaining exits need more than one corrupted entry.
@@ -486,6 +499,23 @@ def test_compare_exit_for_undetermined_gauge_scalars(generics):
     assert [A.basis[a].root for a in (0, 7)] == [(1, 1), (-1, -1)]
     rep = compare_to_explicit(_corrupted(A, entries=cut))
     assert rep == _failed_fit(compare_to_explicit(A), "gauge scalars not determined for all roots")
+
+
+@pytest.mark.parametrize("name", ["A1", "A3"])
+def test_compare_exit_for_a_cut_cartan_part(name, generics):
+    # both [X_g, X_-g] and [X_-g, X_g] lose their Cartan part, for each
+    # positive root g in turn: the scalar of X_-g would read 0, which makes
+    # phi singular and blinds the check, so the fit ends in the gauge exit
+    A = generics[name]
+    groots, hs = A.root_index(), set(A.h_indices())
+    intact = compare_to_explicit(A)
+    for _, g in root_system(A.cd).positive_roots:
+        pair = {groots[g], groots[tuple(-v for v in g)]}
+        A_cut = _corrupted(A, entries=[(k, None) for k in A.constants
+                                       if set(k[:2]) == pair and k[2] in hs])
+        assert A_cut.constants != A.constants
+        rep = compare_to_explicit(A_cut)
+        assert rep == _failed_fit(intact, "gauge scalars not determined for all roots"), g
 
 
 def test_compare_exit_names_the_first_unfittable_cartan_row(generics):

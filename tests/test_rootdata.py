@@ -180,6 +180,28 @@ def test_weyl_dim_rejects_non_dominant():
         weyl_dim(build_cartan("A", 2), (1, -1))
 
 
+# A2 takes weights with two coordinates; each call read a third one, or a
+# missing second one, as something else
+@pytest.mark.parametrize("call", [
+    lambda cd: qlie.build_irrep(cd, (1, 0, 0)),
+    lambda cd: qlie.build_irrep(cd, (1,)),
+    lambda cd: tensor_multiplicity(cd, (1, 0), (1, 0), (2,)),
+    lambda cd: weight_multiplicities(cd, (1,)),
+], ids=["build_irrep-long", "build_irrep-short", "tensor_multiplicity", "weight_multiplicities"])
+def test_a_weight_of_the_wrong_length_is_not_dominant(call):
+    with pytest.raises(NonDominant, match=r"^not a dominant integral weight of A2: \("):
+        call(build_cartan("A", 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda cd: qlie.casimir_exponent(cd, (1,)),
+    lambda cd: rootdata.bilinear(cd, (1, 0, 5), (0, 1)),
+], ids=["casimir_exponent", "bilinear"])
+def test_the_form_refuses_a_weight_of_the_wrong_length(call):
+    with pytest.raises(ValueError, match="^a weight of A2 has 2 coordinates: "):
+        call(build_cartan("A", 2))
+
+
 # ------------------------------------------------------- weight multiplicities
 
 @pytest.mark.parametrize("name,lam", [
