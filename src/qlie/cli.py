@@ -129,8 +129,6 @@ def _nonzero_rows(A: QuantumLieAlgebra, at_one: bool = False):
     key order; with at_one, the exact value at v = 1, where that is nonzero."""
     names = [lab.name() for lab in A.basis]
     for (a, b, c), val in sorted(A.constants.items()):
-        if val.is_zero():
-            continue
         if at_one:
             val = val.eval_at_one()
             if not val:

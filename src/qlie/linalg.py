@@ -12,6 +12,10 @@ matrix over a field is unique, and both scalar types hold their values in
 a canonical form, so the pivot rule cannot change any result -- the pivot
 columns, the reduced rows, solutions, inverses and kernel bases -- only
 the cost of reaching it.
+
+`sp_diff` is the one comparison of sparse tables: every equality test of
+matrices or structure-constant tables, and every witness drawn from one,
+is read off it.
 """
 
 from __future__ import annotations
@@ -186,14 +190,11 @@ def sp_matmul(a, b):
     return {key: x for key, x in out.items() if x}
 
 
-def sp_eq(a, b):
-    keys = set(a) | set(b)
-    for k in keys:
-        x = a.get(k, RF_ZERO)
-        y = b.get(k, RF_ZERO)
-        if x != y:
-            return False
-    return True
+def sp_diff(a, b) -> list:
+    """The sorted keys at which the sparse tables a and b differ, a missing
+    key reading 0, so an explicit zero equals an absent entry.  A list, not
+    a generator: callers test it for truth and read its first key."""
+    return sorted(k for k in a.keys() | b.keys() if a.get(k, 0) != b.get(k, 0))
 
 
 def sp_sub(a, b):

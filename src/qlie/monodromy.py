@@ -75,7 +75,7 @@ from .qring import RF_ONE, RF_ZERO, RatFunc, h_derivative_at_zero, rf_vpow
 from .rootdata import (CartanDatum, VerificationFailed, bilinear, highest_root, is_dominant,
                        tensor_multiplicity, weyl_dim)
 from .repbuild import IrrepModule, adjoint_module, build_irrep
-from .linalg import inverse, rank, sp_add_to, sp_grouped, sp_matvec, sp_sub
+from .linalg import inverse, rank, sp_add_to, sp_diff, sp_grouped, sp_matvec, sp_sub
 from .qliealg import check_q_antisymmetry
 from .tensorcg import (TensorProduct, coproduct_action, highest_weight_space, lowered_table,
                        module_map_defects, pair_matrix, tensor_product)
@@ -326,8 +326,8 @@ def check_concrete(M: Monodromy, A) -> dict:
     C = concrete_bracket(M)
     first = min(A.constants)
     lam = C.get(first, RF_ZERO) / A.constants[first]
-    witness = next((list(k) for k in sorted(C.keys() | A.constants.keys())
-                    if C.get(k, RF_ZERO) != lam * A.structure_constant(*k)), None)
+    bad = sp_diff(C, {k: lam * x for k, x in A.constants.items()})
+    witness = list(bad[0]) if bad else None
     report = {"lambda_V": None, "witness": witness, "m_V": None, "lambda_prime_at_one": None,
               "bar_invariant": None, "q_antisymmetry_raw": None,
               "q_antisymmetry_normalized": None, "all": False}

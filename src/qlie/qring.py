@@ -42,6 +42,7 @@ All operations are pure; no instance is mutated after construction.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm, log2
@@ -117,17 +118,26 @@ class LaurentPoly:
     def from_json(d: dict) -> "LaurentPoly":
         """The view that to_json wrote, within the bounds of parse_scalar:
         every exponent within +-MAX_SCALAR_DEGREE and every integer within
-        MAX_SCALAR_BITS bits.  The strings are measured before they are
-        converted, so an oversized entry raises ValueError before a long
-        digit string is read or RatFunc lays out its span."""
+        MAX_SCALAR_BITS bits, written as to_json writes them (_JSON_EXPONENT,
+        _JSON_COEFFICIENT).  The strings are matched and measured before
+        they are converted, so any other form, such as "1e999", or an
+        oversized entry raises ValueError before a long digit string is
+        read or RatFunc lays out its span."""
         view = LaurentPoly()
         for e, x in d.items():
             e, x = str(e), str(x)
+            if len(e) <= 5 and not _JSON_EXPONENT.fullmatch(e):
+                raise ValueError(f"invalid literal for a power of v: {e!r}")
             k = int(e) if len(e) <= 5 else None
             if k is None or abs(k) > MAX_SCALAR_DEGREE:
                 raise ValueError(f"a power of v beyond +-{MAX_SCALAR_DEGREE}")
-            f = Fraction(x) if len(x) <= _MAX_FRACTION_CHARS else None
-            if f is None or max(abs(f.numerator), f.denominator).bit_length() > MAX_SCALAR_BITS:
+            if len(x) > _MAX_FRACTION_CHARS:
+                raise ValueError(f"integers above {MAX_SCALAR_BITS} bits")
+            m = _JSON_COEFFICIENT.fullmatch(x)
+            if m is None:
+                raise ValueError(f"invalid literal for a coefficient: {x!r}")
+            f = Fraction(int(m[1]), int(m[2])) if m[2] else Fraction(int(m[1]))
+            if max(abs(f.numerator), f.denominator).bit_length() > MAX_SCALAR_BITS:
                 raise ValueError(f"integers above {MAX_SCALAR_BITS} bits")
             if f:
                 view.coeffs[k] = f
@@ -710,6 +720,9 @@ MAX_SCALAR_BITS = 1024
 MAX_SCALAR_NESTING = 64
 # the longest "-p/q" with p and q of at most MAX_SCALAR_BITS bits
 _MAX_FRACTION_CHARS = 2 * len(str(2 ** MAX_SCALAR_BITS)) + 2
+# the strings LaurentPoly.to_json writes: [0-9] is ASCII only, unlike \d
+_JSON_EXPONENT = re.compile(r"-?[0-9]+")
+_JSON_COEFFICIENT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _coefficient_bits(x: RatFunc) -> int:

@@ -46,7 +46,7 @@ from .rootdata import (
     highest_root,
     simple_roots,
 )
-from .linalg import rref, sp_add_to, sp_eq, sp_matmul, sp_sub, sp_transpose
+from .linalg import rref, sp_add_to, sp_diff, sp_matmul, sp_sub, sp_transpose
 
 
 class BudgetExceeded(RuntimeError):
@@ -234,13 +234,9 @@ def verify_module(mod: IrrepModule) -> dict:
     for i in range(n):
         for j in range(n):
             lhs = sp_sub(sp_matmul(mod.E[i], mod.F[j]), sp_matmul(mod.F[j], mod.E[i]))
-            rhs = {}
-            if i == j:
-                for a in range(mod.dim):
-                    val = q_int(mod.weights[a][i], cd.d[i])
-                    if not val.is_zero():
-                        rhs[(a, a)] = val
-            if not sp_eq(lhs, rhs):
+            rhs = ({(a, a): q_int(w[i], cd.d[i]) for a, w in enumerate(mod.weights)}
+                   if i == j else {})
+            if sp_diff(lhs, rhs):
                 ok = False
     report["commutator"] = ok
 
@@ -274,12 +270,8 @@ def verify_module(mod: IrrepModule) -> dict:
                 e1 = {k: Fraction(x.eval_at_one()) for k, x in mod.E[i].items()}
                 f1 = {k: Fraction(x.eval_at_one()) for k, x in mod.F[j].items()}
                 lhs = sp_sub(sp_matmul(e1, f1), sp_matmul(f1, e1))
-                rhs = {}
-                if i == j:
-                    for a in range(mod.dim):
-                        if mod.weights[a][i]:
-                            rhs[(a, a)] = Fraction(mod.weights[a][i])
-                if lhs != rhs:
+                rhs = {(a, a): Fraction(w[i]) for a, w in enumerate(mod.weights)} if i == j else {}
+                if sp_diff(lhs, rhs):
                     ok = False
     report["classical_commutator"] = ok
 
@@ -289,7 +281,7 @@ def verify_module(mod: IrrepModule) -> dict:
     for i in range(n):
         lhs = sp_matmul(S, mod.E[i])
         rhs = sp_matmul(sp_transpose(mod.F[i]), S)
-        if not sp_eq(lhs, rhs):
+        if sp_diff(lhs, rhs):
             ok = False
     report["contravariant_adjoint"] = ok
 

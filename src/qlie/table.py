@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .qring import RatFunc, RF_ZERO
 from .rootdata import (CartanDatum, adjoint_dim, build_cartan, cartan_to_json, classical_dim,
                        root_system)
-from .linalg import sp_add_to, sp_eq, sp_grouped
+from .linalg import sp_add_to, sp_diff, sp_grouped
 
 CONSTRUCTIONS = ("generic-pipeline", "explicit-sln")
 
@@ -110,11 +110,14 @@ class BasisLabel:
 class QuantumLieAlgebra:
     cd: CartanDatum
     basis: list
-    constants: dict           # {(a, b, c): RatFunc}, zero entries omitted
+    constants: dict           # {(a, b, c): RatFunc}; __post_init__ drops zero entries
     provenance: str           # "generic-pipeline" or "explicit-sln"
     params: dict = None       # {"s": RatFunc, "t": RatFunc} for the explicit family
     normalized: bool = False
     checks: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.constants = {key: val for key, val in self.constants.items() if val}
 
     @property
     def dim(self):
@@ -145,7 +148,6 @@ class QuantumLieAlgebra:
             "constants": [
                 {"a": a, "b": b, "c": c, "value": val.to_json()}
                 for (a, b, c), val in sorted(self.constants.items())
-                if not val.is_zero()
             ],
             "provenance": self.provenance,
             "normalized": self.normalized,
@@ -207,11 +209,12 @@ def stored_table(series, rank, labels: list, read_label, constants, provenance,
     refusal the two forms share is made here, as an InvalidParams: the
     basis must span the adjoint (table_cartan, before any label is read),
     the labels pass check_basis_labels, the construction is one of
-    CONSTRUCTIONS, normalized is a bool, the params are exactly s and t on
-    an explicit-sln table, passing check_sln_params, and None on a generic
-    one, checks is a dict, and every constant index lies in range(dim).
-    A parse error in the algebra or a label names where = (where each was
-    read)."""
+    CONSTRUCTIONS, normalized is a bool, the params are an object holding
+    exactly s and t on an explicit-sln table, passing check_sln_params, and
+    None on a generic one, checks is a dict, and every constant index lies
+    in range(dim).  A parse error in the algebra or a label names where =
+    (where each was read).  A stored zero constant is dropped, as
+    QuantumLieAlgebra drops every one."""
     with naming(where[0]):
         cd = table_cartan(series, int(str(rank)), len(labels))
     with naming(where[1]):
@@ -223,7 +226,9 @@ def stored_table(series, rank, labels: list, read_label, constants, provenance,
     if type(normalized) is not bool:
         raise InvalidParams(f"the normalized flag {normalized!r} is not a bool "
                             "(yes or no in a text table)")
-    keys = sorted(params) if isinstance(params, dict) else params
+    if not isinstance(params, (dict, type(None))):
+        raise InvalidParams(f"the params of a stored table are not a JSON object: {params!r}")
+    keys = None if params is None else sorted(params)
     want = ["s", "t"] if provenance == "explicit-sln" else None
     if keys != want:
         raise InvalidParams(f"{provenance} tables have the params {want}, not {keys!r}")
@@ -302,7 +307,7 @@ def labeled_constants(A: QuantumLieAlgebra) -> dict:
     """Constants keyed by basis labels instead of positions (_label_keys),
     so tables on differently ordered bases can be compared."""
     k = _label_keys(A.basis)
-    return {(k[a], k[b], k[c]): val for (a, b, c), val in A.constants.items() if not val.is_zero()}
+    return {(k[a], k[b], k[c]): val for (a, b, c), val in A.constants.items()}
 
 
 def _moved(constants: dict, basis: list, onto: list) -> dict:
@@ -317,7 +322,7 @@ def _moved(constants: dict, basis: list, onto: list) -> dict:
 
 def same_algebra(A: QuantumLieAlgebra, B: QuantumLieAlgebra) -> bool:
     """Label-aware exact equality of two structure-constant tables."""
-    return sp_eq(labeled_constants(A), labeled_constants(B))
+    return not sp_diff(labeled_constants(A), labeled_constants(B))
 
 
 # ---------------------------------------------------------------------------

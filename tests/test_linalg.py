@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from qlie import qring, tensorcg
-from qlie.linalg import clear_denominators, inverse, nullspace, rank, rref, solve
+from qlie.linalg import clear_denominators, inverse, nullspace, rank, rref, solve, sp_diff
 from qlie.monodromy import monodromy_on_tensor
 from qlie.qliealg import generic_pipeline
 from qlie.repbuild import build_irrep
@@ -161,3 +161,13 @@ def test_dense_routines_equal_the_textbook_reference(field, seed):
                     inverse(mat)
         # the caller's row lists are left as they were
         assert mat == before
+
+
+@pytest.mark.parametrize("one", [Fraction(1), qring.RF_ONE], ids=["Fraction", "RatFunc"])
+def test_sp_diff_lists_the_differing_keys_in_order(one):
+    # an explicit zero on one side equals a missing key on the other
+    zero = one - one
+    a = {(3, 3): one, (2, 0): one, (0, 1): one * 2, (1, 1): zero}
+    b = {(1, 2): one, (2, 0): one * 3, (0, 1): one * 2, (0, 0): zero}
+    assert sp_diff(a, b) == sp_diff(b, a) == [(1, 2), (2, 0), (3, 3)]
+    assert sp_diff(a, {k: x for k, x in a.items() if x}) == []

@@ -8,7 +8,7 @@ import re
 import pytest
 
 from qlie.cli import build_text, parse_text_algebra
-from qlie.linalg import sp_eq
+from qlie.linalg import sp_diff
 from qlie.qring import LaurentPoly, RatFunc, parse_scalar
 from qlie.rootdata import build_cartan, root_system
 from qlie import qring, table
@@ -355,11 +355,11 @@ def test_change_basis_round_trip_on_a_cartan_rebase(generics):
     cols[h1], cols[h2] = {h1: one, h2: two}, {h2: one}
     inv[h1], inv[h2] = {h1: one, h2: -two}, {h2: one}
     rebased = change_basis(A.constants, cols, inv)
-    assert not sp_eq(rebased, A.constants)
+    assert sp_diff(rebased, A.constants)
     x = A.x_indices()[0]
     assert rebased.get((h1, x, x), RatFunc(0)) == (
         A.structure_constant(h1, x, x) + two * A.structure_constant(h2, x, x))
-    assert sp_eq(change_basis(rebased, inv, cols), A.constants)
+    assert not sp_diff(change_basis(rebased, inv, cols), A.constants)
 
 
 @pytest.mark.parametrize("name", ["A2"])
@@ -713,7 +713,7 @@ def test_fitted_explicit_table_transports_back_to_the_generic_table(rank, generi
     fit = compare_to_explicit(A, with_map=True)
     E = build_sln_explicit(rank + 1, sc(fit["fitted_s"]), sc(fit["fitted_t"]))
     table = transport_explicit_constants(A, fit["phi"], E)
-    assert sp_eq(table, A.constants)
+    assert not sp_diff(table, A.constants)
 
 
 # ------------------------------------------------------------- serialization
@@ -913,6 +913,37 @@ def test_malformed_stored_scalar_names_its_constant(value, why, golden_dir):
         QuantumLieAlgebra.from_json(blob)
 
 
+EXPONENT_NOTATION = "1e999999999"    # 10^999999999, about 0.4 GB, if Fraction read it
+
+
+@pytest.mark.parametrize("num,why", [
+    ({"0": EXPONENT_NOTATION}, f"invalid literal for a coefficient: '{EXPONENT_NOTATION}'"),
+    ({"0": "1.5"}, "invalid literal for a coefficient: '1.5'"),
+    ({"0": "+1"}, "invalid literal for a coefficient: '+1'"),
+    ({"0": "\u0661"}, "invalid literal for a coefficient: '\u0661'"),
+    ({"1e3": "1"}, "invalid literal for a power of v: '1e3'"),
+    ({"1_0": "1"}, "invalid literal for a power of v: '1_0'"),
+], ids=["exponent-notation", "decimal", "plus-sign", "arabic-indic-digit", "exponent-1e3",
+        "exponent-underscore"])
+def test_stored_scalar_holds_only_what_to_json_writes(num, why, golden_dir, monkeypatch):
+    # int and Fraction read each of these; the exponent notation made Fraction
+    # build the whole power of ten before the bit bound looked at it.  The
+    # scalar is the first one read, so the spy sees it before any other.
+    true_fraction = qring.Fraction
+
+    def spy(*args):
+        assert args[:1] != (EXPONENT_NOTATION,), "Fraction was handed the exponent notation"
+        return true_fraction(*args)
+
+    blob = edited_sl2q(golden_dir, lambda blob: blob["constants"][0].update(
+        value={"num": num, "den": {"0": "1"}}))
+    e = blob["constants"][0]
+    monkeypatch.setattr(qring, "Fraction", spy)
+    with pytest.raises(InvalidParams, match=re.escape(f"the constant [{e['a']}, {e['b']}, "
+                                                      f"{e['c']}]: {why}") + "$"):
+        QuantumLieAlgebra.from_json(blob)
+
+
 def test_explicit_golden_tables(explicit_grid, golden_dir):
     fresh = explicit_grid[3, "1", "q"].to_json()
     assert fresh == load_golden(golden_dir, "explicit_a2_s1_tq.json")
@@ -986,7 +1017,7 @@ def test_flip_maps_each_member_onto_its_mirror(n, s, t, explicit_members):
     A = explicit_members[n, s, t]
     mirror = explicit_members[n, t, s] if (t, s) in EXPLICIT_PAIRS else build_sln_explicit(
         n, sc(t), sc(s))
-    assert sp_eq(change_basis(A.constants, flip(A), flip(A)), mirror.constants)
+    assert not sp_diff(change_basis(A.constants, flip(A), flip(A)), mirror.constants)
 
 
 def test_rank_ten_table_round_trips_through_text(explicit_members):

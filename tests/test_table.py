@@ -2,16 +2,22 @@
 constructor's refusals."""
 
 import ast
+import dataclasses
+import json
 import re
 from pathlib import Path
 
 import pytest
 
 from qlie import table
-from qlie.qliealg import build_sln_explicit
+from qlie.cli import build_text, parse_text_algebra
+from qlie.monodromy import check_concrete, monodromy_on_tensor
+from qlie.qliealg import build_generic, build_sln_explicit, canonical_normalize
+from qlie.qring import RF_ZERO
+from qlie.repbuild import adjoint_module, build_irrep
 from qlie.table import BasisLabel, InvalidParams, QuantumLieAlgebra
 
-from conftest import load_golden
+from conftest import load_golden, name_to_cartan
 
 
 def test_table_imports_only_the_scalar_root_and_linear_algebra_layers():
@@ -59,6 +65,10 @@ REFUSED = {
                   re.escape("explicit-sln tables have the params ['s', 't'], not None") + "$"),
     "other-params": (EXPLICIT, lambda b: b.update(params={"zz": b["params"]["s"]}),
                      re.escape("explicit-sln tables have the params ['s', 't'], not ['zz']")),
+    # a bare TypeError: the list passed the check of the sorted keys
+    "params-list": (EXPLICIT, lambda b: b.update(params=["s", "t"]),
+                    re.escape("the params of a stored table are not a JSON object: ['s', 't']")
+                    + "$"),
     # check_classical_limit raised DenominatorVanishes on it
     "pole-params": (EXPLICIT, lambda b: b["params"].update(s={"num": {"0": "1"},
                                                                "den": {"0": "-1", "2": "1"}}),
@@ -95,3 +105,25 @@ def test_stored_json_table_refuses_each_malformed_field(golden_dir, name):
 def test_a_stored_table_is_a_json_object():
     with pytest.raises(InvalidParams, match="^the stored table is not a JSON object$"):
         QuantumLieAlgebra.from_json([1])
+
+
+# ------------------------------------------------ no zero constants, however a table is built
+
+def test_a_zero_constant_is_dropped_however_the_table_is_built():
+    # before, a stored zero [X_(2), X_(2)]^X_(2) was kept: canonical_normalize took
+    # it for a root-root-to-root constant and asked for a square root missing
+    # from Q(v), and check_concrete divided by it
+    cd = name_to_cartan("A1")
+    V = build_irrep(cd, (1,))
+    M, A = monodromy_on_tensor(V, adjoint_module(cd, V.dim ** 2)), build_generic(cd)
+    assert A.basis[0].name() == "X_{(2)}"
+    blob = A.to_json()
+    blob["constants"].append({"a": 0, "b": 0, "c": 0, "value": {"num": {}, "den": {"0": "1"}}})
+    text = build_text(A) + "f[X_{(2)},X_{(2)}]^{X_{(2)}} = 0\n"
+    replaced = dataclasses.replace(A, constants={**A.constants, (0, 0, 0): RF_ZERO})
+    want = (json.dumps(A.to_json()), json.dumps(canonical_normalize(A).to_json()),
+            check_concrete(M, A))
+    for B in (QuantumLieAlgebra.from_json(blob), parse_text_algebra(text), replaced):
+        assert B.constants == A.constants
+        assert (json.dumps(B.to_json()), json.dumps(canonical_normalize(B).to_json()),
+                check_concrete(M, B)) == want

@@ -14,7 +14,7 @@ import pytest
 
 import qlie
 from qlie import monodromy, qliealg, tensorcg
-from qlie.linalg import rank, sp_eq, sp_matmul, sp_matvec, sp_transpose
+from qlie.linalg import rank, sp_diff, sp_matmul, sp_matvec, sp_transpose
 from qlie.monodromy import monodromy_on_tensor, verify_ad_submodule
 from qlie.qliealg import build_generic, build_sln_explicit, check_ad_invariance, generic_pipeline
 from qlie.qring import RF_ONE, RatFunc, q_int, rf_vpow
@@ -64,7 +64,7 @@ def test_tensor_weights_are_sums(a1_tensor):
 
 
 def test_coproduct_commutator_identity(a1_tensor):
-    from qlie.linalg import sp_matmul, sp_sub, sp_eq
+    from qlie.linalg import sp_matmul, sp_sub, sp_diff
 
     T = a1_tensor
     lhs = sp_sub(sp_matmul(T.dE[0], T.dF[0]), sp_matmul(T.dF[0], T.dE[0]))
@@ -73,7 +73,7 @@ def test_coproduct_commutator_identity(a1_tensor):
         w = T.weights[p][0]
         if w:
             rhs[(p, p)] = q_int(w, 1)
-    assert sp_eq(lhs, rhs)
+    assert not sp_diff(lhs, rhs)
 
 
 @pytest.mark.parametrize("name", CORE)
@@ -245,7 +245,7 @@ def test_form_square_turns_raising_into_transposed_lowering(name, lam):
     T = tensor_square(adjoint_module(cd) if lam is None else build_irrep(cd, lam))
     SS = form_square(T.left)
     for i in T.dE:
-        assert sp_eq(sp_matmul(SS, T.dE[i]), sp_matmul(sp_transpose(T.dF[i]), SS))
+        assert not sp_diff(sp_matmul(SS, T.dE[i]), sp_matmul(sp_transpose(T.dF[i]), SS))
 
 
 def test_duplicate_complement_members_are_singular(pipelines):
@@ -363,7 +363,7 @@ def ratfunc_defects(M, source, target):
     defects = []
     for i in sorted(src_e):
         for name, src, dst in (("E", src_e, dst_e), ("F", src_f, dst_f)):
-            if not sp_eq(sp_matmul(dst[i], M), sp_matmul(M, src[i])):
+            if sp_diff(sp_matmul(dst[i], M), sp_matmul(M, src[i])):
                 defects.append([name, i])
     cross = next(((r, c) for r, c in M if target.weights[r] != source.weights[c]), None)
     if cross is not None:
@@ -488,7 +488,7 @@ def test_evaluation_base_comes_from_the_bound():
 
 def test_module_map_check_uses_no_ratfunc_product():
     names = module_map_defects.__code__.co_names
-    assert "sp_matmul" not in names and "sp_eq" not in names
+    assert "sp_matmul" not in names and "sp_diff" not in names
 
 
 # ------------------------------------------------ the coproduct from the factors
