@@ -7,7 +7,9 @@ Subpackage map:
 * ``rootdata`` -- Cartan matrices, root systems, Weyl dimensions, tensor rules
 * ``repbuild`` -- highest-weight modules with exact matrices over Q(v)
 * ``tensorcg`` -- tensor products, highest-weight spaces, lowering,
-                  intertwining check, quantum CG inversion
+                  intertwining check, quantum CG inversion (whose check of
+                  the bracket is the CG embedding's too, by the identity
+                  (S (x) S) Delta(E_i) = Delta(F_i)^T (S (x) S))
 * ``classical``-- the undeformed oracle pipeline over Q, independent of the
                   q-pipeline
 * ``table``    -- the structure-constant table itself: basis labels, the
@@ -24,8 +26,7 @@ from .qring import LaurentPoly, RatFunc, q_int, q_binomial, parse_scalar
 from .rootdata import CartanDatum, build_cartan, root_system, weyl_dim
 from .repbuild import IrrepModule, build_irrep, adjoint_module, verify_module
 from .tensorcg import (TensorProduct, tensor_product, tensor_square, highest_weight_space,
-                       antisymmetrize_hw, symmetrize_hw, cg_embedding,
-                       verify_embedding, invert_cg)
+                       antisymmetrize_hw, symmetrize_hw, invert_cg)
 from .classical import build_classical_module, classical_bracket, classical_sln_table
 from .table import QuantumLieAlgebra, BasisLabel, same_algebra, InvalidParams
 from .qliealg import (build_generic, build_sln_explicit, generic_pipeline, canonical_normalize,
@@ -55,8 +56,6 @@ __all__ = [
     "highest_weight_space",
     "antisymmetrize_hw",
     "symmetrize_hw",
-    "cg_embedding",
-    "verify_embedding",
     "invert_cg",
     "build_classical_module",
     "classical_bracket",

@@ -5,11 +5,12 @@ constants over Q(v), held by ``table``):
 
 * ``build_generic``: the module pipeline.  The adjoint module V is built,
   a highest-weight vector at the highest root is found inside V (x) V,
-  antisymmetrized under swap-composed-with-bar, lowered to a full
-  Clebsch-Gordan embedding, and inverted to a bracket V (x) V -> V that
-  is the identity against the embedding and kills the complementary
-  copies.  Structure constants are indexed by the module basis, relabeled
-  X_alpha for root vectors and H_k for the zero-weight slots.
+  antisymmetrized under swap-composed-with-bar, and inverted to a bracket
+  V (x) V -> V that is the identity against the Clebsch-Gordan embedding
+  it generates and kills the complementary copies; the embedding is not
+  formed, as the bracket's module-map check covers it (see tensorcg).
+  Structure constants are indexed by the module basis, relabeled X_alpha
+  for root vectors and H_k for the zero-weight slots.
 
 * ``build_sln_explicit``: the closed-form two-parameter family for sl_n
   in the basis {X_ij} u {H_k}.  All its constants are linear in (s, t),
@@ -47,8 +48,6 @@ from .tensorcg import (
     antisymmetrize_hw,
     symmetrize_hw,
     rescale_at_one,
-    cg_embedding,
-    verify_embedding,
     module_map_defects,
     invert_cg,
     ClassicallyZero,
@@ -192,14 +191,17 @@ def build_sln_explicit(n: int, s, t) -> QuantumLieAlgebra:
 
 @dataclass
 class GenericPipeline:
-    """All intermediate artifacts of the module construction."""
+    """The intermediate artifacts of the module construction.  The CG
+    embedding that antisym generates is not formed: the bracket is
+    B = S^-1 beta_w^T (S (x) S), and the identity
+    (S (x) S) Delta(E_i) = Delta(F_i)^T (S (x) S) makes invert_cg's
+    module-map check of B one of beta_w (see tensorcg)."""
 
     module: object
     tensor: object
     hw_basis: list
     antisym: dict
     others: list
-    embedding: list   # the CG table: entry a is the image of basis vector a
     constants: dict
 
 
@@ -234,11 +236,8 @@ def generic_pipeline(cd: CartanDatum, budget_dim: int = DEFAULT_DIM_BUDGET) -> G
         if sym is None:
             raise VerificationFailed("no classically nonzero symmetric complement")
         others.append(sym)
-    table = cg_embedding(T, anti)
-    if not verify_embedding(T, table):
-        raise VerificationFailed("Clebsch-Gordan embedding fails to intertwine")
     constants = invert_cg(T, anti, others)
-    return GenericPipeline(V, T, hw, anti, others, table, constants)
+    return GenericPipeline(V, T, hw, anti, others, constants)
 
 
 def build_generic(cd: CartanDatum, budget_dim: int = DEFAULT_DIM_BUDGET,

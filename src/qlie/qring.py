@@ -887,9 +887,9 @@ def _tokenize(text: str):
         elif c in "qv":
             tokens.append(c)
             i += 1
-        elif c.isdigit():
+        elif c in "0123456789":     # ASCII only, unlike str.isdigit
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in "0123456789":
                 j += 1
             tokens.append(int(text[i:j]))
             i = j

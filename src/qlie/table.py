@@ -207,16 +207,18 @@ def stored_table(series, rank, labels: list, read_label, constants, provenance,
     read_label(label, rank + 1) reading one, and constants an iterable of
     ((a, b, c), RatFunc) consumed once the labels have passed.  Every
     refusal the two forms share is made here, as an InvalidParams: the
-    basis must span the adjoint (table_cartan, before any label is read),
-    the labels pass check_basis_labels, the construction is one of
-    CONSTRUCTIONS, normalized is a bool, the params are an object holding
-    exactly s and t on an explicit-sln table, passing check_sln_params, and
-    None on a generic one, checks is a dict, and every constant index lies
-    in range(dim).  A parse error in the algebra or a label names where =
-    (where each was read).  A stored zero constant is dropped, as
-    QuantumLieAlgebra drops every one."""
+    rank must be an int, the basis must span the adjoint (table_cartan,
+    before any label is read), the labels pass check_basis_labels, the
+    construction is one of CONSTRUCTIONS, normalized is a bool, the params
+    are an object holding exactly s and t on an explicit-sln table, passing
+    check_sln_params, and None on a generic one, checks is a dict, and every
+    constant index lies in range(dim).  A parse error in the algebra or a
+    label names where = (where each was read).  A stored zero constant is
+    dropped, as QuantumLieAlgebra drops every one."""
     with naming(where[0]):
-        cd = table_cartan(series, int(str(rank)), len(labels))
+        if type(rank) is not int:
+            raise TypeError(f"the rank {rank!r} is not an int")
+        cd = table_cartan(series, rank, len(labels))
     with naming(where[1]):
         basis = [read_label(lab, cd.rank + 1) for lab in labels]
     if provenance not in CONSTRUCTIONS:

@@ -4,8 +4,8 @@ module-map check, and inverse Clebsch-Gordan coefficients.
 
 module_map_defects is the single check in the package that a sparse map
 between two modules intertwines E_i, F_i and the weight grading (K_i).
-The CG embedding, the inverse-CG bracket, the ad-invariance of stored
-tables, the monodromy operator and the adjoint family inside W (x) W*
+The inverse-CG bracket, the ad-invariance of stored tables, the
+monodromy operator and the adjoint family inside W (x) W*
 (monodromy.verify_ad_submodule) are all checked through it.  It computes
 on integers and stays exact, reading a tensor-product side from its
 factors (see module_map_defects and _tensor_int_form).
@@ -27,9 +27,9 @@ tensor type serves the tensor square V (x) V of the bracket construction
 and the general products V (x) W and V* (x) V of the monodromy module.
 
 The layer passes plain data: a highest-weight space is the list of its
-sparse vectors, and a CG embedding beta is its lowered table, entry a the
-sparse image of basis vector a (cg_embedding, checked by
-verify_embedding).  The structure constants of the quantum Lie algebra
+sparse vectors, and the module copy that a highest-weight vector generates
+is its lowered table, entry a the sparse image of basis vector a
+(lowered_table).  The structure constants of the quantum Lie algebra
 are produced by invert_cg(T, v0, others), which reads V as T.left of the
 tensor square T = V (x) V: given the highest-weight vector v0 of weight
 theta that generates the embedding beta, the bracket B is the unique
@@ -61,6 +61,11 @@ of the column of a's parent (lowered_table) and F_i maps V's parent basis
 vector to e_a (also checked), so B o beta_u (e_a) = F_{i_1} ... F_{i_k} B(u)
 by induction along the labels.  A wrong raising step or a wrong S^-1 block
 therefore shows up as a failed check, whether or not S E_i = F_i^T S holds.
+
+The module-map check of B is also one of beta_w, by the displayed identity:
+B intertwines E_i exactly when beta_w intertwines F_i, and the other way
+round.  Outside type A_n, n >= 2, beta_w is a multiple of beta, which is
+never formed.
 """
 
 from __future__ import annotations
@@ -398,19 +403,6 @@ def module_map_defects(M: dict, source, target) -> list:
     return defects
 
 
-def cg_embedding(T: TensorProduct, v0: dict) -> list:
-    """Clebsch-Gordan coefficients K_a^{bc}: the table whose entry a is the
-    vector Delta(P_a) v0, P_a the lowering monomial of basis vector a."""
-    return lowered_table(T, T.left, v0)
-
-
-def verify_embedding(T: TensorProduct, table: list) -> bool:
-    """Exact module-map check of the embedding V -> V (x) V for all
-    generators (E_i, F_i and the K_i weight bookkeeping)."""
-    beta = {(p, a): x for a, col in enumerate(table) for p, x in col.items()}
-    return not module_map_defects(beta, T.left, T)
-
-
 def _paired_with_form(T: TensorProduct, vecs: list) -> list:
     """u^T (S_1 (x) S_2) for each sparse vector u of T = M_1 (x) M_2, S_k the
     contravariant form of M_k; each result is a sparse vector over the
@@ -473,8 +465,8 @@ def invert_cg(T: TensorProduct, v0: dict, others: list) -> dict:
     """Structure constants f_ab^c of the unique module map B: V(x)V -> V
     on the tensor square T = V (x) V, V = T.left, with B o beta = id, beta
     the embedding of V generated by the highest-weight vector v0
-    (cg_embedding(T, v0)), and B = 0 on the submodules generated by
-    `others`.
+    (lowered_table(T, V, v0)), and B = 0 on the submodules generated by
+    `others`.  beta itself is never formed.
 
     The generating vectors [v0, *others] are paired with S (x) S once; the
     pair matrix gives the weights x_k of the combination w = sum_k x_k u_k

@@ -728,7 +728,7 @@ def test_json_round_trip(key, generics, explicit_grid):
 
 
 @pytest.mark.parametrize("cartan,dim", [({"series": "A", "rank": 1500}, 2253000),
-                                        ({"series": "c", "rank": "30"}, 1830),
+                                        ({"series": "c", "rank": 30}, 1830),
                                         ({"series": "E", "rank": 8}, 248)])
 def test_stored_table_basis_must_span_the_adjoint(monkeypatch, cartan, dim):
     # the basis length is compared with the closed-form adjoint dimension

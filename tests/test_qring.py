@@ -455,6 +455,17 @@ def test_parse_scalar_rejects_garbage(bad):
         parse_scalar(bad)
 
 
+@pytest.mark.parametrize("text,char", [("\u0661", "\u0661"), ("\u00b2", "\u00b2"),
+                                       ("q^\u0662", "\u0662"), ("1\uff11", "\uff11")],
+                         ids=["arabic-indic one", "superscript two", "arabic-indic exponent",
+                              "fullwidth digit"])
+def test_parse_scalar_reads_ascii_digits_only(text, char):
+    # str.isdigit holds for all four, and int() reads the first as 1
+    with pytest.raises(ValueError) as info:
+        parse_scalar(text)
+    assert str(info.value) == f"bad character {char!r} in scalar expression"
+
+
 @pytest.mark.parametrize("big", ["(q+1)^1025", "q^99999999999"])
 def test_parse_scalar_rejects_large_degrees_at_once(big):
     start = time.perf_counter()

@@ -79,9 +79,18 @@ REFUSED = {
                   "the stored table has no field 'cartan' of type dict$"),
     "no-c": (GENERIC, lambda b: b["constants"][0].pop("c"), "a constant has no field 'c'$"),
     "rank-str": (GENERIC, lambda b: b["cartan"].update(rank="x"),
-                 "cannot parse the cartan: invalid literal for int"),
+                 re.escape("cannot parse the cartan: the rank 'x' is not an int") + "$"),
     "rank-float": (GENERIC, lambda b: b["cartan"].update(rank=1.5),     # loaded as A1
-                   "cannot parse the cartan: invalid literal for int"),
+                   re.escape("cannot parse the cartan: the rank 1.5 is not an int") + "$"),
+    # int(str(rank)) reads these three as 1; a JSON true is an int to isinstance
+    "rank-digit-str": (GENERIC, lambda b: b["cartan"].update(rank="1"),
+                       re.escape("cannot parse the cartan: the rank '1' is not an int") + "$"),
+    "rank-signed-str": (GENERIC, lambda b: b["cartan"].update(rank="+1"),
+                        re.escape("cannot parse the cartan: the rank '+1' is not an int") + "$"),
+    "rank-spaced-str": (GENERIC, lambda b: b["cartan"].update(rank=" 1"),
+                        re.escape("cannot parse the cartan: the rank ' 1' is not an int") + "$"),
+    "rank-bool": (GENERIC, lambda b: b["cartan"].update(rank=True),
+                  re.escape("cannot parse the cartan: the rank True is not an int") + "$"),
     "series-Z": (GENERIC, lambda b: b["cartan"].update(series="Z"),
                  "cannot parse the cartan: unknown series 'Z'$"),
     "E99": (GENERIC, lambda b: b["cartan"].update(series="E", rank=99),

@@ -24,14 +24,13 @@ from qlie.tensorcg import (
     ClassicallyZero,
     EmptySpace,
     antisymmetrize_hw,
-    cg_embedding,
     highest_weight_space,
     invert_cg,
+    lowered_table,
     module_map_defects,
     symmetrize_hw,
     tensor_product,
     tensor_square,
-    verify_embedding,
 )
 
 from conftest import CORE, load_golden, name_to_cartan
@@ -174,18 +173,29 @@ def test_a2_antisymmetrized_vector_matches_golden(pipelines, golden_dir):
     assert {str(p): x.to_json() for p, x in sorted(anti.items())} == golden
 
 
+def embedding(pipe):
+    """The CG embedding beta that the pipeline's antisymmetrized vector
+    generates, entry a the image of basis vector a; the pipeline inverts it
+    without forming it."""
+    return lowered_table(pipe.tensor, pipe.module, pipe.antisym)
+
+
+def embedding_map(pipe):
+    """beta as a sparse map V -> V (x) V, column a its entry a."""
+    return {(p, a): x for a, col in enumerate(embedding(pipe)) for p, x in col.items()}
+
+
 @pytest.mark.parametrize("name", CORE)
 def test_embedding_intertwines(name, pipelines):
     pipe = pipelines[name]
-    assert verify_embedding(pipe.tensor, pipe.embedding)
+    assert module_map_defects(embedding_map(pipe), pipe.module, pipe.tensor) == []
 
 
 @pytest.mark.parametrize("name", CORE)
 def test_embedding_table_is_q_antisymmetric(name, pipelines):
     pipe = pipelines[name]
     dim = pipe.module.dim
-    for a in range(dim):
-        col = pipe.embedding[a]
+    for col in embedding(pipe):
         for p, x in col.items():
             b, c = divmod(p, dim)
             swapped = col.get(dim * c + b, RatFunc(0))
@@ -194,18 +204,17 @@ def test_embedding_table_is_q_antisymmetric(name, pipelines):
 
 @pytest.mark.parametrize("name", CORE)
 def test_embedding_is_classically_nonzero(name, pipelines):
-    pipe = pipelines[name]
-    for a in range(pipe.module.dim):
-        assert any(x.eval_at_one() != 0 for x in pipe.embedding[a].values())
+    for col in embedding(pipelines[name]):
+        assert any(x.eval_at_one() != 0 for x in col.values())
 
 
 def test_inversion_left_inverts_the_embedding(pipelines):
     pipe = pipelines["A2"]
     dim = pipe.module.dim
     constants = pipe.constants
-    for a in range(dim):
+    for a, col in enumerate(embedding(pipe)):
         out = {}
-        for p, x in pipe.embedding[a].items():
+        for p, x in col.items():
             b, c = divmod(p, dim)
             for d in range(dim):
                 f = constants.get((b, c, d))
@@ -229,7 +238,7 @@ def test_inversion_pairs_its_generating_vectors_once(monkeypatch, pipelines):
 
     monkeypatch.setattr(tensorcg, "_paired_with_form", recorded)
     assert invert_cg(pipe.tensor, pipe.antisym, pipe.others) == pipe.constants
-    assert calls == [[pipe.embedding[0], *pipe.others]]
+    assert calls == [[pipe.antisym, *pipe.others]]
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2"])
@@ -315,8 +324,50 @@ def test_module_with_a_doubled_e_entry_fails_intertwining(pipelines):
         invert_cg(tensor_square(dataclasses.replace(V, E=E)), pipe.antisym, pipe.others)
 
 
+def _scaled_coordinate(T, v0):
+    p = min(v0)
+    return {**v0, p: v0[p] * rf_vpow(2)}
+
+
+def _other_basis_vector_added(T, v0):
+    theta = T.weights[min(v0)]
+    p = next((p for p in T.weight_blocks[theta] if p not in v0), max(T.weight_blocks[theta]))
+    return {**v0, p: v0.get(p, RatFunc(0)) + RF_ONE}
+
+
+@pytest.mark.parametrize("corrupt", [_scaled_coordinate, _other_basis_vector_added])
+@pytest.mark.parametrize("name", ["A1", "B2", "G2", "A2", "A3", "B3"])
+def test_a_generator_that_is_not_highest_weight_fails_intertwining(monkeypatch, name, corrupt):
+    # the embedding such a vector would generate is no module map; the
+    # bracket's module-map check sees it without the embedding being formed
+    true_hw = qliealg.highest_weight_space
+
+    def corrupted(T, w):
+        hw = true_hw(T, w)
+        return [corrupt(T, hw[0]), *hw[1:]]
+
+    monkeypatch.setattr(qliealg, "highest_weight_space", corrupted)
+    with pytest.raises(VerificationFailed, match="^intertwining fails$"):
+        generic_pipeline(name_to_cartan(name))
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "G2"])
+def test_the_pipeline_makes_one_module_map_check(monkeypatch, name):
+    # the bracket's; it also checks the embedding, which is not formed
+    calls = []
+
+    def counted(M, source, target):
+        calls.append((source, target))
+        return module_map_defects(M, source, target)
+
+    for mod in (tensorcg, qliealg):
+        monkeypatch.setattr(mod, "module_map_defects", counted)
+    pipe = generic_pipeline(name_to_cartan(name))
+    assert calls == [(pipe.tensor, pipe.module)]
+
+
 def test_embedding_json_friendly(pipelines):
-    table = pipelines["A1"].embedding
+    table = embedding(pipelines["A1"])
     blob = json.dumps({str(a): {str(p): x.to_json() for p, x in col.items()} for a, col in enumerate(table)})
     assert blob
 
@@ -372,12 +423,12 @@ def ratfunc_defects(M, source, target):
 
 
 @pytest.fixture(scope="module")
-def checked_maps():
+def recorded_maps():
     """Every (M, source, target) that the package checks while it builds and
-    checks A1-A3, B2 and G2 (the embedding beta and the bracket B), checks
-    ad-invariance of those tables and of explicit sl_3, assembles the A2
-    adjoint and B2/G2 vector monodromy operators, and checks the A2 ad
-    family; recorded where each caller looks the routine up."""
+    checks A1-A3, B2 and G2 (the bracket B), checks ad-invariance of those
+    tables and of explicit sl_3, assembles the A2 adjoint and B2/G2 vector
+    monodromy operators, and checks the A2 ad family; recorded where each
+    caller looks the routine up."""
     seen = []
 
     def record(M, source, target):
@@ -403,11 +454,19 @@ def checked_maps():
     return seen
 
 
-def test_every_checked_map_is_recorded(checked_maps):
-    # 5 x (beta, B, ad-invariance); explicit sl_3 rebuilds the A2 pipeline
-    # (beta, B) before its own check; 3 monodromy operators; then the A2
-    # vector operator and its ad family
-    assert len(checked_maps) == 15 + 3 + 3 + 2
+@pytest.fixture(scope="module")
+def checked_maps(recorded_maps, pipelines):
+    """The recorded maps and the CG embeddings beta: V -> V (x) V of A1-A3,
+    B2 and G2, which the package inverts without checking them apart."""
+    return recorded_maps + [(embedding_map(pipelines[name]), pipelines[name].module,
+                             pipelines[name].tensor) for name in CORE]
+
+
+def test_every_checked_map_is_recorded(recorded_maps):
+    # 5 x (B, ad-invariance); explicit sl_3 rebuilds the A2 pipeline (B)
+    # before its own check; 3 monodromy operators; then the A2 vector
+    # operator and its ad family
+    assert len(recorded_maps) == 10 + 2 + 3 + 2
 
 
 def test_integer_check_matches_the_ratfunc_oracle(checked_maps):
@@ -550,10 +609,11 @@ def _scales(dim, slot):
 
 @pytest.fixture(scope="module")
 def tensor_side_maps():
-    """The module-map checks with a tensor-product side: the A2 embedding
-    beta: V -> V (x) V and bracket B: V (x) V -> V, the B2 monodromy matrix
-    on V(1,0) (x) V(0,1), and the A2 ad family adj -> W (x) W*, each as
-    checked and transported to rescaled factors."""
+    """The module-map checks with a tensor-product side: the A2 bracket
+    B: V (x) V -> V, the B2 monodromy matrix on V(1,0) (x) V(0,1), and the
+    A2 ad family adj -> W (x) W*, each as checked, and the A2 embedding
+    beta: V -> V (x) V, which the pipeline does not form; each also
+    transported to rescaled factors."""
     seen = {}
 
     def record(M, source, target):
@@ -563,15 +623,16 @@ def tensor_side_maps():
     with pytest.MonkeyPatch.context() as mp:
         for mod in (tensorcg, monodromy):
             mp.setattr(mod, "module_map_defects", record)
-        generic_pipeline(name_to_cartan("A2"))
+        pipe = generic_pipeline(name_to_cartan("A2"))
         b2 = name_to_cartan("B2")
         monodromy_on_tensor(build_irrep(b2, (1, 0)), build_irrep(b2, (0, 1)))
         V = build_irrep(name_to_cartan("A2"), (1, 0))
         M = monodromy_on_tensor(V, V)
         verify_ad_submodule(M, V, V)
-    maps = dict(zip(("beta", "B", "monodromy V x W", "A2 vector monodromy", "ad family"),
+    maps = dict(zip(("B", "monodromy V x W", "A2 vector monodromy", "ad family"),
                     seen.values()))
     del maps["A2 vector monodromy"]
+    maps["beta"] = embedding_map(pipe), pipe.module, pipe.tensor
     assert isinstance(maps["ad family"][2].right, monodromy.ModuleData)
     maps.update({f"{k} rescaled": _transported(*m, _scales) for k, m in list(maps.items())})
     return maps
