@@ -1,12 +1,13 @@
 """Independent classical (v = 1) cross-check pipeline.
 
-Everything here is computed over plain rationals with the classical
-formulas -- lowering/raising operators with integer weight eigenvalues,
-the undeformed coproduct x -> x (x) 1 + 1 (x) x (applied to sparse vectors,
-never stored as a matrix), the classical contravariant form -- and never
-touches the deformed ring; the bracket's intertwining check compares integer
-products.  The quantum pipeline specialized at v = 1 must agree with these
-tables exactly; the tests enforce that equality entry by entry.
+Everything here is computed with the classical formulas -- lowering/raising
+operators with integer weight eigenvalues, the undeformed coproduct
+x -> x (x) 1 + 1 (x) x (applied to sparse vectors, never stored as a
+matrix), the classical contravariant form -- and never touches the deformed
+ring.  The module is built over plain rationals; the bracket and its checks
+run on integers, each rational datum times the lcm of its denominators,
+which is exact because every step is linear in each datum.  The quantum
+pipeline specialized at v = 1 must agree with these tables exactly.
 
 Also provides the standard sl_n structure constants in the
 {X_ij} u {H_k} basis (X_ij ~ e_ij, H_k = e_kk - e_{k+1,k+1}).
@@ -15,6 +16,7 @@ Also provides the standard sl_n structure constants in the
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .rootdata import (DEFAULT_DIM_BUDGET, VerificationFailed, CartanDatum, highest_root,
                        simple_roots, weyl_dim)
@@ -153,16 +155,19 @@ def _sp_vec(m, vec):
     out = {}
     for (r, c), x in m.items():
         if c in vec:
-            out[r] = out.get(r, Fraction(0)) + x * vec[c]
+            out[r] = out.get(r, 0) + x * vec[c]
     return {k: v for k, v in out.items() if v}
 
 
-def integral_multiple(mat):
+def _lcm_den(values):
+    """The lcm of the denominators of rationals (1 when there are none)."""
+    return lcm(*(x.denominator for x in values))
+
+
+def integral_multiple(mat, q=None):
     """q * mat as integers, q the lcm of the denominators of its values
-    (lcm(q, den) = q * Fraction(q, den).denominator)."""
-    q = 1
-    for x in mat.values():
-        q *= Fraction(q, x.denominator).denominator
+    unless it is given (then a multiple of each of them)."""
+    q = q or _lcm_den(mat.values())
     return {k: x.numerator * (q // x.denominator) for k, x in mat.items()}
 
 
@@ -171,12 +176,13 @@ def intertwines(V: ClassicalModule, constants) -> bool:
     e_a (x) e_b to sum_c constants[a, b, c] e_c.  Row c of B Delta(x) is
     Delta(x^T) applied to row c of B; the columns of x^T are the rows of x.
 
-    Runs on integers, exactly: with q_B and q_x the lcms of the denominators
-    of B and x, both sides of (q_x x)(q_B B) = (q_B B) Delta(q_x x) are q_B q_x
-    times the rational ones, because Delta is linear.
+    Runs on integers, exactly: constants is any integer multiple of B's
+    table, and with q_x the lcm of the denominators of x, both sides of
+    (q_x x) B = B Delta(q_x x) are q_x times the rational ones, because
+    Delta is linear.
     """
     d = V.dim
-    b_rows = _columns({(a * d + b, c): y for (a, b, c), y in integral_multiple(constants).items()})
+    b_rows = _columns({(a * d + b, c): y for (a, b, c), y in constants.items()})
     for x in map(integral_multiple, [*V.E.values(), *V.F.values()]):
         x_rows = _columns({(c, r): y for (r, c), y in x.items()})
         diff = {(c, p): -z for c, row in b_rows.items()
@@ -196,14 +202,18 @@ def classical_bracket(cd: CartanDatum, budget_dim: int = DEFAULT_DIM_BUDGET):
     against the complement.  Returns (module, constants {(a,b,c): Fraction}).
 
     Delta(x) = x (x) 1 + 1 (x) x is applied to vectors from the sparse columns
-    of x and never stored as a d^2-dimensional matrix.  The closing check
-    pi(x) B = B Delta(x) compares integer products, which is exact: scaling
-    B and x by their common denominators scales both sides alike.
+    of x and never stored as a d^2-dimensional matrix.  After the kernel it
+    runs on integers: u is lowered as q_u u by q_F F_i (q the lcms of their
+    denominators), so column a of its table carries q_u q_F^depth(a); it is
+    paired with q_S S; and B is held as D B, integer coefficients times these
+    rows over D, the lcm of the coefficients' denominators.  Every check is
+    homogeneous in these scales.
     """
     V = build_classical_module(cd, highest_root(cd), budget_dim)
     d = V.dim
     n = cd.rank
-    f_cols = [_columns(V.F[i]) for i in range(n)]
+    qf = _lcm_den(x for mat in V.F.values() for x in mat.values())
+    f_cols = [_columns(integral_multiple(V.F[i], qf)) for i in range(n)]
     theta = tuple(highest_root(cd))
 
     # product indices of weight theta, in increasing order
@@ -219,19 +229,13 @@ def classical_bracket(cd: CartanDatum, budget_dim: int = DEFAULT_DIM_BUDGET):
     if not kern:
         raise VerificationFailed("no classical highest-weight vector at the highest root")
 
-    def swap_vec(vec):
-        return {(p % d) * d + p // d: x for p, x in vec.items()}
-
     # the candidates are the kernel vectors alone: both halves are linear, so
-    # a sum's half vanishes when both of its terms' halves do
+    # a sum's half vanishes when both of its terms' halves do; the swap
+    # (a, b) -> (b, a) maps the block onto itself
     anti = sym = None
     for cand in (dict(zip(block, k)) for k in kern):
-        cand = {p: x for p, x in cand.items() if x}
-        sw = swap_vec(cand)
-        a = {p: (cand.get(p, Fraction(0)) - sw.get(p, Fraction(0))) / 2 for p in set(cand) | set(sw)}
-        a = {p: x for p, x in a.items() if x}
-        s = {p: (cand.get(p, Fraction(0)) + sw.get(p, Fraction(0))) / 2 for p in set(cand) | set(sw)}
-        s = {p: x for p, x in s.items() if x}
+        a = {p: z for p, y in cand.items() if (z := (y - cand[(p % d) * d + p // d]) / 2)}
+        s = {p: z for p, y in cand.items() if (z := (y + cand[(p % d) * d + p // d]) / 2)}
         if anti is None and a:
             anti = a
         if sym is None and s:
@@ -247,21 +251,25 @@ def classical_bracket(cd: CartanDatum, budget_dim: int = DEFAULT_DIM_BUDGET):
             raise VerificationFailed("classically zero symmetrization")
         us.append(sym)
 
+    # each u as q_u u, q_u the lcm of its denominators; table[a] is
+    # Delta(q_F f_{i_1}) of its parent's column
+    qu = [_lcm_den(u.values()) for u in us]
+    us = [integral_multiple(u, q) for u, q in zip(us, qu)]
     index = {lab: a for a, lab in enumerate(V.labels)}
     tables = []
     for u in us:
-        table = [None] * d
-        table[0] = dict(u)
+        table = [u] + [None] * (d - 1)
         for a in range(1, d):
             lab = V.labels[a]
             table[a] = _apply_coproduct(f_cols[lab[0]], table[index[lab[1:]]], d)
         tables.append(table)
 
-    # the contravariant form of V, one sparse row per basis vector
+    # q_S times the contravariant form of V, one sparse row per basis vector
+    qs = _lcm_den(g for gram in V.gram.values() for row in gram for g in row)
     S = {}
     for w, vw in V.weight_basis.items():
         for a, row in zip(vw, V.gram[w]):
-            S[a] = {c: g for c, g in zip(vw, row) if g}
+            S[a] = integral_multiple({c: g for c, g in zip(vw, row) if g}, qs)
 
     def paired(vec):
         """vec^T (S (x) S) over the product indices a*d+b."""
@@ -269,26 +277,33 @@ def classical_bracket(cd: CartanDatum, budget_dim: int = DEFAULT_DIM_BUDGET):
         for p, val in vec.items():
             a, b = divmod(p, d)
             for c, g in S[a].items():
+                vg = val * g
                 for e, h in S[b].items():
-                    out[c * d + e] = out.get(c * d + e, Fraction(0)) + val * g * h
+                    out[c * d + e] = out.get(c * d + e, 0) + vg * h
         return out
 
     m = len(us)
-    P = [[sum((y * us[k].get(p, 0) for p, y in paired(us[j]).items()), Fraction(0))
-          for k in range(m)] for j in range(m)]
+    P = [[Fraction(sum(y * us[k].get(p, 0) for p, y in paired(us[j]).items()),
+                   qu[j] * qu[k] * qs * qs) for k in range(m)] for j in range(m)]
     x = solve(P, [Fraction(1)] + [Fraction(0)] * (m - 1))
 
-    # B = sum_k x_k S^{-1} beta_k^T (S (x) S), with S^{-1} applied per weight block
-    bmat = {}
+    # B = sum_k x_k S^{-1} beta_k^T (S (x) S), with S^{-1} applied per weight
+    # block; the row of a1 is q_u q_F^depth(a1) q_S^2 times the rational one
+    terms = []
     for k in range(m):
         if not x[k]:
             continue
         rows = [paired(col) for col in tables[k]]
         for w, vw in V.weight_basis.items():
+            unit = x[k] / (qu[k] * qf ** len(V.labels[vw[0]]) * qs * qs)
             for a, ginv in zip(vw, inverse(V.gram[w])):
-                for a1, gi in zip(vw, ginv):
-                    for p, y in rows[a1].items():
-                        bmat[a, p] = bmat.get((a, p), Fraction(0)) + x[k] * gi * y
+                terms += [(a, rows[a1], gi * unit) for a1, gi in zip(vw, ginv) if gi]
+    D = _lcm_den(coef for _, _, coef in terms)
+    bmat = {}
+    for a, row, coef in terms:
+        coef = coef.numerator * (D // coef.denominator)
+        for p, y in row.items():
+            bmat[a, p] = bmat.get((a, p), 0) + coef * y
     bmat = {k: v for k, v in bmat.items() if v}
 
     # B o beta = id and B o beta_sym = 0, checked on the generators us: table[a]
@@ -296,20 +311,17 @@ def classical_bracket(cd: CartanDatum, budget_dim: int = DEFAULT_DIM_BUDGET):
     # and B commutes with each f_i (checked below): B(table[a]) = f_{i_1}...B(u)
     for a in range(1, d):
         lab = V.labels[a]
-        if f_cols[lab[0]].get(index[lab[1:]]) != {a: 1}:
+        if f_cols[lab[0]].get(index[lab[1:]]) != {a: qf}:
             raise VerificationFailed("classical f does not lower the monomial basis")
-    if _sp_vec(bmat, us[0]) != {0: 1}:
+    if _sp_vec(bmat, us[0]) != {0: D * qu[0]}:
         raise VerificationFailed("classical B o beta != id")
     if m > 1 and _sp_vec(bmat, us[1]):
         raise VerificationFailed("classical B nonzero on the complement")
 
-    constants = {}
-    for (c, p), val in bmat.items():
-        a, b = divmod(p, d)
-        constants[(a, b, c)] = val
+    constants = {(p // d, p % d, c): val for (c, p), val in bmat.items()}
     if not intertwines(V, constants):
         raise VerificationFailed("classical intertwining fails")
-    return V, constants
+    return V, {key: Fraction(val, D) for key, val in constants.items()}
 
 
 def classical_sln_table(n: int):

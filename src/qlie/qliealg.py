@@ -37,6 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from math import gcd, lcm
+from operator import mul
 
 from .qring import RatFunc, RF_ONE, RF_ZERO, rf_sqrt, rf_vpow, _fraction_sqrt
 from .rootdata import (VerificationFailed, CartanDatum, build_cartan, highest_root, root_system,
@@ -53,7 +55,7 @@ from .tensorcg import (
     ClassicallyZero,
 )
 from .linalg import inverse, rank, rref, sp_add_to, sp_diff, sp_grouped
-from .classical import classical_bracket, classical_sln_table, integral_multiple
+from .classical import _lcm_den, classical_bracket, classical_sln_table, integral_multiple
 # same_algebra is re-exported: callers that build tables here compare them with it
 from .table import (BasisLabel, InvalidParams, QuantumLieAlgebra, _by_pair, _moved, _sln_root,
                     change_basis, check_sln_params, same_algebra)
@@ -398,19 +400,27 @@ def check_classical_limit(A: QuantumLieAlgebra, budget_dim: int = DEFAULT_DIM_BU
     commuting Cartan, l = r with a single proportionality l_a = kappa * alpha,
     and exact agreement with the independent rational oracle (the classical
     pipeline for generic provenance, (s+t)(1) times the standard sl_n table
-    for the explicit family), all read by label in any order of the basis."""
-    if not all(val.is_regular_at_one() for val in A.constants.values()):
-        return {"regular_at_one": False, "all": False}
+    for the explicit family), all read by label in any order of the basis.
+    It runs on f1, the values c sum(N) / sum(D) of the constants c v^s N / D
+    at v = 1 times q, the lcm of their denominators: every check is
+    homogeneous in q, and two tables are equal exactly when their q and f1 are."""
+    at_one = {}
+    for key, val in A.constants.items():
+        num, den = sum(val.n) * val.c.numerator, sum(val.d) * val.c.denominator
+        if not den:
+            return {"regular_at_one": False, "all": False}
+        if num:
+            g = gcd(num, den)
+            at_one[key] = num // g, den // g
     report = {"regular_at_one": True}
-    f1 = {key: c1 for key, val in A.constants.items() if (c1 := val.eval_at_one())}
-    zero = Fraction(0)
+    q = lcm(*(den for _, den in at_one.values()))
+    f1 = {key: num * (q // den) for key, (num, den) in at_one.items()}
 
     report["antisymmetric"] = all(f1.get((b, a, c)) == -val for (a, b, c), val in f1.items())
 
     # sum [[x, y], z] over the cyclic rotations (x, y, z) of each increasing
-    # triple, keyed by the sorted triple and the output index; it is bilinear,
-    # so it runs on the constants times the lcm of their denominators
-    by_pair = _by_pair(integral_multiple(f1))
+    # triple, keyed by the sorted triple and the output index
+    by_pair = _by_pair(f1)
     by_first = sp_grouped(by_pair, True)
     sums = {}
     for (x, y), xy in by_pair.items():
@@ -425,25 +435,23 @@ def check_classical_limit(A: QuantumLieAlgebra, budget_dim: int = DEFAULT_DIM_BU
     h_slots = A.h_indices()
     report["cartan_abelian"] = not any(a in h_slots and b in h_slots for a, b, _ in f1)
 
+    # the eigenvalues of the H slots on each root vector
     xs = A.x_indices()
-    report["l_equals_r"] = all(f1.get((h, x, x), zero) == -f1.get((x, h, x), zero)
-                               for x in xs for h in h_slots)
+    eig = {x: [f1.get((h, x, x), 0) for h in h_slots] for x in xs}
+    report["l_equals_r"] = all(lv == -f1.get((x, h, x), 0)
+                               for x in xs for h, lv in zip(h_slots, eig[x]))
     # l_a(H_k) = kappa * alpha_k with one kappa for every root and every H_k
-    pairs = [(f1.get((h, x, x), zero), A.basis[x].root[A.basis[h].index - 1])
-             for x in xs for h in h_slots]
-    ratios = {lv / ak for lv, ak in pairs if ak}
-    uniform = len(ratios) == 1 and not any(lv for lv, ak in pairs if not ak)
-    report["kappa"] = str(ratios.pop()) if uniform else None
-
-    def acts(g, x):
-        """The v = 1 eigenvalue of sum_h g[h] H_h on X_x."""
-        return sum((gh * f1.get((h, x, x), zero) for h, gh in g.items()), zero)
+    pairs = [(lv, A.basis[x].root[A.basis[h].index - 1])
+             for x in xs for h, lv in zip(h_slots, eig[x])]
+    lv0, ak0 = next(((lv, ak) for lv, ak in pairs if ak), (0, 0))
+    uniform = ak0 and all(lv * ak0 == lv0 * ak if ak else not lv for lv, ak in pairs)
+    report["kappa"] = str(Fraction(lv0, q * ak0)) if uniform else None
 
     # l_alpha = r_alpha = alpha against the canonical classical Cartan:
     # H'_i := (2 / c_i) [X_{alpha_i}, X_{-alpha_i}], with c_i the eigenvalue
     # of the bracket on X_{alpha_i}, completes each simple-root pair to an sl2
     # triple at v = 1, so it must act as the coroot h_i on every root vector:
-    # 2 acts(g, x) = c_i alpha_i(x).  Basis-independent and square-root free,
+    # 2 g . eig[x] = c_i alpha_i(x).  Basis-independent and square-root free,
     # so it applies to every table.
     roots_map = A.root_index()
 
@@ -452,9 +460,9 @@ def check_classical_limit(A: QuantumLieAlgebra, budget_dim: int = DEFAULT_DIM_BU
         if alpha not in roots_map or neg not in roots_map:
             return False
         xi, yi = roots_map[alpha], roots_map[neg]
-        g = {h: f1.get((xi, yi, h), zero) for h in h_slots}
-        ci = acts(g, xi)
-        return ci != 0 and all(2 * acts(g, x) == ci * A.basis[x].root[i] for x in xs)
+        g = [f1.get((xi, yi, h), 0) for h in h_slots]
+        acts = {x: sum(map(mul, g, eig[x])) for x in xs}
+        return acts[xi] != 0 and all(2 * acts[x] == acts[xi] * A.basis[x].root[i] for x in xs)
 
     report["roots_classical"] = all(
         acts_as_coroot(i, alpha) for i, alpha in enumerate(simple_roots(A.cd))
@@ -477,7 +485,10 @@ def check_classical_limit(A: QuantumLieAlgebra, budget_dim: int = DEFAULT_DIM_BU
                 oracle = _gauge_rebase(oracle, A.cd, V0.weights, Fraction(2), _fraction_sqrt)
             except GaugeObstruction:
                 oracle = None
-    report["oracle_match"] = None if oracle is None else f1 == _moved(oracle, basis0, A.basis)
+    if oracle is not None:
+        oracle = _moved(oracle, basis0, A.basis)
+    report["oracle_match"] = None if oracle is None else (
+        q == _lcm_den(oracle.values()) and f1 == integral_multiple(oracle, q))
     report["all"] = all(report[k] for k in (
         "regular_at_one", "antisymmetric", "jacobi", "cartan_abelian", "l_equals_r",
         "roots_classical")) and report["oracle_match"] is not False

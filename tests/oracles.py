@@ -4,8 +4,9 @@ evaluation, the exact value of a scalar at v = 1, the h-derivative by the
 quotient rule, the classical split Casimir of the rank-one algebra, the
 full decomposition of a tensor product by peeling its character, the
 coproduct of a tensor product as whole sparse matrices, the Fraction
-forms of two v = 1 checks (the intertwining check with stored coproduct
-matrices and the Jacobi sum), and the inverse Clebsch-Gordan
+forms of the v = 1 checks (the intertwining check with stored coproduct
+matrices, the Jacobi sum, the classical oracle's bracket and the whole
+classical-limit check), and the inverse Clebsch-Gordan
 coefficients built from whole adjoints of the lowered embeddings, and a
 textbook Gauss-Jordan elimination with the routines read off it.
 
@@ -18,12 +19,16 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from qlie.classical import ClassicalModule
+from qlie import classical
+from qlie.classical import ClassicalModule, _apply_coproduct, _columns, _sp_vec
 from qlie.linalg import inverse, solve, sp_add_to, sp_matmul, sp_transpose
-from qlie.qring import RF_ONE, RF_ZERO, LaurentPoly, RatFunc, _fr, rf_vpow
+from qlie.qliealg import GaugeObstruction, _gauge_rebase, _module_basis, _sln_basis, _sln_labels
+from qlie.qring import RF_ONE, RF_ZERO, LaurentPoly, RatFunc, _fr, _fraction_sqrt, rf_vpow
 from qlie.repbuild import contravariant_form
-from qlie.rootdata import (CartanDatum, VerificationFailed, _check_dominant, is_dominant,
-                           root_system, weight_multiplicities, weyl_dim)
+from qlie.rootdata import (DEFAULT_DIM_BUDGET, CartanDatum, VerificationFailed, _check_dominant,
+                           highest_root, is_dominant, root_system, simple_roots,
+                           weight_multiplicities, weyl_dim)
+from qlie.table import _moved
 from qlie.tensorcg import TensorProduct, lowered_table
 
 
@@ -197,6 +202,173 @@ def fraction_jacobi(constants) -> bool:
                     for f, v2 in ez.items():
                         sums[triple, f] = sums.get((triple, f), Fraction(0)) + v1 * v2
     return not any(sums.values())
+
+
+def fraction_classical_bracket(cd: CartanDatum, budget_dim: int = DEFAULT_DIM_BUDGET):
+    """classical.classical_bracket over Fractions throughout: the generating
+    vectors are lowered by the rational F_i, paired with the rational form,
+    and B is summed entry by entry as Fractions.  Returns (module,
+    constants {(a, b, c): Fraction}), and raises VerificationFailed where
+    the library does."""
+    V = classical.build_classical_module(cd, highest_root(cd), budget_dim)
+    d = V.dim
+    n = cd.rank
+    f_cols = [_columns(V.F[i]) for i in range(n)]
+    theta = tuple(highest_root(cd))
+
+    block = [a * d + b for a in range(d)
+             for b in V.weight_basis.get(tuple(t - w for t, w in zip(theta, V.weights[a])), ())]
+    rows = []
+    for i in range(n):
+        e_cols = _columns(V.E[i])
+        images = [_apply_coproduct(e_cols, {p: 1}, d) for p in block]
+        for q in sorted(set().union(*images)):
+            rows.append([img.get(q, Fraction(0)) for img in images])
+    kern = classical.nullspace(rows, len(block), Fraction(1))
+    if not kern:
+        raise VerificationFailed("no classical highest-weight vector at the highest root")
+
+    anti = sym = None
+    for cand in (dict(zip(block, k)) for k in kern):
+        cand = {p: x for p, x in cand.items() if x}
+        sw = {(p % d) * d + p // d: x for p, x in cand.items()}
+        keys = set(cand) | set(sw)
+        a = {p: (cand.get(p, 0) - sw.get(p, 0)) / 2 for p in keys}
+        s = {p: (cand.get(p, 0) + sw.get(p, 0)) / 2 for p in keys}
+        a = {p: x for p, x in a.items() if x}
+        s = {p: x for p, x in s.items() if x}
+        if anti is None and a:
+            anti = a
+        if sym is None and s:
+            sym = s
+    if anti is None:
+        raise VerificationFailed("classically zero antisymmetrization")
+    scale = 1 / anti[min(anti)]
+    anti = {p: x * scale for p, x in anti.items()}
+    us = [anti]
+    if len(kern) > 1:
+        if sym is None:
+            raise VerificationFailed("classically zero symmetrization")
+        us.append(sym)
+
+    index = {lab: a for a, lab in enumerate(V.labels)}
+    tables = []
+    for u in us:
+        table = [dict(u)] + [None] * (d - 1)
+        for a in range(1, d):
+            lab = V.labels[a]
+            table[a] = _apply_coproduct(f_cols[lab[0]], table[index[lab[1:]]], d)
+        tables.append(table)
+
+    S = {}
+    for w, vw in V.weight_basis.items():
+        for a, row in zip(vw, V.gram[w]):
+            S[a] = {c: g for c, g in zip(vw, row) if g}
+
+    def paired(vec):
+        out = {}
+        for p, val in vec.items():
+            a, b = divmod(p, d)
+            for c, g in S[a].items():
+                for e, h in S[b].items():
+                    out[c * d + e] = out.get(c * d + e, Fraction(0)) + val * g * h
+        return out
+
+    m = len(us)
+    P = [[sum((y * us[k].get(p, 0) for p, y in paired(us[j]).items()), Fraction(0))
+          for k in range(m)] for j in range(m)]
+    x = classical.solve(P, [Fraction(1)] + [Fraction(0)] * (m - 1))
+
+    bmat = {}
+    for k in range(m):
+        if not x[k]:
+            continue
+        rows = [paired(col) for col in tables[k]]
+        for w, vw in V.weight_basis.items():
+            for a, ginv in zip(vw, inverse(V.gram[w])):
+                for a1, gi in zip(vw, ginv):
+                    for p, y in rows[a1].items():
+                        bmat[a, p] = bmat.get((a, p), Fraction(0)) + x[k] * gi * y
+    bmat = {k: v for k, v in bmat.items() if v}
+
+    for a in range(1, d):
+        lab = V.labels[a]
+        if f_cols[lab[0]].get(index[lab[1:]]) != {a: 1}:
+            raise VerificationFailed("classical f does not lower the monomial basis")
+    if _sp_vec(bmat, us[0]) != {0: 1}:
+        raise VerificationFailed("classical B o beta != id")
+    if m > 1 and _sp_vec(bmat, us[1]):
+        raise VerificationFailed("classical B nonzero on the complement")
+    constants = {}
+    for (c, p), val in bmat.items():
+        a, b = divmod(p, d)
+        constants[(a, b, c)] = val
+    if not fraction_intertwines(V, constants):
+        raise VerificationFailed("classical intertwining fails")
+    return V, constants
+
+
+def fraction_classical_limit(A, budget_dim: int = DEFAULT_DIM_BUDGET) -> dict:
+    """qliealg.check_classical_limit with every value at v = 1 a Fraction
+    (RatFunc.eval_at_one), every check summed as Fractions, and the oracle
+    of generic tables from fraction_classical_bracket."""
+    if not all(val.is_regular_at_one() for val in A.constants.values()):
+        return {"regular_at_one": False, "all": False}
+    report = {"regular_at_one": True}
+    f1 = {key: c1 for key, val in A.constants.items() if (c1 := val.eval_at_one())}
+    zero = Fraction(0)
+    report["antisymmetric"] = all(f1.get((b, a, c)) == -val for (a, b, c), val in f1.items())
+    report["jacobi"] = fraction_jacobi(A.constants)
+    h_slots = A.h_indices()
+    report["cartan_abelian"] = not any(a in h_slots and b in h_slots for a, b, _ in f1)
+    xs = A.x_indices()
+    report["l_equals_r"] = all(f1.get((h, x, x), zero) == -f1.get((x, h, x), zero)
+                               for x in xs for h in h_slots)
+    pairs = [(f1.get((h, x, x), zero), A.basis[x].root[A.basis[h].index - 1])
+             for x in xs for h in h_slots]
+    ratios = {lv / ak for lv, ak in pairs if ak}
+    uniform = len(ratios) == 1 and not any(lv for lv, ak in pairs if not ak)
+    report["kappa"] = str(ratios.pop()) if uniform else None
+
+    def acts(g, x):
+        return sum((gh * f1.get((h, x, x), zero) for h, gh in g.items()), zero)
+
+    roots_map = A.root_index()
+
+    def acts_as_coroot(i, alpha):
+        neg = tuple(-c for c in alpha)
+        if alpha not in roots_map or neg not in roots_map:
+            return False
+        xi, yi = roots_map[alpha], roots_map[neg]
+        g = {h: f1.get((xi, yi, h), zero) for h in h_slots}
+        ci = acts(g, xi)
+        return ci != 0 and all(2 * acts(g, x) == ci * A.basis[x].root[i] for x in xs)
+
+    report["roots_classical"] = all(
+        acts_as_coroot(i, alpha) for i, alpha in enumerate(simple_roots(A.cd)))
+
+    oracle = None
+    if A.provenance == "explicit-sln" and not A.normalized:
+        n = A.cd.rank + 1
+        sigma = (A.params["s"] + A.params["t"]).eval_at_one()
+        labels0, table0 = classical.classical_sln_table(n)
+        basis0 = _sln_basis(n)
+        if _sln_labels(basis0) != labels0:
+            raise VerificationFailed("basis order mismatch against the oracle")
+        oracle = {k: sigma * v for k, v in table0.items()}
+    elif A.provenance == "generic-pipeline":
+        V0, oracle = fraction_classical_bracket(A.cd, budget_dim)
+        basis0 = _module_basis(V0.weights)
+        if A.normalized:
+            try:
+                oracle = _gauge_rebase(oracle, A.cd, V0.weights, Fraction(2), _fraction_sqrt)
+            except GaugeObstruction:
+                oracle = None
+    report["oracle_match"] = None if oracle is None else f1 == _moved(oracle, basis0, A.basis)
+    report["all"] = all(report[k] for k in (
+        "regular_at_one", "antisymmetric", "jacobi", "cartan_abelian", "l_equals_r",
+        "roots_classical")) and report["oracle_match"] is not False
+    return report
 
 
 @lru_cache(maxsize=None)

@@ -14,11 +14,12 @@ from qlie.classical import (
     build_classical_module,
     classical_bracket,
     classical_sln_table,
+    integral_multiple,
     intertwines,
 )
 
 from conftest import name_to_cartan
-from oracles import classical_split_casimir_a1, fraction_intertwines
+from oracles import classical_split_casimir_a1, fraction_classical_bracket, fraction_intertwines
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2"])
@@ -128,9 +129,10 @@ def test_classical_corrupted_generator_fails_intertwining(monkeypatch, name, cor
 
 @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4"])
 def test_integer_intertwining_matches_the_fraction_reference(name):
-    """The integer check and the stored-coproduct Fraction check give one
-    verdict on B, on B scaled by 2/3, and on seeded single-entry
-    corruptions of B, E_i and F_i."""
+    """The integer check, on the integer multiple of a table, and the
+    stored-coproduct Fraction check, on the table itself, give one verdict
+    on B, on B scaled by 2/3, and on seeded single-entry corruptions of B,
+    E_i and F_i."""
     V, f = classical_bracket(name_to_cartan(name))
     rng = random.Random(name)
     bump = Fraction(rng.randint(1, 2), rng.choice((3, 5, 7)))
@@ -145,14 +147,33 @@ def test_integer_intertwining_matches_the_fraction_reference(name):
         (_with_entry(V, "F", i, f_key, V.F[i][f_key] + bump), f, False),
     ]
     for W, table, expected in cases:
-        assert intertwines(W, table) is fraction_intertwines(W, table) is expected
+        assert intertwines(W, integral_multiple(table)) is fraction_intertwines(W, table) is expected
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4"])
+def test_integer_bracket_matches_the_fraction_reference(name):
+    """The same module and the same Fraction constants as the bracket
+    lowered, paired and assembled over Fractions throughout."""
+    cd = name_to_cartan(name)
+    V, f = classical_bracket(cd)
+    V0, f0 = fraction_classical_bracket(cd)
+    assert V.labels == V0.labels and f == f0
+    assert all(type(x) is Fraction for x in f.values())
+
+
+@pytest.mark.parametrize("lcm_of", [(), (Fraction(1, 6), Fraction(-5, 4), 3)])
+def test_integral_multiple_takes_the_lcm_of_the_denominators(lcm_of):
+    mat = dict(enumerate(lcm_of))
+    q = 12 if mat else 1
+    assert integral_multiple(mat) == integral_multiple(mat, q) == {k: x * q for k, x in mat.items()}
+    assert integral_multiple(mat, 2 * q) == {k: 2 * q * x for k, x in mat.items()}
 
 
 def test_classical_module_is_independent_of_the_deformed_pipeline():
     """Criterion 6 compares the deformed pipeline against classical.py, so the
-    oracle may use only exact rationals, the root datum and the dense
-    Gauss-Jordan routines of linalg: no scalar ring, module, tensor or
-    bracket code."""
+    oracle may use only exact rationals, integer lcms (math), the root
+    datum and the dense Gauss-Jordan routines of linalg: no scalar ring,
+    module, tensor or bracket code."""
     path = Path(classical.__file__)
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = []
@@ -164,7 +185,7 @@ def test_classical_module_is_independent_of_the_deformed_pipeline():
             if module == ".linalg":
                 found += [f".linalg.{alias.name}" for alias in node.names
                           if alias.name not in ("rref", "solve", "inverse", "nullspace")]
-            elif module not in ("__future__", "fractions", ".rootdata"):
+            elif module not in ("__future__", "fractions", "math", ".rootdata"):
                 found.append(module)
     assert not found, found
 

@@ -2,8 +2,11 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
+import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -31,7 +34,7 @@ from qlie.table import (BasisLabel, InvalidParams, QuantumLieAlgebra, change_bas
                         labeled_constants, same_algebra)
 
 from conftest import CORE, GRID, GRID_RANKS, load_golden, name_to_cartan
-from oracles import fraction_jacobi
+from oracles import fraction_classical_limit, fraction_jacobi
 
 
 def positions(A):
@@ -245,8 +248,80 @@ def test_cartan_action_off_the_root_clears_kappa(explicit_grid):
 def test_pole_at_one_stops_the_classical_limit(explicit_grid):
     E = explicit_grid[3, "1", "1"]
     key = min(E.constants)
-    rep = classical_report(with_constants(E, {key: E.constants[key] / (sc("q") - 1)}))
-    assert rep == {"regular_at_one": False, "all": False}
+    A = with_constants(E, {key: E.constants[key] / (sc("q") - 1)})
+    rep = classical_report(A)
+    assert rep == fraction_classical_limit(A) == {"regular_at_one": False, "all": False}
+
+
+# ------------------------------------- classical limit: the Fraction reference
+
+REFERENCE_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4")
+
+
+def _perfbench_pairs():
+    """The (s, t) strings of the benchmark's explicit tables, some with
+    denominators that are not cyclotomic, read from perfbench/workloads.py."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.PAIRS
+
+
+def assert_matches_reference(A, rng, corruptions=2):
+    """check_classical_limit gives the Fraction reference's report on A and
+    on seeded copies of A with one constant scaled, shifted or added."""
+    tables = [A]
+    for _ in range(corruptions):
+        key = rng.choice(sorted(A.constants))
+        bump = sc(rng.choice(("2", "-1", "1/3", "q", "1/(q+2)", "(q-3)/(q^2+4)")))
+        a, b, _ = rng.choice(sorted(A.constants))
+        tables += [with_constants(A, {key: bump * A.constants[key]}),
+                   with_constants(A, {key: A.constants[key] + bump}),
+                   with_constants(A, {(b, a, rng.randrange(A.dim)): bump})]
+    for T in tables:
+        assert check_classical_limit(T) == fraction_classical_limit(T)
+
+
+@pytest.mark.parametrize("name", REFERENCE_TYPES)
+def test_classical_limit_matches_the_fraction_reference_on_generic_tables(name, generics):
+    """Raw, marked normalized (its oracle goes through _gauge_rebase), and
+    for A1 the canonical normalization."""
+    A = generics[name] if name in generics else build_generic(name_to_cartan(name))
+    rng = random.Random(name)
+    assert_matches_reference(A, rng, corruptions=1)
+    assert_matches_reference(dataclasses.replace(A, normalized=True), rng, corruptions=0)
+    if name == "A1":
+        assert_matches_reference(canonical_normalize(A), rng)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_classical_limit_matches_the_fraction_reference_on_explicit_tables(n):
+    rng = random.Random(n)
+    for s, t in _perfbench_pairs():
+        assert_matches_reference(build_sln_explicit(n, sc(s), sc(t)), rng, corruptions=1)
+
+
+def scaled(A, x):
+    return dataclasses.replace(A, constants={k: x * v for k, v in A.constants.items()})
+
+
+@pytest.mark.parametrize("factor,flags", [
+    ("1/(q^2-3)", {"kappa": "1/8"}),          # sum(D) = -2 < 0
+    ("-1/(q^2-3)", {"kappa": "-1/8"}),
+    ("1/3", {"kappa": "-1/12"}),              # non-integral content
+    ("(q+1)/(6*q)", {"kappa": "-1/12"}),
+    ("-5", {"kappa": "5/4"}),
+    ("q-1", {"kappa": "0", "roots_classical": False}),   # every constant vanishes at 1
+])
+def test_classical_limit_common_denominator_edge_cases(factor, flags, generics):
+    """A Lie bracket times a scalar x keeps every flag but the oracle match,
+    and kappa scales by x(1); the raw A1 kappa is -1/4."""
+    A = dataclasses.replace(generics["A1"], constants={
+        k: sc(factor) * v for k, v in generics["A1"].constants.items()})
+    rep = check_classical_limit(A)
+    assert rep == fraction_classical_limit(A)
+    assert rep == {**CLASSICAL_OK, **FAILED, **flags}
 
 
 @pytest.mark.parametrize("name,normalize,corruption,flags", [
