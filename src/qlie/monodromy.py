@@ -68,7 +68,6 @@ and check_concrete compares it with the abstract table on W's basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .qring import RF_ONE, RF_ZERO, RatFunc, h_derivative_at_zero, rf_vpow
@@ -77,6 +76,7 @@ from .rootdata import (CartanDatum, VerificationFailed, bilinear, highest_root, 
 from .repbuild import IrrepModule, adjoint_module, build_irrep
 from .linalg import inverse, rank, sp_add_to, sp_diff, sp_grouped, sp_matvec, sp_sub
 from .qliealg import check_q_antisymmetry
+from .table import QuantumLieAlgebra
 from .tensorcg import (TensorProduct, coproduct_action, highest_weight_space, lowered_table,
                        module_map_defects, pair_matrix, tensor_product)
 
@@ -92,17 +92,18 @@ def casimir_exponent(cd: CartanDatum, lam) -> Fraction:
     return bilinear(cd, lam, shifted)
 
 
-@dataclass
 class ModuleData:
     """Matrix data of a module: just enough to form tensor products."""
 
-    cd: CartanDatum
-    dim: int
-    weights: list
-    E: dict
-    F: dict
-    kexp: dict
-    highest_weight: tuple
+    def __init__(self, cd: CartanDatum, dim: int, weights: list, E: dict, F: dict, kexp: dict,
+                 highest_weight: tuple):
+        self.cd = cd
+        self.dim = dim
+        self.weights = weights
+        self.E = E
+        self.F = F
+        self.kexp = kexp
+        self.highest_weight = highest_weight
 
 
 def dual_data(V: IrrepModule) -> ModuleData:
@@ -120,7 +121,6 @@ def dual_data(V: IrrepModule) -> ModuleData:
     return ModuleData(V.cd, V.dim, weights, E, F, kexp, weights[-1])
 
 
-@dataclass
 class Monodromy:
     """The assembled operator together with its spectral bookkeeping.
 
@@ -130,12 +130,14 @@ class Monodromy:
     the factor weights lie in the root lattice).  tensor is V (x) W.
     """
 
-    matrix: dict              # sparse over product indices
-    tensor: TensorProduct
-    exponents: dict           # lam -> true v-exponent 2(c_lam - c_mu - c_nu), Fraction
-    shift: Fraction           # common fractional offset removed from all exponents
-    convention: dict
-    checks: dict
+    def __init__(self, matrix: dict, tensor: TensorProduct, exponents: dict, shift: Fraction,
+                 convention: dict, checks: dict):
+        self.matrix = matrix          # sparse over product indices
+        self.tensor = tensor
+        self.exponents = exponents    # lam -> true v-exponent 2(c_lam - c_mu - c_nu), Fraction
+        self.shift = shift            # common fractional offset removed from all exponents
+        self.convention = convention
+        self.checks = checks
 
     @property
     def dim(self):
@@ -286,7 +288,8 @@ def verify_ad_submodule(M: Monodromy, V: IrrepModule, W: IrrepModule) -> dict:
     of the module docstring: ad_e, ad_f and ad_k report the E, F and weight
     conditions, and span_dim the rank of the family.  V and W must be M's
     factors; anything else raises ValueError."""
-    if (V, W) != (M.tensor.left, M.tensor.right):
+    # modules compare by their fields, as a rebuilt factor is M's factor too
+    if (vars(V), vars(W)) != (vars(M.tensor.left), vars(M.tensor.right)):
         raise ValueError("V and W are not the factors of M")
     adj, family = adjoint_family(M)
     failed = {d[0] for d in module_map_defects(family, adj, tensor_product(W, dual_data(W)))}
@@ -301,7 +304,7 @@ def concrete_bracket(M: Monodromy) -> dict:
     of adjoint_family(M), as constants {(a, b, c): A_a[c, b]} on the basis
     of W = M.tensor.right.  Raises ValueError unless W is the adjoint module."""
     adj, family = adjoint_family(M)
-    if adj != M.tensor.right:
+    if vars(adj) != vars(M.tensor.right):
         raise ValueError("W = M.tensor.right is not the adjoint module")
     d = adj.dim
     return {(a, cb % d, cb // d): x for (cb, a), x in family.items()}
@@ -340,7 +343,8 @@ def check_concrete(M: Monodromy, A) -> dict:
         return report
     scale = rf_vpow(m_V + 1) - rf_vpow(m_V - 1)
     normalized = lam / scale
-    raw, scaled = (check_q_antisymmetry(replace(A, constants=t))
+    raw, scaled = (check_q_antisymmetry(QuantumLieAlgebra(A.cd, A.basis, t, A.provenance, A.params,
+                                                          A.normalized, A.checks))
                    for t in (C, {k: x / scale for k, x in C.items()}))
     at_one = str(normalized.eval_at_one()) if normalized.is_regular_at_one() else None
     bar = normalized.qconjugate() == normalized

@@ -34,7 +34,6 @@ solving for the parameters and the change of basis exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
@@ -191,7 +190,6 @@ def build_sln_explicit(n: int, s, t) -> QuantumLieAlgebra:
 # generic module pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass
 class GenericPipeline:
     """The intermediate artifacts of the module construction.  The CG
     embedding that antisym generates is not formed: the bracket is
@@ -199,12 +197,14 @@ class GenericPipeline:
     (S (x) S) Delta(E_i) = Delta(F_i)^T (S (x) S) makes invert_cg's
     module-map check of B one of beta_w (see tensorcg)."""
 
-    module: object
-    tensor: object
-    hw_basis: list
-    antisym: dict
-    others: list
-    constants: dict
+    def __init__(self, module, tensor, hw_basis: list, antisym: dict, others: list,
+                 constants: dict):
+        self.module = module
+        self.tensor = tensor
+        self.hw_basis = hw_basis
+        self.antisym = antisym
+        self.others = others
+        self.constants = constants
 
 
 def _first_classically_nonzero(part, T, candidates):

@@ -31,7 +31,6 @@ All matrices are sparse dicts {(row, col): RatFunc} on global basis indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .qring import RF_ONE, RF_ZERO, q_int, q_binomial
@@ -53,7 +52,6 @@ class BudgetExceeded(RuntimeError):
     """Module dimension above the configured budget."""
 
 
-@dataclass
 class IrrepModule:
     """An irreducible highest-weight module with a fixed monomial basis.
 
@@ -66,16 +64,19 @@ class IrrepModule:
     the contravariant form on its basis indices.
     """
 
-    cd: CartanDatum
-    highest_weight: tuple
-    labels: list
-    parent: list
-    weights: list
-    E: dict
-    F: dict
-    kexp: dict
-    gram: dict
-    weight_basis: dict = field(default_factory=dict)
+    def __init__(self, cd: CartanDatum, highest_weight: tuple, labels: list, parent: list,
+                 weights: list, E: dict, F: dict, kexp: dict, gram: dict,
+                 weight_basis: dict = None):
+        self.cd = cd
+        self.highest_weight = highest_weight
+        self.labels = labels
+        self.parent = parent
+        self.weights = weights
+        self.E = E
+        self.F = F
+        self.kexp = kexp
+        self.gram = gram
+        self.weight_basis = {} if weight_basis is None else weight_basis
 
     @property
     def dim(self):

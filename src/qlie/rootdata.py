@@ -18,11 +18,11 @@ Only `bilinear`, the form on two arbitrary weights, takes Fraction values
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import add, floordiv, mul, sub
+from typing import NamedTuple
 
 from .linalg import inverse
 
@@ -44,8 +44,7 @@ class VerificationFailed(AssertionError):
     that catch failed asserts catch it too."""
 
 
-@dataclass(frozen=True)
-class CartanDatum:
+class CartanDatum(NamedTuple):
     series: str
     rank: int
     cartan: tuple  # tuple of tuple of int, cartan[i][j] = a_ij
@@ -124,8 +123,7 @@ def build_cartan(series: str, rank: int) -> CartanDatum:
     return CartanDatum(series, n, tuple(tuple(row) for row in a), tuple(d))
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     cd: CartanDatum
     positive_roots: tuple   # tuple of (simple_coords, weight_coords) pairs
     highest_root: tuple     # weight coordinates of theta

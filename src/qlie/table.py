@@ -14,7 +14,7 @@ structure-constant tables.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .qring import RatFunc, RF_ZERO
 from .rootdata import (CartanDatum, adjoint_dim, build_cartan, cartan_to_json, classical_dim,
@@ -49,8 +49,7 @@ def _sln_root(n: int, i: int, j: int) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class BasisLabel:
+class BasisLabel(NamedTuple):
     kind: str                 # "X" or "H"
     root: tuple = None        # h-coordinates of the root (X only)
     index: int = None         # 1-based Cartan slot (H only)
@@ -106,18 +105,17 @@ class BasisLabel:
                             "or an X with an int root")
 
 
-@dataclass
 class QuantumLieAlgebra:
-    cd: CartanDatum
-    basis: list
-    constants: dict           # {(a, b, c): RatFunc}; __post_init__ drops zero entries
-    provenance: str           # "generic-pipeline" or "explicit-sln"
-    params: dict = None       # {"s": RatFunc, "t": RatFunc} for the explicit family
-    normalized: bool = False
-    checks: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.constants = {key: val for key, val in self.constants.items() if val}
+    def __init__(self, cd: CartanDatum, basis: list, constants: dict, provenance: str,
+                 params: dict = None, normalized: bool = False, checks: dict = None):
+        self.cd = cd
+        self.basis = basis
+        # {(a, b, c): RatFunc}, zero entries dropped
+        self.constants = {key: val for key, val in constants.items() if val}
+        self.provenance = provenance  # "generic-pipeline" or "explicit-sln"
+        self.params = params          # {"s": RatFunc, "t": RatFunc} for the explicit family
+        self.normalized = normalized
+        self.checks = {} if checks is None else checks
 
     @property
     def dim(self):

@@ -70,7 +70,6 @@ never formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from math import lcm
@@ -90,7 +89,6 @@ class ClassicallyZero(ValueError):
     """Antisymmetrization produced a vector that vanishes at v = 1."""
 
 
-@dataclass
 class TensorProduct:
     """left (x) right with the coproduct action: the two factors, the
     weight of each product index p = a*dim(right) + b, and weight_blocks,
@@ -104,10 +102,11 @@ class TensorProduct:
     tracer and the tests only; nothing in the package reads them.
     """
 
-    left: object
-    right: object
-    weights: list
-    weight_blocks: dict
+    def __init__(self, left, right, weights: list, weight_blocks: dict):
+        self.left = left
+        self.right = right
+        self.weights = weights
+        self.weight_blocks = weight_blocks
 
     @property
     def cd(self):

@@ -8,13 +8,15 @@ forms of the v = 1 checks (the intertwining check with stored coproduct
 matrices, the Jacobi sum, the classical oracle's bracket and the whole
 classical-limit check), and the inverse Clebsch-Gordan
 coefficients built from whole adjoints of the lowered embeddings, and a
-textbook Gauss-Jordan elimination with the routines read off it.
+textbook Gauss-Jordan elimination with the routines read off it, and
+``replaced``, a copy of a package record with some fields changed.
 
 The dict arithmetic shares no code with the integer kernel of ``qring``:
 values built here enter ``RatFunc`` only through ``rf``, that is through
 ``RatFunc(LaurentPoly(num), LaurentPoly(den))``.
 """
 
+import inspect
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
@@ -526,3 +528,15 @@ def reference_nullspace(mat, ncols, one):
             vec[p] = -row[c]
         basis.append(vec)
     return basis
+
+
+def replaced(obj, **changes):
+    """obj rebuilt through its constructor, each argument read from the
+    attribute of its name unless changes gives it, so whatever the
+    constructor does to its arguments (a table drops zero constants) runs
+    on the copy too.  A change that names no argument raises TypeError."""
+    params = inspect.signature(type(obj)).parameters
+    unknown = set(changes) - set(params)
+    if unknown:
+        raise TypeError(f"{type(obj).__name__} takes no argument {sorted(unknown)}")
+    return type(obj)(**{name: changes.get(name, getattr(obj, name)) for name in params})

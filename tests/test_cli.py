@@ -1,12 +1,16 @@
 """Command-line interface: exit codes, determinism, round trips."""
 
-import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
 
+import qlie
 from qlie import cli, repbuild, table, tensorcg
 from qlie.cli import main, parse_text_algebra
 from qlie.qliealg import check_lr_identity
@@ -14,7 +18,7 @@ from qlie.table import QuantumLieAlgebra, same_algebra
 from qlie.qring import RatFunc
 
 from conftest import load_golden
-from oracles import fraction_jacobi
+from oracles import fraction_jacobi, replaced
 
 
 @pytest.fixture(autouse=True)
@@ -239,7 +243,7 @@ def test_lr_identity_witness_names_the_cartan_element(capsys, monkeypatch, gener
     x, h = A.x_indices()[0], A.h_indices()[0]
     constants = dict(A.constants)
     constants[(x, h, x)] = constants.get((x, h, x), RatFunc(0)) + RatFunc(1)
-    bad = dataclasses.replace(A, constants=constants)
+    bad = replaced(A, constants=constants)
     assert check_lr_identity(bad) == {"ok": False, "witness": [x, h]}
     monkeypatch.setattr(cli, "build_algebra", lambda args: bad)
     code, out = run(capsys, "verify", "--algebra", "A2", "--checks", "lr-identity")
@@ -568,3 +572,24 @@ def test_limit_json(capsys):
                     "--s", "1", "--t", "1", "--format", "json")
     assert code == 0
     json.loads(out)
+
+
+# --------------------------------------------------------------------- start-up
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    """Every command is a fresh process: importing qlie.cli without
+    bytecode must not pull in dataclasses or inspect (which brings ast, dis
+    and tokenize), unless the bare interpreter had loaded them already."""
+    script = textwrap.dedent("""
+        import sys
+        heavy = {"dataclasses", "inspect"}
+        before = heavy & set(sys.modules)
+        import qlie.cli
+        print(sorted(heavy & set(sys.modules) - before))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qlie.__file__)),
+               PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -1,6 +1,5 @@
 """Monodromy-type operators on tensor products and the submodule extraction."""
 
-import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -29,7 +28,7 @@ from qlie.monodromy import (
 )
 
 from conftest import name_to_cartan
-from oracles import classical_split_casimir_a1, mono, padd, rf, tensor_decompose
+from oracles import classical_split_casimir_a1, mono, padd, replaced, rf, tensor_decompose
 
 A1 = build_cartan("A", 1)
 A2 = build_cartan("A", 2)
@@ -423,7 +422,7 @@ def with_entry_added(M, key, x):
     """M with x added to one entry of its stored matrix."""
     matrix = dict(M.matrix)
     matrix[key] = matrix.get(key, RatFunc(0)) + x
-    return dataclasses.replace(M, matrix=matrix)
+    return replaced(M, matrix=matrix)
 
 
 @pytest.mark.parametrize("name,lam,entries,digest", [
@@ -545,6 +544,6 @@ def test_concrete_check_refuses_another_basis_and_another_w():
     with pytest.raises(ValueError, match=r"^A is not graded like W = M.tensor.right$"):
         check_concrete(M, build_generic(name_to_cartan("G2")))
     with pytest.raises(ValueError, match=r"^A is not graded like W = M.tensor.right$"):
-        check_concrete(M, dataclasses.replace(A, basis=A.basis[::-1]))
+        check_concrete(M, replaced(A, basis=A.basis[::-1]))
     with pytest.raises(ValueError, match=r"^W = M.tensor.right is not the adjoint module$"):
         concrete_bracket(vector_square("A2", (1, 0))[1])

@@ -1,6 +1,5 @@
 """Deformed Lie algebra construction, normalization, checks and comparisons."""
 
-import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -34,7 +33,7 @@ from qlie.table import (BasisLabel, InvalidParams, QuantumLieAlgebra, change_bas
                         labeled_constants, same_algebra)
 
 from conftest import CORE, GRID, GRID_RANKS, load_golden, name_to_cartan
-from oracles import fraction_classical_limit, fraction_jacobi
+from oracles import fraction_classical_limit, fraction_jacobi, replaced
 
 
 def positions(A):
@@ -187,7 +186,7 @@ FAILED = {"oracle_match": False, "all": False}
 
 
 def with_constants(A, update):
-    return dataclasses.replace(A, constants={**A.constants, **update})
+    return replaced(A, constants={**A.constants, **update})
 
 
 @pytest.mark.parametrize("corruption,flags", [
@@ -290,7 +289,7 @@ def test_classical_limit_matches_the_fraction_reference_on_generic_tables(name, 
     A = generics[name] if name in generics else build_generic(name_to_cartan(name))
     rng = random.Random(name)
     assert_matches_reference(A, rng, corruptions=1)
-    assert_matches_reference(dataclasses.replace(A, normalized=True), rng, corruptions=0)
+    assert_matches_reference(replaced(A, normalized=True), rng, corruptions=0)
     if name == "A1":
         assert_matches_reference(canonical_normalize(A), rng)
 
@@ -303,7 +302,7 @@ def test_classical_limit_matches_the_fraction_reference_on_explicit_tables(n):
 
 
 def scaled(A, x):
-    return dataclasses.replace(A, constants={k: x * v for k, v in A.constants.items()})
+    return replaced(A, constants={k: x * v for k, v in A.constants.items()})
 
 
 @pytest.mark.parametrize("factor,flags", [
@@ -317,7 +316,7 @@ def scaled(A, x):
 def test_classical_limit_common_denominator_edge_cases(factor, flags, generics):
     """A Lie bracket times a scalar x keeps every flag but the oracle match,
     and kappa scales by x(1); the raw A1 kappa is -1/4."""
-    A = dataclasses.replace(generics["A1"], constants={
+    A = replaced(generics["A1"], constants={
         k: sc(factor) * v for k, v in generics["A1"].constants.items()})
     rep = check_classical_limit(A)
     assert rep == fraction_classical_limit(A)
@@ -486,7 +485,7 @@ def test_compare_pins_every_mismatch_of_one_corrupted_entry(generics):
     A = generics["A3"]
     constants = dict(A.constants)
     constants[0, 14, 6] = constants[0, 14, 6] * parse_scalar("q")
-    rep = compare_to_explicit(dataclasses.replace(A, constants=constants))
+    rep = compare_to_explicit(replaced(A, constants=constants))
     assert not rep["match"]
     assert rep["mismatches"] == [[0, 14], [1, 14], [2, 14], [4, 14], [5, 14], [9, 13], [10, 12],
                                  [12, 10], [13, 9], [14, 0], [14, 1], [14, 2], [14, 4], [14, 5]]
@@ -503,7 +502,7 @@ def _corrupted(A, entries=(), labels=()):
     basis = list(A.basis)
     for a, lab in labels:
         basis[a] = lab
-    return dataclasses.replace(A, constants=constants, basis=basis)
+    return replaced(A, constants=constants, basis=basis)
 
 
 def _failed_fit(intact, mismatch):

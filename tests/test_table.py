@@ -2,7 +2,6 @@
 constructor's refusals."""
 
 import ast
-import dataclasses
 import json
 import re
 from pathlib import Path
@@ -14,10 +13,12 @@ from qlie.cli import build_text, parse_text_algebra
 from qlie.monodromy import check_concrete, monodromy_on_tensor
 from qlie.qliealg import build_generic, build_sln_explicit, canonical_normalize
 from qlie.qring import RF_ZERO
-from qlie.repbuild import adjoint_module, build_irrep
+from qlie.rootdata import build_cartan, root_system
+from qlie.repbuild import IrrepModule, adjoint_module, build_irrep
 from qlie.table import BasisLabel, InvalidParams, QuantumLieAlgebra
 
 from conftest import load_golden, name_to_cartan
+from oracles import replaced
 
 
 def test_table_imports_only_the_scalar_root_and_linear_algebra_layers():
@@ -32,8 +33,44 @@ def test_table_imports_only_the_scalar_root_and_linear_algebra_layers():
                for alias in node.names}
     modules |= {"." * node.level + (node.module or "") for node in imports
                 if isinstance(node, ast.ImportFrom)}
-    assert modules <= {"__future__", "contextlib", "dataclasses", ".qring", ".rootdata",
-                       ".linalg"}, modules
+    assert modules <= {"__future__", "contextlib", "typing", ".qring", ".rootdata", ".linalg"}, modules
+
+
+VALUES = {  # a value to build twice (root_system uncached), and one of its fields
+    "cartan": (lambda: build_cartan("A", 2), "rank"),
+    "root-system": (lambda: root_system.__wrapped__(build_cartan("B", 2)), "highest_root"),
+    "x-label": (lambda: BasisLabel("X", root=(1, 1)), "root"),
+    "h-label": (lambda: BasisLabel("H", index=1), "index"),
+}
+
+
+@pytest.mark.parametrize("make, field", VALUES.values(), ids=VALUES)
+def test_value_types_are_immutable_and_compare_by_value(make, field):
+    a, b = make(), make()
+    assert a is not b and a == b and hash(a) == hash(b)
+    with pytest.raises(AttributeError):
+        setattr(a, field, None)
+    assert a == b
+
+
+def test_value_type_text_is_unchanged():
+    # error messages quote these reprs
+    assert str(build_cartan("A", 2)) == "A2"
+    assert repr(build_cartan("A", 2)) == \
+        "CartanDatum(series='A', rank=2, cartan=((2, -1), (-1, 2)), d=(1, 1))"
+    assert repr(BasisLabel("X", root=(1, 1))) == \
+        "BasisLabel(kind='X', root=(1, 1), index=None, ij=None)"
+    assert repr(BasisLabel("H", index=1)) == "BasisLabel(kind='H', root=None, index=1, ij=None)"
+
+
+def test_records_get_a_fresh_default_dict():
+    cd = build_cartan("A", 1)
+    A, B = (QuantumLieAlgebra(cd, [], {}, "generic-pipeline") for _ in range(2))
+    A.checks["gradation"] = True
+    assert A.checks is not B.checks and B.checks == {}
+    V, W = (IrrepModule(cd, (0,), [()], [None], [(0,)], {}, {}, {}, {}) for _ in range(2))
+    V.weight_basis[(0,)] = [0]
+    assert V.weight_basis is not W.weight_basis and W.weight_basis == {}
 
 
 @pytest.mark.parametrize("n", [3, 11, None], ids=["A2-explicit", "A10-explicit", "B2-generic"])
@@ -129,10 +166,10 @@ def test_a_zero_constant_is_dropped_however_the_table_is_built():
     blob = A.to_json()
     blob["constants"].append({"a": 0, "b": 0, "c": 0, "value": {"num": {}, "den": {"0": "1"}}})
     text = build_text(A) + "f[X_{(2)},X_{(2)}]^{X_{(2)}} = 0\n"
-    replaced = dataclasses.replace(A, constants={**A.constants, (0, 0, 0): RF_ZERO})
+    rebuilt = replaced(A, constants={**A.constants, (0, 0, 0): RF_ZERO})
     want = (json.dumps(A.to_json()), json.dumps(canonical_normalize(A).to_json()),
             check_concrete(M, A))
-    for B in (QuantumLieAlgebra.from_json(blob), parse_text_algebra(text), replaced):
+    for B in (QuantumLieAlgebra.from_json(blob), parse_text_algebra(text), rebuilt):
         assert B.constants == A.constants
         assert (json.dumps(B.to_json()), json.dumps(canonical_normalize(B).to_json()),
                 check_concrete(M, B)) == want

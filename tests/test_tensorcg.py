@@ -1,6 +1,5 @@
 """Tensor squares, highest-weight spaces, antisymmetrization and inversion."""
 
-import dataclasses
 import json
 import os
 import random
@@ -34,7 +33,7 @@ from qlie.tensorcg import (
 )
 
 from conftest import CORE, load_golden, name_to_cartan
-from oracles import form_square, generators, reference_invert_cg
+from oracles import form_square, generators, reference_invert_cg, replaced
 
 
 @pytest.fixture(scope="module")
@@ -309,7 +308,7 @@ def test_corrupted_lowering_entry_is_caught(pipelines):
     F = {i: dict(m) for i, m in V.F.items()}
     F[lab[0]][(a, V.parent[a])] = RatFunc(2)
     with pytest.raises(VerificationFailed, match="F does not lower basis vector 1"):
-        invert_cg(tensor_square(dataclasses.replace(V, F=F)), pipe.antisym, pipe.others)
+        invert_cg(tensor_square(replaced(V, F=F)), pipe.antisym, pipe.others)
 
 
 def test_module_with_a_doubled_e_entry_fails_intertwining(pipelines):
@@ -321,7 +320,7 @@ def test_module_with_a_doubled_e_entry_fails_intertwining(pipelines):
     key = min(E[0])
     E[0][key] = 2 * E[0][key]
     with pytest.raises(VerificationFailed, match="^intertwining fails$"):
-        invert_cg(tensor_square(dataclasses.replace(V, E=E)), pipe.antisym, pipe.others)
+        invert_cg(tensor_square(replaced(V, E=E)), pipe.antisym, pipe.others)
 
 
 def _scaled_coordinate(T, v0):
@@ -583,7 +582,7 @@ def _rescaled(M, scale):
     def conj(mats):
         return {i: {(r, c): x * scale[c] / scale[r] for (r, c), x in m.items()}
                 for i, m in mats.items()}
-    return dataclasses.replace(M, E=conj(M.E), F=conj(M.F))
+    return replaced(M, E=conj(M.E), F=conj(M.F))
 
 
 def _transported(M, source, target, scales):
