@@ -33,7 +33,7 @@ from .qliealg import (build_generic, build_sln_explicit, generic_pipeline, canon
                       check_gradation, check_q_antisymmetry, check_lr_identity,
                       check_classical_limit, check_ad_invariance,
                       compare_to_explicit, check_tau_sln, GaugeObstruction)
-from .monodromy import (Monodromy, monodromy_on_tensor, casimir_exponent, extract_A, adjoint_family,
+from .monodromy import (Monodromy, monodromy_on_tensor, casimir_exponent, adjoint_family,
                         verify_ad_submodule, concrete_bracket, check_concrete)
 
 __all__ = [
@@ -79,7 +79,6 @@ __all__ = [
     "Monodromy",
     "monodromy_on_tensor",
     "casimir_exponent",
-    "extract_A",
     "adjoint_family",
     "verify_ad_submodule",
     "concrete_bracket",

@@ -18,8 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .rootdata import (DEFAULT_DIM_BUDGET, VerificationFailed, CartanDatum, highest_root,
-                       simple_roots, weyl_dim)
+from .rootdata import (DEFAULT_DIM_BUDGET, BudgetExceeded, VerificationFailed, CartanDatum,
+                       highest_root, simple_roots, weyl_dim)
 from .linalg import inverse, nullspace, rref, solve
 
 
@@ -45,8 +45,9 @@ def build_classical_module(cd: CartanDatum, lam, budget_dim: int = DEFAULT_DIM_B
     """Classical irreducible module with the same level-by-level algorithm
     (and therefore the same labels and pivot choices) as the deformed build."""
     lam = tuple(lam)
-    if weyl_dim(cd, lam) > budget_dim:
-        raise RuntimeError("dimension budget exceeded")
+    dim = weyl_dim(cd, lam)
+    if dim > budget_dim:
+        raise BudgetExceeded(f"dim V({lam}) = {dim} exceeds budget {budget_dim}")
     n = cd.rank
     simple_w = simple_roots(cd)
 

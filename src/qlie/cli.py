@@ -21,6 +21,9 @@ must stay within +-1024 (qring.MAX_SCALAR_DEGREE), and parentheses and
 unary signs nest at most 64 deep (qring.MAX_SCALAR_NESTING).  Exit codes: 0 success
 / all checks pass, 1 computation, check or self-check failure, 2 usage or
 parameter error, or an output file that cannot be written.
+
+One reader, _request, refuses bad input before anything is built: the
+usage errors in one fixed order, then the budget, alike on every series.
 """
 
 from __future__ import annotations
@@ -30,11 +33,12 @@ import json
 import re
 import sys
 
-from .qring import (DenominatorVanishes, RatFunc, parse_scalar)
-from .rootdata import CartanDatum, VerificationFailed, build_cartan, classical_dim
-from .repbuild import DEFAULT_DIM_BUDGET, BudgetExceeded
+from .qring import DenominatorVanishes, RatFunc, parse_scalar
+from .rootdata import (DEFAULT_DIM_BUDGET, BudgetExceeded, VerificationFailed, adjoint_dim,
+                       build_cartan)
 from .tensorcg import ClassicallyZero, EmptySpace
-from .table import BasisLabel, InvalidParams, QuantumLieAlgebra, naming, stored_table
+from .table import (BasisLabel, InvalidParams, QuantumLieAlgebra, check_sln_params, naming,
+                    stored_table)
 from .qliealg import (
     GaugeObstruction,
     build_generic,
@@ -75,43 +79,66 @@ def _series_rank(text: str) -> tuple:
         raise InvalidParams(str(exc)) from exc
 
 
-def parse_algebra(text: str, budget_dim: int | None = None) -> CartanDatum:
-    """The Cartan datum named by text, like A2.  A classical type whose
-    adjoint dimension (n^2 - 1 for sl_n, explicit or not) exceeds budget_dim
-    raises BudgetExceeded before its Cartan matrix is built."""
-    series, rank = _series_rank(text)
-    if budget_dim is not None and series in ("A", "B", "C", "D"):
-        dim = classical_dim(series, rank)
-        if dim > budget_dim:
-            raise BudgetExceeded(f"dim of the adjoint module of {series}{rank} = {dim} "
-                                 f"exceeds budget {budget_dim}")
+def _request(args) -> argparse.Namespace:
+    """The command line read into a request.  Every refusal of input is
+    made here, before any Cartan matrix, module or table is built, in one
+    order whatever the series.  First the usage errors (InvalidParams, exit
+    2): a budget below 1, the --checks names, the algebra's name, series
+    and rank, the construction against the series (and compare outside
+    type A), which of --s/--t are given, each scalar, and s + t at v = 1.
+    Then the budget (BudgetExceeded, exit 1) on the closed-form adjoint
+    dimension, which the explicit sl_n obeys too.  The request is args with
+    checks, s and t read (None where not given; s = 1, t = 0 by default on
+    the explicit family) and cd, the Cartan datum."""
+    budget = args.budget_dim
+    if budget < 1:
+        raise InvalidParams(f"--budget-dim must be a positive integer, got {budget}")
+    checks = getattr(args, "checks", None)
+    if checks is not None:
+        checks = [c.strip() for c in checks.split(",") if c.strip()]
+        names = ", ".join(CHECKS)
+        if not checks:
+            raise InvalidParams(f"--checks names no check; choose from {names}")
+        for c in checks:
+            if c not in CHECKS:
+                raise InvalidParams(f"unknown check {c!r}; choose from {names}")
+    series, rank = _series_rank(args.algebra)
     try:
-        return build_cartan(series, rank)
+        dim = adjoint_dim(series, rank)
     except ValueError as exc:
         raise InvalidParams(str(exc)) from exc
-
-
-def _parse_params(args):
-    s = parse_scalar(args.s) if args.s is not None else RatFunc(1)
-    t = parse_scalar(args.t) if args.t is not None else RatFunc(0)
-    return s, t
-
-
-def build_algebra(args) -> QuantumLieAlgebra:
-    cd = parse_algebra(args.algebra, args.budget_dim)
-    if args.construction == "generic":
+    explicit = args.command != "compare" and args.construction == "explicit-sln"
+    if args.command == "compare":
+        if series != "A":
+            raise InvalidParams("compare matches against the explicit A-series family")
+        if (args.s is None) != (args.t is None):
+            raise InvalidParams("give both --s and --t to pin the fit, or neither")
+    elif not explicit:
         if args.s is not None or args.t is not None:
             raise InvalidParams("--s and --t apply only to --construction explicit-sln")
-        A = build_generic(cd, args.budget_dim)
+    elif series != "A":
+        raise InvalidParams("explicit-sln requires an A-series algebra")
+    try:
+        s, t = (None if x is None else parse_scalar(x) for x in (args.s, args.t))
+    except ValueError as exc:
+        raise InvalidParams(str(exc)) from exc
+    if explicit:
+        s, t = RatFunc(1) if s is None else s, RatFunc(0) if t is None else t
+        check_sln_params(s, t)
+    if dim > budget:
+        raise BudgetExceeded(f"dim of the adjoint module of {series}{rank} = {dim} "
+                             f"exceeds budget {budget}")
+    return argparse.Namespace(**{**vars(args), "checks": checks, "s": s, "t": t,
+                                 "cd": build_cartan(series, rank)})
+
+
+def build_algebra(req) -> QuantumLieAlgebra:
+    """The table of a request (_request) of build, table, limit or verify."""
+    if req.construction == "generic":
+        A = build_generic(req.cd, req.budget_dim)
     else:
-        if cd.series != "A":
-            raise InvalidParams("explicit-sln requires an A-series algebra")
-        try:
-            s, t = _parse_params(args)
-        except ValueError as exc:
-            raise InvalidParams(str(exc)) from exc
-        A = build_sln_explicit(cd.rank + 1, s, t)
-    if args.normalize:
+        A = build_sln_explicit(req.cd.rank + 1, req.s, req.t)
+    if req.normalize:
         A = canonical_normalize(A)
     return A
 
@@ -225,31 +252,17 @@ def _table_json(A: QuantumLieAlgebra, at_one: bool = False) -> list:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_show(args):
+def cmd_show(req):
     """build, table and limit: the table itself, its nonzero constants, or
     their values at v = 1, in the chosen format."""
-    A = build_algebra(args)
-    if args.command == "build":
-        text = _json_dumps(A.to_json()) if args.format == "json" else build_text(A)
+    A = build_algebra(req)
+    if req.command == "build":
+        text = _json_dumps(A.to_json()) if req.format == "json" else build_text(A)
     else:
-        at_one = args.command == "limit"
-        text = (_json_dumps(_table_json(A, at_one)) if args.format == "json"
+        at_one = req.command == "limit"
+        text = (_json_dumps(_table_json(A, at_one)) if req.format == "json"
                 else constants_table(A, at_one))
     return text, 0
-
-
-def _named_checks(args):
-    """The checks listed by --checks, or None when it is not given."""
-    if args.checks is None:
-        return None
-    chosen = [c.strip() for c in args.checks.split(",") if c.strip()]
-    names = ", ".join(CHECKS)
-    if not chosen:
-        raise InvalidParams(f"--checks names no check; choose from {names}")
-    for c in chosen:
-        if c not in CHECKS:
-            raise InvalidParams(f"unknown check {c!r}; choose from {names}")
-    return chosen
 
 
 def _default_checks(A: QuantumLieAlgebra) -> list:
@@ -259,15 +272,14 @@ def _default_checks(A: QuantumLieAlgebra) -> list:
     return [name for name in CHECKS if name != "tau" and (pipeline or name != "ad-invariance")]
 
 
-def cmd_verify(args):
-    chosen = _named_checks(args)
-    A = build_algebra(args)
+def cmd_verify(req):
+    A = build_algebra(req)
     reports = {}
-    for name in chosen or _default_checks(A):
-        reports[name] = CHECKS[name](A, args.budget_dim)
+    for name in req.checks or _default_checks(A):
+        reports[name] = CHECKS[name](A, req.budget_dim)
     failed = [n for n, rep in reports.items() if rep["ok"] is False]
     code = 1 if failed else 0
-    if args.format == "json":
+    if req.format == "json":
         payload = {
             "algebra": f"{A.cd.series}{A.cd.rank}",
             "construction": A.provenance,
@@ -299,22 +311,10 @@ def cmd_verify(args):
     return "\n".join(lines) + "\n", code
 
 
-def cmd_compare(args):
-    cd = parse_algebra(args.algebra, args.budget_dim)
-    if cd.series != "A":
-        raise InvalidParams("compare matches against the explicit A-series family")
-    if (args.s is None) != (args.t is None):
-        raise InvalidParams("give both --s and --t to pin the fit, or neither")
-    A = build_generic(cd, args.budget_dim)
-    s = t = None
-    if args.s is not None:
-        try:
-            s, t = parse_scalar(args.s), parse_scalar(args.t)
-        except ValueError as exc:
-            raise InvalidParams(str(exc)) from exc
-    report = compare_to_explicit(A, s, t)
+def cmd_compare(req):
+    report = compare_to_explicit(build_generic(req.cd, req.budget_dim), req.s, req.t)
     code = 0 if report["match"] else 1
-    if args.format == "json":
+    if req.format == "json":
         return _json_dumps(report), code
     lines = [f"match: {report['match']}"]
     if report.get("fitted_s") is not None:
@@ -388,9 +388,7 @@ def main(argv=None) -> int:
         "limit": cmd_show,
     }
     try:
-        if args.budget_dim < 1:
-            raise InvalidParams(f"--budget-dim must be a positive integer, got {args.budget_dim}")
-        text, code = handlers[args.command](args)
+        text, code = handlers[args.command](_request(args))
     except InvalidParams as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

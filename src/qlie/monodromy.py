@@ -70,7 +70,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .qring import RF_ONE, RF_ZERO, RatFunc, h_derivative_at_zero, rf_vpow
+from .qring import RF_ONE, RF_ZERO, RatFunc, rf_vpow
 from .rootdata import (CartanDatum, VerificationFailed, bilinear, highest_root, is_dominant,
                        tensor_multiplicity, weyl_dim)
 from .repbuild import IrrepModule, adjoint_module, build_irrep
@@ -142,10 +142,6 @@ class Monodromy:
     @property
     def dim(self):
         return self.tensor.dim
-
-    def eigenvalue_q_exponents(self) -> set:
-        """The true scalars as powers of q (Fractions; halves etc. allowed)."""
-        return {e / 2 for e in self.exponents.values()}
 
 
 def monodromy_on_tensor(V: IrrepModule, W: IrrepModule) -> Monodromy:
@@ -235,20 +231,6 @@ def _dot(xs, ys):
 
 def _vshift(x, k: int):
     return RatFunc._make(x.c, x.s + k, x.n, x.d)   # x v^k, x nonzero
-
-
-def extract_A(M: Monodromy):
-    """The first-order data of the operator: the exact sparse matrix M - 1
-    and its classical limit, differentiated entrywise with respect to h at
-    h = 0 (q = e^h).  The former vanishes entrywise at v = 1; the latter
-    is the classical tensor the operator linearizes to."""
-    m1 = sp_sub(M.matrix, {(p, p): RF_ONE for p in range(M.dim)})
-    classical = {}
-    for key, x in m1.items():
-        val = h_derivative_at_zero(x)
-        if val:
-            classical[key] = val
-    return m1, classical
 
 
 def adjoint_in_dual_tensor(V: IrrepModule):

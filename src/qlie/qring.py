@@ -20,8 +20,8 @@ All scalar work runs on Python ints, through one gcd and one exact-division
 routine over Z[v]: the primitive remainder sequence (Brown, J. ACM 18,
 1971).  Products and sums cancel before they multiply, in the manner of
 Henrici (J. ACM 3, 1956), so a finished result is never normalized again;
-a product with a monomial c * v^s needs no gcd at all.  The q-numbers,
-square roots and the h-derivative are computed on the same integer form.
+a product with a monomial c * v^s needs no gcd at all.  The q-numbers and
+square roots are computed on the same integer form.
 ``laurent_gcd`` and ``_divmod_laurent`` are the old view-level entry points:
 nothing here calls them.  They are kept, unchanged, because the benchmark's
 tracer patches them by name; they go when the tracer reads library records
@@ -34,8 +34,7 @@ meets the same few denominators over and over, and most cancellations pair
 one of them with a short numerator it has seen before.
 
 The classical limit is evaluation at v = 1; q-conjugation is the ring
-automorphism v -> 1/v (i.e. h -> -h for q = e^h); the first h-derivative at
-h = 0 is (1/2) d/dv evaluated at v = 1.
+automorphism v -> 1/v (i.e. h -> -h for q = e^h).
 
 All operations are pure; no instance is mutated after construction.
 """
@@ -50,7 +49,7 @@ from operator import add
 
 
 class DenominatorVanishes(ZeroDivisionError):
-    """Raised when a classical limit or derivative hits a pole at v = 1."""
+    """Raised for a zero denominator, or a classical limit at a pole at v = 1."""
 
 
 class InvalidRange(ValueError):
@@ -642,28 +641,6 @@ def rf_sqrt(x: RatFunc):
     if n is None or d is None:
         return None
     return RatFunc._make(_integral(c), x.s // 2, n, d)
-
-
-def h_derivative_at_zero(p) -> Fraction:
-    """First derivative with respect to h at h = 0, for q = e^h = v^2.
-
-    Equals (1/2) * (d/dv p)(1).  For p = c v^s N / D the quotient rule gives
-
-        (c/2) [(s N(1) + N'(1)) D(1) - N(1) D'(1)] / D(1)^2,
-
-    exact; raises DenominatorVanishes when D(1) = 0.  Accepts a RatFunc or
-    anything that converts to one (an int, a Fraction or a LaurentPoly).
-    """
-    x = _coerce_rf(p)
-    if x is NotImplemented:
-        raise TypeError(f"cannot differentiate {type(p).__name__}")
-    d1 = sum(x.d)
-    if d1 == 0:
-        raise DenominatorVanishes("pole at v = 1")
-    n1 = sum(x.n)
-    dn1 = sum(i * a for i, a in enumerate(x.n))
-    dd1 = sum(i * a for i, a in enumerate(x.d))
-    return x.c * Fraction((x.s * n1 + dn1) * d1 - n1 * dd1, 2 * d1 * d1)
 
 
 def _zq_int(n: int, d: int):

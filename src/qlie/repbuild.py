@@ -36,6 +36,7 @@ from fractions import Fraction
 from .qring import RF_ONE, RF_ZERO, q_int, q_binomial
 from .rootdata import (
     DEFAULT_DIM_BUDGET,
+    BudgetExceeded,
     CartanDatum,
     VerificationFailed,
     adjoint_dim,
@@ -46,10 +47,6 @@ from .rootdata import (
     simple_roots,
 )
 from .linalg import rref, sp_add_to, sp_diff, sp_matmul, sp_sub, sp_transpose
-
-
-class BudgetExceeded(RuntimeError):
-    """Module dimension above the configured budget."""
 
 
 class IrrepModule:
@@ -200,7 +197,7 @@ def adjoint_module(cd: CartanDatum, budget_dim: int = DEFAULT_DIM_BUDGET) -> Irr
     """The module with highest weight the highest root.  The budget is
     checked on the closed-form dimension first, so a large rank is rejected
     before its root system is built."""
-    dim = adjoint_dim(cd)
+    dim = adjoint_dim(cd.series, cd.rank)
     if dim > budget_dim:
         raise BudgetExceeded(f"dim of the adjoint module of {cd} = {dim} exceeds budget {budget_dim}")
     return build_irrep(cd, highest_root(cd), budget_dim)

@@ -38,6 +38,10 @@ class NonDominant(ValueError):
     """A dominant integral weight was required."""
 
 
+class BudgetExceeded(RuntimeError):
+    """Module dimension above the configured budget."""
+
+
 class VerificationFailed(AssertionError):
     """A mathematical self-check failed.  It is raised explicitly, so the
     check also runs under `python -O`; it is an AssertionError, so callers
@@ -54,11 +58,45 @@ class CartanDatum(NamedTuple):
         return f"{self.series}{self.rank}"
 
 
-def build_cartan(series: str, rank: int) -> CartanDatum:
-    """Cartan datum for the finite series A-G (Bourbaki node numbering)."""
-    series = series.upper()
-    if rank < 1:
+def adjoint_dim(series: str, rank: int) -> int:
+    """dim g = rank + number of roots for the simple Lie algebra series +
+    rank, in closed form, so that an algebra is sized before its Cartan
+    matrix exists and a budget check costs nothing at any rank.  It refuses
+    exactly the types build_cartan refuses, with the same InvalidType: the
+    rank rules live here only."""
+    series, n = series.upper(), rank
+    if n < 1:
         raise InvalidType(f"rank must be positive, got {rank}")
+    if series == "A":
+        return n * (n + 2)
+    if series in ("B", "C"):
+        if n < 2:
+            raise InvalidType(f"{series} requires rank >= 2")
+        return n * (2 * n + 1)
+    if series == "D":
+        if n < 3:
+            raise InvalidType("D requires rank >= 3")
+        return n * (2 * n - 1)
+    if series == "E":
+        if n not in (6, 7, 8):
+            raise InvalidType("E requires rank in {6, 7, 8}")
+        return {6: 78, 7: 133, 8: 248}[n]
+    if series == "F":
+        if n != 4:
+            raise InvalidType("F requires rank 4")
+        return 52
+    if series == "G":
+        if n != 2:
+            raise InvalidType("G requires rank 2")
+        return 14
+    raise InvalidType(f"unknown series {series!r}")
+
+
+def build_cartan(series: str, rank: int) -> CartanDatum:
+    """Cartan datum for the finite series A-G (Bourbaki node numbering).  A
+    type that adjoint_dim refuses raises its InvalidType."""
+    series = series.upper()
+    adjoint_dim(series, rank)
     n = rank
 
     def chain(last_edge=None):
@@ -74,27 +112,19 @@ def build_cartan(series: str, rank: int) -> CartanDatum:
         a = chain()
         d = [1] * n
     elif series == "B":
-        if n < 2:
-            raise InvalidType("B requires rank >= 2")
         # alpha_n short: a_{n-1,n} = -1, a_{n,n-1} = -2
         a = chain(last_edge=(-1, -2))
         d = [2] * (n - 1) + [1]
     elif series == "C":
-        if n < 2:
-            raise InvalidType("C requires rank >= 2")
         a = chain(last_edge=(-2, -1))
         d = [1] * (n - 1) + [2]
     elif series == "D":
-        if n < 3:
-            raise InvalidType("D requires rank >= 3")
         a = [[2 * (i == j) for j in range(n)] for i in range(n)]
         for i in range(n - 2):
             a[i][i + 1] = a[i + 1][i] = -1
         a[n - 3][n - 1] = a[n - 1][n - 3] = -1
         d = [1] * n
     elif series == "E":
-        if n not in (6, 7, 8):
-            raise InvalidType("E requires rank in {6, 7, 8}")
         # Bourbaki: node 2 attaches to node 4 of the chain 1-3-4-5-...
         chain_nodes = [1, 3, 4, 5, 6, 7, 8][: n - 1]
         a = [[2 * (i == j) for j in range(n)] for i in range(n)]
@@ -104,17 +134,11 @@ def build_cartan(series: str, rank: int) -> CartanDatum:
             a[i - 1][j - 1] = a[j - 1][i - 1] = -1
         d = [1] * n
     elif series == "F":
-        if n != 4:
-            raise InvalidType("F requires rank 4")
         a = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1], [0, 0, -1, 2]]
         d = [2, 2, 1, 1]
-    elif series == "G":
-        if n != 2:
-            raise InvalidType("G requires rank 2")
+    else:  # G2
         a = [[2, -3], [-1, 2]]
         d = [1, 3]
-    else:
-        raise InvalidType(f"unknown series {series!r}")
 
     # sanity: d_i a_ij symmetric with coprime positive d_i
     if not (all(d[i] * a[i][j] == d[j] * a[j][i] for i in range(n) for j in range(n))
@@ -233,27 +257,6 @@ def weyl_dim(cd: CartanDatum, lam) -> int:
     if rem or dim <= 0:
         raise VerificationFailed(f"Weyl dimension of {lam}: {num}/{den}")
     return dim
-
-
-def adjoint_dim(cd: CartanDatum) -> int:
-    """dim g = rank + number of roots, in closed form: no root system is
-    built, so a budget check on the adjoint costs nothing at any rank."""
-    n, series = cd.rank, cd.series
-    if series in ("A", "B", "C", "D"):
-        return classical_dim(series, n)
-    if series == "E":
-        return {6: 78, 7: 133, 8: 248}[n]
-    return {"F": 52, "G": 14}[series]
-
-
-def classical_dim(series: str, n: int) -> int:
-    """dim g for the classical series A-D at rank n, so that a rank can be
-    bounded before its n x n Cartan matrix is built."""
-    if series == "A":
-        return n * (n + 2)
-    if series == "D":
-        return n * (2 * n - 1)
-    return n * (2 * n + 1)
 
 
 @lru_cache(maxsize=None)

@@ -17,8 +17,7 @@ from contextlib import contextmanager
 from typing import NamedTuple
 
 from .qring import RatFunc, RF_ZERO
-from .rootdata import (CartanDatum, adjoint_dim, build_cartan, cartan_to_json, classical_dim,
-                       root_system)
+from .rootdata import CartanDatum, adjoint_dim, build_cartan, cartan_to_json, root_system
 from .linalg import sp_add_to, sp_diff, sp_grouped
 
 CONSTRUCTIONS = ("generic-pipeline", "explicit-sln")
@@ -253,17 +252,13 @@ def check_sln_params(s: RatFunc, t: RatFunc) -> None:
 
 def table_cartan(series: str, rank: int, dim: int) -> CartanDatum:
     """The Cartan datum of a stored table with dim basis vectors on the
-    algebra series + rank.  dim must be its adjoint dimension, and for A-D
-    it is compared in closed form before the rank x rank Cartan matrix is
-    built, so reading a table costs work bounded by the table's own size.
-    A mismatch raises InvalidParams."""
-    series = series.upper()
-    if series in ("A", "B", "C", "D"):
-        expect = classical_dim(series, rank)
-    else:
-        expect = adjoint_dim(build_cartan(series, rank))
+    algebra series + rank.  dim must be its adjoint dimension, compared in
+    closed form (rootdata.adjoint_dim, which refuses an unknown type)
+    before the rank x rank Cartan matrix is built, so reading a table costs
+    work bounded by the table's own size.  A mismatch raises InvalidParams."""
+    expect = adjoint_dim(series, rank)
     if dim != expect:
-        raise InvalidParams(f"{series}{rank} has a {expect}-dimensional adjoint module, "
+        raise InvalidParams(f"{series.upper()}{rank} has a {expect}-dimensional adjoint module, "
                             f"but the table has {dim} basis vectors")
     return build_cartan(series, rank)
 

@@ -1,7 +1,9 @@
 """Test oracles that the package itself does not need: Laurent polynomials
 as plain {exponent: Fraction} dicts with their own sum, product and exact
 evaluation, the exact value of a scalar at v = 1, the h-derivative by the
-quotient rule, the classical split Casimir of the rank-one algebra, the
+quotient rule (on dicts, and on the integer parts of a ``RatFunc``), the
+first-order data of a monodromy and its eigenvalues as powers of q, the
+classical split Casimir of the rank-one algebra, the
 full decomposition of a tensor product by peeling its character, the
 coproduct of a tensor product as whole sparse matrices, the Fraction
 forms of the v = 1 checks (the intertwining check with stored coproduct
@@ -23,9 +25,10 @@ from operator import add
 
 from qlie import classical
 from qlie.classical import ClassicalModule, _apply_coproduct, _columns, _sp_vec
-from qlie.linalg import inverse, solve, sp_add_to, sp_matmul, sp_transpose
+from qlie.linalg import inverse, solve, sp_add_to, sp_matmul, sp_sub, sp_transpose
 from qlie.qliealg import GaugeObstruction, _gauge_rebase, _module_basis, _sln_basis, _sln_labels
-from qlie.qring import RF_ONE, RF_ZERO, LaurentPoly, RatFunc, _fr, _fraction_sqrt, rf_vpow
+from qlie.qring import (RF_ONE, RF_ZERO, DenominatorVanishes, LaurentPoly, RatFunc, _coerce_rf, _fr,
+                        _fraction_sqrt, rf_vpow)
 from qlie.repbuild import contravariant_form
 from qlie.rootdata import (DEFAULT_DIM_BUDGET, CartanDatum, VerificationFailed, _check_dominant,
                            highest_root, is_dominant, root_system, simple_roots,
@@ -79,6 +82,48 @@ def h_derivative(num, den):
     dn1 = sum(e * c for e, c in num.items())
     dd1 = sum(e * c for e, c in den.items())
     return Fraction(1, 2) * (dn1 * d1 - n1 * dd1) / (d1 * d1)
+
+
+def h_derivative_at_zero(p) -> Fraction:
+    """First derivative with respect to h at h = 0, for q = e^h = v^2.
+
+    Equals (1/2) * (d/dv p)(1).  For p = c v^s N / D the quotient rule gives
+
+        (c/2) [(s N(1) + N'(1)) D(1) - N(1) D'(1)] / D(1)^2,
+
+    exact; raises DenominatorVanishes when D(1) = 0.  Accepts a RatFunc or
+    anything that converts to one (an int, a Fraction or a LaurentPoly).
+    """
+    x = _coerce_rf(p)
+    if x is NotImplemented:
+        raise TypeError(f"cannot differentiate {type(p).__name__}")
+    d1 = sum(x.d)
+    if d1 == 0:
+        raise DenominatorVanishes("pole at v = 1")
+    n1 = sum(x.n)
+    dn1 = sum(i * a for i, a in enumerate(x.n))
+    dd1 = sum(i * a for i, a in enumerate(x.d))
+    return x.c * Fraction((x.s * n1 + dn1) * d1 - n1 * dd1, 2 * d1 * d1)
+
+
+def extract_A(M):
+    """The first-order data of a monodromy M: the exact sparse matrix M - 1
+    and its classical limit, differentiated entrywise with respect to h at
+    h = 0 (q = e^h).  The former vanishes entrywise at v = 1; the latter
+    is the classical tensor the operator linearizes to."""
+    m1 = sp_sub(M.matrix, {(p, p): RF_ONE for p in range(M.dim)})
+    classical = {}
+    for key, x in m1.items():
+        val = h_derivative_at_zero(x)
+        if val:
+            classical[key] = val
+    return m1, classical
+
+
+def eigenvalue_q_exponents(M) -> set:
+    """The true scalars of a monodromy M as powers of q (Fractions; halves
+    etc. allowed)."""
+    return {e / 2 for e in M.exponents.values()}
 
 
 def classical_limit(p):

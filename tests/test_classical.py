@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from qlie import classical
-from qlie.rootdata import VerificationFailed, build_cartan, highest_root
+from qlie.qliealg import check_ad_invariance, check_classical_limit
+from qlie.rootdata import BudgetExceeded, VerificationFailed, build_cartan, highest_root
 from qlie.classical import (
     build_classical_module,
     classical_bracket,
@@ -188,6 +189,18 @@ def test_classical_module_is_independent_of_the_deformed_pipeline():
             elif module not in ("__future__", "fractions", "math", ".rootdata"):
                 found.append(module)
     assert not found, found
+
+
+def test_classical_oracle_and_ad_invariance_share_the_budget_exception(generics):
+    # B2's adjoint module has dimension 10; the oracle once raised a bare
+    # RuntimeError here, which the CLI does not map to one error line
+    A = generics["B2"]
+    with pytest.raises(BudgetExceeded, match=r"^dim V\(\(0, 2\)\) = 10 exceeds budget 5$"):
+        build_classical_module(A.cd, highest_root(A.cd), 5)
+    with pytest.raises(BudgetExceeded, match="= 10 exceeds budget 5$"):
+        check_classical_limit(A, 5)
+    with pytest.raises(BudgetExceeded, match="= 10 exceeds budget 5$"):
+        check_ad_invariance(A, budget_dim=5)
 
 
 def test_classical_bracket_weights_grade(name="A2"):

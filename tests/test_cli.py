@@ -328,6 +328,86 @@ def test_compare_outside_type_a_is_a_usage_error(capsys):
     assert code == 2
 
 
+# ---------------------------------------------------------------- refusal order
+
+SHOW = ("build", "table", "limit", "verify")  # the commands that build a table
+EVERY = SHOW + ("compare",)
+
+
+def _lines(commands, algebras, *options):
+    return [[cmd, "--algebra", alg, *options] for cmd in commands for alg in algebras]
+
+
+# (mistake, exit code, command lines): each mistake on an A, a B/C/D and an
+# E/F/G algebra where it applies, some of them over the default budget too
+REFUSALS = [
+    ("budget-below-one", 2, _lines(EVERY, ("A2", "B2", "G2", "E8"), "--budget-dim", "0")),
+    ("unknown-check", 2, _lines(("verify",), ("A2", "A99", "B9", "E8"),
+                                "--checks", "gradation,nonsense")),
+    ("no-check-named", 2, _lines(("verify",), ("A2", "B9", "E8"), "--checks", ",")),
+    ("malformed-algebra", 2, _lines(EVERY, ("A", "2B", "E-8"))),
+    ("rank-outside-series", 2, _lines(EVERY, ("A0", "B1", "D2", "E9", "F3", "G3", "Z3"))),
+    ("explicit-outside-type-a", 2, _lines(SHOW, ("B2", "D40", "E8", "G2"),
+                                          "--construction", "explicit-sln")),
+    ("compare-outside-type-a", 2, _lines(("compare",), ("B2", "B9", "E8", "G2"))
+     + _lines(("compare",), ("B2", "G2"), "--budget-dim", "5")),
+    ("scalars-without-explicit", 2, _lines(SHOW, ("A2", "A99", "B9", "E8"), "--s", "1")),
+    ("compare-one-scalar", 2, _lines(("compare",), ("A2", "A99"), "--s", "1")),
+    ("malformed-scalar", 2, _lines(SHOW, ("A2", "A99"), "--construction", "explicit-sln",
+                                   "--s", "(q")
+     + _lines(("compare",), ("A6", "A99"), "--s", "(q", "--t", "1")),
+    ("sum-vanishing-at-one", 2, _lines(SHOW, ("A2", "A99"), "--construction", "explicit-sln",
+                                       "--s", "1", "--t", "-1")),
+    ("budget-exceeded", 1, _lines(SHOW, ("A99", "B9", "D40", "E8"))
+     + _lines(SHOW, ("A2", "B2", "G2"), "--budget-dim", "5")
+     + _lines(SHOW, ("A2", "A99"), "--construction", "explicit-sln", "--budget-dim", "5")
+     + _lines(("compare",), ("A6", "A99"), "--budget-dim", "5")),
+]
+
+
+@pytest.fixture
+def nothing_built(monkeypatch):
+    """Fail at once if the command builds a Cartan datum or a table."""
+    def refuse(name):
+        def spy(*args, **kwargs):
+            raise AssertionError(f"{name} ran for a refused command line")
+        return spy
+
+    for name in ("build_generic", "build_sln_explicit", "build_cartan"):
+        monkeypatch.setattr(cli, name, refuse(name))
+
+
+@pytest.mark.parametrize("mistake,code,argvs", REFUSALS, ids=[m for m, _, _ in REFUSALS])
+def test_a_mistake_is_refused_alike_on_every_series_before_any_construction(
+        capsys, nothing_built, mistake, code, argvs):
+    for argv in argvs:
+        got = main(argv)
+        captured = capsys.readouterr()
+        assert (got, captured.out) == (code, ""), argv
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+
+
+def test_refusals_come_in_one_order(capsys, nothing_built):
+    # one command line with every mistake: mending each shows the next
+    steps = [
+        (["--algebra", "Z3", "--checks", "nonsense", "--budget-dim", "0"],
+         2, "--budget-dim must be a positive integer, got 0"),
+        (["--algebra", "Z3", "--checks", "nonsense"], 2, "unknown check 'nonsense'"),
+        (["--algebra", "Z3"], 2, "unknown series 'Z'"),
+        (["--algebra", "E8", "--construction", "explicit-sln", "--s", "(q"],
+         2, "explicit-sln requires an A-series algebra"),
+        (["--algebra", "A99", "--construction", "explicit-sln", "--s", "(q"],
+         2, "parse error in '(q'"),
+        (["--algebra", "A99", "--construction", "explicit-sln", "--s", "1", "--t", "-1"],
+         2, "s + t must be regular and nonzero at v = 1"),
+        (["--algebra", "A99", "--construction", "explicit-sln", "--s", "1", "--t", "1"],
+         1, "dim of the adjoint module of A99 = 9999 exceeds budget 64"),
+    ]
+    for options, code, message in steps:
+        assert main(["verify", *options]) == code, options
+        assert capsys.readouterr().err.startswith("error: " + message), options
+
+
 # ------------------------------------------------------------------ determinism
 
 def test_json_output_is_byte_deterministic(capsys):
@@ -389,14 +469,14 @@ ONE_LABEL = "# algebra {}\n# construction generic-pipeline\n# normalized no\n# b
 @pytest.mark.parametrize("algebra,dim", [("A1500", 2253000), ("D40", 3160), ("G2", 14)])
 def test_text_table_basis_must_span_the_adjoint(monkeypatch, algebra, dim):
     # the basis length is compared with the closed-form adjoint dimension
-    # before a classical Cartan matrix is built
+    # before any Cartan matrix is built, exceptional or not
     built = []
     true_build = table.build_cartan
     monkeypatch.setattr(table, "build_cartan", lambda *a: built.append(a) or true_build(*a))
     with pytest.raises(cli.InvalidParams, match=rf"^{algebra} has a {dim}-dimensional adjoint "
                                                "module, but the table has 1 basis vectors$"):
         parse_text_algebra(ONE_LABEL.format(algebra))
-    assert built == ([] if algebra != "G2" else [("G", 2)])
+    assert built == []
 
 
 def test_text_table_with_an_unknown_type_names_its_line():

@@ -18,7 +18,6 @@ from qlie.qring import (
     MAX_SCALAR_DEGREE,
     MAX_SCALAR_NESTING,
     RatFunc,
-    h_derivative_at_zero,
     laurent_gcd,
     parse_scalar,
     q_binomial,
@@ -28,7 +27,8 @@ from qlie.qring import (
     rf_vpow,
 )
 
-from oracles import classical_limit, h_derivative, mono, padd, peval, pmul, rf
+from oracles import (classical_limit, h_derivative, h_derivative_at_zero, mono, padd, peval, pmul,
+                     rf)
 
 V = mono
 Q = V(2)           # q = v^2

@@ -95,7 +95,7 @@ def test_unsupported_types_rejected(letter, rank):
 def test_cartan_json_round_trip():
     for name in ALL_TYPES:
         cd = cd_of(name)
-        back = table_cartan(**cartan_to_json(cd), dim=adjoint_dim(cd))
+        back = table_cartan(**cartan_to_json(cd), dim=adjoint_dim(cd.series, cd.rank))
         assert back.cartan == cd.cartan and back.d == cd.d
 
 
@@ -172,7 +172,23 @@ def test_weyl_dim_examples(name, lam, dim):
 def test_adjoint_dimensions(name, dim):
     cd = cd_of(name)
     assert weyl_dim(cd, highest_root(cd)) == dim
-    assert adjoint_dim(cd) == dim
+    # the closed form is the rank plus the number of roots
+    roots = root_system(cd).positive_roots
+    assert adjoint_dim(cd.series, cd.rank) == dim == cd.rank + 2 * len(roots)
+
+
+@pytest.mark.parametrize("series,rank,message", [
+    ("Z", 3, "unknown series 'Z'"), ("A", 0, "rank must be positive, got 0"),
+    ("B", 1, "B requires rank >= 2"), ("D", 2, "D requires rank >= 3"),
+    ("E", 9, "E requires rank in {6, 7, 8}"), ("F", 3, "F requires rank 4"),
+    ("G", 3, "G requires rank 2"),
+])
+def test_adjoint_dim_refuses_what_build_cartan_refuses(series, rank, message):
+    # the messages are build_cartan's own; it sizes the type before it builds
+    for refuse in (adjoint_dim, build_cartan):
+        with pytest.raises(InvalidType) as exc:
+            refuse(series, rank)
+        assert str(exc.value) == message
 
 
 def test_weyl_dim_rejects_non_dominant():
