@@ -26,7 +26,7 @@ from .qring import LaurentPoly, RatFunc, q_int, q_binomial, parse_scalar
 from .rootdata import CartanDatum, build_cartan, root_system, weyl_dim
 from .repbuild import IrrepModule, build_irrep, adjoint_module, verify_module
 from .tensorcg import (TensorProduct, tensor_product, tensor_square, highest_weight_space,
-                       antisymmetrize_hw, symmetrize_hw, invert_cg)
+                       swap_bar_halves, invert_cg)
 from .classical import build_classical_module, classical_bracket, classical_sln_table
 from .table import QuantumLieAlgebra, BasisLabel, same_algebra, InvalidParams
 from .qliealg import (build_generic, build_sln_explicit, generic_pipeline, canonical_normalize,
@@ -54,8 +54,7 @@ __all__ = [
     "tensor_product",
     "tensor_square",
     "highest_weight_space",
-    "antisymmetrize_hw",
-    "symmetrize_hw",
+    "swap_bar_halves",
     "invert_cg",
     "build_classical_module",
     "classical_bracket",

@@ -36,7 +36,7 @@ import sys
 from .qring import DenominatorVanishes, RatFunc, parse_scalar
 from .rootdata import (DEFAULT_DIM_BUDGET, BudgetExceeded, VerificationFailed, adjoint_dim,
                        build_cartan)
-from .tensorcg import ClassicallyZero, EmptySpace
+from .tensorcg import EmptySpace
 from .table import (BasisLabel, InvalidParams, QuantumLieAlgebra, check_sln_params, naming,
                     stored_table)
 from .qliealg import (
@@ -85,7 +85,8 @@ def _request(args) -> argparse.Namespace:
     order whatever the series.  First the usage errors (InvalidParams, exit
     2): a budget below 1, the --checks names, the algebra's name, series
     and rank, the construction against the series (and compare outside
-    type A), which of --s/--t are given, each scalar, and s + t at v = 1.
+    type A), which of --s/--t are given, each scalar, and s + t at v = 1
+    (of the explicit family, or of the pair that pins compare).
     Then the budget (BudgetExceeded, exit 1) on the closed-form adjoint
     dimension, which the explicit sl_n obeys too.  The request is args with
     checks, s and t read (None where not given; s = 1, t = 0 by default on
@@ -124,6 +125,7 @@ def _request(args) -> argparse.Namespace:
         raise InvalidParams(str(exc)) from exc
     if explicit:
         s, t = RatFunc(1) if s is None else s, RatFunc(0) if t is None else t
+    if s is not None:
         check_sln_params(s, t)
     if dim > budget:
         raise BudgetExceeded(f"dim of the adjoint module of {series}{rank} = {dim} "
@@ -392,7 +394,7 @@ def main(argv=None) -> int:
     except InvalidParams as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GaugeObstruction, ClassicallyZero, EmptySpace, DenominatorVanishes,
+    except (GaugeObstruction, EmptySpace, DenominatorVanishes,
             BudgetExceeded, VerificationFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

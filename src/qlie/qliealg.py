@@ -4,11 +4,16 @@ Two constructions produce a ``QuantumLieAlgebra`` (a basis with structure
 constants over Q(v), held by ``table``):
 
 * ``build_generic``: the module pipeline.  The adjoint module V is built,
-  a highest-weight vector at the highest root is found inside V (x) V,
-  antisymmetrized under swap-composed-with-bar, and inverted to a bracket
-  V (x) V -> V that is the identity against the Clebsch-Gordan embedding
-  it generates and kills the complementary copies; the embedding is not
-  formed, as the bracket's module-map check covers it (see tensorcg).
+  the highest-weight vectors at the highest root are found inside V (x) V
+  and each is split once into its halves under swap-composed-with-bar
+  (tensorcg.swap_bar_halves).  The first classically nonzero odd half is
+  inverted to a bracket V (x) V -> V that is the identity against the
+  Clebsch-Gordan embedding it generates and kills the complementary copy
+  that the first classically nonzero even half generates, if the
+  multiplicity is two; the embedding is not formed, as the bracket's
+  module-map check covers it (see tensorcg).  A multiplicity above two,
+  or no classically nonzero half of a needed kind, raises
+  VerificationFailed.
   Structure constants are indexed by the module basis, relabeled X_alpha
   for root vectors and H_k for the zero-weight slots.
 
@@ -43,16 +48,8 @@ from .qring import RatFunc, RF_ONE, RF_ZERO, rf_sqrt, rf_vpow, _fraction_sqrt
 from .rootdata import (VerificationFailed, CartanDatum, build_cartan, highest_root, root_system,
                        simple_roots)
 from .repbuild import adjoint_module, DEFAULT_DIM_BUDGET
-from .tensorcg import (
-    tensor_square,
-    highest_weight_space,
-    antisymmetrize_hw,
-    symmetrize_hw,
-    rescale_at_one,
-    module_map_defects,
-    invert_cg,
-    ClassicallyZero,
-)
+from .tensorcg import (highest_weight_space, invert_cg, module_map_defects, rescale_at_one,
+                       swap_bar_halves, tensor_square)
 from .linalg import inverse, rank, rref, sp_add_to, sp_diff, sp_grouped
 from .classical import _lcm_den, classical_bracket, classical_sln_table, integral_multiple
 # same_algebra is re-exported: callers that build tables here compare them with it
@@ -207,37 +204,28 @@ class GenericPipeline:
         self.constants = constants
 
 
-def _first_classically_nonzero(part, T, candidates):
-    """part(T, cand) for the first candidate where it does not vanish at
-    v = 1, or None."""
-    for cand in candidates:
-        try:
-            return part(T, cand)
-        except ClassicallyZero:
-            continue
-    return None
-
-
 def generic_pipeline(cd: CartanDatum, budget_dim: int = DEFAULT_DIM_BUDGET) -> GenericPipeline:
     V = adjoint_module(cd, budget_dim)
     T = tensor_square(V)
     theta = highest_root(cd)
     hw = highest_weight_space(T, theta)
     if len(hw) > 2:
-        raise GaugeObstruction("highest-root multiplicity above 2 is not supported")
+        raise VerificationFailed("highest-root multiplicity above 2 is not supported")
     # the candidates are the vectors of hw alone: both halves are additive,
     # and vanishing at v = 1 is closed under sums, so a sum hw[i] + hw[j]
     # would be tried only after both of its terms failed, and fail too
-    anti = _first_classically_nonzero(antisymmetrize_hw, T, hw)
+    anti = sym = None
+    for cand in hw:
+        a, s = swap_bar_halves(T, cand)
+        anti, sym = anti or a, sym or s
+        if anti and sym:
+            break
     if anti is None:
-        raise ClassicallyZero("no candidate with classically nonzero antisymmetrization")
+        raise VerificationFailed("no candidate with classically nonzero antisymmetrization")
     anti = rescale_at_one(anti)
-    others = []
-    if len(hw) > 1:
-        sym = _first_classically_nonzero(symmetrize_hw, T, hw)
-        if sym is None:
-            raise VerificationFailed("no classically nonzero symmetric complement")
-        others.append(sym)
+    if len(hw) > 1 and sym is None:
+        raise VerificationFailed("no classically nonzero symmetric complement")
+    others = [sym] if len(hw) > 1 else []
     constants = invert_cg(T, anti, others)
     return GenericPipeline(V, T, hw, anti, others, constants)
 
@@ -339,19 +327,6 @@ def canonical_normalize(A: QuantumLieAlgebra) -> QuantumLieAlgebra:
 # structural checks
 # ---------------------------------------------------------------------------
 
-def extract_roots(A: QuantumLieAlgebra):
-    """Left and right root tables: [H_k, X_a] = l_a(H_k) X_a and
-    [X_a, H_k] = -r_a(H_k) X_a.  Keys are (x_index, h_position)."""
-    l, r = {}, {}
-    for x in A.x_indices():
-        for pos, h in enumerate(A.h_indices()):
-            if (h, x, x) in A.constants:
-                l[x, pos] = A.constants[h, x, x]
-            if (x, h, x) in A.constants:
-                r[x, pos] = -A.constants[x, h, x]
-    return l, r
-
-
 def check_gradation(A: QuantumLieAlgebra) -> dict:
     """Every nonzero f_ab^c must satisfy grade(c) = grade(a) + grade(b);
     off-diagonal Cartan output from two root vectors is likewise graded."""
@@ -373,26 +348,19 @@ def check_q_antisymmetry(A: QuantumLieAlgebra) -> dict:
 
 
 def check_lr_identity(A: QuantumLieAlgebra) -> dict:
-    """r_a(H_k) = -l_{a'}(H_k) where a' carries the opposite root.  The
-    witness is [a] when a' is missing, else [a, H_k], both basis indices."""
-    l, r = extract_roots(A)
-    roots = A.root_index()
-    witness = None
+    """r_a(H_k) = -l_{a'}(H_k) where a' carries the opposite root, for
+    [H_k, X_a] = l_a(H_k) X_a and [X_a, H_k] = -r_a(H_k) X_a: that is,
+    f[a, H_k]^a = f[H_k, a']^{a'}.  The witness is [a] when a' is missing,
+    else [a, H_k], both basis indices."""
+    roots, hs = A.root_index(), A.h_indices()
     for x in A.x_indices():
-        neg = tuple(-c for c in A.basis[x].root)
-        if neg not in roots:
-            witness = [x]
-            break
-        y = roots[neg]
-        for pos, h in enumerate(A.h_indices()):
-            lhs = r.get((x, pos), RF_ZERO)
-            rhs = -l.get((y, pos), RF_ZERO)
-            if lhs != rhs:
-                witness = [x, h]
-                break
-        if witness:
-            break
-    return {"ok": witness is None, "witness": witness}
+        y = roots.get(tuple(-c for c in A.basis[x].root))
+        if y is None:
+            return {"ok": False, "witness": [x]}
+        for h in hs:
+            if A.structure_constant(x, h, x) != A.structure_constant(h, y, y):
+                return {"ok": False, "witness": [x, h]}
+    return {"ok": True, "witness": None}
 
 
 def check_classical_limit(A: QuantumLieAlgebra, budget_dim: int = DEFAULT_DIM_BUDGET) -> dict:
@@ -586,10 +554,14 @@ def compare_to_explicit(A: QuantumLieAlgebra, s=None, t=None,
     with_map additionally returns the raw basis dictionary under "phi"
     (generic index -> {explicit index: RatFunc}) for transporting tables;
     that entry is not JSON-serializable and is left out by default.  Giving
-    only one of s and t raises InvalidParams.
+    only one of s and t, or a pair that build_sln_explicit refuses (s + t
+    not regular or zero at v = 1), raises InvalidParams.
     """
     if (s is None) != (t is None):
         raise InvalidParams("give both s and t to pin the fit, or neither")
+    if s is not None:
+        s, t = (x if isinstance(x, RatFunc) else RatFunc(x) for x in (s, t))
+        check_sln_params(s, t)
     report = {"applicable": True, "match": False, "mismatches": []}
     cd = A.cd
     if cd.series != "A":
@@ -626,8 +598,7 @@ def compare_to_explicit(A: QuantumLieAlgebra, s=None, t=None,
 
     eps = None
     if not fit:
-        s_fit, t_fit = (x if isinstance(x, RatFunc) else RatFunc(x) for x in (s, t))
-        C = sol
+        s_fit, t_fit, C = s, t, sol
     elif not any(x for row in sol for x in row[:nH]):
         s_fit, t_fit, C = RF_ZERO, RF_ONE, [row[nH:] for row in sol]
     else:

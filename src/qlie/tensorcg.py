@@ -26,6 +26,14 @@ lexicographic order used for deterministic normalizations.  The same
 tensor type serves the tensor square V (x) V of the bracket construction
 and the general products V (x) W and V* (x) V of the monodromy module.
 
+swap_bar_halves(T, v0) splits a vector of a tensor square into its odd
+and even halves under swap o qconjugate, forming swap(qconjugate(v0))
+once; a half that vanishes at v = 1 comes back as None.  The odd half of
+a highest-weight vector generates the q-antisymmetric embedding, the even
+half its complement, and the pipeline takes the first classically
+nonzero half of each kind from one pass over the highest-weight vectors,
+as classical.classical_bracket does at v = 1.
+
 The layer passes plain data: a highest-weight space is the list of its
 sparse vectors, and the module copy that a highest-weight vector generates
 is its lowered table, entry a the sparse image of basis vector a
@@ -83,10 +91,6 @@ from .linalg import (IntForm, _zat, clear_denominators, inverse, nullspace, solv
 
 class EmptySpace(ValueError):
     """No highest-weight vector at the requested weight."""
-
-
-class ClassicallyZero(ValueError):
-    """Antisymmetrization produced a vector that vanishes at v = 1."""
 
 
 class TensorProduct:
@@ -232,9 +236,12 @@ def highest_weight_space(T: TensorProduct, w) -> list:
     return basis
 
 
-def _swap_bar_half(T: TensorProduct, v0: dict, antisym: bool) -> dict:
-    # tv = swap(qconjugate(v0)); the -1 eigenvectors of swap o qconjugate
-    # give q-antisymmetric Clebsch-Gordan tables
+def swap_bar_halves(T: TensorProduct, v0: dict) -> tuple:
+    """(anti, sym) = (1/2)(v0 -+ swap(qconjugate(v0))) on a tensor square
+    T = V (x) V, the -1 and +1 eigenvectors of swap o qconjugate; the odd
+    half gives q-antisymmetric Clebsch-Gordan tables.  swap(qconjugate(v0))
+    is formed once, and a half that vanishes at v = 1 is None.  Raises
+    ValueError on any other product."""
     if T.left is not T.right:
         raise ValueError("the swap is defined on a tensor square only")
     d = T.right.dim
@@ -243,30 +250,14 @@ def _swap_bar_half(T: TensorProduct, v0: dict, antisym: bool) -> dict:
         a, b = divmod(p, d)
         tv[b * d + a] = x.qconjugate()
     half = RatFunc(Fraction(1, 2))
-    out = {}
+    anti, sym = {}, {}
     for p in set(v0) | set(tv):
-        y = tv.get(p, RF_ZERO)
-        x = (v0.get(p, RF_ZERO) + (-y if antisym else y)) * half
-        if x:
-            out[p] = x
-    if all(x.eval_at_one() == 0 for x in out.values()):
-        kind = "antisymmetrized" if antisym else "symmetrized"
-        raise ClassicallyZero(f"{kind} vector vanishes classically")
-    return out
-
-
-def antisymmetrize_hw(T: TensorProduct, v0: dict) -> dict:
-    """(1/2)(v0 - swap(qconjugate(v0))) on a tensor square T = V (x) V;
-    raises ValueError on any other product and ClassicallyZero if the
-    result vanishes at v = 1."""
-    return _swap_bar_half(T, v0, True)
-
-
-def symmetrize_hw(T: TensorProduct, v0: dict) -> dict:
-    """(1/2)(v0 + swap(qconjugate(v0))) on a tensor square T = V (x) V;
-    raises ValueError on any other product and ClassicallyZero if the
-    result vanishes at v = 1."""
-    return _swap_bar_half(T, v0, False)
+        x, y = v0.get(p, RF_ZERO), tv.get(p, RF_ZERO)
+        if z := (x - y) * half:
+            anti[p] = z
+        if z := (x + y) * half:
+            sym[p] = z
+    return tuple(h if any(x.eval_at_one() for x in h.values()) else None for h in (anti, sym))
 
 
 def _along_parents(M, act, top: dict) -> list:

@@ -249,6 +249,9 @@ def test_lr_identity_witness_names_the_cartan_element(capsys, monkeypatch, gener
     code, out = run(capsys, "verify", "--algebra", "A2", "--checks", "lr-identity")
     assert code == 1
     assert out.splitlines()[0] == "lr-identity: FAIL  witness X_{(1,1)},H_1"
+    # a witness that is not a list of basis indices is printed as it is
+    code, out = run(capsys, "verify", "--algebra", "A2", "--checks", "ad-invariance")
+    assert (code, out.splitlines()[0]) == (1, "ad-invariance: FAIL  witness ['E', 0]")
 
 
 def test_classical_limit_failure_names_its_failing_flags(capsys, monkeypatch):
@@ -357,7 +360,8 @@ REFUSALS = [
                                    "--s", "(q")
      + _lines(("compare",), ("A6", "A99"), "--s", "(q", "--t", "1")),
     ("sum-vanishing-at-one", 2, _lines(SHOW, ("A2", "A99"), "--construction", "explicit-sln",
-                                       "--s", "1", "--t", "-1")),
+                                       "--s", "1", "--t", "-1")
+     + _lines(("compare",), ("A2", "A99"), "--s", "1", "--t", "-1")),
     ("budget-exceeded", 1, _lines(SHOW, ("A99", "B9", "D40", "E8"))
      + _lines(SHOW, ("A2", "B2", "G2"), "--budget-dim", "5")
      + _lines(SHOW, ("A2", "A99"), "--construction", "explicit-sln", "--budget-dim", "5")
@@ -455,6 +459,9 @@ def sl3_text():
     ("# params s = 1 ; t = 0", "# params s = 1, t = 0", "# params s = 1, t = 0"),
     ("| H_1 |", "| H_q |", "# basis "),
     ("]^{H_1} = ", "]^{H_1} = 1/0 + ", "f["),
+    ("f[X_{12},X_{21}]^{H_1} = 1", "f[X_{12},X_{21}]^{H_1} := 1", "f[X_{12},X_{21}]^{H_1} := 1"),
+    ("f[X_{12},X_{21}]^{H_1} = 1", "f[X_{12},X_{21}]^{H_9} = 1", "f[X_{12},X_{21}]^{H_9} = 1"),
+    ("f[X_{12},X_{21}]^{H_1} = 1", "f[X_{12},X_{99}]^{H_1} = 1", "f[X_{12},X_{99}]^{H_1} = 1"),
 ])
 def test_malformed_text_table_names_its_line(sl3_text, old, new, line):
     assert old in sl3_text

@@ -26,7 +26,6 @@ from qlie.qliealg import (
     check_q_antisymmetry,
     check_tau_sln,
     compare_to_explicit,
-    extract_roots,
     transport_explicit_constants,
 )
 from qlie.table import (BasisLabel, InvalidParams, QuantumLieAlgebra, change_basis,
@@ -399,15 +398,6 @@ def test_normalized_rank_one_relations(generics):
     assert A.constants[(h, h, h)] == sc("2") * (q - 1 / q)
 
 
-def test_extract_roots_on_the_standard_model(generics):
-    A = canonical_normalize(generics["A1"])
-    l, r = extract_roots(A)
-    pos = positions(A)
-    xp, h = pos["X_{(2)}"], 0
-    assert l[(xp, h)] == sc("2") * sc("q")
-    assert r[(xp, h)] == sc("2") / sc("q")
-
-
 @pytest.mark.parametrize("n", [3, 4])
 def test_explicit_higher_rank_normalization_needs_a_square_root(n, explicit_grid):
     with pytest.raises(GaugeObstruction, match="square root missing from Q"):
@@ -434,15 +424,6 @@ def test_change_basis_round_trip_on_a_cartan_rebase(generics):
     assert rebased.get((h1, x, x), RatFunc(0)) == (
         A.structure_constant(h1, x, x) + two * A.structure_constant(h2, x, x))
     assert not sp_diff(change_basis(rebased, inv, cols), A.constants)
-
-
-@pytest.mark.parametrize("name", ["A2"])
-def test_roots_conjugate_under_q_antisymmetry(name, generics):
-    # when the table is q-antisymmetric the right roots are the bar of the left
-    l, r = extract_roots(generics[name])
-    assert set(l) == set(r)
-    for key, val in l.items():
-        assert r[key] == val.qconjugate()
 
 
 # -------------------------------------------------------------------- comparison
@@ -477,6 +458,13 @@ def test_compare_with_pinned_wrong_parameters_mismatches(generics):
 def test_compare_needs_both_parameters_or_neither(given, generics):
     with pytest.raises(InvalidParams, match="give both s and t"):
         compare_to_explicit(generics["A2"], **{k: sc(v) for k, v in given.items()})
+
+
+def test_compare_refuses_a_pinned_pair_the_explicit_family_refuses(generics):
+    # s + t zero, or not regular, at v = 1: build_sln_explicit refuses both
+    for s, t in ((1, -1), (sc("1"), sc("1/(q-1)"))):
+        with pytest.raises(InvalidParams, match=r"^s \+ t must be regular and nonzero at v = 1$"):
+            compare_to_explicit(generics["A2"], s, t)
 
 
 def test_compare_pins_every_mismatch_of_one_corrupted_entry(generics):

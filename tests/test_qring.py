@@ -434,6 +434,8 @@ def test_rf_sqrt_of_a_square_picks_the_positive_root(seed):
     ("3/2*q", rf(V(2, Fraction(3, 2)), ONE)),
     ("(q^3) / (q^6 + q^4 + q^2 + 1)", rf(V(6), padd(V(12), V(8), V(4), ONE))),
     ("v + v^-1", rf(padd(V(1), V(-1)), ONE)),
+    ("+q", rf(Q, ONE)),
+    ("-+-q", rf(Q, ONE)),
 ])
 def test_parse_scalar_examples(text, value):
     assert parse_scalar(text) == value
@@ -524,7 +526,8 @@ def test_parse_scalar_cuts_long_inputs_in_messages(text):
     assert len(message) < 200 and "..." in message
 
 
-DEEP_SCALARS = {"parentheses": "(" * 400 + "1" + ")" * 400, "signs": "-" * 3000 + "1"}
+DEEP_SCALARS = {"parentheses": "(" * 400 + "1" + ")" * 400, "signs": "-" * 3000 + "1",
+                "plus-signs": "+" * 3000 + "1"}
 
 
 @pytest.mark.parametrize("text", DEEP_SCALARS.values(), ids=DEEP_SCALARS.keys())

@@ -13,6 +13,7 @@ import pytest
 
 import qlie
 from qlie import monodromy, qliealg, tensorcg
+from qlie.cli import main
 from qlie.linalg import rank, sp_diff, sp_matmul, sp_matvec, sp_transpose
 from qlie.monodromy import monodromy_on_tensor, verify_ad_submodule
 from qlie.qliealg import build_generic, build_sln_explicit, check_ad_invariance, generic_pipeline
@@ -20,14 +21,12 @@ from qlie.qring import RF_ONE, RatFunc, q_int, rf_vpow
 from qlie.rootdata import VerificationFailed, build_cartan, highest_root, tensor_multiplicity
 from qlie.repbuild import adjoint_module, build_irrep
 from qlie.tensorcg import (
-    ClassicallyZero,
     EmptySpace,
-    antisymmetrize_hw,
     highest_weight_space,
     invert_cg,
     lowered_table,
     module_map_defects,
-    symmetrize_hw,
+    swap_bar_halves,
     tensor_product,
     tensor_square,
 )
@@ -121,7 +120,7 @@ def test_antisymmetrize_fixed_line_for_multiplicity_one(a1_tensor):
     hw = highest_weight_space(a1_tensor, (2,))
     assert len(hw) == 1
     u = hw[0]
-    anti = antisymmetrize_hw(a1_tensor, u)
+    anti, _ = swap_bar_halves(a1_tensor, u)
     # multiplicity one: the antisymmetrization stays on the same line
     pairs = set(u) | set(anti)
     items = sorted(pairs)
@@ -135,15 +134,15 @@ def test_antisymmetrize_fixed_line_for_multiplicity_one(a1_tensor):
 def test_antisymmetrize_rejects_classically_symmetric_input(a1_tensor):
     V = adjoint_module(build_cartan("A", 1))
     sym = {3 * 0 + 1: RatFunc(1), 3 * 1 + 0: RatFunc(1)}  # v0 (x) v1 + v1 (x) v0
-    with pytest.raises(ClassicallyZero):
-        antisymmetrize_hw(a1_tensor, sym)
+    anti, even = swap_bar_halves(a1_tensor, sym)
+    assert anti is None and even == sym
 
 
 def test_symmetrize_vanishes_on_the_antisymmetric_line(a1_tensor):
     # multiplicity one: the highest-weight line is classically antisymmetric
     hw = highest_weight_space(a1_tensor, (2,))
-    with pytest.raises(ClassicallyZero):
-        symmetrize_hw(a1_tensor, hw[0])
+    anti, sym = swap_bar_halves(a1_tensor, hw[0])
+    assert sym is None and anti
 
 
 def test_symmetric_member_is_swap_bar_even(pipelines):
@@ -159,7 +158,7 @@ def test_symmetric_member_is_swap_bar_even(pipelines):
 
 def test_antisym_vector_is_swap_bar_odd(a1_tensor):
     hw = highest_weight_space(a1_tensor, (2,))
-    anti = antisymmetrize_hw(a1_tensor, hw[0])
+    anti, _ = swap_bar_halves(a1_tensor, hw[0])
     for p, x in anti.items():
         a, b = divmod(p, 3)
         q = 3 * b + a
@@ -696,14 +695,38 @@ def test_no_library_path_builds_a_product_matrix(monkeypatch):
         tensor_square(g2v).dE
 
 
-@pytest.mark.parametrize("swap", [antisymmetrize_hw, symmetrize_hw])
-def test_swap_needs_a_tensor_square(swap):
-    # on V(1,0) (x) adj of A2 the swap of (a, b) has no meaning; it used to
-    # return an index beyond dim T = 24, or raise ClassicallyZero about it
+def test_swap_needs_a_tensor_square():
+    # on V(1,0) (x) adj of A2 the swap of (a, b) has no meaning
     cd = name_to_cartan("A2")
     T = tensor_product(build_irrep(cd, (1, 0)), adjoint_module(cd))
     for w in ((1, 0), (0, 2)):
         v0 = highest_weight_space(T, w)[0]
         with pytest.raises(ValueError, match="tensor square") as info:
-            swap(T, v0)
+            swap_bar_halves(T, v0)
         assert info.type is ValueError
+
+
+# the highest-weight space each case hands the pipeline, from the true one
+DEGENERATE_SPLITS = {
+    # v0 (x) v1 + v1 (x) v0 of A1: its odd half vanishes at v = 1
+    "no-odd-half": ("A1", lambda hw: [{1: RF_ONE, 3: RF_ONE}],
+                    "no candidate with classically nonzero antisymmetrization"),
+    # A1's highest-weight vector twice: its even half vanishes at v = 1
+    "no-even-half": ("A1", lambda hw: [hw[0], hw[0]],
+                     "no classically nonzero symmetric complement"),
+    "multiplicity-three": ("A2", lambda hw: hw + hw[:1],
+                           "highest-root multiplicity above 2 is not supported"),
+}
+
+
+@pytest.mark.parametrize("algebra,space,message", DEGENERATE_SPLITS.values(),
+                         ids=DEGENERATE_SPLITS.keys())
+def test_a_degenerate_split_fails_verification(monkeypatch, capsys, algebra, space, message):
+    true_space = qliealg.highest_weight_space
+    monkeypatch.setattr(qliealg, "highest_weight_space", lambda T, w: space(true_space(T, w)))
+    with pytest.raises(VerificationFailed) as info:
+        generic_pipeline(name_to_cartan(algebra))
+    assert (info.type, str(info.value)) == (VerificationFailed, message)
+    assert main(["build", "--algebra", algebra]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
