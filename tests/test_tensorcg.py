@@ -695,14 +695,17 @@ def test_no_library_path_builds_a_product_matrix(monkeypatch):
         tensor_square(g2v).dE
 
 
-def test_swap_needs_a_tensor_square():
-    # on V(1,0) (x) adj of A2 the swap of (a, b) has no meaning
+@pytest.mark.parametrize("half", [pytest.param(0, id="antisymmetrize_hw"),
+                                  pytest.param(1, id="symmetrize_hw")])
+def test_swap_needs_a_tensor_square(half):
+    # on V(1,0) (x) adj of A2 the swap of (a, b) has no meaning, so asking
+    # for either half of swap o qconjugate raises
     cd = name_to_cartan("A2")
     T = tensor_product(build_irrep(cd, (1, 0)), adjoint_module(cd))
     for w in ((1, 0), (0, 2)):
         v0 = highest_weight_space(T, w)[0]
         with pytest.raises(ValueError, match="tensor square") as info:
-            swap_bar_halves(T, v0)
+            swap_bar_halves(T, v0)[half]
         assert info.type is ValueError
 
 
