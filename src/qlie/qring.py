@@ -14,7 +14,9 @@ sl_n constants stay representable.  There is one arithmetic:
 ``LaurentPoly`` is a view, not a second arithmetic: a dict
 {exponent: Fraction} with no operators.  ``RatFunc.num`` and ``.den``
 present a value as such a quotient (denominator monic, of valuation 0), and
-printing and JSON read that form; ``RatFunc(num, den)`` reads it back.
+printing and JSON write that form; ``RatFunc(num, den)`` reads views back.
+``RatFunc.from_json`` reads a stored quotient {exponent: "p/q"} straight
+into integer parts, with no Fraction per coefficient and no view.
 
 All scalar work runs on Python ints, through one gcd and one exact-division
 routine over Z[v]: the primitive remainder sequence (Brown, J. ACM 18,
@@ -31,7 +33,12 @@ The gcd of two nonconstant operands is memoized in a bounded
 least-recently-used table of ``GCD_MEMO_SIZE`` entries, keyed on the operand
 tuples and holding only tuples.  This table is process state: a pipeline
 meets the same few denominators over and over, and most cancellations pair
-one of them with a short numerator it has seen before.
+one of them with a short numerator it has seen before.  Stored views are
+memoized the same way, since a stored table repeats a few denominators
+across its constants: a second bounded table of ``VIEW_MEMO_SIZE``
+entries, keyed on a view's ordered (exponent, coefficient) strings and
+holding its integer parts as tuples, reads each distinct view once.  A
+refused view raises and is never kept.
 
 The classical limit is evaluation at v = 1; q-conjugation is the ring
 automorphism v -> 1/v (i.e. h -> -h for q = e^h).
@@ -112,35 +119,6 @@ class LaurentPoly:
     def to_json(self) -> dict:
         """Map {exponent (string): coefficient (string "p/q")}; variable is v."""
         return {str(e): str(self.coeffs[e]) for e in sorted(self.coeffs)}
-
-    @staticmethod
-    def from_json(d: dict) -> "LaurentPoly":
-        """The view that to_json wrote, within the bounds of parse_scalar:
-        every exponent within +-MAX_SCALAR_DEGREE and every integer within
-        MAX_SCALAR_BITS bits, written as to_json writes them (_JSON_EXPONENT,
-        _JSON_COEFFICIENT).  The strings are matched and measured before
-        they are converted, so any other form, such as "1e999", or an
-        oversized entry raises ValueError before a long digit string is
-        read or RatFunc lays out its span."""
-        view = LaurentPoly()
-        for e, x in d.items():
-            e, x = str(e), str(x)
-            if len(e) <= 5 and not _JSON_EXPONENT.fullmatch(e):
-                raise ValueError(f"invalid literal for a power of v: {e!r}")
-            k = int(e) if len(e) <= 5 else None
-            if k is None or abs(k) > MAX_SCALAR_DEGREE:
-                raise ValueError(f"a power of v beyond +-{MAX_SCALAR_DEGREE}")
-            if len(x) > _MAX_FRACTION_CHARS:
-                raise ValueError(f"integers above {MAX_SCALAR_BITS} bits")
-            m = _JSON_COEFFICIENT.fullmatch(x)
-            if m is None:
-                raise ValueError(f"invalid literal for a coefficient: {x!r}")
-            f = Fraction(int(m[1]), int(m[2])) if m[2] else Fraction(int(m[1]))
-            if max(abs(f.numerator), f.denominator).bit_length() > MAX_SCALAR_BITS:
-                raise ValueError(f"integers above {MAX_SCALAR_BITS} bits")
-            if f:
-                view.coeffs[k] = f
-        return view
 
 
 _ZERO_FR = Fraction(0)
@@ -338,6 +316,21 @@ def _zsplit(p):
     den = lcm(*(x.denominator for x in fr))
     g, _, t = _zprimitive([x.numerator * (den // x.denominator) for x in fr])
     return Fraction(g, den), lo, tuple(t)
+
+
+def _zlayout(terms: dict):
+    """(g, den, valuation, primitive int tuple) of a nonzero Laurent
+    polynomial given as {exponent: (p, q)}, each p/q in lowest terms with
+    q > 0: the polynomial is g/den * v^valuation * part.  The span from the
+    lowest to the highest exponent is laid out densely, so callers bound
+    the exponents first."""
+    lo = min(terms)
+    den = lcm(*(q for _, q in terms.values()))
+    t = [0] * (max(terms) - lo + 1)
+    for e, (p, q) in terms.items():
+        t[e - lo] = p * (den // q)
+    g, _, t = _zprimitive(t)
+    return g, den, lo, tuple(t)
 
 
 def _zlaurent(c: Fraction, s: int, t) -> LaurentPoly:
@@ -600,7 +593,22 @@ class RatFunc:
 
     @staticmethod
     def from_json(d: dict) -> "RatFunc":
-        return RatFunc(LaurentPoly.from_json(d["num"]), LaurentPoly.from_json(d["den"]))
+        """The value that to_json wrote, read from its integer parts with
+        the bounds of _stored_view; a zero denominator raises
+        DenominatorVanishes once both views are read."""
+        num, den = _stored_view(d["num"]), _stored_view(d["den"])
+        if den is None:
+            raise DenominatorVanishes("zero denominator")
+        if num is None:
+            return RF_ZERO
+        (gn, ln, sn, n), (gd, ld, sd, dp) = num, den
+        _, n, dp = _zgcd(n, dp)
+        p, q = gn * ld, ln * gd
+        if q < 0:
+            p, q = -p, -q
+        k = gcd(p, q)
+        c = p // k if q == k else Fraction(p // k, q // k)
+        return RatFunc._make(c, sn - sd, n, dp)
 
 
 def _coerce_rf(x):
@@ -700,6 +708,59 @@ _MAX_FRACTION_CHARS = 2 * len(str(2 ** MAX_SCALAR_BITS)) + 2
 # the strings LaurentPoly.to_json writes: [0-9] is ASCII only, unlike \d
 _JSON_EXPONENT = re.compile(r"-?[0-9]+")
 _JSON_COEFFICIENT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+VIEW_MEMO_SIZE = 1024
+
+
+def _stored_view(view):
+    """_zlayout's parts of a stored view {exponent: "p/q"}, None for zero.
+    A view of strings, as JSON holds it, is read once per distinct ordered
+    pairs through the bounded memo, which does not keep a refused view; any
+    other view is read each time, since values such as 1, 1.0 and True
+    compare equal but are not all read."""
+    pairs = tuple(view.items())
+    for e, x in pairs:
+        if type(e) is not str or type(x) is not str:
+            return _read_view(pairs)
+    return _view_memo(pairs)
+
+
+def _read_view(pairs):
+    """_zlayout's parts of the view with these (exponent, coefficient)
+    pairs, within the bounds of parse_scalar: every exponent within
+    +-MAX_SCALAR_DEGREE and every integer of a reduced p/q within
+    MAX_SCALAR_BITS bits, written as to_json writes them (_JSON_EXPONENT,
+    _JSON_COEFFICIENT).  The strings are matched and measured before they
+    are converted, so any other form, such as "1e999", or an oversized
+    entry raises ValueError before a long digit string is read or the span
+    is laid out.  A nonzero coefficient replaces one read earlier for the
+    same exponent (spelled "0", "00" or "-0"), and a zero one is dropped."""
+    terms = {}
+    for e, x in pairs:
+        e, x = str(e), str(x)
+        if len(e) <= 5 and not _JSON_EXPONENT.fullmatch(e):
+            raise ValueError(f"invalid literal for a power of v: {e!r}")
+        k = int(e) if len(e) <= 5 else None
+        if k is None or abs(k) > MAX_SCALAR_DEGREE:
+            raise ValueError(f"a power of v beyond +-{MAX_SCALAR_DEGREE}")
+        if len(x) > _MAX_FRACTION_CHARS:
+            raise ValueError(f"integers above {MAX_SCALAR_BITS} bits")
+        m = _JSON_COEFFICIENT.fullmatch(x)
+        if m is None:
+            raise ValueError(f"invalid literal for a coefficient: {x!r}")
+        p, q = int(m[1]), int(m[2]) if m[2] else 1
+        if not q:
+            raise ZeroDivisionError(f"Fraction({p}, 0)")
+        g = gcd(p, q)
+        if g != 1:
+            p, q = p // g, q // g
+        if max(abs(p), q).bit_length() > MAX_SCALAR_BITS:
+            raise ValueError(f"integers above {MAX_SCALAR_BITS} bits")
+        if p:
+            terms[k] = p, q
+    return _zlayout(terms) if terms else None
+
+
+_view_memo = lru_cache(maxsize=VIEW_MEMO_SIZE)(_read_view)
 
 
 def _coefficient_bits(x: RatFunc) -> int:

@@ -158,7 +158,7 @@ class QuantumLieAlgebra:
     def from_json(d: dict) -> "QuantumLieAlgebra":
         """The table of a stored JSON blob.  Its cartan, basis and constants
         must be present and every scalar keep the text reader's bounds
-        (LaurentPoly.from_json); stored_table makes the other refusals.  A
+        (RatFunc.from_json); stored_table makes the other refusals.  A
         failure raises InvalidParams before any check reads the table."""
         cartan, basis, entries = _fields(d, "the stored table", cartan=dict, basis=list,
                                          constants=list)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from qlie import qring
 from qlie.qring import parse_scalar
 from qlie.rootdata import build_cartan
 from qlie.qliealg import build_generic, build_sln_explicit, generic_pipeline
@@ -59,3 +60,14 @@ def golden_dir():
 def load_golden(golden_dir, name):
     with open(golden_dir / name, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+@pytest.fixture
+def laid_out(monkeypatch):
+    """Every stored view whose exponent span qring._zlayout lays out
+    densely, read with an empty view memo."""
+    seen = []
+    true_layout = qring._zlayout
+    monkeypatch.setattr(qring, "_zlayout", lambda terms: seen.append(terms) or true_layout(terms))
+    qring._view_memo.cache_clear()
+    return seen

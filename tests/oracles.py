@@ -10,7 +10,8 @@ forms of the v = 1 checks (the intertwining check with stored coproduct
 matrices, the Jacobi sum, the classical oracle's bracket and the whole
 classical-limit check), and the inverse Clebsch-Gordan
 coefficients built from whole adjoints of the lowered embeddings, and a
-textbook Gauss-Jordan elimination with the routines read off it, and
+textbook Gauss-Jordan elimination with the routines read off it, a
+reader of stored scalars through one Fraction per coefficient, and
 ``replaced``, a copy of a package record with some fields changed.
 
 The dict arithmetic shares no code with the integer kernel of ``qring``:
@@ -27,8 +28,9 @@ from qlie import classical
 from qlie.classical import ClassicalModule, _apply_coproduct, _columns, _sp_vec
 from qlie.linalg import inverse, solve, sp_add_to, sp_matmul, sp_sub, sp_transpose
 from qlie.qliealg import GaugeObstruction, _gauge_rebase, _module_basis, _sln_basis, _sln_labels
-from qlie.qring import (RF_ONE, RF_ZERO, DenominatorVanishes, LaurentPoly, RatFunc, _coerce_rf, _fr,
-                        _fraction_sqrt, rf_vpow)
+from qlie.qring import (_JSON_COEFFICIENT, _JSON_EXPONENT, _MAX_FRACTION_CHARS, MAX_SCALAR_BITS,
+                        MAX_SCALAR_DEGREE, RF_ONE, RF_ZERO, DenominatorVanishes, LaurentPoly,
+                        RatFunc, _coerce_rf, _fr, _fraction_sqrt, rf_vpow)
 from qlie.repbuild import contravariant_form
 from qlie.rootdata import (DEFAULT_DIM_BUDGET, CartanDatum, VerificationFailed, _check_dominant,
                            highest_root, is_dominant, root_system, simple_roots,
@@ -74,6 +76,36 @@ def peval(p, x):
 def rf(num, den=None):
     """The RatFunc num / den of two Fraction dicts."""
     return RatFunc(LaurentPoly(num), None if den is None else LaurentPoly(den))
+
+
+def reference_view(d) -> LaurentPoly:
+    """The view of a stored {exponent: "p/q"} read through one Fraction per
+    coefficient, with the checks of RatFunc.from_json in the same order and
+    with the same messages."""
+    view = LaurentPoly()
+    for e, x in d.items():
+        e, x = str(e), str(x)
+        if len(e) <= 5 and not _JSON_EXPONENT.fullmatch(e):
+            raise ValueError(f"invalid literal for a power of v: {e!r}")
+        k = int(e) if len(e) <= 5 else None
+        if k is None or abs(k) > MAX_SCALAR_DEGREE:
+            raise ValueError(f"a power of v beyond +-{MAX_SCALAR_DEGREE}")
+        if len(x) > _MAX_FRACTION_CHARS:
+            raise ValueError(f"integers above {MAX_SCALAR_BITS} bits")
+        m = _JSON_COEFFICIENT.fullmatch(x)
+        if m is None:
+            raise ValueError(f"invalid literal for a coefficient: {x!r}")
+        f = Fraction(int(m[1]), int(m[2])) if m[2] else Fraction(int(m[1]))
+        if max(abs(f.numerator), f.denominator).bit_length() > MAX_SCALAR_BITS:
+            raise ValueError(f"integers above {MAX_SCALAR_BITS} bits")
+        if f:
+            view.coeffs[k] = f
+    return view
+
+
+def reference_from_json(d) -> RatFunc:
+    """RatFunc.from_json by way of two Fraction views and RatFunc(num, den)."""
+    return RatFunc(reference_view(d["num"]), reference_view(d["den"]))
 
 
 def h_derivative(num, den):

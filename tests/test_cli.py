@@ -455,18 +455,33 @@ def sl3_text():
     return cli.build_text(A)
 
 
-@pytest.mark.parametrize("old,new,line", [
-    ("# params s = 1 ; t = 0", "# params s = 1, t = 0", "# params s = 1, t = 0"),
-    ("| H_1 |", "| H_q |", "# basis "),
-    ("]^{H_1} = ", "]^{H_1} = 1/0 + ", "f["),
-    ("f[X_{12},X_{21}]^{H_1} = 1", "f[X_{12},X_{21}]^{H_1} := 1", "f[X_{12},X_{21}]^{H_1} := 1"),
-    ("f[X_{12},X_{21}]^{H_1} = 1", "f[X_{12},X_{21}]^{H_9} = 1", "f[X_{12},X_{21}]^{H_9} = 1"),
-    ("f[X_{12},X_{21}]^{H_1} = 1", "f[X_{12},X_{99}]^{H_1} = 1", "f[X_{12},X_{99}]^{H_1} = 1"),
-])
-def test_malformed_text_table_names_its_line(sl3_text, old, new, line):
+SL3_BASIS = "X_{12} | X_{13} | X_{21} | X_{23} | X_{31} | X_{32} | H_q | H_2"
+
+# (old, new, the line as the test's id names it, the whole message it must reach)
+MALFORMED_LINES = [
+    ("# params s = 1 ; t = 0", "# params s = 1, t = 0", "# params s = 1, t = 0",
+     "cannot parse params line '# params s = 1, t = 0'"),
+    ("| H_1 |", "| H_q |", "# basis ",
+     f"cannot parse line '# basis {SL3_BASIS}': invalid literal for int() with base 10: 'q'"),
+    ("]^{H_1} = ", "]^{H_1} = 1/0 + ", "f[",
+     "cannot parse line 'f[X_{12},X_{21}]^{H_1} = 1/0 + 1': division by zero in '1/0 + 1'"),
+    ("f[X_{12},X_{21}]^{H_1} = 1", "f[X_{12},X_{21}]^{H_1} := 1", "f[X_{12},X_{21}]^{H_1} := 1",
+     "cannot parse table line 'f[X_{12},X_{21}]^{H_1} := 1'"),
+    ("f[X_{12},X_{21}]^{H_1} = 1", "f[X_{12},X_{21}]^{H_9} = 1", "f[X_{12},X_{21}]^{H_9} = 1",
+     "unknown basis labels in line 'f[X_{12},X_{21}]^{H_9} = 1'"),
+    ("f[X_{12},X_{21}]^{H_1} = 1", "f[X_{12},X_{99}]^{H_1} = 1", "f[X_{12},X_{99}]^{H_1} = 1",
+     "unknown basis labels in line 'f[X_{12},X_{99}]^{H_1} = 1'"),
+]
+
+
+@pytest.mark.parametrize("old,new,message", [(old, new, message)
+                                             for old, new, _, message in MALFORMED_LINES],
+                         ids=["-".join(case[:3]) for case in MALFORMED_LINES])
+def test_malformed_text_table_names_its_line(sl3_text, old, new, message):
+    # the whole message, so each line is pinned to the refusal it reaches
     assert old in sl3_text
     text = sl3_text.replace(old, new, 1)
-    with pytest.raises(cli.InvalidParams, match=r"line '" + re.escape(line)):
+    with pytest.raises(cli.InvalidParams, match="^" + re.escape(message) + "$"):
         parse_text_algebra(text)
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from qlie.cli import build_text, parse_text_algebra
 from qlie.linalg import sp_diff
-from qlie.qring import LaurentPoly, RatFunc, parse_scalar
+from qlie.qring import RatFunc, parse_scalar
 from qlie.rootdata import build_cartan, root_system
 from qlie import qring, table
 from qlie.qliealg import (
@@ -914,18 +914,10 @@ OVERSIZED = {
 
 
 def within_bounds(views):
-    """No power of v beyond +-1024 and no integer above 1024 bits in views."""
-    return all(abs(e) <= 1024 and max(abs(x.numerator), x.denominator).bit_length() <= 1024
-               for p in views if isinstance(p, LaurentPoly) for e, x in p.coeffs.items())
-
-
-@pytest.fixture
-def laid_out(monkeypatch):
-    """Every value whose exponent span qring._zsplit lays out densely."""
-    seen = []
-    true_zsplit = qring._zsplit
-    monkeypatch.setattr(qring, "_zsplit", lambda p: seen.append(p) or true_zsplit(p))
-    return seen
+    """No power of v beyond +-1024 and no integer above 1024 bits in views,
+    each {exponent: (p, q)} as qring._zlayout is handed it."""
+    return all(abs(e) <= 1024 and max(abs(p), q).bit_length() <= 1024
+               for view in views for e, (p, q) in view.items())
 
 
 @pytest.mark.parametrize("name", OVERSIZED)
@@ -953,10 +945,11 @@ def test_stored_parameter_must_stay_within_the_text_bounds(name, golden_dir, lai
     assert within_bounds(laid_out)
 
 
-def test_stored_scalars_at_the_bounds_load(golden_dir):
+def test_stored_scalars_at_the_bounds_load(golden_dir, laid_out):
     top = {"num": {"-1024": "1", "1024": str(2 ** 1024 - 1)}, "den": {"1024": "1"}}
     blob = edited_sl2q(golden_dir, lambda blob: blob["constants"][1].update(value=top))
     A = QuantumLieAlgebra.from_json(blob)
+    assert {-1024: (1, 1), 1024: (2 ** 1024 - 1, 1)} in laid_out and within_bounds(laid_out)
     e = blob["constants"][1]
     assert A.constants[e["a"], e["b"], e["c"]] == RatFunc.from_json(top)
     # JSON numbers, as the reader took them before the bounds
@@ -990,17 +983,19 @@ EXPONENT_NOTATION = "1e999999999"    # 10^999999999, about 0.4 GB, if Fraction r
 def test_stored_scalar_holds_only_what_to_json_writes(num, why, golden_dir, monkeypatch):
     # int and Fraction read each of these; the exponent notation made Fraction
     # build the whole power of ten before the bit bound looked at it.  The
-    # scalar is the first one read, so the spy sees it before any other.
-    true_fraction = qring.Fraction
-
-    def spy(*args):
-        assert args[:1] != (EXPONENT_NOTATION,), "Fraction was handed the exponent notation"
-        return true_fraction(*args)
+    # reader converts with int, so the spies watch both names in qring.  The
+    # scalar is the first one read, so the spies see it before any other.
+    def spy(name, true):
+        def convert(*args):
+            assert args[:1] != (EXPONENT_NOTATION,), f"{name} was handed the exponent notation"
+            return true(*args)
+        return convert
 
     blob = edited_sl2q(golden_dir, lambda blob: blob["constants"][0].update(
         value={"num": num, "den": {"0": "1"}}))
     e = blob["constants"][0]
-    monkeypatch.setattr(qring, "Fraction", spy)
+    monkeypatch.setattr(qring, "Fraction", spy("Fraction", qring.Fraction))
+    monkeypatch.setattr(qring, "int", spy("int", int), raising=False)
     with pytest.raises(InvalidParams, match=re.escape(f"the constant [{e['a']}, {e['b']}, "
                                                       f"{e['c']}]: {why}") + "$"):
         QuantumLieAlgebra.from_json(blob)

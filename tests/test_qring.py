@@ -2,10 +2,12 @@
 Laurent-polynomial views.  Expected values are built as Fraction dicts with
 the oracle arithmetic of ``oracles``, never with the integer kernel."""
 
+import json
 import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,8 +29,10 @@ from qlie.qring import (
     rf_vpow,
 )
 
+from qlie.table import QuantumLieAlgebra
+
 from oracles import (classical_limit, h_derivative, h_derivative_at_zero, mono, padd, peval, pmul,
-                     rf)
+                     reference_from_json, rf)
 
 V = mono
 Q = V(2)           # q = v^2
@@ -231,6 +235,137 @@ def test_ratfunc_arithmetic():
 ])
 def test_ratfunc_json_round_trip(x):
     assert RatFunc.from_json(x.to_json()) == x
+
+
+# ------------------------------------------------------------ stored scalars
+
+STORED = [*sorted((Path(__file__).parent / "golden").glob("*.json")),
+          *sorted((Path(__file__).parent.parent / "perfbench" / "reference" / "tables")
+                  .glob("*.json"))]
+
+
+def stored_scalars(blob):
+    """Every {"num", "den"} scalar in a JSON blob."""
+    if isinstance(blob, dict):
+        if set(blob) == {"num", "den"}:
+            yield blob
+            return
+        blob = list(blob.values())
+    if isinstance(blob, list):
+        for x in blob:
+            yield from stored_scalars(x)
+
+
+def reads_as_reference(d):
+    """from_json(d) is the value, part by part, that the Fraction reader
+    reads, with a content of the same type."""
+    x, y = RatFunc.from_json(d), reference_from_json(d)
+    return (x.c, x.s, x.n, x.d) == (y.c, y.s, y.n, y.d) and type(x.c) is type(y.c)
+
+
+@pytest.mark.parametrize("path", STORED, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_stored_tables_read_as_the_fraction_reader(path):
+    with open(path, encoding="utf-8") as fh:
+        scalars = list(stored_scalars(json.load(fh)))
+    assert scalars and all(reads_as_reference(d) for d in scalars)
+
+
+def scalar(num, den=None):
+    return {"num": num, "den": {"0": "1"} if den is None else den}
+
+
+READ_CASES = {
+    "0-then-00": scalar({"0": "3", "00": "5"}),
+    "00-then-0": scalar({"00": "5", "0": "3"}),
+    "0-then-zero-00": scalar({"0": "3", "00": "0"}),
+    "zero-00-then-0": scalar({"00": "0", "0": "3"}),
+    "0-then--0": scalar({"0": "3", "-0": "7"}),
+    "-0-then-0": scalar({"-0": "7", "0": "3"}),
+    "zero-coefficients": scalar({"0": "0", "2": "-4", "5": "0/7"}, {"-1": "0", "1": "6"}),
+    "zero-numerator": scalar({"0": "0", "3": "-0"}, {"0": "1", "2": "5"}),
+    "empty-numerator": scalar({}, {"4": "3"}),
+    "unreduced": scalar({"1": "6/4"}),
+    "unreduced-den": scalar({"0": "10/15", "2": "-4/6"}, {"0": "6/4"}),
+    "negative-leading-den": scalar({"0": "1"}, {"0": "1", "2": "-3"}),
+    "negative-den": scalar({"3": "2/3"}, {"0": "-1"}),
+    "integral-content": scalar({"0": "2/3", "2": "4/3"}, {"0": "1/3"}),
+    "fractional-content": scalar({"0": "1/2"}, {"0": "3"}),
+    "fractional-den-content": scalar({"0": "5"}, {"-2": "2/7", "1": "4/7"}),
+    "shared-factor": scalar({"0": "-1", "4": "1"}, {"0": "1", "2": "1"}),
+    "negative-valuations": scalar({"-3": "-5/6", "1": "10/9"}, {"-1": "-4", "3": "2"}),
+    "int-values": scalar({"0": 5}, {0: "2"}),
+    "int-keys-and-values": scalar({1: 3, -2: "1/2"}, {0: 7}),
+    "reduces-into-bounds": scalar({"0": f"{2 ** 1024}/2"}),
+    "at-the-bounds": scalar({"-1024": "1", "1024": str(2 ** 1024 - 1)}, {"1024": "1"}),
+}
+
+
+@pytest.mark.parametrize("d", READ_CASES.values(), ids=READ_CASES)
+def test_stored_scalar_reads_as_the_fraction_reader(d):
+    assert reads_as_reference(d)
+
+
+REFUSED_CASES = {
+    "coefficient-denominator-0": scalar({"0": "1/0"}),
+    "coefficient-denominator-00": scalar({"0": "-05/00"}),
+    "zero-denominator": scalar({"0": "1"}, {"0": "0"}),
+    "empty-denominator": scalar({"0": "1"}, {}),
+    "numerator-refused-first": scalar({"0": "x"}, {"0": "0"}),
+    "numerator-before-denominator": scalar({"0": "1.5"}, {"0": "1/0"}),
+    "denominator-refused": scalar({"0": "1"}, {"1": "2", "y": "1"}),
+    "exponent-literal-first": scalar({"1e9": "1e9"}),
+    "exponent-bound-before-coefficient": scalar({"99999": "x"}),
+    "long-exponent": scalar({"1" * 6: "1"}),
+    "long-coefficient": scalar({"0": "7" * 700}),
+    "literal-before-bits": scalar({"0": "+" + "7" * 400}),
+    "bits": scalar({"0": f"{2 ** 1024}/1"}),
+    "bits-of-denominator": scalar({"0": f"1/{2 ** 1024}"}),
+    "first-pair-first": scalar({"0": "1.5", "2000": "1"}),
+    "bool-value": scalar({"0": True}),
+    "float-value": scalar({"0": 1.0}),
+    "bool-key": scalar({True: "1"}),
+    "unhashable-value": scalar({"0": [1]}),
+}
+
+
+def refusal(read, d):
+    with pytest.raises((ValueError, ZeroDivisionError)) as info:
+        read(d)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("d", REFUSED_CASES.values(), ids=REFUSED_CASES)
+def test_stored_scalar_refused_as_the_fraction_reader_refuses(d):
+    assert refusal(RatFunc.from_json, d) == refusal(reference_from_json, d)
+
+
+def test_each_distinct_stored_view_is_laid_out_once(laid_out):
+    path = Path(__file__).parent / "golden" / "explicit_a2_s1_tq.json"
+    with open(path, encoding="utf-8") as fh:
+        blob = json.load(fh)
+    views = [v for d in stored_scalars(blob) for v in (d["num"], d["den"])]
+    assert (len(views), len({tuple(v.items()) for v in views})) == (116, 36)
+    A = QuantumLieAlgebra.from_json(blob)
+    assert len(laid_out) == 36
+    assert QuantumLieAlgebra.from_json(blob).constants == A.constants
+    assert len(laid_out) == 36
+
+
+def test_refused_view_is_not_kept(laid_out):
+    bad = scalar({"0": "3", "1": "x"})
+    first = refusal(RatFunc.from_json, bad)
+    assert first == (ValueError, "invalid literal for a coefficient: 'x'")
+    assert refusal(RatFunc.from_json, bad) == first
+    good = scalar({"0": "3", "1": "2"})
+    assert RatFunc.from_json(good) == reference_from_json(good) == parse_scalar("3 + 2*v")
+
+
+def test_values_that_compare_equal_are_read_apart(laid_out):
+    # 1, 1.0 and True are equal keys to a dict, but only 1 reads as a coefficient
+    assert RatFunc.from_json(scalar({"0": 1})) == RatFunc.from_json(scalar({"0": "1"})) == 1
+    for odd in (1.0, True):
+        assert refusal(RatFunc.from_json, scalar({"0": odd})) == (
+            ValueError, f"invalid literal for a coefficient: '{odd}'")
 
 
 # ------------------------------------------------------------ the view
