@@ -121,9 +121,6 @@ class LaurentPoly:
         return {str(e): str(self.coeffs[e]) for e in sorted(self.coeffs)}
 
 
-_ZERO_FR = Fraction(0)
-
-
 def _term_str(coeff: Fraction, exp: int) -> str:
     """Render coeff*v^exp, preferring q = v^2 for even exponents."""
     if exp == 0:
@@ -311,11 +308,8 @@ def _zsplit(p):
     co = p.coeffs
     if not co:
         return None
-    lo, hi = min(co), max(co)
-    fr = [co.get(e, _ZERO_FR) for e in range(lo, hi + 1)]
-    den = lcm(*(x.denominator for x in fr))
-    g, _, t = _zprimitive([x.numerator * (den // x.denominator) for x in fr])
-    return Fraction(g, den), lo, tuple(t)
+    g, den, lo, t = _zlayout({e: (x.numerator, x.denominator) for e, x in co.items()})
+    return Fraction(g, den), lo, t
 
 
 def _zlayout(terms: dict):
@@ -603,12 +597,7 @@ class RatFunc:
             return RF_ZERO
         (gn, ln, sn, n), (gd, ld, sd, dp) = num, den
         _, n, dp = _zgcd(n, dp)
-        p, q = gn * ld, ln * gd
-        if q < 0:
-            p, q = -p, -q
-        k = gcd(p, q)
-        c = p // k if q == k else Fraction(p // k, q // k)
-        return RatFunc._make(c, sn - sd, n, dp)
+        return RatFunc._make(_integral(Fraction(gn * ld, ln * gd)), sn - sd, n, dp)
 
 
 def _coerce_rf(x):
@@ -713,20 +702,16 @@ VIEW_MEMO_SIZE = 1024
 
 def _stored_view(view):
     """_zlayout's parts of a stored view {exponent: "p/q"}, None for zero.
-    A view of strings, as JSON holds it, is read once per distinct ordered
-    pairs through the bounded memo, which does not keep a refused view; any
-    other view is read each time, since values such as 1, 1.0 and True
-    compare equal but are not all read."""
-    pairs = tuple(view.items())
-    for e, x in pairs:
-        if type(e) is not str or type(x) is not str:
-            return _read_view(pairs)
-    return _view_memo(pairs)
+    The view is read once per distinct ordered pairs of strings through the
+    bounded memo, which does not keep a refused view.  Keying on the
+    strings keeps apart values that compare equal, such as 1, 1.0 and
+    True, of which only 1 reads."""
+    return _view_memo(tuple((str(e), str(x)) for e, x in view.items()))
 
 
 def _read_view(pairs):
     """_zlayout's parts of the view with these (exponent, coefficient)
-    pairs, within the bounds of parse_scalar: every exponent within
+    string pairs, within the bounds of parse_scalar: every exponent within
     +-MAX_SCALAR_DEGREE and every integer of a reduced p/q within
     MAX_SCALAR_BITS bits, written as to_json writes them (_JSON_EXPONENT,
     _JSON_COEFFICIENT).  The strings are matched and measured before they
@@ -736,7 +721,6 @@ def _read_view(pairs):
     same exponent (spelled "0", "00" or "-0"), and a zero one is dropped."""
     terms = {}
     for e, x in pairs:
-        e, x = str(e), str(x)
         if len(e) <= 5 and not _JSON_EXPONENT.fullmatch(e):
             raise ValueError(f"invalid literal for a power of v: {e!r}")
         k = int(e) if len(e) <= 5 else None

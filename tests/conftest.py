@@ -64,8 +64,8 @@ def load_golden(golden_dir, name):
 
 @pytest.fixture
 def laid_out(monkeypatch):
-    """Every stored view whose exponent span qring._zlayout lays out
-    densely, read with an empty view memo."""
+    """Every {exponent: (p, q)} whose span qring._zlayout lays out densely,
+    a stored view or a view RatFunc reads, with an empty view memo."""
     seen = []
     true_layout = qring._zlayout
     monkeypatch.setattr(qring, "_zlayout", lambda terms: seen.append(terms) or true_layout(terms))
