@@ -597,12 +597,7 @@ class RatFunc:
             return RF_ZERO
         (gn, ln, sn, n), (gd, ld, sd, dp) = num, den
         _, n, dp = _zgcd(n, dp)
-        p, q = gn * ld, ln * gd
-        if q < 0:
-            p, q = -p, -q
-        k = gcd(p, q)
-        c = p // k if q == k else Fraction(p // k, q // k)
-        return RatFunc._make(c, sn - sd, n, dp)
+        return RatFunc._make(_integral(Fraction(gn * ld, ln * gd)), sn - sd, n, dp)
 
 
 def _coerce_rf(x):
