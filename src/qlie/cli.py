@@ -51,18 +51,20 @@ from .qliealg import (
     check_q_antisymmetry,
     check_tau_sln,
     compare_to_explicit,
+    generic_pipeline,
 )
 
 # The checks of `verify`, in report order: name -> report on table A with
-# module budget dim.  Each report has "ok": True, False or None (SKIP).
+# module budget dim, pipe the generic pipeline that built A or None.  Each
+# report has "ok": True, False or None (SKIP).
 CHECKS = {
-    "gradation": lambda A, dim: check_gradation(A),
-    "antisymmetry": lambda A, dim: check_q_antisymmetry(A),
-    "classical-limit": lambda A, dim: {("ok" if k == "all" else k): v
-                                       for k, v in check_classical_limit(A, dim).items()},
-    "lr-identity": lambda A, dim: check_lr_identity(A),
-    "ad-invariance": lambda A, dim: check_ad_invariance(A, budget_dim=dim),
-    "tau": lambda A, dim: check_tau_sln(A),
+    "gradation": lambda A, dim, pipe: check_gradation(A),
+    "antisymmetry": lambda A, dim, pipe: check_q_antisymmetry(A),
+    "classical-limit": lambda A, dim, pipe: {("ok" if k == "all" else k): v
+                                             for k, v in check_classical_limit(A, dim).items()},
+    "lr-identity": lambda A, dim, pipe: check_lr_identity(A),
+    "ad-invariance": lambda A, dim, pipe: check_ad_invariance(A, pipe, dim),
+    "tau": lambda A, dim, pipe: check_tau_sln(A),
 }
 
 
@@ -134,15 +136,19 @@ def _request(args) -> argparse.Namespace:
                                  "cd": build_cartan(series, rank)})
 
 
-def build_algebra(req) -> QuantumLieAlgebra:
-    """The table of a request (_request) of build, table, limit or verify."""
+def build_algebra(req) -> tuple:
+    """The table of a request (_request) of build, table, limit or verify,
+    and the generic pipeline that built it (None for the explicit family),
+    which verify hands to the ad-invariance check."""
+    pipe = None
     if req.construction == "generic":
-        A = build_generic(req.cd, req.budget_dim)
+        pipe = generic_pipeline(req.cd, req.budget_dim)
+        A = build_generic(req.cd, pipe=pipe)
     else:
         A = build_sln_explicit(req.cd.rank + 1, req.s, req.t)
     if req.normalize:
         A = canonical_normalize(A)
-    return A
+    return A, pipe
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +263,7 @@ def _table_json(A: QuantumLieAlgebra, at_one: bool = False) -> list:
 def cmd_show(req):
     """build, table and limit: the table itself, its nonzero constants, or
     their values at v = 1, in the chosen format."""
-    A = build_algebra(req)
+    A, _ = build_algebra(req)
     if req.command == "build":
         text = _json_dumps(A.to_json()) if req.format == "json" else build_text(A)
     else:
@@ -275,10 +281,10 @@ def _default_checks(A: QuantumLieAlgebra) -> list:
 
 
 def cmd_verify(req):
-    A = build_algebra(req)
+    A, pipe = build_algebra(req)
     reports = {}
     for name in req.checks or _default_checks(A):
-        reports[name] = CHECKS[name](A, req.budget_dim)
+        reports[name] = CHECKS[name](A, req.budget_dim, pipe)
     failed = [n for n, rep in reports.items() if rep["ok"] is False]
     code = 1 if failed else 0
     if req.format == "json":

@@ -189,10 +189,12 @@ def build_sln_explicit(n: int, s, t) -> QuantumLieAlgebra:
 
 class GenericPipeline:
     """The intermediate artifacts of the module construction.  The CG
-    embedding that antisym generates is not formed: the bracket is
-    B = S^-1 beta_w^T (S (x) S), and the identity
-    (S (x) S) Delta(E_i) = Delta(F_i)^T (S (x) S) makes invert_cg's
-    module-map check of B one of beta_w (see tensorcg)."""
+    embedding that antisym generates is not formed: the bracket's top row
+    is w^T (S (x) S), and every other row is solved from the module-map
+    equations E_i B = B Delta(E_i), one weight block at a time.  invert_cg
+    checks B whatever solved it, and by the identity
+    (S (x) S) Delta(E_i) = Delta(F_i)^T (S (x) S) its module-map check of B
+    is one of beta_w (see tensorcg)."""
 
     def __init__(self, module, tensor, hw_basis: list, antisym: dict, others: list,
                  constants: dict):
@@ -507,7 +509,9 @@ def check_ad_invariance(A: QuantumLieAlgebra, pipe: GenericPipeline = None,
     the adjoint module V of generic_pipeline.  A pipeline table is read onto
     V's basis by its labels; an explicit table is moved there through the
     basis map phi that compare_to_explicit fits on the pipeline table.  A
-    normalized table mixes module vectors: not applicable."""
+    normalized table mixes module vectors: not applicable.  pipe, the
+    pipeline of A's Cartan datum when the caller has built it, saves
+    building V and V (x) V again."""
     if A.normalized:
         return {"ok": None, "applicable": False}
     if A.provenance == "generic-pipeline":

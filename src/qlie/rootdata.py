@@ -326,6 +326,15 @@ def weight_multiplicities(cd: CartanDatum, lam: tuple):
     return dict(mult)
 
 
+def _adjoint_character(cd: CartanDatum) -> dict:
+    """The weights of the adjoint module V(theta) with their multiplicities,
+    read off the root system: each root once, and 0 rank times."""
+    out = {(0,) * cd.rank: cd.rank}
+    for _, w in root_system(cd).positive_roots:
+        out[w] = out[tuple(-x for x in w)] = 1
+    return out
+
+
 def tensor_multiplicity(cd: CartanDatum, mu, nu, lam) -> int:
     """Multiplicity of V(lam) inside V(mu) (x) V(nu), by the single-target
     Brauer-Klimyk (Racah-Speiser) count: the sum of sign(w) m_nu(beta) over
@@ -333,18 +342,30 @@ def tensor_multiplicity(cd: CartanDatum, mu, nu, lam) -> int:
     w the Weyl group element that reflects mu + beta + rho into the dominant
     chamber (Klimyk, AMS Transl. 76, 1968; Humphreys, Introduction to Lie
     Algebras, section 24).  A weight on a wall contributes nothing.  Only
-    the weights of the smaller factor are needed.  This is the one count of
-    the package: tensorcg.highest_weight_space checks its kernel against
-    it, and monodromy_on_tensor finds the components of V (x) W with it."""
+    the weights of the smaller factor are needed: read off the root system
+    when it is the adjoint (_adjoint_character), by Freudenthal's recursion
+    otherwise, and either way checked against the Weyl dimension.  This is
+    the one count of the package: tensorcg.highest_weight_space checks its
+    kernel against it, and monodromy_on_tensor finds the components of
+    V (x) W with it."""
     _check_dominant(cd, mu)
     _check_dominant(cd, nu)
     _check_dominant(cd, lam)
-    if weyl_dim(cd, mu) < weyl_dim(cd, nu):
-        mu, nu = nu, mu
+    dim_mu, dim_nu = weyl_dim(cd, mu), weyl_dim(cd, nu)
+    if dim_mu < dim_nu:
+        mu, nu, dim_nu = nu, mu, dim_mu
+    nu = tuple(nu)
+    if nu == highest_root(cd):
+        char = _adjoint_character(cd)
+        if sum(char.values()) != dim_nu:
+            raise VerificationFailed(f"{cd}: the roots and the rank do not add up to the "
+                                     f"Weyl dimension of the adjoint")
+    else:
+        char = weight_multiplicities(cd, nu)
     alphas = simple_roots(cd)
     target = [x + 1 for x in lam]
     total = 0
-    for beta, m in weight_multiplicities(cd, tuple(nu)).items():
+    for beta, m in char.items():
         x = [a + b + 1 for a, b in zip(mu, beta)]
         sign = 1
         while (i := next((j for j, xj in enumerate(x) if xj < 0), -1)) >= 0:

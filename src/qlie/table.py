@@ -190,7 +190,10 @@ def _stored_constant(e: dict) -> tuple:
 
 
 def _stored_scalar(d: dict, name: str) -> RatFunc:
-    """RatFunc.from_json(d), its refusal an InvalidParams naming the scalar."""
+    """RatFunc.from_json(d), its refusal an InvalidParams naming the scalar.
+    d must be an object whose num and den are objects before either is
+    read."""
+    _fields(d, name, num=dict, den=dict)
     try:
         return RatFunc.from_json(d)
     except (ValueError, ZeroDivisionError) as exc:

@@ -46,34 +46,45 @@ generated by the remaining theta-highest-weight vectors `others`.  It
 is B = S^-1 beta_w^T (S (x) S), beta_w the embedding generated by a
 combination w = sum_k x_k u_k of the generating vectors, with S the
 contravariant form of V: the one sparse block-diagonal matrix of
-repbuild.contravariant_form.  The generating vectors are paired with
-S (x) S once, which gives every product form u_j^T (S (x) S) u_k among them,
-hence x on the (at most two-dimensional) multiplicity space, and the top
-row w^T (S (x) S) of beta_w^T (S (x) S).  The other rows are raised from it
-along V's basis, each from its parent's (IrrepModule.parent): row a of
-beta_w^T (S (x) S) is
-(Delta(F_{i_1}) beta_w(e_parent))^T (S (x) S) = r_parent Delta(E_{i_1}), because
+repbuild.contravariant_form.  Only B's top row is read off that formula.
+The generating vectors are paired with S (x) S once, which gives every
+product form u_j^T (S (x) S) u_k among them, hence x on the (at most
+two-dimensional) multiplicity space, and the top row B[0] =
+w^T (S (x) S), since S is 1 on the top weight.  Every other row is raised
+from the rows one level up by the module-map equations: E_i B = B Delta(E_i)
+holds row by row, and row p reads
 
-    (S (x) S) Delta(E_i) = Delta(F_i)^T (S (x) S).
+    sum_c E_i[p, c] B[c] = B[p] Delta(E_i),
 
-That identity holds because S E_i = F_i^T S, which repbuild.verify_module
-checks as "contravariant_adjoint", and because K_i is diagonal while S is
-block diagonal by weight, so S commutes with K_i.  No column of beta_w is
-lowered and paired on its own, and S^-1 is applied one weight block at a
-time.
+c running over the weight block one level below p.  The blocks of V are
+visited in basis order, and each is solved from as many independent
+equations (i, p) as its dimension, with coefficients taken from V's E.  On
+a one-dimensional block that is one division by the q-integer E_i[p, a],
+with i and p the first letter and the parent of a (IrrepModule.parent)
+whenever that entry is nonzero; on the Cartan block of the adjoint it is a
+rank x rank solve.  The rows are raised from the top row cleared of its
+denominators and scaled back at the end.  No Gram block of S is inverted,
+and no column of beta_w is lowered and paired on its own.
 
 invert_cg checks B exactly, independently of how B was built: in full, that
 it is a module map; on generating vectors, B(v0) = e_0 and B(u) = 0 for each
 complement vector u.  That suffices: column a of an embedding is Delta(F_i)
 of the column of a's parent (lowered_table) and F_i maps V's parent basis
 vector to e_a (also checked), so B o beta_u (e_a) = F_{i_1} ... F_{i_k} B(u)
-by induction along the labels.  A wrong raising step or a wrong S^-1 block
-therefore shows up as a failed check, whether or not S E_i = F_i^T S holds.
+by induction along the labels.  The induction reads V's F only, not the E
+entries the raising solved with, so a wrong equation or a wrong solve shows
+up as a failed check.
 
-The module-map check of B is also one of beta_w, by the displayed identity:
-B intertwines E_i exactly when beta_w intertwines F_i, and the other way
-round.  Outside type A_n, n >= 2, beta_w is a multiple of beta, which is
-never formed.
+The module-map check of B is also one of beta_w.  S E_i = F_i^T S, which
+repbuild.verify_module checks as "contravariant_adjoint", and K_i commutes
+with the block-diagonal S, so
+
+    (S (x) S) Delta(E_i) = Delta(F_i)^T (S (x) S),
+
+and the adjoint (S (x) S)^-1 B^T S of a module map B is a module map
+V -> V (x) V.  It sends e_0 to w, so it is beta_w, and
+B = S^-1 beta_w^T (S (x) S).  Outside type A_n, n >= 2, beta_w is a
+multiple of beta, which is never formed.
 """
 
 from __future__ import annotations
@@ -81,11 +92,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, partial
 from math import lcm
+from operator import add
 
 from .qring import RatFunc, RF_ONE, RF_ZERO, _zexact, _zgcd, _zmul
 from .rootdata import VerificationFailed, is_dominant, simple_roots, tensor_multiplicity
 from .repbuild import IrrepModule, contravariant_form
-from .linalg import (IntForm, _zat, clear_denominators, inverse, nullspace, solve, sp_add_to,
+from .linalg import (IntForm, _zat, clear_denominators, inverse, nullspace, rank, solve, sp_add_to,
                      sp_grouped, sp_int_eval, sp_int_form, sp_matmul, sp_matvec)
 
 
@@ -183,9 +195,11 @@ def tensor_product(M1, M2) -> TensorProduct:
         raise ValueError(f"tensor factors over different algebras: {M1.cd} and {M2.cd}")
     weights = []
     blocks = {}
+    keys = {}  # one tuple per distinct weight, shared by its product indices
     for wa in M1.weights:
         for wb in M2.weights:
             w = tuple(x + y for x, y in zip(wa, wb))
+            w = keys.setdefault(w, w)
             blocks.setdefault(w, []).append(len(weights))
             weights.append(w)
     return TensorProduct(M1, M2, weights, blocks)
@@ -422,33 +436,65 @@ def pair_matrix(T: TensorProduct, us: list):
                     for su in paired]
 
 
+def _block_equations(V, w, vw):
+    """The equations (i, p) of _bracket_from_covector that meet the weight
+    block vw of V at w, lazily: first each basis vector's own, E_{i_1} at
+    its parent for its label (i_1, ...), then every row p of each E_i one
+    level up, at w + alpha_i."""
+    for a in vw:
+        yield V.labels[a][0], V.parent[a]
+    for i, alpha in enumerate(simple_roots(V.cd)):
+        for p in V.weight_basis.get(tuple(map(add, w, alpha)), ()):
+            yield i, p
+
+
 def _bracket_from_covector(T: TensorProduct, top: dict) -> dict:
-    """B = S^-1 R for the contravariant form S of V, T = V (x) V, where row a
-    of R is beta_w(e_a)^T (S (x) S) for the embedding beta_w generated by a
-    vector w with w^T (S (x) S) = top.  Row 0 is top; every other row is
-    raised from its parent's, r_a = r_parent Delta(E_{i_1}) for the label
-    (i_1, ...) of a, because (S (x) S) Delta(E_i) = Delta(F_i)^T (S (x) S);
-    coproduct_action applies Delta(E_i) to the row from the rows of V's E_i.
-    S^-1 is applied one weight block at a time, and only on blocks that R
-    reaches.
+    """The module map B: T -> V, T = V (x) V, whose top row is the covector
+    top, every other row raised from the rows one level up: row p of
+    E_i B = B Delta(E_i) reads sum_c E_i[p, c] B[c] = B[p] Delta(E_i), c
+    over the weight block one level below p.  Each block below the top, in
+    basis order, keeps the first equations of _block_equations that are
+    independent, as many as its dimension, and solves its rows from them
+    with the inverse of their coefficients E_i[p, c], which are entries of
+    V's E: one division on a one-dimensional block, a rank x rank solve on
+    the Cartan block of the adjoint.  coproduct_action applies Delta(E_i)
+    to the known row B[p] from the rows of V's E_i.  A block that its
+    equations do not fix raises VerificationFailed.  B is linear in top,
+    so the rows are raised from top cleared of its denominators
+    (clear_denominators), and each entry is scaled back once at the end:
+    the raising then multiplies short polynomials, not rational functions
+    over top's long common denominator.
 
     Returns a sparse matrix {(module_row, product_col): RatFunc}."""
     V = T.left
-    rows = _along_parents(V, coproduct_action(T, "E", transpose=True), top)
-    bmat = {}
+    raise_row = coproduct_action(T, "E", transpose=True)
+    cols = list(top)
+    cleared = clear_denominators([top[p] for p in cols])
+    scale = top[cols[0]] / cleared[0]
+    rows = [dict(zip(cols, cleared))] + [None] * (V.dim - 1)
     for w, vw in V.weight_basis.items():
-        if not any(rows[a] for a in vw):
+        if w == V.highest_weight:
             continue
-        ginv = inverse(V.gram[w])
-        for li, a in enumerate(vw):
+        eqs, coeffs = [], []
+        for i, p in _block_equations(V, w, vw):
+            row = [V.E[i].get((p, c), RF_ZERO) for c in vw]
+            if any(row) and (not coeffs or rank(coeffs + [row]) > len(coeffs)):
+                eqs.append((i, p))
+                coeffs.append(row)
+                if len(eqs) == len(vw):
+                    break
+        else:
+            raise VerificationFailed(f"the module-map equations do not fix B at weight {w}")
+        rhs = [raise_row(i, rows[p]) for i, p in eqs]
+        inv = inverse(coeffs) if len(vw) > 1 else [[RF_ONE / coeffs[0][0]]]
+        for a, grow in zip(vw, inv):
             acc = {}
-            for g, b in zip(ginv[li], vw):
+            for g, r in zip(grow, rhs):
                 if g:
-                    for p, x in rows[b].items():
+                    for p, x in r.items():
                         sp_add_to(acc, p, g * x)
-            for p, x in acc.items():
-                bmat[(a, p)] = x
-    return bmat
+            rows[a] = acc
+    return {(a, p): scale * x for a, row in enumerate(rows) for p, x in row.items()}
 
 
 def invert_cg(T: TensorProduct, v0: dict, others: list) -> dict:
@@ -460,9 +506,9 @@ def invert_cg(T: TensorProduct, v0: dict, others: list) -> dict:
 
     The generating vectors [v0, *others] are paired with S (x) S once; the
     pair matrix gives the weights x_k of the combination w = sum_k x_k u_k
-    with B = S^-1 beta_w^T (S (x) S), and the pairings give its top row,
-    from which _bracket_from_covector raises the others (see the module
-    docstring).
+    with B = S^-1 beta_w^T (S (x) S), and the pairings give its top row
+    w^T (S (x) S), from which _bracket_from_covector raises the others by
+    the module-map equations (see the module docstring).
 
     Checked exactly before returning: V's F maps each basis vector's parent
     to it; B(v0) = e_0 and B(u) = 0 for u in `others`; and B is a module map

@@ -36,7 +36,7 @@ from qlie.rootdata import (DEFAULT_DIM_BUDGET, CartanDatum, VerificationFailed, 
                            highest_root, is_dominant, root_system, simple_roots,
                            weight_multiplicities, weyl_dim)
 from qlie.table import _moved
-from qlie.tensorcg import TensorProduct, lowered_table
+from qlie.tensorcg import TensorProduct, _along_parents, coproduct_action, lowered_table
 
 
 def mono(k, c=1):
@@ -519,6 +519,25 @@ def form_square(V) -> dict:
     d = V.dim
     S = contravariant_form(V)
     return {(a * d + b, c * d + e): x * y for (a, c), x in S.items() for (b, e), y in S.items()}
+
+
+def reference_bracket_from_covector(T, top) -> dict:
+    """tensorcg._bracket_from_covector by the Gram inverse: B = S^-1 R for
+    the contravariant form S of V = T.left, row a of R raised from its
+    parent's, r_a = r_parent Delta(E_{i_1}) for the label (i_1, ...) of a,
+    since (S (x) S) Delta(E_i) = Delta(F_i)^T (S (x) S), and S^-1 applied
+    one weight block at a time."""
+    V = T.left
+    rows = _along_parents(V, coproduct_action(T, "E", transpose=True), top)
+    bmat = {}
+    for w, vw in V.weight_basis.items():
+        for a, grow in zip(vw, inverse(V.gram[w])):
+            acc = {}
+            for g, b in zip(grow, vw):
+                for p, x in rows[b].items():
+                    sp_add_to(acc, p, g * x)
+            bmat.update({(a, p): x for p, x in acc.items()})
+    return bmat
 
 
 def reference_invert_cg(T, v0, others) -> dict:

@@ -11,11 +11,12 @@ import time
 import pytest
 
 import qlie
-from qlie import cli, repbuild, table, tensorcg
+from qlie import cli, qliealg, repbuild, table, tensorcg
 from qlie.cli import main, parse_text_algebra
 from qlie.qliealg import check_lr_identity
 from qlie.table import QuantumLieAlgebra, same_algebra
 from qlie.qring import RatFunc
+from qlie.rootdata import build_cartan, highest_root
 
 from conftest import load_golden
 from oracles import fraction_jacobi, replaced
@@ -230,6 +231,23 @@ def test_verify_passes_end_to_end_for_larger_types(capsys, name):
     assert all(rep["ok"] is True for rep in report["checks"].values())
 
 
+def test_verify_builds_the_adjoint_module_and_its_square_once(capsys, monkeypatch):
+    """The pipeline that built the table is handed to the ad-invariance
+    check, which still runs the module-map check on the bracket."""
+    built, squared, checked = [], [], []
+    true_build, true_square = repbuild.build_irrep, qliealg.tensor_square
+    true_check = qliealg.module_map_defects
+    monkeypatch.setattr(repbuild, "build_irrep", lambda *a: built.append(a[1]) or true_build(*a))
+    monkeypatch.setattr(qliealg, "tensor_square", lambda V: squared.append(true_square(V))
+                        or squared[-1])
+    monkeypatch.setattr(qliealg, "module_map_defects",
+                        lambda M, s, t: checked.append((s, t)) or true_check(M, s, t))
+    code, out = run(capsys, "verify", "--algebra", "G2")
+    assert code == 0 and "ad-invariance: PASS" in out
+    assert built == [highest_root(build_cartan("G", 2))]
+    assert len(squared) == 1 and checked == [(squared[0], squared[0].left)]
+
+
 def test_verify_fails_for_bar_breaking_parameters(capsys):
     code, out = run(capsys, "verify", "--algebra", "A2", "--construction", "explicit-sln",
                     "--s", "1", "--t", "q", "--checks", "antisymmetry")
@@ -245,7 +263,7 @@ def test_lr_identity_witness_names_the_cartan_element(capsys, monkeypatch, gener
     constants[(x, h, x)] = constants.get((x, h, x), RatFunc(0)) + RatFunc(1)
     bad = replaced(A, constants=constants)
     assert check_lr_identity(bad) == {"ok": False, "witness": [x, h]}
-    monkeypatch.setattr(cli, "build_algebra", lambda args: bad)
+    monkeypatch.setattr(cli, "build_algebra", lambda args: (bad, None))
     code, out = run(capsys, "verify", "--algebra", "A2", "--checks", "lr-identity")
     assert code == 1
     assert out.splitlines()[0] == "lr-identity: FAIL  witness X_{(1,1)},H_1"

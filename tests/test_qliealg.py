@@ -968,6 +968,20 @@ def test_malformed_stored_scalar_names_its_constant(value, why, golden_dir):
         QuantumLieAlgebra.from_json(blob)
 
 
+@pytest.mark.parametrize("value,why", [
+    ("1", "is not a JSON object"),
+    (None, "is not a JSON object"),
+    (3, "is not a JSON object"),
+    ({"num": {"0": "1"}}, "has no field 'den' of type dict"),
+    ({"num": [], "den": {"0": "1"}}, "has no field 'num' of type dict"),
+], ids=["string", "null", "int", "no-den", "num-list"])
+def test_stored_scalar_of_another_shape_names_its_constant(value, why, golden_dir):
+    # a TypeError, a KeyError or an AttributeError escaped before
+    blob = edited_sl2q(golden_dir, lambda blob: blob["constants"][1].update(value=value))
+    with pytest.raises(InvalidParams, match=r"^the constant \[0, 2, 1\] " + why + "$"):
+        QuantumLieAlgebra.from_json(blob)
+
+
 EXPONENT_NOTATION = "1e999999999"    # 10^999999999, about 0.4 GB, if Fraction read it
 
 

@@ -25,6 +25,7 @@ from qlie.rootdata import (
     tensor_multiplicity,
     weight_multiplicities,
     weyl_dim,
+    _adjoint_character,
 )
 
 from oracles import tensor_decompose
@@ -239,6 +240,21 @@ def test_zero_weight_of_adjoint_has_rank_multiplicity(name):
     mults = weight_multiplicities(cd, highest_root(cd))
     zero = tuple(0 for _ in cd.d)
     assert mults[zero] == len(cd.d)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES + ["F4", "E6"])
+def test_adjoint_character_is_read_off_the_root_system(name):
+    # the closed form against Freudenthal's recursion
+    cd = cd_of(name)
+    assert _adjoint_character(cd) == weight_multiplicities(cd, highest_root(cd))
+
+
+def test_adjoint_factor_runs_no_freudenthal_recursion(monkeypatch):
+    monkeypatch.setattr(rootdata, "weight_multiplicities", lambda cd, lam: pytest.fail(lam))
+    cd = cd_of("A2")
+    theta = highest_root(cd)
+    assert tensor_multiplicity(cd, theta, theta, theta) == 2
+    assert tensor_multiplicity(cd, (3, 0), theta, (1, 1)) == 1
 
 
 def test_a1_string_multiplicities_are_one():

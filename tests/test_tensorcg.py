@@ -32,7 +32,8 @@ from qlie.tensorcg import (
 )
 
 from conftest import CORE, load_golden, name_to_cartan
-from oracles import form_square, generators, reference_invert_cg, replaced
+from oracles import (form_square, generators, reference_bracket_from_covector, reference_invert_cg,
+                     replaced)
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +244,42 @@ def test_inversion_pairs_its_generating_vectors_once(monkeypatch, pipelines):
 def test_inversion_matches_the_whole_adjoint_construction(name, pipelines):
     pipe = pipelines[name] if name in pipelines else generic_pipeline(name_to_cartan(name))
     assert pipe.constants == reference_invert_cg(pipe.tensor, pipe.antisym, pipe.others)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2"])
+def test_raised_bracket_matches_the_gram_inverse_reference(monkeypatch, name, pipelines):
+    # B's rows solved from the module-map equations, entry for entry against
+    # S^-1 R with R raised from the same top row; no Gram block is inverted
+    pipe = pipelines[name] if name in pipelines else generic_pipeline(name_to_cartan(name))
+    raised, inverted = [], []
+    true_bracket, true_inverse = tensorcg._bracket_from_covector, tensorcg.inverse
+    monkeypatch.setattr(tensorcg, "_bracket_from_covector",
+                        lambda T, top: raised.append((top, true_bracket(T, top))) or raised[-1][1])
+    monkeypatch.setattr(tensorcg, "inverse", lambda a: inverted.append(a) or true_inverse(a))
+    assert invert_cg(pipe.tensor, pipe.antisym, pipe.others) == pipe.constants
+    (top, bmat), = raised
+    assert bmat == reference_bracket_from_covector(pipe.tensor, top)
+    assert not [a for a in inverted for g in pipe.module.gram.values() if a is g]
+
+
+@pytest.mark.parametrize("how", ["doubled", "dropped"])
+@pytest.mark.parametrize("where", ["root", "cartan"])
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_a_corrupted_e_entry_fails_the_inversion(pipelines, name, where, how):
+    # E_{i_1}[parent, a], which the raising solves B's row a with, on the
+    # first vector below the top or the first Cartan vector
+    pipe = pipelines[name]
+    V = pipe.module
+    a = 1 if where == "root" else V.weights.index((0,) * V.cd.rank)
+    i, key = V.labels[a][0], (V.parent[a], a)
+    E = {j: dict(m) for j, m in V.E.items()}
+    if how == "doubled":
+        E[i][key] = 2 * E[i][key]
+    else:
+        del E[i][key]
+    with pytest.raises(VerificationFailed, match="^(intertwining fails|the module-map "
+                                                 "equations do not fix B at weight .*)$"):
+        invert_cg(tensor_square(replaced(V, E=E)), pipe.antisym, pipe.others)
 
 
 @pytest.mark.parametrize("name,lam", [("A2", None), ("B2", None), ("G2", None), ("G2", (1, 0))])
