@@ -11,11 +11,11 @@ sl_n constants stay representable.  There is one arithmetic:
   a ``Fraction`` with denominator > 1 otherwise.  The form is canonical,
   so equality is plain structural equality.
 
-``LaurentPoly`` is a view, not a second arithmetic: a dict
-{exponent: Fraction} with no operators.  ``RatFunc.num`` and ``.den``
-present a value as such a quotient (denominator monic, of valuation 0), and
-printing and JSON write that form; ``RatFunc(num, den)`` reads views back.
-``RatFunc.from_json`` reads a stored quotient {exponent: "p/q"} straight
+``LaurentPoly`` is a view for input and inspection only: a dict {exponent:
+Fraction} with no operators.  ``RatFunc.num``/``.den`` present a value as
+such a quotient (denominator monic, of valuation 0), ``RatFunc(num, den)``
+reads views back, and printing and JSON write that quotient straight from
+the integer form.  ``RatFunc.from_json`` reads a stored {exponent: "p/q"}
 into integer parts, with no Fraction per coefficient and no view.
 
 All scalar work runs on Python ints, through one gcd and one exact-division
@@ -112,43 +112,6 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self.coeffs!r})"
-
-    def __str__(self):
-        return format_laurent(self)
-
-    def to_json(self) -> dict:
-        """Map {exponent (string): coefficient (string "p/q")}; variable is v."""
-        return {str(e): str(self.coeffs[e]) for e in sorted(self.coeffs)}
-
-
-def _term_str(coeff: Fraction, exp: int) -> str:
-    """Render coeff*v^exp, preferring q = v^2 for even exponents."""
-    if exp == 0:
-        return str(coeff)
-    if exp % 2 == 0:
-        var, e = "q", exp // 2
-    else:
-        var, e = "v", exp
-    body = var if e == 1 else f"{var}^{e}" if e >= 0 else f"{var}^{{{e}}}"
-    if coeff == 1:
-        return body
-    if coeff == -1:
-        return f"-{body}"
-    return f"{coeff}*{body}"
-
-
-def format_laurent(p: LaurentPoly) -> str:
-    """Human-readable form, highest exponent first: '2*q - 2*q^{-1}'."""
-    if p.is_zero():
-        return "0"
-    parts = []
-    for e in sorted(p.coeffs, reverse=True):
-        t = _term_str(p.coeffs[e], e)
-        if parts:
-            parts.append(f"- {t[1:]}" if t.startswith("-") else f"+ {t}")
-        else:
-            parts.append(t)
-    return " ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +290,33 @@ def _zlayout(terms: dict):
     return g, den, lo, tuple(t)
 
 
+def _zterms(c, s: int, t, top: int):
+    """c * v^s * t / top, for top > 0, as ascending (exponent, "p/q") terms,
+    each coefficient in lowest terms as str(Fraction) writes it."""
+    p0, q0 = c.numerator, c.denominator * top
+    out = []
+    for i, x in enumerate(t):
+        if x:
+            p = p0 * x
+            g = gcd(p, q0)
+            out.append((s + i, str(p // g) if g == q0 else f"{p // g}/{q0 // g}"))
+    return out
+
+
+def _format_terms(terms) -> str:
+    """Terms highest exponent first, q = v^2 for even exponents: '2*q - 2*q^{-1}'."""
+    parts = []
+    for e, x in reversed(terms):
+        if e:
+            var, k = ("q", e // 2) if e % 2 == 0 else ("v", e)
+            body = var if k == 1 else f"{var}^{k}" if k > 0 else f"{var}^{{{k}}}"
+            x = body if x == "1" else f"-{body}" if x == "-1" else f"{x}*{body}"
+        if parts:
+            x = f"- {x[1:]}" if x[0] == "-" else f"+ {x}"
+        parts.append(x)
+    return " ".join(parts) or "0"
+
+
 def _zlaurent(c: Fraction, s: int, t) -> LaurentPoly:
     """The view of c * v^s * t."""
     out = LaurentPoly.__new__(LaurentPoly)
@@ -380,8 +370,8 @@ class RatFunc:
     are primitive integer polynomials, stored as ascending tuples, with
     nonzero constant terms, positive leading coefficients and
     gcd(N, D) = 1.  The form is canonical, so equality and hashing are
-    structural; an integral content hashes as its Fraction would, since
-    hash(n) == hash(Fraction(n)).
+    structural, except that zero and the constants hash as the int or
+    Fraction they equal.
 
     Arithmetic never normalizes a finished result.  A product cancels
     gcd(N1, D2) and gcd(N2, D1) before it multiplies (Henrici), and a
@@ -393,9 +383,9 @@ class RatFunc:
     ``RatFunc(num, den)`` is the way in from outside: it takes ints,
     Fractions or LaurentPoly views and normalizes them once.  The library
     builds its values from integer parts and never goes through a view.
-    ``num`` and ``den`` give a value back as a quotient of views with
-    Fraction coefficients and a monic denominator of valuation 0; printing
-    and JSON use that form.
+    ``num`` and ``den`` give a value back, for inspection, as views with
+    Fraction coefficients over a monic denominator of valuation 0; printing
+    and JSON write that quotient from the integer parts, with no view.
     """
 
     __slots__ = ("c", "s", "n", "d")
@@ -446,17 +436,18 @@ class RatFunc:
                 and self.c == other.c)
 
     def __hash__(self):
+        if self.s == 0 and len(self.n) <= 1 and self.d == _ONE:
+            return hash(self.c)
         return hash((self.c, self.s, self.n, self.d))
 
     def __repr__(self):
-        if self.is_polynomial():
-            return f"RatFunc({self.num!s})"
-        return f"RatFunc({self.num!s} / {self.den!s})"
+        return f"RatFunc({self})"
 
     def __str__(self):
-        if self.is_polynomial():
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
+        num = _format_terms(_zterms(self.c, self.s, self.n, self.d[-1]))
+        if self.d == _ONE:
+            return num
+        return f"({num}) / ({_format_terms(_zterms(1, 0, self.d, self.d[-1]))})"
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -583,7 +574,9 @@ class RatFunc:
         return sum(self.d) != 0
 
     def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
+        """{"num": ..., "den": ...}, each {exponent: "p/q"} in ascending order."""
+        num, den = _zterms(self.c, self.s, self.n, self.d[-1]), _zterms(1, 0, self.d, self.d[-1])
+        return {"num": {str(e): x for e, x in num}, "den": {str(e): x for e, x in den}}
 
     @staticmethod
     def from_json(d: dict) -> "RatFunc":
@@ -694,7 +687,7 @@ MAX_SCALAR_BITS = 1024
 MAX_SCALAR_NESTING = 64
 # the longest "-p/q" with p and q of at most MAX_SCALAR_BITS bits
 _MAX_FRACTION_CHARS = 2 * len(str(2 ** MAX_SCALAR_BITS)) + 2
-# the strings LaurentPoly.to_json writes: [0-9] is ASCII only, unlike \d
+# the strings RatFunc.to_json writes: [0-9] is ASCII only, unlike \d
 _JSON_EXPONENT = re.compile(r"-?[0-9]+")
 _JSON_COEFFICIENT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 VIEW_MEMO_SIZE = 1024

@@ -11,7 +11,8 @@ matrices, the Jacobi sum, the classical oracle's bracket and the whole
 classical-limit check), and the inverse Clebsch-Gordan
 coefficients built from whole adjoints of the lowered embeddings, and a
 textbook Gauss-Jordan elimination with the routines read off it, a
-reader of stored scalars through one Fraction per coefficient, and
+reader of stored scalars through one Fraction per coefficient, a writer
+of scalars that prints and serializes their ``num``/``den`` views, and
 ``replaced``, a copy of a package record with some fields changed.
 
 The dict arithmetic shares no code with the integer kernel of ``qring``:
@@ -20,6 +21,7 @@ values built here enter ``RatFunc`` only through ``rf``, that is through
 """
 
 import inspect
+import json
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
@@ -30,7 +32,7 @@ from qlie.linalg import inverse, solve, sp_add_to, sp_matmul, sp_sub, sp_transpo
 from qlie.qliealg import GaugeObstruction, _gauge_rebase, _module_basis, _sln_basis, _sln_labels
 from qlie.qring import (_JSON_COEFFICIENT, _JSON_EXPONENT, _MAX_FRACTION_CHARS, MAX_SCALAR_BITS,
                         MAX_SCALAR_DEGREE, RF_ONE, RF_ZERO, DenominatorVanishes, LaurentPoly,
-                        RatFunc, _coerce_rf, _fr, _fraction_sqrt, rf_vpow)
+                        RatFunc, _coerce_rf, _fr, _fraction_sqrt, parse_scalar, rf_vpow)
 from qlie.repbuild import contravariant_form
 from qlie.rootdata import (DEFAULT_DIM_BUDGET, CartanDatum, VerificationFailed, _check_dominant,
                            highest_root, is_dominant, root_system, simple_roots,
@@ -106,6 +108,66 @@ def reference_view(d) -> LaurentPoly:
 def reference_from_json(d) -> RatFunc:
     """RatFunc.from_json by way of two Fraction views and RatFunc(num, den)."""
     return RatFunc(reference_view(d["num"]), reference_view(d["den"]))
+
+
+def _reference_term(coeff: Fraction, exp: int) -> str:
+    """coeff*v^exp, preferring q = v^2 for even exponents."""
+    if exp == 0:
+        return str(coeff)
+    if exp % 2 == 0:
+        var, e = "q", exp // 2
+    else:
+        var, e = "v", exp
+    body = var if e == 1 else f"{var}^{e}" if e >= 0 else f"{var}^{{{e}}}"
+    if coeff == 1:
+        return body
+    if coeff == -1:
+        return f"-{body}"
+    return f"{coeff}*{body}"
+
+
+def reference_format(p: LaurentPoly) -> str:
+    """A view written highest exponent first: '2*q - 2*q^{-1}'."""
+    if p.is_zero():
+        return "0"
+    parts = []
+    for e in sorted(p.coeffs, reverse=True):
+        t = _reference_term(p.coeffs[e], e)
+        if parts:
+            parts.append(f"- {t[1:]}" if t.startswith("-") else f"+ {t}")
+        else:
+            parts.append(t)
+    return " ".join(parts)
+
+
+def reference_str(x) -> str:
+    """str of a scalar, written from its num and den views."""
+    x = _coerce_rf(x)
+    if x.is_polynomial():
+        return reference_format(x.num)
+    return f"({reference_format(x.num)}) / ({reference_format(x.den)})"
+
+
+def reference_json(x) -> dict:
+    """to_json of a scalar, written from its num and den views: each view
+    as {exponent (string): str(Fraction)} in ascending order of exponent."""
+    x = _coerce_rf(x)
+    return {key: {str(e): str(view.coeffs[e]) for e in sorted(view.coeffs)}
+            for key, view in (("num", x.num), ("den", x.den))}
+
+
+def writer_mismatches(values) -> list:
+    """The distinct scalars among values whose str, repr or to_json differ
+    from the view-based writer (to_json in key order too), or whose printed
+    text or stored form does not read back as the same value."""
+    bad = []
+    for x in set(values):
+        text, stored = str(x), x.to_json()
+        if (text != reference_str(x) or repr(x) != f"RatFunc({text})"
+                or json.dumps(stored) != json.dumps(reference_json(x))
+                or parse_scalar(text) != x or RatFunc.from_json(stored) != x):
+            bad.append(x)
+    return bad
 
 
 def h_derivative(num, den):

@@ -324,7 +324,9 @@ def matrix_digest(M):
     ("G2", 1444, "96596c90eec1837862ad394f76799837aee2bf9b59ce18784aa3e10c3b40f3f2"),
 ])
 def test_adjoint_square_matrix_digest(name, entries, digest, adjoint_squares):
-    assert matrix_digest(adjoint_squares[name][0]) == (entries, digest)
+    M = adjoint_squares[name][0]
+    assert matrix_digest(M) == (entries, digest)
+    assert not oracles.writer_mismatches(M.matrix.values())
 
 
 def test_singular_isotypic_basis_is_an_obstruction(monkeypatch):
@@ -434,7 +436,9 @@ def with_entry_added(M, key, x):
     ("G2", (1, 0), 175, "b0afce786746af8a3b6206d068cf9d129ce06a48b03c09aba77449be74c01bf1"),
 ])
 def test_vector_square_matrix_digest(name, lam, entries, digest):
-    assert matrix_digest(vector_square(name, lam)[1]) == (entries, digest)
+    M = vector_square(name, lam)[1]
+    assert matrix_digest(M) == (entries, digest)
+    assert not oracles.writer_mismatches(M.matrix.values())
 
 
 @pytest.mark.parametrize("name,lam", [(n, lam) for n, lams in SQUARES.items() for lam in lams])

@@ -32,7 +32,7 @@ from qlie.table import (BasisLabel, InvalidParams, QuantumLieAlgebra, change_bas
                         labeled_constants, same_algebra)
 
 from conftest import CORE, GRID, GRID_RANKS, load_golden, name_to_cartan
-from oracles import fraction_classical_limit, fraction_jacobi, replaced
+from oracles import fraction_classical_limit, fraction_jacobi, replaced, writer_mismatches
 
 
 def positions(A):
@@ -1114,11 +1114,13 @@ def test_rank_ten_table_round_trips_through_text(explicit_members):
 def test_generic_table_canonical_json_digest(name, entries, digest, generics):
     # the bytes of `qlie build --format json`: any change to the scalar
     # kernel's canonical form or to the pipeline's output shows here; F4
-    # and E6 are pinned by a CI step
+    # and E6 are pinned by a CI step.  Each constant is also printed and
+    # serialized as the view-based writer does it, and reads back.
     A = generics[name] if name in generics else build_generic(name_to_cartan(name))
     text = json.dumps(A.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
     assert len(A.constants) == entries
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert not writer_mismatches(A.constants.values())
 
 
 def test_labeled_constants_use_display_names(generics):

@@ -32,7 +32,7 @@ from qlie.qring import (
 from qlie.table import QuantumLieAlgebra
 
 from oracles import (classical_limit, h_derivative, h_derivative_at_zero, mono, padd, peval, pmul,
-                     reference_from_json, rf)
+                     reference_from_json, rf, writer_mismatches)
 
 V = mono
 Q = V(2)           # q = v^2
@@ -270,6 +270,17 @@ def test_stored_tables_read_as_the_fraction_reader(path):
     assert scalars and all(reads_as_reference(d) for d in scalars)
 
 
+@pytest.mark.parametrize("path", STORED, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_stored_tables_write_as_the_view_writer(path):
+    # each stored scalar is written back as it was stored, as the view-based
+    # writer writes it, and its text and JSON read back as the same value
+    with open(path, encoding="utf-8") as fh:
+        scalars = list(stored_scalars(json.load(fh)))
+    values = [RatFunc.from_json(d) for d in scalars]
+    assert all(x.to_json() == d for x, d in zip(values, scalars))
+    assert not writer_mismatches(values)
+
+
 def scalar(num, den=None):
     return {"num": num, "den": {"0": "1"} if den is None else den}
 
@@ -377,6 +388,18 @@ def test_view_has_no_arithmetic():
         assert not hasattr(p, op), op
 
 
+def test_equal_numbers_hash_equal():
+    # an int, a Fraction, a RatFunc and a view of the same number are equal,
+    # so they hash equal, and each finds the others in a set
+    forms = [f(x) for x in (0, 1, -1, 3, Fraction(1, 2)) for f in (
+        lambda x: x, Fraction, RatFunc, lambda x: LaurentPoly.constant(x) if x else LaurentPoly())]
+    for a in forms:
+        for b in forms:
+            if a == b:
+                assert hash(a) == hash(b) and a in {b}, (a, b)
+    assert 3 in {RatFunc(3)} and Fraction(1, 2) in {RatFunc(Fraction(1, 2))}
+
+
 def test_view_equals_and_hashes_as_its_value():
     p = LaurentPoly(padd(Q, V(-1, Fraction(1, 2))))
     assert p == rf(padd(Q, V(-1, Fraction(1, 2)))) and hash(p) == hash(RatFunc(p))
@@ -392,6 +415,53 @@ def test_harness_entry_points_keep_their_behaviour():
     assert laurent_gcd(LaurentPoly(), LaurentPoly()).is_zero()
     quo, rem = qring._divmod_laurent(LaurentPoly(padd(V(3), ONE)), LaurentPoly(padd(Q, ONE)))
     assert quo == LaurentPoly(V(1)) and rem == LaurentPoly(padd(V(1, -1), ONE))
+
+
+# ------------------------------------------------------------ the writer
+
+WRITER_CASES = {
+    "zero": RatFunc(0),
+    "one": RatFunc(1),
+    "minus one": RatFunc(-1),
+    "negative content": rf(padd(V(2, -3), V(0, -6))),
+    "Fraction content": rf(padd(V(4, Fraction(2, 3)), V(0, Fraction(-1, 3)))),
+    "Fraction constant": RatFunc(Fraction(-5, 7)),
+    "odd v-exponents": rf(padd(V(3), V(1, -2), V(-1))),
+    "negative v-exponents": rf(padd(V(-2), V(-6, Fraction(3, 2)))),
+    "odd negative monomial": rf(V(-7, -1)),
+    "constant quotient": rf(V(0, 2), V(0, 3)),
+    "over a constant numerator": rf(ONE, padd(Q, ONE)),
+    "coefficients above 2^64": rf(padd(V(2, 2 ** 70 + 1), V(0, -(3 ** 50))),
+                                  padd(V(1, 2 ** 65), V(0, Fraction(1, 3)))),
+    "negative leading denominator": rf(padd(V(1), ONE), padd(V(0, 1), V(2, -3))),
+    "negative constant denominator": rf(V(3, Fraction(2, 3)), V(0, -1)),
+    "non-monic denominator": rf(V(-1, 5), padd(V(4, 6), V(1, 4), V(0, 2))),
+}
+
+
+@pytest.mark.parametrize("x", WRITER_CASES.values(), ids=WRITER_CASES.keys())
+def test_writer_matches_the_view_writer(x):
+    assert not writer_mismatches([x])
+
+
+def test_writer_matches_the_view_writer_on_computed_values():
+    values = [x for x, _ in random_operands(700, 60)] + [x for x, _ in CONTENT_CASES.values()]
+    values += [x * y for x, y in zip(values, values[1:])]
+    assert not writer_mismatches(values)
+
+
+@pytest.mark.parametrize("text", ["1/(q+1)", "(2*q - 1)/(q^2 + q + 3)", "v/(3*v^3 - 1)",
+                                  "q + 1", "-v^{-3}/2", "0", "5/7", "q^2 - q^{-1}"])
+def test_repr_reads_back_as_the_same_value(text):
+    x = parse_scalar(text)
+    shown = repr(x)
+    assert shown.startswith("RatFunc(") and shown.endswith(")")
+    assert parse_scalar(shown[len("RatFunc("):-1]) == x
+
+
+def test_repr_of_a_quotient_keeps_its_parentheses():
+    assert repr(parse_scalar("1/(q+1)")) == "RatFunc((1) / (q + 1))"
+    assert repr(parse_scalar("q + 1")) == "RatFunc(q + 1)"
 
 
 # ------------------------------------- differential tests of the Z kernel
