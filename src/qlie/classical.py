@@ -4,7 +4,11 @@ Everything here is computed with the classical formulas -- lowering/raising
 operators with integer weight eigenvalues, the undeformed coproduct
 x -> x (x) 1 + 1 (x) x (applied to sparse vectors, never stored as a
 matrix), the classical contravariant form -- and never touches the deformed
-ring.  The module is built over plain rationals; the bracket and its checks
+ring.  The module is built over plain rationals in build_irrep's shape:
+level by level, with E and F grouped by column as they are written, each
+vector's parent recorded as it is made, and one rref of [G | R] per
+weight, so it has the deformed module's labels and pivots, and the
+bracket's tables are lowered along the parents.  The bracket and its checks
 run on integers, each rational datum times the lcm of its denominators,
 which is exact because every step is linear in each datum.  The quantum
 pipeline specialized at v = 1 must agree with these tables exactly.
@@ -24,12 +28,15 @@ from .linalg import inverse, nullspace, rref, solve
 
 
 class ClassicalModule:
-    """Mirror of the deformed module data with plain Fraction entries."""
+    """Mirror of the deformed module data with plain Fraction entries;
+    parent[a] is the basis index of the vector v_a is F_{i_1} of, as in
+    IrrepModule (parent[0] is None)."""
 
-    def __init__(self, cd, highest_weight, labels, weights, E, F, gram, weight_basis):
+    def __init__(self, cd, highest_weight, labels, parent, weights, E, F, gram, weight_basis):
         self.cd = cd
         self.highest_weight = highest_weight
         self.labels = labels
+        self.parent = parent
         self.weights = weights
         self.E = E
         self.F = F
@@ -42,8 +49,10 @@ class ClassicalModule:
 
 
 def build_classical_module(cd: CartanDatum, lam, budget_dim: int = DEFAULT_DIM_BUDGET) -> ClassicalModule:
-    """Classical irreducible module with the same level-by-level algorithm
-    (and therefore the same labels and pivot choices) as the deformed build."""
+    """Classical irreducible module in build_irrep's shape, on Fractions (see
+    the repbuild module docstring), so with the same labels and pivots; a
+    singular Gram block met by the [G | R] reduction raises
+    VerificationFailed."""
     lam = tuple(lam)
     dim = weyl_dim(cd, lam)
     if dim > budget_dim:
@@ -51,19 +60,13 @@ def build_classical_module(cd: CartanDatum, lam, budget_dim: int = DEFAULT_DIM_B
     n = cd.rank
     simple_w = simple_roots(cd)
 
-    labels = [()]
-    weights = [lam]
-    weight_basis = {lam: [0]}
-    gram = {lam: [[Fraction(1)]]}
-    E = {i: {} for i in range(n)}
-    F = {i: {} for i in range(n)}
+    labels, parent, weights, pos = [()], [None], [lam], [0]  # pos: place in its weight block
+    weight_basis, gram = {lam: [0]}, {lam: [[Fraction(1)]]}
+    E, F = {i: {} for i in range(n)}, {i: {} for i in range(n)}
+    ecols, fcols = [{} for _ in range(n)], [{} for _ in range(n)]  # grouped by column
 
     prev_level = {lam: [0]}
     while prev_level:
-        # e_i f_j v_b = f_j e_i v_b + [i = j] h_i v_b below reads E_i on the last
-        # level and F_j on the level above it, whose columns are complete
-        e_cols = [_columns(E[i]) for i in range(n)]
-        f_cols = [_columns(F[i]) for i in range(n)]
         targets = {}
         for mu_up, idxs in prev_level.items():
             for j in range(n):
@@ -72,63 +75,57 @@ def build_classical_module(cd: CartanDatum, lam, budget_dim: int = DEFAULT_DIM_B
         new_level = {}
         for mu in sorted(targets):
             cands = sorted(targets[mu])
-            eact = [dict() for _ in cands]
-            for ci, (j, b) in enumerate(cands):
+            # e_i f_j v_b = f_j e_i v_b + [i = j] h_i v_b reads column b of E_i
+            # and columns of F_j one level up, all written by now
+            eact = []
+            for j, b in cands:
+                acts = []
                 for i in range(n):
                     vec = {}
-                    for d, coeff in e_cols[i].get(b, {}).items():
-                        for dd, f in f_cols[j].get(d, {}).items():
-                            vec[dd] = vec.get(dd, Fraction(0)) + coeff * f
-                    if i == j and weights[b][i]:
-                        vec[b] = vec.get(b, Fraction(0)) + Fraction(weights[b][i])
-                    eact[ci][i] = {d: x for d, x in vec.items() if x}
-            m = len(cands)
-            pair = [[Fraction(0)] * m for _ in range(m)]
-            for col, (j, b) in enumerate(cands):
-                for row, (i, a) in enumerate(cands):
-                    up = tuple(x + y for x, y in zip(mu, simple_w[i]))
-                    block = weight_basis.get(up)
-                    if not block:
-                        continue
-                    g = gram[up]
-                    la = block.index(a)
-                    acc = Fraction(0)
-                    for d, coeff in eact[col][i].items():
-                        acc += coeff * g[la][block.index(d)]
-                    pair[row][col] = acc
-            pivots = rref([list(r) for r in pair])
+                    for d, coeff in ecols[i].get(b, ()):
+                        for dd, f in fcols[j].get(d, ()):
+                            vec[dd] = vec.get(dd, 0) + coeff * f
+                    if i == j:
+                        vec[b] = vec.get(b, 0) + Fraction(weights[b][i])
+                    acts.append({d: x for d, x in vec.items() if x})
+                eact.append(acts)
+            # <f_i v_a, f_j v_b> = <v_a, e_i f_j v_b>, from the Gram row of v_a
+            grow = [gram[weights[a]][pos[a]] for _, a in cands]
+            pair = [[sum((x * g[pos[d]] for d, x in acts[i].items()), Fraction(0)) for acts in eact]
+                    for (i, _), g in zip(cands, grow)]
+            pivots = rref(list(pair))
             if not pivots:
                 continue
-            base = len(labels)
-            new_idx = {}
-            for p, col in enumerate(pivots):
+            k = len(pivots)
+            idxs = list(range(len(labels), len(labels) + k))
+            for p, (col, gi) in enumerate(zip(pivots, idxs)):
                 j, b = cands[col]
                 labels.append((j,) + labels[b])
+                parent.append(b)
                 weights.append(mu)
-                new_idx[col] = base + p
-            idxs = list(range(base, base + len(pivots)))
+                pos.append(p)
+                F[j][(gi, b)] = Fraction(1)
+                fcols[j].setdefault(b, []).append((gi, Fraction(1)))
+                for i, act in enumerate(eact[col]):
+                    for d, coeff in act.items():
+                        E[i][(d, gi)] = coeff
+                    ecols[i][gi] = list(act.items())
             weight_basis[mu] = idxs
             gram[mu] = [[pair[r][c] for c in pivots] for r in pivots]
-            for col, gi in new_idx.items():
-                for i in range(n):
-                    for d, coeff in eact[col][i].items():
-                        E[i][(d, gi)] = coeff
-            gblock = gram[mu]
-            for col, (j, b) in enumerate(cands):
-                if col in new_idx:
-                    F[j][(new_idx[col], b)] = Fraction(1)
-                    continue
-                rhs = [pair[p][col] for p in pivots]
-                if all(x == 0 for x in rhs):
-                    continue
-                coords = solve(gblock, rhs)
-                for p, x in enumerate(coords):
-                    if x:
-                        F[j][(idxs[p], b)] = x
+            others = [col for col in range(len(cands)) if col not in pivots]
+            aug = [row + [pair[r][col] for col in others] for r, row in zip(pivots, gram[mu])]
+            if others and rref(aug) != list(range(k)):
+                raise VerificationFailed(f"singular Gram block at weight {mu}")
+            for t, col in enumerate(others, k):
+                j, b = cands[col]
+                for gi, row in zip(idxs, aug):
+                    if row[t]:
+                        F[j][(gi, b)] = row[t]
+                        fcols[j].setdefault(b, []).append((gi, row[t]))
             new_level[mu] = idxs
         prev_level = new_level
 
-    return ClassicalModule(cd, lam, labels, weights, E, F, gram, weight_basis)
+    return ClassicalModule(cd, lam, labels, parent, weights, E, F, gram, weight_basis)
 
 
 def _columns(mat):
@@ -256,13 +253,11 @@ def classical_bracket(cd: CartanDatum, budget_dim: int = DEFAULT_DIM_BUDGET):
     # Delta(q_F f_{i_1}) of its parent's column
     qu = [_lcm_den(u.values()) for u in us]
     us = [integral_multiple(u, q) for u, q in zip(us, qu)]
-    index = {lab: a for a, lab in enumerate(V.labels)}
     tables = []
     for u in us:
         table = [u] + [None] * (d - 1)
         for a in range(1, d):
-            lab = V.labels[a]
-            table[a] = _apply_coproduct(f_cols[lab[0]], table[index[lab[1:]]], d)
+            table[a] = _apply_coproduct(f_cols[V.labels[a][0]], table[V.parent[a]], d)
         tables.append(table)
 
     # q_S times the contravariant form of V, one sparse row per basis vector
@@ -311,8 +306,7 @@ def classical_bracket(cd: CartanDatum, budget_dim: int = DEFAULT_DIM_BUDGET):
     # is Delta(f_{i_1}) of its parent's column, f_{i_1} e_parent = e_a (checked here)
     # and B commutes with each f_i (checked below): B(table[a]) = f_{i_1}...B(u)
     for a in range(1, d):
-        lab = V.labels[a]
-        if f_cols[lab[0]].get(index[lab[1:]]) != {a: qf}:
+        if f_cols[V.labels[a][0]].get(V.parent[a]) != {a: qf}:
             raise VerificationFailed("classical f does not lower the monomial basis")
     if _sp_vec(bmat, us[0]) != {0: D * qu[0]}:
         raise VerificationFailed("classical B o beta != id")

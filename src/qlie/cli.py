@@ -18,7 +18,10 @@ generic construction they are a usage error); compare has no
 for --s/--t use the grammar over {q, v, integers, + - * / ^ ( )}
 with q = v^2, e.g. --t "q^2/(q+1)"; every v-exponent of a parsed scalar
 must stay within +-1024 (qring.MAX_SCALAR_DEGREE), and parentheses and
-unary signs nest at most 64 deep (qring.MAX_SCALAR_NESTING).  Exit codes: 0 success
+unary signs nest at most 64 deep (qring.MAX_SCALAR_NESTING).  A scalar
+that starts with "-" goes after "=", as in --t=-q: argparse takes a spaced
+--t -q for an option and exits 2 with "argument --t: expected one
+argument", though a bare integer such as --t -1 passes.  Exit codes: 0 success
 / all checks pass, 1 computation, check or self-check failure, 2 usage or
 parameter error, or an output file that cannot be written.
 

@@ -20,6 +20,17 @@ from qlie.qliealg import build_generic, build_sln_explicit, generic_pipeline
 CORE = ("A1", "A2", "A3", "B2", "G2")
 GRID = (("1", "0"), ("0", "1"), ("1", "1"), ("1", "q"))
 GRID_RANKS = (2, 3, 4)
+# (name, highest weight) of the modules on which the two builders of
+# classical.py and build_irrep at v = 1 are compared entry for entry; None
+# is the adjoint
+CLASSICAL_MODULES = [(name, None) for name in ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4",
+                                               "G2", "F4", "E6", "E7", "E8")] + [
+    ("A2", (2, 1)), ("B2", (1, 1)), ("G2", (1, 0)), ("G2", (2, 0)), ("C3", (0, 1, 0)),
+    ("A3", (1, 1, 0)), ("B3", (1, 0, 1))]
+
+
+def module_id(name, lam):
+    return name if lam is None else f"{name}{lam}".replace(" ", "")
 
 
 def name_to_cartan(name):

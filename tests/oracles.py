@@ -8,7 +8,9 @@ full decomposition of a tensor product by peeling its character, the
 coproduct of a tensor product as whole sparse matrices, the Fraction
 forms of the v = 1 checks (the intertwining check with stored coproduct
 matrices, the Jacobi sum, the classical oracle's bracket and the whole
-classical-limit check), and the inverse Clebsch-Gordan
+classical-limit check), the classical oracle's module built with a
+column index per level, Gram positions by search and one solve per
+non-pivot candidate, and the inverse Clebsch-Gordan
 coefficients built from whole adjoints of the lowered embeddings, and a
 textbook Gauss-Jordan elimination with the routines read off it, a
 reader of stored scalars through one Fraction per coefficient, a writer
@@ -28,13 +30,13 @@ from operator import add
 
 from qlie import classical
 from qlie.classical import ClassicalModule, _apply_coproduct, _columns, _sp_vec
-from qlie.linalg import inverse, solve, sp_add_to, sp_matmul, sp_sub, sp_transpose
+from qlie.linalg import inverse, rref, solve, sp_add_to, sp_matmul, sp_sub, sp_transpose
 from qlie.qliealg import GaugeObstruction, _gauge_rebase, _module_basis, _sln_basis, _sln_labels
 from qlie.qring import (_JSON_COEFFICIENT, _JSON_EXPONENT, _MAX_FRACTION_CHARS, MAX_SCALAR_BITS,
                         MAX_SCALAR_DEGREE, RF_ONE, RF_ZERO, DenominatorVanishes, LaurentPoly,
                         RatFunc, _coerce_rf, _fr, _fraction_sqrt, parse_scalar, rf_vpow)
 from qlie.repbuild import contravariant_form
-from qlie.rootdata import (DEFAULT_DIM_BUDGET, CartanDatum, VerificationFailed, _check_dominant,
+from qlie.rootdata import (DEFAULT_DIM_BUDGET, BudgetExceeded, CartanDatum, VerificationFailed, _check_dominant,
                            highest_root, is_dominant, root_system, simple_roots,
                            weight_multiplicities, weyl_dim)
 from qlie.table import _moved
@@ -343,6 +345,100 @@ def fraction_jacobi(constants) -> bool:
                     for f, v2 in ez.items():
                         sums[triple, f] = sums.get((triple, f), Fraction(0)) + v1 * v2
     return not any(sums.values())
+
+
+def reference_classical_module(cd: CartanDatum, lam, budget_dim: int = DEFAULT_DIM_BUDGET) -> ClassicalModule:
+    """classical.build_classical_module as it was before it took
+    build_irrep's shape: the column index of every E_i and F_i rebuilt on
+    each level, Gram positions found by list.index and one solve per
+    non-pivot candidate.  parent is read off the labels afterwards."""
+    lam = tuple(lam)
+    dim = weyl_dim(cd, lam)
+    if dim > budget_dim:
+        raise BudgetExceeded(f"dim V({lam}) = {dim} exceeds budget {budget_dim}")
+    n = cd.rank
+    simple_w = simple_roots(cd)
+
+    labels = [()]
+    weights = [lam]
+    weight_basis = {lam: [0]}
+    gram = {lam: [[Fraction(1)]]}
+    E = {i: {} for i in range(n)}
+    F = {i: {} for i in range(n)}
+
+    prev_level = {lam: [0]}
+    while prev_level:
+        # e_i f_j v_b = f_j e_i v_b + [i = j] h_i v_b below reads E_i on the last
+        # level and F_j on the level above it, whose columns are complete
+        e_cols = [_columns(E[i]) for i in range(n)]
+        f_cols = [_columns(F[i]) for i in range(n)]
+        targets = {}
+        for mu_up, idxs in prev_level.items():
+            for j in range(n):
+                mu = tuple(a - b for a, b in zip(mu_up, simple_w[j]))
+                targets.setdefault(mu, []).extend((j, b) for b in idxs)
+        new_level = {}
+        for mu in sorted(targets):
+            cands = sorted(targets[mu])
+            eact = [dict() for _ in cands]
+            for ci, (j, b) in enumerate(cands):
+                for i in range(n):
+                    vec = {}
+                    for d, coeff in e_cols[i].get(b, {}).items():
+                        for dd, f in f_cols[j].get(d, {}).items():
+                            vec[dd] = vec.get(dd, Fraction(0)) + coeff * f
+                    if i == j and weights[b][i]:
+                        vec[b] = vec.get(b, Fraction(0)) + Fraction(weights[b][i])
+                    eact[ci][i] = {d: x for d, x in vec.items() if x}
+            m = len(cands)
+            pair = [[Fraction(0)] * m for _ in range(m)]
+            for col, (j, b) in enumerate(cands):
+                for row, (i, a) in enumerate(cands):
+                    up = tuple(x + y for x, y in zip(mu, simple_w[i]))
+                    block = weight_basis.get(up)
+                    if not block:
+                        continue
+                    g = gram[up]
+                    la = block.index(a)
+                    acc = Fraction(0)
+                    for d, coeff in eact[col][i].items():
+                        acc += coeff * g[la][block.index(d)]
+                    pair[row][col] = acc
+            pivots = rref([list(r) for r in pair])
+            if not pivots:
+                continue
+            base = len(labels)
+            new_idx = {}
+            for p, col in enumerate(pivots):
+                j, b = cands[col]
+                labels.append((j,) + labels[b])
+                weights.append(mu)
+                new_idx[col] = base + p
+            idxs = list(range(base, base + len(pivots)))
+            weight_basis[mu] = idxs
+            gram[mu] = [[pair[r][c] for c in pivots] for r in pivots]
+            for col, gi in new_idx.items():
+                for i in range(n):
+                    for d, coeff in eact[col][i].items():
+                        E[i][(d, gi)] = coeff
+            gblock = gram[mu]
+            for col, (j, b) in enumerate(cands):
+                if col in new_idx:
+                    F[j][(new_idx[col], b)] = Fraction(1)
+                    continue
+                rhs = [pair[p][col] for p in pivots]
+                if all(x == 0 for x in rhs):
+                    continue
+                coords = solve(gblock, rhs)
+                for p, x in enumerate(coords):
+                    if x:
+                        F[j][(idxs[p], b)] = x
+            new_level[mu] = idxs
+        prev_level = new_level
+
+    index = {lab: a for a, lab in enumerate(labels)}
+    parent = [None] + [index[lab[1:]] for lab in labels[1:]]
+    return ClassicalModule(cd, lam, labels, parent, weights, E, F, gram, weight_basis)
 
 
 def fraction_classical_bracket(cd: CartanDatum, budget_dim: int = DEFAULT_DIM_BUDGET):

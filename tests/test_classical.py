@@ -19,8 +19,9 @@ from qlie.classical import (
     intertwines,
 )
 
-from conftest import name_to_cartan
-from oracles import classical_split_casimir_a1, fraction_classical_bracket, fraction_intertwines
+from conftest import CLASSICAL_MODULES, module_id, name_to_cartan
+from oracles import (classical_split_casimir_a1, fraction_classical_bracket, fraction_intertwines,
+                     reference_classical_module)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2"])
@@ -87,7 +88,7 @@ def test_classical_bracket_leaking_onto_the_complement_fails(monkeypatch, name):
 def test_classical_corrupted_lowering_entry_is_caught(monkeypatch):
     def corrupt(V):
         lab = V.labels[1]
-        V.F[lab[0]][(1, V.labels.index(lab[1:]))] = Fraction(2)
+        V.F[lab[0]][(1, V.parent[1])] = Fraction(2)
         return V
 
     cd = _patch_after_build(monkeypatch, "A2", change_module=corrupt)
@@ -114,8 +115,7 @@ def _corrupt_e_on_lowest(V):
 
 def _corrupt_f_off_the_lowering(V):
     # an F_i entry that is not f_{i_1} e_parent = e_a for any label (i_1, parent)
-    index = {lab: a for a, lab in enumerate(V.labels)}
-    lowering = {(lab[0], (a, index[lab[1:]])) for a, lab in enumerate(V.labels) if lab}
+    lowering = {(lab[0], (a, b)) for a, (lab, b) in enumerate(zip(V.labels, V.parent)) if lab}
     i, key = next((i, key) for i, mat in V.F.items() for key in mat if (i, key) not in lowering)
     return _with_entry(V, "F", i, key, 2 * V.F[i][key])
 
@@ -160,6 +160,30 @@ def test_integer_bracket_matches_the_fraction_reference(name):
     V0, f0 = fraction_classical_bracket(cd)
     assert V.labels == V0.labels and f == f0
     assert all(type(x) is Fraction for x in f.values())
+
+
+BUILDER_MODULES = CLASSICAL_MODULES + [("E6", (1, 1, 0, 0, 0, 0))]
+
+
+@pytest.mark.parametrize("name,lam", BUILDER_MODULES,
+                         ids=[module_id(*m) for m in BUILDER_MODULES])
+def test_classical_module_matches_the_reference_builder(name, lam):
+    """The one-pass builder gives the module of the level-by-level reference,
+    parent, Gram blocks and weight bases included.  E6 (1,1,0,0,0,0) has
+    weight spaces of dimension up to 16."""
+    cd = name_to_cartan(name)
+    lam = lam or highest_root(cd)
+    W = build_classical_module(cd, lam, budget_dim=1728)
+    assert vars(W) == vars(reference_classical_module(cd, lam, budget_dim=1728))
+
+
+def test_a_gram_block_the_reduction_finds_singular_raises(monkeypatch):
+    # a reduction of [G | R] (wider than tall) that misses a column of G
+    true_rref = classical.rref
+    monkeypatch.setattr(classical, "rref",
+                        lambda mat: true_rref(mat)[:len(mat) - (len(mat[0]) > len(mat))])
+    with pytest.raises(VerificationFailed, match=r"^singular Gram block at weight \(.*\)$"):
+        build_classical_module(name_to_cartan("G2"), (0, 1))
 
 
 @pytest.mark.parametrize("lcm_of", [(), (Fraction(1, 6), Fraction(-5, 4), 3)])

@@ -15,7 +15,7 @@ from qlie import cli, qliealg, repbuild, table, tensorcg
 from qlie.cli import main, parse_text_algebra
 from qlie.qliealg import check_lr_identity
 from qlie.table import QuantumLieAlgebra, same_algebra
-from qlie.qring import RatFunc
+from qlie.qring import RatFunc, rf_vpow
 from qlie.rootdata import build_cartan, highest_root
 
 from conftest import load_golden
@@ -125,6 +125,27 @@ def test_division_by_zero_in_a_scalar_is_a_usage_error(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_negative_scalar_is_read_after_an_equals_sign(capsys):
+    code, out = run(capsys, "build", "--algebra", "A2", "--construction", "explicit-sln",
+                    "--s", "q", "--t=-1/(q+2)", "--format", "json")
+    q = rf_vpow(2)
+    A = cli.build_sln_explicit(3, q, -1 / (q + 2))
+    assert code == 0
+    assert out == json.dumps(A.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("t", ["-q", "-1/(q+2)"])
+def test_a_spaced_negative_scalar_is_taken_for_an_option(capsys, t):
+    # argparse reads a value that starts with "-" and is not a number as an
+    # option, so --t is left without its argument
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--algebra", "A2", "--construction", "explicit-sln", "--s", "q", "--t", t])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qlie build")
+    assert err.endswith("qlie build: error: argument --t: expected one argument\n")
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])

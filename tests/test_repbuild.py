@@ -12,7 +12,7 @@ from qlie.rootdata import build_cartan, highest_root, weight_multiplicities, wey
 from qlie.repbuild import BudgetExceeded, adjoint_module, build_irrep, verify_module
 from qlie.classical import build_classical_module
 
-from conftest import CORE, name_to_cartan
+from conftest import CLASSICAL_MODULES, CORE, module_id, name_to_cartan
 from oracles import replaced
 
 
@@ -111,21 +111,29 @@ NONPIVOT_MODULES = [
 ]
 
 
-@pytest.mark.parametrize("name,lam",
-                         [("A2", None), ("B2", None), ("A1", (2,))] + NONPIVOT_MODULES)
+SPECIALIZED = [("A2", None), ("B2", None), ("A1", (2,))] + NONPIVOT_MODULES
+
+
+@pytest.mark.parametrize("name,lam", SPECIALIZED + [
+    pytest.param(*m, id=module_id(*m)) for m in CLASSICAL_MODULES if m not in SPECIALIZED])
 def test_classical_specialization_matches_classical_builder(name, lam):
+    # entry for entry, pivots included: check_classical_limit numbers the H
+    # slots in basis order on both sides
     cd = name_to_cartan(name)
     if lam is None:
         lam = highest_root(cd)
-    V = build_irrep(cd, lam, budget_dim=200)
-    W = build_classical_module(cd, lam, budget_dim=200)
-    assert V.labels == W.labels
-    assert V.weights == W.weights
-    for i in range(cd.rank):
-        for mats_q, mats_c in ((V.E, W.E), (V.F, W.F)):
-            ev = {p: x.eval_at_one() for p, x in mats_q[i].items() if x.eval_at_one() != 0}
-            cl = {p: x for p, x in mats_c[i].items() if x != 0}
-            assert ev == cl
+    V = build_irrep(cd, lam, budget_dim=248)
+    W = build_classical_module(cd, lam, budget_dim=248)
+    assert _at_one(V) == (W.labels, W.parent, W.weights, W.E, W.F, W.gram, W.weight_basis)
+
+
+def _at_one(V):
+    """V's labels, parents, weights, E, F, Gram blocks and weight bases, each
+    scalar at v = 1."""
+    def mats(ms):
+        return {i: {k: x.eval_at_one() for k, x in m.items()} for i, m in ms.items()}
+    gram = {w: [[x.eval_at_one() for x in row] for row in g] for w, g in V.gram.items()}
+    return V.labels, V.parent, V.weights, mats(V.E), mats(V.F), gram, V.weight_basis
 
 
 def test_adjoint_of_a1_specializes_to_sl2():
