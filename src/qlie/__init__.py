@@ -12,8 +12,8 @@ Subpackage map:
                   (S (x) S) Delta(E_i) = Delta(F_i)^T (S (x) S))
 * ``classical``-- the undeformed oracle pipeline over Q, independent of the
                   q-pipeline
-* ``table``    -- the structure-constant table itself: basis labels, the
-                  stored forms' one reader, change of basis
+* ``table``    -- the structure-constant table itself: basis labels, both
+                  stored forms and their one constructor, change of basis
 * ``qliealg``  -- the constructions of the table: generic pipeline,
                   explicit type-A construction, normalization, checks
 * ``monodromy``-- monodromy operator on V (x) W, its adjoint family, claims (1), (3)

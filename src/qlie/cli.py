@@ -27,21 +27,21 @@ parameter error, or an output file that cannot be written.
 
 One reader, _request, refuses bad input before anything is built: the
 usage errors in one fixed order, then the budget, alike on every series.
+No command reads a table: build writes QuantumLieAlgebra.to_json or to_text.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 
 from .qring import DenominatorVanishes, RatFunc, parse_scalar
 from .rootdata import (DEFAULT_DIM_BUDGET, BudgetExceeded, VerificationFailed, adjoint_dim,
                        build_cartan)
 from .tensorcg import EmptySpace
-from .table import (BasisLabel, InvalidParams, QuantumLieAlgebra, check_sln_params, naming,
-                    stored_table)
+from .table import (InvalidParams, QuantumLieAlgebra, _nonzero_rows, _series_rank,
+                    check_sln_params)
 from .qliealg import (
     GaugeObstruction,
     build_generic,
@@ -69,19 +69,6 @@ CHECKS = {
     "ad-invariance": lambda A, dim, pipe: check_ad_invariance(A, pipe, dim),
     "tau": lambda A, dim, pipe: check_tau_sln(A),
 }
-
-
-def _series_rank(text: str) -> tuple:
-    """(series letter, rank) of an algebra name like A2; no Cartan datum is
-    built."""
-    m = re.fullmatch(r"([A-Za-z])\s*([0-9]+)", text.strip())
-    if not m:
-        raise InvalidParams(f"bad algebra {text!r}; expected a series letter "
-                            "and rank, like A2 or G2")
-    try:
-        return m.group(1).upper(), int(m.group(2))
-    except ValueError as exc:
-        raise InvalidParams(str(exc)) from exc
 
 
 def _request(args) -> argparse.Namespace:
@@ -162,88 +149,6 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _nonzero_rows(A: QuantumLieAlgebra, at_one: bool = False):
-    """(name_a, name_b, name_c, value) for each nonzero constant f_ab^c in
-    key order; with at_one, the exact value at v = 1, where that is nonzero."""
-    names = [lab.name() for lab in A.basis]
-    for (a, b, c), val in sorted(A.constants.items()):
-        if at_one:
-            val = val.eval_at_one()
-            if not val:
-                continue
-        yield names[a], names[b], names[c], val
-
-
-def build_text(A: QuantumLieAlgebra) -> str:
-    """Self-contained text form: header lines carrying the algebra, the
-    construction, and the basis, followed by one line per nonzero constant.
-    parse_text_algebra inverts this exactly."""
-    lines = [
-        f"# algebra {A.cd.series}{A.cd.rank}",
-        f"# construction {A.provenance}",
-        f"# normalized {'yes' if A.normalized else 'no'}",
-        "# basis " + " | ".join(lab.name() for lab in A.basis),
-    ]
-    if A.params is not None:
-        lines.append(f"# params s = {A.params['s']} ; t = {A.params['t']}")
-    lines += [f"f[{a},{b}]^{{{c}}} = {val}" for a, b, c, val in _nonzero_rows(A)]
-    return "\n".join(lines) + "\n"
-
-
-def parse_text_algebra(text: str) -> QuantumLieAlgebra:
-    """Rebuild a QuantumLieAlgebra from the output of build_text.  The
-    lines are parsed here and the pieces passed to table.stored_table,
-    which refuses what the JSON reader refuses (a basis that does not span
-    the adjoint, checked before any label is read, bad labels, an unknown
-    construction, a normalized flag other than yes or no, wrong params);
-    a refusal is an InvalidParams."""
-    algebra = provenance = names = params = normalized = None
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    body = []
-    for ln in lines:
-        if ln.startswith("# algebra "):
-            algebra_line, algebra = ln, _series_rank(ln[len("# algebra "):])
-        elif ln.startswith("# construction "):
-            provenance = ln[len("# construction "):].strip()
-        elif ln.startswith("# normalized "):
-            word = ln[len("# normalized "):].strip()
-            normalized = {"yes": True, "no": False}.get(word, word)
-        elif ln.startswith("# basis "):
-            basis_line, names = ln, ln[len("# basis "):].split(" | ")
-        elif ln.startswith("# params "):
-            m = re.fullmatch(r"# params s = (.*) ; t = (.*)", ln)
-            if not m:
-                raise InvalidParams(f"cannot parse params line {ln!r}")
-            with naming(f"line {ln!r}"):
-                params = {"s": parse_scalar(m.group(1)), "t": parse_scalar(m.group(2))}
-        elif not ln.startswith("#"):
-            body.append(ln)
-    if algebra is None or provenance is None or names is None or normalized is None:
-        raise InvalidParams("text table lacks its header lines")
-    return stored_table(*algebra, names, BasisLabel.from_name, _text_constants(body, names),
-                        provenance, normalized, params,
-                        where=(f"line {algebra_line!r}", f"line {basis_line!r}"))
-
-
-def _text_constants(body: list, names: list):
-    """((a, b, c), value) of each constant line f[name_a,name_b]^{name_c} = value."""
-    where = {nm: a for a, nm in enumerate(names)}
-    for ln in body:
-        m = re.fullmatch(r"f\[(.*)\]\^\{(.*)\} = (.*)", ln)
-        if not m:
-            raise InvalidParams(f"cannot parse table line {ln!r}")
-        pair, cname, val = m.groups()
-        a = b = None
-        for cut in range(len(pair)):
-            if pair[cut] == "," and pair[:cut] in where and pair[cut + 1:] in where:
-                a, b = where[pair[:cut]], where[pair[cut + 1:]]
-                break
-        if a is None or cname not in where:
-            raise InvalidParams(f"unknown basis labels in line {ln!r}")
-        with naming(f"line {ln!r}"):
-            yield (a, b, where[cname]), parse_scalar(val)
-
-
 def constants_table(A: QuantumLieAlgebra, at_one: bool = False) -> str:
     """Aligned text table of the nonzero constants; with at_one, their
     exact values at v = 1."""
@@ -268,7 +173,7 @@ def cmd_show(req):
     their values at v = 1, in the chosen format."""
     A, _ = build_algebra(req)
     if req.command == "build":
-        text = _json_dumps(A.to_json()) if req.format == "json" else build_text(A)
+        text = _json_dumps(A.to_json()) if req.format == "json" else A.to_text()
     else:
         at_one = req.command == "limit"
         text = (_json_dumps(_table_json(A, at_one)) if req.format == "json"

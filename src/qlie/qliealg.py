@@ -53,8 +53,8 @@ from .tensorcg import (highest_weight_space, invert_cg, module_map_defects, resc
 from .linalg import inverse, rank, rref, sp_add_to, sp_diff, sp_grouped
 from .classical import _lcm_den, classical_bracket, classical_sln_table, integral_multiple
 # same_algebra is re-exported: callers that build tables here compare them with it
-from .table import (BasisLabel, InvalidParams, QuantumLieAlgebra, _by_pair, _moved, _sln_root,
-                    change_basis, check_sln_params, same_algebra)
+from .table import (BasisLabel, InvalidParams, QuantumLieAlgebra, _by_pair, _moved, _sln_basis,
+                    _sln_root, change_basis, check_sln_params, same_algebra)
 
 
 class GaugeObstruction(RuntimeError):
@@ -125,14 +125,6 @@ def _sln_parts(n: int):
                 sp_add_to(Ts, (pos["H", i], pos["H", j], pos["H", k]), f)
 
     return labels, Ts, _flip(Ts, _sln_tau(labels, n))
-
-
-def _sln_basis(n: int) -> list:
-    """The basis of the explicit family: X_ij for i != j in lexicographic
-    order, then H_1 .. H_{n-1}."""
-    return ([BasisLabel("X", root=_sln_root(n, i, j), ij=(i, j))
-             for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-            + [BasisLabel("H", index=k) for k in range(1, n)])
 
 
 def _sln_labels(basis: list) -> list:

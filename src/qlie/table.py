@@ -3,20 +3,21 @@
 A ``QuantumLieAlgebra`` is a basis, each vector labelled X_alpha (a root
 vector) or H_k (a Cartan slot), with structure constants f_ab^c over Q(v):
 the abstract algebra, whatever construction produced it.  This module holds
-the table and its labels, the two stored forms' one constructor
-``stored_table`` (``QuantumLieAlgebra.from_json`` here and
-``cli.parse_text_algebra`` each parse their own encoding and pass the
-pieces to it, and it makes every refusal), the label-keyed comparison of
-tables, and ``change_basis``, the single change-of-basis routine for
-structure-constant tables.
+the table and its labels, both stored forms (``to_json``/``from_json`` and
+``to_text``/``from_text``: each reader parses its encoding, a text label by
+looking its name up among those the algebra writes, and passes the pieces
+to one constructor, ``stored_table``, which makes every refusal), the
+label-keyed comparison of tables, and ``change_basis``, the single
+change-of-basis routine for structure-constant tables.
 """
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
 from typing import NamedTuple
 
-from .qring import RatFunc, RF_ZERO
+from .qring import RatFunc, RF_ZERO, parse_scalar
 from .rootdata import CartanDatum, adjoint_dim, build_cartan, cartan_to_json, root_system
 from .linalg import sp_add_to, sp_diff, sp_grouped
 
@@ -63,21 +64,6 @@ class BasisLabel(NamedTuple):
                 return "X_{%d,%d}" % (i, j)
             return "X_{%d%d}" % (i, j)
         return "X_{(%s)}" % ",".join(str(c) for c in self.root)
-
-    @staticmethod
-    def from_name(name: str, n: int) -> "BasisLabel":
-        """The label whose name() is name; n = rank + 1 places the root of
-        an X_ij.  A name of no label raises InvalidParams, a malformed
-        integer in one a ValueError."""
-        if name.startswith("H_"):
-            return BasisLabel("H", index=int(name[2:]))
-        if name.startswith("X_{(") and name.endswith(")}"):
-            return BasisLabel("X", root=tuple(int(x) for x in name[4:-2].split(",")))
-        if name.startswith("X_{") and name.endswith("}"):
-            body = name[3:-1]
-            i, j = (int(x) for x in (body.split(",") if "," in body else body))
-            return BasisLabel("X", root=_sln_root(n, i, j), ij=(i, j))
-        raise InvalidParams(f"cannot parse basis label {name!r}")
 
     def to_json(self) -> dict:
         if self.kind == "H":
@@ -166,9 +152,106 @@ class QuantumLieAlgebra:
         params = d.get("params")
         if isinstance(params, dict):
             params = {k: _stored_scalar(v, f"the parameter {k}") for k, v in params.items()}
-        return stored_table(series, rank, basis, lambda lab, n: BasisLabel.from_json(lab),
+        return stored_table(series, rank, basis,
+                            lambda labels, cd: [BasisLabel.from_json(lab) for lab in labels],
                             map(_stored_constant, entries), d.get("provenance"),
                             d.get("normalized"), params, d.get("checks"))
+
+    def to_text(self) -> str:
+        """The text form: header lines for the algebra, the construction, the
+        normalized flag, the basis and the explicit family's params, then
+        f[a,b]^{c} = value per constant in key order; from_text inverts it."""
+        lines = [
+            f"# algebra {self.cd.series}{self.cd.rank}",
+            f"# construction {self.provenance}",
+            f"# normalized {'yes' if self.normalized else 'no'}",
+            "# basis " + " | ".join(lab.name() for lab in self.basis),
+        ]
+        if self.params is not None:
+            lines.append(f"# params s = {self.params['s']} ; t = {self.params['t']}")
+        lines += [f"f[{a},{b}]^{{{c}}} = {val}" for a, b, c, val in _nonzero_rows(self)]
+        return "\n".join(lines) + "\n"
+
+    @staticmethod
+    def from_text(text: str) -> "QuantumLieAlgebra":
+        """The table of a text form (to_text): each header line once, each
+        label a name the algebra writes (_labels_named), other "#" lines
+        ignored; stored_table makes the other refusals, each an InvalidParams."""
+        head, body = {}, []   # head: {key: match of "# key value"}
+        for ln in text.splitlines():
+            m = re.match(r"# (algebra|construction|normalized|basis|params) (.*)", ln)
+            if m and head.setdefault(m[1], m) is not m:
+                raise InvalidParams(f"the text table repeats its {m[1]} line: {ln!r}")
+            if not m and ln.strip() and not ln.startswith("#"):
+                body.append(ln)
+        if not {"algebra", "construction", "normalized", "basis"} <= head.keys():
+            raise InvalidParams("text table lacks its header lines")
+        params, line = None, head.get("params")
+        if line:
+            m = re.fullmatch(r"s = (.*) ; t = (.*)", line[2])
+            if not m:
+                raise InvalidParams(f"cannot parse params line {line[0]!r}")
+            with naming(f"line {line[0]!r}"):
+                params = {"s": parse_scalar(m[1]), "t": parse_scalar(m[2])}
+        names, normalized = head["basis"][2].split(" | "), head["normalized"][2].strip()
+        return stored_table(*_series_rank(head["algebra"][2]), names, _labels_named,
+                            _text_constants(body, names), head["construction"][2].strip(),
+                            {"yes": True, "no": False}.get(normalized, normalized), params,
+                            where=f"line {head['algebra'][0]!r}")
+
+
+def _nonzero_rows(A: QuantumLieAlgebra, at_one: bool = False):
+    """(name_a, name_b, name_c, value) for each nonzero constant f_ab^c in
+    key order; with at_one, the exact value at v = 1, where that is nonzero."""
+    names = [lab.name() for lab in A.basis]
+    for (a, b, c), val in sorted(A.constants.items()):
+        if at_one:
+            val = val.eval_at_one()
+            if not val:
+                continue
+        yield names[a], names[b], names[c], val
+
+
+def _series_rank(text: str) -> tuple:
+    """(series letter, rank) of an algebra name like A2; no Cartan datum is
+    built."""
+    m = re.fullmatch(r"([A-Za-z])\s*([0-9]+)", text.strip())
+    if not m:
+        raise InvalidParams(f"bad algebra {text!r}; expected a series letter "
+                            "and rank, like A2 or G2")
+    try:
+        return m.group(1).upper(), int(m.group(2))
+    except ValueError as exc:
+        raise InvalidParams(str(exc)) from exc
+
+
+def _labels_named(names: list, cd: CartanDatum) -> list:
+    """The label of each name among those the algebra writes
+    (_algebra_labels); any other name raises InvalidParams."""
+    known = {lab.name(): lab for lab in _algebra_labels(cd)}
+    for name in names:
+        if name not in known:
+            raise InvalidParams(f"cannot parse basis label {name!r}")
+    return [known[name] for name in names]
+
+
+def _text_constants(body: list, names: list):
+    """((a, b, c), value) of each constant line f[name_a,name_b]^{name_c} = value."""
+    where = {nm: a for a, nm in enumerate(names)}
+    for ln in body:
+        m = re.fullmatch(r"f\[(.*)\]\^\{(.*)\} = (.*)", ln)
+        if not m:
+            raise InvalidParams(f"cannot parse table line {ln!r}")
+        pair, cname, val = m.groups()
+        a = b = None
+        for cut in range(len(pair)):
+            if pair[cut] == "," and pair[:cut] in where and pair[cut + 1:] in where:
+                a, b = where[pair[:cut]], where[pair[cut + 1:]]
+                break
+        if a is None or cname not in where:
+            raise InvalidParams(f"unknown basis labels in line {ln!r}")
+        with naming(f"line {ln!r}"):
+            yield (a, b, where[cname]), parse_scalar(val)
 
 
 def _fields(d, what: str, **types) -> list:
@@ -200,27 +283,26 @@ def _stored_scalar(d: dict, name: str) -> RatFunc:
         raise InvalidParams(f"{name}: {exc}") from exc
 
 
-def stored_table(series, rank, labels: list, read_label, constants, provenance,
+def stored_table(series, rank, labels: list, read_basis, constants, provenance,
                  normalized, params=None, checks=None,
-                 where=("the cartan", "the basis")) -> QuantumLieAlgebra:
+                 where="the cartan") -> QuantumLieAlgebra:
     """The table a reader has parsed from a stored form: labels as stored,
-    read_label(label, rank + 1) reading one, and constants an iterable of
+    read_basis(labels, cd) reading them, and constants an iterable of
     ((a, b, c), RatFunc) consumed once the labels have passed.  Every
     refusal the two forms share is made here, as an InvalidParams: the
     rank must be an int, the basis must span the adjoint (table_cartan,
     before any label is read), the labels pass check_basis_labels, the
     construction is one of CONSTRUCTIONS, normalized is a bool, the params
     are an object holding exactly s and t on an explicit-sln table, passing
-    check_sln_params, and None on a generic one, checks is a dict, and every
-    constant index lies in range(dim).  A parse error in the algebra or a
-    label names where = (where each was read).  A stored zero constant is
-    dropped, as QuantumLieAlgebra drops every one."""
-    with naming(where[0]):
+    check_sln_params, and None on a generic one, checks is a dict, and each
+    constant's (a, b, c) lies in range(dim) and is listed once.  A parse
+    error in the algebra names where, where it was read.  A stored zero
+    constant is dropped, as QuantumLieAlgebra drops every one."""
+    with naming(where):
         if type(rank) is not int:
             raise TypeError(f"the rank {rank!r} is not an int")
         cd = table_cartan(series, rank, len(labels))
-    with naming(where[1]):
-        basis = [read_label(lab, cd.rank + 1) for lab in labels]
+    basis = read_basis(labels, cd)
     if provenance not in CONSTRUCTIONS:
         raise InvalidParams(f"the construction {provenance!r} is not one of "
                             + ", ".join(CONSTRUCTIONS))
@@ -238,10 +320,14 @@ def stored_table(series, rank, labels: list, read_label, constants, provenance,
         check_sln_params(params["s"], params["t"])
     if not isinstance(checks, (dict, type(None))):
         raise InvalidParams(f"the checks of a stored table are not a JSON object: {checks!r}")
-    constants = list(constants)
-    if any(type(i) is not int or not 0 <= i < len(basis) for key, _ in constants for i in key):
-        raise InvalidParams(f"a constant index lies outside the basis range(0, {len(basis)})")
-    return QuantumLieAlgebra(cd, basis, dict(constants), provenance, params=params,
+    table = {}
+    for key, val in constants:
+        if any(type(i) is not int or not 0 <= i < len(basis) for i in key):
+            raise InvalidParams(f"a constant index lies outside the basis range(0, {len(basis)})")
+        if key in table:
+            raise InvalidParams("the constant [%d, %d, %d] is listed twice" % key)
+        table[key] = val
+    return QuantumLieAlgebra(cd, basis, table, provenance, params=params,
                              normalized=normalized, checks=dict(checks or {}))
 
 
@@ -273,9 +359,9 @@ def check_basis_labels(cd: CartanDatum, basis: list, provenance: str) -> None:
     its matrix unit ij; and an ij is two ints 1 <= i != j <= n = rank + 1
     whose root eps_i - eps_j is the label's.  A failure raises
     InvalidParams."""
-    roots = [w for _, w in root_system(cd).positive_roots]
+    labels = _algebra_labels(cd)
     if sorted(lab.root for lab in basis if lab.kind == "X") != sorted(
-            roots + [tuple(-x for x in w) for w in roots]):
+            lab.root for lab in labels if lab.kind == "X" and lab.ij is None):
         raise InvalidParams("the X labels of the basis are not the roots, each once")
     if sorted(lab.index for lab in basis if lab.kind == "H") != list(range(1, cd.rank + 1)):
         raise InvalidParams(f"the H labels of the basis are not H_1 .. H_{cd.rank}, each once")
@@ -283,9 +369,7 @@ def check_basis_labels(cd: CartanDatum, basis: list, provenance: str) -> None:
     if explicit and cd.series != "A":
         raise InvalidParams(f"an explicit-sln table must be on an A-series algebra, "
                             f"not {cd.series}{cd.rank}")
-    n = cd.rank + 1
-    units = {_sln_root(n, i, j): (i, j) for i in range(1, n + 1) for j in range(1, n + 1)
-             if i != j and cd.series == "A"}
+    units = {lab.root: lab.ij for lab in labels if lab.ij}
     for lab in basis:
         if lab.kind == "X" and (explicit or lab.ij is not None):
             name = BasisLabel("X", root=lab.root).name()
@@ -293,7 +377,24 @@ def check_basis_labels(cd: CartanDatum, basis: list, provenance: str) -> None:
                 raise InvalidParams(f"{name} of an explicit-sln table has no ij")
             if units.get(lab.root) != lab.ij or any(type(x) is not int for x in lab.ij):
                 raise InvalidParams(f"the ij {lab.ij} of {name} is not a position "
-                                    f"1 <= i != j <= {n} with that root")
+                                    f"1 <= i != j <= {cd.rank + 1} with that root")
+
+
+def _algebra_labels(cd: CartanDatum) -> list:
+    """Every label the algebra has: X_alpha of each root, then on type A
+    the explicit family's basis (_sln_basis), or else H_1 .. H_rank."""
+    n = cd.rank + 1
+    roots = [w for _, w in root_system(cd).positive_roots]
+    return [BasisLabel("X", root=w) for w in roots + [tuple(-x for x in w) for w in roots]] + (
+        _sln_basis(n) if cd.series == "A" else [BasisLabel("H", index=k) for k in range(1, n)])
+
+
+def _sln_basis(n: int) -> list:
+    """The basis of the explicit family: X_ij for i != j in lexicographic
+    order, then H_1 .. H_{n-1}."""
+    return ([BasisLabel("X", root=_sln_root(n, i, j), ij=(i, j))
+             for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+            + [BasisLabel("H", index=k) for k in range(1, n)])
 
 
 def _label_keys(basis: list) -> list:

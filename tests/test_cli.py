@@ -12,7 +12,7 @@ import pytest
 
 import qlie
 from qlie import cli, qliealg, repbuild, table, tensorcg
-from qlie.cli import main, parse_text_algebra
+from qlie.cli import main
 from qlie.qliealg import check_lr_identity
 from qlie.table import QuantumLieAlgebra, same_algebra
 from qlie.qring import RatFunc, rf_vpow
@@ -481,7 +481,7 @@ def test_json_is_compact_and_sorted(capsys):
 def test_text_round_trip(capsys):
     _, out = run(capsys, "build", "--algebra", "A2", "--construction", "explicit-sln",
                  "--s", "1", "--t", "q")
-    parsed = parse_text_algebra(out)
+    parsed = QuantumLieAlgebra.from_text(out)
     _, again = run(capsys, "build", "--algebra", "A2", "--construction", "explicit-sln",
                    "--s", "1", "--t", "q", "--format", "json")
     direct = QuantumLieAlgebra.from_json(json.loads(again))
@@ -491,17 +491,15 @@ def test_text_round_trip(capsys):
 @pytest.fixture(scope="module")
 def sl3_text():
     A = cli.build_sln_explicit(3, RatFunc(1), RatFunc(0))
-    return cli.build_text(A)
+    return A.to_text()
 
 
-SL3_BASIS = "X_{12} | X_{13} | X_{21} | X_{23} | X_{31} | X_{32} | H_q | H_2"
-
-# (old, new, the line as the test's id names it, the whole message it must reach)
+# (old, new, the line as the test's id names it, the whole message it must reach;
+# a basis label is named by itself)
 MALFORMED_LINES = [
     ("# params s = 1 ; t = 0", "# params s = 1, t = 0", "# params s = 1, t = 0",
      "cannot parse params line '# params s = 1, t = 0'"),
-    ("| H_1 |", "| H_q |", "# basis ",
-     f"cannot parse line '# basis {SL3_BASIS}': invalid literal for int() with base 10: 'q'"),
+    ("| H_1 |", "| H_q |", "# basis ", "cannot parse basis label 'H_q'"),
     ("]^{H_1} = ", "]^{H_1} = 1/0 + ", "f[",
      "cannot parse line 'f[X_{12},X_{21}]^{H_1} = 1/0 + 1': division by zero in '1/0 + 1'"),
     ("f[X_{12},X_{21}]^{H_1} = 1", "f[X_{12},X_{21}]^{H_1} := 1", "f[X_{12},X_{21}]^{H_1} := 1",
@@ -521,7 +519,7 @@ def test_malformed_text_table_names_its_line(sl3_text, old, new, message):
     assert old in sl3_text
     text = sl3_text.replace(old, new, 1)
     with pytest.raises(cli.InvalidParams, match="^" + re.escape(message) + "$"):
-        parse_text_algebra(text)
+        QuantumLieAlgebra.from_text(text)
 
 
 ONE_LABEL = "# algebra {}\n# construction generic-pipeline\n# normalized no\n# basis H_1\n"
@@ -536,23 +534,25 @@ def test_text_table_basis_must_span_the_adjoint(monkeypatch, algebra, dim):
     monkeypatch.setattr(table, "build_cartan", lambda *a: built.append(a) or true_build(*a))
     with pytest.raises(cli.InvalidParams, match=rf"^{algebra} has a {dim}-dimensional adjoint "
                                                "module, but the table has 1 basis vectors$"):
-        parse_text_algebra(ONE_LABEL.format(algebra))
+        QuantumLieAlgebra.from_text(ONE_LABEL.format(algebra))
     assert built == []
 
 
 def test_text_table_with_an_unknown_type_names_its_line():
     with pytest.raises(cli.InvalidParams, match=r"^cannot parse line '# algebra E9'"):
-        parse_text_algebra(ONE_LABEL.format("E9"))
+        QuantumLieAlgebra.from_text(ONE_LABEL.format("E9"))
 
 
 @pytest.mark.parametrize("algebra,construction,old,new,message", [
+    # these three name no label of the algebra, so the lookup refuses them
+    # before check_basis_labels would
     ("A1", "generic", "X_{(-2)}", "X_{(4)}",
-     "^the X labels of the basis are not the roots, each once$"),
+     r"^cannot parse basis label 'X_\{\(4\)\}'$"),
     # before the check, this loaded and check_classical_limit reported all: True
     ("A1", "generic", "H_1", "H_5",
-     r"^the H labels of the basis are not H_1 \.\. H_1, each once$"),
+     "^cannot parse basis label 'H_5'$"),
     ("A2", "explicit-sln", "X_{12}", "X_{79}",
-     "^the X labels of the basis are not the roots, each once$"),
+     r"^cannot parse basis label 'X_\{79\}'$"),
     ("A2", "explicit-sln", "X_{12}", "X_{(2,-1)}",
      r"^X_\{\(2,-1\)\} of an explicit-sln table has no ij$"),
     ("B2", "generic", "# construction generic-pipeline", "# construction explicit-sln",
@@ -563,7 +563,7 @@ def test_text_table_labels_are_checked_like_stored_json(capsys, algebra, constru
     _, text = run(capsys, "build", "--algebra", algebra, "--construction", construction)
     assert old in text
     with pytest.raises(cli.InvalidParams, match=message):
-        parse_text_algebra(text.replace(old, new))
+        QuantumLieAlgebra.from_text(text.replace(old, new))
 
 
 @pytest.mark.parametrize("construction,old,new,message", [
@@ -586,7 +586,7 @@ def test_text_table_refuses_each_malformed_field(capsys, construction, old, new,
     _, text = run(capsys, "build", "--algebra", "A2", "--construction", construction)
     assert old in text
     with pytest.raises(cli.InvalidParams, match=message):
-        parse_text_algebra(text.replace(old, new))
+        QuantumLieAlgebra.from_text(text.replace(old, new))
 
 
 def test_json_round_trip(capsys):
@@ -713,6 +713,12 @@ def test_limit_json(capsys):
                     "--s", "1", "--t", "1", "--format", "json")
     assert code == 0
     json.loads(out)
+
+
+def test_constants_table_of_a_table_without_constants():
+    A = QuantumLieAlgebra(build_cartan("A", 1), [], {}, "generic-pipeline")
+    assert cli.constants_table(A) == cli.constants_table(A, at_one=True) == \
+        "(all constants zero)\n"
 
 
 # --------------------------------------------------------------------- start-up

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-from qlie.cli import build_text, parse_text_algebra
 from qlie.linalg import sp_diff
 from qlie.qring import RatFunc, parse_scalar
 from qlie.rootdata import build_cartan, root_system
@@ -102,11 +101,24 @@ def test_zero_parameters_rejected():
         build_sln_explicit(2, sc("0"), sc("0"))
 
 
+def test_explicit_family_needs_n_at_least_two():
+    with pytest.raises(InvalidParams, match="^n must be at least 2$"):
+        build_sln_explicit(1, 1, 0)
+
+
 # ----------------------------------------------------------- structural checks
 
 @pytest.mark.parametrize("name", CORE)
 def test_generic_gradation(name, generics):
     assert check_gradation(generics[name])["ok"]
+
+
+def test_gradation_witness_is_the_first_ungraded_constant(generics):
+    # [x, x]^x has grade 2 * root(x) on the left and root(x) on the right
+    A = generics["A1"]
+    x = A.x_indices()[0]
+    assert check_gradation(with_constants(A, {(x, x, x): sc("1")})) == {
+        "ok": False, "witness": [x, x, x]}
 
 
 @pytest.mark.parametrize("name", CORE)
@@ -382,6 +394,24 @@ def test_higher_rank_gauge_obstruction(name, generics):
         canonical_normalize(generics[name])
 
 
+def test_normalization_refuses_an_ungraded_table(generics):
+    A = generics["A1"]
+    x = A.x_indices()[0]
+    with pytest.raises(GaugeObstruction, match="^table is not graded$"):
+        canonical_normalize(with_constants(A, {(x, x, x): sc("1")}))
+
+
+def test_normalization_refuses_a_degenerate_pairing(generics):
+    # without its [X_alpha, X_-alpha]^H constants the pairing against [H, X] is 0
+    A = generics["A2"]
+    h = set(A.h_indices())
+    cut = {key: val for key, val in A.constants.items()
+           if not (key[0] not in h and key[1] not in h and key[2] in h)}
+    with pytest.raises(GaugeObstruction,
+                       match=r"^degenerate pairing \[X,X_-\] against \[H, X\]$"):
+        canonical_normalize(replaced(A, constants=cut))
+
+
 def test_normalized_rank_one_relations(generics):
     A = canonical_normalize(generics["A1"])
     pos = positions(A)
@@ -446,6 +476,13 @@ def test_compare_fits_rank_three(generics):
 def test_compare_fits_rank_one(generics):
     rep = compare_to_explicit(generics["A1"])
     assert rep["applicable"] and rep["match"]
+
+
+def test_compare_fits_the_pure_t_member():
+    # the Cartan action of E(0, 1) has no s-part, so the fit reads s = 0, t = 1
+    rep = compare_to_explicit(build_sln_explicit(3, 0, 1))
+    assert (rep["match"], rep["fitted_s"], rep["fitted_t"], rep["epsilon"]) == (
+        True, "0", "1", None)
 
 
 def test_compare_with_pinned_wrong_parameters_mismatches(generics):
@@ -1094,9 +1131,9 @@ def test_flip_maps_each_member_onto_its_mirror(n, s, t, explicit_members):
 def test_rank_ten_table_round_trips_through_text(explicit_members):
     # the X_{i,j} label form of n > 9
     A = explicit_members[10, "q^2", "1/(q+2)"]
-    text = build_text(A)
+    text = A.to_text()
     assert "| X_{1,10} |" in text
-    B = parse_text_algebra(text)
+    B = QuantumLieAlgebra.from_text(text)
     assert same_algebra(B, A) and B.params == A.params and B.provenance == A.provenance
 
 
@@ -1129,13 +1166,20 @@ def test_labeled_constants_use_display_names(generics):
 
 
 def test_build_text_shows_brackets(generics):
-    text = build_text(canonical_normalize(generics["A1"]))
+    text = canonical_normalize(generics["A1"]).to_text()
     assert "# algebra A1\n# construction generic-pipeline\n# normalized yes\n" in text
     assert "f[H_1,H_1]^{H_1}" in text
 
 
-@pytest.mark.parametrize("name", CORE)
+@pytest.mark.parametrize("name", CORE + ("A4", "B3", "C3", "D4", "F4"))
 def test_printed_generic_tables_parse_back(name, generics):
     # every printed scalar stays inside the parser's degree and size bounds
-    A = generics[name]
-    assert same_algebra(parse_text_algebra(build_text(A)), A)
+    A = generics[name] if name in generics else build_generic(name_to_cartan(name))
+    assert same_algebra(QuantumLieAlgebra.from_text(A.to_text()), A)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_printed_explicit_members_parse_back(n):
+    A = build_sln_explicit(n, sc("q^2"), sc("1/(q+2)"))
+    B = QuantumLieAlgebra.from_text(A.to_text())
+    assert same_algebra(B, A) and B.params == A.params and B.provenance == A.provenance

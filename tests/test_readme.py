@@ -79,6 +79,6 @@ def _resolve(dotted):
 
 def test_every_call_the_readme_names_exists():
     names = sorted(set(re.findall(r"`([A-Za-z_][\w.]*)\(", README)))
-    assert "qlie.cli.build_text" in names
+    assert {"QuantumLieAlgebra.to_text", "QuantumLieAlgebra.from_text"} <= set(names)
     for name in names:
         assert callable(_resolve(name)), name

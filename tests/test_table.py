@@ -1,21 +1,22 @@
-"""The table module: its layering, its label names and the stored-table
-constructor's refusals."""
+"""The table module: its layering, its label names, its two stored forms
+and the stored-table constructor's refusals."""
 
 import ast
+import hashlib
 import json
+import random
 import re
 from pathlib import Path
 
 import pytest
 
 from qlie import table
-from qlie.cli import build_text, parse_text_algebra
 from qlie.monodromy import check_concrete, monodromy_on_tensor
 from qlie.qliealg import build_generic, build_sln_explicit, canonical_normalize
-from qlie.qring import RF_ZERO
+from qlie.qring import RF_ZERO, RatFunc, parse_scalar
 from qlie.rootdata import build_cartan, root_system
 from qlie.repbuild import IrrepModule, adjoint_module, build_irrep
-from qlie.table import BasisLabel, InvalidParams, QuantumLieAlgebra
+from qlie.table import BasisLabel, InvalidParams, QuantumLieAlgebra, same_algebra
 
 from conftest import load_golden, name_to_cartan
 from oracles import replaced
@@ -33,7 +34,8 @@ def test_table_imports_only_the_scalar_root_and_linear_algebra_layers():
                for alias in node.names}
     modules |= {"." * node.level + (node.module or "") for node in imports
                 if isinstance(node, ast.ImportFrom)}
-    assert modules <= {"__future__", "contextlib", "typing", ".qring", ".rootdata", ".linalg"}, modules
+    assert modules <= {"__future__", "contextlib", "re", "typing", ".qring", ".rootdata",
+                       ".linalg"}, modules
 
 
 VALUES = {  # a value to build twice (root_system uncached), and one of its fields
@@ -74,11 +76,23 @@ def test_records_get_a_fresh_default_dict():
 
 
 @pytest.mark.parametrize("n", [3, 11, None], ids=["A2-explicit", "A10-explicit", "B2-generic"])
-def test_from_name_inverts_name(generics, n):
+def test_from_text_reads_each_label_by_its_name(generics, n):
     # A10 has two-digit matrix units, written X_{i,j}
     A = generics["B2"] if n is None else build_sln_explicit(n, 1, 0)
-    n = A.cd.rank + 1
-    assert [BasisLabel.from_name(lab.name(), n) for lab in A.basis] == A.basis
+    assert QuantumLieAlgebra.from_text(A.to_text()).basis == A.basis
+
+
+@pytest.mark.parametrize("old,new", [("| H_1 |", "| H_\u0661 |"), ("| H_1 |", "| H_+1 |"),
+                                     ("| H_1 |", "| H_ 1 |"), ("| H_10", "| H_1_0")],
+                         ids=["arabic-indic", "sign", "space", "underscore"])
+def test_a_label_name_the_algebra_never_writes_is_refused(old, new):
+    # int() read each of these as the index of an H label: H_1, or H_10
+    text = build_sln_explicit(11, 1, 0).to_text()
+    assert old in text
+    label = new.strip("| ")
+    with pytest.raises(InvalidParams,
+                       match="^" + re.escape(f"cannot parse basis label {label!r}") + "$"):
+        QuantumLieAlgebra.from_text(text.replace(old, new))
 
 
 def _edit(golden_dir, name, edit):
@@ -165,11 +179,147 @@ def test_a_zero_constant_is_dropped_however_the_table_is_built():
     assert A.basis[0].name() == "X_{(2)}"
     blob = A.to_json()
     blob["constants"].append({"a": 0, "b": 0, "c": 0, "value": {"num": {}, "den": {"0": "1"}}})
-    text = build_text(A) + "f[X_{(2)},X_{(2)}]^{X_{(2)}} = 0\n"
+    text = A.to_text() + "f[X_{(2)},X_{(2)}]^{X_{(2)}} = 0\n"
     rebuilt = replaced(A, constants={**A.constants, (0, 0, 0): RF_ZERO})
     want = (json.dumps(A.to_json()), json.dumps(canonical_normalize(A).to_json()),
             check_concrete(M, A))
-    for B in (QuantumLieAlgebra.from_json(blob), parse_text_algebra(text), rebuilt):
+    for B in (QuantumLieAlgebra.from_json(blob), QuantumLieAlgebra.from_text(text), rebuilt):
         assert B.constants == A.constants
         assert (json.dumps(B.to_json()), json.dumps(canonical_normalize(B).to_json()),
                 check_concrete(M, B)) == want
+
+
+# ------------------------------------------------------------------- the text form
+
+TEXT_PINS = {  # a table, the lines of its text form and their sha256
+    "G2-generic": (lambda generics: generics["G2"], 136,
+                   "86cefc744aee966a5e9f54df36a1224f21f170ebab62369d0727a760b5104f6b"),
+    "A2-explicit-1-q": (lambda generics: build_sln_explicit(3, 1, parse_scalar("q")), 61,
+                        "493251223617d503d70a04e040dafeda6cff9720e20e234b26810bc3af130c26"),
+    "A1-normalized": (lambda generics: canonical_normalize(generics["A1"]), 11,
+                      "495de98232867bb4e8219d974477c190da6c179df948048d6da5898b98e58854"),
+}
+
+
+@pytest.mark.parametrize("name", TEXT_PINS)
+def test_text_form_bytes_are_pinned_and_read_back(generics, name):
+    # the bytes `qlie build` prints; no benchmark workload writes this form
+    make, lines, digest = TEXT_PINS[name]
+    A = make(generics)
+    text = A.to_text()
+    assert (text.count("\n"), hashlib.sha256(text.encode()).hexdigest()) == (lines, digest)
+    B = QuantumLieAlgebra.from_text(text)
+    assert same_algebra(B, A) and B.to_text() == text
+
+
+@pytest.mark.parametrize("value", ["5", "equal", "0"])
+@pytest.mark.parametrize("form", ["json", "text"])
+def test_a_constant_listed_twice_is_refused(golden_dir, form, value):
+    # before, the last entry was read: a second [0, 1, 0] of value 5 loaded a
+    # table of 7 constants that was not the stored one
+    blob = load_golden(golden_dir, GENERIC)
+    A = QuantumLieAlgebra.from_json(blob)
+    val = A.constants[0, 1, 0] if value == "equal" else RatFunc(int(value))
+    blob["constants"].append({"a": 0, "b": 1, "c": 0, "value": val.to_json()})
+    text = A.to_text() + f"f[X_{{(2)}},H_1]^{{X_{{(2)}}}} = {val}\n"
+    with pytest.raises(InvalidParams, match=r"^the constant \[0, 1, 0\] is listed twice$"):
+        QuantumLieAlgebra.from_json(blob) if form == "json" else QuantumLieAlgebra.from_text(text)
+
+
+@pytest.mark.parametrize("header", ["algebra", "construction", "normalized", "basis", "params"])
+def test_a_repeated_header_line_is_refused(header):
+    # before, the last one was read: "# normalized no" then "# normalized yes"
+    # loaded a normalized table
+    text = build_sln_explicit(2, 1, 0).to_text()
+    line = next(ln for ln in text.splitlines() if ln.startswith(f"# {header} "))
+    again = "# normalized yes" if header == "normalized" else line
+    with pytest.raises(InvalidParams, match="^the text table repeats its "
+                                            f"{header} line: {re.escape(repr(again))}$"):
+        QuantumLieAlgebra.from_text(text.replace(line, line + "\n" + again))
+
+
+# ---------------------------------------------- a structural corpus for both stored forms
+
+JSON_VALUES = [None, True, 0, 1.5, "x", [], {}]   # one of each JSON type
+DROP = object()
+
+
+def _paths(node, path=()):
+    """The path of every field below a JSON value: object keys and list
+    positions."""
+    fields = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in fields:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _json_mutant(blob, path, new):
+    """A copy of blob with the field at path dropped (DROP) or replaced by new."""
+    copy = json.loads(json.dumps(blob))
+    parent = copy
+    for key in path[:-1]:
+        parent = parent[key]
+    if new is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return copy
+
+
+def _respelled(name):
+    """name with one of its digit runs respelled: in Arabic-Indic digits,
+    with a sign, a space or a leading 0_, each read by int() as the run."""
+    for m in re.finditer(r"[0-9]+", name):
+        run = m[0]
+        for new in ("".join(chr(0x660 + int(d)) for d in run), "+" + run, " " + run,
+                    "0_" + run):
+            yield name[:m.start()] + new + name[m.end():]
+
+
+def _text_mutants(text):
+    """(what, text, must_refuse) for each line dropped, repeated or halved,
+    and each basis label respelled everywhere it appears."""
+    lines = text.splitlines()
+    for i, ln in enumerate(lines):
+        for what, new, refuse in (("dropped", [], False), ("repeated", [ln, ln], True),
+                                  ("halved", [ln[:len(ln) // 2]], False)):
+            yield f"line {i} {what}", "\n".join(lines[:i] + new + lines[i + 1:]) + "\n", refuse
+    names = next(ln for ln in lines if ln.startswith("# basis ")).split(" ", 2)[2].split(" | ")
+    for name in names:
+        for new in _respelled(name):
+            yield f"{name} as {new!r}", text.replace(name, new), True
+
+
+def _reads(read, stored):
+    """The table read, or the InvalidParams refusing it; any other
+    exception escapes."""
+    try:
+        return read(stored)
+    except InvalidParams as exc:
+        return exc
+
+
+CORPUS_SAMPLE = 150   # mutants of the explicit A2 golden per form, fixed seed
+
+
+def _sampled(cases, golden):
+    return random.Random(1).sample(cases, CORPUS_SAMPLE) if golden == EXPLICIT else cases
+
+
+@pytest.mark.parametrize("golden", [GENERIC, EXPLICIT])
+def test_every_json_mutant_is_refused_or_read(golden_dir, golden):
+    blob = load_golden(golden_dir, golden)
+    cases = [(path, new) for path in _paths(blob) for new in [DROP, *JSON_VALUES]]
+    for path, new in _sampled(cases, golden):
+        out = _reads(QuantumLieAlgebra.from_json, _json_mutant(blob, path, new))
+        assert isinstance(out, (InvalidParams, QuantumLieAlgebra)), (path, new)
+
+
+@pytest.mark.parametrize("golden", [GENERIC, EXPLICIT])
+def test_every_text_mutant_is_refused_or_read_and_each_repeat_or_respelling_refused(
+        golden_dir, golden):
+    text = QuantumLieAlgebra.from_json(load_golden(golden_dir, golden)).to_text()
+    for what, stored, refuse in _sampled(list(_text_mutants(text)), golden):
+        want = InvalidParams if refuse else (InvalidParams, QuantumLieAlgebra)
+        assert isinstance(_reads(QuantumLieAlgebra.from_text, stored), want), what
