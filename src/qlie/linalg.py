@@ -130,7 +130,7 @@ def clear_denominators(vec):
         parts = [_zexact(p, g) for p in parts]
     scale = Fraction(g[-1], den_lcm[-1])
     low = min(x.s for x in nonzero)
-    cleared = (RatFunc._make(_integral(x.c * scale), x.s - low, p, _ONE)
+    cleared = (RatFunc._make(_integral(x.c * scale), x.s - low, tuple(p), _ONE)
                for x, p in zip(nonzero, parts))
     return [next(cleared) if x else RF_ZERO for x in vec]
 

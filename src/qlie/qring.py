@@ -21,9 +21,12 @@ into integer parts, with no Fraction per coefficient and no view.
 All scalar work runs on Python ints, through one gcd and one exact-division
 routine over Z[v]: the primitive remainder sequence (Brown, J. ACM 18,
 1971).  Products and sums cancel before they multiply, in the manner of
-Henrici (J. ACM 3, 1956), so a finished result is never normalized again;
-a product with a monomial c * v^s needs no gcd at all.  The q-numbers and
-square roots are computed on the same integer form.
+Henrici (J. ACM 3, 1956), so a finished result is never normalized again.
+Arithmetic on two RatFuncs reads their parts directly (only an int, a
+Fraction or a view is coerced), and no gcd or polynomial product is
+computed on a part (1,): a product with a monomial c * v^s, or a sum of
+two polynomials, needs no gcd at all.  The q-numbers and square roots are
+computed on the same integer form.
 ``laurent_gcd`` and ``_divmod_laurent`` are the old view-level entry points:
 nothing here calls them.  They are kept, unchanged, because the benchmark's
 tracer patches them by name; they go when the tracer reads library records
@@ -52,7 +55,6 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm, log2
-from operator import add
 
 
 class DenominatorVanishes(ZeroDivisionError):
@@ -374,11 +376,13 @@ class RatFunc:
     Fraction they equal.
 
     Arithmetic never normalizes a finished result.  A product cancels
-    gcd(N1, D2) and gcd(N2, D1) before it multiplies (Henrici), and a
-    product with a monomial c * v^s only multiplies contents and adds
-    shifts; a sum over g = gcd(D1, D2) is reduced only by the gcd of its
-    numerator with g.  Negation, inversion and q-conjugation need no gcd
-    at all.  Nonconstant gcds go through the module's bounded memo.
+    gcd(N1, D2) and gcd(N2, D1) before it multiplies (Henrici); a sum over
+    g = gcd(D1, D2) is reduced only by the gcd of its numerator with g.
+    No gcd or product is computed on a part (1,), so a product with a
+    monomial c * v^s only multiplies contents and adds shifts, and two int
+    contents multiply with no check.  Negation, inversion and q-conjugation
+    need no gcd at all.  Nonconstant gcds go through the module's bounded
+    memo.  Only an operand that is not a RatFunc goes through coercion.
 
     ``RatFunc(num, den)`` is the way in from outside: it takes ints,
     Fractions or LaurentPoly views and normalizes them once.  The library
@@ -404,9 +408,10 @@ class RatFunc:
 
     @staticmethod
     def _make(c, s, n, d) -> "RatFunc":
-        """A RatFunc from parts that already satisfy the invariants."""
+        """A RatFunc from parts that already satisfy the invariants, N and D
+        given as tuples."""
         out = RatFunc.__new__(RatFunc)
-        out.c, out.s, out.n, out.d = c, s, tuple(n), tuple(d)
+        out.c, out.s, out.n, out.d = c, s, n, d
         return out
 
     # -- structure -----------------------------------------------------------
@@ -452,40 +457,54 @@ class RatFunc:
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other.n:
+        if other.__class__ is not RatFunc:
+            other = _coerce_rf(other)
+            if other is NotImplemented:
+                return NotImplemented
+        n1, n2 = self.n, other.n
+        if not n2:
             return self
-        if not self.n:
+        if not n1:
             return other
         c1, c2 = self.c, other.c
         p1, q1, p2, q2 = c1.numerator, c1.denominator, c2.numerator, c2.denominator
         if q1 != q2:
             k = gcd(q1, q2)
             p1, p2, q1 = p1 * (q2 // k), p2 * (q1 // k), q1 // k * q2
+        # over g = gcd(D1, D2): n1 and n2 become N1 (D2/g) and N2 (D1/g),
+        # and a12 = (D1/g)(D2/g); when one D is 1, g = 1 with no gcd call
         d1, d2 = self.d, other.d
         if d1 == d2:
-            g, u1, u2, a12 = d1, self.n, other.n, _ONE
+            g, a12 = d1, _ONE
+        elif len(d1) == 1:
+            g, n1, a12 = _ONE, _zmul(n1, d2), d2
+        elif len(d2) == 1:
+            g, n2, a12 = _ONE, _zmul(n2, d1), d1
         else:
-            g, a1, a2 = _zgcd(d1, d2)
-            u1, u2, a12 = _zmul(self.n, a2), _zmul(other.n, a1), _zmul(a1, a2)
-        # t = p1 v^e1 u1 + p2 v^e2 u2, from the lower of the two v-powers
+            g, a1, a2 = _zgcd_memo(d1, d2)
+            n1, n2, a12 = _zmul(n1, a2), _zmul(n2, a1), tuple(_zmul(a1, a2))
+        # t = p1 v^e1 n1 + p2 v^e2 n2, from the lower of the two v-powers
         s = min(self.s, other.s)
         e1, e2 = self.s - s, other.s - s
-        f1, f2 = e1 + len(u1), e2 + len(u2)
+        f1, f2 = e1 + len(n1), e2 + len(n2)
         t = [0] * max(f1, f2)
-        t[e1:f1] = map(p1.__mul__, u1)
-        t[e2:f2] = map(add, t[e2:f2], map(p2.__mul__, u2))
+        t[e1:f1] = n1 if p1 == 1 else [p1 * x for x in n1]
+        for i, x in enumerate(n2, e2):
+            if x:
+                t[i] += p2 * x
         if not any(t):
             return RF_ZERO
         while not t[-1]:
             t.pop()
         cont, val, t = _zprimitive(t)
         # only a factor of g can be shared with t (Henrici)
-        _, t, g = _zgcd(t, g)
+        if len(t) > 1 and len(g) > 1:
+            _, t, g = _zgcd_memo(tuple(t), g)
+        else:
+            t = tuple(t)
         c = cont if q1 == 1 else _integral(Fraction(cont, q1))
-        return RatFunc._make(c, s + val, t, _zmul(g, a12))
+        d = g if len(a12) == 1 else a12 if len(g) == 1 else tuple(_zmul(g, a12))
+        return RatFunc._make(c, s + val, t, d)
 
     __radd__ = __add__
 
@@ -493,31 +512,34 @@ class RatFunc:
         return RatFunc._make(-self.c, self.s, self.n, self.d)
 
     def __sub__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not RatFunc:
+            other = _coerce_rf(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not RatFunc:
+            other = _coerce_rf(other)
+            if other is NotImplemented:
+                return NotImplemented
         n1, d1, n2, d2 = self.n, self.d, other.n, other.d
         if not n1 or not n2:
             return RF_ZERO
-        c = _integral(self.c * other.c)
-        s = self.s + other.s
-        # a monomial c * v^s has N = D = (1,): nothing to cancel
-        if n2 == _ONE and d2 == _ONE:
-            return RatFunc._make(c, s, n1, d1)
-        if n1 == _ONE and d1 == _ONE:
-            return RatFunc._make(c, s, n2, d2)
-        _, n1, d2 = _zgcd(n1, d2)
-        _, n2, d1 = _zgcd(n2, d1)
-        return RatFunc._make(c, s, _zmul(n1, n2), _zmul(d1, d2))
+        c1, c2 = self.c, other.c
+        c = c1 * c2 if c1.__class__ is int and c2.__class__ is int else _integral(c1 * c2)
+        # a part of length 1 is (1,): it shares no factor with the other
+        # side, so a product with a monomial c * v^s needs no gcd at all
+        if len(n1) > 1 and len(d2) > 1:
+            _, n1, d2 = _zgcd_memo(n1, d2)
+        if len(n2) > 1 and len(d1) > 1:
+            _, n2, d1 = _zgcd_memo(n2, d1)
+        n = n1 if len(n2) == 1 else n2 if len(n1) == 1 else tuple(_zmul(n1, n2))
+        d = d1 if len(d2) == 1 else d2 if len(d1) == 1 else tuple(_zmul(d1, d2))
+        return RatFunc._make(c, self.s + other.s, n, d)
 
     __rmul__ = __mul__
 
@@ -661,7 +683,7 @@ def q_int(n: int, d: int = 1) -> RatFunc:
     if n == 0:
         return RF_ZERO
     s, t = _zq_int(abs(n), d)
-    return RatFunc._make(1 if n > 0 else -1, s, t, _ONE)
+    return RatFunc._make(1 if n > 0 else -1, s, tuple(t), _ONE)
 
 
 def q_factorial(n: int, d: int = 1) -> RatFunc:
@@ -669,7 +691,7 @@ def q_factorial(n: int, d: int = 1) -> RatFunc:
     if n < 0:
         raise InvalidRange("factorial of a negative integer")
     s, t = _zq_product(range(2, n + 1), d)
-    return RatFunc._make(1, s, t, _ONE)
+    return RatFunc._make(1, s, tuple(t), _ONE)
 
 
 def q_binomial(a: int, b: int, d: int = 1) -> RatFunc:
@@ -679,7 +701,7 @@ def q_binomial(a: int, b: int, d: int = 1) -> RatFunc:
         raise InvalidRange(f"q-binomial out of range: ({a}, {b})")
     sn, num = _zq_product(range(a - b + 1, a + 1), d)
     sf, fact = _zq_product(range(2, b + 1), d)
-    return RatFunc._make(1, sn - sf, _zexact(num, fact), _ONE)
+    return RatFunc._make(1, sn - sf, tuple(_zexact(num, fact)), _ONE)
 
 
 MAX_SCALAR_DEGREE = 1024

@@ -236,8 +236,12 @@ def _labels_named(names: list, cd: CartanDatum) -> list:
 
 
 def _text_constants(body: list, names: list):
-    """((a, b, c), value) of each constant line f[name_a,name_b]^{name_c} = value."""
+    """((a, b, c), value) of each constant line f[name_a,name_b]^{name_c} = value.
+    Each distinct value text is parsed once, at its first line, so a
+    malformed one is refused naming that line; a table repeats few values
+    (F4's text table: 397 distinct of 1312)."""
     where = {nm: a for a, nm in enumerate(names)}
+    values = {}   # value text -> its RatFunc, for this table only
     for ln in body:
         m = re.fullmatch(r"f\[(.*)\]\^\{(.*)\} = (.*)", ln)
         if not m:
@@ -250,8 +254,11 @@ def _text_constants(body: list, names: list):
                 break
         if a is None or cname not in where:
             raise InvalidParams(f"unknown basis labels in line {ln!r}")
-        with naming(f"line {ln!r}"):
-            yield (a, b, where[cname]), parse_scalar(val)
+        x = values.get(val)
+        if x is None:
+            with naming(f"line {ln!r}"):
+                x = values[val] = parse_scalar(val)
+        yield (a, b, where[cname]), x
 
 
 def _fields(d, what: str, **types) -> list:

@@ -4,6 +4,7 @@ the oracle arithmetic of ``oracles``, never with the integer kernel."""
 
 import json
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -810,6 +811,23 @@ CONTENT_CASES = {
     "zero plus Fraction": (Fraction(3, 4) + RatFunc(0), Fraction),
     "power": (RatFunc(Fraction(1, 2)) ** -3, int),
     "negative power": (rf(V(2, Fraction(2, 3))) ** -2, Fraction),
+    # RatFunc by RatFunc, through the fast paths of the arithmetic
+    "int by int": (rf(padd(Q, ONE), padd(Q, V(0, 2))) * rf(padd(V(2, 3), V(0, -6))), int),
+    "int by int monomial": (rf(padd(Q, ONE)) * rf(V(-3, -4)), int),
+    "Fraction by Fraction to int": (rf(padd(V(2, Fraction(2, 3)), V(0, Fraction(2, 3))))
+                                    * rf(V(0, Fraction(3, 2)), padd(Q, V(0, 2))), int),
+    "Fraction plus Fraction to int": (rf(padd(V(2, Fraction(1, 2)), V(0, Fraction(1, 2))))
+                                      + rf(padd(V(2, Fraction(1, 2)), V(0, Fraction(3, 2)))), int),
+    "Fraction minus Fraction to int": (rf(V(1, Fraction(5, 6)), padd(Q, ONE))
+                                       - rf(V(1, Fraction(-1, 6)), padd(Q, ONE)), int),
+    "monomial by Fraction content": (rf(V(3, 4)) * rf(padd(Q, ONE), V(0, 6)), Fraction),
+    "monomial by Fraction content to int": (rf(V(3, 6)) * rf(padd(Q, ONE), V(0, 6)), int),
+    "Fraction content by monomial": (rf(padd(Q, ONE), V(0, 6)) * rf(V(-1, 4)), Fraction),
+    "zero by RatFunc": (RatFunc(0) * rf(V(0, Fraction(1, 2)), padd(Q, ONE)), int),
+    "RatFunc by zero": (rf(V(0, Fraction(1, 2)), padd(Q, ONE)) * RatFunc(0), int),
+    "zero plus RatFunc": (RatFunc(0) + rf(V(0, Fraction(1, 2)), padd(Q, ONE)), Fraction),
+    "RatFunc minus zero": (rf(V(0, Fraction(1, 2)), padd(Q, ONE)) - RatFunc(0), Fraction),
+    "zero minus RatFunc": (RatFunc(0) - rf(V(0, 3), padd(Q, ONE)), int),
 }
 
 
@@ -832,6 +850,34 @@ def test_arithmetic_keeps_the_content_canonical(seed):
             assert content_is_canonical(z) and views_are_fractions(z)
             if z.is_regular_at_one():
                 assert z.eval_at_one() == value(z, Fraction(1))
+
+
+# Mixed operands: an int, a bool, a Fraction or a view on either side of a
+# RatFunc is coerced, and gives the value of the same operation on two
+# RatFuncs.  X has an int content and shares the factor q + 2 with the
+# Fraction-content operand, so products cancel across the two sides.
+X = rf(padd(Q, V(0, 2)), padd(Q, ONE))
+MIXED = {
+    "int": 3, "zero": 0, "bool": True, "Fraction": Fraction(-2, 3),
+    "integral Fraction": Fraction(4, 2), "view": LaurentPoly({2: Fraction(1, 2), -1: 3}),
+    "monomial": rf(V(-3, 5)), "polynomial": rf(padd(Q, neg(ONE))),
+    "RatFunc": rf(padd(V(2, Fraction(3, 4)), V(0, -1)), padd(Q, V(0, 2))), "X": X,
+}
+ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+MIXED_CASES = [(kind, op, left) for kind in MIXED for op in ARITHMETIC for left in (True, False)
+               if not (op == "/" and left and not MIXED[kind]) and (left or kind != "X")]
+
+
+@pytest.mark.parametrize("kind,op,x_left", MIXED_CASES,
+                         ids=[f"{'X' if left else kind}{op}{kind if left else 'X'}"
+                              for kind, op, left in MIXED_CASES])
+def test_mixed_operands_give_the_value_of_two_ratfuncs(kind, op, x_left):
+    y = MIXED[kind]
+    a, b = (X, y) if x_left else (y, X)
+    z = ARITHMETIC[op](a, b)
+    want = ARITHMETIC[op](*(w if isinstance(w, RatFunc) else RatFunc(w) for w in (a, b)))
+    assert type(z) is RatFunc and z == want and hash(z) == hash(want)
+    assert z.to_json() == want.to_json() and canonical(z) and content_is_canonical(z)
 
 
 @pytest.mark.parametrize("group", [

@@ -226,6 +226,17 @@ def test_a_constant_listed_twice_is_refused(golden_dir, form, value):
         QuantumLieAlgebra.from_json(blob) if form == "json" else QuantumLieAlgebra.from_text(text)
 
 
+@pytest.mark.parametrize("bad", ["q^", "1/0", "(q+1", "q^2000"])
+def test_a_malformed_value_on_two_lines_is_refused_naming_the_first(bad):
+    # the reader parses each distinct value text once, at its first line
+    text = build_sln_explicit(2, 1, 0).to_text()
+    rows = [ln for ln in text.splitlines() if ln.startswith("f[")]
+    first, second = (f"{ln.rsplit(' = ', 1)[0]} = {bad}" for ln in rows[:2])
+    text = text.replace(rows[0], first).replace(rows[1], second)
+    with pytest.raises(InvalidParams, match=f"^cannot parse line {re.escape(repr(first))}: "):
+        QuantumLieAlgebra.from_text(text)
+
+
 @pytest.mark.parametrize("header", ["algebra", "construction", "normalized", "basis", "params"])
 def test_a_repeated_header_line_is_refused(header):
     # before, the last one was read: "# normalized no" then "# normalized yes"
