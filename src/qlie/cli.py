@@ -36,12 +36,12 @@ import argparse
 import json
 import sys
 
-from .qring import DenominatorVanishes, RatFunc, parse_scalar
+from .qring import DenominatorVanishes, RatFunc, _clip, parse_scalar
 from .rootdata import (DEFAULT_DIM_BUDGET, BudgetExceeded, VerificationFailed, adjoint_dim,
                        build_cartan)
 from .tensorcg import EmptySpace
-from .table import (InvalidParams, QuantumLieAlgebra, _nonzero_rows, _series_rank,
-                    check_sln_params)
+from .table import (MAX_RANK_DIGITS, InvalidParams, QuantumLieAlgebra, _nonzero_rows,
+                    _series_rank, check_sln_params)
 from .qliealg import (
     GaugeObstruction,
     build_generic,
@@ -80,12 +80,14 @@ def _request(args) -> argparse.Namespace:
     type A), which of --s/--t are given, each scalar, and s + t at v = 1
     (of the explicit family, or of the pair that pins compare).
     Then the budget (BudgetExceeded, exit 1) on the closed-form adjoint
-    dimension, which the explicit sl_n obeys too.  The request is args with
+    dimension, which the explicit sl_n obeys too; a rank of more than
+    MAX_RANK_DIGITS digits is refused there whatever the budget, and every
+    number is quoted clipped (qring._clip).  The request is args with
     checks, s and t read (None where not given; s = 1, t = 0 by default on
     the explicit family) and cd, the Cartan datum."""
     budget = args.budget_dim
     if budget < 1:
-        raise InvalidParams(f"--budget-dim must be a positive integer, got {budget}")
+        raise InvalidParams(f"--budget-dim must be a positive integer, got {_clip(str(budget))}")
     checks = getattr(args, "checks", None)
     if checks is not None:
         checks = [c.strip() for c in checks.split(",") if c.strip()]
@@ -97,7 +99,7 @@ def _request(args) -> argparse.Namespace:
                 raise InvalidParams(f"unknown check {c!r}; choose from {names}")
     series, rank = _series_rank(args.algebra)
     try:
-        dim = adjoint_dim(series, rank)
+        dim = adjoint_dim(series, 10 if rank is None else rank)   # see _series_rank
     except ValueError as exc:
         raise InvalidParams(str(exc)) from exc
     explicit = args.command != "compare" and args.construction == "explicit-sln"
@@ -119,9 +121,12 @@ def _request(args) -> argparse.Namespace:
         s, t = RatFunc(1) if s is None else s, RatFunc(0) if t is None else t
     if s is not None:
         check_sln_params(s, t)
+    if rank is None:
+        raise BudgetExceeded(f"{series}{_clip(args.algebra.strip()[1:].lstrip())} has a rank "
+                             f"of more than {MAX_RANK_DIGITS} digits, refused whatever the budget")
     if dim > budget:
-        raise BudgetExceeded(f"dim of the adjoint module of {series}{rank} = {dim} "
-                             f"exceeds budget {budget}")
+        raise BudgetExceeded(f"dim of the adjoint module of {series}{_clip(str(rank))} = "
+                             f"{_clip(str(dim))} exceeds budget {_clip(str(budget))}")
     return argparse.Namespace(**{**vars(args), "checks": checks, "s": s, "t": t,
                                  "cd": build_cartan(series, rank)})
 

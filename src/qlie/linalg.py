@@ -1,9 +1,10 @@
-"""Small exact linear algebra helpers used across the package.
+"""Small exact linear algebra helpers, over any field.
 
 Matrices are plain lists of lists (dense) or dicts {(row, col): value}
-(sparse); scalars are Fraction or RatFunc, and zero is tested by truth
-value, so every routine serves both fields.  Everything uses exact
-arithmetic -- no pivot thresholds, a pivot is any nonzero entry.
+(sparse) of Fraction, RatFunc or (in the sparse products) int entries.
+Zero is tested by truth value and no routine reads a scalar's parts, so
+nothing here imports qring.  Everything uses exact arithmetic -- no pivot
+thresholds, a pivot is any nonzero entry.
 
 `rref` is the one dense Gauss-Jordan elimination; `rank`, `solve`,
 `inverse` and `nullspace` are read off its result.  It pivots on the first
@@ -19,12 +20,6 @@ is read off it.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from math import lcm
-from typing import NamedTuple
-
-from .qring import RatFunc, RF_ZERO, _ONE, _integral, _zexact, _zgcd, _zmul
 
 
 # ---------------------------------------------------------------------------
@@ -110,34 +105,9 @@ def nullspace(mat, ncols, one):
     return basis
 
 
-def clear_denominators(vec):
-    """A RatFunc vector scaled to polynomial entries: times the monic lcm L
-    of its denominators, divided by the monic gcd G of the resulting
-    numerators (so the integer content stays), and shifted so that the
-    lowest v-power is v^0.  Runs on the integer form c v^s N / D: the
-    numerator of entry i is (c_i / lc L) v^(s_i) N_i (L / D_i)."""
-    nonzero = [x for x in vec if x]
-    if not nonzero:
-        return list(vec)
-    den_lcm = _ONE
-    for x in nonzero:
-        den_lcm = _zmul(den_lcm, _zgcd(den_lcm, x.d)[2])
-    parts = [_zmul(x.n, _zexact(den_lcm, x.d)) for x in nonzero]
-    g = parts[0]
-    for p in parts[1:]:
-        g = _zgcd(g, p)[0]
-    if len(g) > 1:
-        parts = [_zexact(p, g) for p in parts]
-    scale = Fraction(g[-1], den_lcm[-1])
-    low = min(x.s for x in nonzero)
-    cleared = (RatFunc._make(_integral(x.c * scale), x.s - low, tuple(p), _ONE)
-               for x, p in zip(nonzero, parts))
-    return [next(cleared) if x else RF_ZERO for x in vec]
-
-
 # ---------------------------------------------------------------------------
-# sparse matrices: dict {(row, col): value}, zero entries absent.  Values are
-# Fraction or RatFunc; zero is tested by truth value, so both work.
+# sparse matrices: dict {(row, col): value}, zero entries absent; zero is
+# tested by truth value, so any scalar type works.
 # ---------------------------------------------------------------------------
 
 def sp_add_to(m, key, val):
@@ -206,86 +176,3 @@ def sp_sub(a, b):
 
 def sp_transpose(m):
     return {(c, r): v for (r, c), v in m.items()}
-
-
-# ---------------------------------------------------------------------------
-# sparse matrices over Z[v]: a sparse RatFunc matrix m written once as
-# v^low / (q L) * N, with q the lcm of the content denominators and L the lcm
-# of the distinct polynomial denominators, so that N has entries in Z[v].
-# Products are compared after evaluating N at X = 2^b (Kronecker
-# substitution): an integer polynomial whose coefficients are smaller than X
-# in absolute value vanishes at X only when it is zero, so a bound on the
-# coefficients makes the integer comparison exact.
-# ---------------------------------------------------------------------------
-
-class IntForm(NamedTuple):
-    """The sparse RatFunc matrix m = v^low / (q L) * N.  The entry
-    c v^s n / d of m gives N the entry k v^e n cof[d], with k = q c,
-    e = s - low >= 0 and cof[d] = L / d.  row_norm bounds the largest row
-    sum of the 1-norms of N's entries and top_norm their largest 1-norm."""
-
-    m: dict
-    low: int
-    q: int
-    den: tuple
-    cof: dict
-    row_norm: int
-    top_norm: int
-
-    @property
-    def scale_norm(self) -> int:
-        """The 1-norm of the common denominator q L."""
-        return self.q * sum(map(abs, self.den))
-
-    def scale_at(self, b: int) -> int:
-        """q L(2^b)."""
-        return self.q * _zat(self.den, b)
-
-
-def _zat(t, b: int) -> int:
-    """The integer polynomial t evaluated at 2^b (Horner, by shifts)."""
-    acc = 0
-    for x in reversed(t):
-        acc = (acc << b) + x
-    return acc
-
-
-def sp_int_form(m) -> IntForm:
-    """The fraction-free form of a sparse RatFunc matrix; L is built from
-    the distinct denominators only, and the 1-norm of an entry of N is
-    bounded by |k| |n|_1 |L / d|_1."""
-    if not m:
-        return IntForm(m, 0, 1, _ONE, {}, 0, 0)
-    dens = {x.d for x in m.values()}
-    den = _ONE
-    for d in dens:
-        den = _zmul(den, _zgcd(den, d)[2])
-    den = tuple(den)
-    cof = {d: _zexact(den, d) for d in dens}
-    cof_norm = {d: sum(map(abs, t)) for d, t in cof.items()}
-    q = lcm(*{x.c.denominator for x in m.values()})
-    rows, top = {}, 0
-    for (r, _), x in m.items():
-        c = x.c
-        norm = abs(c.numerator) * (q // c.denominator) * sum(map(abs, x.n)) * cof_norm[x.d]
-        rows[r] = rows.get(r, 0) + norm
-        if norm > top:
-            top = norm
-    return IntForm(m, min(x.s for x in m.values()), q, den, cof, max(rows.values()), top)
-
-
-def sp_int_eval(form: IntForm, b: int, scale: int = 1) -> dict:
-    """scale * N(2^b) as a sparse integer matrix, each distinct numerator and
-    cofactor evaluated once."""
-    q, low = form.q, form.low
-    at_n = {}
-    at_d = {d: _zat(t, b) for d, t in form.cof.items()}
-    out = {}
-    for key, x in form.m.items():
-        c, n = x.c, x.n
-        xn = at_n.get(n)
-        if xn is None:
-            xn = at_n[n] = _zat(n, b)
-        k = c.numerator * (q // c.denominator)
-        out[key] = (scale * k * xn * at_d[x.d]) << (b * (x.s - low))
-    return out

@@ -70,7 +70,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .qring import RF_ONE, RF_ZERO, RatFunc, rf_vpow
+from .qring import RF_ONE, RF_ZERO, rf_vpow
 from .rootdata import (CartanDatum, VerificationFailed, bilinear, highest_root, is_dominant,
                        tensor_multiplicity, weyl_dim)
 from .repbuild import IrrepModule, adjoint_module, build_irrep
@@ -201,8 +201,8 @@ def monodromy_on_tensor(V: IrrepModule, W: IrrepModule) -> Monodromy:
             col = act(i, cols[pa * dw + b])
             for b2, f in fcols[i].get(b, ()):
                 for p, x in cols[pa * dw + b2].items():
-                    sp_add_to(col, p, -_vshift(x, V.kexp[i][pa]) * f)
-            cols[a * dw + b] = {p: _vshift(x, W.kexp[i][b]) for p, x in col.items()}
+                    sp_add_to(col, p, -x.vshift(V.kexp[i][pa]) * f)
+            cols[a * dw + b] = {p: x.vshift(W.kexp[i][b]) for p, x in col.items()}
     matrix = {(r, p): x for p, col in enumerate(cols) for r, x in col.items()}
 
     if module_map_defects(matrix, T, T):
@@ -227,10 +227,6 @@ def monodromy_on_tensor(V: IrrepModule, W: IrrepModule) -> Monodromy:
 
 def _dot(xs, ys):
     return sum((x * y for x, y in zip(xs, ys) if x and y), RF_ZERO)
-
-
-def _vshift(x, k: int):
-    return RatFunc._make(x.c, x.s + k, x.n, x.d)   # x v^k, x nonzero
 
 
 def adjoint_in_dual_tensor(V: IrrepModule):

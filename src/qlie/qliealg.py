@@ -54,7 +54,7 @@ from .linalg import inverse, rank, rref, sp_add_to, sp_diff, sp_grouped
 from .classical import _lcm_den, classical_bracket, classical_sln_table, integral_multiple
 # same_algebra is re-exported: callers that build tables here compare them with it
 from .table import (BasisLabel, InvalidParams, QuantumLieAlgebra, _by_pair, _moved, _sln_basis,
-                    _sln_root, change_basis, check_sln_params, same_algebra)
+                    change_basis, check_sln_params, same_algebra)
 
 
 class GaugeObstruction(RuntimeError):
@@ -71,16 +71,15 @@ def _qpow(k: int) -> RatFunc:
 # ---------------------------------------------------------------------------
 
 def _sln_parts(n: int):
-    """Labels and the s- and t-linear parts of the explicit sl_n family
-    (Delius-Hueffmann, q-alg/9506017): E(s, t) = s * T_s + t * T_t.
+    """The s- and t-linear parts, on _sln_basis(n), of the explicit sl_n
+    family (Delius-Hueffmann, q-alg/9506017): E(s, t) = s * T_s + t * T_t.
 
     Only T_s is written in closed form.  T_t is its image under the flip
     tau of _sln_tau, T_t(tau a, tau b, tau c) = sigma_a sigma_b sigma_c
     T_s(a, b, c), so tau maps the member (s, t) onto (t, s).
     """
-    xlabels = [("X", i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    labels = xlabels + [("H", k) for k in range(1, n)]
-    pos = {lab: a for a, lab in enumerate(labels)}
+    basis = _sln_basis(n)
+    pos = {lab.ij if lab.kind == "X" else lab.index: a for a, lab in enumerate(basis)}
     Ts = {}
 
     def l_s(i, j, k):
@@ -96,10 +95,10 @@ def _sln_parts(n: int):
             out = out + _qpow(k + 1)
         return out
 
-    for (_, i, j) in xlabels:
-        a, b = pos["X", i, j], pos["X", j, i]
+    for i, j in (lab.ij for lab in basis if lab.kind == "X"):
+        a, b = pos[i, j], pos[j, i]
         for k in range(1, n):
-            h = pos["H", k]
+            h = pos[k]
             sp_add_to(Ts, (h, a, a), l_s(i, j, k))
             # [X_ij, H_k] = -r_ij(H_k) X_ij with r_ij(H_k) = -l_ji(H_k)
             sp_add_to(Ts, (a, h, a), l_s(j, i, k))
@@ -109,8 +108,8 @@ def _sln_parts(n: int):
         for m in range(1, n + 1):
             if m != i and m != j:
                 # [X_ij, X_jm] = v^{1-2j} X_im and [X_ij, X_mi] = -v^{2i-1} X_mj
-                Ts[a, pos["X", j, m], pos["X", i, m]] = rf_vpow(1 - 2 * j)
-                Ts[a, pos["X", m, i], pos["X", m, j]] = -rf_vpow(2 * i - 1)
+                Ts[a, pos[j, m], pos[i, m]] = rf_vpow(1 - 2 * j)
+                Ts[a, pos[m, i], pos[m, j]] = -rf_vpow(2 * i - 1)
 
     for i in range(1, n):
         for j in range(1, n):
@@ -122,9 +121,9 @@ def _sln_parts(n: int):
                     f = (_qpow(1) + _qpow(-1)) * (_qpow(k) - _qpow(-k))
                 elif abs(i - j) == 1 and k <= min(i, j):
                     f = _qpow(-k) - _qpow(k)
-                sp_add_to(Ts, (pos["H", i], pos["H", j], pos["H", k]), f)
+                sp_add_to(Ts, (pos[i], pos[j], pos[k]), f)
 
-    return labels, Ts, _flip(Ts, _sln_tau(labels, n))
+    return Ts, _flip(Ts, _sln_tau(basis))
 
 
 def _sln_labels(basis: list) -> list:
@@ -132,12 +131,13 @@ def _sln_labels(basis: list) -> list:
     return [("X",) + lab.ij if lab.kind == "X" else ("H", lab.index) for lab in basis]
 
 
-def _sln_tau(labels: list, n: int) -> list:
-    """The flip tau: X_ij -> -X_{n+1-j,n+1-i}, H_k -> H_{n-k} on a basis
-    labelled ("X", i, j) and ("H", k): entry a is (index of tau(x_a), sign)."""
-    pos = {lab: a for a, lab in enumerate(labels)}
-    return [(pos["X", n + 1 - lab[2], n + 1 - lab[1]], -1) if lab[0] == "X"
-            else (pos["H", n - lab[1]], 1) for lab in labels]
+def _sln_tau(basis: list) -> list:
+    """The flip tau: X_ij -> -X_{n+1-j,n+1-i}, H_k -> H_{n-k} on an
+    explicit-family basis in any order: entry a is (index of tau(x_a), sign)."""
+    pos = {lab.ij if lab.kind == "X" else lab.index: a for a, lab in enumerate(basis)}
+    n = sum(lab.kind == "H" for lab in basis) + 1
+    return [(pos[n + 1 - lab.ij[1], n + 1 - lab.ij[0]], -1) if lab.kind == "X"
+            else (pos[n - lab.index], 1) for lab in basis]
 
 
 def _flip(table: dict, tau: list) -> dict:
@@ -170,7 +170,7 @@ def build_sln_explicit(n: int, s, t) -> QuantumLieAlgebra:
     s = s if isinstance(s, RatFunc) else RatFunc(s)
     t = t if isinstance(t, RatFunc) else RatFunc(t)
     check_sln_params(s, t)
-    _, Ts, Tt = _sln_parts(n)
+    Ts, Tt = _sln_parts(n)
     return QuantumLieAlgebra(build_cartan("A", n - 1), _sln_basis(n), _sln_table(Ts, Tt, s, t),
                              "explicit-sln", params={"s": s, "t": t})
 
@@ -564,9 +564,10 @@ def compare_to_explicit(A: QuantumLieAlgebra, s=None, t=None,
         return {"applicable": False, "match": None}
     n = cd.rank + 1
     nH = n - 1
-    labels, Ts, Tt = _sln_parts(n)
-    eroot = {_sln_root(n, lab[1], lab[2]): a for a, lab in enumerate(labels) if lab[0] == "X"}
-    ehs = [labels.index(("H", k)) for k in range(1, n)]
+    Ts, Tt = _sln_parts(n)
+    basis = _sln_basis(n)
+    eroot = {lab.root: a for a, lab in enumerate(basis) if lab.kind == "X"}
+    ehs = [a for a, lab in enumerate(basis) if lab.kind == "H"]   # H_1 .. H_{n-1}
 
     groots, ghs, gxs = A.root_index(), A.h_indices(), A.x_indices()
     if len(ghs) != nH or set(groots) != set(eroot):
@@ -669,5 +670,5 @@ def check_tau_sln(A: QuantumLieAlgebra) -> dict:
     T_t = T_s and it always holds."""
     if A.provenance != "explicit-sln":
         return {"ok": None, "applicable": False}
-    bad = sp_diff(A.constants, _flip(A.constants, _sln_tau(_sln_labels(A.basis), A.cd.rank + 1)))
+    bad = sp_diff(A.constants, _flip(A.constants, _sln_tau(A.basis)))
     return {"ok": not bad, "witness": list(bad[0]) if bad else None, "applicable": True}

@@ -23,10 +23,13 @@ routine over Z[v]: the primitive remainder sequence (Brown, J. ACM 18,
 1971).  Products and sums cancel before they multiply, in the manner of
 Henrici (J. ACM 3, 1956), so a finished result is never normalized again.
 Arithmetic on two RatFuncs reads their parts directly (only an int, a
-Fraction or a view is coerced), and no gcd or polynomial product is
+Fraction or a view is coerced, and a float or complex operand raises
+TypeError), and no gcd or polynomial product is
 computed on a part (1,): a product with a monomial c * v^s, or a sum of
-two polynomials, needs no gcd at all.  The q-numbers and square roots are
-computed on the same integer form.
+two polynomials, needs no gcd at all.  The q-numbers, square roots and
+``clear_denominators`` (a vector scaled to coprime polynomials) are
+computed on the same integer form.  Only this module builds a RatFunc
+from its parts (``RatFunc._make``); elsewhere ``x.vshift(k)`` gives x v^k.
 ``laurent_gcd`` and ``_divmod_laurent`` are the old view-level entry points:
 nothing here calls them.  They are kept, unchanged, because the benchmark's
 tracer patches them by name; they go when the tracer reads library records
@@ -53,7 +56,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, isqrt, lcm, log2
 
 
@@ -241,6 +244,12 @@ def _zgcd_memo(a, b):
     return _ONE, a, b
 
 
+def _zlcm(a, b):
+    """The lcm of two primitive integer polynomials with nonzero constant
+    terms, as a tuple: a times b / gcd(a, b)."""
+    return tuple(_zmul(a, _zgcd(a, b)[2]))
+
+
 def _zsqrt(t):
     """The square root with a positive leading coefficient of an integer
     polynomial with a positive leading coefficient, or None when it is not
@@ -270,6 +279,9 @@ def _zsplit(p):
     or LaurentPoly view; None for zero."""
     if isinstance(p, (int, Fraction)):
         return (_fr(p), 0, _ONE) if p else None
+    if not isinstance(p, LaurentPoly):
+        raise TypeError(f"a RatFunc is read from an int, a Fraction or a LaurentPoly, "
+                        f"not a {type(p).__name__}")
     co = p.coeffs
     if not co:
         return None
@@ -433,10 +445,19 @@ class RatFunc:
     def is_polynomial(self) -> bool:
         return self.d == _ONE
 
+    def vshift(self, k: int) -> "RatFunc":
+        """self * v^k, from the parts."""
+        if not self.n:
+            return self
+        out = RatFunc.__new__(RatFunc)
+        out.c, out.s, out.n, out.d = self.c, self.s + k, self.n, self.d
+        return out
+
     def __eq__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not RatFunc:
+            other = _coerce_rf(other)
+            if other is NotImplemented:
+                return NotImplemented
         return (self.n == other.n and self.d == other.d and self.s == other.s
                 and self.c == other.c)
 
@@ -519,7 +540,10 @@ class RatFunc:
         return self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = _coerce_rf(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other):
         if other.__class__ is not RatFunc:
@@ -544,18 +568,21 @@ class RatFunc:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce_rf(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not RatFunc:
+            other = _coerce_rf(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other):
         other = _coerce_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        return other / self
+        return other * self.inverse()
 
     def __pow__(self, n: int):
+        if not isinstance(n, int):
+            return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
         out = RF_ONE
@@ -570,7 +597,10 @@ class RatFunc:
     def inverse(self) -> "RatFunc":
         if not self.n:
             raise ZeroDivisionError("division by zero rational function")
-        return RatFunc._make(_integral(Fraction(1, self.c)), -self.s, self.d, self.n)
+        c = self.c
+        if c != 1 and c != -1:
+            c = _integral(Fraction(1, c))
+        return RatFunc._make(c, -self.s, self.d, self.n)
 
     # -- ring maps ----------------------------------------------------------------
 
@@ -616,12 +646,16 @@ class RatFunc:
 
 
 def _coerce_rf(x):
+    """x as a RatFunc, NotImplemented for a type that is not a scalar here;
+    a float or complex operand raises TypeError, as Q(v) has no rounding."""
     if isinstance(x, RatFunc):
         return x
     if isinstance(x, LaurentPoly):
         return RatFunc(x)
     if isinstance(x, (int, Fraction)):
         return RatFunc._make(_integral(x), 0, _ONE if x else (), _ONE)
+    if isinstance(x, (float, complex)):
+        raise TypeError(f"a RatFunc takes no {type(x).__name__} operand: the arithmetic is exact")
     return NotImplemented
 
 
@@ -653,6 +687,29 @@ def rf_sqrt(x: RatFunc):
     if n is None or d is None:
         return None
     return RatFunc._make(_integral(c), x.s // 2, n, d)
+
+
+def clear_denominators(vec):
+    """A RatFunc vector scaled to polynomial entries: times the monic lcm L
+    of its denominators, divided by the monic gcd G of the resulting
+    numerators (so the integer content stays), and shifted so that the
+    lowest v-power is v^0.  Runs on the integer form c v^s N / D: the
+    numerator of entry i is (c_i / lc L) v^(s_i) N_i (L / D_i)."""
+    nonzero = [x for x in vec if x]
+    if not nonzero:
+        return list(vec)
+    den_lcm = reduce(_zlcm, (x.d for x in nonzero), _ONE)
+    parts = [_zmul(x.n, _zexact(den_lcm, x.d)) for x in nonzero]
+    g = parts[0]
+    for p in parts[1:]:
+        g = _zgcd(g, p)[0]
+    if len(g) > 1:
+        parts = [_zexact(p, g) for p in parts]
+    scale = Fraction(g[-1], den_lcm[-1])
+    low = min(x.s for x in nonzero)
+    cleared = (RatFunc._make(_integral(x.c * scale), x.s - low, tuple(p), _ONE)
+               for x, p in zip(nonzero, parts))
+    return [next(cleared) if x else RF_ZERO for x in vec]
 
 
 def _zq_int(n: int, d: int):
@@ -707,8 +764,10 @@ def q_binomial(a: int, b: int, d: int = 1) -> RatFunc:
 MAX_SCALAR_DEGREE = 1024
 MAX_SCALAR_BITS = 1024
 MAX_SCALAR_NESTING = 64
-# the longest "-p/q" with p and q of at most MAX_SCALAR_BITS bits
-_MAX_FRACTION_CHARS = 2 * len(str(2 ** MAX_SCALAR_BITS)) + 2
+# the most digits of an integer of at most MAX_SCALAR_BITS bits, and the
+# longest "-p/q" with p and q of at most MAX_SCALAR_BITS bits
+_MAX_INT_DIGITS = len(str(2 ** MAX_SCALAR_BITS))
+_MAX_FRACTION_CHARS = 2 * _MAX_INT_DIGITS + 2
 # the strings RatFunc.to_json writes: [0-9] is ASCII only, unlike \d
 _JSON_EXPONENT = re.compile(r"-?[0-9]+")
 _JSON_COEFFICIENT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -930,7 +989,11 @@ def _tokenize(text: str):
             j = i
             while j < len(text) and text[j] in "0123456789":
                 j += 1
-            tokens.append(int(text[i:j]))
+            digits = text[i:j].lstrip("0") or "0"
+            if len(digits) > _MAX_INT_DIGITS:   # measured before int() reads it
+                raise ValueError(f"scalar {_clip(text)!r} has integers above "
+                                 f"{MAX_SCALAR_BITS} bits")
+            tokens.append(int(digits))
             i = j
         else:
             raise ValueError(f"bad character {c!r} in scalar expression")

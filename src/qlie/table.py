@@ -17,7 +17,7 @@ import re
 from contextlib import contextmanager
 from typing import NamedTuple
 
-from .qring import RatFunc, RF_ZERO, parse_scalar
+from .qring import RatFunc, RF_ZERO, _clip, parse_scalar
 from .rootdata import CartanDatum, adjoint_dim, build_cartan, cartan_to_json, root_system
 from .linalg import sp_add_to, sp_diff, sp_grouped
 
@@ -194,10 +194,15 @@ class QuantumLieAlgebra:
             with naming(f"line {line[0]!r}"):
                 params = {"s": parse_scalar(m[1]), "t": parse_scalar(m[2])}
         names, normalized = head["basis"][2].split(" | "), head["normalized"][2].strip()
-        return stored_table(*_series_rank(head["algebra"][2]), names, _labels_named,
-                            _text_constants(body, names), head["construction"][2].strip(),
+        series, rank = _series_rank(head["algebra"][2])
+        where = f"line {_clip(head['algebra'][0])!r}"
+        if rank is None:
+            raise InvalidParams(f"cannot parse {where}: a rank of more than "
+                                f"{MAX_RANK_DIGITS} digits")
+        return stored_table(series, rank, names, _labels_named, _text_constants(body, names),
+                            head["construction"][2].strip(),
                             {"yes": True, "no": False}.get(normalized, normalized), params,
-                            where=f"line {head['algebra'][0]!r}")
+                            where=where)
 
 
 def _nonzero_rows(A: QuantumLieAlgebra, at_one: bool = False):
@@ -212,17 +217,24 @@ def _nonzero_rows(A: QuantumLieAlgebra, at_one: bool = False):
         yield names[a], names[b], names[c], val
 
 
+# the most digits a rank is read with: such a rank and its adjoint dimension
+# (under 10^602) stay within 640 digits, the least limit Python can set on
+# converting between int and str
+MAX_RANK_DIGITS = 300
+
+
 def _series_rank(text: str) -> tuple:
     """(series letter, rank) of an algebra name like A2; no Cartan datum is
-    built."""
+    built.  The rank's digits are counted before they are converted, and a
+    rank of more than MAX_RANK_DIGITS digits comes back as None, for the
+    caller to refuse: every series takes any such rank or none of them, as
+    it takes 10 or not."""
     m = re.fullmatch(r"([A-Za-z])\s*([0-9]+)", text.strip())
     if not m:
-        raise InvalidParams(f"bad algebra {text!r}; expected a series letter "
+        raise InvalidParams(f"bad algebra {_clip(text)!r}; expected a series letter "
                             "and rank, like A2 or G2")
-    try:
-        return m.group(1).upper(), int(m.group(2))
-    except ValueError as exc:
-        raise InvalidParams(str(exc)) from exc
+    digits = m[2].lstrip("0")
+    return m[1].upper(), int(digits or "0") if len(digits) <= MAX_RANK_DIGITS else None
 
 
 def _labels_named(names: list, cd: CartanDatum) -> list:
@@ -354,8 +366,8 @@ def table_cartan(series: str, rank: int, dim: int) -> CartanDatum:
     work bounded by the table's own size.  A mismatch raises InvalidParams."""
     expect = adjoint_dim(series, rank)
     if dim != expect:
-        raise InvalidParams(f"{series.upper()}{rank} has a {expect}-dimensional adjoint module, "
-                            f"but the table has {dim} basis vectors")
+        raise InvalidParams(f"{series.upper()}{_clip(str(rank))} has a {_clip(str(expect))}"
+                            f"-dimensional adjoint module, but the table has {dim} basis vectors")
     return build_cartan(series, rank)
 
 

@@ -7,8 +7,9 @@ between two modules intertwines E_i, F_i and the weight grading (K_i).
 The inverse-CG bracket, the ad-invariance of stored tables, the
 monodromy operator and the adjoint family inside W (x) W*
 (monodromy.verify_ad_submodule) are all checked through it.  It computes
-on integers and stays exact, reading a tensor-product side from its
-factors (see module_map_defects and _tensor_int_form).
+on integers, each matrix written over Z[v] once (IntForm, sp_int_form,
+sp_int_eval), and reads a tensor-product side from its factors; its
+docstring argues why the integer comparison is exact.
 
 highest_weight_space is likewise the single routine that finds
 highest-weight vectors: the CG pipeline, the isotypic components of
@@ -90,15 +91,15 @@ multiple of beta, which is never formed.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, reduce
 from math import lcm
 from operator import add
+from typing import NamedTuple
 
-from .qring import RatFunc, RF_ONE, RF_ZERO, _zexact, _zgcd, _zmul
+from .qring import RatFunc, RF_ONE, RF_ZERO, _ONE, _zexact, _zlcm, clear_denominators
 from .rootdata import VerificationFailed, is_dominant, simple_roots, tensor_multiplicity
 from .repbuild import IrrepModule, contravariant_form
-from .linalg import (IntForm, _zat, clear_denominators, inverse, nullspace, rank, solve, sp_add_to,
-                     sp_grouped, sp_int_eval, sp_int_form, sp_matmul, sp_matvec)
+from .linalg import inverse, nullspace, rank, solve, sp_add_to, sp_grouped, sp_matmul, sp_matvec
 
 
 class EmptySpace(ValueError):
@@ -165,14 +166,14 @@ def coproduct_action(T: TensorProduct, name: str, transpose: bool = False):
             a, b = divmod(p, d2)
             col = left.get(a)
             if col:
-                xk = RatFunc._make(x.c, x.s + kl[b], x.n, x.d)
+                xk = x.vshift(kl[b])
                 for r, y in col:
                     key = r * d2 + b
                     cur = out.get(key)
                     out[key] = xk * y if cur is None else cur + xk * y
             col = right.get(b)
             if col:
-                xk = RatFunc._make(x.c, x.s + kr[a], x.n, x.d)
+                xk = x.vshift(kr[a])
                 for r, y in col:
                     key = a * d2 + r
                     cur = out.get(key)
@@ -290,18 +291,92 @@ def lowered_table(T: TensorProduct, M, v0: dict) -> list:
     return _along_parents(M, coproduct_action(T, "F"), dict(v0))
 
 
+class IntForm(NamedTuple):
+    """A sparse RatFunc matrix m written once over Z[v] as v^low / (q L) * N
+    (see module_map_defects): the entry c v^s n / d of m gives N the entry
+    k v^e n cof[d], with k = q c, e = s - low >= 0 and cof[d] = L / d.
+    row_norm bounds the largest row sum of the 1-norms of N's entries and
+    top_norm their largest 1-norm."""
+
+    m: dict
+    low: int
+    q: int
+    den: tuple
+    cof: dict
+    row_norm: int
+    top_norm: int
+
+    @property
+    def scale_norm(self) -> int:
+        """The 1-norm of the common denominator q L."""
+        return self.q * sum(map(abs, self.den))
+
+    def scale_at(self, b: int) -> int:
+        """q L(2^b)."""
+        return self.q * _zat(self.den, b)
+
+    def times(self, b: int, scale: int, mx: dict, left: bool) -> dict:
+        """scale N(2^b) mx when left, else mx scale N(2^b)."""
+        n = sp_int_eval(self, b, scale)
+        return sp_matmul(n, mx) if left else sp_matmul(mx, n)
+
+
+def _zat(t, b: int) -> int:
+    """The integer polynomial t evaluated at 2^b (Horner, by shifts)."""
+    acc = 0
+    for x in reversed(t):
+        acc = (acc << b) + x
+    return acc
+
+
+def sp_int_form(m) -> IntForm:
+    """The IntForm of a sparse RatFunc matrix; L is the lcm of the distinct
+    denominators only, and an entry of N has 1-norm at most
+    |k| |n|_1 |L / d|_1."""
+    if not m:
+        return IntForm(m, 0, 1, _ONE, {}, 0, 0)
+    dens = {x.d for x in m.values()}
+    den = reduce(_zlcm, dens, _ONE)
+    cof = {d: _zexact(den, d) for d in dens}
+    cof_norm = {d: sum(map(abs, t)) for d, t in cof.items()}
+    q = lcm(*{x.c.denominator for x in m.values()})
+    rows, top = {}, 0
+    for (r, _), x in m.items():
+        c = x.c
+        norm = abs(c.numerator) * (q // c.denominator) * sum(map(abs, x.n)) * cof_norm[x.d]
+        rows[r] = rows.get(r, 0) + norm
+        if norm > top:
+            top = norm
+    return IntForm(m, min(x.s for x in m.values()), q, den, cof, max(rows.values()), top)
+
+
+def sp_int_eval(form: IntForm, b: int, scale: int = 1) -> dict:
+    """scale * N(2^b) as a sparse integer matrix, each distinct numerator and
+    cofactor evaluated once."""
+    q, low = form.q, form.low
+    at_n = {}
+    at_d = {d: _zat(t, b) for d, t in form.cof.items()}
+    out = {}
+    for key, x in form.m.items():
+        c, n = x.c, x.n
+        xn = at_n.get(n)
+        if xn is None:
+            xn = at_n[n] = _zat(n, b)
+        k = c.numerator * (q // c.denominator)
+        out[key] = (scale * k * xn * at_d[x.d]) << (b * (x.s - low))
+    return out
+
+
 def _tensor_int_form(f1, f2, k1: list, k2: list):
     """Delta(x) = x1 (x) K^-1 + K (x) x2 as (IntForm, times) from the forms
     f1, f2 of its factor matrices, with no matrix on the product formed (the
-    form's m and cof are None); see _int_forms for times.  Both factors are
-    written over the common q = lcm(q1, q2) and L = lcm(L1, L2), so N_j
-    gains the factor c_j = (q / q_j)(L / L_j).  An entry of x1 at (r, c)
-    lands at ((r, b), (c, b)) times v^-k2[b], and an entry of x2 at
-    ((a, r), (a, c)) times v^k1[a]; the two sets never overlap, because E_i
-    and F_i have no diagonal entries.  So a row's 1-norms add up to at most
-    |c1|_1 rn1 + |c2|_1 rn2, and no entry's 1-norm exceeds the larger of
-    |c1|_1 top1 and |c2|_1 top2."""
-    den = tuple(_zmul(f1.den, _zgcd(f1.den, f2.den)[2]))
+    form's m and cof are None; its norms are argued in module_map_defects);
+    see _int_forms for times.  Both factors are written over the common
+    q = lcm(q1, q2) and L = lcm(L1, L2), so N_j gains the factor
+    c_j = (q / q_j)(L / L_j).  An entry of x1 at (r, c) lands at
+    ((r, b), (c, b)) times v^-k2[b], and an entry of x2 at ((a, r), (a, c))
+    times v^k1[a]."""
+    den = _zlcm(f1.den, f2.den)
     q = lcm(f1.q, f2.q)
     low = min(f1.low - max(k2), f2.low + min(k1))
     c1, c2 = _zexact(den, f1.den), _zexact(den, f2.den)
@@ -355,13 +430,8 @@ def _int_forms(side, forms: dict) -> dict:
         else:
             for i, mat in getattr(side, name).items():
                 f = form(mat)
-                out[name, i] = f, partial(_module_times, f)
+                out[name, i] = f, f.times
     return out
-
-
-def _module_times(f, b: int, scale: int, mx: dict, left: bool) -> dict:
-    n = sp_int_eval(f, b, scale)
-    return sp_matmul(n, mx) if left else sp_matmul(mx, n)
 
 
 def module_map_defects(M: dict, source, target) -> list:
@@ -374,14 +444,21 @@ def module_map_defects(M: dict, source, target) -> list:
     E and F.
 
     The comparison is exact and runs on integers.  Each matrix is written
-    once as v^low / (q L) * N with N over Z[v] (linalg.sp_int_form; a
-    tensor-product side from its factors' forms, see _tensor_int_form); with
-    the common denominators cleared, target(x) M = M source(x) reads
+    once as v^low / (q L) * N (sp_int_form): q the lcm of its content
+    denominators and L that of its distinct polynomial denominators, so N
+    is over Z[v].  A tensor-product side is written from its factors' forms
+    (_tensor_int_form): the entries of x1 (x) K^-1 and K (x) x2 never share
+    a position, because E_i and F_i have no diagonal entries, so a row's
+    1-norms add up to at most |c1|_1 rn1 + |c2|_1 rn2 and no entry's 1-norm
+    exceeds the larger of |c1|_1 top1 and |c2|_1 top2.  With the common
+    denominators cleared, target(x) M = M source(x) reads
     v^low_t q_s L_s N_t N_M = v^low_s q_t L_t N_M N_s, up to the same power of
     v on both sides.  The coefficients of either side are bounded by B, the
     largest row sum of 1-norms times the largest 1-norm times |q L|_1 over
-    all generators, so their difference has coefficients below 2B and is
-    zero exactly when it vanishes at X = 2^b > 2B."""
+    all generators, so their difference has coefficients below 2B.  Both
+    sides are compared at X = 2^b > 2B (Kronecker substitution,
+    sp_int_eval): an integer polynomial whose coefficients are below X in
+    absolute value vanishes at X only when it is zero."""
     forms = {}
     src = _int_forms(source, forms)
     dst = src if target is source else _int_forms(target, forms)

@@ -112,6 +112,32 @@ def test_twenty_digit_rank_is_rejected_from_the_closed_form(capsys, construction
     assert elapsed < 0.5
 
 
+@pytest.mark.parametrize("argv,code,says", [
+    # the adjoint dimension of this rank has 4401 digits: formatting it
+    # into the budget message raised Python's int-to-str limit error
+    (["--algebra", "B" + "9" * 2200], 1, "more than 300 digits"),
+    (["--algebra", "B" + "9" * 2100], 1, "more than 300 digits"),   # a 6300-character line
+    (["--algebra", "A" + "9" * 5000], 1, "more than 300 digits"),   # _series_rank's int()
+    (["--algebra", "A" + "0" * 5000 + "20"], 1, "A20 = 440 exceeds budget 64"),
+    (["--algebra", "A" + "9" * 300], 1, "= 999999"),
+    (["--algebra", "E" + "9" * 5000], 2, "E requires rank in {6, 7, 8}"),
+    (["--algebra", "A" + "9" * 5000, "--construction", "explicit-sln", "--t", "x"], 2,
+     "bad character"),
+    (["--algebra", "A2", "--construction", "explicit-sln", "--s", "9" * 5000], 2,
+     "has integers above 1024 bits"),   # _tokenize's int()
+    (["--algebra", "A2", "--construction", "explicit-sln", "--s", "q^" + "9" * 5000], 2,
+     "has integers above 1024 bits"),
+    (["--algebra", "A1", "--budget-dim", "-" + "9" * 4000], 2, "must be a positive integer"),
+], ids=["B-2200-nines", "B-2100-nines", "A-5000-nines", "A20-5000-zeros", "A-300-nines",
+        "E-5000-nines", "usage-error-first", "s-5000-digits", "s-power-5000-digits",
+        "budget-4000-digits"])
+def test_long_digit_strings_end_in_one_short_error_line(capsys, argv, code, says):
+    assert main(["build", *argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and says in err, err[:300]
+    assert len(err) < 250 and "set_int_max_str_digits" not in err
+
+
 def test_explicit_table_obeys_the_budget(capsys):
     # sl_3 has dimension 3^2 - 1 = 8
     code = main(["build", "--algebra", "A2", "--construction", "explicit-sln", "--budget-dim", "7"])

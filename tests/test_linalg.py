@@ -2,13 +2,16 @@
 clearing denominators of RatFunc vectors, the step behind every
 highest-weight vector."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from qlie import qring, tensorcg
-from qlie.linalg import clear_denominators, inverse, nullspace, rank, rref, solve, sp_diff
+from qlie.linalg import inverse, nullspace, rank, rref, solve, sp_diff
+from qlie.qring import clear_denominators
 from qlie.monodromy import monodromy_on_tensor
 from qlie.qliealg import generic_pipeline
 from qlie.repbuild import build_irrep
@@ -171,3 +174,22 @@ def test_sp_diff_lists_the_differing_keys_in_order(one):
     b = {(1, 2): one, (2, 0): one * 3, (0, 1): one * 2, (0, 0): zero}
     assert sp_diff(a, b) == sp_diff(b, a) == [(1, 2), (2, 0), (3, 3)]
     assert sp_diff(a, {k: x for k, x in a.items() if x}) == []
+
+
+def test_each_number_format_has_one_home():
+    """linalg serves any field and imports nothing from qring; only qring
+    builds a RatFunc from its parts; the integer form of the module-map
+    check is defined in tensorcg, beside the check."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(Path(qring.__file__).parent.glob("*.py"))}
+    imported = [node.module or "" for node in ast.walk(trees["linalg.py"])
+                if isinstance(node, ast.ImportFrom)]
+    imported += [alias.name for node in ast.walk(trees["linalg.py"])
+                 if isinstance(node, ast.Import) for alias in node.names]
+    assert not [m for m in imported if "qring" in m], imported
+    makers = {name for name, tree in trees.items() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr == "_make"}
+    assert makers == {"qring.py"}, makers
+    defined = {node.name for node in trees["tensorcg.py"].body
+               if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    assert {"IntForm", "sp_int_form", "sp_int_eval"} <= defined

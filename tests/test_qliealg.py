@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from qlie.linalg import sp_diff
+from qlie.linalg import rank, sp_diff
 from qlie.qring import RatFunc, parse_scalar
-from qlie.rootdata import build_cartan, root_system
+from qlie.rootdata import build_cartan, root_system, simple_roots
 from qlie import qring, table
 from qlie.qliealg import (
     GaugeObstruction,
@@ -26,6 +26,10 @@ from qlie.qliealg import (
     check_tau_sln,
     compare_to_explicit,
     transport_explicit_constants,
+    _flip,
+    _sln_basis,
+    _sln_parts,
+    _sln_tau,
 )
 from qlie.table import (BasisLabel, InvalidParams, QuantumLieAlgebra, change_basis,
                         labeled_constants, same_algebra)
@@ -707,6 +711,19 @@ def test_tau_not_applicable_to_generic_tables(generics):
     assert check_tau_sln(generics["B2"])["applicable"] is False
 
 
+@pytest.mark.parametrize("s,t", [("1", "1"), ("1", "q")])
+def test_tau_reads_the_basis_labels_in_any_order(s, t, explicit_grid):
+    # _sln_tau finds tau(X_ij) and tau(H_k) by their matrix units and
+    # indices, so a reversed basis gets the verdict of the original
+    A = explicit_grid[4, s, t]
+    order = list(range(A.dim))[::-1]
+    rep, rev = check_tau_sln(A), check_tau_sln(_reordered(A, order))
+    assert rev["ok"] == rep["ok"] == (s == t)
+    if not rev["ok"]:
+        a, b, c = (order[k] for k in rev["witness"])
+        assert A.constants.get((a, b, c)) != _flip(A.constants, _sln_tau(A.basis)).get((a, b, c))
+
+
 # ---------------------------------------------------------------- ad-invariance
 
 @pytest.mark.parametrize("name", CORE)
@@ -1183,3 +1200,62 @@ def test_printed_explicit_members_parse_back(n):
     A = build_sln_explicit(n, sc("q^2"), sc("1/(q+2)"))
     B = QuantumLieAlgebra.from_text(A.to_text())
     assert same_algebra(B, A) and B.params == A.params and B.provenance == A.provenance
+
+
+# ------------------------------------------- branches that no other test reaches
+
+def _simple_pair(A, i):
+    """The indices of X_{alpha_i} and X_{-alpha_i} in A."""
+    alpha, roots = simple_roots(A.cd)[i], A.root_index()
+    return roots[alpha], roots[tuple(-c for c in alpha)]
+
+
+def test_a_singular_cartan_rebase_is_a_gauge_obstruction(generics):
+    # [X_a2, X_-a2] given the Cartan part of [X_a1, X_-a1]: the rebase
+    # matrix G gets two equal rows, while its first row still pairs with
+    # [H, X_a1] to a nonzero value, so only the inversion of G fails
+    A = generics["A2"]
+    (x1, y1), (x2, y2) = _simple_pair(A, 0), _simple_pair(A, 1)
+    B = _corrupted(A, entries=[((x2, y2, h), A.constants.get((x1, y1, h))) for h in A.h_indices()])
+    assert check_gradation(B)["ok"]
+    with pytest.raises(GaugeObstruction, match="^singular Cartan rebase$"):
+        canonical_normalize(B)
+
+
+def _without_minus_alpha1(A):
+    """A with X_-a1 relabelled X_-2a1, which is no root, and the index of X_a1."""
+    x, y = _simple_pair(A, 0)
+    label = BasisLabel("X", root=tuple(2 * c for c in A.basis[y].root))
+    return _corrupted(A, labels=[(y, label)]), x, y
+
+
+@pytest.mark.parametrize("name", ["A2", "B2"])
+def test_lr_identity_names_a_root_vector_without_its_opposite(name, generics):
+    # the witness is the first of X_a1 and X_-2a1, both of which lost theirs
+    B, x, y = _without_minus_alpha1(generics[name])
+    assert check_lr_identity(B) == {"ok": False, "witness": [min(x, y)]}
+
+
+def test_a_missing_simple_root_vector_fails_the_coroot_check(explicit_grid):
+    # normalized, an explicit table has no oracle, whose basis would not
+    # hold X_-2a1; acts_as_coroot finds no pair X_a1, X_-a1
+    B = replaced(_without_minus_alpha1(explicit_grid[3, "1", "q"])[0], normalized=True)
+    limit = check_classical_limit(B)
+    assert limit["roots_classical"] is False and limit["all"] is False
+    assert limit["oracle_match"] is None and limit["jacobi"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_every_fitted_member_has_a_cartan_part_on_each_root_pair(n):
+    # compare_to_explicit's lowered() returns 0 early when the fitted member
+    # s T_s + t T_t has no H_k part in [X_g, X_-g].  It cannot: for n >= 3
+    # the H parts of T_s and T_t there are independent over Q(v), and for
+    # n = 2 they are equal, while s + t != 0 on every member the fit reaches
+    Ts, Tt = _sln_parts(n)
+    pos = {lab.ij if lab.kind == "X" else lab.index: a for a, lab in enumerate(_sln_basis(n))}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            rows = [[T.get((pos[i, j], pos[j, i], pos[k]), RatFunc(0)) for k in range(1, n)]
+                    for T in (Ts, Tt)]
+            assert (rank(rows) == 2) if n > 2 else (rows[0] == rows[1] != [RatFunc(0)])
+

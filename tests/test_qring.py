@@ -229,6 +229,51 @@ def test_ratfunc_arithmetic():
     assert (x + x) == rf(V(0, 2), q_minus)
 
 
+# every way a foreign operand o meets a RatFunc x: the constructor, then
+# each operator with x on the left and on the right
+FOREIGN_USES = ["RatFunc(o)", "RatFunc(1, o)"] + [
+    f"{a} {op} {b}" for op in ("+", "-", "*", "/", "**") for a, b in (("x", "o"), ("o", "x"))]
+
+
+@pytest.mark.parametrize("use", FOREIGN_USES)
+@pytest.mark.parametrize("other", [0.5, 2.0, 1j, "1"], ids=repr)
+def test_ratfunc_refuses_float_complex_and_str_operands(use, other):
+    # a message that names an operator names the one written (0.5 - x
+    # once reported +), and none is an AttributeError from inside qring
+    with pytest.raises(TypeError) as exc:
+        eval(use, {"RatFunc": RatFunc}, {"x": rf(padd(Q, ONE)), "o": other})
+    if "operand type(s) for" in str(exc.value):
+        assert f"for {use.split()[1]}:" in str(exc.value) or "pow()" in str(exc.value)
+
+
+@pytest.mark.parametrize("other", [0.5, 1.0, 1j], ids=repr)
+def test_ratfunc_equality_refuses_floats(other):
+    # RatFunc(1) == 1.0 read False, though the values are equal
+    for a, b in ((RatFunc(1), other), (other, RatFunc(1))):
+        with pytest.raises(TypeError):
+            a == b
+
+
+def test_ratfunc_operands_skip_coercion_and_unit_inverses_build_no_fraction(monkeypatch):
+    x, y = rf(padd(Q, ONE), padd(V(1), ONE)), rf(V(0, -1), padd(Q, V(0, 3)))
+    z = rf(padd(Q, ONE), padd(V(1), ONE))
+    want = (x / y, y / x, 3 / x)
+    coerced, built = [], []
+    coerce, fraction = qring._coerce_rf, qring.Fraction
+
+    class Recording(fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return fraction(*args)
+
+    monkeypatch.setattr(qring, "_coerce_rf", lambda o: coerced.append(o) or coerce(o))
+    monkeypatch.setattr(qring, "Fraction", Recording)
+    assert (x / y, y / x) == want[:2] and not coerced and not built
+    assert 3 / x == want[2] and coerced == [3]
+    assert x != y and x == z and coerced == [3]
+    assert x.inverse().c == 1 and y.inverse().c == -1 and not built
+
+
 @pytest.mark.parametrize("x", [
     RatFunc(1),
     rf(padd(V(4), ONE), padd(Q, neg(QINV))),
@@ -416,6 +461,10 @@ def test_harness_entry_points_keep_their_behaviour():
     assert laurent_gcd(LaurentPoly(), LaurentPoly()).is_zero()
     quo, rem = qring._divmod_laurent(LaurentPoly(padd(V(3), ONE)), LaurentPoly(padd(Q, ONE)))
     assert quo == LaurentPoly(V(1)) and rem == LaurentPoly(padd(V(1, -1), ONE))
+    # a dividend of lower degree than the divisor is its own remainder
+    # (_zdivmod's early return)
+    quo, rem = qring._divmod_laurent(LaurentPoly(V(1)), LaurentPoly(padd(Q, ONE)))
+    assert quo.is_zero() and rem == LaurentPoly(V(1))
 
 
 # ------------------------------------------------------------ the writer
@@ -612,6 +661,14 @@ def test_rf_sqrt_rejects_odd_power():
 def test_rf_sqrt_rejects_non_square_constant():
     # 2q has no square root over the rationals
     assert rf_sqrt(rf(V(2, 2))) is None
+
+
+@pytest.mark.parametrize("poly", [padd(V(1), ONE), padd(V(2, 2), ONE), padd(V(2), ONE)],
+                         ids=["1+v: even length", "1+2q: leading 2", "1+q: no root"])
+def test_rf_sqrt_rejects_non_square_polynomials(poly):
+    # a square content and an even shift, but N is not the square of an
+    # integer polynomial; each case leaves _zsqrt at another return
+    assert rf_sqrt(rf(poly)) is None and rf_sqrt(rf(ONE, poly)) is None
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -237,6 +237,20 @@ def test_a_malformed_value_on_two_lines_is_refused_naming_the_first(bad):
         QuantumLieAlgebra.from_text(text)
 
 
+@pytest.mark.parametrize("rank,says", [
+    ("9" * 2200, "a rank of more than 300 digits"),
+    ("9" * 5000, "a rank of more than 300 digits"),   # read with Python's int() wording
+    ("9" * 300, "-dimensional adjoint module, but the table has 3 basis vectors"),
+    ("0" * 5000 + "2", "A2 has a 8-dimensional adjoint module"),
+])
+def test_a_long_rank_in_the_algebra_line_is_refused_in_one_short_message(rank, says):
+    text = build_sln_explicit(2, 1, 0).to_text().replace("# algebra A1", f"# algebra A{rank}")
+    with pytest.raises(InvalidParams) as exc:
+        QuantumLieAlgebra.from_text(text)
+    assert says in str(exc.value) and len(str(exc.value)) < 250, str(exc.value)[:300]
+    assert "set_int_max_str_digits" not in str(exc.value)
+
+
 @pytest.mark.parametrize("header", ["algebra", "construction", "normalized", "basis", "params"])
 def test_a_repeated_header_line_is_refused(header):
     # before, the last one was read: "# normalized no" then "# normalized yes"
