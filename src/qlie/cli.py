@@ -96,7 +96,7 @@ def _request(args) -> argparse.Namespace:
             raise InvalidParams(f"--checks names no check; choose from {names}")
         for c in checks:
             if c not in CHECKS:
-                raise InvalidParams(f"unknown check {c!r}; choose from {names}")
+                raise InvalidParams(f"unknown check {_clip(c)!r}; choose from {names}")
     series, rank = _series_rank(args.algebra)
     try:
         dim = adjoint_dim(series, 10 if rank is None else rank)   # see _series_rank
@@ -255,6 +255,24 @@ def cmd_compare(req):
 # argument wiring
 # ---------------------------------------------------------------------------
 
+# the most digits --budget-dim is read with: the least limit Python sets on
+# converting str to int, kept where the interpreter sets none
+MAX_BUDGET_DIGITS = 4300
+
+
+def _budget_dim(text: str) -> int:
+    """The --budget-dim value.  Its digits are counted before int() reads
+    them, as _series_rank counts a rank's, and a refusal quotes text
+    clipped (qring._clip), in one short argparse error line."""
+    if sum(map(str.isdigit, text)) > MAX_BUDGET_DIGITS:
+        raise argparse.ArgumentTypeError(f"more than {MAX_BUDGET_DIGITS} digits: "
+                                         f"{_clip(text)!r}")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_clip(text)!r}") from None
+
+
 def _add_options(p: argparse.ArgumentParser, builds: bool) -> None:
     """The options of one command; `builds` adds --construction and
     --normalize, which only the commands that build a table read."""
@@ -270,7 +288,7 @@ def _add_options(p: argparse.ArgumentParser, builds: bool) -> None:
                        help="rescale to the canonical basis (may be obstructed)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", help="write to this file instead of stdout")
-    p.add_argument("--budget-dim", type=int, default=DEFAULT_DIM_BUDGET,
+    p.add_argument("--budget-dim", type=_budget_dim, default=DEFAULT_DIM_BUDGET,
                    help="largest module dimension the construction may attempt "
                         "(a positive integer)")
     p.set_defaults(command_parser=p)

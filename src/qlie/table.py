@@ -2,19 +2,21 @@
 
 A ``QuantumLieAlgebra`` is a basis, each vector labelled X_alpha (a root
 vector) or H_k (a Cartan slot), with structure constants f_ab^c over Q(v):
-the abstract algebra, whatever construction produced it.  This module holds
-the table and its labels, both stored forms (``to_json``/``from_json`` and
-``to_text``/``from_text``: each reader parses its encoding, a text label by
-looking its name up among those the algebra writes, and passes the pieces
-to one constructor, ``stored_table``, which makes every refusal), the
-label-keyed comparison of tables, and ``change_basis``, the single
-change-of-basis routine for structure-constant tables.
+the abstract algebra, whatever construction produced it.  Its constructor
+checks the labels, so every table holds exactly its algebra's labels.
+This module holds the table and its labels, both stored forms
+(``to_json``/``from_json`` and ``to_text``/``from_text``: each reader parses
+its encoding, a text label by looking its name up among those the algebra
+writes, and ``stored_table`` adds a stored encoding's refusals to the
+constructor's), the label-keyed comparison of tables, and
+``change_basis``, the single change-of-basis routine for the tables.
 """
 
 from __future__ import annotations
 
 import re
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import NamedTuple
 
 from .qring import RatFunc, RF_ZERO, _clip, parse_scalar
@@ -86,21 +88,48 @@ class BasisLabel(NamedTuple):
         if isinstance(root, list) and all(type(x) is int for x in root):
             ij = d.get("ij")
             return BasisLabel("X", root=tuple(root), ij=tuple(ij) if isinstance(ij, list) else ij)
-        raise InvalidParams(f"the basis label {d!r} is not an H with an int index "
+        raise InvalidParams(f"the basis label {_clip(repr(d))} is not an H with an int index "
                             "or an X with an int root")
 
 
 class QuantumLieAlgebra:
-    def __init__(self, cd: CartanDatum, basis: list, constants: dict, provenance: str,
+    def __init__(self, cd: CartanDatum, basis: list, constants, provenance: str,
                  params: dict = None, normalized: bool = False, checks: dict = None):
+        """A table on cd's algebra, however it is made, refused with an
+        InvalidParams unless, in this order: the construction is one of
+        CONSTRUCTIONS, the labels pass check_basis_labels, normalized is a
+        bool, the params hold exactly s and t passing check_sln_params on an
+        explicit-sln table and are None on a generic one, and checks is a
+        dict.  constants, a dict or ((a, b, c), value) pairs, is read last."""
+        if provenance not in CONSTRUCTIONS:
+            raise InvalidParams(f"the construction {_clip(repr(provenance))} is not one of "
+                                + ", ".join(CONSTRUCTIONS))
+        check_basis_labels(cd, basis, provenance)
+        if type(normalized) is not bool:
+            raise InvalidParams(f"the normalized flag {_clip(repr(normalized))} is not a bool "
+                                "(yes or no in a text table)")
+        if not isinstance(params, (dict, type(None))):
+            raise InvalidParams("the params of a stored table are not a JSON object: "
+                                + _clip(repr(params)))
+        keys = None if params is None else sorted(params)
+        want = ["s", "t"] if provenance == "explicit-sln" else None
+        if keys != want:
+            raise InvalidParams(f"{provenance} tables have the params {want}, "
+                                f"not {_clip(repr(keys))}")
+        if want:
+            check_sln_params(params["s"], params["t"])
+        if not isinstance(checks, (dict, type(None))):
+            raise InvalidParams("the checks of a stored table are not a JSON object: "
+                                + _clip(repr(checks)))
         self.cd = cd
         self.basis = basis
         # {(a, b, c): RatFunc}, zero entries dropped
-        self.constants = {key: val for key, val in constants.items() if val}
+        pairs = constants.items() if isinstance(constants, dict) else constants
+        self.constants = {key: val for key, val in pairs if val}
         self.provenance = provenance  # "generic-pipeline" or "explicit-sln"
         self.params = params          # {"s": RatFunc, "t": RatFunc} for the explicit family
         self.normalized = normalized
-        self.checks = {} if checks is None else checks
+        self.checks = dict(checks or {})
 
     @property
     def dim(self):
@@ -144,14 +173,14 @@ class QuantumLieAlgebra:
     def from_json(d: dict) -> "QuantumLieAlgebra":
         """The table of a stored JSON blob.  Its cartan, basis and constants
         must be present and every scalar keep the text reader's bounds
-        (RatFunc.from_json); stored_table makes the other refusals.  A
-        failure raises InvalidParams before any check reads the table."""
+        (RatFunc.from_json); stored_table and the constructor make the
+        other refusals, each an InvalidParams before any check reads it."""
         cartan, basis, entries = _fields(d, "the stored table", cartan=dict, basis=list,
                                          constants=list)
         series, rank = _fields(cartan, "the cartan", series=str, rank=object)
         params = d.get("params")
         if isinstance(params, dict):
-            params = {k: _stored_scalar(v, f"the parameter {k}") for k, v in params.items()}
+            params = {k: _stored_scalar(v, f"the parameter {_clip(k)}") for k, v in params.items()}
         return stored_table(series, rank, basis,
                             lambda labels, cd: [BasisLabel.from_json(lab) for lab in labels],
                             map(_stored_constant, entries), d.get("provenance"),
@@ -176,12 +205,13 @@ class QuantumLieAlgebra:
     def from_text(text: str) -> "QuantumLieAlgebra":
         """The table of a text form (to_text): each header line once, each
         label a name the algebra writes (_labels_named), other "#" lines
-        ignored; stored_table makes the other refusals, each an InvalidParams."""
+        ignored; stored_table and the constructor make the other refusals,
+        each an InvalidParams."""
         head, body = {}, []   # head: {key: match of "# key value"}
         for ln in text.splitlines():
             m = re.match(r"# (algebra|construction|normalized|basis|params) (.*)", ln)
             if m and head.setdefault(m[1], m) is not m:
-                raise InvalidParams(f"the text table repeats its {m[1]} line: {ln!r}")
+                raise InvalidParams(f"the text table repeats its {m[1]} line: {_clip(ln)!r}")
             if not m and ln.strip() and not ln.startswith("#"):
                 body.append(ln)
         if not {"algebra", "construction", "normalized", "basis"} <= head.keys():
@@ -190,8 +220,8 @@ class QuantumLieAlgebra:
         if line:
             m = re.fullmatch(r"s = (.*) ; t = (.*)", line[2])
             if not m:
-                raise InvalidParams(f"cannot parse params line {line[0]!r}")
-            with naming(f"line {line[0]!r}"):
+                raise InvalidParams(f"cannot parse params line {_clip(line[0])!r}")
+            with naming(f"line {_clip(line[0])!r}"):
                 params = {"s": parse_scalar(m[1]), "t": parse_scalar(m[2])}
         names, normalized = head["basis"][2].split(" | "), head["normalized"][2].strip()
         series, rank = _series_rank(head["algebra"][2])
@@ -243,7 +273,7 @@ def _labels_named(names: list, cd: CartanDatum) -> list:
     known = {lab.name(): lab for lab in _algebra_labels(cd)}
     for name in names:
         if name not in known:
-            raise InvalidParams(f"cannot parse basis label {name!r}")
+            raise InvalidParams(f"cannot parse basis label {_clip(name)!r}")
     return [known[name] for name in names]
 
 
@@ -257,7 +287,7 @@ def _text_constants(body: list, names: list):
     for ln in body:
         m = re.fullmatch(r"f\[(.*)\]\^\{(.*)\} = (.*)", ln)
         if not m:
-            raise InvalidParams(f"cannot parse table line {ln!r}")
+            raise InvalidParams(f"cannot parse table line {_clip(ln)!r}")
         pair, cname, val = m.groups()
         a = b = None
         for cut in range(len(pair)):
@@ -265,10 +295,10 @@ def _text_constants(body: list, names: list):
                 a, b = where[pair[:cut]], where[pair[cut + 1:]]
                 break
         if a is None or cname not in where:
-            raise InvalidParams(f"unknown basis labels in line {ln!r}")
+            raise InvalidParams(f"unknown basis labels in line {_clip(ln)!r}")
         x = values.get(val)
         if x is None:
-            with naming(f"line {ln!r}"):
+            with naming(f"line {_clip(ln)!r}"):
                 x = values[val] = parse_scalar(val)
         yield (a, b, where[cname]), x
 
@@ -288,7 +318,7 @@ def _fields(d, what: str, **types) -> list:
 def _stored_constant(e: dict) -> tuple:
     """((a, b, c), value) of one stored constant."""
     a, b, c, value = _fields(e, "a constant", a=object, b=object, c=object, value=object)
-    return (a, b, c), _stored_scalar(value, f"the constant [{a}, {b}, {c}]")
+    return (a, b, c), _stored_scalar(value, "the constant " + _clip(f"[{a}, {b}, {c}]"))
 
 
 def _stored_scalar(d: dict, name: str) -> RatFunc:
@@ -307,47 +337,29 @@ def stored_table(series, rank, labels: list, read_basis, constants, provenance,
                  where="the cartan") -> QuantumLieAlgebra:
     """The table a reader has parsed from a stored form: labels as stored,
     read_basis(labels, cd) reading them, and constants an iterable of
-    ((a, b, c), RatFunc) consumed once the labels have passed.  Every
-    refusal the two forms share is made here, as an InvalidParams: the
-    rank must be an int, the basis must span the adjoint (table_cartan,
-    before any label is read), the labels pass check_basis_labels, the
-    construction is one of CONSTRUCTIONS, normalized is a bool, the params
-    are an object holding exactly s and t on an explicit-sln table, passing
-    check_sln_params, and None on a generic one, checks is a dict, and each
-    constant's (a, b, c) lies in range(dim) and is listed once.  A parse
-    error in the algebra names where, where it was read.  A stored zero
-    constant is dropped, as QuantumLieAlgebra drops every one."""
+    ((a, b, c), RatFunc).  The rank must be an int and the basis span the
+    adjoint (table_cartan) before any label is read; the constructor makes
+    the other refusals, then reads the constants (_listed_once), each an
+    InvalidParams.  A parse error in the algebra names where, where it was read."""
     with naming(where):
         if type(rank) is not int:
-            raise TypeError(f"the rank {rank!r} is not an int")
+            raise TypeError(f"the rank {_clip(repr(rank))} is not an int")
         cd = table_cartan(series, rank, len(labels))
-    basis = read_basis(labels, cd)
-    if provenance not in CONSTRUCTIONS:
-        raise InvalidParams(f"the construction {provenance!r} is not one of "
-                            + ", ".join(CONSTRUCTIONS))
-    check_basis_labels(cd, basis, provenance)
-    if type(normalized) is not bool:
-        raise InvalidParams(f"the normalized flag {normalized!r} is not a bool "
-                            "(yes or no in a text table)")
-    if not isinstance(params, (dict, type(None))):
-        raise InvalidParams(f"the params of a stored table are not a JSON object: {params!r}")
-    keys = None if params is None else sorted(params)
-    want = ["s", "t"] if provenance == "explicit-sln" else None
-    if keys != want:
-        raise InvalidParams(f"{provenance} tables have the params {want}, not {keys!r}")
-    if want:
-        check_sln_params(params["s"], params["t"])
-    if not isinstance(checks, (dict, type(None))):
-        raise InvalidParams(f"the checks of a stored table are not a JSON object: {checks!r}")
-    table = {}
+    return QuantumLieAlgebra(cd, read_basis(labels, cd), _listed_once(constants, len(labels)),
+                             provenance, params, normalized, checks)
+
+
+def _listed_once(constants, dim: int):
+    """The stored constants as they are read, each (a, b, c) in range(dim)
+    and listed once, or InvalidParams."""
+    seen = set()
     for key, val in constants:
-        if any(type(i) is not int or not 0 <= i < len(basis) for i in key):
-            raise InvalidParams(f"a constant index lies outside the basis range(0, {len(basis)})")
-        if key in table:
+        if any(type(i) is not int or not 0 <= i < dim for i in key):
+            raise InvalidParams(f"a constant index lies outside the basis range(0, {dim})")
+        if key in seen:
             raise InvalidParams("the constant [%d, %d, %d] is listed twice" % key)
-        table[key] = val
-    return QuantumLieAlgebra(cd, basis, table, provenance, params=params,
-                             normalized=normalized, checks=dict(checks or {}))
+        seen.add(key)
+        yield key, val
 
 
 def check_sln_params(s: RatFunc, t: RatFunc) -> None:
@@ -372,8 +384,9 @@ def table_cartan(series: str, rank: int, dim: int) -> CartanDatum:
 
 
 def check_basis_labels(cd: CartanDatum, basis: list, provenance: str) -> None:
-    """The label checks of a stored table (stored_table): each root of the
-    algebra labels one X and each Cartan slot 1..rank one H; an
+    """The label checks of every table (QuantumLieAlgebra's constructor):
+    each root of the algebra labels one X and each Cartan slot 1..rank one
+    H, so a table holds exactly its algebra's labels (_algebra_labels); an
     explicit-sln table is on an A-series algebra and every X label carries
     its matrix unit ij; and an ij is two ints 1 <= i != j <= n = rank + 1
     whose root eps_i - eps_j is the label's.  A failure raises
@@ -390,22 +403,25 @@ def check_basis_labels(cd: CartanDatum, basis: list, provenance: str) -> None:
                             f"not {cd.series}{cd.rank}")
     units = {lab.root: lab.ij for lab in labels if lab.ij}
     for lab in basis:
-        if lab.kind == "X" and (explicit or lab.ij is not None):
+        if lab.kind == "X" and (explicit or lab.ij is not None) and (
+                units.get(lab.root) != lab.ij or any(type(x) is not int for x in lab.ij)):
             name = BasisLabel("X", root=lab.root).name()
             if lab.ij is None:
                 raise InvalidParams(f"{name} of an explicit-sln table has no ij")
-            if units.get(lab.root) != lab.ij or any(type(x) is not int for x in lab.ij):
-                raise InvalidParams(f"the ij {lab.ij} of {name} is not a position "
-                                    f"1 <= i != j <= {cd.rank + 1} with that root")
+            raise InvalidParams(f"the ij {_clip(str(lab.ij))} of {name} is not a position "
+                                f"1 <= i != j <= {cd.rank + 1} with that root")
 
 
-def _algebra_labels(cd: CartanDatum) -> list:
-    """Every label the algebra has: X_alpha of each root, then on type A
-    the explicit family's basis (_sln_basis), or else H_1 .. H_rank."""
+@lru_cache(maxsize=None)
+def _algebra_labels(cd: CartanDatum) -> tuple:
+    """Every label the algebra has, made once per Cartan datum: X_alpha of
+    each root, then on type A the explicit family's basis (_sln_basis), or
+    else H_1 .. H_rank."""
     n = cd.rank + 1
     roots = [w for _, w in root_system(cd).positive_roots]
-    return [BasisLabel("X", root=w) for w in roots + [tuple(-x for x in w) for w in roots]] + (
-        _sln_basis(n) if cd.series == "A" else [BasisLabel("H", index=k) for k in range(1, n)])
+    roots += [tuple(-x for x in w) for w in roots]
+    return tuple([BasisLabel("X", root=w) for w in roots] + (
+        _sln_basis(n) if cd.series == "A" else [BasisLabel("H", index=k) for k in range(1, n)]))
 
 
 def _sln_basis(n: int) -> list:

@@ -14,7 +14,7 @@ import qlie
 from qlie import cli, qliealg, repbuild, table, tensorcg
 from qlie.cli import main
 from qlie.qliealg import check_lr_identity
-from qlie.table import QuantumLieAlgebra, same_algebra
+from qlie.table import BasisLabel, QuantumLieAlgebra, same_algebra
 from qlie.qring import RatFunc, rf_vpow
 from qlie.rootdata import build_cartan, highest_root
 
@@ -136,6 +136,28 @@ def test_long_digit_strings_end_in_one_short_error_line(capsys, argv, code, says
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and says in err, err[:300]
     assert len(err) < 250 and "set_int_max_str_digits" not in err
+
+
+def test_an_unknown_long_check_name_is_quoted_clipped(capsys):
+    assert main(["verify", "--algebra", "A1", "--checks", "x" * 5000]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown check 'xxx") and err.count("\n") == 1, err[:300]
+    assert len(err) < 250
+
+
+@pytest.mark.parametrize("budget,says", [
+    ("9" * 5000, "more than 4300 digits: '999"),   # int() read it whole before refusing it
+    ("9" * 10 ** 6, "more than 4300 digits: '999"),
+    ("x" * 5000, "invalid int value: 'xxx"),
+    ("x", "invalid int value: 'x'"),
+], ids=["5000-digits", "million-digits", "5000-letters", "letter"])
+def test_a_long_or_malformed_budget_is_one_short_argparse_error(capsys, budget, says):
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--algebra", "A1", "--budget-dim", budget])
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("qlie build: error: argument --budget-dim: " + says), last[:300]
+    assert len(last) < 150
 
 
 def test_explicit_table_obeys_the_budget(capsys):
@@ -742,7 +764,8 @@ def test_limit_json(capsys):
 
 
 def test_constants_table_of_a_table_without_constants():
-    A = QuantumLieAlgebra(build_cartan("A", 1), [], {}, "generic-pipeline")
+    basis = [BasisLabel("X", root=(2,)), BasisLabel("H", index=1), BasisLabel("X", root=(-2,))]
+    A = QuantumLieAlgebra(build_cartan("A", 1), basis, {}, "generic-pipeline")
     assert cli.constants_table(A) == cli.constants_table(A, at_one=True) == \
         "(all constants zero)\n"
 

@@ -14,7 +14,7 @@ from qlie import table
 from qlie.monodromy import check_concrete, monodromy_on_tensor
 from qlie.qliealg import build_generic, build_sln_explicit, canonical_normalize
 from qlie.qring import RF_ZERO, RatFunc, parse_scalar
-from qlie.rootdata import build_cartan, root_system
+from qlie.rootdata import build_cartan, root_system, simple_roots
 from qlie.repbuild import IrrepModule, adjoint_module, build_irrep
 from qlie.table import BasisLabel, InvalidParams, QuantumLieAlgebra, same_algebra
 
@@ -34,8 +34,8 @@ def test_table_imports_only_the_scalar_root_and_linear_algebra_layers():
                for alias in node.names}
     modules |= {"." * node.level + (node.module or "") for node in imports
                 if isinstance(node, ast.ImportFrom)}
-    assert modules <= {"__future__", "contextlib", "re", "typing", ".qring", ".rootdata",
-                       ".linalg"}, modules
+    assert modules <= {"__future__", "contextlib", "functools", "re", "typing", ".qring",
+                       ".rootdata", ".linalg"}, modules
 
 
 VALUES = {  # a value to build twice (root_system uncached), and one of its fields
@@ -67,7 +67,8 @@ def test_value_type_text_is_unchanged():
 
 def test_records_get_a_fresh_default_dict():
     cd = build_cartan("A", 1)
-    A, B = (QuantumLieAlgebra(cd, [], {}, "generic-pipeline") for _ in range(2))
+    basis = [BasisLabel("X", root=(2,)), BasisLabel("H", index=1), BasisLabel("X", root=(-2,))]
+    A, B = (QuantumLieAlgebra(cd, basis, {}, "generic-pipeline") for _ in range(2))
     A.checks["gradation"] = True
     assert A.checks is not B.checks and B.checks == {}
     V, W = (IrrepModule(cd, (0,), [()], [None], [(0,)], {}, {}, {}, {}) for _ in range(2))
@@ -152,6 +153,15 @@ REFUSED = {
                       "a constant is not a JSON object$"),
     "index-list": (GENERIC, lambda b: b["constants"][0].update(a=[0]),
                    re.escape("a constant index lies outside the basis range(0, 3)")),
+    "x-root-twice": (GENERIC, lambda b: b["basis"][2].update(root=[2]),
+                     "the X labels of the basis are not the roots, each once$"),
+    "h-index-0": (GENERIC, lambda b: b["basis"][1].update(index=0),
+                  re.escape("the H labels of the basis are not H_1 .. H_1, each once") + "$"),
+    "ij-other-root": (EXPLICIT, lambda b: b["basis"][0].update(ij=[2, 1]),
+                      re.escape("the ij (2, 1) of X_{(2,-1)} is not a position 1 <= i != j <= 3 "
+                                "with that root") + "$"),
+    "no-ij": (EXPLICIT, lambda b: b["basis"][0].pop("ij"),
+              re.escape("X_{(2,-1)} of an explicit-sln table has no ij") + "$"),
 }
 
 
@@ -165,6 +175,137 @@ def test_stored_json_table_refuses_each_malformed_field(golden_dir, name):
 def test_a_stored_table_is_a_json_object():
     with pytest.raises(InvalidParams, match="^the stored table is not a JSON object$"):
         QuantumLieAlgebra.from_json([1])
+
+
+# ------------------------------------- the same refusals for a table built in memory
+
+def _relabelled(a, **fields):
+    """Changes that give basis label a these fields."""
+    return lambda A: {"basis": [lab._replace(**fields) if i == a else lab
+                                for i, lab in enumerate(A.basis)]}
+
+
+def _minus_alpha1_doubled(A):
+    """Changes that relabel X_-a1 as X_-2a1, which is no root."""
+    minus = tuple(-c for c in simple_roots(A.cd)[0])
+    a = next(a for a, lab in enumerate(A.basis) if lab.root == minus)
+    return _relabelled(a, root=tuple(2 * c for c in minus))(A)
+
+
+X_ROOTS = "the X labels of the basis are not the roots, each once$"
+BUILT_REFUSED = {
+    # name: (the table, the constructor arguments changed, the refusal); a
+    # refusal of None is that of the stored case of the same name (REFUSED)
+    "provenance": (GENERIC, lambda A: {"provenance": "pipeline"}, None),
+    "no-provenance": (GENERIC, lambda A: {"provenance": None}, None),
+    "normalized-str": (GENERIC, lambda A: {"normalized": "no"}, None),
+    "no-normalized": (GENERIC, lambda A: {"normalized": None}, None),
+    "no-params": (EXPLICIT, lambda A: {"params": None}, None),
+    "other-params": (EXPLICIT, lambda A: {"params": {"zz": A.params["s"]}}, None),
+    "params-list": (EXPLICIT, lambda A: {"params": ["s", "t"]}, None),
+    "pole-params": (EXPLICIT, lambda A: {"params": {**A.params,
+                                                    "s": 1 / parse_scalar("q - 1")}}, None),
+    "generic-params": (GENERIC, lambda A: {"params": {"s": RatFunc(1)}}, None),
+    "checks-list": (GENERIC, lambda A: {"checks": [1]}, None),
+    "x-root-twice": (GENERIC, _relabelled(2, root=(2,)), None),
+    "h-index-0": (GENERIC, _relabelled(1, index=0), None),
+    "ij-other-root": (EXPLICIT, _relabelled(0, ij=(2, 1)), None),
+    "no-ij": (EXPLICIT, _relabelled(0, ij=None), None),
+    "explicit-B2": ("B2", lambda A: {"provenance": "explicit-sln"},
+                    "an explicit-sln table must be on an A-series algebra, not B2$"),
+    # compare_to_explicit reported "root systems differ"
+    "A2-root-as-H_9": ("A2", _relabelled(0, kind="H", root=None, index=9), X_ROOTS),
+    # check_lr_identity gave the witness [X_a1]; check_classical_limit and
+    # check_ad_invariance raised KeyError
+    "A2-minus-alpha1-doubled": ("A2", _minus_alpha1_doubled, X_ROOTS),
+    "B2-minus-alpha1-doubled": ("B2", _minus_alpha1_doubled, X_ROOTS),
+    # normalized, with no oracle: acts_as_coroot found no X_-a1
+    "explicit-normalized-minus-alpha1-doubled": (
+        EXPLICIT, lambda A: {**_minus_alpha1_doubled(A), "normalized": True}, X_ROOTS),
+}
+
+
+@pytest.mark.parametrize("name", BUILT_REFUSED)
+def test_a_table_built_in_memory_is_refused_as_a_stored_one(golden_dir, generics, name):
+    source, changes, message = BUILT_REFUSED[name]
+    A = (QuantumLieAlgebra.from_json(load_golden(golden_dir, source))
+         if source.endswith(".json") else generics[source])
+    with pytest.raises(InvalidParams, match="^" + (message or REFUSED[name][2])) as built:
+        replaced(A, **changes(A))
+    if message is None:
+        golden, edit, _ = REFUSED[name]
+        with pytest.raises(InvalidParams) as stored:
+            QuantumLieAlgebra.from_json(_edit(golden_dir, golden, edit))
+        assert str(stored.value) == str(built.value)
+
+
+def _calls(node, name):
+    """The calls of the function name below an ast node."""
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+            and name in (getattr(n.func, "id", None), getattr(n.func, "attr", None))]
+
+
+def test_only_the_constructor_checks_the_labels():
+    """Every table holds exactly its algebra's labels, however it is made,
+    because the one check of them runs in QuantumLieAlgebra.__init__."""
+    calls, init = [], None
+    for path in Path(table.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        calls += _calls(tree, "check_basis_labels")
+        init = init or next((f for c in tree.body if isinstance(c, ast.ClassDef)
+                             and c.name == "QuantumLieAlgebra"
+                             for f in c.body if getattr(f, "name", None) == "__init__"), None)
+    assert len(calls) == 1 and calls == _calls(init, "check_basis_labels")
+
+
+# ------------------------------------------- a long input is quoted clipped
+
+LONG = "x" * 5000
+LONG_TEXT = {  # a refusal of a text table, its start, and the text edited
+    "repeated-header": ("the text table repeats its algebra line",
+                        lambda t: t.replace("# algebra A2", "# algebra A2\n# algebra A" + LONG)),
+    "params-line": ("cannot parse params line",
+                    lambda t: t.replace("# params s = 1 ; t = q", "# params " + LONG)),
+    "params-value": ("cannot parse line '# params s = xxx",
+                     lambda t: t.replace("s = 1 ;", f"s = {LONG} ;")),
+    "table-line": ("cannot parse table line", lambda t: t + "f[" + LONG + "\n"),
+    "table-labels": ("unknown basis labels in line",
+                     lambda t: t + "f[X_{12},X_{21}]^{" + LONG + "} = 1\n"),
+    "table-value": ("cannot parse line 'f[X_{12},X_{21}]^{H_1} = 1xxx",
+                    lambda t: t.replace("^{H_1} = q^2 + 1", "^{H_1} = 1" + LONG)),
+    "basis-name": ("cannot parse basis label 'xxx", lambda t: t.replace("X_{13} |", LONG + " |")),
+}
+LONG_JSON = {  # a refusal of a JSON table, its start, and the edit of the blob
+    "provenance": ("the construction 'xxx", lambda b: b.update(provenance=LONG)),
+    "normalized": ("the normalized flag 'xxx", lambda b: b.update(normalized=LONG)),
+    "params": ("the params of a stored table are not a JSON object: ['xxx",
+               lambda b: b.update(params=[LONG, LONG])),
+    "params-keys": ("explicit-sln tables have the params ['s', 't'], not ['s', 't', 'xxx",
+                    lambda b: b["params"].update({LONG: b["params"]["s"]})),
+    "checks": ("the checks of a stored table are not a JSON object: ['xxx",
+               lambda b: b.update(checks=[LONG, LONG])),
+    "label": ("the basis label {'ij': [1, 2], 'label': 'xxx",
+              lambda b: b["basis"][0].update(label=LONG)),
+    "ij": ("the ij (1, 1, 1", lambda b: b["basis"][0].update(ij=[1] * 5000)),
+    "rank": ("cannot parse the cartan: the rank 'xxx", lambda b: b["cartan"].update(rank=LONG)),
+    "parameter-name": ("the parameter xxx", lambda b: b["params"].update({LONG: "1"})),
+    "constant": ("the constant [xxx", lambda b: b["constants"].append(
+        {"a": LONG, "b": 0, "c": 0, "value": "1"})),
+}
+
+
+@pytest.mark.parametrize("name", [*LONG_TEXT, *LONG_JSON])
+def test_a_refusal_quotes_a_long_input_clipped(golden_dir, name):
+    blob = load_golden(golden_dir, EXPLICIT)
+    if name in LONG_TEXT:
+        says, edit = LONG_TEXT[name]
+        read, stored = QuantumLieAlgebra.from_text, edit(QuantumLieAlgebra.from_json(blob).to_text())
+    else:
+        (says, edit), read, stored = LONG_JSON[name], QuantumLieAlgebra.from_json, blob
+        edit(blob)
+    with pytest.raises(InvalidParams) as exc:
+        read(stored)
+    assert str(exc.value).startswith(says) and len(str(exc.value)) < 250, str(exc.value)[:300]
 
 
 # ------------------------------------------------ no zero constants, however a table is built
